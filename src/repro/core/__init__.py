@@ -25,12 +25,6 @@
 from repro.core.budget import BudgetAwareScheduler, BudgetTracker, EnergyBudget
 from repro.core.candidate_selection import select_candidate_servers
 from repro.core.events import ElectricityCostEvent, EnergyEvent, TemperatureEvent
-from repro.core.forecast import (
-    MovingAverageForecaster,
-    PeriodicProfileForecaster,
-    UsageHistory,
-    provider_preference_from_forecast,
-)
 from repro.core.greenperf import (
     GreenPerfRanking,
     PowerEstimationMode,
@@ -62,10 +56,6 @@ __all__ = [
     "ElectricityCostEvent",
     "EnergyEvent",
     "TemperatureEvent",
-    "MovingAverageForecaster",
-    "PeriodicProfileForecaster",
-    "UsageHistory",
-    "provider_preference_from_forecast",
     "GreenPerfRanking",
     "PowerEstimationMode",
     "greenperf_of_node",

@@ -19,14 +19,13 @@ The :class:`ProvisioningPlanner` is the piece that makes the scheduling
 * it installs a candidate filter on the Master Agent so that only
   candidate nodes are eligible for election, and (optionally) powers
   de-provisioned nodes off once they are idle;
-* every check appends a :class:`~repro.util.xmlplan.PlanningEntry` to the
-  provisioning planning, reproducing the shared XML status file of Fig. 8.
+* every check appends a :class:`PlanningEntry` to the provisioning
+  planning, the status samples of the paper's shared planning file (Fig. 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.core.greenperf import IncrementalGreenPerfOrder, PerformanceBasis
@@ -41,9 +40,24 @@ from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.trace import ExecutionTrace
-from repro.util.rwlock import ReadersWriterLock
 from repro.util.validation import ensure_positive
-from repro.util.xmlplan import PlanningEntry, write_planning
+
+
+@dataclass(frozen=True)
+class PlanningEntry:
+    """One timestamped sample of the platform status.
+
+    Attributes mirror the tags of the paper's planning file (Fig. 8):
+    ``timestamp`` (seconds), ``temperature`` (degrees Celsius),
+    ``candidates`` (number of candidate nodes available for computation)
+    and ``electricity_cost`` (ratio of the current cost to the theoretical
+    maximum cost, in ``[0, 1]``).
+    """
+
+    timestamp: float
+    temperature: float
+    candidates: int
+    electricity_cost: float
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,6 @@ class ProvisioningPlanner:
         self.engine = engine
         self.trace = trace
         self.config = config or ProvisioningConfig()
-        self.plan_lock = ReadersWriterLock()
         self._planning: list[PlanningEntry] = []
         self._decisions: list[ProvisioningDecision] = []
         self._candidates: set[str] = set()
@@ -183,8 +196,7 @@ class ProvisioningPlanner:
     @property
     def planning_entries(self) -> Sequence[PlanningEntry]:
         """The provisioning-planning samples accumulated so far (Fig. 8)."""
-        with self.plan_lock.read_locked():
-            return tuple(self._planning)
+        return tuple(self._planning)
 
     def status_at(self, time: float) -> PlatformStatus:
         """The platform status visible to the scheduler at ``time``."""
@@ -239,14 +251,14 @@ class ProvisioningPlanner:
         if new_count != current:
             self._resize_candidates(new_count, now)
 
-        entry = PlanningEntry(
-            timestamp=now,
-            temperature=status.temperature,
-            candidates=len(self._candidates),
-            electricity_cost=status.electricity_cost,
+        self._planning.append(
+            PlanningEntry(
+                timestamp=now,
+                temperature=status.temperature,
+                candidates=len(self._candidates),
+                electricity_cost=status.electricity_cost,
+            )
         )
-        with self.plan_lock.write_locked():
-            self._planning.append(entry)
 
         snapshot = ProvisioningDecision(
             time=now,
@@ -392,11 +404,6 @@ class ProvisioningPlanner:
             )
 
         self.engine.schedule(start_time, _periodic, label="provisioning-check")
-
-    # -- persistence ----------------------------------------------------------------------
-    def write_planning_file(self, path: str | Path) -> None:
-        """Dump the accumulated planning to an XML file (Fig. 8 format)."""
-        write_planning(path, self._planning, lock=self.plan_lock)
 
     def candidate_history(self) -> Sequence[tuple[float, int]]:
         """``(time, candidate_count)`` series across all checks (Figure 9)."""

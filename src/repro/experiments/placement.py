@@ -11,7 +11,7 @@ Reproduces:
 A single client submits ``10 × cores`` CPU-bound requests (a burst
 followed by a 2 req/s continuous phase) to a Master Agent whose plug-in
 scheduler implements the policy under test; every completed task and every
-wattmeter sample is recorded, from which the figures are derived.
+node-power segment is recorded, from which the figures are derived.
 """
 
 from __future__ import annotations

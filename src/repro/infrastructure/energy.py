@@ -1,7 +1,7 @@
 """Event-driven energy accounting.
 
 The seed reproduction mirrored the Grid'5000 measurement setup literally:
-a :class:`~repro.infrastructure.wattmeter.Wattmeter` polled every node
+a wattmeter (:mod:`repro.infrastructure.wattmeter`) polled every node
 once per simulated second, allocating one sample object per node per
 second — O(nodes × simulated-seconds) time *and* memory.  Node power is
 piecewise-constant between scheduling events, so the exact same energy
@@ -27,10 +27,10 @@ Integration modes
 left-Riemann 1 Hz semantics *exactly*: a segment ``(t0, t1]`` contributes
 ``watts × sample_period`` for every sampling instant ``t`` with
 ``t0 < t <= t1`` (the instant at a transition time reads the power in
-effect *before* the transition, exactly like ``Wattmeter.advance_to``
-called at the top of an event handler).  Tick counts come from floor
-arithmetic — O(1) per segment — so the per-figure numbers match the
-polling path bit-for-bit whenever the sample period is exactly
+effect *before* the transition, exactly like a polling meter advanced
+to the event's time before the event fires).  Tick counts come from
+floor arithmetic — O(1) per segment — so the per-figure numbers match
+the polling meter bit-for-bit whenever the sample period is exactly
 representable in binary floating point (integers and dyadic rationals
 such as 0.5; the experiments use 1 s, 5 s and 10 s).
 
@@ -40,10 +40,10 @@ piecewise-constant power model; trace queries (``power_trace``,
 ``samples``, ``mean_power``) still render on the sampling grid so figures
 remain drawable.
 
-One deliberate fidelity improvement over the seed: the polling wattmeter
-only observed power at the instants the driver advanced it, so a
+One deliberate fidelity improvement over the seed: the seed's driver
+advanced its polling meter only on task and fault events, so a
 provisioning transition (boot completion, power-off) that fired *between*
-two driver events was attributed to the wrong instants.  The accountant
+two such events was attributed to the wrong instants.  The accountant
 is told about every transition by the node itself, so ticks are always
 attributed to the power actually in effect.
 """
@@ -61,17 +61,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.infrastructure.node import Node
     from repro.infrastructure.wattmeter import PowerSample
 
-#: Valid integration modes of :class:`SegmentEnergyLog` / :class:`EnergyAccountant`.
-#: (The driver-level ``energy_mode`` adds ``"polling"`` and ``"off"`` on top —
-#: see :data:`repro.middleware.driver.ENERGY_MODES`.)
+#: Valid integration modes of :class:`SegmentEnergyLog` / :class:`EnergyAccountant`
+#: (also the driver's :data:`repro.middleware.driver.ENERGY_MODES`).
 SEGMENT_MODES = ("quantized", "exact")
 
 
 class EnergyReadout(Protocol):
     """The energy-log query surface metrics and figures consume.
 
-    Both the segment-based :class:`SegmentEnergyLog` and the legacy polling
-    :class:`~repro.infrastructure.wattmeter.EnergyLog` satisfy this.
+    Both the segment-based :class:`SegmentEnergyLog` and the polling
+    :class:`~repro.infrastructure.wattmeter.EnergyLog` (the tests' oracle)
+    satisfy this.
     """
 
     sample_period: float

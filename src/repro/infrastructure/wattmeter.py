@@ -11,17 +11,16 @@ energy-sensing substrate:
 * :class:`EnergyLog` holds the resulting samples and integrates them into
   joules, per node, per cluster and for the whole platform.
 
-The simulation engine drives the wattmeter by calling
-:meth:`Wattmeter.advance_to` whenever simulated time moves forward, which
-keeps the sampling independent from the scheduling logic — exactly like an
-external meter.
+Whoever drives the wattmeter calls :meth:`Wattmeter.advance_to` before
+simulated time moves forward, which keeps the sampling independent from
+the scheduling logic — exactly like an external meter.
 
-This polling path is O(nodes × simulated-seconds) and is no longer the
-production accounting: :mod:`repro.infrastructure.energy` integrates the
-same piecewise-constant power in O(state-changes).  The wattmeter is kept
-as the measurement-level *reference* implementation — the equivalence
-property tests and ``tools/bench_kernel.py`` run it side by side with the
-segment accountant (``MiddlewareSimulation(..., energy_mode="polling")``).
+This polling path is O(nodes × simulated-seconds) and is not part of any
+simulation: :mod:`repro.infrastructure.energy` integrates the same
+piecewise-constant power in O(state-changes).  The wattmeter is kept as
+the measurement-level *oracle* the tests compare that accountant with:
+they step a simulation's engine one event at a time and advance a meter
+to each event's time before it fires, then check the two logs agree.
 """
 
 from __future__ import annotations

@@ -44,8 +44,6 @@ def windowed_power(
     energy_log, *, window: float, duration: float
 ) -> tuple[tuple[float, float], ...]:
     """Average platform power per ``window`` seconds (the crosses of Figure 9)."""
-    if energy_log is None:
-        return ()
     trace = energy_log.power_trace()
     if trace.size == 0:
         return ()
@@ -226,7 +224,7 @@ def queue_energy(
     (failed cores draw nothing — the capacity step function already
     excludes them) and every busy core-second adds the average
     peak-minus-idle delta.  This is deliberately coarser than the
-    middleware backend's per-node wattmeter model: the queue family
+    middleware backend's per-node energy accountant: the queue family
     compares *ordering and packing* decisions on one aggregated
     capacity, so per-node power attribution does not exist.
 

@@ -350,9 +350,7 @@ class LabSession:
             candidate_series = planner.candidate_history()
             metrics = provisioned_metrics(
                 duration=duration,
-                total_energy=(
-                    energy_log.total_energy if energy_log is not None else 0.0
-                ),
+                total_energy=energy_log.total_energy,
                 completed_tasks=result.metrics.task_count,
                 final_candidates=int(series_value_at(candidate_series, duration)),
                 events_processed=result.events_processed,

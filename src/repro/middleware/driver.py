@@ -29,13 +29,10 @@ Energy accounting modes
 ``"exact"``
     Analytic integration of the piecewise-constant power (no sampling
     error), also O(state-changes).
-``"polling"``
-    The legacy :class:`~repro.infrastructure.wattmeter.Wattmeter` loop —
-    O(nodes × simulated seconds) — kept as the reference for equivalence
-    tests and ``tools/bench_kernel.py``.
-``"off"``
-    No platform-level accounting (``enable_wattmeter=False`` is the
-    backward-compatible spelling); metrics fall back to per-task energy.
+
+Every simulation has an accountant.  Tests check its quantized figures
+against the 1 Hz polling meter of :mod:`repro.infrastructure.wattmeter`,
+advanced beside a stepped engine.
 
 Tracing
 -------
@@ -59,10 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.infrastructure.energy import EnergyAccountant, EnergyReadout
+from repro.infrastructure.energy import SEGMENT_MODES, EnergyAccountant, EnergyReadout
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import Platform
-from repro.infrastructure.wattmeter import Wattmeter
 from repro.middleware.agents import MasterAgent
 from repro.middleware.client import Client
 from repro.middleware.requests import SchedulingOutcome
@@ -74,7 +70,7 @@ from repro.simulation.trace import ExecutionTrace
 from repro.util import phases
 
 #: Valid values of ``MiddlewareSimulation(energy_mode=...)``.
-ENERGY_MODES = ("quantized", "exact", "polling", "off")
+ENERGY_MODES = SEGMENT_MODES
 
 #: Valid values of ``MiddlewareSimulation(trace_level=...)``.
 TRACE_LEVELS = ("full", "off")
@@ -113,7 +109,6 @@ class MiddlewareSimulation:
         seds: Mapping[str, ServerDaemon],
         *,
         sample_period: float = 1.0,
-        enable_wattmeter: bool = True,
         policy_name: str | None = None,
         energy_mode: str = "quantized",
         trace_level: str = "full",
@@ -127,14 +122,12 @@ class MiddlewareSimulation:
             raise ValueError(
                 f"trace_level must be one of {TRACE_LEVELS}, got {trace_level!r}"
             )
-        if not enable_wattmeter:
-            energy_mode = "off"
         self.platform = platform
         self.master = master
         self.seds = dict(seds)
         #: Per-phase profiling hook.  Explicit timer wins; otherwise the
-        #: process-wide active timer (set by ``repro sweep --profile`` and
-        #: the benchmarks) is picked up; ``None`` disables attribution.
+        #: process-wide active timer (set by ``repro sweep --profile``) is
+        #: picked up; ``None`` disables attribution.
         self.phase_timer = (
             phase_timer if phase_timer is not None else phases.active_timer()
         )
@@ -149,20 +142,14 @@ class MiddlewareSimulation:
         # O(requests × servers) footprint (each outcome pins the full
         # ranked estimation-vector tuple), so sweeps drop it too.
         self.client = Client(master, keep_outcomes=self._trace_on)
-        self.energy_mode = energy_mode
-        self.wattmeter: Wattmeter | None = None
-        self.accountant: EnergyAccountant | None = None
-        if energy_mode == "polling":
-            self.wattmeter = Wattmeter(platform.nodes, sample_period=sample_period)
-        elif energy_mode in ("quantized", "exact"):
-            engine = self.engine
-            self.accountant = EnergyAccountant(
-                platform.nodes,
-                clock=lambda: engine.now,
-                mode=energy_mode,
-                sample_period=sample_period,
-                phase_timer=self.phase_timer,
-            )
+        engine = self.engine
+        self.accountant = EnergyAccountant(
+            platform.nodes,
+            clock=lambda: engine.now,
+            mode=energy_mode,
+            sample_period=sample_period,
+            phase_timer=self.phase_timer,
+        )
         self._rejected = 0
         self._failed = 0
         self._submitted = 0
@@ -174,13 +161,9 @@ class MiddlewareSimulation:
         }
 
     @property
-    def energy_log(self) -> EnergyReadout | None:
-        """The active energy log (segment- or sample-based), if any."""
-        if self.accountant is not None:
-            return self.accountant.log
-        if self.wattmeter is not None:
-            return self.wattmeter.log
-        return None
+    def energy_log(self) -> EnergyReadout:
+        """The accountant's segment log."""
+        return self.accountant.log
 
     # -- workload submission -------------------------------------------------------
     def submit_workload(self, tasks: Sequence[Task]) -> None:
@@ -234,14 +217,7 @@ class MiddlewareSimulation:
         return self._handle_arrival(task)
 
     # -- event handlers ----------------------------------------------------------------
-    def _sample_power(self) -> None:
-        # Only the legacy polling mode needs explicit advancing; the
-        # segment accountant is notified by the nodes themselves.
-        if self.wattmeter is not None:
-            self.wattmeter.advance_to(self.engine.now)
-
     def _handle_arrival(self, task: Task) -> SchedulingOutcome:
-        self._sample_power()
         now = self.engine.now
         self._submitted += 1
         task.state = TaskState.SUBMITTED
@@ -325,7 +301,6 @@ class MiddlewareSimulation:
         node_power: float,
         attributed_power: float,
     ) -> None:
-        self._sample_power()
         now = self.engine.now
         node = sed.node
         duration = now - started_at
@@ -382,7 +357,6 @@ class MiddlewareSimulation:
         node = self.platform.node(name)
         if node.state is NodeState.FAILED:
             return 0
-        self._sample_power()
         now = self.engine.now
         sed = self.seds.get(name)
         displaced: list[Task] = []
@@ -415,7 +389,6 @@ class MiddlewareSimulation:
         node = self.platform.node(name)
         if node.state is not NodeState.FAILED:
             return
-        self._sample_power()
         node.repair()
         if self._trace_on:
             self.trace.record(self.engine.now, ExecutionTrace.NODE_RECOVERED, node=name)
@@ -455,8 +428,7 @@ class MiddlewareSimulation:
         transition nor mis-stamps segments with its stale clock.
         Idempotent; figures accounted so far stay queryable.
         """
-        if self.accountant is not None:
-            self.accountant.close(self.engine.now)
+        self.accountant.close(self.engine.now)
 
     # -- execution ------------------------------------------------------------------------
     def run(self, *, until: float | None = None, max_events: int | None = None) -> SimulationResult:
@@ -471,20 +443,14 @@ class MiddlewareSimulation:
         finally:
             if timer is not None:
                 timer.pop()
-        self._sample_power()
-        if self.accountant is not None and not self.accountant.closed:
+        if not self.accountant.closed:
             self.accountant.sync(self.engine.now)
         energy_log = self.energy_log
-        metrics = self.metrics.summarize(energy_log)
         return SimulationResult(
-            metrics=metrics,
+            metrics=self.metrics.summarize(energy_log),
             trace=self.trace,
-            energy_by_cluster=(
-                dict(energy_log.energy_by_cluster()) if energy_log is not None else {}
-            ),
-            energy_by_node=(
-                dict(energy_log.energy_by_node()) if energy_log is not None else {}
-            ),
+            energy_by_cluster=dict(energy_log.energy_by_cluster()),
+            energy_by_node=dict(energy_log.energy_by_node()),
             rejected_tasks=self._rejected,
             events_processed=self.engine.processed_events,
             failed_tasks=self._failed,

@@ -5,7 +5,8 @@ Figures 2–4 report the number of tasks executed per node; Figure 5 the
 energy per cluster.  :class:`MetricsCollector` derives all of these from
 the execution records and the platform energy log — any implementation of
 the :class:`~repro.infrastructure.energy.EnergyReadout` surface (the
-segment-based accountant log or the legacy polling wattmeter log).
+driver's segment-based accountant log, or the polling meter's log the
+tests compare it with).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ExperimentMetrics:
     makespan:
         Time between the first submission and the last completion (s).
     total_energy:
-        Integrated platform energy over the run (J), from the wattmeter.
+        Integrated platform energy over the run (J), from the energy log.
     task_count:
         Number of completed tasks.
     tasks_per_node:

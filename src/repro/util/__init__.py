@@ -1,22 +1,16 @@
-"""Shared utilities: locking, XML provisioning plans, statistics, validation."""
+"""Shared utilities: phase timing, statistics, tables, validation."""
 
-from repro.util.rwlock import ReadersWriterLock
 from repro.util.stats import RunningStats, WindowedAverage
 from repro.util.validation import (
     ensure_in_range,
     ensure_non_negative,
     ensure_positive,
 )
-from repro.util.xmlplan import PlanningEntry, read_planning, write_planning
 
 __all__ = [
-    "ReadersWriterLock",
     "RunningStats",
     "WindowedAverage",
     "ensure_in_range",
     "ensure_non_negative",
     "ensure_positive",
-    "PlanningEntry",
-    "read_planning",
-    "write_planning",
 ]

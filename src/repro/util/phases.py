@@ -1,8 +1,7 @@
 """Per-phase wall-clock attribution for profiling runs.
 
-``repro sweep --profile`` and ``tools/bench_kernel.py`` break a run's wall
-time down into the kernel's four cost centres so future hot spots stay
-attributable:
+``repro sweep --profile`` breaks a run's wall time down into the
+kernel's four cost centres so future hot spots stay attributable:
 
 * ``estimation`` — refreshing dirty estimation vectors (the resident
   ranking's flush, or the full candidate collection on the fallback path);

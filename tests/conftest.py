@@ -6,6 +6,7 @@ import pytest
 
 from repro.infrastructure.node import Node, NodeSpec
 from repro.infrastructure.platform import grid5000_placement_platform
+from repro.infrastructure.wattmeter import Wattmeter
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.simulation.task import Task
 
@@ -66,6 +67,25 @@ def make_vector(
     vector.set(EstimationTags.BOOT_TIME, boot_time)
     vector.set(EstimationTags.NODE_AVAILABLE, 1.0 if available else 0.0)
     return vector
+
+
+def run_beside_meter(simulation):
+    """Run ``simulation`` with a polling :class:`Wattmeter` stepped beside it.
+
+    The meter is advanced to each event's time before the event fires —
+    the seed driver's sampling discipline — and then to the final clock,
+    so its log is the oracle the accountant's segment log must match.
+    Returns ``(result, meter_log)``.
+    """
+    engine = simulation.engine
+    meter = Wattmeter(
+        simulation.platform.nodes, sample_period=simulation.energy_log.sample_period
+    )
+    while (time := engine.peek_next_time()) is not None:
+        meter.advance_to(time)
+        engine.step()
+    meter.advance_to(engine.now)
+    return simulation.run(), meter.log
 
 
 @pytest.fixture

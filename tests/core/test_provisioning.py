@@ -77,7 +77,7 @@ class TestCandidateFilter:
     def test_filter_restricts_elections_to_candidates(self):
         planner, platform, master, seds = make_planner(default_cost=1.0)
         planner.install()
-        simulation = MiddlewareSimulation(platform, master, seds, enable_wattmeter=False)
+        simulation = MiddlewareSimulation(platform, master, seds)
         simulation.inject_task(Task(flop=2.3e9))
         simulation.run()
         scheduled = simulation.trace.of_kind(ExecutionTrace.TASK_SCHEDULED)
@@ -87,7 +87,7 @@ class TestCandidateFilter:
         config = ProvisioningConfig(initial_candidates=0)
         planner, platform, master, seds = make_planner(config=config)
         planner.install()
-        simulation = MiddlewareSimulation(platform, master, seds, enable_wattmeter=False)
+        simulation = MiddlewareSimulation(platform, master, seds)
         simulation.inject_task(Task(flop=2.3e9))
         result = simulation.run()
         # With an empty candidate pool the planner lets the request through

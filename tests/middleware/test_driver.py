@@ -1,5 +1,7 @@
 """Tests for the middleware simulation driver."""
 
+import re
+
 import pytest
 
 from repro.core.policies import PerformancePolicy, PowerPolicy
@@ -9,6 +11,7 @@ from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task, TaskState
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.generator import BurstThenContinuousWorkload
+from tests.conftest import run_beside_meter
 
 
 def make_simulation(policy=None, nodes_per_cluster=1, **kwargs):
@@ -114,40 +117,33 @@ class TestWorkloadExecution:
             node.name for node in simulation.platform.nodes
         }
 
-    def test_wattmeter_can_be_disabled(self):
-        simulation = make_simulation(enable_wattmeter=False)
-        simulation.submit_workload([Task(flop=2.3e9)])
-        result = simulation.run()
-        assert result.energy_by_cluster == {}
-        assert simulation.energy_log is None
-        # Energy falls back to the per-task attribution.
-        assert result.metrics.total_energy > 0.0
-
     def test_energy_modes_agree_on_figures(self):
         """Quantized segments reproduce the polling figures; exact is close."""
         tasks = [Task(flop=2.3e10), Task(flop=1.15e10, arrival_time=3.0)]
-        results = {}
-        for mode in ("polling", "quantized", "exact"):
-            simulation = make_simulation(energy_mode=mode)
-            simulation.submit_workload(list(tasks))
-            results[mode] = simulation.run()
-        assert results["quantized"].total_energy == pytest.approx(
-            results["polling"].total_energy, rel=1e-12
+        simulation = make_simulation(energy_mode="quantized")
+        simulation.submit_workload(list(tasks))
+        quantized, polled_log = run_beside_meter(simulation)
+        simulation = make_simulation(energy_mode="exact")
+        simulation.submit_workload(list(tasks))
+        exact = simulation.run()
+        assert quantized.total_energy == pytest.approx(
+            polled_log.total_energy, rel=1e-12
         )
-        assert dict(results["quantized"].energy_by_node) == pytest.approx(
-            dict(results["polling"].energy_by_node), rel=1e-12
+        assert dict(quantized.energy_by_node) == pytest.approx(
+            dict(polled_log.energy_by_node()), rel=1e-12
         )
         # Analytic integration drops the sampling quantisation; on this
         # short two-task run the two renderings differ by at most a few
         # platform-peak-seconds (one per transition, plus the t=0 instant).
         peak = sum(n.spec.peak_power for n in simulation.platform.nodes)
-        assert abs(
-            results["exact"].total_energy - results["quantized"].total_energy
-        ) <= peak * 6
+        assert abs(exact.total_energy - quantized.total_energy) <= peak * 6
 
     def test_invalid_energy_mode_and_trace_level_rejected(self):
-        with pytest.raises(ValueError, match="energy_mode"):
-            make_simulation(energy_mode="nope")
+        # The retired "polling" and "off" modes fail like any unknown one.
+        valid = re.escape("energy_mode must be one of ('quantized', 'exact')")
+        for mode in ("nope", "polling", "off"):
+            with pytest.raises(ValueError, match=valid):
+                make_simulation(energy_mode=mode)
         with pytest.raises(ValueError, match="trace_level"):
             make_simulation(trace_level="sometimes")
 

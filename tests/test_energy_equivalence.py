@@ -4,7 +4,10 @@ The headline acceptance criterion of the event-driven refactor is that
 ``energy_mode="quantized"`` reproduces the polling wattmeter's figures
 *exactly* — total energy, per-node and per-cluster energy, power traces
 and sample counts — on arbitrary platforms and schedules, while doing
-O(state-changes) work instead of O(nodes × seconds).
+O(state-changes) work instead of O(nodes × seconds).  The wattmeter is
+the oracle: it is stepped beside one quantized simulation
+(:func:`tests.conftest.run_beside_meter`) and its log compared with the
+accountant's.
 
 The randomized platforms below use integer idle/peak power, power-of-two
 core counts and power-of-two sample periods, which makes every
@@ -28,6 +31,7 @@ from repro.infrastructure.platform import Platform, grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task
+from tests.conftest import run_beside_meter
 
 # -- strategies -----------------------------------------------------------------
 
@@ -79,7 +83,7 @@ def build_platform(cluster_rows) -> Platform:
     return Platform(clusters)
 
 
-def run_simulation(platform, policy_name, rows, *, energy_mode, sample_period):
+def build_simulation(platform, policy_name, rows, *, energy_mode, sample_period):
     kwargs = {"seed": 0} if policy_name == "RANDOM" else {}
     master, seds = build_hierarchy(
         platform, scheduler=policy_by_name(policy_name, **kwargs)
@@ -94,8 +98,7 @@ def run_simulation(platform, policy_name, rows, *, energy_mode, sample_period):
     simulation.submit_workload(
         [Task(flop=flop, arrival_time=arrival) for flop, arrival in rows]
     )
-    result = simulation.run()
-    return simulation, result
+    return simulation
 
 
 def assert_logs_equivalent(platform, polling_log, segment_log):
@@ -128,25 +131,19 @@ class TestQuantizedMatchesPolling:
     )
     def test_energy_figures_are_identical(self, cluster_rows, rows, policy_name, period):
         """Quantized segment accounting == seed polling, bit for bit."""
-        polled, polled_result = run_simulation(
-            build_platform(cluster_rows), policy_name, rows,
-            energy_mode="polling", sample_period=period,
-        )
-        segmented, segmented_result = run_simulation(
+        segmented = build_simulation(
             build_platform(cluster_rows), policy_name, rows,
             energy_mode="quantized", sample_period=period,
         )
-        assert segmented_result.metrics.task_count == polled_result.metrics.task_count
-        assert segmented_result.total_energy == polled_result.total_energy
+        segmented_result, polled_log = run_beside_meter(segmented)
+        assert segmented_result.total_energy == polled_log.total_energy
         assert dict(segmented_result.energy_by_node) == dict(
-            polled_result.energy_by_node
+            polled_log.energy_by_node()
         )
         assert dict(segmented_result.energy_by_cluster) == dict(
-            polled_result.energy_by_cluster
+            polled_log.energy_by_cluster()
         )
-        assert_logs_equivalent(
-            polled.platform, polled.energy_log, segmented.energy_log
-        )
+        assert_logs_equivalent(segmented.platform, polled_log, segmented.energy_log)
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -154,21 +151,18 @@ class TestQuantizedMatchesPolling:
     def test_identical_on_the_paper_platform(self, rows, policy_name):
         """Same equivalence on the Table I platform (12-core utilisation
         steps are not dyadic, so energies agree to float rounding)."""
-        polled, polled_result = run_simulation(
-            grid5000_placement_platform(nodes_per_cluster=1), policy_name, rows,
-            energy_mode="polling", sample_period=1.0,
-        )
-        segmented, segmented_result = run_simulation(
+        segmented = build_simulation(
             grid5000_placement_platform(nodes_per_cluster=1), policy_name, rows,
             energy_mode="quantized", sample_period=1.0,
         )
+        segmented_result, polled_log = run_beside_meter(segmented)
         assert segmented_result.total_energy == pytest.approx(
-            polled_result.total_energy, rel=1e-9, abs=1e-6
+            polled_log.total_energy, rel=1e-9, abs=1e-6
         )
-        polled_by_node = dict(polled_result.energy_by_node)
+        polled_by_node = dict(polled_log.energy_by_node())
         for node, joules in segmented_result.energy_by_node.items():
             assert joules == pytest.approx(polled_by_node[node], rel=1e-9, abs=1e-6)
-        assert len(segmented.energy_log.samples) == len(polled.energy_log.samples)
+        assert len(segmented.energy_log.samples) == len(polled_log.samples)
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -180,14 +174,14 @@ class TestQuantizedMatchesPolling:
     def test_exact_mode_brackets_quantized(self, cluster_rows, rows, period):
         """Analytic energy differs from the 1 Hz rendering by at most one
         sample period's worth of platform peak power."""
-        _, quantized = run_simulation(
+        quantized = build_simulation(
             build_platform(cluster_rows), "GREENPERF", rows,
             energy_mode="quantized", sample_period=period,
-        )
-        _, exact = run_simulation(
+        ).run()
+        exact = build_simulation(
             build_platform(cluster_rows), "GREENPERF", rows,
             energy_mode="exact", sample_period=period,
-        )
+        ).run()
         peak_platform = sum(
             spec["idle"] + spec["extra"]
             for rows_ in cluster_rows
