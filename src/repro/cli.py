@@ -34,10 +34,10 @@ base random seed of any stochastic component.
 
 ``repro sweep`` runs a named scenario grid through the sweep runner:
 ``--jobs`` fans scenarios out over worker processes, ``--store`` caches
-results — in a single JSONL file (``results.jsonl``) or, for any other
-path, a crash-safe sharded store *directory* (per-hash-prefix shard
-files; see ``docs/ARCHITECTURE.md``) — so a second run over the same
-grid is served entirely from cache; ``--force`` bypasses the cache,
+results in a crash-safe sharded store *directory* (per-hash-prefix shard
+files; see ``docs/ARCHITECTURE.md``; a legacy single-file store at the
+path migrates on first open) so a second run over the same grid is
+served entirely from cache; ``--force`` bypasses the cache,
 ``--filter`` restricts the grid to scenarios whose id contains a
 substring, and ``--profile`` appends a per-scenario wall-time /
 events-per-second table.  ``--workers-dir DIR`` turns the invocation
@@ -297,7 +297,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_store_verify(args: argparse.Namespace) -> str:
     import warnings
 
-    from repro.runner.store import ShardedResultStore, open_store
+    from repro.runner.store import open_store
 
     path = Path(args.path)
     if not path.exists():
@@ -307,15 +307,12 @@ def _cmd_store_verify(args: argparse.Namespace) -> str:
         warnings.simplefilter("always")
         store.load()
         count = len(store)  # forces a full parse of every shard
-    lines = [f"{path}: store ok — {count} record(s)"]
-    if isinstance(store, ShardedResultStore):
-        lines.append(
-            f"layout: sharded, {len(store.shard_files())} shard file(s) of "
-            f"{store.shard_count} addressable (prefix_len {store.prefix_len})"
-        )
-    else:
-        lines.append("layout: single-file JSONL")
-    lines.append(f"quarantined: {store.quarantined()}")
+    lines = [
+        f"{path}: store ok — {count} record(s)",
+        f"layout: sharded, {len(store.shard_files())} shard file(s) of "
+        f"{store.shard_count} addressable (prefix_len {store.prefix_len})",
+        f"quarantined: {store.quarantined()}",
+    ]
     if repaired:
         lines.append(f"torn tails repaired on this open: {len(repaired)}")
     return "\n".join(lines)
@@ -764,9 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="result store; already-stored scenarios are not re-simulated "
-        "(a .jsonl path keeps the single-file layout, any other path "
-        "opens a crash-safe sharded store directory)",
+        help="result store directory; already-stored scenarios are not "
+        "re-simulated (a legacy single-file store at PATH migrates to a "
+        "sharded store directory on first open)",
     )
     sweep.add_argument(
         "--workers-dir",
@@ -812,12 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
     store_verify = store_sub.add_parser(
         "verify",
         help="parse every record of a store (exit 2 on corruption)",
-        description="Load a result store — single-file JSONL or a sharded "
-        "store directory — parsing every record.  Corrupt interior lines "
-        "exit 2; torn tails left by crashed appends are quarantined and "
-        "reported.",
+        description="Load a sharded result store directory, parsing every "
+        "record (a legacy single-file store migrates first).  Corrupt "
+        "interior lines and invalid store.json metadata exit 2; torn tails "
+        "left by crashed appends are quarantined and reported.",
     )
-    store_verify.add_argument("path", help="store file or directory")
+    store_verify.add_argument("path", help="store directory (or legacy file)")
     store_verify.set_defaults(handler=_cmd_store_verify)
     store_migrate = store_sub.add_parser(
         "migrate",

@@ -322,8 +322,9 @@ def run_heterogeneity_experiment(
     Returns the POWER / GreenPerf / PERFORMANCE metric points and the
     RANDOM area computed over ``random_seeds``.  The grid executes through
     the sweep runner: ``jobs`` fans the scenarios out over worker
-    processes and ``store`` (a path or
-    :class:`~repro.runner.store.ResultStore`) makes re-runs incremental.
+    processes and ``store`` (a store directory path or
+    :class:`~repro.runner.store.ShardedResultStore`) makes re-runs
+    incremental.
     """
     point_sweep, random_sweep = heterogeneity_sweeps(
         kinds,

@@ -9,10 +9,11 @@ sweeps:
 * :mod:`repro.runner.executor` — process-pool fan-out with grid-order
   results (byte-identical aggregation at any ``jobs`` level), streaming
   grid consumption with a bounded in-flight window;
-* :mod:`repro.runner.store` — crash-safe JSONL result stores keyed by
-  scenario hash (cache hit ⇒ no simulation): the single-file
-  :class:`ResultStore` and the per-hash-prefix
-  :class:`ShardedResultStore` directory, plus percentile aggregation;
+* :mod:`repro.runner.store` — the crash-safe result store keyed by
+  scenario hash (cache hit ⇒ no simulation): a
+  :class:`ShardedResultStore` directory of per-hash-prefix JSONL shards
+  (legacy single-file stores migrate on open), plus percentile
+  aggregation;
 * :mod:`repro.runner.workers` — resumable multi-worker sweeps sharing a
   store directory, claiming work shards via lock files;
 * :mod:`repro.runner.reporting` — deterministic progress and comparison
@@ -36,7 +37,6 @@ from repro.runner.spec import (
     trace_file_hash,
 )
 from repro.runner.store import (
-    ResultStore,
     ScenarioResult,
     ShardedResultStore,
     open_store,
@@ -50,7 +50,6 @@ __all__ = [
     "expand_grid",
     "iter_grid",
     "ScenarioResult",
-    "ResultStore",
     "ShardedResultStore",
     "open_store",
     "summarize",

@@ -9,8 +9,8 @@ module level, which makes it picklable for
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
 ``run_scenarios`` adds the orchestration: cache lookup against a result
-store (:class:`~repro.runner.store.ResultStore` or the sharded
-:class:`~repro.runner.store.ShardedResultStore`), fan-out over ``jobs``
+store (a :class:`~repro.runner.store.ShardedResultStore` directory, or a
+path to one), fan-out over ``jobs``
 worker processes, streaming completion callbacks, and a result tuple
 returned in *grid order* — never completion order — so a 4-worker sweep
 aggregates to byte-identical output as a serial one.  Determinism holds
@@ -39,19 +39,13 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.runner.spec import GridLike, ScenarioSpec, expand_grid, iter_grid
-from repro.runner.store import (
-    AnyResultStore,
-    ResultStore,
-    ScenarioResult,
-    ShardedResultStore,
-    open_store,
-)
+from repro.runner.store import ScenarioResult, ShardedResultStore, open_store
 
 #: Callback fired as each scenario completes: ``(grid_index, result, total)``.
 #: ``total`` is ``None`` while streaming a grid whose size is unknown.
 ProgressCallback = Callable[[int, ScenarioResult, Optional[int]], None]
 
-StoreLike = Union[AnyResultStore, str, Path, None]
+StoreLike = Union[ShardedResultStore, str, Path, None]
 
 
 def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -116,12 +110,13 @@ class SweepOutcome:
         return {result.spec.policy: result for result in self.results}
 
 
-def _resolve_store(store: StoreLike) -> AnyResultStore | None:
+def _resolve_store(store: StoreLike) -> ShardedResultStore | None:
+    """The loaded store behind a store argument (``None`` stays ``None``)."""
     if store is None:
         return None
-    if isinstance(store, (ResultStore, ShardedResultStore)):
-        return store.load()
-    return open_store(store).load()
+    if not isinstance(store, ShardedResultStore):
+        store = open_store(store)
+    return store.load()
 
 
 def run_scenarios(

@@ -1,18 +1,14 @@
-"""Cached scenario results: crash-safe JSONL stores and their aggregation.
+"""Cached scenario results: a crash-safe sharded JSONL store and aggregation.
 
-Two store layouts share one record format (one JSON object per line,
-keyed by the scenario content hash of
-:meth:`repro.runner.spec.ScenarioSpec.content_hash`):
+A result store is a :class:`ShardedResultStore` *directory* of per-shard
+JSONL files (one JSON object per line, keyed by the scenario content
+hash of :meth:`repro.runner.spec.ScenarioSpec.content_hash`, sharded by
+hash prefix), built for 100k-scenario sweeps shared by many workers:
+shards load lazily, so a cache lookup reads one shard, not the whole
+store.  A legacy single-file JSONL store found at the store path
+migrates to the sharded layout on first open.
 
-* :class:`ResultStore` — the original single-file JSONL store; still the
-  right choice for small grids and the format every record tool reads.
-* :class:`ShardedResultStore` — a store *directory* of per-shard JSONL
-  files keyed by hash prefix, built for 100k-scenario sweeps shared by
-  many workers: shards load lazily (a cache lookup reads one shard, not
-  the whole store), and a legacy single-file store migrates to the
-  sharded layout automatically on open.
-
-Both layouts make the resumability promise real under crashes and
+The store makes the resumability promise real under crashes and
 concurrency:
 
 * every record is appended as a **single ``O_APPEND`` write** under an
@@ -42,7 +38,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -242,85 +238,23 @@ def _read_store_file(
         os.close(fd)
 
 
-# -- the single-file store --------------------------------------------------------------
-
-
-class ResultStore:
-    """Single-file JSONL result store keyed by scenario content hash.
-
-    Records are appended as they complete; on load, the *last* record of a
-    hash wins, so force-rerunning a scenario simply appends a fresher line.
-    Appends are single ``O_APPEND`` writes under ``fcntl.flock``, and a
-    torn final line left by a crashed append is quarantined on the next
-    open (see the module docstring) — the store survives any crash of any
-    writer with at most the in-flight record lost.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self._path = Path(path)
-        self._records: dict[str, Mapping[str, object]] = {}
-        self._loaded = False
-
-    @property
-    def path(self) -> Path:
-        """Location of the backing JSONL file."""
-        return self._path
-
-    def load(self) -> "ResultStore":
-        """Read the backing file (once); missing file means an empty store."""
-        if self._loaded:
-            return self
-        self._loaded = True
-        _read_store_file(self._path, self._records)
-        return self
-
-    def refresh(self) -> "ResultStore":
-        """Drop the in-memory index and re-read the file (other writers!)."""
-        self._records.clear()
-        self._loaded = False
-        return self.load()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, scenario_hash: str) -> bool:
-        return scenario_hash in self._records
-
-    def get(self, scenario_hash: str, *, cached: bool = True) -> ScenarioResult | None:
-        """The stored result of one scenario hash, or ``None``."""
-        record = self._records.get(scenario_hash)
-        if record is None:
-            return None
-        return ScenarioResult.from_record(record, cached=cached)
-
-    def put(self, result: ScenarioResult) -> None:
-        """Append one result to the file and the in-memory index."""
-        record = result.to_record()
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        _locked_append(self._path, _encode_record(record))
-        self._records[str(record["hash"])] = record
-
-    def results(self) -> tuple[ScenarioResult, ...]:
-        """All stored results, ordered by scenario id for determinism."""
-        loaded = [
-            ScenarioResult.from_record(record, cached=True)
-            for record in self._records.values()
-        ]
-        loaded.sort(key=lambda result: result.spec.scenario_id)
-        return tuple(loaded)
-
-    def quarantined(self) -> int:
-        """Number of torn records quarantined beside this store."""
-        return _count_quarantined(_quarantine_path(self._path))
-
-
 # -- the sharded store directory --------------------------------------------------------
 
 #: Name of the layout descriptor inside a sharded store directory.
 STORE_META_NAME = "store.json"
 
+#: The layout name written into :data:`STORE_META_NAME`.
+STORE_FORMAT = "sharded-jsonl"
+
 #: The sharded layout version written into :data:`STORE_META_NAME`.
 STORE_FORMAT_VERSION = 1
+
+
+def _checked_prefix_len(prefix_len: object) -> int:
+    value = int(prefix_len)
+    if not 1 <= value <= 4:
+        raise ValueError(f"prefix_len must be in [1, 4], got {prefix_len}")
+    return value
 
 
 def _count_quarantined(sidecar: Path) -> int:
@@ -351,15 +285,14 @@ class ShardedResultStore:
 
     Opening a path that holds a legacy **single-file** store migrates it
     in place (original preserved as ``<name>.pre-shard.bak``), so old
-    ``--store results.jsonl`` files keep working when pointed at by the
-    sharded machinery.
+    ``--store results.jsonl`` files keep working.  A ``store.json`` of
+    another format, a newer version or an out-of-range ``prefix_len`` is
+    rejected with ``ValueError`` on open.
     """
 
     def __init__(self, root: str | Path, *, prefix_len: int = 1) -> None:
-        if not 1 <= int(prefix_len) <= 4:
-            raise ValueError(f"prefix_len must be in [1, 4], got {prefix_len}")
         self._root = Path(root)
-        self._prefix_len = int(prefix_len)
+        self._prefix_len = _checked_prefix_len(prefix_len)
         self._shards: dict[str, dict[str, Mapping[str, object]]] = {}
         self._opened = False
 
@@ -396,13 +329,15 @@ class ShardedResultStore:
             return ()
         return tuple(sorted(self._root.glob("shard-*.jsonl")))
 
-    def _write_meta(self) -> None:
+    def _write_meta(self, directory: Path) -> None:
         meta = {
-            "format": "sharded-jsonl",
+            "format": STORE_FORMAT,
             "version": STORE_FORMAT_VERSION,
             "prefix_len": self._prefix_len,
         }
-        self._meta_path().write_text(json.dumps(meta, sort_keys=True) + "\n", "utf-8")
+        (directory / STORE_META_NAME).write_text(
+            json.dumps(meta, sort_keys=True) + "\n", "utf-8"
+        )
 
     def _read_meta(self) -> None:
         meta_path = self._meta_path()
@@ -410,10 +345,18 @@ class ShardedResultStore:
             return
         try:
             meta = json.loads(meta_path.read_text("utf-8"))
-            prefix_len = int(meta["prefix_len"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-            raise ValueError(f"{meta_path}: corrupt store metadata ({error})") from None
-        self._prefix_len = prefix_len
+            if meta["format"] != STORE_FORMAT:
+                raise ValueError(
+                    f"format {meta['format']!r} is not {STORE_FORMAT!r}"
+                )
+            if not 1 <= int(meta["version"]) <= STORE_FORMAT_VERSION:
+                raise ValueError(
+                    f"version {meta['version']!r} is not in "
+                    f"[1, {STORE_FORMAT_VERSION}]"
+                )
+            self._prefix_len = _checked_prefix_len(meta["prefix_len"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"{meta_path}: invalid store metadata ({error})") from None
 
     # -- open / migrate -----------------------------------------------------------------
 
@@ -469,11 +412,6 @@ class ShardedResultStore:
                     stale.unlink()
                 staging.rmdir()
             staging.mkdir(parents=True)
-            meta = {
-                "format": "sharded-jsonl",
-                "version": STORE_FORMAT_VERSION,
-                "prefix_len": self._prefix_len,
-            }
             by_shard: dict[str, list[bytes]] = {}
             for digest, record in records.items():
                 by_shard.setdefault(self._shard_key(digest), []).append(
@@ -481,9 +419,7 @@ class ShardedResultStore:
                 )
             for key, lines in sorted(by_shard.items()):
                 (staging / f"shard-{key}.jsonl").write_bytes(b"".join(lines))
-            (staging / STORE_META_NAME).write_text(
-                json.dumps(meta, sort_keys=True) + "\n", "utf-8"
-            )
+            self._write_meta(staging)
             backup = legacy.with_name(legacy.name + ".pre-shard.bak")
             legacy.rename(backup)
             staging.rename(self._root)
@@ -538,7 +474,7 @@ class ShardedResultStore:
         digest = str(record["hash"])
         self._root.mkdir(parents=True, exist_ok=True)
         if not self._meta_path().exists():
-            self._write_meta()
+            self._write_meta(self._root)
         _locked_append(self.shard_path(digest), _encode_record(record))
         key = self._shard_key(digest)
         if key in self._shards:
@@ -565,22 +501,13 @@ class ShardedResultStore:
         )
 
 
-AnyResultStore = Union[ResultStore, ShardedResultStore]
+def open_store(path: str | Path) -> ShardedResultStore:
+    """The result store at ``path``, whatever its name or suffix.
 
-
-def open_store(path: str | Path) -> AnyResultStore:
-    """Open the right store implementation for ``path``.
-
-    An existing directory — or a fresh path without a ``.jsonl`` /
-    ``.json`` suffix — opens as a :class:`ShardedResultStore`; an
-    existing file, or a fresh path that names one, keeps the legacy
-    single-file :class:`ResultStore` readable and writable in place.
+    A fresh path becomes a store directory on the first write; a legacy
+    single-file store at ``path`` migrates to the sharded layout when the
+    store is loaded.
     """
-    path = Path(path)
-    if path.is_dir():
-        return ShardedResultStore(path)
-    if path.is_file() or path.suffix in (".jsonl", ".json"):
-        return ResultStore(path)
     return ShardedResultStore(path)
 
 
@@ -653,19 +580,3 @@ def summarize(
         rows.append(row)
     return tuple(rows)
 
-
-def iter_store_records(path: str | Path) -> Iterator[Mapping[str, object]]:
-    """Yield every record of a store (file or directory), last-wins applied.
-
-    The verification primitive behind ``repro store verify``: loading
-    forces a full parse of every shard, so corrupt interior lines raise
-    and torn tails are quarantined as a side effect.
-    """
-    store = open_store(path)
-    store.load()
-    if isinstance(store, ShardedResultStore):
-        store._load_all()
-        for key in sorted(store._shards):
-            yield from store._shards[key].values()
-    else:
-        yield from store._records.values()

@@ -44,10 +44,10 @@ from repro.runner.executor import (
     ProgressCallback,
     StoreLike,
     SweepOutcome,
+    _resolve_store,
     run_scenarios,
 )
 from repro.runner.spec import GridLike, ScenarioSpec, iter_grid
-from repro.runner.store import ShardedResultStore
 
 #: Grid positions per claimable work shard (chunk).  Small enough that a
 #: late-joining worker finds work even on modest grids, large enough that
@@ -105,17 +105,6 @@ def _try_claim(workers_dir: Path, chunk_index: int, worker_id: str) -> bool:
     return True
 
 
-def _resolve_shared_store(store: StoreLike) -> ShardedResultStore:
-    if isinstance(store, ShardedResultStore):
-        return store.load()
-    if store is None:
-        raise ValueError("multi-worker sweeps need a shared store directory")
-    # A legacy single-file path migrates to the sharded layout on load —
-    # per-shard locking is what lets N workers append without contending
-    # on one file.
-    return ShardedResultStore(Path(store)).load()
-
-
 def run_worker(
     grid: GridLike,
     *,
@@ -147,7 +136,9 @@ def run_worker(
     worker_id = worker_id or default_worker_id()
     workers_dir = Path(workers_dir)
     workers_dir.mkdir(parents=True, exist_ok=True)
-    shared = _resolve_shared_store(store)
+    shared = _resolve_store(store)
+    if shared is None:
+        raise ValueError("multi-worker sweeps need a shared store directory")
 
     chunks_total = 0
     chunks_claimed = 0

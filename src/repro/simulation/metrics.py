@@ -133,32 +133,18 @@ class MetricsCollector:
         return np.array([e.queue_delay for e in self._executions], dtype=float)
 
     # -- summary ----------------------------------------------------------------------
-    def summarize(self, energy_log: EnergyReadout | None = None) -> ExperimentMetrics:
-        """Build the experiment summary, pulling energy from ``energy_log``.
-
-        Without an energy log, energy figures fall back to the sum of the
-        per-task marginal energies (which excludes idle draw).
-        """
-        if energy_log is not None:
-            total_energy = energy_log.total_energy
-            energy_per_cluster = dict(energy_log.energy_by_cluster())
-        else:
-            total_energy = sum(e.energy for e in self._executions)
-            per_cluster: dict[str, float] = defaultdict(float)
-            for execution in self._executions:
-                per_cluster[execution.cluster] += execution.energy
-            energy_per_cluster = dict(per_cluster)
-
+    def summarize(self, energy_log: EnergyReadout) -> ExperimentMetrics:
+        """Build the experiment summary, pulling energy from ``energy_log``."""
         response = self.response_times()
         delays = self.queue_delays()
         return ExperimentMetrics(
             policy=self.policy,
             makespan=self.makespan,
-            total_energy=total_energy,
+            total_energy=energy_log.total_energy,
             task_count=self.task_count,
             tasks_per_node=self.tasks_per_node(),
             tasks_per_cluster=self.tasks_per_cluster(),
-            energy_per_cluster=energy_per_cluster,
+            energy_per_cluster=dict(energy_log.energy_by_cluster()),
             mean_response_time=float(response.mean()) if response.size else 0.0,
             mean_queue_delay=float(delays.mean()) if delays.size else 0.0,
         )

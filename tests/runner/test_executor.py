@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ import pytest
 import repro.runner.executor as executor_module
 from repro.runner.executor import execute_scenario, run_scenarios, run_sweep
 from repro.runner.reporting import SweepProgressPrinter, format_sweep_summary
+from repro.runner.grids import grid
 from repro.runner.spec import ScenarioSpec, SweepSpec
-from repro.runner.store import ResultStore
+from repro.runner.store import ShardedResultStore
 
 #: A grid small enough for unit tests: two placement policies + one
 #: heterogeneity scenario, all on the tiny presets.
@@ -252,13 +254,33 @@ class TestStoreIntegration:
         assert full.cached == 2 and full.executed == 1
 
     def test_store_accepts_instance(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
+        store = ShardedResultStore(tmp_path / "results")
         outcome = run_scenarios(
             (ScenarioSpec(experiment="placement", platform="tiny", workload="tiny"),),
             store=store,
         )
         assert outcome.executed == 1
         assert len(store) == 1
+
+    def test_legacy_single_file_store_migrates_and_serves_hits(
+        self, tmp_path, monkeypatch
+    ):
+        """A store file written by the retired single-file layout (the smoke
+        grid's three records) is sharded on first open and answers the
+        whole grid from cache."""
+        fixture = Path(__file__).parent.parent / "data" / "legacy-store.jsonl"
+        path = tmp_path / "legacy.jsonl"
+        shutil.copyfile(fixture, path)
+
+        def _boom(spec):
+            raise AssertionError(f"scenario {spec.scenario_id} was re-simulated")
+
+        monkeypatch.setattr(executor_module, "execute_scenario", _boom)
+        outcome = run_sweep(grid("smoke"), store=path)
+        assert outcome.executed == 0 and outcome.cached == 3
+        assert path.is_dir()
+        backup = tmp_path / "legacy.jsonl.pre-shard.bak"
+        assert backup.read_bytes() == fixture.read_bytes()
 
 
 #: The fault-injection timeline fixture: tariff drop, node crash with a

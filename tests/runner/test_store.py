@@ -1,4 +1,4 @@
-"""Tests for the JSONL result store and its aggregation."""
+"""Tests for the result store: records, crash safety, aggregation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner.spec import ScenarioSpec
-from repro.runner.store import ResultStore, ScenarioResult, summarize
+from repro.runner.store import ScenarioResult, ShardedResultStore, summarize
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -52,13 +52,32 @@ class TestScenarioResult:
         assert make_result().as_cached().cached
 
 
+def seeds_in_one_shard(count: int, policy: str = "POWER") -> list[int]:
+    """``count`` seeds whose scenario hashes share a shard (prefix_len 1)."""
+    by_shard: dict[str, list[int]] = {}
+    seed = 0
+    while True:
+        bucket = by_shard.setdefault(
+            ScenarioSpec(policy=policy, seed=seed).content_hash()[0], []
+        )
+        bucket.append(seed)
+        if len(bucket) == count:
+            return bucket
+        seed += 1
+
+
+def results_in_one_shard(count: int) -> list[ScenarioResult]:
+    return [make_result(seed=seed) for seed in seeds_in_one_shard(count)]
+
+
 class TestResultStore:
     def test_missing_file_is_empty(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl").load()
+        store = ShardedResultStore(tmp_path / "results").load()
         assert len(store) == 0
+        assert not store.path.exists()  # nothing is created until a put
 
     def test_put_then_get_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl").load()
+        store = ShardedResultStore(tmp_path / "results").load()
         result = make_result()
         store.put(result)
         assert result.scenario_hash in store
@@ -67,102 +86,118 @@ class TestResultStore:
         assert fetched.cached
 
     def test_persists_across_instances(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result())
-        reloaded = ResultStore(path).load()
+        path = tmp_path / "results"
+        ShardedResultStore(path).load().put(make_result())
+        reloaded = ShardedResultStore(path).load()
         assert len(reloaded) == 1
         assert reloaded.get(make_result().scenario_hash) is not None
 
     def test_last_record_wins(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path).load()
+        path = tmp_path / "results"
+        store = ShardedResultStore(path).load()
         store.put(make_result(makespan=10.0))
         store.put(make_result(makespan=20.0))
-        reloaded = ResultStore(path).load()
+        reloaded = ShardedResultStore(path).load()
         assert reloaded.get(make_result().scenario_hash).metrics["makespan"] == 20.0
 
     def test_corrupt_line_raises(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        path.write_text("not json\n")
+        path = tmp_path / "results"
+        path.mkdir()
+        (path / "shard-0.jsonl").write_text("not json\n")
         with pytest.raises(ValueError, match="corrupt store record"):
-            ResultStore(path).load()
+            len(ShardedResultStore(path).load())
 
     def test_results_sorted_by_scenario_id(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl").load()
+        store = ShardedResultStore(tmp_path / "results").load()
         store.put(make_result(policy="RANDOM"))
         store.put(make_result(policy="POWER"))
         assert [r.spec.policy for r in store.results()] == ["POWER", "RANDOM"]
 
     def test_refresh_sees_another_writers_append(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        reader = ResultStore(path).load()
-        ResultStore(path).load().put(make_result())
+        path = tmp_path / "results"
+        result = make_result()
+        reader = ShardedResultStore(path).load()
+        assert result.scenario_hash not in reader  # loads the (empty) shard
+        ShardedResultStore(path).load().put(result)
         assert len(reader) == 0  # stale snapshot
         assert len(reader.refresh()) == 1
 
 
 class TestCrashSafety:
-    """The resumability promise: a crashed append never poisons the store."""
+    """The resumability promise: a crashed append never poisons a shard."""
 
     def test_truncated_final_line_is_quarantined(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path).load()
-        store.put(make_result(policy="POWER"))
-        store.put(make_result(policy="RANDOM"))
+        path = tmp_path / "results"
+        first, second = results_in_one_shard(2)
+        store = ShardedResultStore(path).load()
+        store.put(first)
+        store.put(second)
         # Simulate a crash mid-append: tear the second record in half.
-        data = path.read_bytes()
-        cut = data.rindex(b'"metrics"')
-        path.write_bytes(data[:cut])
+        shard = store.shard_path(second.scenario_hash)
+        data = shard.read_bytes()
+        shard.write_bytes(data[: data.rindex(b'"metrics"')])
+        reloaded = ShardedResultStore(path).load()
         with pytest.warns(RuntimeWarning, match="quarantined a truncated final record"):
-            reloaded = ResultStore(path).load()
-        assert len(reloaded) == 1
-        assert reloaded.get(make_result(policy="POWER").scenario_hash) is not None
+            assert len(reloaded) == 1
+        assert reloaded.get(first.scenario_hash) is not None
         assert reloaded.quarantined() == 1
 
     def test_quarantine_truncates_so_next_append_is_clean(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result(policy="POWER"))
-        with path.open("ab") as handle:
+        path = tmp_path / "results"
+        first, second = results_in_one_shard(2)
+        ShardedResultStore(path).load().put(first)
+        shard = ShardedResultStore(path).shard_path(first.scenario_hash)
+        with shard.open("ab") as handle:
             handle.write(b'{"hash": "torn')
+        repaired = ShardedResultStore(path).load()
         with pytest.warns(RuntimeWarning):
-            repaired = ResultStore(path).load()
-        repaired.put(make_result(policy="RANDOM"))
+            assert repaired.get(first.scenario_hash) is not None
+        repaired.put(second)
         # A fresh load parses every line — no concatenated garbage.
-        final = ResultStore(path).load()
+        final = ShardedResultStore(path).load()
         assert len(final) == 2
         assert final.quarantined() == 1
 
     def test_put_repairs_a_predecessors_torn_tail(self, tmp_path):
         """An append onto a torn tail must not glue records together."""
-        path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result(policy="POWER"))
-        with path.open("ab") as handle:
+        path = tmp_path / "results"
+        first, second = results_in_one_shard(2)
+        ShardedResultStore(path).load().put(first)
+        shard = ShardedResultStore(path).shard_path(first.scenario_hash)
+        with shard.open("ab") as handle:
             handle.write(b'{"hash": "torn')
-        writer = ResultStore(path)
-        writer._loaded = True  # writer that never re-read the file
+        writer = ShardedResultStore(path).load()  # never reads the shard
         with pytest.warns(RuntimeWarning):
-            writer.put(make_result(policy="RANDOM"))
-        final = ResultStore(path).load()
+            writer.put(second)
+        final = ShardedResultStore(path).load()
         assert len(final) == 2
         assert final.quarantined() == 1
 
     def test_interior_corruption_still_raises(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path).load()
-        store.put(make_result(policy="POWER"))
-        with path.open("a", encoding="utf-8") as handle:
+        path = tmp_path / "results"
+        first, second = results_in_one_shard(2)
+        store = ShardedResultStore(path).load()
+        store.put(first)
+        with store.shard_path(first.scenario_hash).open("a", encoding="utf-8") as handle:
             handle.write("not json\n")  # complete (newline-terminated) garbage
-        store.put(make_result(policy="RANDOM"))
+        store.put(second)
         with pytest.raises(ValueError, match="corrupt store record"):
-            ResultStore(path).load()
+            len(ShardedResultStore(path).load())
 
     def test_complete_final_record_without_newline_is_kept(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        record = json.dumps(make_result().to_record(), sort_keys=True)
-        path.write_text(record)  # hand-made file, no trailing newline
-        store = ResultStore(path).load()
+        path = tmp_path / "results"
+        first, second = results_in_one_shard(2)
+        path.mkdir()
+        shard = ShardedResultStore(path).shard_path(first.scenario_hash)
+        shard.write_text(json.dumps(first.to_record(), sort_keys=True))  # no newline
+        store = ShardedResultStore(path).load()
         assert len(store) == 1
         assert store.quarantined() == 0
+        # The next append repairs the missing newline instead of gluing on.
+        store.put(second)
+        final = ShardedResultStore(path).load()
+        assert len(final) == 2
+        assert final.quarantined() == 0
 
 
 class TestConcurrentAppends:
@@ -175,10 +210,10 @@ class TestConcurrentAppends:
 import sys
 sys.path.insert(0, {src!r})
 from repro.runner.spec import ScenarioSpec
-from repro.runner.store import ResultStore, ScenarioResult
+from repro.runner.store import ScenarioResult, ShardedResultStore
 
-store = ResultStore({path!r}).load()
-for seed in range({start}, {start} + {count}):
+store = ShardedResultStore({path!r}).load()
+for seed in {seeds!r}:
     store.put(ScenarioResult(
         spec=ScenarioSpec(policy="RANDOM", seed=seed),
         metrics={{"makespan": float(seed)}},
@@ -188,7 +223,10 @@ for seed in range({start}, {start} + {count}):
 """
 
     def test_parallel_processes_hammering_one_file(self, tmp_path):
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results"
+        # Every record lands in the same shard, so all writers contend on
+        # one file.
+        seeds = seeds_in_one_shard(self.N_PROCS * self.N_RECORDS, policy="RANDOM")
         procs = [
             subprocess.Popen(
                 [
@@ -197,8 +235,7 @@ for seed in range({start}, {start} + {count}):
                     self._WRITER.format(
                         src=SRC,
                         path=str(path),
-                        start=worker * self.N_RECORDS,
-                        count=self.N_RECORDS,
+                        seeds=seeds[worker :: self.N_PROCS],
                     ),
                 ]
             )
@@ -206,11 +243,11 @@ for seed in range({start}, {start} + {count}):
         ]
         for proc in procs:
             assert proc.wait(timeout=120) == 0
-        store = ResultStore(path).load()
+        store = ShardedResultStore(path).load()
+        assert len(store.shard_files()) == 1
         assert len(store) == self.N_PROCS * self.N_RECORDS
         assert store.quarantined() == 0
-        seeds = sorted(r.spec.seed for r in store.results())
-        assert seeds == list(range(self.N_PROCS * self.N_RECORDS))
+        assert sorted(r.spec.seed for r in store.results()) == sorted(seeds)
 
 
 class TestSummarize:

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from repro.runner.spec import ScenarioSpec
+from repro.cli import main
 from repro.runner.store import (
     STORE_META_NAME,
-    ResultStore,
     ScenarioResult,
     ShardedResultStore,
     open_store,
@@ -32,6 +32,15 @@ def fill(store, count: int) -> list[ScenarioResult]:
     results = [make_result(seed=seed) for seed in range(count)]
     for result in results:
         store.put(result)
+    return results
+
+
+def write_legacy_store(path: Path, count: int) -> list[ScenarioResult]:
+    """Write a legacy single-file store: one ``to_record()`` line per result."""
+    results = [make_result(seed=seed) for seed in range(count)]
+    path.write_text(
+        "".join(json.dumps(r.to_record(), sort_keys=True) + "\n" for r in results)
+    )
     return results
 
 
@@ -90,6 +99,27 @@ class TestLayout:
         with pytest.raises(ValueError, match="prefix_len"):
             ShardedResultStore(tmp_path / "store", prefix_len=0)
 
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"format": "bogus", "version": 99, "prefix_len": 0},
+            {"format": "bogus", "version": 1, "prefix_len": 1},
+            {"format": "sharded-jsonl", "version": 2, "prefix_len": 1},
+            {"format": "sharded-jsonl", "version": 1, "prefix_len": 0},
+            {"format": "sharded-jsonl", "version": 1, "prefix_len": 5},
+            {"format": "sharded-jsonl", "prefix_len": 1},
+            ["not", "an", "object"],
+        ],
+    )
+    def test_hostile_meta_rejected(self, tmp_path, capsys, meta):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / STORE_META_NAME).write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="store.json: invalid store metadata"):
+            ShardedResultStore(root).load()
+        assert main(["store", "verify", str(root)]) == 2
+        assert "invalid store metadata" in capsys.readouterr().err
+
 
 class TestLazyLoading:
     def test_lookup_reads_only_the_hashes_shard(self, tmp_path):
@@ -139,7 +169,7 @@ class TestLazyLoading:
 class TestMigration:
     def test_single_file_migrates_on_open(self, tmp_path):
         legacy = tmp_path / "results.jsonl"
-        originals = fill(ResultStore(legacy).load(), 12)
+        originals = write_legacy_store(legacy, 12)
         store = ShardedResultStore(legacy).load()
         assert legacy.is_dir()
         assert (legacy / STORE_META_NAME).exists()
@@ -150,14 +180,14 @@ class TestMigration:
 
     def test_migrated_store_reopens_as_plain_directory(self, tmp_path):
         legacy = tmp_path / "results.jsonl"
-        fill(ResultStore(legacy).load(), 5)
+        write_legacy_store(legacy, 5)
         ShardedResultStore(legacy).load()
         assert len(ShardedResultStore(legacy).load()) == 5
         assert isinstance(open_store(legacy), ShardedResultStore)
 
     def test_migration_quarantines_a_torn_legacy_tail(self, tmp_path):
         legacy = tmp_path / "results.jsonl"
-        fill(ResultStore(legacy).load(), 3)
+        write_legacy_store(legacy, 3)
         with legacy.open("ab") as handle:
             handle.write(b'{"hash": "torn')
         with pytest.warns(RuntimeWarning, match="quarantined"):
@@ -183,13 +213,18 @@ class TestOpenStore:
         ShardedResultStore(root).load().put(make_result())
         assert isinstance(open_store(root), ShardedResultStore)
 
-    def test_existing_file_stays_single_file(self, tmp_path):
+    def test_existing_file_migrates_on_load(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        ResultStore(path).load().put(make_result())
-        assert isinstance(open_store(path), ResultStore)
+        (original,) = write_legacy_store(path, 1)
+        store = open_store(path)
+        assert path.is_file()  # opening alone does not touch the disk
+        assert store.load().get(original.scenario_hash) is not None
+        assert path.is_dir()
 
-    def test_fresh_jsonl_path_opens_single_file(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "new.jsonl"), ResultStore)
+    def test_fresh_jsonl_path_becomes_a_directory(self, tmp_path):
+        path = tmp_path / "new.jsonl"
+        open_store(path).load().put(make_result())
+        assert (path / STORE_META_NAME).is_file()
 
     def test_fresh_bare_path_opens_sharded(self, tmp_path):
         assert isinstance(open_store(tmp_path / "results"), ShardedResultStore)

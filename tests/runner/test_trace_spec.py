@@ -5,7 +5,7 @@ import pytest
 from repro.runner.executor import execute_scenario, run_scenarios
 from repro.runner.grids import trace_grid
 from repro.runner.spec import ScenarioSpec, SweepSpec, trace_file_hash
-from repro.runner.store import ResultStore
+from repro.runner.store import ShardedResultStore
 from repro.simulation.task import Task
 from repro.workload.traces import save_trace
 
@@ -168,7 +168,7 @@ class TestTraceExecution:
         store_path = tmp_path / "store.jsonl"
         grid = trace_grid(str(trace_file), platforms=("tiny",), policies=("POWER",))
         run_scenarios(grid, store=store_path)
-        reloaded = ResultStore(store_path).load()
+        reloaded = ShardedResultStore(store_path).load()
         result = reloaded.get(grid[0].content_hash())
         assert result is not None
         assert result.spec == grid[0]

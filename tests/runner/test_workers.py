@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -170,7 +171,9 @@ class TestCooperatingWorkers:
 
 #: Crash harness: runs a --jobs 4 sweep against a sharded store, and after
 #: the second completion tears the tail of a shard file and SIGKILLs the
-#: whole process group — simulating a power-loss-grade failure mid-append.
+#: whole process group (pool workers included) — simulating a
+#: power-loss-grade failure mid-append.  Launch it with
+#: :func:`_run_crasher`, which gives it a process group of its own.
 _CRASHER = """
 import os, signal, sys
 sys.path.insert(0, {src!r})
@@ -196,20 +199,47 @@ def progress(index, result, total):
         shard = os.path.join({store!r}, "shard-" + result.scenario_hash[0] + ".jsonl")
         with open(shard, "ab") as handle:
             handle.write(b'{{"hash": "torn-by-sigkill')
-        os.kill(os.getpid(), signal.SIGKILL)
+        os.killpg(os.getpid(), signal.SIGKILL)
 
 run_scenarios(iter_grid(GRID), jobs=4, store={store!r}, progress=progress)
 """
 
 
+def _live_group_members(pgid: int) -> list[int]:
+    """PIDs of processes in group ``pgid`` that are not yet zombies."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # exited while we were looking
+            continue
+        state, _ppid, group = stat.rsplit(")", 1)[1].split()[:3]
+        if int(group) == pgid and state not in ("Z", "X"):
+            live.append(int(entry))
+    return live
+
+
+def _run_crasher(store: Path) -> None:
+    """Run the crash harness in its own session and check nothing outlives it."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CRASHER.format(src=SRC, store=str(store))],
+        start_new_session=True,  # process group id == proc.pid
+    )
+    assert proc.wait(timeout=120) == -signal.SIGKILL
+    if not os.path.isdir("/proc"):  # pragma: no cover - non-Linux hosts
+        return
+    deadline = time.monotonic() + 10.0
+    while _live_group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_group_members(proc.pid) == []
+
+
 class TestKillMidSweep:
     def test_sigkilled_sweep_resumes_from_cache(self, tmp_path):
         store = tmp_path / "store"
-        proc = subprocess.run(
-            [sys.executable, "-c", _CRASHER.format(src=SRC, store=str(store))],
-            timeout=120,
-        )
-        assert proc.returncode == -signal.SIGKILL
+        _run_crasher(store)
 
         # The store must load despite the torn tail (quarantined, not
         # fatal), with at least the scenarios completed before the kill.
@@ -241,11 +271,7 @@ class TestKillMidSweep:
         """After a SIGKILL, a fresh worker finishes the job end to end."""
         store = tmp_path / "store"
         claims = tmp_path / "claims"
-        proc = subprocess.run(
-            [sys.executable, "-c", _CRASHER.format(src=SRC, store=str(store))],
-            timeout=120,
-        )
-        assert proc.returncode == -signal.SIGKILL
+        _run_crasher(store)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             outcome, report = run_worker(

@@ -22,10 +22,18 @@ def make_execution(task_id=0, node="a-0", cluster="a", submitted=0.0, started=0.
     )
 
 
+def energy_log(joules=0.0, cluster="a"):
+    """A one-second energy log holding ``joules`` for ``cluster``."""
+    log = EnergyLog(sample_period=1.0)
+    if joules:
+        log.record(PowerSample(0.0, f"{cluster}-0", cluster, joules))
+    return log
+
+
 class TestMetricsCollector:
     def test_empty_collector(self):
         collector = MetricsCollector("POWER")
-        metrics = collector.summarize()
+        metrics = collector.summarize(energy_log())
         assert metrics.policy == "POWER"
         assert metrics.task_count == 0
         assert metrics.makespan == 0.0
@@ -47,20 +55,10 @@ class TestMetricsCollector:
         assert collector.tasks_per_node() == {"a-0": 2, "b-0": 1}
         assert collector.tasks_per_cluster() == {"a": 2, "b": 1}
 
-    def test_summary_without_energy_log_sums_task_energy(self):
-        collector = MetricsCollector()
-        collector.record_execution(make_execution(energy=50.0, cluster="a"))
-        collector.record_execution(make_execution(energy=70.0, cluster="b"))
-        metrics = collector.summarize()
-        assert metrics.total_energy == pytest.approx(120.0)
-        assert metrics.energy_per_cluster == {"a": 50.0, "b": 70.0}
-
     def test_summary_prefers_wattmeter_energy(self):
         collector = MetricsCollector()
         collector.record_execution(make_execution(energy=50.0))
-        log = EnergyLog(sample_period=1.0)
-        log.record(PowerSample(0.0, "a-0", "a", 300.0))
-        metrics = collector.summarize(log)
+        metrics = collector.summarize(energy_log(300.0))
         assert metrics.total_energy == pytest.approx(300.0)
         assert metrics.energy_per_cluster == {"a": 300.0}
 
@@ -68,7 +66,7 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         collector.record_execution(make_execution(submitted=0.0, started=2.0, completed=10.0))
         collector.record_execution(make_execution(submitted=0.0, started=4.0, completed=20.0))
-        metrics = collector.summarize()
+        metrics = collector.summarize(energy_log())
         assert metrics.mean_queue_delay == pytest.approx(3.0)
         assert metrics.mean_response_time == pytest.approx(15.0)
 
@@ -76,7 +74,7 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         collector.record_execution(make_execution(completed=10.0, energy=40.0))
         collector.record_execution(make_execution(completed=20.0, energy=60.0))
-        metrics = collector.summarize()
+        metrics = collector.summarize(energy_log(100.0))
         assert metrics.energy_per_task == pytest.approx(50.0)
         assert metrics.throughput == pytest.approx(2 / 20.0)
 

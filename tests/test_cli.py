@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -233,16 +234,22 @@ class TestSweepCommand:
         assert "--force is incompatible" in capsys.readouterr().err
 
 
+def legacy_store(tmp_path: Path) -> Path:
+    """A copy of the single-file store fixture (the smoke grid's records)."""
+    path = tmp_path / "results.jsonl"
+    shutil.copyfile(DATA / "legacy-store.jsonl", path)
+    return path
+
+
 class TestStoreCommand:
     def test_verify_single_file_store(self, capsys, tmp_path):
-        store = str(tmp_path / "results.jsonl")
-        assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
-        capsys.readouterr()
-        assert main(["store", "verify", store]) == 0
+        store = legacy_store(tmp_path)
+        assert main(["store", "verify", str(store)]) == 0
         out = capsys.readouterr().out
         assert "store ok — 3 record(s)" in out
-        assert "layout: single-file JSONL" in out
+        assert "layout: sharded" in out  # migrated on open
         assert "quarantined: 0" in out
+        assert store.is_dir()
 
     def test_verify_sharded_store(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -267,10 +274,11 @@ class TestStoreCommand:
         assert "no store file or directory" in capsys.readouterr().err
 
     def test_verify_reports_quarantined_tail(self, capsys, tmp_path):
-        store = str(tmp_path / "results.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
         capsys.readouterr()
-        with open(store, "ab") as handle:
+        shard = sorted(Path(store).glob("shard-*.jsonl"))[0]
+        with shard.open("ab") as handle:
             handle.write(b'{"hash": "torn')
         assert main(["store", "verify", store]) == 0
         out = capsys.readouterr().out
@@ -278,9 +286,7 @@ class TestStoreCommand:
         assert "quarantined: 1" in out
 
     def test_migrate_shards_a_legacy_file(self, capsys, tmp_path):
-        store = str(tmp_path / "results.jsonl")
-        assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
-        capsys.readouterr()
+        store = str(legacy_store(tmp_path))
         assert main(["store", "migrate", store]) == 0
         out = capsys.readouterr().out
         assert "migrated" in out
