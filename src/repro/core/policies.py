@@ -27,13 +27,14 @@ when decisions are made".
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.greenperf import PowerEstimationMode, greenperf_of_vector
 from repro.core.scoring import (
-    ServerScore,
+    ScoreKernel,
     completion_time_array,
     energy_consumption_array,
     score_array,
@@ -216,6 +217,8 @@ class GreenSchedulerPolicy(PluginScheduler):
     """
 
     name = "GREEN_SCORE"
+    #: The key is (Equation 6 score, server name).
+    total_order = True
 
     def __init__(
         self,
@@ -229,19 +232,18 @@ class GreenSchedulerPolicy(PluginScheduler):
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
+        if not candidates:
+            return []
         preference = request.user_preference
         if preference == 0.0:
             preference = self.default_preference
-        scored: list[tuple[float, str, CandidateEntry]] = []
-        for entry in candidates:
-            evaluation = ServerScore.from_vector(
-                entry.estimation,
-                flop=request.task.flop,
-                user_preference=preference,
-                use_dynamic_power=self.use_dynamic_power,
-            )
-            scored.append((evaluation.score, entry.server, entry))
-        scored.sort(key=lambda item: (item[0], item[1]))
+        evaluate = ScoreKernel(
+            request.task.flop, preference, use_dynamic_power=self.use_dynamic_power
+        ).evaluate
+        scored = [
+            (evaluate(entry.estimation)[2], entry.server, entry) for entry in candidates
+        ]
+        scored.sort(key=itemgetter(0, 1))  # (score, server)
         return [entry for _, _, entry in scored]
 
     def point_metric(self, request: ServiceRequest, *, flops, power):

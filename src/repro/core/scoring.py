@@ -23,6 +23,7 @@ time × energy, P → +0.9 makes it energy-dominated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,110 @@ def score_array(
     return np.power(time, preference_exponent(user_preference)) * energy
 
 
+_INF = math.inf
+
+
+class ScoreKernel:
+    """Equations 4–6 for one request, evaluated server by server.
+
+    The request constants are computed once: the checked flop count and
+    the Equation 6 exponent, preference clamp included.  :meth:`evaluate`
+    then scores one estimation vector in plain float arithmetic, with the
+    same association as :func:`completion_time`, :func:`energy_consumption`
+    and :func:`score`, so its results are bit-identical to theirs, and it
+    raises the same :class:`ValueError`/:class:`TypeError` on the same
+    inputs.  The request-level checks (flop, preference) run before any
+    server's.
+
+    Equation 7's sanity claims: a fast, power-hungry server and a slow,
+    frugal one (time 2 s / energy 600 J against 4 s / 200 J).
+
+    >>> def server(name, flops, power):
+    ...     return EstimationVector(name, "c", {
+    ...         EstimationTags.FLOPS_PER_CORE: flops,
+    ...         EstimationTags.MEAN_POWER: power,
+    ...         EstimationTags.NODE_AVAILABLE: 1.0,
+    ...     })
+    >>> fast, frugal = server("fast", 2e9, 300.0), server("frugal", 1e9, 50.0)
+    >>> def best(preference):
+    ...     kernel = ScoreKernel(4e9, preference)
+    ...     return min((kernel.evaluate(s)[2], s.server) for s in (fast, frugal))[1]
+    >>> ScoreKernel(4e9, 0.0).evaluate(fast)  # P = 0: exponent 1, time × energy
+    (2.0, 600.0, 1200.0)
+    >>> best(-0.9), round(ScoreKernel(4e9, -0.9).exponent, 6)  # time dominates
+    ('fast', 19.0)
+    >>> best(0.0)
+    'frugal'
+    >>> best(0.9), round(ScoreKernel(4e9, 0.9).exponent, 6)  # energy dominates
+    ('frugal', 0.052632)
+    >>> best(-1.0) == best(-0.9)  # the practical clamp keeps the exponent finite
+    True
+    """
+
+    __slots__ = ("flop", "exponent", "power_tag")
+
+    def __init__(
+        self, flop: float, user_preference: float, *, use_dynamic_power: bool = True
+    ) -> None:
+        ensure_non_negative(flop, "flop")
+        self.flop = flop
+        self.exponent = preference_exponent(user_preference)
+        #: ``c_s``: the dynamic mean-power tag, or the nameplate peak power.
+        self.power_tag = (
+            EstimationTags.MEAN_POWER if use_dynamic_power else EstimationTags.PEAK_POWER
+        )
+
+    def evaluate(self, vector: EstimationVector) -> tuple[float, float, float]:
+        """``(time, energy, score)`` of one server (Equations 4, 5 and 6).
+
+        ``active`` servers (powered on) pay their waiting queue; inactive
+        servers pay their boot time and boot energy.
+        """
+        values = vector.values
+        if EstimationTags.FLOPS_PER_CORE in values and self.power_tag in values:
+            flops = values[EstimationTags.FLOPS_PER_CORE]
+            power = values[self.power_tag]
+        else:  # the vector's own KeyError, for the first missing tag
+            flops = vector.get(EstimationTags.FLOPS_PER_CORE)
+            power = vector.get(self.power_tag)
+        waiting = values.get(EstimationTags.WAITING_TIME, 0.0)
+        boot_time = values.get(EstimationTags.BOOT_TIME, 0.0)
+        boot_power = values.get(EstimationTags.BOOT_POWER, 0.0)
+        # Fast path for exact, finite, in-range floats; anything else goes
+        # through the validators in the scalar functions' order, which
+        # raise their usual error or accept the value (ints, numpy floats).
+        if not (
+            type(flops) is type(waiting) is type(boot_time) is float
+            and type(power) is type(boot_power) is float
+            and 0.0 < flops < _INF
+            and 0.0 <= waiting < _INF
+            and 0.0 <= boot_time < _INF
+            and 0.0 <= power < _INF
+            and 0.0 <= boot_power < _INF
+        ):
+            ensure_positive(flops, "flops_per_second")
+            ensure_non_negative(waiting, "waiting_time")
+            ensure_non_negative(boot_time, "boot_time")
+            ensure_non_negative(power, "full_load_power")
+            ensure_non_negative(boot_power, "boot_power")
+        flop = self.flop
+        execution = flop / flops
+        energy = power * flop / flops
+        if values.get(EstimationTags.NODE_AVAILABLE, 0.0) >= 0.5:
+            time = waiting + execution
+        else:
+            time = boot_time + execution
+            energy = boot_time * boot_power + energy
+        if not (
+            type(time) is type(energy) is float
+            and 0.0 < time < _INF
+            and 0.0 <= energy < _INF
+        ):
+            ensure_positive(time, "time")
+            ensure_non_negative(energy, "energy")
+        return time, energy, time**self.exponent * energy
+
+
 @dataclass(frozen=True)
 class ServerScore:
     """The scored evaluation of one server for one task."""
@@ -145,40 +250,7 @@ class ServerScore:
         user_preference: float,
         use_dynamic_power: bool = True,
     ) -> "ServerScore":
-        """Score a server from its estimation vector.
-
-        ``active`` servers (powered on) pay their waiting queue; inactive
-        servers pay their boot time and boot energy (Equations 4–5).  The
-        full-load power ``c_s`` is taken from the dynamic mean-power tag by
-        default, falling back to the nameplate peak power when requested.
-        """
-        active = vector.available
-        flops = vector.get(EstimationTags.FLOPS_PER_CORE)
-        waiting = vector.get(EstimationTags.WAITING_TIME, 0.0)
-        boot_time = vector.get(EstimationTags.BOOT_TIME, 0.0)
-        boot_power = vector.get(EstimationTags.BOOT_POWER, 0.0)
-        if use_dynamic_power:
-            full_load_power = vector.get(EstimationTags.MEAN_POWER)
-        else:
-            full_load_power = vector.get(EstimationTags.PEAK_POWER)
-        time = completion_time(
-            flop,
-            flops,
-            active=active,
-            waiting_time=waiting,
-            boot_time=boot_time,
-        )
-        energy = energy_consumption(
-            flop,
-            flops,
-            active=active,
-            full_load_power=full_load_power,
-            boot_time=boot_time,
-            boot_power=boot_power,
-        )
-        return cls(
-            server=vector.server,
-            time=time,
-            energy=energy,
-            score=score(time, energy, user_preference),
-        )
+        """Score a server from its estimation vector (see :class:`ScoreKernel`)."""
+        kernel = ScoreKernel(flop, user_preference, use_dynamic_power=use_dynamic_power)
+        time, energy, value = kernel.evaluate(vector)
+        return cls(server=vector.server, time=time, energy=energy, score=value)

@@ -31,6 +31,11 @@ from repro.middleware.requests import SchedulingOutcome, ServiceRequest
 from repro.middleware.sed import ServerDaemon
 
 #: Hook filtering the candidate entries the Master Agent considers.
+#:
+#: Contract: the filter returns an order-preserving subsequence of its
+#: input (it drops entries, never reorders or adds them).  The Master
+#: Agent relies on it to skip re-sorting a resident or flat-election
+#: ranking after the filter.
 CandidateFilter = Callable[[ServiceRequest, Sequence[CandidateEntry]], Sequence[CandidateEntry]]
 
 
@@ -199,27 +204,33 @@ class MasterAgent(Agent):
             stack.extend(agent._child_agents)
 
     def _build_ranking(self):
-        """A :class:`~repro.middleware.ranking.ResidentRanking`, or the sentinel.
+        """A resident ranking, a flat election, or the sentinel.
 
-        The resident order equals the hierarchical walk only when one
-        ``rank_key`` policy instance sorts at *every* level (then per-level
-        sort + aggregate and a global sort are the same permutation) and
-        every SeD runs the default request-independent estimation function
-        (then the invalidation listeners see every vector change).
+        Both equal the hierarchical walk only when one total-order policy
+        instance sorts at *every* level (then per-level sort + aggregate
+        and a global sort are the same permutation).  A
+        :class:`~repro.middleware.ranking.ResidentRanking` further needs a
+        request-independent ``rank_key`` and every SeD on the default
+        estimation function (then the invalidation listeners see every
+        vector change); a policy whose total order depends on the request
+        gets a :class:`~repro.middleware.ranking.FlatElection` instead.
         """
-        from repro.middleware.ranking import ResidentRanking
+        from repro.middleware.ranking import FlatElection, ResidentRanking
 
-        if getattr(self._scheduler, "rank_key", None) is None:
-            return self._RANKING_UNSUPPORTED
-        if any(agent._scheduler is not self._scheduler for agent in self._iter_agents()):
+        scheduler = self._scheduler
+        if any(agent._scheduler is not scheduler for agent in self._iter_agents()):
             return self._RANKING_UNSUPPORTED
         seds = self.all_seds()
+        if getattr(scheduler, "rank_key", None) is None:
+            if getattr(scheduler, "total_order", False):
+                return FlatElection(scheduler, seds)
+            return self._RANKING_UNSUPPORTED
         if any(not sed.estimation_cacheable for sed in seds):
             return self._RANKING_UNSUPPORTED
-        return ResidentRanking(self._scheduler, seds)
+        return ResidentRanking(scheduler, seds)
 
     def _resident_candidates(self, request: ServiceRequest):
-        """Ranked candidates from the resident order, or ``None`` to fall back."""
+        """Candidates in the scheduler's order without a walk, or ``None`` to walk."""
         if not self.use_resident_ranking:
             return None
         if self._ranking is None or self._ranking_version != self._version:
@@ -254,7 +265,8 @@ class MasterAgent(Agent):
         if timer is not None:
             timer.push("estimation")
         candidates = self._resident_candidates(request)
-        if candidates is None:
+        walked = candidates is None
+        if walked:
             candidates = self.collect_candidates(request)
         if timer is not None:
             timer.pop()
@@ -262,7 +274,11 @@ class MasterAgent(Agent):
         try:
             if self.candidate_filter is not None and candidates:
                 candidates = list(self.candidate_filter(request, candidates))
-                candidates = self.scheduler.sort(request, candidates)
+                # An order-preserving subsequence of a total order is still
+                # sorted; the walk's output may not be (RANDOM must draw
+                # fresh noise, mixed hierarchies end in a child's order).
+                if walked:
+                    candidates = self.scheduler.sort(request, candidates)
             if not candidates:
                 return SchedulingOutcome(
                     request=request, elected=None, ranked_candidates=()

@@ -64,6 +64,14 @@ class PluginScheduler(ABC):
     #: O(log n) instead of re-sorting everything per election.
     rank_key = None
 
+    #: Whether :meth:`sort` orders by a total-order key that ends in the
+    #: server name even though the key depends on the request (so there is
+    #: no ``rank_key``).  Then one global sort over every candidate equals
+    #: the per-level sort + aggregate walk, which lets the Master Agent
+    #: score each server once per election
+    #: (:class:`~repro.middleware.ranking.FlatElection`).
+    total_order = False
+
     #: Vectorised metric over free single-core point-study servers, or ``None``.
     #:
     #: Policies that can score the lab point backend's candidate axis in

@@ -25,11 +25,15 @@ The ranking serves exactly what
 :meth:`~repro.middleware.agents.Agent.collect_candidates` would have
 produced for a hierarchy whose agents all share one ``rank_key`` policy:
 available servers only (OFF/BOOTING/FAILED nodes are dropped and re-appear
-through their recovery transitions), filtered by ``can_solve``.  Policies
-without a ``rank_key`` (RANDOM's per-request noise, GREEN_SCORE's
-request-dependent score, the queue-family adapters, FCFS) and hierarchies
-with custom estimation functions fall back to the tree walk — the ranking
-reports itself unusable rather than guessing.
+through their recovery transitions), filtered by ``can_solve``.
+GREEN_SCORE's request-dependent score cannot stay resident, but its key
+is still a total order, so :class:`FlatElection` scores each server once
+per election instead of walking (custom estimation functions included).
+Policies without a total-order key (RANDOM's per-request noise, FCFS, the
+queue-family adapters), hierarchies whose agents do not share one policy
+instance, and ``rank_key`` hierarchies with custom estimation functions
+fall back to the tree walk — the ranking reports itself unusable rather
+than guessing.
 """
 
 from __future__ import annotations
@@ -159,4 +163,36 @@ class ResidentRanking:
         return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
 
 
-__all__ = ["ResidentRanking"]
+class FlatElection:
+    """One scored pass over every SeD for a request-dependent total order.
+
+    A policy whose ``sort`` key depends on the request (GREEN_SCORE's
+    Equation 6 score) cannot keep an order resident, but when its key is a
+    total order ending in the server name (``total_order``) and one
+    instance sorts at every level, the walk's per-level sorts and
+    re-scoring aggregates give the same permutation as one global sort.
+    So each election collects the available, solvable candidates in the
+    walk's depth-first SeD order (the same ``estimate`` call sequence) and
+    sorts them once: each server is scored exactly once.
+    """
+
+    def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
+        self._scheduler = scheduler
+        self._seds = tuple(seds)
+
+    def detach(self) -> None:
+        """Nothing to unsubscribe: the pass keeps no per-server state."""
+
+    def candidates(self, request) -> list[CandidateEntry]:
+        """The candidates for ``request``, sorted by one ``sort`` call."""
+        service = request.service
+        entries = []
+        for sed in self._seds:
+            if sed.can_solve(service):
+                vector = sed.estimate(request)
+                if vector.available:
+                    entries.append(CandidateEntry.from_vector(vector))
+        return self._scheduler.sort(request, entries)
+
+
+__all__ = ["FlatElection", "ResidentRanking"]

@@ -51,7 +51,8 @@ def ensure_in_range(
 
 
 def _ensure_finite_number(value: float, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, Real):
+    # Exact floats, the common case, skip the slow ``numbers.Real`` ABC check.
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")

@@ -1,15 +1,19 @@
 """Tests for the completion-time / energy / score models (Equations 4-6)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.scoring import (
+    ScoreKernel,
     ServerScore,
     completion_time,
     energy_consumption,
     preference_exponent,
     score,
 )
+from repro.middleware.estimation import EstimationTags
+from repro.util.validation import ensure_non_negative
 from tests.conftest import make_vector
 
 
@@ -136,3 +140,109 @@ class TestServerScore:
             vector, flop=1e9, user_preference=0.0, use_dynamic_power=False
         )
         assert static.energy == pytest.approx(4 * dynamic.energy)
+
+
+def _scalar_reference(vector, *, flop, user_preference, use_dynamic_power):
+    """Equations 4–6 through the scalar functions, request-level checks first."""
+    ensure_non_negative(flop, "flop")
+    preference_exponent(user_preference)
+    active = vector.available
+    flops = vector.get(EstimationTags.FLOPS_PER_CORE)
+    waiting = vector.get(EstimationTags.WAITING_TIME, 0.0)
+    boot_time = vector.get(EstimationTags.BOOT_TIME, 0.0)
+    boot_power = vector.get(EstimationTags.BOOT_POWER, 0.0)
+    power_tag = EstimationTags.MEAN_POWER if use_dynamic_power else EstimationTags.PEAK_POWER
+    full_load_power = vector.get(power_tag)
+    time = completion_time(
+        flop, flops, active=active, waiting_time=waiting, boot_time=boot_time
+    )
+    energy = energy_consumption(
+        flop, flops, active=active, full_load_power=full_load_power,
+        boot_time=boot_time, boot_power=boot_power,
+    )
+    return time, energy, score(time, energy, user_preference)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (KeyError, TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+#: Tag values: valid floats, ints and numpy floats, zero, negatives, a bool.
+_VALUES = st.sampled_from(
+    [0.0, 1.0, 60.0, 150.0, 2.5e9, 3, 2_000_000_000, np.float64(1.5e9), -1.0, True]
+)
+_TAGS = (
+    EstimationTags.FLOPS_PER_CORE,
+    EstimationTags.WAITING_TIME,
+    EstimationTags.BOOT_TIME,
+    EstimationTags.BOOT_POWER,
+    EstimationTags.MEAN_POWER,
+    EstimationTags.PEAK_POWER,
+)
+
+
+class TestScoreKernel:
+    """The kernel (and ``from_vector``, which calls it) == the scalar functions."""
+
+    @settings(max_examples=300)
+    @given(
+        overrides=st.dictionaries(st.sampled_from(_TAGS), _VALUES, max_size=4),
+        missing=st.lists(st.sampled_from(_TAGS), max_size=2),
+        available=st.booleans(),
+        flop=st.sampled_from([0.0, -1.0, 1e9, 4e12, 7, np.float64(2.5e9)]),
+        preference=st.sampled_from([0.0, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.5]),
+        use_dynamic_power=st.booleans(),
+    )
+    def test_matches_scalar_functions_bit_for_bit(
+        self, overrides, missing, available, flop, preference, use_dynamic_power
+    ):
+        vector = make_vector(
+            flops_per_core=1.7e9, waiting_time=12.5, mean_power=180.0,
+            peak_power=240.0, boot_power=150.0, boot_time=60.0, available=available,
+        )
+        # Raw writes: ``set`` would coerce ints/bools to float.
+        vector.values.update(overrides)
+        for tag in missing:
+            vector.values.pop(tag, None)
+        expected = _outcome(lambda: _scalar_reference(
+            vector, flop=flop, user_preference=preference,
+            use_dynamic_power=use_dynamic_power,
+        ))
+        kernel = _outcome(lambda: ScoreKernel(
+            flop, preference, use_dynamic_power=use_dynamic_power
+        ).evaluate(vector))
+        wrapped = _outcome(lambda: ServerScore.from_vector(
+            vector, flop=flop, user_preference=preference,
+            use_dynamic_power=use_dynamic_power,
+        ))
+        assert kernel == expected
+        if isinstance(expected[0], type):
+            assert wrapped == expected
+        else:
+            assert (wrapped.time, wrapped.energy, wrapped.score) == expected
+            assert [type(value) for value in kernel] == [type(value) for value in expected]
+
+    @pytest.mark.parametrize(
+        ("flop", "tags", "error"),
+        [
+            (1e9, {EstimationTags.FLOPS_PER_CORE: 0.0}, "flops_per_second must be > 0, got 0.0"),
+            (1e9, {EstimationTags.WAITING_TIME: -1.0}, "waiting_time must be >= 0, got -1.0"),
+            (1e9, {EstimationTags.BOOT_TIME: -2.0}, "boot_time must be >= 0, got -2.0"),
+            (1e9, {EstimationTags.MEAN_POWER: -5.0}, "full_load_power must be >= 0, got -5.0"),
+            (1e9, {EstimationTags.BOOT_POWER: -1.0}, "boot_power must be >= 0, got -1.0"),
+            (-1.0, {}, "flop must be >= 0, got -1.0"),
+            (0.0, {}, "time must be > 0, got 0.0"),
+        ],
+    )
+    @pytest.mark.parametrize("available", [True, False])
+    def test_error_cases(self, flop, tags, error, available):
+        vector = make_vector(available=available, boot_time=0.0)
+        for tag, value in tags.items():
+            vector.set(tag, value)
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            ScoreKernel(flop, 0.0).evaluate(vector)
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            ServerScore.from_vector(vector, flop=flop, user_preference=0.0)

@@ -1,7 +1,9 @@
 """Tests for repro.util.validation."""
 
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
@@ -87,3 +89,34 @@ class TestEnsureInRange:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             ensure_in_range(math.nan, "x", 0.0, 1.0)
+
+
+class TestFiniteNumberCheck:
+    """The exact-float fast path keeps every other input's outcome and message."""
+
+    @pytest.mark.parametrize(
+        ("value", "error", "message"),
+        [
+            (True, TypeError, "x must be a real number, got bool"),
+            (1, None, None),
+            (np.float64(1.0), None, None),
+            (Decimal("1"), TypeError, "x must be a real number, got Decimal"),
+            ("1", TypeError, "x must be a real number, got str"),
+            (math.nan, ValueError, "x must be finite, got nan"),
+            (math.inf, ValueError, "x must be finite, got inf"),
+        ],
+    )
+    @pytest.mark.parametrize("check", [ensure_positive, ensure_non_negative])
+    def test_same_outcome_for_every_input_kind(self, check, value, error, message):
+        if error is None:
+            assert check(value, "x") == 1.0
+            return
+        with pytest.raises(error) as caught:
+            check(value, "x")
+        assert str(caught.value) == message
+
+    def test_range_check_takes_the_same_path(self):
+        with pytest.raises(TypeError, match="^x must be a real number, got bool$"):
+            ensure_in_range(False, "x", 0.0, 1.0)
+        with pytest.raises(ValueError, match="^x must be finite, got inf$"):
+            ensure_in_range(math.inf, "x", 0.0, 1.0)
