@@ -46,6 +46,7 @@ from repro.lab.components import (
     ProvisioningSource,
     WorkloadSource,
 )
+from repro.lab.observe import series_value_at
 from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec, SweepSpec
 from repro.scenario.events import EventTimeline
@@ -161,13 +162,7 @@ class AdaptiveExperimentResult:
 
     def candidates_at(self, time: float) -> int:
         """Candidate count in effect at simulated ``time`` (s)."""
-        count = 0
-        for check_time, value in self.candidate_series:
-            if check_time <= time:
-                count = value
-            else:
-                break
-        return count
+        return int(series_value_at(self.candidate_series, time))
 
     def mean_power_between(self, start: float, end: float) -> float:
         """Average platform power over ``[start, end]`` from the 10-min series."""

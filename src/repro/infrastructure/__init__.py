@@ -4,8 +4,8 @@ The paper evaluates its scheduler on Grid'5000 nodes instrumented with
 external wattmeters.  This package provides the equivalent simulated
 substrate: heterogeneous server models exposing exactly the observables the
 scheduler consumes (FLOPS, core count, idle/peak/boot power, boot time),
-1 Hz power sampling, a thermal environment and an electricity tariff
-schedule.
+event-driven energy accounting, a thermal environment and an electricity
+tariff schedule.
 """
 
 from repro.infrastructure.cluster import Cluster
@@ -31,7 +31,6 @@ from repro.infrastructure.platform import (
 )
 from repro.infrastructure.power_model import LinearPowerModel, PowerModel
 from repro.infrastructure.thermal import ThermalEnvironment, ThermalEvent
-from repro.infrastructure.wattmeter import EnergyLog, Wattmeter
 
 __all__ = [
     "Cluster",
@@ -51,8 +50,6 @@ __all__ = [
     "PowerModel",
     "ThermalEnvironment",
     "ThermalEvent",
-    "EnergyLog",
-    "Wattmeter",
     "EnergyAccountant",
     "EnergyReadout",
     "PowerSegment",

@@ -1,25 +1,41 @@
 """Event-driven energy accounting.
 
 The seed reproduction mirrored the Grid'5000 measurement setup literally:
-a wattmeter (:mod:`repro.infrastructure.wattmeter`) polled every node
-once per simulated second, allocating one sample object per node per
-second — O(nodes × simulated-seconds) time *and* memory.  Node power is
-piecewise-constant between scheduling events, so the exact same energy
-figures are computable in O(state-changes): this module does that.
+a wattmeter polled every node once per simulated second, allocating one
+sample object per node per second — O(nodes × simulated-seconds) time
+*and* memory.  Node power is piecewise-constant between scheduling
+events, so the exact same energy figures are computable in
+O(state-changes): this module does that.  (The polling meter survives
+only as the tests' oracle, in ``tests/wattmeter.py``.)
 
 Three cooperating pieces:
 
 * :class:`PowerSegment` — one maximal ``(start, end, watts)`` interval of
   constant power on one node.
-* :class:`SegmentEnergyLog` — the segment store.  It preserves the full
-  query surface of the polling :class:`~repro.infrastructure.wattmeter.EnergyLog`
-  (``total_energy``, ``energy_by_node/cluster``, ``power_trace``,
-  ``mean_power``, ``samples``) but integrates energy per segment and only
-  materialises sampled traces lazily, when a figure asks for them.
+* :class:`SegmentEnergyLog` — the segment store.  It integrates energy
+  per segment and answers the energy queries (``total_energy``,
+  ``energy_by_node/cluster``) plus the segment queries (``segments``,
+  ``tick_count``, ``nodes``) that observation reads.  It never renders a
+  per-second trace: Figure 9's per-window platform power is computed from
+  the segments by :func:`repro.lab.observe.windowed_power`.
 * :class:`EnergyAccountant` — subscribes to every node's power-change
   notification (:meth:`~repro.infrastructure.node.Node.add_power_listener`)
   and closes a segment on each transition, stamping it with the
   simulation clock.
+
+A two-node log, queried per node and per 2-second window:
+
+>>> log = SegmentEnergyLog(sample_period=1.0)
+>>> log.add_segment("a-0", "a", 0.0, 1.0, 100.0)   # instants t = 0, 1
+>>> log.add_segment("a-0", "a", 1.0, 3.0, 200.0)   # instants t = 2, 3
+>>> log.add_segment("b-0", "b", 0.0, 3.0, 50.0)    # instants t = 0..3
+>>> log.energy_by_node()
+{'a-0': 600.0, 'b-0': 200.0}
+>>> [segment.ticks for segment in log.segments("a-0")]
+[2, 2]
+>>> from repro.lab.observe import windowed_power
+>>> windowed_power(log, window=2.0, duration=4.0)
+((2.0, 150.0), (4.0, 250.0))
 
 Integration modes
 -----------------
@@ -36,9 +52,8 @@ such as 0.5; the experiments use 1 s, 5 s and 10 s).
 
 ``mode="exact"`` integrates analytically: a segment contributes
 ``watts × (t1 - t0)``.  This is the physically exact energy of the
-piecewise-constant power model; trace queries (``power_trace``,
-``samples``, ``mean_power``) still render on the sampling grid so figures
-remain drawable.
+piecewise-constant power model.  Segments still count their sampling
+instants, so windowed platform power reads the same grid in both modes.
 
 One deliberate fidelity improvement over the seed: the seed's driver
 advanced its polling meter only on task and fault events, so a
@@ -53,13 +68,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
 from repro.util.validation import ensure_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.infrastructure.node import Node
-    from repro.infrastructure.wattmeter import PowerSample
 
 #: Valid integration modes of :class:`SegmentEnergyLog` / :class:`EnergyAccountant`
 #: (also the driver's :data:`repro.middleware.driver.ENERGY_MODES`).
@@ -67,32 +79,19 @@ SEGMENT_MODES = ("quantized", "exact")
 
 
 class EnergyReadout(Protocol):
-    """The energy-log query surface metrics and figures consume.
+    """The energy totals :class:`~repro.simulation.metrics.MetricsCollector`
+    and the driver read from a log.
 
-    Both the segment-based :class:`SegmentEnergyLog` and the polling
-    :class:`~repro.infrastructure.wattmeter.EnergyLog` (the tests' oracle)
-    satisfy this.
+    :class:`SegmentEnergyLog` satisfies it; so does the polling meter's
+    log the tests compare it with.
     """
-
-    sample_period: float
 
     @property
     def total_energy(self) -> float: ...
 
-    def energy_of_node(self, node: str) -> float: ...
-
     def energy_by_node(self) -> Mapping[str, float]: ...
 
-    def energy_of_cluster(self, cluster: str) -> float: ...
-
     def energy_by_cluster(self) -> Mapping[str, float]: ...
-
-    def power_trace(self, node: str | None = None) -> np.ndarray: ...
-
-    def mean_power(self, node: str) -> float: ...
-
-    @property
-    def samples(self) -> Sequence["PowerSample"]: ...
 
 
 class PowerSegment:
@@ -128,17 +127,13 @@ class PowerSegment:
 
 
 class SegmentEnergyLog:
-    """Per-node power segments with the polling ``EnergyLog`` query surface.
+    """Per-node power segments and the energy they integrate to.
 
     Segments are appended through :meth:`add_segment` in per-node
     chronological order (adjacent same-power segments are merged in
     place).  Energy figures are maintained incrementally — O(1) per
-    segment — while sampled representations (``samples``,
-    ``power_trace``) are materialised lazily on demand.
-
-    Per-node queries (``power_trace(node)``, ``mean_power``,
-    ``segments(node)``) read only that node's segment list: O(own
-    segments/ticks), never a scan of every node's data.
+    segment.  Per-node queries (``segments(node)``, ``tick_count``) read
+    only that node's data, never a scan of every node's.
     """
 
     def __init__(
@@ -154,8 +149,8 @@ class SegmentEnergyLog:
         self.sample_period = sample_period
         self.mode = mode
         self.start_time = start_time
-        #: Per-node segment lists, in registration order (drives the
-        #: node interleaving of :attr:`samples`).
+        #: Per-node segment lists, in registration order (the order
+        #: platform power sums nodes in).
         self._segments: dict[str, list[PowerSegment]] = {}
         self._node_clusters: dict[str, str] = {}
         self._energy_by_node: dict[str, float] = {}
@@ -266,69 +261,6 @@ class SegmentEnergyLog:
     def nodes(self) -> Sequence[str]:
         """Observed node names, in registration order."""
         return tuple(self._segments)
-
-    # -- lazily materialised trace queries ----------------------------------------
-    def _node_watts(self, node: str) -> np.ndarray:
-        """Per-tick power of one node as a flat array (quantized rendering)."""
-        segments = self._segments.get(node, [])
-        if not segments:
-            return np.empty(0, dtype=float)
-        counts = np.array([segment.ticks for segment in segments], dtype=int)
-        watts = np.array([segment.watts for segment in segments], dtype=float)
-        return np.repeat(watts, counts)
-
-    def power_trace(self, node: str | None = None) -> np.ndarray:
-        """Return a ``(n, 2)`` array of ``(time, watts)`` sampling instants.
-
-        With ``node=None`` the platform-wide power is returned: per-node
-        traces summed instant by instant.  The array is materialised from
-        the segments on each call — in exact mode it is a ``sample_period``
-        rendering of the analytic piecewise-constant power.
-        """
-        if node is not None:
-            values = self._node_watts(node)
-            times = self.start_time + np.arange(values.size, dtype=float) * self.sample_period
-            return np.column_stack([times, values]) if values.size else np.empty((0, 2))
-        traces = [self._node_watts(name) for name in self._segments]
-        length = max((trace.size for trace in traces), default=0)
-        if length == 0:
-            return np.empty((0, 2))
-        totals = np.zeros(length, dtype=float)
-        for trace in traces:
-            totals[: trace.size] += trace
-        times = self.start_time + np.arange(length, dtype=float) * self.sample_period
-        return np.column_stack([times, totals])
-
-    def mean_power(self, node: str) -> float:
-        """Average of the (quantized) power instants for ``node`` (W)."""
-        trace = self.power_trace(node)
-        if trace.size == 0:
-            return 0.0
-        return float(trace[:, 1].mean())
-
-    @property
-    def samples(self) -> Sequence["PowerSample"]:
-        """The equivalent 1-per-period sample sequence, materialised lazily.
-
-        Ordering matches the polling wattmeter: chronological, nodes in
-        registration order within one instant.  This allocates
-        O(nodes × ticks) objects — use it for figures and tests, not in
-        hot paths (that is the whole point of the segment store).
-        """
-        from repro.infrastructure.wattmeter import PowerSample
-
-        per_node = [
-            (name, self._node_clusters[name], self._node_watts(name))
-            for name in self._segments
-        ]
-        length = max((watts.size for _, _, watts in per_node), default=0)
-        out: list[PowerSample] = []
-        for k in range(length):
-            time = self.start_time + k * self.sample_period
-            for name, cluster, watts in per_node:
-                if k < watts.size:
-                    out.append(PowerSample(time=time, node=name, cluster=cluster, watts=float(watts[k])))
-        return tuple(out)
 
 
 class EnergyAccountant:

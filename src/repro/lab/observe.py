@@ -19,11 +19,13 @@ pre-lab experiment modules used, so refactored paths stay bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.infrastructure.energy import SegmentEnergyLog
 from repro.middleware.driver import SimulationResult
 from repro.policy.queue.simulator import QueueSchedule
 from repro.scenario.events import EventTimeline
@@ -41,23 +43,66 @@ def greenperf_metric(total_energy: float, task_count: float) -> float:
 
 
 def windowed_power(
-    energy_log, *, window: float, duration: float
+    energy_log: SegmentEnergyLog, *, window: float, duration: float
 ) -> tuple[tuple[float, float], ...]:
-    """Average platform power per ``window`` seconds (the crosses of Figure 9)."""
-    trace = energy_log.power_trace()
-    if trace.size == 0:
+    """Average platform power per ``window`` seconds (the crosses of Figure 9).
+
+    Window ``k`` covers the sampling instants in ``[k*window, (k+1)*window)``
+    for every ``k`` with ``k*window < duration``; it is reported as
+    ``((k+1)*window, mean watts)`` and skipped if it holds no instant.
+    Power is piecewise-constant, so the platform total is summed once per
+    interval between two nodes' change points (in node registration
+    order, as a per-instant sum would) and only then spread over the
+    instants: the cost grows with nodes × change points plus one pass
+    over the instants, not with nodes × simulated seconds.
+
+    >>> windowed_power(SegmentEnergyLog(), window=0.0, duration=4.0)
+    Traceback (most recent call last):
+    ...
+    ValueError: window must be positive and finite, got 0.0
+    """
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be positive and finite, got {window!r}")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration!r}")
+    watts = _platform_watts(energy_log)
+    if watts.size == 0:
         return ()
-    times = trace[:, 0]
-    watts = trace[:, 1]
+    times = energy_log.start_time + np.arange(watts.size, dtype=float) * energy_log.sample_period
+    last = float(times[-1])
     series: list[tuple[float, float]] = []
-    start = 0.0
-    while start < duration:
-        end = start + window
-        mask = (times >= start) & (times < end)
-        if mask.any():
-            series.append((end, float(watts[mask].mean())))
-        start = end
+    k = 0
+    # Bounds come from the index, never accumulated; windows that start
+    # after the last instant are empty, so stop there.
+    while (start := k * window) < duration and start <= last:
+        end = (k + 1) * window
+        lo, hi = np.searchsorted(times, (start, end))
+        if hi > lo:
+            series.append((end, float(watts[lo:hi].mean())))
+        k += 1
     return tuple(series)
+
+
+def _platform_watts(energy_log: SegmentEnergyLog) -> np.ndarray:
+    """Per-instant platform power, summed on the intervals between change points."""
+    nodes = []
+    for node in energy_log.nodes:
+        segments = energy_log.segments(node)
+        if segments:
+            # Instant index at which each segment starts, then where the last ends.
+            edges = np.cumsum([0, *(segment.ticks for segment in segments)])
+            nodes.append((edges, np.array([segment.watts for segment in segments], dtype=float)))
+    if not nodes:
+        return np.empty(0, dtype=float)
+    # Instant indices at which any node's power may change.
+    bounds = np.unique(np.concatenate([edges for edges, _ in nodes]))
+    totals = np.zeros(bounds.size - 1, dtype=float)
+    for edges, node_watts in nodes:
+        # Segment i covers intervals [at[i], at[i + 1]); past its last
+        # segment a node adds nothing, exactly as a shorter trace would.
+        at = np.searchsorted(bounds, edges)
+        totals[: at[-1]] += np.repeat(node_watts, at[1:] - at[:-1])
+    return np.repeat(totals, bounds[1:] - bounds[:-1])
 
 
 def series_value_at(

@@ -31,8 +31,8 @@ Energy accounting modes
     error), also O(state-changes).
 
 Every simulation has an accountant.  Tests check its quantized figures
-against the 1 Hz polling meter of :mod:`repro.infrastructure.wattmeter`,
-advanced beside a stepped engine.
+against a 1 Hz polling meter (``tests/wattmeter.py``) advanced beside a
+stepped engine.
 
 Tracing
 -------
@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.infrastructure.energy import SEGMENT_MODES, EnergyAccountant, EnergyReadout
+from repro.infrastructure.energy import SEGMENT_MODES, EnergyAccountant, SegmentEnergyLog
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import Platform
 from repro.middleware.agents import MasterAgent
@@ -161,7 +161,7 @@ class MiddlewareSimulation:
         }
 
     @property
-    def energy_log(self) -> EnergyReadout:
+    def energy_log(self) -> SegmentEnergyLog:
         """The accountant's segment log."""
         return self.accountant.log
 

@@ -6,9 +6,9 @@ import pytest
 
 from repro.infrastructure.node import Node, NodeSpec
 from repro.infrastructure.platform import grid5000_placement_platform
-from repro.infrastructure.wattmeter import Wattmeter
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.simulation.task import Task
+from tests.wattmeter import Wattmeter
 
 
 def make_spec(

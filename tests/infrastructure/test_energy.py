@@ -6,7 +6,7 @@ instants the wattmeter would have attributed to that power level.  The
 tick-arithmetic tests below pin the boundary behaviour (instant at a
 transition reads the *old* power, the ``t = 0`` instant belongs to the
 first segment, sub-period segments accumulate) against hand-computed
-values and against a reference :class:`Wattmeter` run.
+values and against a reference :class:`~tests.wattmeter.Wattmeter` run.
 """
 
 import pytest
@@ -17,8 +17,8 @@ from repro.infrastructure.energy import (
     SegmentEnergyLog,
 )
 from repro.infrastructure.node import Node, NodeState
-from repro.infrastructure.wattmeter import Wattmeter
 from tests.conftest import make_spec
+from tests.wattmeter import Wattmeter, power_trace
 
 
 def make_node(name="a-0", cluster="a", idle=100.0, peak=200.0, **kwargs):
@@ -144,21 +144,16 @@ class TestSegmentLogQueries:
 
     def test_power_trace_for_single_node(self):
         log = self.make_two_node_log()
-        trace = log.power_trace("n1")
+        trace = power_trace(log, "n1")
         assert trace.shape == (5, 2)
         assert list(trace[:, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert list(trace[:, 1]) == [10.0, 10.0, 10.0, 30.0, 30.0]
 
     def test_platform_power_trace_sums_instants(self):
         log = self.make_two_node_log()
-        trace = log.power_trace()
+        trace = power_trace(log)
         assert trace.shape == (5, 2)
         assert list(trace[:, 1]) == [15.0, 15.0, 15.0, 35.0, 35.0]
-
-    def test_mean_power(self):
-        log = self.make_two_node_log()
-        assert log.mean_power("n1") == pytest.approx((3 * 10.0 + 2 * 30.0) / 5)
-        assert log.mean_power("missing") == 0.0
 
     def test_energy_by_cluster_and_node(self):
         log = self.make_two_node_log()
@@ -170,24 +165,12 @@ class TestSegmentLogQueries:
         assert log.energy_of_node("missing") == 0.0
         assert log.energy_of_cluster("missing") == 0.0
 
-    def test_samples_materialise_in_wattmeter_order(self):
-        log = self.make_two_node_log()
-        samples = log.samples
-        # Chronological, node-registration order within one instant —
-        # exactly the polling wattmeter's ordering.
-        assert [(s.time, s.node, s.watts) for s in samples[:4]] == [
-            (0.0, "n1", 10.0),
-            (0.0, "n2", 5.0),
-            (1.0, "n1", 10.0),
-            (1.0, "n2", 5.0),
-        ]
-        assert len(samples) == 10
-
     def test_registered_but_silent_node_reports_zero(self):
         log = SegmentEnergyLog(sample_period=1.0)
         log.register_node("quiet", "c")
         assert log.energy_of_node("quiet") == 0.0
-        assert log.power_trace("quiet").size == 0
+        assert log.tick_count("quiet") == 0
+        assert log.segments("quiet") == ()
         assert "quiet" in log.energy_by_node()
 
     def test_segments_accessor_groups_by_node(self):
@@ -248,10 +231,9 @@ class TestEnergyAccountant:
         assert accountant.log.energy_of_node("a-0") == meter.log.energy_of_node("a-0")
         assert accountant.log.total_energy == meter.log.total_energy
         polled = meter.log.power_trace("a-0")
-        segmented = accountant.log.power_trace("a-0")
+        segmented = power_trace(accountant.log, "a-0")
         assert polled.shape == segmented.shape
         assert (polled == segmented).all()
-        assert accountant.log.mean_power("a-0") == meter.log.mean_power("a-0")
 
     def test_boot_and_power_off_transitions_are_observed(self):
         node = make_node(boot_power=150.0, boot_time=10.0)

@@ -1,10 +1,10 @@
-"""Tests for the wattmeter and energy log."""
+"""Tests for the polling wattmeter and energy log the energy tests use as oracle."""
 
 import pytest
 
 from repro.infrastructure.node import Node
-from repro.infrastructure.wattmeter import EnergyLog, PowerSample, Wattmeter
 from tests.conftest import make_spec
+from tests.wattmeter import EnergyLog, PowerSample, Wattmeter
 
 
 def make_nodes():

@@ -1,0 +1,125 @@
+"""Tests for per-window platform power computed from energy segments.
+
+:func:`repro.lab.observe.windowed_power` never renders a per-second
+trace; :func:`tests.wattmeter.reference_windowed_power` does (render,
+then mask once per window).  The two must agree bit for bit — ``==``,
+not approx — on any segment log.
+"""
+
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.infrastructure.energy import SEGMENT_MODES, SegmentEnergyLog
+from repro.lab.observe import windowed_power
+from tests.wattmeter import reference_windowed_power
+
+duration_strategy = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=30).map(float),
+    st.floats(min_value=0.01, max_value=30.0),
+)
+
+segments_strategy = st.lists(
+    st.tuples(duration_strategy, st.floats(min_value=0.0, max_value=500.0)),
+    max_size=8,
+)
+
+log_strategy = st.fixed_dictionaries(
+    {
+        "mode": st.sampled_from(SEGMENT_MODES),
+        "sample_period": st.sampled_from([0.5, 1.0, 5.0, 10.0]),
+        "start_time": st.sampled_from([0.0, 3.0]),
+        # Zero nodes is the empty log; a node with no segments is silent.
+        "nodes": st.lists(segments_strategy, max_size=4),
+    }
+)
+
+window_strategy = st.one_of(
+    st.sampled_from([1.0, 2.5, 7.0, 10.0, 300.0, 600.0]),
+    st.floats(min_value=0.1, max_value=60.0),
+)
+
+
+def build_log(mode, sample_period, start_time, nodes) -> SegmentEnergyLog:
+    log = SegmentEnergyLog(sample_period, mode=mode, start_time=start_time)
+    for index, segments in enumerate(nodes):
+        name = f"n{index}"
+        log.register_node(name, f"c{index % 2}")
+        time = start_time
+        for length, watts in segments:
+            log.add_segment(name, f"c{index % 2}", time, time + length, watts)
+            time += length
+    return log
+
+
+class TestMatchesPerSecondRendering:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        spec=log_strategy,
+        window=window_strategy,
+        # Up to well past the longest trace (4 nodes x 8 x 30 s).
+        duration=st.floats(min_value=-5.0, max_value=400.0),
+    )
+    def test_series_equals_render_mask_mean(self, spec, window, duration):
+        log = build_log(**spec)
+        assert windowed_power(log, window=window, duration=duration) == (
+            reference_windowed_power(log, window=window, duration=duration)
+        )
+
+    def test_ragged_nodes_with_a_silent_one(self):
+        log = build_log(
+            "quantized", 1.0, 0.0,
+            [[(2.0, 10.0), (5.0, 30.0)], [], [(3.5, 7.0)]],
+        )
+        series = windowed_power(log, window=4.0, duration=20.0)
+        assert series == reference_windowed_power(log, window=4.0, duration=20.0)
+        # t = 0..2 at 17 W, t = 3 at 37 W; t = 4..7 node n0 alone at 30 W.
+        assert series == ((4.0, (3 * 17.0 + 37.0) / 4), (8.0, 30.0))
+
+    def test_empty_log_has_no_windows(self):
+        assert windowed_power(SegmentEnergyLog(), window=600.0, duration=86_400.0) == ()
+
+
+class TestWindowBounds:
+    def make_log(self, period=0.5, end=1.0):
+        log = SegmentEnergyLog(sample_period=period)
+        log.add_segment("n", "c", 0.0, end, 100.0)
+        return log
+
+    def test_bounds_do_not_drift_past_duration(self):
+        # Accumulating ``start += 0.1`` ten times lands just below 1.0 and
+        # emits an eleventh window, labelled 1.0999999999999999, holding the
+        # instant at t = duration.  Index-computed bounds stop at k = 10.
+        series = windowed_power(self.make_log(), window=0.1, duration=1.0)
+        assert [end for end, _ in series] == [0.1, 6 * 0.1]
+        assert all(end <= 1.0 for end, _ in series)
+
+    @pytest.mark.parametrize("window", [300.0, 600.0])
+    def test_integer_windows_match_accumulated_bounds(self, window):
+        # The experiments' check periods: index bounds equal the
+        # accumulated ones exactly, so the Figure 9 goldens cannot move.
+        start = 0.0
+        for k in range(7 * 86_400 // int(window)):
+            assert start == k * window
+            start += window
+
+    @pytest.mark.parametrize("window", [0.0, -600.0, math.nan, math.inf])
+    def test_hostile_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            windowed_power(self.make_log(), window=window, duration=10.0)
+
+    @pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            windowed_power(self.make_log(), window=1.0, duration=duration)
+
+    def test_non_positive_duration_has_no_windows(self):
+        assert windowed_power(self.make_log(), window=1.0, duration=0.0) == ()
+        assert windowed_power(self.make_log(), window=1.0, duration=-3.0) == ()

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.infrastructure.wattmeter import EnergyLog, PowerSample
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.task import TaskExecution
+from tests.wattmeter import EnergyLog, PowerSample
 
 
 def make_execution(task_id=0, node="a-0", cluster="a", submitted=0.0, started=0.0,

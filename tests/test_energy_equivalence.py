@@ -32,6 +32,7 @@ from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task
 from tests.conftest import run_beside_meter
+from tests.wattmeter import power_trace
 
 # -- strategies -----------------------------------------------------------------
 
@@ -101,19 +102,23 @@ def build_simulation(platform, policy_name, rows, *, energy_mode, sample_period)
     return simulation
 
 
+def tick_total(segment_log) -> int:
+    """Sampling instants the segment log accounts, over every node."""
+    return sum(segment_log.tick_count(node) for node in segment_log.nodes)
+
+
 def assert_logs_equivalent(platform, polling_log, segment_log):
     assert segment_log.total_energy == polling_log.total_energy
     assert dict(segment_log.energy_by_node()) == dict(polling_log.energy_by_node())
     assert dict(segment_log.energy_by_cluster()) == dict(
         polling_log.energy_by_cluster()
     )
-    assert np.array_equal(segment_log.power_trace(), polling_log.power_trace())
+    assert np.array_equal(power_trace(segment_log), polling_log.power_trace())
     for node in platform.nodes:
         assert np.array_equal(
-            segment_log.power_trace(node.name), polling_log.power_trace(node.name)
+            power_trace(segment_log, node.name), polling_log.power_trace(node.name)
         )
-        assert segment_log.mean_power(node.name) == polling_log.mean_power(node.name)
-    assert len(segment_log.samples) == len(polling_log.samples)
+    assert tick_total(segment_log) == polling_log.sample_count
 
 
 class TestQuantizedMatchesPolling:
@@ -162,7 +167,7 @@ class TestQuantizedMatchesPolling:
         polled_by_node = dict(polled_log.energy_by_node())
         for node, joules in segmented_result.energy_by_node.items():
             assert joules == pytest.approx(polled_by_node[node], rel=1e-9, abs=1e-6)
-        assert len(segmented.energy_log.samples) == len(polled_log.samples)
+        assert tick_total(segmented.energy_log) == polled_log.sample_count
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

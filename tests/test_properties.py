@@ -59,7 +59,10 @@ class TestSimulationProperties:
     def test_energy_within_physical_bounds(self, rows, policy_name):
         """Wattmeter energy lies between the idle floor and the peak ceiling."""
         platform, simulation, result = _run(policy_name, rows)
-        samples_per_node = len(simulation.energy_log.samples) / len(platform)
+        energy_log = simulation.energy_log
+        samples_per_node = sum(
+            energy_log.tick_count(node.name) for node in platform.nodes
+        ) / len(platform)
         period = simulation.energy_log.sample_period
         idle_floor = sum(node.spec.idle_power for node in platform.nodes)
         peak_ceiling = sum(node.spec.peak_power for node in platform.nodes)

@@ -1,26 +1,28 @@
-"""Wattmeter simulation and energy accounting.
+"""Test oracles: the 1 Hz polling wattmeter and a per-second renderer.
 
 Grid'5000's Lyon site instruments every node with an external Omegawatt
 wattmeter that reports one power sample per second; the paper averages
 "more than 6,000 measurements" to characterise a node and integrates the
-samples into energy figures (Section IV).  This module reproduces that
-energy-sensing substrate:
+samples into energy figures (Section IV).  This module keeps that
+measurement setup literally, as the reference the event-driven
+accounting of :mod:`repro.infrastructure.energy` is checked against:
 
 * :class:`Wattmeter` samples a set of nodes at a fixed period (default
   1 s) when the simulation clock advances, producing per-node power traces.
 * :class:`EnergyLog` holds the resulting samples and integrates them into
   joules, per node, per cluster and for the whole platform.
+* :func:`power_trace` renders a :class:`~repro.infrastructure.energy.SegmentEnergyLog`
+  one sampling instant at a time, and :func:`reference_windowed_power`
+  masks that rendering once per window — the straightforward
+  O(nodes × simulated-seconds) computation that
+  :func:`repro.lab.observe.windowed_power` must reproduce bit for bit.
 
 Whoever drives the wattmeter calls :meth:`Wattmeter.advance_to` before
 simulated time moves forward, which keeps the sampling independent from
-the scheduling logic — exactly like an external meter.
-
-This polling path is O(nodes × simulated-seconds) and is not part of any
-simulation: :mod:`repro.infrastructure.energy` integrates the same
-piecewise-constant power in O(state-changes).  The wattmeter is kept as
-the measurement-level *oracle* the tests compare that accountant with:
-they step a simulation's engine one event at a time and advance a meter
-to each event's time before it fires, then check the two logs agree.
+the scheduling logic — exactly like an external meter.  The tests step a
+simulation's engine one event at a time and advance a meter to each
+event's time before it fires (:func:`tests.conftest.run_beside_meter`),
+then check the two logs agree.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.infrastructure.energy import SegmentEnergyLog
 from repro.infrastructure.node import Node
 from repro.util.validation import ensure_non_negative, ensure_positive
 
@@ -199,3 +202,47 @@ class Wattmeter:
             ticks += 1
         self._last_advance = time
         return ticks
+
+
+# -- per-second rendering of a segment log --------------------------------------------
+
+
+def node_watts(log: SegmentEnergyLog, node: str) -> np.ndarray:
+    """Per-instant power of one node: each segment repeated over its ticks."""
+    segments = log.segments(node)
+    watts = np.array([segment.watts for segment in segments], dtype=float)
+    return np.repeat(watts, [segment.ticks for segment in segments])
+
+
+def power_trace(log: SegmentEnergyLog, node: str | None = None) -> np.ndarray:
+    """A ``(n, 2)`` array of ``(time, watts)`` sampling instants.
+
+    With ``node=None`` the platform power: per-node renderings summed
+    instant by instant, nodes in registration order.
+    """
+    if node is not None:
+        totals = node_watts(log, node)
+    else:
+        traces = [node_watts(log, name) for name in log.nodes]
+        totals = np.zeros(max((trace.size for trace in traces), default=0), dtype=float)
+        for trace in traces:
+            totals[: trace.size] += trace
+    times = log.start_time + np.arange(totals.size, dtype=float) * log.sample_period
+    return np.column_stack([times, totals])
+
+
+def reference_windowed_power(
+    log: SegmentEnergyLog, *, window: float, duration: float
+) -> tuple[tuple[float, float], ...]:
+    """Per-window mean platform power: render, then mask once per window."""
+    trace = power_trace(log)
+    times, watts = trace[:, 0], trace[:, 1]
+    series = []
+    k = 0
+    while k * window < duration:
+        start, end = k * window, (k + 1) * window
+        mask = (times >= start) & (times < end)
+        if mask.any():
+            series.append((end, float(watts[mask].mean())))
+        k += 1
+    return tuple(series)
