@@ -197,7 +197,7 @@ class IncrementalGreenPerfOrder:
 
     ``seds`` may cover any subset of the nodes (static nodes keep their
     nameplate ratio forever); it is duck-typed — anything exposing
-    ``observed_request_count``, ``dynamic_mean_power()`` and
+    ``name``, ``observed_request_count``, ``dynamic_mean_power()`` and
     ``add_invalidation_listener`` works.
     """
 
@@ -213,7 +213,9 @@ class IncrementalGreenPerfOrder:
         self._basis = basis
         self._keys: list[tuple[float, str]] = []
         self._ratio_of: dict[str, float] = {}
-        self._dirty: set[str] = set()
+        #: SeDs invalidated since the last refresh; its bound ``add`` is
+        #: the invalidation listener.
+        self._dirty: set = set()
         for name, node in self._nodes.items():
             key = (self._ratio(node), name)
             self._keys.append(key)
@@ -221,7 +223,7 @@ class IncrementalGreenPerfOrder:
         self._keys.sort()
         for name, sed in self._seds.items():
             if name in self._nodes and hasattr(sed, "add_invalidation_listener"):
-                sed.add_invalidation_listener(self._on_invalidate)
+                sed.add_invalidation_listener(self._dirty.add)
 
     def _ratio(self, node: Node) -> float:
         measured: float | None = None
@@ -230,15 +232,13 @@ class IncrementalGreenPerfOrder:
             measured = sed.dynamic_mean_power()
         return greenperf_of_node(node, measured_power=measured, basis=self._basis)
 
-    def _on_invalidate(self, sed) -> None:
-        self._dirty.add(sed.name)
-
     def _refresh(self) -> None:
         dirty = self._dirty
         if not dirty:
             return
         keys = self._keys
-        for name in dirty:
+        for sed in dirty:
+            name = sed.name
             node = self._nodes.get(name)
             if node is None:
                 continue

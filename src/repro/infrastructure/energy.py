@@ -189,8 +189,10 @@ class SegmentEnergyLog:
         """
         if end < start:
             raise ValueError(f"segment for {node!r} ends before it starts: {end} < {start}")
-        self.register_node(node, cluster)
-        segments = self._segments[node]
+        segments = self._segments.get(node)
+        if segments is None:
+            self.register_node(node, cluster)
+            segments = self._segments[node]
         expected_start = segments[-1].end if segments else self.start_time
         if start != expected_start:
             raise ValueError(
@@ -268,7 +270,8 @@ class EnergyAccountant:
 
     Subscribes to every node's power-change notification and closes a
     :class:`PowerSegment` per transition, stamped with the simulation
-    clock (``clock()`` — typically ``lambda: engine.now``).  Call
+    clock (``clock()``, a zero-argument callable returning the engine's
+    ``now``).  Call
     :meth:`sync` to bring every node's accounting up to a given instant
     (the driver does this once, at the end of a run) and :meth:`close`
     to detach from the nodes.
@@ -320,12 +323,13 @@ class EnergyAccountant:
             timer.push("energy")
         try:
             now = self._clock()
-            start, watts = self._open[node.name]
+            spec = node.spec
+            start, watts = self._open[spec.name]
             new_watts = node.current_power()
             if new_watts == watts:
                 return  # same draw: the open segment simply extends
-            self.log.add_segment(node.name, node.cluster, start, now, watts)
-            self._open[node.name] = (now, new_watts)
+            self.log.add_segment(spec.name, spec.cluster, start, now, watts)
+            self._open[spec.name] = (now, new_watts)
         finally:
             if timer is not None:
                 timer.pop()

@@ -143,6 +143,8 @@ class Node:
         self._completed_tasks = 0
         self._total_busy_core_seconds = 0.0
         self._power_listeners: list[PowerListener] = []
+        #: Cached :meth:`current_power`; every transition resets it.
+        self._power: float | None = None
 
     # -- identification ----------------------------------------------------
     @property
@@ -200,6 +202,7 @@ class Node:
             )
         self._state = NodeState.OFF
         self._boot_completion_time = None
+        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -225,6 +228,7 @@ class Node:
         )
         self._state = NodeState.FAILED
         self._boot_completion_time = None
+        self._power = None
         if self._power_listeners:
             self._power_changed()
         return lost_cores
@@ -239,6 +243,7 @@ class Node:
         if self._state is not NodeState.FAILED:
             raise RuntimeError(f"repair() on node {self.name} in state {self._state}")
         self._state = self._pre_failure_state
+        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -268,6 +273,7 @@ class Node:
             return self._boot_completion_time
         self._state = NodeState.BOOTING
         self._boot_completion_time = now + self.spec.boot_time
+        self._power = None
         if self._power_listeners:
             self._power_changed()
         return self._boot_completion_time
@@ -278,6 +284,7 @@ class Node:
             raise RuntimeError(f"complete_boot() on node {self.name} in state {self._state}")
         self._state = NodeState.ON
         self._boot_completion_time = None
+        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -313,6 +320,7 @@ class Node:
         if self._busy_cores >= self.spec.cores:
             raise RuntimeError(f"node {self.name} has no free core")
         self._busy_cores += 1
+        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -328,17 +336,28 @@ class Node:
         self._busy_cores -= 1
         self._completed_tasks += 1
         self._total_busy_core_seconds += busy_seconds
+        self._power = None
         if self._power_listeners:
             self._power_changed()
 
     # -- power ---------------------------------------------------------------
     def current_power(self) -> float:
-        """Instantaneous power draw in watts for the current state."""
-        if self._state is NodeState.OFF or self._state is NodeState.FAILED:
-            return 0.0
-        if self._state is NodeState.BOOTING:
-            return self.spec.boot_power
-        return self.power_model.power_at(self.utilization)
+        """Instantaneous power draw in watts for the current state.
+
+        Computed once per state: the energy accountant reads it on every
+        transition and the driver reads it again when a task starts.
+        """
+        power = self._power
+        if power is None:
+            state = self._state
+            if state is NodeState.ON:
+                power = self.power_model.power_at(self._busy_cores / self.spec.cores)
+            elif state is NodeState.BOOTING:
+                power = self.spec.boot_power
+            else:
+                power = 0.0
+            self._power = power
+        return power
 
     # -- execution model -------------------------------------------------------
     def task_duration(self, flop: float) -> float:

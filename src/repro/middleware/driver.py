@@ -53,6 +53,7 @@ attribution choices cannot bias the headline results.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -142,10 +143,10 @@ class MiddlewareSimulation:
         # O(requests × servers) footprint (each outcome pins the full
         # ranked estimation-vector tuple), so sweeps drop it too.
         self.client = Client(master, keep_outcomes=self._trace_on)
-        engine = self.engine
         self.accountant = EnergyAccountant(
             platform.nodes,
-            clock=lambda: engine.now,
+            # ``engine.now`` without a lambda frame per transition.
+            clock=functools.partial(getattr, self.engine, "now"),
             mode=energy_mode,
             sample_period=sample_period,
             phase_timer=self.phase_timer,
@@ -154,10 +155,10 @@ class MiddlewareSimulation:
         self._failed = 0
         self._submitted = 0
         self._pending_completions = 0
-        #: Per-node map of running tasks to their completion events, so a
+        #: Per-SeD map of running tasks to their completion events, so a
         #: node crash can cancel exactly the completions it invalidates.
-        self._inflight: dict[str, dict[int, tuple[ScheduledEvent, Task]]] = {
-            name: {} for name in self.seds
+        self._inflight: dict[ServerDaemon, dict[int, tuple[ScheduledEvent, Task]]] = {
+            sed: {} for sed in self.seds.values()
         }
 
     @property
@@ -229,11 +230,10 @@ class MiddlewareSimulation:
                 client=task.client,
             )
         outcome = self.client.submit(task, submitted_at=now)
-        self._handle_outcome(task, outcome)
+        self._handle_outcome(task, outcome, now)
         return outcome
 
-    def _handle_outcome(self, task: Task, outcome: SchedulingOutcome) -> None:
-        now = self.engine.now
+    def _handle_outcome(self, task: Task, outcome: SchedulingOutcome, now: float) -> None:
         if not outcome.succeeded:
             task.state = TaskState.REJECTED
             self._rejected += 1
@@ -243,8 +243,6 @@ class MiddlewareSimulation:
                 )
             return
         sed = self.seds[outcome.elected]
-        task.state = TaskState.QUEUED
-        sed.queue.enqueue(task)
         if self._trace_on:
             self.trace.record(
                 now,
@@ -254,19 +252,29 @@ class MiddlewareSimulation:
                 cluster=sed.cluster,
                 candidates=outcome.candidate_names,
             )
-        self._try_start(sed)
+        queue = sed.queue
+        if not queue.pending_count and sed.node.free_cores > 0:
+            # Enqueue-then-pop would leave the queue as it is: start directly.
+            self._start_task(sed, task, now)
+            return
+        task.state = TaskState.QUEUED
+        queue.enqueue(task)
+        self._try_start(sed, now)
 
-    def _try_start(self, sed: ServerDaemon) -> None:
-        """Start as many queued tasks as the node has free cores."""
+    def _try_start(self, sed: ServerDaemon, now: float) -> None:
+        """Start as many queued tasks as the node has free cores.
+
+        ``free_cores`` is 0 on a node that is not ON, so this also waits
+        for a booting or failed node.
+        """
         node = sed.node
-        while node.is_available and node.free_cores > 0:
+        while node.free_cores > 0:
             task = sed.queue.pop_next()
             if task is None:
                 return
-            self._start_task(sed, task)
+            self._start_task(sed, task, now)
 
-    def _start_task(self, sed: ServerDaemon, task: Task) -> None:
-        now = self.engine.now
+    def _start_task(self, sed: ServerDaemon, task: Task, now: float) -> None:
         node = sed.node
         node.acquire_core()
         sed.queue.mark_running(task)
@@ -289,7 +297,7 @@ class MiddlewareSimulation:
             args=(sed, task, task.arrival_time, now, node_power, attributed_power),
             label=f"completion-{task.task_id}" if self._trace_on else "",
         )
-        self._inflight[node.name][task.task_id] = (completion, task)
+        self._inflight[sed][task.task_id] = (completion, task)
         self._pending_completions += 1
 
     def _complete_task(
@@ -303,17 +311,18 @@ class MiddlewareSimulation:
     ) -> None:
         now = self.engine.now
         node = sed.node
+        spec = node.spec
         duration = now - started_at
         node.release_core(busy_seconds=duration)
         sed.queue.mark_completed(task)
-        del self._inflight[node.name][task.task_id]
+        del self._inflight[sed][task.task_id]
         task.state = TaskState.COMPLETED
         energy = attributed_power * duration
         sed.record_request_power(node_power, energy)
         execution = TaskExecution(
             task_id=task.task_id,
-            node=node.name,
-            cluster=node.cluster,
+            node=spec.name,
+            cluster=spec.cluster,
             submitted_at=submitted_at,
             started_at=started_at,
             completed_at=now,
@@ -325,13 +334,13 @@ class MiddlewareSimulation:
                 now,
                 ExecutionTrace.TASK_COMPLETED,
                 task_id=task.task_id,
-                node=node.name,
-                cluster=node.cluster,
+                node=spec.name,
+                cluster=spec.cluster,
                 duration=duration,
                 energy=energy,
             )
         self._pending_completions -= 1
-        self._try_start(sed)
+        self._try_start(sed, now)
 
     # -- fault injection ---------------------------------------------------------------
     def fail_node(self, name: str, *, requeue: bool = True) -> int:
@@ -360,7 +369,7 @@ class MiddlewareSimulation:
         now = self.engine.now
         sed = self.seds.get(name)
         displaced: list[Task] = []
-        inflight = self._inflight.get(name)
+        inflight = self._inflight.get(sed)
         if inflight:
             for completion, task in inflight.values():
                 completion.cancel()
@@ -394,7 +403,7 @@ class MiddlewareSimulation:
             self.trace.record(self.engine.now, ExecutionTrace.NODE_RECOVERED, node=name)
         sed = self.seds.get(name)
         if sed is not None:
-            self._try_start(sed)
+            self._try_start(sed, self.engine.now)
 
     def _handle_displaced(self, task: Task, *, failed_node: str, requeue: bool) -> None:
         now = self.engine.now
@@ -415,7 +424,7 @@ class MiddlewareSimulation:
                 failed_node=failed_node,
             )
         outcome = self.client.submit(task, submitted_at=now)
-        self._handle_outcome(task, outcome)
+        self._handle_outcome(task, outcome, now)
 
     def close(self) -> None:
         """Detach the energy accountant's power listeners from the nodes.

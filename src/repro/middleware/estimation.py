@@ -79,8 +79,14 @@ class EstimationVector:
     def __post_init__(self) -> None:
         if not self.server:
             raise ValueError("server must be a non-empty string")
-        for tag, value in self.values.items():
-            self._check_value(tag, value)
+        # Store every value the way :meth:`set` does (``float``, finite),
+        # checked in one C-level pass; a failure re-runs the per-tag check
+        # for its error message.
+        values = {tag: float(value) for tag, value in self.values.items()}
+        if not (all(values) and all(map(math.isfinite, values.values()))):
+            for tag, value in values.items():
+                self._check_value(tag, value)
+        self.values = values
 
     @staticmethod
     def _check_value(tag: str, value: float) -> float:

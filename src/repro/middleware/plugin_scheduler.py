@@ -25,15 +25,13 @@ when policies move.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.middleware.estimation import EstimationVector
 from repro.middleware.requests import ServiceRequest
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
+class CandidateEntry(NamedTuple):
     """One candidate at one hierarchy level: the SeD name and its estimation."""
 
     server: str

@@ -57,12 +57,15 @@ class ResidentRanking:
             )
         self._key_fn = key_fn
         self._seds = {sed.name: sed for sed in seds}
-        #: Sorted keys, aligned entry list, and each present server's key.
+        #: Sorted keys, aligned entry list, and each present SeD's key.
         self._keys: list[tuple] = []
         self._entries: list[CandidateEntry] = []
-        self._key_of: dict[str, tuple] = {}
-        #: Servers whose vector moved since the last flush (all, initially).
-        self._dirty: set[str] = set(self._seds)
+        self._key_of: dict[ServerDaemon, tuple] = {}
+        #: SeDs whose vector moved since the last flush (all, initially).
+        #: Its bound ``add`` is the invalidation listener itself, so a
+        #: notification costs no Python frame; the set is only ever
+        #: cleared, never rebound, so ``detach`` removes that same listener.
+        self._dirty: set[ServerDaemon] = set(self._seds.values())
         #: Set when a SeD stops being cacheable (custom estimation function):
         #: the ranking can no longer trust its invalidation stream.
         self._unusable = False
@@ -72,21 +75,18 @@ class ResidentRanking:
         )
         self._solvable: dict[str, bool] = {}
         for sed in self._seds.values():
-            sed.add_invalidation_listener(self._on_invalidate)
+            sed.add_invalidation_listener(self._dirty.add)
 
     # -- invalidation ------------------------------------------------------------
-    def _on_invalidate(self, sed: ServerDaemon) -> None:
-        self._dirty.add(sed.name)
-
     def detach(self) -> None:
         """Unsubscribe from every SeD (when the ranking is replaced)."""
         for sed in self._seds.values():
-            sed.remove_invalidation_listener(self._on_invalidate)
+            sed.remove_invalidation_listener(self._dirty.add)
 
     @property
     def dirty_servers(self) -> frozenset[str]:
-        """Servers queued for repositioning at the next flush."""
-        return frozenset(self._dirty)
+        """Names of the servers queued for repositioning at the next flush."""
+        return frozenset(sed.name for sed in self._dirty)
 
     # -- maintenance ---------------------------------------------------------------
     def refresh(self, request) -> None:
@@ -99,13 +99,12 @@ class ResidentRanking:
         if not dirty:
             return
         keys, entries, key_of = self._keys, self._entries, self._key_of
-        for name in dirty:
-            old_key = key_of.pop(name, None)
+        for sed in dirty:
+            old_key = key_of.pop(sed, None)
             if old_key is not None:
                 index = bisect_left(keys, old_key)
                 del keys[index]
                 del entries[index]
-            sed = self._seds[name]
             if not sed.estimation_cacheable:
                 self._unusable = True
                 continue
@@ -117,7 +116,7 @@ class ResidentRanking:
             index = bisect_left(keys, key)
             keys.insert(index, key)
             entries.insert(index, entry)
-            key_of[name] = key
+            key_of[sed] = key
         dirty.clear()
 
     # -- queries -----------------------------------------------------------------------

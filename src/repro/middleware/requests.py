@@ -10,23 +10,16 @@ in Section III-A).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.middleware.estimation import EstimationVector
 from repro.simulation.task import Task
 
-_request_counter = itertools.count()
 
-
-def _next_request_id() -> int:
-    return next(_request_counter)
-
-
-@dataclass(frozen=True)
-class ServiceRequest:
+class ServiceRequest(NamedTuple):
     """A problem submission travelling through the hierarchy.
+
+    An immutable named tuple (one is built per arrival).
 
     Parameters
     ----------
@@ -42,7 +35,6 @@ class ServiceRequest:
     task: Task
     user_preference: float
     submitted_at: float
-    request_id: int = field(default_factory=_next_request_id)
 
     @classmethod
     def from_task(cls, task: Task, *, submitted_at: float | None = None) -> "ServiceRequest":
@@ -59,14 +51,14 @@ class ServiceRequest:
         return self.task.service
 
 
-@dataclass(frozen=True)
-class SchedulingOutcome:
+class SchedulingOutcome(NamedTuple):
     """Result of propagating one request through the hierarchy.
 
     ``elected`` is the SeD name chosen to solve the problem (``None`` when
     no server can serve the request — the error case of step 1 in
     Section III-A).  ``ranked_candidates`` preserves the full sorted list
-    so clients and experiments can inspect the decision.
+    so clients and experiments can inspect the decision.  An immutable
+    named tuple (one is built per arrival).
     """
 
     request: ServiceRequest

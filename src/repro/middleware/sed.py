@@ -81,7 +81,7 @@ class ServerDaemon:
         #: here to mark this SeD dirty in O(1) per transition.
         self._invalidation_listeners: list[Callable[["ServerDaemon"], None]] = []
         if self._cacheable:
-            node.add_power_listener(self._on_state_change)
+            node.add_power_listener(self.invalidate_estimation)
             self.queue.add_listener(self.invalidate_estimation)
 
     # -- identity ---------------------------------------------------------------
@@ -111,11 +111,12 @@ class ServerDaemon:
         return f"ServerDaemon({self.name!r}, services={sorted(self._services)})"
 
     # -- incremental estimation ---------------------------------------------------
-    def _on_state_change(self, node: Node) -> None:
-        self.invalidate_estimation()
+    def invalidate_estimation(self, node: Node | None = None) -> None:
+        """Drop the cached estimation vector (next request recomputes it).
 
-    def invalidate_estimation(self) -> None:
-        """Drop the cached estimation vector (next request recomputes it)."""
+        Registered as-is as the node's power listener (which passes the
+        node) and the queue's mutation listener (which passes nothing).
+        """
         self._cached_vector = None
         for listener in self._invalidation_listeners:
             listener(self)
@@ -215,17 +216,22 @@ def default_estimation_function(
 ) -> EstimationVector:
     """The default DIET-like estimation function extended with power tags."""
     node = sed.node
-    vector = EstimationVector(server=sed.name, cluster=sed.cluster)
-    vector.set(EstimationTags.FLOPS_PER_CORE, node.spec.flops_per_core)
-    vector.set(EstimationTags.TOTAL_FLOPS, node.spec.total_flops)
-    vector.set(EstimationTags.FREE_CORES, float(node.free_cores))
-    vector.set(EstimationTags.TOTAL_CORES, float(node.spec.cores))
-    vector.set(EstimationTags.WAITING_TIME, sed.queue.waiting_time_estimate())
-    vector.set(EstimationTags.COMPLETED_TASKS, float(node.completed_tasks))
-    vector.set(EstimationTags.MEAN_POWER, sed.dynamic_mean_power())
-    vector.set(EstimationTags.IDLE_POWER, node.spec.idle_power)
-    vector.set(EstimationTags.PEAK_POWER, node.spec.peak_power)
-    vector.set(EstimationTags.BOOT_POWER, node.spec.boot_power)
-    vector.set(EstimationTags.BOOT_TIME, node.spec.boot_time)
-    vector.set(EstimationTags.NODE_AVAILABLE, 1.0 if node.is_available else 0.0)
-    return vector
+    spec = node.spec
+    return EstimationVector(
+        spec.name,
+        spec.cluster,
+        {
+            EstimationTags.FLOPS_PER_CORE: spec.flops_per_core,
+            EstimationTags.TOTAL_FLOPS: spec.total_flops,
+            EstimationTags.FREE_CORES: node.free_cores,
+            EstimationTags.TOTAL_CORES: spec.cores,
+            EstimationTags.WAITING_TIME: sed.queue.waiting_time_estimate(),
+            EstimationTags.COMPLETED_TASKS: node.completed_tasks,
+            EstimationTags.MEAN_POWER: sed.dynamic_mean_power(),
+            EstimationTags.IDLE_POWER: spec.idle_power,
+            EstimationTags.PEAK_POWER: spec.peak_power,
+            EstimationTags.BOOT_POWER: spec.boot_power,
+            EstimationTags.BOOT_TIME: spec.boot_time,
+            EstimationTags.NODE_AVAILABLE: 1.0 if node.is_available else 0.0,
+        },
+    )

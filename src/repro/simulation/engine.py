@@ -11,11 +11,14 @@ optional integer ``priority`` to break ties deterministically (lower fires
 first).  Determinism matters: the experiments must be exactly repeatable
 for a given seed.
 
-Heap entries are deliberately lean: one ``__slots__`` object per event
-that is simultaneously the heap entry *and* the cancellation handle, and
-callbacks take their arguments from an ``args`` tuple bound at scheduling
-time — callers on hot paths (one arrival + one completion per task) can
-schedule bound methods instead of allocating a closure per task.
+The heap holds ``(time, priority, sequence, event)`` tuples.  ``sequence``
+is unique, so tuple comparison never reaches the event and the heap
+orders itself in C, without a Python-level ``__lt__``.  The event is a
+``__slots__`` :class:`ScheduledEvent`: the caller's cancellation handle
+and the carrier of the callback.  Callbacks take their arguments from an
+``args`` tuple bound at scheduling time, so callers on hot paths (one
+arrival + one completion per task) can schedule bound methods instead of
+allocating a closure per task.
 """
 
 from __future__ import annotations
@@ -31,53 +34,39 @@ EventCallback = Callable[..., None]
 
 
 class ScheduledEvent:
-    """One pending event: heap entry and cancellation handle in one object.
+    """One pending event, as returned to the caller: the cancellation handle.
 
-    Ordered by ``(time, priority, sequence)``; ``sequence`` is unique, so
-    the ordering is total and FIFO among equal ``(time, priority)``.
+    A plain event fires ``callback(*args)``.  A batched event
+    (:meth:`SimulationEngine.schedule_many`) carries ``items`` instead and
+    fires ``callback(item)`` once per item, in submission order; each item
+    counts as one logical event towards ``processed_events`` and
+    ``pending_events``.  A batch fires atomically: cancelling it after the
+    first item has fired has no effect.
     """
 
-    __slots__ = (
-        "time",
-        "priority",
-        "sequence",
-        "callback",
-        "args",
-        "label",
-        "cancelled",
-        "_engine",
-    )
+    __slots__ = ("time", "callback", "args", "items", "label", "cancelled", "_engine")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        sequence: int,
         callback: EventCallback,
         args: Sequence,
+        items: tuple | None,
         label: str,
-        engine: "SimulationEngine | None" = None,
+        engine: "SimulationEngine | None",
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.sequence = sequence
         self.callback = callback
         self.args = args
+        self.items = items
         self.label = label
         self.cancelled = False
         self._engine = engine
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
-
     @property
     def event_count(self) -> int:
-        """How many logical events this heap entry carries (1 unless batched)."""
-        return 1
+        """How many logical events this entry carries (1 unless batched)."""
+        return 1 if self.items is None else len(self.items)
 
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
@@ -87,56 +76,12 @@ class ScheduledEvent:
         engine = self._engine
         if engine is not None:
             self._engine = None
-            engine._on_cancel(self)
-
-    def _fire(self) -> int:
-        """Invoke the callback(s); returns the number of logical events fired."""
-        self.callback(*self.args)
-        return 1
+            engine._pending -= self.event_count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = " cancelled" if self.cancelled else ""
-        return f"ScheduledEvent(t={self.time}, {self.label!r}{state})"
-
-
-class BatchedEvent(ScheduledEvent):
-    """Several same-instant logical events folded into one heap entry.
-
-    A burst of arrivals at one timestamp shares a single heap push/pop;
-    the callback fires once per item, in submission order, and each item
-    counts as one logical event towards ``processed_events`` and
-    ``pending_events``.  The batch fires atomically: cancelling it after
-    the first item has fired has no effect.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        callback: EventCallback,
-        items: tuple,
-        label: str,
-        engine: "SimulationEngine | None" = None,
-    ) -> None:
-        super().__init__(time, priority, sequence, callback, (), label, engine)
-        self.items = items
-
-    @property
-    def event_count(self) -> int:
-        return len(self.items)
-
-    def _fire(self) -> int:
-        callback = self.callback
-        for item in self.items:
-            callback(item)
-        return len(self.items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = " cancelled" if self.cancelled else ""
-        return f"BatchedEvent(t={self.time}, n={len(self.items)}, {self.label!r}{state})"
+        batch = "" if self.items is None else f", n={len(self.items)}"
+        return f"ScheduledEvent(t={self.time}{batch}, {self.label!r}{state})"
 
 
 class SimulationEngine:
@@ -144,18 +89,32 @@ class SimulationEngine:
 
     Example
     -------
+    Events fire in time order; equal times fire by ``priority`` (lower
+    first), then in scheduling order, and a cancelled event never fires:
+
     >>> engine = SimulationEngine()
     >>> fired = []
-    >>> _ = engine.schedule(5.0, lambda: fired.append(engine.now))
+    >>> _ = engine.schedule(5.0, fired.append, args=("late",))
+    >>> _ = engine.schedule(1.0, fired.append, args=("fifo",))
+    >>> _ = engine.schedule(1.0, fired.append, args=("urgent",), priority=-1)
+    >>> dropped = engine.schedule(2.0, fired.append, args=("dropped",))
+    >>> engine.pending_events
+    4
+    >>> dropped.cancel()
+    >>> engine.pending_events
+    3
     >>> engine.run()
     >>> fired
-    [5.0]
+    ['urgent', 'fifo', 'late']
+    >>> engine.now, engine.processed_events
+    (5.0, 3)
     """
 
     def __init__(self, *, start_time: float = 0.0) -> None:
         ensure_non_negative(start_time, "start_time")
         self._now = start_time
-        self._heap: list[ScheduledEvent] = []
+        #: ``(time, priority, sequence, event)`` tuples, a binary heap.
+        self._heap: list[tuple[float, int, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._processed = 0
         self._pending = 0
@@ -176,10 +135,6 @@ class SimulationEngine:
         figure is the true number of callbacks still to fire.
         """
         return self._pending
-
-    def _on_cancel(self, entry: ScheduledEvent) -> None:
-        """Bookkeeping hook called by a live event when it is cancelled."""
-        self._pending -= entry.event_count
 
     @property
     def processed_events(self) -> int:
@@ -202,10 +157,8 @@ class SimulationEngine:
         :meth:`~ScheduledEvent.cancel` method removes it.
         """
         self._check_time(time)
-        entry = ScheduledEvent(
-            time, priority, next(self._sequence), callback, args, label, self
-        )
-        heapq.heappush(self._heap, entry)
+        entry = ScheduledEvent(time, callback, args, None, label, self)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), entry))
         self._pending += 1
         return entry
 
@@ -230,11 +183,10 @@ class SimulationEngine:
         self._check_time(time)
         if not items:
             raise ValueError("schedule_many requires at least one item")
-        entry = BatchedEvent(
-            time, priority, next(self._sequence), callback, tuple(items), label, self
-        )
-        heapq.heappush(self._heap, entry)
-        self._pending += entry.event_count
+        items = tuple(items)
+        entry = ScheduledEvent(time, callback, (), items, label, self)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), entry))
+        self._pending += len(items)
         return entry
 
     def _check_time(self, time: float) -> None:
@@ -268,17 +220,26 @@ class SimulationEngine:
         ``len(items)`` for a batched entry) — truthy exactly when an event
         fired, so existing ``while engine.step():`` loops keep working.
         """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, _, entry = heapq.heappop(heap)
             if entry.cancelled:
                 continue
-            self._now = entry.time
+            self._now = time
             entry._engine = None  # late cancels must not decrement again
-            count = entry.event_count
+            items = entry.items
+            if items is None:
+                self._pending -= 1
+                entry.callback(*entry.args)
+                self._processed += 1
+                return 1
+            count = len(items)
             self._pending -= count
-            fired = entry._fire()
-            self._processed += fired
-            return fired
+            callback = entry.callback
+            for item in items:
+                callback(item)
+            self._processed += count
+            return count
         return 0
 
     def run(self, *, until: float | None = None, max_events: int | None = None) -> None:
@@ -290,27 +251,32 @@ class SimulationEngine:
         runaway self-rescheduling (a batched entry fires atomically, so the
         bound may be overshot by the tail of one batch).
         """
+        heap = self._heap
+        step = self.step
         fired = 0
-        while self._heap:
+        while heap:
             if max_events is not None and fired >= max_events:
                 return
-            entry = self._heap[0]
-            if entry.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and entry.time > until:
-                self._now = max(self._now, until)
-                return
-            fired += self.step()
+            if until is not None:
+                # Drop tombstones first, so the bound is read off a live event.
+                time, _, _, entry = heap[0]
+                if entry.cancelled:
+                    heapq.heappop(heap)
+                    continue
+                if time > until:
+                    self._now = max(self._now, until)
+                    return
+            fired += step()
         if until is not None:
             self._now = max(self._now, until)
 
     def peek_next_time(self) -> float | None:
         """Firing time of the next live event, or ``None`` if the queue is empty."""
-        while self._heap:
-            entry = self._heap[0]
+        heap = self._heap
+        while heap:
+            time, _, _, entry = heap[0]
             if entry.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            return entry.time
+            return time
         return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
 
@@ -94,16 +95,7 @@ class Task:
         return self.flop / flops_per_core
 
 
-@dataclass(frozen=True)
-class TaskExecution:
-    """Completed execution record of a task on a node.
-
-    ``queue_delay`` is the time spent waiting between submission and the
-    start of execution; ``energy`` is the marginal energy attributed to the
-    task (dynamic power above idle integrated over the execution), which is
-    what the dynamic GreenPerf estimator consumes.
-    """
-
+class _ExecutionFields(NamedTuple):
     task_id: int
     node: str
     cluster: str
@@ -112,12 +104,45 @@ class TaskExecution:
     completed_at: float
     energy: float
 
-    def __post_init__(self) -> None:
-        if self.started_at < self.submitted_at:
+
+class TaskExecution(_ExecutionFields):
+    """Completed execution record of a task on a node.
+
+    ``queue_delay`` is the time spent waiting between submission and the
+    start of execution; ``energy`` is the marginal energy attributed to the
+    task (dynamic power above idle integrated over the execution), which is
+    what the dynamic GreenPerf estimator consumes.
+
+    An immutable, validated named tuple: one is allocated per completed
+    task, so it skips a frozen dataclass's per-field ``__setattr__``.
+    Construction (also through ``_make`` and ``_replace``) checks the
+    time ordering and the energy.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        task_id: int,
+        node: str,
+        cluster: str,
+        submitted_at: float,
+        started_at: float,
+        completed_at: float,
+        energy: float,
+    ) -> "TaskExecution":
+        if started_at < submitted_at:
             raise ValueError("a task cannot start before it is submitted")
-        if self.completed_at < self.started_at:
+        if completed_at < started_at:
             raise ValueError("a task cannot complete before it starts")
-        ensure_non_negative(self.energy, "energy")
+        ensure_non_negative(energy, "energy")
+        return tuple.__new__(
+            cls, (task_id, node, cluster, submitted_at, started_at, completed_at, energy)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "TaskExecution":
+        return cls(*iterable)
 
     @property
     def duration(self) -> float:

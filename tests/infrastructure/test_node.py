@@ -1,6 +1,7 @@
 """Tests for the node model and its state machine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.infrastructure.node import Node, NodeSpec, NodeState
 from tests.conftest import make_spec
@@ -144,6 +145,40 @@ class TestNodePower:
         node.acquire_core()
         expected = spec.idle_power + (spec.peak_power - spec.idle_power) / spec.cores
         assert node.current_power() == pytest.approx(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.sampled_from(
+        ["acquire", "release", "off", "boot", "boot_done", "fail", "repair"]
+    ), max_size=40))
+    def test_cached_power_follows_every_transition(self, ops):
+        """The power read after any transition equals a fresh computation."""
+        spec = make_spec(cores=3)
+        node = Node(spec)
+
+        def fresh() -> float:
+            if node.state is NodeState.ON:
+                return node.power_model.power_at(node.utilization)
+            if node.state is NodeState.BOOTING:
+                return spec.boot_power
+            return 0.0
+
+        for op in ops:
+            state = node.state
+            if op == "acquire" and state is NodeState.ON and node.free_cores:
+                node.acquire_core()
+            elif op == "release" and node.busy_cores:
+                node.release_core()
+            elif op == "off" and state is NodeState.ON and not node.busy_cores:
+                node.power_off()
+            elif op == "boot" and state is NodeState.OFF:
+                node.begin_boot(0.0)
+            elif op == "boot_done" and state is NodeState.BOOTING:
+                node.complete_boot()
+            elif op == "fail" and state is not NodeState.FAILED:
+                node.fail()
+            elif op == "repair" and state is NodeState.FAILED:
+                node.repair()
+            assert node.current_power() == fresh()
 
 
 class TestTaskDuration:

@@ -1,7 +1,9 @@
 """Tests for the discrete-event simulation engine."""
 
+import functools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.simulation.engine import SimulationEngine
 
@@ -288,3 +290,153 @@ class TestBatchedEvents:
         # The batch fires atomically: all three items, then the loop stops.
         assert fired == [1, 2, 3]
         assert engine.processed_events == 3
+
+
+# -- the tuple heap against a list-based oracle ----------------------------------------
+
+#: Small delays and priorities, so equal times and equal priorities are common.
+delays = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+priorities = st.integers(min_value=-1, max_value=1)
+widths = st.integers(min_value=0, max_value=3)  # 0: ``schedule``, n: ``schedule_many`` of n
+
+nested_action = st.one_of(
+    st.tuples(st.just("schedule"), delays, priorities, widths),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+)
+top_action = st.one_of(
+    st.tuples(
+        st.just("schedule"), delays, priorities, widths,
+        st.lists(nested_action, max_size=3),
+    ),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+)
+
+
+class _Oracle:
+    """The engine's contract on a plain list: fire the minimum live key."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.entries: list[dict] = []
+        self.processed = 0
+
+    def schedule(self, time, priority, width) -> int:
+        items = 1 if width == 0 else width
+        self.entries.append({
+            "key": (time, priority, len(self.entries)), "items": items,
+            "cancelled": False, "fired": False,
+        })
+        return len(self.entries) - 1
+
+    def cancel(self, index) -> None:
+        self.entries[index]["cancelled"] = True
+
+    @property
+    def pending(self) -> int:
+        return sum(
+            e["items"] for e in self.entries if not (e["cancelled"] or e["fired"])
+        )
+
+    def pop(self) -> int | None:
+        live = [i for i, e in enumerate(self.entries) if not (e["cancelled"] or e["fired"])]
+        if not live:
+            return None
+        index = min(live, key=lambda i: self.entries[i]["key"])
+        self.entries[index]["fired"] = True
+        self.now = self.entries[index]["key"][0]
+        self.processed += self.entries[index]["items"]
+        return index
+
+
+class TestTupleHeapAgainstOracle:
+    """Random ``schedule``/``schedule_many``/``cancel`` streams, callbacks included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(actions=st.lists(top_action, min_size=1, max_size=12))
+    def test_firing_order_and_counters_match_the_oracle(self, actions):
+        engine = SimulationEngine()
+        oracle = _Oracle()
+        handles = []
+        fired: list[tuple[int, int]] = []
+        nested_of: dict[int, list] = {}
+
+        def apply(action):
+            if action[0] == "cancel":
+                if handles:
+                    index = action[1] % len(handles)
+                    handles[index].cancel()
+                    entry = oracle.entries[index]
+                    if not entry["fired"]:
+                        oracle.cancel(index)
+                return
+            _, delay, priority, width = action[:4]
+            time = engine.now + delay
+            index = oracle.schedule(time, priority, width)
+            callback = functools.partial(on_fire, index)
+            if width == 0:
+                handle = engine.schedule(time, callback, args=(0,), priority=priority)
+            else:
+                handle = engine.schedule_many(time, callback, range(width), priority=priority)
+            handles.append(handle)
+            nested_of[index] = list(action[4]) if len(action) > 4 else []
+
+        def on_fire(index, item):
+            fired.append((index, item))
+            if item == 0:
+                for nested in nested_of[index]:
+                    apply(nested)
+
+        for action in actions:
+            apply(action)
+        assert engine.pending_events == oracle.pending
+
+        expected: list[tuple[int, int]] = []
+        while True:
+            # The oracle picks first; the callbacks the engine then fires
+            # apply their nested actions to both sides.
+            index = oracle.pop()
+            count = engine.step()
+            if index is None:
+                assert count == 0
+                break
+            items = oracle.entries[index]["items"]
+            assert count == items
+            expected.extend((index, item) for item in range(items))
+            assert fired == expected
+            assert engine.now == oracle.now
+            assert engine.pending_events == oracle.pending
+            assert engine.processed_events == oracle.processed
+        assert engine.pending_events == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(delays, priorities, widths), min_size=1, max_size=20),
+        cancels=st.lists(st.integers(min_value=0, max_value=63), max_size=6),
+    )
+    def test_fires_in_sorted_key_order(self, rows, cancels):
+        """Without nested scheduling, firing order is ``sorted((time, priority, seq))``."""
+        engine = SimulationEngine()
+        fired = []
+        handles = []
+        keys = []
+        for sequence, (time, priority, width) in enumerate(rows):
+            keys.append((time, priority, sequence))
+            if width == 0:
+                handles.append(engine.schedule(
+                    time, fired.append, args=(sequence,), priority=priority
+                ))
+            else:
+                handles.append(engine.schedule_many(
+                    time, lambda _, s=sequence: fired.append(s), range(width),
+                    priority=priority,
+                ))
+        cancelled = {index % len(rows) for index in cancels}
+        for index in cancelled:
+            handles[index].cancel()
+        engine.run()
+        order = [key[2] for key in sorted(keys) if key[2] not in cancelled]
+        expected = [
+            sequence for sequence in order for _ in range(max(rows[sequence][2], 1))
+        ]
+        assert fired == expected
+        assert engine.processed_events == len(expected)
