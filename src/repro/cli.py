@@ -424,6 +424,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             seed=args.seed if args.policy.strip().upper() == "RANDOM" else None,
         ),
         timeline=args.timeline,
+        # Nothing reads the daemon's execution trace, and a long-lived
+        # process would otherwise keep every request's records forever.
+        trace_level="off",
     )
     service = session.open_service(
         ServeSource(

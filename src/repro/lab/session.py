@@ -279,7 +279,7 @@ class LabSession:
         ``serve`` carries the admission quotas and socket parameters
         (:class:`~repro.lab.components.ServeSource`); the returned
         :class:`~repro.serve.service.PlacementService` still needs its
-        ``start()``/``run()`` awaited on an event loop.
+        ``start()`` and ``serve_until_shutdown()`` awaited on an event loop.
         """
         from repro.serve.admission import AdmissionController
         from repro.serve.service import PlacementService

@@ -8,6 +8,9 @@ container bakes no HTTP dependency in.  Both ends of the conversation
 live in this module so the server and the replay client cannot drift
 apart.
 
+Lines end in CRLF only, and a head (start line + headers) longer than
+the stream reader's limit (64 KiB by default) is a :class:`ProtocolError`.
+
 Endpoints
 ---------
 ``POST /submit``
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.simulation.task import Task
+from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
 
 #: Reason phrases for the status codes the service emits.
 _REASONS = {
@@ -74,8 +78,18 @@ class SubmitRequest:
     preference: float = 0.0
 
     def __post_init__(self) -> None:
+        # Task's rules, checked here so a bad body is a 400 before admission.
         if not self.tenant:
             raise ProtocolError("tenant must be a non-empty string")
+        if not self.service:
+            raise ProtocolError("service must be a non-empty string")
+        try:
+            ensure_positive(self.flop, "flop")
+            ensure_in_range(self.preference, "preference", -1.0, 1.0)
+            if self.time is not None:
+                ensure_non_negative(self.time, "time")
+        except (TypeError, ValueError) as error:
+            raise ProtocolError(str(error)) from None
 
     def to_task(self, *, arrival_time: float) -> Task:
         """The simulation task this submission describes."""
@@ -177,19 +191,26 @@ class HttpRequest:
             raise ProtocolError(f"body is not valid JSON: {error}") from None
 
 
-async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
+async def _read_message(reader: asyncio.StreamReader) -> tuple[str, dict[str, str], bytes] | None:
+    """Start line, headers and body of one message; ``None`` on a clean EOF.
+
+    A head cut short by EOF raises :class:`asyncio.IncompleteReadError`.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as error:
+        if error.partial:
+            raise
+        return None
+    except asyncio.LimitOverrunError:
+        raise ProtocolError("message head exceeds the size limit") from None
+    start, *lines = head[:-4].decode("latin-1").split("\r\n")
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            return headers
-        name, separator, value = line.decode("latin-1").partition(":")
+    for line in lines:
+        name, separator, value = line.partition(":")
         if not separator:
             raise ProtocolError(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-
-
-async def _read_body(reader: asyncio.StreamReader, headers: Mapping[str, str]) -> bytes:
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
@@ -197,35 +218,32 @@ async def _read_body(reader: asyncio.StreamReader, headers: Mapping[str, str]) -
         raise ProtocolError(f"bad Content-Length {length_text!r}") from None
     if length < 0 or length > MAX_BODY_BYTES:
         raise ProtocolError(f"Content-Length {length} out of bounds")
-    return await reader.readexactly(length) if length else b""
+    return start, headers, (await reader.readexactly(length) if length else b"")
 
 
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Read one HTTP request; ``None`` on a cleanly closed connection."""
-    line = await reader.readline()
-    if not line:
+    message = await _read_message(reader)
+    if message is None:
         return None
-    parts = line.decode("latin-1").split()
+    start, headers, body = message
+    parts = start.split()
     if len(parts) != 3:
-        raise ProtocolError(f"malformed request line {line!r}")
+        raise ProtocolError(f"malformed request line {start!r}")
     method, path, _version = parts
-    headers = await _read_headers(reader)
-    body = await _read_body(reader, headers)
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
 
 
 async def read_response(reader: asyncio.StreamReader) -> tuple[int, object]:
     """Read one HTTP response; returns ``(status_code, decoded_json_body)``."""
-    line = await reader.readline()
-    if not line:
+    message = await _read_message(reader)
+    if message is None:
         raise ProtocolError("connection closed while awaiting a response")
-    parts = line.decode("latin-1").split(maxsplit=2)
+    start, _headers, body = message
+    parts = start.split(maxsplit=2)
     if len(parts) < 2 or not parts[1].isdigit():
-        raise ProtocolError(f"malformed status line {line!r}")
-    status = int(parts[1])
-    headers = await _read_headers(reader)
-    body = await _read_body(reader, headers)
-    return status, (json.loads(body) if body else None)
+        raise ProtocolError(f"malformed status line {start!r}")
+    return int(parts[1]), (json.loads(body) if body else None)
 
 
 def render_response(status: int, payload: object) -> bytes:

@@ -8,12 +8,13 @@ middleware stack), one :class:`~repro.serve.admission.AdmissionController`
 
 Request path
 ------------
-Every ``POST /submit`` runs the admission gates synchronously — a
-rejected or shed submission is answered immediately, without touching
-the scheduler.  Admitted submissions are parked on a pending queue and
-their connection awaits a future; a single **batcher** task drains
-whatever accumulated into one :meth:`ServeState.place_batch` scoring
-pass and resolves the futures.  Concurrency is the batching mechanism:
+Each connection runs one reader loop and one writer task, never a task
+per request.  The reader answers ``/stats``, ``/healthz``,
+``/shutdown``, 4xx errors and the 429/503 of the admission gates inline,
+as bytes.  An admitted ``POST /submit`` is parked on a pending queue
+with a future; a single **batcher** task drains whatever accumulated
+into one :meth:`ServeState.place_batch` scoring pass and resolves the
+futures with the rendered responses.  Concurrency is the batching mechanism:
 requests that arrive while a batch is being scored pile up and form the
 next batch, so one scheduler pass serves many sockets (``batch_window``
 adds an optional fixed accumulation delay on top).
@@ -62,7 +63,6 @@ class PlacementService:
         self._pending: deque[tuple[Task, asyncio.Future]] = deque()
         self._wakeup = asyncio.Event()
         self._shutdown = asyncio.Event()
-        self._closing = False
         self._server: asyncio.AbstractServer | None = None
         self._batcher: asyncio.Task | None = None
         self._connections: set[asyncio.Task] = set()
@@ -77,7 +77,7 @@ class PlacementService:
         if self._server is not None:
             raise RuntimeError("service already started")
         self._server = await asyncio.start_server(
-            self._connection_entry, self.host, self.port
+            self._serve_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._batcher = asyncio.create_task(self._batch_loop())
@@ -89,15 +89,12 @@ class PlacementService:
 
     def request_shutdown(self) -> None:
         """Initiate a graceful stop (idempotent)."""
-        self._closing = True
         self._shutdown.set()
 
     async def stop(self) -> None:
         """Flush pending work, stop the batcher, close the socket."""
-        self._closing = True
-        self._shutdown.set()
-        if self._pending:
-            self._flush()  # answer every admitted-but-unplaced submission
+        self.request_shutdown()
+        self._flush()  # answer every admitted-but-unplaced submission
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -119,11 +116,6 @@ class PlacementService:
             if lingering:
                 await asyncio.gather(*lingering, return_exceptions=True)
             self._connections.clear()
-
-    async def run(self) -> None:
-        """Start, serve until shutdown, stop — the CLI entry point."""
-        await self.start()
-        await self.serve_until_shutdown()
 
     @property
     def address(self) -> str:
@@ -148,48 +140,53 @@ class PlacementService:
         """Score everything pending in one batch and resolve the futures."""
         if not self._pending:
             return
-        batch: list[tuple[Task, asyncio.Future]] = []
-        while self._pending:
-            batch.append(self._pending.popleft())
+        batch = list(self._pending)
+        self._pending.clear()
         decisions = self.state.place_batch([task for task, _future in batch])
         self._batches += 1
         self._batched += len(batch)
         self._largest_batch = max(self._largest_batch, len(batch))
         for (_task, future), decision in zip(batch, decisions):
             if not future.done():
-                future.set_result(decision)
+                future.set_result(_placement_response(decision))
 
     # -- request handling -------------------------------------------------------------
-    async def _connection_entry(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            self._connections.discard(task)
-
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One connection: read ahead, answer strictly in request order.
 
-        The reader loop dispatches each parsed request as its own task
-        *without* awaiting it, so pipelined requests on one connection
-        reach the pending queue together and form one micro-batch; a
-        writer task awaits the handlers in order so responses never
-        overtake each other on the wire.
+        The reader appends each request's answer to the outbox without
+        awaiting it — bytes, or the future of a parked placement — so
+        pipelined submissions form one micro-batch.  The writer waits for
+        the outbox head, then sends it and every answered entry behind it
+        with one write: a pipelined burst costs one send, and a ready
+        answer never overtakes a pending placement.
         """
-        responses: asyncio.Queue[asyncio.Task | None] = asyncio.Queue()
+        connection = asyncio.current_task()
+        self._connections.add(connection)
+        outbox: deque[bytes | asyncio.Future | None] = deque()  # None ends it
+        queued = asyncio.Event()
 
         async def _write_in_order() -> None:
             while True:
-                handler = await responses.get()
-                if handler is None:
+                while not outbox:
+                    queued.clear()
+                    await queued.wait()
+                if outbox[0] is None:
                     return
-                writer.write(await handler)
+                if not isinstance(outbox[0], bytes):
+                    await outbox[0]
+                chunks: list[bytes] = []
+                while outbox and outbox[0] is not None:
+                    entry = outbox[0]
+                    if not isinstance(entry, bytes):
+                        if not entry.done():
+                            break  # a pending placement: nothing overtakes it
+                        entry = entry.result()
+                    chunks.append(entry)
+                    outbox.popleft()
+                writer.write(b"".join(chunks))
                 await writer.drain()
 
         writer_task = asyncio.create_task(_write_in_order())
@@ -201,9 +198,11 @@ class PlacementService:
                     break
                 if request is None:
                     break
-                responses.put_nowait(asyncio.create_task(self._dispatch(request)))
+                outbox.append(self._answer(request))
+                queued.set()
         finally:
-            responses.put_nowait(None)
+            outbox.append(None)
+            queued.set()
             try:
                 await writer_task
             except ConnectionError:
@@ -213,11 +212,13 @@ class PlacementService:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            self._connections.discard(connection)
 
-    async def _dispatch(self, request: HttpRequest) -> bytes:
+    def _answer(self, request: HttpRequest) -> bytes | asyncio.Future:
+        """The response to ``request``: bytes, or the future of a placement."""
         route = (request.method, request.path)
         if route == ("POST", "/submit"):
-            return await self._handle_submit(request)
+            return self._submit(request)
         if route == ("GET", "/stats"):
             return render_response(200, self.stats())
         if route == ("GET", "/healthz"):
@@ -230,7 +231,7 @@ class PlacementService:
             return render_response(405, {"error": f"wrong method for {request.path}"})
         return render_response(404, {"error": f"no route {request.path}"})
 
-    async def _handle_submit(self, request: HttpRequest) -> bytes:
+    def _submit(self, request: HttpRequest) -> bytes | asyncio.Future:
         try:
             submit = SubmitRequest.from_json(request.json())
         except ProtocolError as error:
@@ -240,7 +241,7 @@ class PlacementService:
         now = submit.time if submit.time is not None else self.state.now
         self._clock_floor = max(self._clock_floor, now, self.state.now)
         now = self._clock_floor
-        if self._closing:
+        if self._shutdown.is_set():
             return render_response(
                 503, {"status": SHED, "time": now, "reason": "service shutting down"}
             )
@@ -260,16 +261,7 @@ class PlacementService:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending.append((task, future))
         self._wakeup.set()
-        placement: PlacementDecision = await future
-        payload = {
-            "status": "accepted",
-            "time": placement.time,
-            "task_id": placement.task_id,
-            "node": placement.node,
-        }
-        if placement.node is None:
-            payload["reason"] = "no server can solve the request"
-        return render_response(200, payload)
+        return future
 
     # -- introspection ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -285,3 +277,16 @@ class PlacementService:
             },
             "state": self.state.snapshot(),
         }
+
+
+def _placement_response(placement: PlacementDecision) -> bytes:
+    """The 200 ``accepted`` response of one placed (or unplaceable) submission."""
+    payload = {
+        "status": "accepted",
+        "time": placement.time,
+        "task_id": placement.task_id,
+        "node": placement.node,
+    }
+    if placement.node is None:
+        payload["reason"] = "no server can solve the request"
+    return render_response(200, payload)

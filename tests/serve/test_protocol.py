@@ -1,8 +1,11 @@
 """Wire types and HTTP framing round-trips."""
 
 import asyncio
+import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve.protocol import (
     ProtocolError,
@@ -58,6 +61,23 @@ class TestSubmitRequest:
     )
     def test_malformed_bodies_raise(self, payload):
         with pytest.raises(ProtocolError):
+            SubmitRequest.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("flop", -1),
+            ("flop", 0),
+            ("flop", math.nan),
+            ("time", math.inf),
+            ("time", -1.0),
+            ("preference", 2),
+            ("service", ""),
+        ],
+    )
+    def test_fields_a_task_would_refuse_raise(self, field, value):
+        payload = {"tenant": "t", "flop": 1e9, field: value}
+        with pytest.raises(ProtocolError, match=field):
             SubmitRequest.from_json(payload)
 
 
@@ -141,3 +161,101 @@ class TestHttpFraming:
                 await read_request(_reader_with(raw))
 
         asyncio.run(scenario())
+
+    def test_bare_lf_head_is_not_a_request(self):
+        async def scenario():
+            with pytest.raises(asyncio.IncompleteReadError):
+                await read_request(_reader_with(b"GET /healthz HTTP/1.1\nHost: x\n\n"))
+
+        asyncio.run(scenario())
+
+    def test_head_over_the_reader_limit_raises(self):
+        async def scenario():
+            reader = asyncio.StreamReader(limit=1024)
+            reader.feed_data(b"GET /x HTTP/1.1\r\nX-Pad: " + b"a" * 2048 + b"\r\n\r\n")
+            reader.feed_eof()
+            with pytest.raises(ProtocolError, match="size limit"):
+                await read_request(reader)
+
+        asyncio.run(scenario())
+
+
+_METHODS = st.sampled_from(["GET", "POST", "PUT", "DELETE"])
+_PATHS = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_/?=&.", max_size=24
+).map(lambda tail: "/" + tail)
+_PAYLOADS = st.none() | st.dictionaries(
+    st.text(max_size=8),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=16),
+    max_size=4,
+)
+_MESSAGES = st.lists(st.tuples(_METHODS, _PATHS, _PAYLOADS), min_size=1, max_size=6)
+
+
+def _expected(method, path, payload):
+    body = b"" if payload is None else json.dumps(payload, separators=(",", ":")).encode()
+    headers = {
+        "host": "repro-serve",
+        "content-type": "application/json",
+        "content-length": str(len(body)),
+        "connection": "keep-alive",
+    }
+    return method, path, headers, body
+
+
+async def _feed(reader, data, chunks):
+    """Feed ``data`` in chunks of the given sizes, yielding between them."""
+    offset, sizes = 0, iter(chunks)
+    while offset < len(data):
+        size = next(sizes, len(data))
+        reader.feed_data(data[offset:offset + size])
+        offset += size
+        await asyncio.sleep(0)
+    reader.feed_eof()
+
+
+class TestFramingDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(messages=_MESSAGES, chunks=st.lists(st.integers(1, 97), max_size=40))
+    def test_chunked_pipeline_parses_back(self, messages, chunks):
+        wire = b"".join(render_request(*message) for message in messages)
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            feeder = asyncio.create_task(_feed(reader, wire, chunks))
+            parsed = []
+            while (request := await read_request(reader)) is not None:
+                parsed.append(
+                    (request.method, request.path, dict(request.headers), request.body)
+                )
+            await feeder
+            return parsed
+
+        assert asyncio.run(scenario()) == [_expected(*message) for message in messages]
+
+    @settings(max_examples=60, deadline=None)
+    @given(messages=_MESSAGES, data=st.data())
+    def test_truncated_head_is_never_served(self, messages, data):
+        wire = b"".join(render_request(*message) for message in messages)
+        last = render_request(*messages[-1])
+        head_length = last.index(b"\r\n\r\n") + 4
+        cut = data.draw(st.integers(0, head_length - 1), label="cut")
+        truncated = wire[: len(wire) - len(last) + cut]
+
+        async def scenario():
+            reader = _reader_with(truncated)
+            for message in messages[:-1]:
+                request = await read_request(reader)
+                assert (request.method, request.path) == message[:2]
+            try:
+                tail = await read_request(reader)
+            except asyncio.IncompleteReadError:
+                return "incomplete"
+            return tail
+
+        outcome = asyncio.run(scenario())
+        assert outcome == ("incomplete" if cut else None)

@@ -1,6 +1,8 @@
 """PlacementService: HTTP round trips, admission over the wire, shutdown."""
 
 import asyncio
+import logging
+import math
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.serve import (
     ServeState,
     replay_trace,
 )
+from repro.cli import main
 from repro.serve.protocol import read_response, render_request
 from repro.simulation.trace import ExecutionTrace
 
@@ -40,6 +43,11 @@ async def request(port: int, method: str, path: str, payload=None):
     finally:
         writer.close()
         await writer.wait_closed()
+
+
+async def answer(reader):
+    """The next response, or a test failure instead of a hang if none comes."""
+    return await asyncio.wait_for(read_response(reader), timeout=5.0)
 
 
 def submit_payload(tenant="t", flop=1e9, time=None, **extra):
@@ -264,3 +272,174 @@ class TestShutdown:
                     pass
 
         asyncio.run(scenario())
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"flop": -1},
+            {"flop": math.nan},
+            {"time": math.inf},
+            {"preference": 2},
+            {"service": ""},
+        ],
+    )
+    def test_invalid_submission_is_a_400_that_leaves_state_untouched(self, bad, caplog):
+        async def scenario():
+            service = make_service()
+            await service.start()
+            try:
+                totals = service.admission.totals()
+                floor = service._clock_floor
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                try:
+                    writer.write(
+                        render_request("POST", "/submit", {**submit_payload(time=5.0), **bad})
+                    )
+                    await writer.drain()
+                    status, body = await answer(reader)
+                    assert status == 400
+                    assert next(iter(bad)) in body["error"]
+                    assert service.admission.totals() == totals
+                    assert service._clock_floor == floor
+                    # the connection survives and the next valid submit is placed
+                    writer.write(render_request("POST", "/submit", submit_payload(time=5.0)))
+                    await writer.drain()
+                    status, body = await answer(reader)
+                    assert (status, body["status"]) == (200, "accepted")
+                    assert body["node"] is not None
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                stats = service.stats()
+                assert stats["admission"]["admitted"] == stats["state"]["decisions"] == 1
+            finally:
+                await service.stop()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(scenario())
+        assert not caplog.records
+
+    def test_oversized_head_closes_only_its_connection(self, caplog):
+        async def scenario():
+            service = make_service()
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                try:
+                    writer.write(
+                        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+                    )
+                    await writer.drain()
+                    assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                except ConnectionError:
+                    pass  # the daemon closed with the rest of the head unread
+                finally:
+                    writer.close()
+                    try:
+                        await writer.wait_closed()
+                    except ConnectionError:
+                        pass
+                status, body = await request(service.port, "GET", "/healthz")
+                assert (status, body) == (200, {"status": "ok"})
+            finally:
+                await service.stop()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(scenario())
+        assert not caplog.records
+
+
+#: One pipelined conversation: (method, path, payload) and the expected status.
+PIPELINE = [
+    (("POST", "/submit", submit_payload("a", time=0.0)), 200),
+    (("GET", "/healthz", None), 200),
+    (("POST", "/submit", submit_payload("b", time=1.0)), 200),
+    (("GET", "/nowhere", None), 404),
+    (("POST", "/submit", submit_payload("a", time=2.0)), 200),
+    (("POST", "/submit", submit_payload("a", flop=-1.0, time=2.5)), 400),
+    (("POST", "/submit", submit_payload("b", time=3.0)), 200),
+    (("POST", "/submit", submit_payload("a", time=4.0)), 200),
+    (("POST", "/submit", submit_payload("a", time=5.0)), 429),  # a's burst is spent
+    (("GET", "/healthz", None), 200),
+    (("POST", "/submit", submit_payload("b", time=6.0)), 200),
+]
+
+
+def pipeline_service(batch_window: float) -> PlacementService:
+    return PlacementService(
+        ServeState.assemble(platform=PlatformSource.table1(1)),
+        admission=AdmissionController(quota_rate=1e-3, quota_burst=3.0),
+        batch_window=batch_window,
+    )
+
+
+def outcome(response):
+    status, body = response
+    return status, body.get("status"), body.get("node"), "error" in body
+
+
+class TestPipelining:
+    def test_responses_keep_request_order_and_coalesce(self, monkeypatch):
+        sends = []
+        write = asyncio.StreamWriter.write
+
+        def counting_write(self, data):
+            if data.startswith(b"HTTP/1.1 "):
+                sends.append(data.count(b"HTTP/1.1 "))
+            return write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+
+        async def pipelined():
+            # The batch window holds every placement pending while the
+            # inline answers behind it are already rendered.
+            service = pipeline_service(batch_window=0.05)
+            await service.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(b"".join(render_request(*call) for call, _ in PIPELINE))
+                await writer.drain()
+                responses = [await answer(reader) for _ in PIPELINE]
+                writer.close()
+                await writer.wait_closed()
+                return responses
+            finally:
+                await service.stop()
+
+        async def one_at_a_time():
+            service = pipeline_service(batch_window=0.0)
+            await service.start()
+            try:
+                return [await request(service.port, *call) for call, _ in PIPELINE]
+            finally:
+                await service.stop()
+
+        responses = asyncio.run(pipelined())
+        assert sends == [len(PIPELINE)]  # one coalesced write for the burst
+        assert [status for status, _ in responses] == [status for _, status in PIPELINE]
+        assert responses[1][1] == responses[9][1] == {"status": "ok"}
+        assert responses[8][1]["status"] == "rejected"
+        task_ids = [body["task_id"] for _, body in responses if "task_id" in body]
+        assert task_ids == sorted(task_ids) and len(task_ids) == 6
+        window_1 = asyncio.run(one_at_a_time())
+        assert [outcome(r) for r in responses] == [outcome(r) for r in window_1]
+
+
+class TestCliDaemon:
+    def test_repro_serve_keeps_no_execution_trace(self, monkeypatch, capsys):
+        served = {}
+        serve_until_shutdown = PlacementService.serve_until_shutdown
+
+        async def replay_then_serve(self):
+            served["service"] = self
+            await replay_trace(MINI_SWF, port=self.port, limit=10, shutdown=True)
+            await serve_until_shutdown(self)
+
+        monkeypatch.setattr(PlacementService, "serve_until_shutdown", replay_then_serve)
+        assert main(["serve", "--platform", "quick", "--port", "0"]) == 0
+        state = served["service"].state
+        assert state.decisions == 10
+        assert len(state.simulation.trace) == 0
+        assert "shut down cleanly" in capsys.readouterr().out
