@@ -462,17 +462,20 @@ class TestServeReplayCommands:
                 "--port", str(port), "--limit", "10", "--shutdown",
             ]
             deadline = time.monotonic() + 30.0
+            out = ""
             while True:  # retry until the daemon's socket is up
                 exit_codes["replay"] = main(argv)
                 if exit_codes["replay"] == 0 or time.monotonic() > deadline:
                     break
-                capsys.readouterr()  # drop the connection-refused report
+                # Drop the connection-refused report (stderr) but keep
+                # stdout: the daemon thread may have announced itself.
+                out += capsys.readouterr().out
                 time.sleep(0.05)
         finally:
             daemon.join(timeout=30.0)
         assert not daemon.is_alive()
         assert exit_codes == {"serve": 0, "replay": 0}
-        out = capsys.readouterr().out
+        out += capsys.readouterr().out
         assert "listening on" in out
         assert "shut down cleanly" in out
         assert "accepted" in out and "10" in out
