@@ -133,7 +133,9 @@ class RandomPolicy(PluginScheduler):
 
     The policy is stateful (it owns a seeded RNG) so that experiment runs
     are reproducible while successive requests still see different random
-    orderings.
+    orderings.  It keeps the default aggregation (merge, then ``sort``):
+    a single shuffle over the merged set keeps the selection uniform,
+    where re-shuffling every level would favour the last-sorted subtree.
     """
 
     name = "RANDOM"
@@ -160,19 +162,6 @@ class RandomPolicy(PluginScheduler):
         interchangeable with the unvectorised path.
         """
         return self._rng.random(len(flops))
-
-    def aggregate(
-        self,
-        request: ServiceRequest,
-        partial_rankings: Sequence[Sequence[CandidateEntry]],
-    ) -> list[CandidateEntry]:
-        # Re-shuffling at every level would bias the election towards the
-        # last-sorted subtree; a single shuffle over the merged set keeps
-        # the selection uniform.
-        merged: list[CandidateEntry] = []
-        for ranking in partial_rankings:
-            merged.extend(ranking)
-        return self.sort(request, merged)
 
 
 class GreenPerfPolicy(PluginScheduler):

@@ -27,6 +27,7 @@ from repro.middleware.plugin_scheduler import (
     FirstComeFirstServedScheduler,
     PluginScheduler,
 )
+from repro.middleware.ranking import choose_election
 from repro.middleware.requests import SchedulingOutcome, ServiceRequest
 from repro.middleware.sed import ServerDaemon
 
@@ -35,7 +36,8 @@ from repro.middleware.sed import ServerDaemon
 #: Contract: the filter returns an order-preserving subsequence of its
 #: input (it drops entries, never reorders or adds them).  The Master
 #: Agent relies on it to skip re-sorting a resident or flat-election
-#: ranking after the filter.
+#: ranking after the filter (``resort_after_filter`` in
+#: :mod:`repro.middleware.ranking`).
 CandidateFilter = Callable[[ServiceRequest, Sequence[CandidateEntry]], Sequence[CandidateEntry]]
 
 
@@ -60,8 +62,8 @@ class Agent:
         self._seds: list[ServerDaemon] = []
         self._parent: "Agent | None" = None
         #: Monotonic counter bumped (and propagated to ancestors) on every
-        #: topology or scheduler change, so the Master Agent knows when its
-        #: resident ranking must be rebuilt.
+        #: topology or scheduler change, so the Master Agent knows when to
+        #: choose its election strategy again.
         self._version = 0
 
     @property
@@ -165,11 +167,10 @@ class MasterAgent(Agent):
     In addition to the common agent behaviour, the Master Agent applies an
     optional *candidate filter* before the final sort — the hook used by
     the adaptive provisioning layer to cap the number of candidate nodes —
-    and elects the first SeD of the resulting ranking.
+    and elects the first SeD of the resulting ranking.  How that ranking
+    is produced (resident, flat or tree walk) is chosen once per topology
+    version by :func:`~repro.middleware.ranking.choose_election`.
     """
-
-    #: Sentinel meaning "checked: this hierarchy cannot host a resident ranking".
-    _RANKING_UNSUPPORTED = object()
 
     def __init__(
         self,
@@ -177,15 +178,13 @@ class MasterAgent(Agent):
         *,
         scheduler: PluginScheduler | None = None,
         candidate_filter: CandidateFilter | None = None,
-        use_resident_ranking: bool = True,
     ) -> None:
         super().__init__(name, scheduler=scheduler)
         self.candidate_filter = candidate_filter
-        #: Force-disable knob: ``False`` always takes the per-request tree
-        #: walk (used by equivalence tests and baseline benchmarks).
-        self.use_resident_ranking = use_resident_ranking
-        self._ranking = None
-        self._ranking_version = -1
+        #: Picks the election strategy whenever the topology version moves.
+        self._choose_election = choose_election
+        self._election = None
+        self._election_version = -1
         #: Optional :class:`~repro.util.phases.PhaseTimer` attributing
         #: election time to the estimation/scoring phases (profiled runs
         #: only; ``None`` costs nothing).
@@ -195,60 +194,14 @@ class MasterAgent(Agent):
         """Install (or clear) the candidate filter."""
         self.candidate_filter = candidate_filter
 
-    # -- resident ranking ---------------------------------------------------------
-    def _iter_agents(self) -> Iterable["Agent"]:
-        stack: list[Agent] = [self]
-        while stack:
-            agent = stack.pop()
-            yield agent
-            stack.extend(agent._child_agents)
-
-    def _build_ranking(self):
-        """A resident ranking, a flat election, or the sentinel.
-
-        Both equal the hierarchical walk only when one total-order policy
-        instance sorts at *every* level (then per-level sort + aggregate
-        and a global sort are the same permutation).  A
-        :class:`~repro.middleware.ranking.ResidentRanking` further needs a
-        request-independent ``rank_key`` and every SeD on the default
-        estimation function (then the invalidation listeners see every
-        vector change); a policy whose total order depends on the request
-        gets a :class:`~repro.middleware.ranking.FlatElection` instead.
-        """
-        from repro.middleware.ranking import FlatElection, ResidentRanking
-
-        scheduler = self._scheduler
-        if any(agent._scheduler is not scheduler for agent in self._iter_agents()):
-            return self._RANKING_UNSUPPORTED
-        seds = self.all_seds()
-        if getattr(scheduler, "rank_key", None) is None:
-            if getattr(scheduler, "total_order", False):
-                return FlatElection(scheduler, seds)
-            return self._RANKING_UNSUPPORTED
-        if any(not sed.estimation_cacheable for sed in seds):
-            return self._RANKING_UNSUPPORTED
-        return ResidentRanking(scheduler, seds)
-
-    def _resident_candidates(self, request: ServiceRequest):
-        """Candidates in the scheduler's order without a walk, or ``None`` to walk."""
-        if not self.use_resident_ranking:
-            return None
-        if self._ranking is None or self._ranking_version != self._version:
-            if self._ranking is not None and self._ranking is not self._RANKING_UNSUPPORTED:
-                self._ranking.detach()
-            self._ranking = self._build_ranking()
-            self._ranking_version = self._version
-        ranking = self._ranking
-        if ranking is self._RANKING_UNSUPPORTED:
-            return None
-        candidates = ranking.candidates(request)
-        if candidates is None:
-            # A SeD lost its default estimation function mid-run: retire the
-            # resident order for good (until the next topology change).
-            ranking.detach()
-            self._ranking = self._RANKING_UNSUPPORTED
-            return None
-        return candidates
+    def _current_election(self):
+        """The election strategy for the current topology version."""
+        if self._election_version != self._version:
+            if self._election is not None:
+                self._election.detach()
+            self._election = self._choose_election(self)
+            self._election_version = self._version
+        return self._election
 
     def submit(
         self, request: ServiceRequest, *, include_ranking: bool = True
@@ -264,10 +217,8 @@ class MasterAgent(Agent):
         timer = self.phase_timer
         if timer is not None:
             timer.push("estimation")
-        candidates = self._resident_candidates(request)
-        walked = candidates is None
-        if walked:
-            candidates = self.collect_candidates(request)
+        election = self._current_election()
+        candidates = election.candidates(request)
         if timer is not None:
             timer.pop()
             timer.push("scoring")
@@ -275,9 +226,8 @@ class MasterAgent(Agent):
             if self.candidate_filter is not None and candidates:
                 candidates = list(self.candidate_filter(request, candidates))
                 # An order-preserving subsequence of a total order is still
-                # sorted; the walk's output may not be (RANDOM must draw
-                # fresh noise, mixed hierarchies end in a child's order).
-                if walked:
+                # sorted; the walk's output may not be.
+                if election.resort_after_filter:
                     candidates = self.scheduler.sort(request, candidates)
             if not candidates:
                 return SchedulingOutcome(

@@ -79,14 +79,11 @@ class QueuePlacementAdapter(PluginScheduler):
             return _running_tasks(entry)  # least-loaded first
         return 0.0  # FCFS: neutral
 
+    def rank_key(self, entry: CandidateEntry) -> tuple:
+        """Request-independent total-order key (estimated start, tie-break, name)."""
+        return (_estimated_start(entry), self._tie_break(entry), entry.server)
+
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
-        return sorted(
-            candidates,
-            key=lambda entry: (
-                _estimated_start(entry),
-                self._tie_break(entry),
-                entry.server,
-            ),
-        )
+        return sorted(candidates, key=self.rank_key)

@@ -1,39 +1,32 @@
-"""Resident, incrementally-maintained candidate ranking.
+"""The Master Agent's election strategies, chosen once per topology version.
 
-The scaling bottleneck of the middleware kernel is that every placement
-election used to rebuild and re-sort the full per-server estimation list —
-O(requests × servers) even though most node transitions move exactly one
-server.  PR 6 made the per-SeD estimation vectors incremental (cached,
-invalidated by node power listeners, queue mutation listeners and power
-observations); this module makes the *order* incremental too.
+Every agent of the hierarchy sorts its candidates with the plug-in
+scheduler and the Master Agent elects the head of the ranking
+(Section III-A).  :func:`choose_election` picks how that ranking is
+produced, once per topology version, among three strategies with one
+surface — ``candidates(request)``, ``detach()`` and the class flag
+``resort_after_filter``:
 
-:class:`ResidentRanking` keeps the candidate list sorted by the policy's
-request-independent :meth:`~repro.middleware.plugin_scheduler.PluginScheduler.rank_key`
-in an indexed structure (a binary-searchable sorted list of keys aligned
-with the entries).  It subscribes to every SeD's invalidation listeners —
-the same triggers that already invalidate the estimation cache — and only
-marks the affected server dirty, an O(1) set insert per transition.  The
-next election flushes the dirty set: each dirty server is removed from the
-order (O(log n) locate) and re-inserted at its new position, then the
-resident order is served as-is.  Since ``rank_key`` ends with the server
-name the order is total, so the resident order is *identical* to a full
-rebuild — the property-based suite (``tests/core/test_ranking_incremental.py``)
-proves bit-for-bit equality under random transition streams, and the
-golden figures pin it end to end.
+* :class:`ResidentRanking` keeps the candidate list sorted by the policy's
+  request-independent
+  :meth:`~repro.middleware.plugin_scheduler.PluginScheduler.rank_key` in a
+  binary-searchable sorted key list aligned with the entries.  It
+  subscribes to every SeD's invalidation listeners (the triggers that
+  invalidate the estimation cache) and only marks the affected server
+  dirty; the next election repositions each dirty server in O(log n) and
+  serves the resident order as-is.
+* :class:`FlatElection` collects the candidates in the walk's depth-first
+  SeD order and sorts them once, so each server is scored once per
+  election (GREEN_SCORE's request-dependent score, or any ``rank_key``
+  with custom estimation functions).
+* :class:`TreeWalk` is the per-request walk of Section III-A itself.
 
-The ranking serves exactly what
-:meth:`~repro.middleware.agents.Agent.collect_candidates` would have
-produced for a hierarchy whose agents all share one ``rank_key`` policy:
-available servers only (OFF/BOOTING/FAILED nodes are dropped and re-appear
-through their recovery transitions), filtered by ``can_solve``.
-GREEN_SCORE's request-dependent score cannot stay resident, but its key
-is still a total order, so :class:`FlatElection` scores each server once
-per election instead of walking (custom estimation functions included).
-Policies without a total-order key (RANDOM's per-request noise, FCFS, the
-queue-family adapters), hierarchies whose agents do not share one policy
-instance, and ``rank_key`` hierarchies with custom estimation functions
-fall back to the tree walk — the ranking reports itself unusable rather
-than guessing.
+The first two equal the walk because their key is a total order ending in
+the server name and one policy instance sorts at every level: per-level
+sorts plus aggregates then give the same permutation as one global sort.
+``tests/core/test_ranking_incremental.py`` and
+``tests/core/test_flat_election.py`` prove it bit for bit against the
+walk under hypothesis-generated transition streams.
 """
 
 from __future__ import annotations
@@ -46,16 +39,27 @@ from repro.middleware.sed import WILDCARD_SERVICE, ServerDaemon
 
 
 class ResidentRanking:
-    """A policy-sorted server order kept resident across requests."""
+    """A policy-sorted server order kept resident across requests.
+
+    It serves what the walk would for a hierarchy whose agents all share
+    one ``rank_key`` policy: available servers only (OFF/BOOTING/FAILED
+    nodes re-appear through their recovery transitions), filtered by
+    ``can_solve``.  Once a SeD installs a custom estimation function its
+    vectors can change without a notification, so the ranking hands over
+    to a :class:`FlatElection` for the rest of the topology version.
+    """
+
+    resort_after_filter = False
 
     def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
-        key_fn = getattr(scheduler, "rank_key", None)
-        if key_fn is None:
+        if scheduler.rank_key is None:
             raise ValueError(
-                f"policy {getattr(scheduler, 'name', scheduler)!r} has no "
-                "request-independent rank_key; use the tree walk instead"
+                f"policy {scheduler.name!r} has no request-independent "
+                "rank_key; use the tree walk instead"
             )
-        self._key_fn = key_fn
+        self._scheduler = scheduler
+        self._key_fn = scheduler.rank_key
+        self._sed_order = tuple(seds)
         self._seds = {sed.name: sed for sed in seds}
         #: Sorted keys, aligned entry list, and each present SeD's key.
         self._keys: list[tuple] = []
@@ -66,14 +70,12 @@ class ResidentRanking:
         #: notification costs no Python frame; the set is only ever
         #: cleared, never rebound, so ``detach`` removes that same listener.
         self._dirty: set[ServerDaemon] = set(self._seds.values())
-        #: Set when a SeD stops being cacheable (custom estimation function):
-        #: the ranking can no longer trust its invalidation stream.
-        self._unusable = False
+        #: The flat pass serving elections once a SeD stopped being cacheable.
+        self._flat: FlatElection | None = None
         services = {sed.services for sed in seds}
         self._uniform_services: frozenset[str] | None = (
             next(iter(services)) if len(services) == 1 else None
         )
-        self._solvable: dict[str, bool] = {}
         for sed in self._seds.values():
             sed.add_invalidation_listener(self._dirty.add)
 
@@ -100,14 +102,13 @@ class ResidentRanking:
             return
         keys, entries, key_of = self._keys, self._entries, self._key_of
         for sed in dirty:
+            if not sed.estimation_cacheable:
+                break
             old_key = key_of.pop(sed, None)
             if old_key is not None:
                 index = bisect_left(keys, old_key)
                 del keys[index]
                 del entries[index]
-            if not sed.estimation_cacheable:
-                self._unusable = True
-                continue
             vector = sed.estimate(request)
             if not vector.available:
                 continue  # re-inserted by the recovery/boot transition
@@ -117,36 +118,26 @@ class ResidentRanking:
             keys.insert(index, key)
             entries.insert(index, entry)
             key_of[sed] = key
+        else:
+            dirty.clear()
+            return
+        self.detach()
         dirty.clear()
+        self._flat = FlatElection(self._scheduler, self._sed_order)
 
     # -- queries -----------------------------------------------------------------------
-    @property
-    def usable(self) -> bool:
-        """False once any SeD lost its default estimation function."""
-        return not self._unusable
-
-    def _solves(self, service: str) -> bool:
-        cached = self._solvable.get(service)
-        if cached is None:
-            assert self._uniform_services is not None
-            cached = (
-                service in self._uniform_services
-                or WILDCARD_SERVICE in self._uniform_services
-            )
-            self._solvable[service] = cached
-        return cached
-
-    def candidates(self, request) -> list[CandidateEntry] | None:
-        """The ranked candidates for ``request``, or ``None`` when unusable.
+    def candidates(self, request) -> list[CandidateEntry]:
+        """The ranked candidates for ``request``.
 
         Returns the resident list itself on the uniform-services fast path;
         callers must treat it as read-only.
         """
         self.refresh(request)
-        if self._unusable:
-            return None
-        if self._uniform_services is not None:
-            if self._solves(request.service):
+        if self._flat is not None:
+            return self._flat.candidates(request)
+        services = self._uniform_services
+        if services is not None:
+            if request.service in services or WILDCARD_SERVICE in services:
                 return self._entries
             return []
         seds = self._seds
@@ -163,17 +154,17 @@ class ResidentRanking:
 
 
 class FlatElection:
-    """One scored pass over every SeD for a request-dependent total order.
+    """One sorted pass over every SeD, re-estimated per election.
 
-    A policy whose ``sort`` key depends on the request (GREEN_SCORE's
-    Equation 6 score) cannot keep an order resident, but when its key is a
-    total order ending in the server name (``total_order``) and one
-    instance sorts at every level, the walk's per-level sorts and
-    re-scoring aggregates give the same permutation as one global sort.
-    So each election collects the available, solvable candidates in the
+    Used for a total-order key the ranking cannot keep resident: one that
+    depends on the request (GREEN_SCORE's Equation 6 score,
+    ``total_order``) or a ``rank_key`` over custom estimation functions.
+    Each election collects the available, solvable candidates in the
     walk's depth-first SeD order (the same ``estimate`` call sequence) and
     sorts them once: each server is scored exactly once.
     """
+
+    resort_after_filter = False
 
     def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
         self._scheduler = scheduler
@@ -194,4 +185,55 @@ class FlatElection:
         return self._scheduler.sort(request, entries)
 
 
-__all__ = ["FlatElection", "ResidentRanking"]
+class TreeWalk:
+    """The per-request hierarchy walk: propagate, collect, sort per level.
+
+    It serves RANDOM (its noise is drawn per level), policies without a
+    total-order key and hierarchies whose agents do not share one policy
+    instance.  Its output need not be in the Master Agent's order (RANDOM
+    draws fresh noise, a mixed hierarchy ends in a child's order), so the
+    Master Agent re-sorts it after the candidate filter.
+    """
+
+    resort_after_filter = True
+
+    def __init__(self, master) -> None:
+        self._master = master
+
+    def detach(self) -> None:
+        """Nothing to unsubscribe: the walk keeps no per-server state."""
+
+    def candidates(self, request) -> list[CandidateEntry]:
+        """The Master Agent's ``collect_candidates`` for ``request``."""
+        return self._master.collect_candidates(request)
+
+
+def _schedulers(agent):
+    yield agent.scheduler
+    for child in agent.child_agents:
+        yield from _schedulers(child)
+
+
+def choose_election(master) -> ResidentRanking | FlatElection | TreeWalk:
+    """The election strategy for ``master``'s current topology, by these rules:
+
+    1. agents that do not all share one scheduler instance walk the tree
+       (per-level policies may rank differently);
+    2. a ``rank_key`` policy whose SeDs all use the default estimation
+       function gets a :class:`ResidentRanking`;
+    3. any other ``rank_key`` or ``total_order`` policy gets a
+       :class:`FlatElection`;
+    4. anything else (RANDOM, FCFS, the budget-aware scheduler) walks.
+    """
+    scheduler = master.scheduler
+    if any(other is not scheduler for other in _schedulers(master)):
+        return TreeWalk(master)
+    seds = master.all_seds()
+    if scheduler.rank_key is not None and all(sed.estimation_cacheable for sed in seds):
+        return ResidentRanking(scheduler, seds)
+    if scheduler.rank_key is not None or scheduler.total_order:
+        return FlatElection(scheduler, seds)
+    return TreeWalk(master)
+
+
+__all__ = ["FlatElection", "ResidentRanking", "TreeWalk", "choose_election"]

@@ -51,6 +51,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Union
@@ -156,6 +157,8 @@ def _parse_field(name: str, token: str, where: str) -> int | float | None:
         raise SWFParseError(
             f"{where}: field {name!r} is not numeric (got {token!r})"
         ) from None
+    if not math.isfinite(value):  # nan would poison every later arrival
+        raise SWFParseError(f"{where}: field {name!r} is not finite (got {token!r})")
     if value < 0:  # -1 (and any negative) means "unknown" in SWF
         return None
     return value
@@ -168,9 +171,9 @@ def parse_swf(source: Source) -> Iterator[SWFJob]:
     lines.  Header/comment lines (``;`` prefix) and blank lines are
     skipped.  Records shorter than 18 fields have their missing trailing
     fields treated as unknown; records shorter than 4 fields, records
-    with non-numeric tokens, and records with an unknown ``job_id`` or
-    ``submit_time`` raise :class:`SWFParseError` carrying ``path:line``
-    context.
+    with non-numeric or non-finite (``nan``, ``inf``) tokens, and records
+    with an unknown ``job_id`` or ``submit_time`` raise
+    :class:`SWFParseError` carrying ``path:line`` context.
 
     >>> list(parse_swf(["1 10 -1 5 1"]))[0].submit_time
     10.0

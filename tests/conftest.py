@@ -7,6 +7,7 @@ import pytest
 from repro.infrastructure.node import Node, NodeSpec
 from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.estimation import EstimationTags, EstimationVector
+from repro.middleware.ranking import TreeWalk
 from repro.simulation.task import Task
 from tests.wattmeter import Wattmeter
 
@@ -67,6 +68,16 @@ def make_vector(
     vector.set(EstimationTags.BOOT_TIME, boot_time)
     vector.set(EstimationTags.NODE_AVAILABLE, 1.0 if available else 0.0)
     return vector
+
+
+def force_tree_walk(master):
+    """Pin ``master`` to the per-request tree walk, the equivalence oracle.
+
+    Every later topology version is served by a walk too; returns ``master``.
+    """
+    master._choose_election = TreeWalk
+    master._election_version = -1  # choose again at the next election
+    return master
 
 
 def run_beside_meter(simulation):

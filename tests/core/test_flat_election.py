@@ -7,8 +7,8 @@ re-scoring aggregates give the same permutation as one global sort.  The
 Master Agent therefore scores each server once per election
 (:class:`~repro.middleware.ranking.FlatElection`).  These tests make
 hypothesis hunt for a hierarchy, node state or preference where the flat
-election and the ``use_resident_ranking=False`` tree walk disagree — in
-the elected server, the ranked vectors or the error raised.
+election and the tree walk (:func:`tests.conftest.force_tree_walk`)
+disagree — in the elected server, the ranked vectors or the error raised.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.policies import GreenSchedulerPolicy
 from repro.infrastructure.node import Node
 from repro.middleware.agents import LocalAgent, MasterAgent
-from repro.middleware.ranking import FlatElection
+from repro.middleware.ranking import FlatElection, TreeWalk
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
-from tests.conftest import make_spec
+from tests.conftest import force_tree_walk, make_spec
 from tests.core.test_ranking_incremental import _apply, _make_seds, op_strategy
 
 #: Request preferences (Tasks reject values outside [-1, 1]).
@@ -37,14 +37,16 @@ def _identical_seds(count: int) -> list[ServerDaemon]:
     return [ServerDaemon(Node(make_spec(name=f"twin-{i}"))) for i in range(count)]
 
 
-def _build(seds, placement, depth, policy, *, use_resident_ranking):
+def _build(seds, placement, depth, policy, *, walk=False):
     """A ``depth``-level hierarchy with one policy instance at every level.
 
     Agent 0 is the Master Agent; depth 2 adds two Local Agents under it,
     depth 3 gives each of those a child Local Agent.  ``placement[i]``
-    picks the agent SeD ``i`` attaches to.
+    picks the agent SeD ``i`` attaches to; ``walk`` pins the tree walk.
     """
-    master = MasterAgent(scheduler=policy, use_resident_ranking=use_resident_ranking)
+    master = MasterAgent(scheduler=policy)
+    if walk:
+        force_tree_walk(master)
     agents = [master]
     if depth >= 2:
         for index in range(2):
@@ -116,9 +118,9 @@ class TestFlatEqualsTreeWalk:
                     default_preference=default_preference,
                     use_dynamic_power=use_dynamic_power,
                 ),
-                use_resident_ranking=flag,
+                walk=walk,
             )
-            for flag in (True, False)
+            for walk in (False, True)
         ]
         for ops, preference, flop in steps:
             for op, selector, magnitude in ops:
@@ -129,8 +131,8 @@ class TestFlatEqualsTreeWalk:
             )
             flat, walk = (_outcome(master, request) for master in masters)
             assert flat == walk
-        assert isinstance(masters[0]._ranking, FlatElection)
-        assert masters[1]._ranking is None
+        assert type(masters[0]._election) is FlatElection
+        assert type(masters[1]._election) is TreeWalk
 
 
 class TestFlatElectionGate:
@@ -147,8 +149,7 @@ class TestFlatElectionGate:
 
         monkeypatch.setattr(GreenSchedulerPolicy, "sort", counted)
         seds = _make_seds(6)
-        master = _build(seds, range(6), 3, GreenSchedulerPolicy(),
-                        use_resident_ranking=True)
+        master = _build(seds, range(6), 3, GreenSchedulerPolicy())
         master.submit(self._request())
         # An order-preserving filter does not trigger a re-sort.
         master.set_candidate_filter(lambda request, candidates: candidates[1:])
@@ -158,32 +159,31 @@ class TestFlatElectionGate:
 
     def test_mixed_policy_instances_walk_the_tree(self):
         seds = _make_seds(4)
-        master = _build(seds, range(4), 2, GreenSchedulerPolicy(),
-                        use_resident_ranking=True)
+        master = _build(seds, range(4), 2, GreenSchedulerPolicy())
         master.child_agents[0].scheduler = GreenSchedulerPolicy()
         assert master.submit(self._request()).elected is not None
-        assert master._ranking is MasterAgent._RANKING_UNSUPPORTED
+        assert type(master._election) is TreeWalk
 
     def test_topology_change_rebuilds_the_flat_election(self):
         seds = _make_seds(3)
-        master = _build(seds[:2], range(2), 1, GreenSchedulerPolicy(),
-                        use_resident_ranking=True)
+        master = _build(seds[:2], range(2), 1, GreenSchedulerPolicy())
         master.submit(self._request())
-        first = master._ranking
+        first = master._election
         master.add_sed(seds[2])
         outcome = master.submit(self._request())
-        assert master._ranking is not first
+        assert type(master._election) is FlatElection
+        assert master._election is not first
         assert len(outcome.ranked_candidates) == 3
 
     def test_custom_estimation_function_keeps_the_flat_election(self):
         seds = _make_seds(4)
         seds[2].set_estimation_function(default_estimation_function)
         flat, walk = (
-            _build(seds, range(4), 2, GreenSchedulerPolicy(), use_resident_ranking=flag)
-            for flag in (True, False)
+            _build(seds, range(4), 2, GreenSchedulerPolicy(), walk=walk)
+            for walk in (False, True)
         )
         request = self._request()
         assert [v.server for v in flat.submit(request).ranked_candidates] == [
             v.server for v in walk.submit(request).ranked_candidates
         ]
-        assert isinstance(flat._ranking, FlatElection)
+        assert type(flat._election) is FlatElection

@@ -12,9 +12,9 @@ rank keys exactly (no tolerance) — any drift between the incremental and
 the rebuilt order is a bug, not noise.
 
 A second property closes the loop end to end: a full
-:class:`~repro.middleware.driver.MiddlewareSimulation` with the resident
-ranking enabled produces byte-identical metrics to one with the knob
-forced off (per-request tree walk).
+:class:`~repro.middleware.driver.MiddlewareSimulation` served by the
+resident ranking produces byte-identical metrics to one pinned to the
+per-request tree walk (:func:`tests.conftest.force_tree_walk`).
 """
 
 from __future__ import annotations
@@ -24,18 +24,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.policies import policy_by_name
 from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import grid5000_placement_platform
-from repro.middleware.agents import MasterAgent, build_flat_hierarchy
+from repro.middleware.agents import build_flat_hierarchy
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
-from repro.middleware.plugin_scheduler import CandidateEntry
-from repro.middleware.ranking import ResidentRanking
+from repro.middleware.plugin_scheduler import CandidateEntry, FirstComeFirstServedScheduler
+from repro.middleware.estimation import EstimationTags
+from repro.middleware.ranking import FlatElection, ResidentRanking, TreeWalk
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
-from tests.conftest import make_spec
+from tests.conftest import force_tree_walk, make_spec
 
-#: Policies exposing a request-independent ``rank_key`` (the resident set).
-RANKED_POLICIES = ("POWER", "PERFORMANCE", "GREENPERF")
+#: Policies exposing a request-independent ``rank_key`` (the resident set):
+#: the paper's three plus the queue family's placement adapters.
+RANKED_POLICIES = (
+    "POWER", "PERFORMANCE", "GREENPERF", "FCFS", "EASY", "CONSERVATIVE", "DRF",
+)
 
 #: Transition vocabulary; each op is guarded so illegal transitions are
 #: skipped rather than raising (hypothesis explores the legal subspace).
@@ -125,8 +129,29 @@ def _full_rebuild(policy, seds, request):
     return policy.sort(request, entries)
 
 
-def _request() -> ServiceRequest:
-    return ServiceRequest.from_task(Task(flop=4.0e9))
+def _request(flop: float = 4.0e9) -> ServiceRequest:
+    return ServiceRequest.from_task(Task(flop=flop))
+
+
+def _request_aware_estimation(sed: ServerDaemon, request: ServiceRequest):
+    """A custom estimation function whose vectors move with the request.
+
+    The waiting time grows with the task's run time on this server, so the
+    ranking changes between requests without any invalidation firing.
+    """
+    vector = default_estimation_function(sed, request)
+    waiting = vector.get(EstimationTags.WAITING_TIME)
+    run_time = request.task.flop / sed.node.spec.flops_per_core
+    vector.set(EstimationTags.WAITING_TIME, waiting + run_time)
+    return vector
+
+
+def _elections(master, request):
+    """The elected server and every ranked vector's contents, in order."""
+    outcome = master.submit(request)
+    return outcome.elected, [
+        (vector.server, dict(vector.values)) for vector in outcome.ranked_candidates
+    ]
 
 
 class TestIncrementalEqualsRebuild:
@@ -171,8 +196,7 @@ class TestIncrementalEqualsRebuild:
         seds = _make_seds(4)
         running: dict[str, list[Task]] = {sed.name: [] for sed in seds}
         master = build_flat_hierarchy(seds, scheduler=policy)
-        baseline = build_flat_hierarchy(seds, scheduler=policy)
-        baseline.use_resident_ranking = False
+        baseline = force_tree_walk(build_flat_hierarchy(seds, scheduler=policy))
         for op, selector, magnitude in ops:
             sed = seds[selector % 4]
             _apply(op, sed, magnitude, running[sed.name])
@@ -183,29 +207,85 @@ class TestIncrementalEqualsRebuild:
             assert [v.server for v in fast.ranked_candidates] == [
                 v.server for v in slow.ranked_candidates
             ]
-        assert isinstance(master._ranking, ResidentRanking)
+        assert type(master._election) is ResidentRanking
+        assert type(baseline._election) is TreeWalk
 
 
-class TestFallbacks:
-    def test_custom_estimation_function_retires_the_ranking(self):
-        """A SeD losing its default estimation function forces the tree walk."""
+class TestChooser:
+    def test_rank_key_policies_get_the_resident_ranking(self):
+        for name in RANKED_POLICIES:
+            master = build_flat_hierarchy(_make_seds(3), scheduler=policy_by_name(name))
+            assert master.submit(_request()).elected is not None
+            assert type(master._election) is ResidentRanking, name
+
+    def test_policies_without_a_total_order_walk_the_tree(self):
+        for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
+            master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
+            assert master.submit(_request()).elected is not None
+            assert type(master._election) is TreeWalk, policy.name
+
+
+class TestCustomEstimation:
+    """A ``rank_key`` policy over custom estimation functions: flat, == walk."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        policy_name=st.sampled_from(RANKED_POLICIES),
+        mid_run=st.booleans(),
+        steps=st.lists(
+            st.tuples(
+                st.lists(op_strategy, max_size=5),
+                st.floats(min_value=1e8, max_value=1e12),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+    )
+    def test_flat_pass_matches_tree_walk(self, policy_name, mid_run, steps):
+        """Installed before the first election or mid-run, elections == walk."""
+        seds = _make_seds(4)
+        running: dict[str, list[Task]] = {sed.name: [] for sed in seds}
+        if not mid_run:
+            seds[1].set_estimation_function(_request_aware_estimation)
+        policy = policy_by_name(policy_name)
+        master = build_flat_hierarchy(seds, scheduler=policy)
+        walk = force_tree_walk(build_flat_hierarchy(seds, scheduler=policy))
+        for index, (ops, flop) in enumerate(steps):
+            if mid_run and index == 1:
+                seds[1].set_estimation_function(_request_aware_estimation)
+            for op, selector, magnitude in ops:
+                sed = seds[selector % 4]
+                _apply(op, sed, magnitude, running[sed.name])
+            request = _request(flop)
+            assert _elections(master, request) == _elections(walk, request)
+        if mid_run:
+            # The resident ranking handed over to a flat pass inside itself.
+            assert type(master._election) is ResidentRanking
+            assert type(master._election._flat) is FlatElection
+            assert seds[0]._invalidation_listeners == []
+        else:
+            assert type(master._election) is FlatElection
+
+    def test_a_topology_change_chooses_the_strategy_again(self):
+        """The handed-over ranking is replaced; a still-custom SeD means flat."""
         seds = _make_seds(3)
         master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
-        first = master.submit(_request())
-        assert isinstance(master._ranking, ResidentRanking)
-        # Same vectors, but now "request-dependent" as far as the cache knows.
-        seds[1].set_estimation_function(default_estimation_function)
-        second = master.submit(_request())
-        assert master._ranking is MasterAgent._RANKING_UNSUPPORTED
-        assert first.elected is not None and second.elected is not None
+        master.submit(_request())
+        seds[1].set_estimation_function(_request_aware_estimation)
+        master.submit(_request())
+        spare = ServerDaemon(Node(make_spec(name="spare")))
+        master.add_sed(spare)
+        assert type(master._election) is ResidentRanking
+        assert master._election._flat is not None
+        master.submit(_request())  # seds[1] is still custom: a flat election
+        assert type(master._election) is FlatElection
 
-    def test_policies_without_rank_key_use_the_tree_walk(self):
-        seds = _make_seds(3)
-        master = build_flat_hierarchy(seds, scheduler=policy_by_name("RANDOM", seed=7))
-        outcome = master.submit(_request())
-        assert outcome.elected is not None
-        assert master._ranking is MasterAgent._RANKING_UNSUPPORTED
 
+class TestServiceFilter:
     def test_mixed_services_filter_the_resident_order(self):
         nodes = [Node(make_spec(name=f"svc-{i}", flops_per_core=1e9 * (i + 1))) for i in range(3)]
         seds = [
@@ -238,17 +318,18 @@ class TestEndToEndEquivalence:
             max_size=20,
         ),
     )
-    def test_simulation_metrics_identical_with_ranking_on_and_off(
+    def test_simulation_metrics_identical_resident_and_walked(
         self, policy_name, rows
     ):
-        """Resident-on and resident-off full simulations agree exactly."""
+        """Resident and tree-walk full simulations agree exactly."""
         results = []
-        for use_ranking in (True, False):
+        for resident in (True, False):
             platform = grid5000_placement_platform(nodes_per_cluster=1)
             master, seds = build_hierarchy(
                 platform, scheduler=policy_by_name(policy_name)
             )
-            master.use_resident_ranking = use_ranking
+            if not resident:
+                force_tree_walk(master)
             simulation = MiddlewareSimulation(
                 platform, master, seds, sample_period=10.0
             )
@@ -262,6 +343,5 @@ class TestEndToEndEquivalence:
             results.append(
                 (result.metrics.makespan, result.total_energy, placements)
             )
-            if use_ranking:
-                assert isinstance(master._ranking, ResidentRanking)
+            assert type(master._election) is (ResidentRanking if resident else TreeWalk)
         assert results[0] == results[1]

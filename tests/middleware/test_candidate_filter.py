@@ -20,7 +20,10 @@ from repro.simulation.task import Task
 from tests.core.test_provisioning import make_planner
 from tests.core.test_ranking_incremental import _apply, _make_seds
 
-BUILT_IN_POLICIES = ("POWER", "PERFORMANCE", "RANDOM", "GREENPERF", "GREEN_SCORE")
+BUILT_IN_POLICIES = (
+    "POWER", "PERFORMANCE", "RANDOM", "GREENPERF", "GREEN_SCORE",
+    "FCFS", "EASY", "CONSERVATIVE", "DRF",
+)
 PREFERENCES = (0.0, 0.5, -0.5, 1.0, -1.0)
 
 

@@ -161,7 +161,7 @@ def _observe(simulation: MiddlewareSimulation, sed_name: str):
     sed = simulation.seds[sed_name]
     request = _request()
     queue = sed.queue
-    candidates = simulation.master._resident_candidates(request)
+    candidates = simulation.master._current_election().candidates(request)
     return (
         [task.task_id for task in queue.pending_tasks],
         queue.running_count,
@@ -178,7 +178,7 @@ class TestDirectStart:
         """Each injected task: the driver's path vs the queue round trip."""
         direct, queued = _simulation(), _simulation()
         for simulation in (direct, queued):
-            simulation.master._resident_candidates(_request())  # build the ranking
+            simulation.master._current_election()  # build the ranking
         for index in range(40):
             task_a = Task(flop=2.0e9, task_id=10_000 + index)
             task_b = Task(flop=2.0e9, task_id=10_000 + index)

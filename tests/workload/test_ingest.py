@@ -1,8 +1,11 @@
 """Tests for the SWF ingest pipeline: parser, field mapping, transforms."""
 
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simulation.task import Task
 from repro.workload.ingest import (
@@ -78,6 +81,24 @@ class TestSWFParser:
         with pytest.raises(SWFParseError, match="run_time"):
             list(parse_swf(["1 0 0 ten 1"]))
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_token_raises_with_line_context(self, token):
+        with pytest.raises(SWFParseError, match=r"<swf>:2: field 'run_time' is not finite"):
+            list(parse_swf(["1 0 0 10 1", f"2 5 0 {token} 1"]))
+
+    def test_nan_submit_time_does_not_collapse_arrivals(self, tmp_path):
+        # A nan origin used to map every later arrival to 0.0 silently.
+        path = tmp_path / "nan.swf"
+        path.write_text("1 nan -1 5 1\n2 10 -1 5 1\n3 20 -1 5 1\n", encoding="utf-8")
+        with pytest.raises(SWFParseError, match=r"nan\.swf:1: field 'submit_time'"):
+            load_swf_trace(path)
+
+    def test_inf_run_time_is_a_parse_error_not_a_task_error(self, tmp_path):
+        path = tmp_path / "inf.swf"
+        path.write_text("1 0 -1 5 1\n2 10 -1 inf 1\n", encoding="utf-8")
+        with pytest.raises(SWFParseError, match=r"inf\.swf:2: field 'run_time'"):
+            load_swf_trace(path)
+
     def test_all_minus_one_job_rejected(self):
         record = " ".join(["-1"] * 18)
         with pytest.raises(SWFParseError, match="job_id and submit_time"):
@@ -106,6 +127,42 @@ class TestSWFParser:
     def test_header_stops_at_first_record(self):
         header = read_swf_header(["; A: 1", "1 0 0 10 1", "; B: 2"])
         assert header == {"A": "1"}
+
+
+#: Tokens a hostile or corrupt SWF line may carry, beside arbitrary text.
+_SWF_TOKENS = st.one_of(
+    st.sampled_from(["-1", "0", "1", "nan", "inf", "-inf", "1e400", "1_0", "0x1", "1.5", "-0.0"]),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(min_size=1, max_size=6).filter(lambda text: not text.isspace()),
+)
+
+
+@st.composite
+def _swf_lines(draw):
+    """A plausible record with a few tokens corrupted, or arbitrary text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40))
+    tokens = draw(st.lists(st.sampled_from(["1", "0", "-1", "7", "2.5"]), min_size=1, max_size=19))
+    for position, token in draw(st.lists(st.tuples(st.integers(0, 18), _SWF_TOKENS), max_size=3)):
+        tokens[position % len(tokens)] = token
+    return " ".join(tokens)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_swf_lines(), max_size=4))
+    def test_lines_give_finite_jobs_or_a_parse_error(self, lines):
+        """Arbitrary lines yield finite records or raise SWFParseError, nothing else."""
+        try:
+            jobs = list(parse_swf(lines))
+        except SWFParseError as error:
+            assert str(error).startswith("<swf>:")
+            return
+        for job in jobs:
+            for field in fields(SWFJob):
+                value = getattr(job, field.name)
+                assert value is None or math.isfinite(value), (field.name, value)
 
 
 class TestFixture:
