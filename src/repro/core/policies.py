@@ -37,7 +37,9 @@ from repro.core.scoring import (
     ScoreKernel,
     completion_time_array,
     energy_consumption_array,
+    power_tag,
     score_array,
+    server_inputs,
 )
 from repro.middleware.estimation import EstimationTags
 from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler
@@ -203,11 +205,13 @@ class GreenSchedulerPolicy(PluginScheduler):
     naturally loses to an idle slightly-less-efficient one once its queue
     grows.  The user preference comes from the request; a fixed
     ``default_preference`` applies when the request carries none.
+
+    The key, (Equation 6 score, server name), depends on the request but
+    is a total order: :meth:`sort` is :meth:`rank` over rows built by
+    :meth:`score_inputs`, which the flat election keeps between elections.
     """
 
     name = "GREEN_SCORE"
-    #: The key is (Equation 6 score, server name).
-    total_order = True
 
     def __init__(
         self,
@@ -218,22 +222,40 @@ class GreenSchedulerPolicy(PluginScheduler):
         self.default_preference = default_preference
         self.use_dynamic_power = use_dynamic_power
 
-    def sort(
-        self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
-    ) -> list[CandidateEntry]:
-        if not candidates:
+    def score_inputs(self, entry: CandidateEntry) -> tuple:
+        """``(entry, inputs)``: the :func:`~repro.core.scoring.server_inputs` row."""
+        return entry, server_inputs(entry.estimation, power_tag(self.use_dynamic_power))
+
+    def rank(self, request: ServiceRequest, rows: Sequence[tuple]) -> list[CandidateEntry]:
+        """The rows' entries sorted by (Equation 6 score, server name).
+
+        Rows whose inputs failed the fast-path checks are scored from their
+        vector, which raises the scalar functions' errors.
+        """
+        if not rows:
             return []
         preference = request.user_preference
         if preference == 0.0:
             preference = self.default_preference
-        evaluate = ScoreKernel(
+        kernel = ScoreKernel(
             request.task.flop, preference, use_dynamic_power=self.use_dynamic_power
-        ).evaluate
+        )
+        evaluate, evaluate_inputs = kernel.evaluate, kernel.evaluate_inputs
         scored = [
-            (evaluate(entry.estimation)[2], entry.server, entry) for entry in candidates
+            (
+                (evaluate(entry.estimation) if inputs is None else evaluate_inputs(*inputs))[2],
+                entry.server,
+                entry,
+            )
+            for entry, inputs in rows
         ]
         scored.sort(key=itemgetter(0, 1))  # (score, server)
         return [entry for _, _, entry in scored]
+
+    def sort(
+        self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
+    ) -> list[CandidateEntry]:
+        return self.rank(request, [self.score_inputs(entry) for entry in candidates])
 
     def point_metric(self, request: ServiceRequest, *, flops, power):
         """Vectorised point-study metric: the Equation 6 score.

@@ -95,9 +95,11 @@ def score(time: float, energy: float, user_preference: float) -> float:
 #
 # These evaluate the same float64 expressions as the scalar functions above,
 # element-wise over numpy arrays.  IEEE-754 arithmetic makes ``a / b``,
-# ``a * b`` and ``a + b`` bit-identical between the scalar and array forms,
-# and ``np.power`` calls the same C ``pow`` as Python's ``**`` on floats, so
-# elections computed through these arrays match the scalar path exactly.
+# ``a * b`` and ``a + b`` bit-identical between the scalar and array forms.
+# ``np.power`` is not: its SIMD loops (AVX-512 hosts, for instance) may
+# differ from the C ``pow`` behind Python's ``**`` by a few ULPs, so the
+# power term is computed with ``**`` per element and elections computed
+# through these arrays match the scalar path exactly.
 
 
 def completion_time_array(
@@ -125,21 +127,62 @@ def score_array(
     time: np.ndarray, energy: np.ndarray, user_preference: float
 ) -> np.ndarray:
     """Equation 6 over the candidate axis (lower is better)."""
-    return np.power(time, preference_exponent(user_preference)) * energy
+    exponent = preference_exponent(user_preference)
+    powered = np.array([value**exponent for value in time.tolist()], dtype=np.float64)
+    return powered * energy
 
 
 _INF = math.inf
+
+
+def power_tag(use_dynamic_power: bool) -> str:
+    """The tag read as ``c_s``: dynamic mean power, or nameplate peak power."""
+    return EstimationTags.MEAN_POWER if use_dynamic_power else EstimationTags.PEAK_POWER
+
+
+def server_inputs(
+    vector: EstimationVector, tag: str
+) -> tuple[float, float, float, float, float, bool] | None:
+    """The request-independent inputs of Equations 4–5, or ``None``.
+
+    ``tag`` is the :func:`power_tag` read as ``c_s``.  Returns
+    ``(f_s, c_s, w_s, bt_s, bc_s, active)`` when every input is an
+    exact, finite, in-range float — :class:`ScoreKernel`'s fast path.  Any
+    other vector (a missing tag, an int, a negative value) gives ``None``
+    without raising: :meth:`ScoreKernel.evaluate` then reads and checks it
+    through the validators when it is scored.
+    """
+    values = vector.values
+    flops = values.get(EstimationTags.FLOPS_PER_CORE)
+    power = values.get(tag)
+    waiting = values.get(EstimationTags.WAITING_TIME, 0.0)
+    boot_time = values.get(EstimationTags.BOOT_TIME, 0.0)
+    boot_power = values.get(EstimationTags.BOOT_POWER, 0.0)
+    if (
+        type(flops) is type(waiting) is type(boot_time) is float
+        and type(power) is type(boot_power) is float
+        and 0.0 < flops < _INF
+        and 0.0 <= waiting < _INF
+        and 0.0 <= boot_time < _INF
+        and 0.0 <= power < _INF
+        and 0.0 <= boot_power < _INF
+    ):
+        active = values.get(EstimationTags.NODE_AVAILABLE, 0.0) >= 0.5
+        return flops, power, waiting, boot_time, boot_power, active
+    return None
 
 
 class ScoreKernel:
     """Equations 4–6 for one request, evaluated server by server.
 
     The request constants are computed once: the checked flop count and
-    the Equation 6 exponent, preference clamp included.  :meth:`evaluate`
-    then scores one estimation vector in plain float arithmetic, with the
-    same association as :func:`completion_time`, :func:`energy_consumption`
-    and :func:`score`, so its results are bit-identical to theirs, and it
-    raises the same :class:`ValueError`/:class:`TypeError` on the same
+    the Equation 6 exponent, preference clamp included.
+    :meth:`evaluate_inputs` then scores one server's :func:`server_inputs`
+    in plain float arithmetic, with the same association as
+    :func:`completion_time`, :func:`energy_consumption` and :func:`score`,
+    so its results are bit-identical to theirs.  :meth:`evaluate` reads
+    the inputs from an estimation vector and raises the same
+    :class:`ValueError`/:class:`TypeError` as those functions on the same
     inputs.  The request-level checks (flop, preference) run before any
     server's.
 
@@ -177,9 +220,7 @@ class ScoreKernel:
         self.flop = flop
         self.exponent = preference_exponent(user_preference)
         #: ``c_s``: the dynamic mean-power tag, or the nameplate peak power.
-        self.power_tag = (
-            EstimationTags.MEAN_POWER if use_dynamic_power else EstimationTags.PEAK_POWER
-        )
+        self.power_tag = power_tag(use_dynamic_power)
 
     def evaluate(self, vector: EstimationVector) -> tuple[float, float, float]:
         """``(time, energy, score)`` of one server (Equations 4, 5 and 6).
@@ -187,6 +228,12 @@ class ScoreKernel:
         ``active`` servers (powered on) pay their waiting queue; inactive
         servers pay their boot time and boot energy.
         """
+        inputs = server_inputs(vector, self.power_tag)
+        if inputs is not None:
+            return self.evaluate_inputs(*inputs)
+        # Not exact in-range floats: the validators, in the scalar
+        # functions' order, raise their usual error or accept the value
+        # (ints, numpy floats).
         values = vector.values
         if EstimationTags.FLOPS_PER_CORE in values and self.power_tag in values:
             flops = values[EstimationTags.FLOPS_PER_CORE]
@@ -197,27 +244,28 @@ class ScoreKernel:
         waiting = values.get(EstimationTags.WAITING_TIME, 0.0)
         boot_time = values.get(EstimationTags.BOOT_TIME, 0.0)
         boot_power = values.get(EstimationTags.BOOT_POWER, 0.0)
-        # Fast path for exact, finite, in-range floats; anything else goes
-        # through the validators in the scalar functions' order, which
-        # raise their usual error or accept the value (ints, numpy floats).
-        if not (
-            type(flops) is type(waiting) is type(boot_time) is float
-            and type(power) is type(boot_power) is float
-            and 0.0 < flops < _INF
-            and 0.0 <= waiting < _INF
-            and 0.0 <= boot_time < _INF
-            and 0.0 <= power < _INF
-            and 0.0 <= boot_power < _INF
-        ):
-            ensure_positive(flops, "flops_per_second")
-            ensure_non_negative(waiting, "waiting_time")
-            ensure_non_negative(boot_time, "boot_time")
-            ensure_non_negative(power, "full_load_power")
-            ensure_non_negative(boot_power, "boot_power")
+        ensure_positive(flops, "flops_per_second")
+        ensure_non_negative(waiting, "waiting_time")
+        ensure_non_negative(boot_time, "boot_time")
+        ensure_non_negative(power, "full_load_power")
+        ensure_non_negative(boot_power, "boot_power")
+        active = values.get(EstimationTags.NODE_AVAILABLE, 0.0) >= 0.5
+        return self.evaluate_inputs(flops, power, waiting, boot_time, boot_power, active)
+
+    def evaluate_inputs(
+        self,
+        flops: float,
+        power: float,
+        waiting: float,
+        boot_time: float,
+        boot_power: float,
+        active: bool,
+    ) -> tuple[float, float, float]:
+        """``(time, energy, score)`` from :func:`server_inputs` or checked values."""
         flop = self.flop
         execution = flop / flops
         energy = power * flop / flops
-        if values.get(EstimationTags.NODE_AVAILABLE, 0.0) >= 0.5:
+        if active:
             time = waiting + execution
         else:
             time = boot_time + execution

@@ -530,8 +530,10 @@ class LabSession:
         # Vectorised election: policies exposing ``point_metric`` score the
         # whole candidate axis in one numpy expression over these columnar
         # arrays (the fleet is static, so they are built once).  Electing
-        # min(metric, name) equals ``scheduler.sort(...)[0]`` bit-for-bit —
-        # the array arithmetic is the same float64 arithmetic.
+        # min(metric, name) equals ``scheduler.sort(...)[0]`` bit-for-bit:
+        # the array ``+``, ``*`` and ``/`` are the scalar IEEE-754 operations,
+        # and ``score_array`` takes Equation 6's power with Python's ``**``
+        # per element, because numpy's SIMD ``power`` may differ by ULPs.
         point_metric = getattr(scheduler, "point_metric", None)
         server_names = [server.name for server in servers]
         flops_column = np.array([server.flops for server in servers], dtype=np.float64)

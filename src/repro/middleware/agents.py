@@ -203,6 +203,14 @@ class MasterAgent(Agent):
             self._election_version = self._version
         return self._election
 
+    @property
+    def election_path(self) -> str:
+        """The current topology's election strategy: ``"resident"``, ``"flat"`` or ``"walk"``.
+
+        A resident ranking that handed over to a flat pass reports ``"flat"``.
+        """
+        return self._current_election().path
+
     def submit(
         self, request: ServiceRequest, *, include_ranking: bool = True
     ) -> SchedulingOutcome:

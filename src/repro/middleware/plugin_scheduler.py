@@ -62,13 +62,21 @@ class PluginScheduler(ABC):
     #: O(log n) instead of re-sorting everything per election.
     rank_key = None
 
-    #: Whether :meth:`sort` orders by a total-order key that ends in the
-    #: server name even though the key depends on the request (so there is
-    #: no ``rank_key``).  Then one global sort over every candidate equals
-    #: the per-level sort + aggregate walk, which lets the Master Agent
-    #: score each server once per election
-    #: (:class:`~repro.middleware.ranking.FlatElection`).
-    total_order = False
+    #: Request-independent score inputs of one candidate, or ``None``.
+    #:
+    #: Policies whose :meth:`sort` orders by a total-order key that ends in
+    #: the server name but depends on the request (so there is no
+    #: ``rank_key``) override this and :attr:`rank` together:
+    #: ``score_inputs(entry) -> row`` returns what the key needs from the
+    #: estimation vector, and ``rank(request, rows) -> list[CandidateEntry]``
+    #: returns the rows' entries sorted exactly as :meth:`sort` would.  One
+    #: global sort then equals the per-level sort + aggregate walk, which
+    #: lets :class:`~repro.middleware.ranking.FlatElection` keep each
+    #: server's row between elections and re-read only the SeDs that changed.
+    score_inputs = None
+
+    #: Ranks :attr:`score_inputs` rows for a request, or ``None`` (see there).
+    rank = None
 
     #: Vectorised metric over free single-core point-study servers, or ``None``.
     #:

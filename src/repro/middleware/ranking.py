@@ -4,8 +4,9 @@ Every agent of the hierarchy sorts its candidates with the plug-in
 scheduler and the Master Agent elects the head of the ranking
 (Section III-A).  :func:`choose_election` picks how that ranking is
 produced, once per topology version, among three strategies with one
-surface — ``candidates(request)``, ``detach()`` and the class flag
-``resort_after_filter``:
+surface — ``candidates(request)``, ``detach()``, the class flag
+``resort_after_filter`` and the name ``path`` (what
+:attr:`~repro.middleware.agents.MasterAgent.election_path` reports):
 
 * :class:`ResidentRanking` keeps the candidate list sorted by the policy's
   request-independent
@@ -15,10 +16,12 @@ surface — ``candidates(request)``, ``detach()`` and the class flag
   invalidate the estimation cache) and only marks the affected server
   dirty; the next election repositions each dirty server in O(log n) and
   serves the resident order as-is.
-* :class:`FlatElection` collects the candidates in the walk's depth-first
-  SeD order and sorts them once, so each server is scored once per
-  election (GREEN_SCORE's request-dependent score, or any ``rank_key``
-  with custom estimation functions).
+* :class:`FlatElection` keeps one row per SeD — the candidate entry and
+  the request-independent inputs of the policy's key — re-reads only the
+  SeDs the same listeners marked dirty, and ranks the rows once per
+  election, so each server is scored once (GREEN_SCORE's
+  request-dependent score, or any ``rank_key`` with custom estimation
+  functions).
 * :class:`TreeWalk` is the per-request walk of Section III-A itself.
 
 The first two equal the walk because their key is a total order ending in
@@ -72,18 +75,25 @@ class ResidentRanking:
         self._dirty: set[ServerDaemon] = set(self._seds.values())
         #: The flat pass serving elections once a SeD stopped being cacheable.
         self._flat: FlatElection | None = None
-        services = {sed.services for sed in seds}
-        self._uniform_services: frozenset[str] | None = (
-            next(iter(services)) if len(services) == 1 else None
-        )
+        self._uniform_services = _uniform_services(seds)
         for sed in self._seds.values():
             sed.add_invalidation_listener(self._dirty.add)
 
     # -- invalidation ------------------------------------------------------------
     def detach(self) -> None:
-        """Unsubscribe from every SeD (when the ranking is replaced)."""
+        """Unsubscribe from every SeD (when the ranking is replaced).
+
+        A ranking that handed over detaches its flat election too.
+        """
         for sed in self._seds.values():
             sed.remove_invalidation_listener(self._dirty.add)
+        if self._flat is not None:
+            self._flat.detach()
+
+    @property
+    def path(self) -> str:
+        """``"resident"``, or ``"flat"`` once the ranking has handed over."""
+        return "resident" if self._flat is None else "flat"
 
     @property
     def dirty_servers(self) -> frozenset[str]:
@@ -154,35 +164,84 @@ class ResidentRanking:
 
 
 class FlatElection:
-    """One sorted pass over every SeD, re-estimated per election.
+    """One sort per election over rows kept resident per SeD.
 
     Used for a total-order key the ranking cannot keep resident: one that
-    depends on the request (GREEN_SCORE's Equation 6 score,
-    ``total_order``) or a ``rank_key`` over custom estimation functions.
-    Each election collects the available, solvable candidates in the
-    walk's depth-first SeD order (the same ``estimate`` call sequence) and
-    sorts them once: each server is scored exactly once.
+    depends on the request (GREEN_SCORE's Equation 6 score, served by the
+    policy's ``score_inputs``/``rank`` hooks) or a ``rank_key`` over custom
+    estimation functions (whose rows are the entries, ranked by ``sort``).
+    Each SeD's row holds its candidate entry and the request-independent
+    inputs of the key.  Like :class:`ResidentRanking` it subscribes to every
+    SeD's invalidation listeners and re-estimates only the dirty SeDs; a
+    SeD with a custom estimation function is re-estimated every election,
+    in the walk's depth-first order, so its ``estimate`` call sequence is
+    the walk's.  Each election ranks the available, solvable rows once:
+    each server is scored exactly once.
     """
 
     resort_after_filter = False
+    path = "flat"
 
     def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
-        self._scheduler = scheduler
-        self._seds = tuple(seds)
+        self._make_row = scheduler.score_inputs or _entry_row
+        self._rank = scheduler.rank or scheduler.sort
+        #: Each SeD's row in the walk's depth-first order (updating a key
+        #: keeps its place); ``None`` while the SeD is unavailable.
+        self._rows: dict[ServerDaemon, object] = dict.fromkeys(seds)
+        #: The SeDs with custom estimation functions, in the same order.
+        self._custom: tuple[ServerDaemon, ...] = ()
+        #: Same bound-``add`` listener discipline as :class:`ResidentRanking`.
+        self._dirty: set[ServerDaemon] = set(self._rows)
+        self._uniform_services = _uniform_services(self._rows)
+        for sed in self._rows:
+            sed.add_invalidation_listener(self._dirty.add)
 
     def detach(self) -> None:
-        """Nothing to unsubscribe: the pass keeps no per-server state."""
+        """Unsubscribe from every SeD (when the election is replaced)."""
+        for sed in self._rows:
+            sed.remove_invalidation_listener(self._dirty.add)
+
+    def _row(self, sed: ServerDaemon, request):
+        vector = sed.estimate(request)
+        return self._make_row(CandidateEntry.from_vector(vector)) if vector.available else None
 
     def candidates(self, request) -> list[CandidateEntry]:
-        """The candidates for ``request``, sorted by one ``sort`` call."""
+        """The candidates for ``request``, ranked by one ``rank`` call."""
+        rows, dirty = self._rows, self._dirty
+        if dirty:
+            for sed in dirty:
+                if sed.estimation_cacheable:
+                    rows[sed] = self._row(sed, request)
+            if not all(sed.estimation_cacheable for sed in dirty):
+                self._custom = tuple(sed for sed in rows if not sed.estimation_cacheable)
+            dirty.clear()
         service = request.service
-        entries = []
-        for sed in self._seds:
+        for sed in self._custom:
             if sed.can_solve(service):
-                vector = sed.estimate(request)
-                if vector.available:
-                    entries.append(CandidateEntry.from_vector(vector))
-        return self._scheduler.sort(request, entries)
+                rows[sed] = self._row(sed, request)
+        services = self._uniform_services
+        if services is None:
+            present = [
+                row
+                for sed, row in rows.items()
+                if row is not None and sed.can_solve(service)
+            ]
+        elif service in services or WILDCARD_SERVICE in services:
+            present = [row for row in rows.values() if row is not None]
+        else:
+            present = []
+        return self._rank(request, present)
+
+
+def _entry_row(entry: CandidateEntry) -> CandidateEntry:
+    """A ``rank_key`` policy's row: the entry itself, ranked by ``sort``."""
+    return entry
+
+
+def _uniform_services(seds) -> frozenset[str] | None:
+    """The one service set every SeD offers, or ``None`` if they differ."""
+    services = {sed.services for sed in seds}
+    return next(iter(services)) if len(services) == 1 else None
 
 
 class TreeWalk:
@@ -196,6 +255,7 @@ class TreeWalk:
     """
 
     resort_after_filter = True
+    path = "walk"
 
     def __init__(self, master) -> None:
         self._master = master
@@ -221,9 +281,23 @@ def choose_election(master) -> ResidentRanking | FlatElection | TreeWalk:
        (per-level policies may rank differently);
     2. a ``rank_key`` policy whose SeDs all use the default estimation
        function gets a :class:`ResidentRanking`;
-    3. any other ``rank_key`` or ``total_order`` policy gets a
-       :class:`FlatElection`;
+    3. any other ``rank_key`` policy, or one with ``score_inputs`` and
+       ``rank`` (GREEN_SCORE), gets a :class:`FlatElection`;
     4. anything else (RANDOM, FCFS, the budget-aware scheduler) walks.
+
+    Each strategy names itself in ``path``; on a three-SeD hierarchy:
+
+    >>> from repro.core.policies import policy_by_name
+    >>> from repro.infrastructure.platform import grid5000_placement_platform
+    >>> from repro.middleware.hierarchy import build_hierarchy
+    >>> def path(policy):
+    ...     platform = grid5000_placement_platform(nodes_per_cluster=1)
+    ...     master, seds = build_hierarchy(platform, scheduler=policy_by_name(policy))
+    ...     election = choose_election(master)
+    ...     election.detach()
+    ...     return len(seds), election.path
+    >>> [path(name) for name in ("POWER", "GREEN_SCORE", "RANDOM")]
+    [(3, 'resident'), (3, 'flat'), (3, 'walk')]
     """
     scheduler = master.scheduler
     if any(other is not scheduler for other in _schedulers(master)):
@@ -231,7 +305,7 @@ def choose_election(master) -> ResidentRanking | FlatElection | TreeWalk:
     seds = master.all_seds()
     if scheduler.rank_key is not None and all(sed.estimation_cacheable for sed in seds):
         return ResidentRanking(scheduler, seds)
-    if scheduler.rank_key is not None or scheduler.total_order:
+    if scheduler.rank_key is not None or scheduler.rank is not None:
         return FlatElection(scheduler, seds)
     return TreeWalk(master)
 

@@ -5,13 +5,19 @@ so no order can stay resident; but it is a total order, so when one
 policy instance sorts at every level the walk's per-level sorts plus
 re-scoring aggregates give the same permutation as one global sort.  The
 Master Agent therefore scores each server once per election
-(:class:`~repro.middleware.ranking.FlatElection`).  These tests make
-hypothesis hunt for a hierarchy, node state or preference where the flat
-election and the tree walk (:func:`tests.conftest.force_tree_walk`)
-disagree — in the elected server, the ranked vectors or the error raised.
+(:class:`~repro.middleware.ranking.FlatElection`), keeping each server's
+score inputs between elections and re-reading only the SeDs that changed.
+These tests make hypothesis hunt for a hierarchy, node state, mid-run
+estimation-function swap or preference where the flat election and the
+tree walk (:func:`tests.conftest.force_tree_walk`) disagree — in the
+elected server, the ranked vectors or the error raised — or where the
+flat election calls ``estimate`` on a SeD that neither changed nor uses a
+custom estimation function.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -23,13 +29,62 @@ from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
 from tests.conftest import force_tree_walk, make_spec
-from tests.core.test_ranking_incremental import _apply, _make_seds, op_strategy
+from tests.core.test_ranking_incremental import (
+    _apply,
+    _make_seds,
+    _request_aware_estimation,
+    op_strategy,
+)
 
 #: Request preferences (Tasks reject values outside [-1, 1]).
 REQUEST_PREFERENCES = (0.0, 0.5, -0.5, 1.0, -1.0)
 #: Non-zero defaults, applied when the request says 0; the last two are
 #: out of range and must raise the same error on both paths.
 DEFAULT_PREFERENCES = (0.25, -0.7, 1.0, -1.0, 1.5, -2.0)
+
+
+#: Node lifecycle steps drawn on their own, so off/fail/recover sequences
+#: are common rather than diluted among queue operations.
+LIFECYCLE = ("power_off", "boot", "boot_done", "fail", "repair")
+
+#: One step of a run: a transition from the shared vocabulary, a lifecycle
+#: step, or ``swap`` — a mid-run ``set_estimation_function`` on one SeD.
+flat_op_strategy = st.one_of(
+    op_strategy,
+    st.tuples(
+        st.sampled_from(LIFECYCLE),
+        st.integers(min_value=0, max_value=63),
+        st.floats(min_value=1.0, max_value=1e3),
+    ),
+    st.tuples(st.just("swap"), st.integers(min_value=0, max_value=63), st.booleans()),
+)
+
+
+def _step(op, sed, magnitude, running) -> None:
+    """Apply one generated step (``swap``'s magnitude picks the function)."""
+    if op == "swap":
+        sed.set_estimation_function(
+            _request_aware_estimation if magnitude else default_estimation_function
+        )
+    else:
+        _apply(op, sed, magnitude, running)
+
+
+@contextmanager
+def _estimate_calls():
+    """Record every SeD ``estimate`` is called on, in call order."""
+    calls = []
+    original = ServerDaemon.estimate
+
+    def recorded(sed, request):
+        calls.append(sed)
+        return original(sed, request)
+
+    ServerDaemon.estimate = recorded
+    try:
+        yield calls
+    finally:
+        ServerDaemon.estimate = original
 
 
 def _identical_seds(count: int) -> list[ServerDaemon]:
@@ -64,12 +119,22 @@ def _build(seds, placement, depth, policy, *, walk=False):
 
 
 def _outcome(master, request):
-    """What one election returns, or the error it raises."""
+    """What one election returns, or the error it raises.
+
+    A ranked vector is its identity when its SeD caches (both paths must
+    serve the very same cached object) and its contents otherwise (a
+    custom estimation function builds a fresh vector per call).
+    """
     try:
         outcome = master.submit(request)
     except (ValueError, TypeError) as error:
         return type(error), str(error)
-    return outcome.elected, [id(vector) for vector in outcome.ranked_candidates]
+    return outcome.elected, [
+        id(vector)
+        if master.find_sed(vector.server).estimation_cacheable
+        else (vector.server, dict(vector.values))
+        for vector in outcome.ranked_candidates
+    ]
 
 
 class TestFlatEqualsTreeWalk:
@@ -88,7 +153,7 @@ class TestFlatEqualsTreeWalk:
         use_dynamic_power=st.booleans(),
         steps=st.lists(
             st.tuples(
-                st.lists(op_strategy, max_size=6),
+                st.lists(flat_op_strategy, max_size=6),
                 st.sampled_from(REQUEST_PREFERENCES),
                 st.floats(min_value=1e8, max_value=1e13),
             ),
@@ -100,7 +165,12 @@ class TestFlatEqualsTreeWalk:
         self, depth, node_count, twins, matmul_only, placement, default_preference,
         use_dynamic_power, steps,
     ):
-        """Elected server, ranked vectors and errors agree bit for bit."""
+        """Elected server, ranked vectors and errors agree bit for bit.
+
+        The flat election calls ``estimate`` only on the SeDs invalidated
+        since its last election and on those with custom estimation
+        functions, and the latter in the walk's depth-first order.
+        """
         seds = [
             ServerDaemon(sed.node, services=("matmul",)) if other else sed
             for sed, other in zip(
@@ -122,15 +192,26 @@ class TestFlatEqualsTreeWalk:
             )
             for walk in (False, True)
         ]
+        order = masters[0].all_seds()
         for ops, preference, flop in steps:
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
-                _apply(op, sed, magnitude, running[sed.name])
+                _step(op, sed, magnitude, running[sed.name])
             request = ServiceRequest.from_task(
                 Task(flop=flop, user_preference=preference)
             )
-            flat, walk = (_outcome(master, request) for master in masters)
-            assert flat == walk
+            assert masters[0].election_path == "flat"
+            dirty = set(masters[0]._election._dirty)
+            custom = [
+                sed
+                for sed in order
+                if not sed.estimation_cacheable and sed.can_solve(request.service)
+            ]
+            with _estimate_calls() as calls:
+                flat = _outcome(masters[0], request)
+            assert set(calls) <= dirty | set(custom)
+            assert [sed for sed in calls if sed in custom] == custom
+            assert flat == _outcome(masters[1], request)
         assert type(masters[0]._election) is FlatElection
         assert type(masters[1]._election) is TreeWalk
 
@@ -139,15 +220,15 @@ class TestFlatElectionGate:
     def _request(self):
         return ServiceRequest.from_task(Task(flop=4.0e9))
 
-    def test_one_sort_per_election_even_with_a_filter(self, monkeypatch):
+    def test_one_rank_per_election_even_with_a_filter(self, monkeypatch):
         calls = []
-        original = GreenSchedulerPolicy.sort
+        original = GreenSchedulerPolicy.rank
 
-        def counted(self, request, candidates):
-            calls.append(len(candidates))
-            return original(self, request, candidates)
+        def counted(self, request, rows):
+            calls.append(len(rows))
+            return original(self, request, rows)
 
-        monkeypatch.setattr(GreenSchedulerPolicy, "sort", counted)
+        monkeypatch.setattr(GreenSchedulerPolicy, "rank", counted)
         seds = _make_seds(6)
         master = _build(seds, range(6), 3, GreenSchedulerPolicy())
         master.submit(self._request())
@@ -187,3 +268,39 @@ class TestFlatElectionGate:
             v.server for v in walk.submit(request).ranked_candidates
         ]
         assert type(flat._election) is FlatElection
+
+    def test_steady_state_election_reads_only_the_changed_seds(self):
+        seds = _make_seds(6)
+        seds[4].set_estimation_function(_request_aware_estimation)
+        master = _build(seds, range(6), 3, GreenSchedulerPolicy())
+        with _estimate_calls() as calls:
+            master.submit(self._request())
+        assert sorted(sed.name for sed in calls) == [sed.name for sed in seds]
+        with _estimate_calls() as calls:
+            master.submit(self._request())
+        assert calls == [seds[4]]
+        seds[1].node.acquire_core()
+        seds[2].record_request_power(120.0, 1200.0)
+        with _estimate_calls() as calls:
+            outcome = master.submit(self._request())
+        assert sorted(sed.name for sed in calls) == sorted(
+            sed.name for sed in (seds[1], seds[2], seds[4])
+        )
+        assert calls[-1] is seds[4]
+        walk = _build(seds, range(6), 3, GreenSchedulerPolicy(), walk=True)
+        assert outcome.elected == walk.submit(self._request()).elected
+
+    def test_a_mid_run_swap_is_estimated_every_election(self):
+        seds = _make_seds(4)
+        master = _build(seds, range(4), 2, GreenSchedulerPolicy())
+        master.submit(self._request())
+        seds[3].set_estimation_function(_request_aware_estimation)
+        seds[0].set_estimation_function(_request_aware_estimation)
+        for _ in range(2):
+            with _estimate_calls() as calls:
+                master.submit(self._request())
+            # Depth-first order: seds[0] sits on the Master Agent.
+            assert [sed for sed in calls if not sed.estimation_cacheable] == [
+                sed for sed in master.all_seds() if sed in (seds[0], seds[3])
+            ]
+            assert set(calls) == {seds[0], seds[3]}

@@ -19,8 +19,10 @@ per-request tree walk (:func:`tests.conftest.force_tree_walk`).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.greenperf import IncrementalGreenPerfOrder
 from repro.core.policies import policy_by_name
 from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import grid5000_placement_platform
@@ -225,6 +227,101 @@ class TestChooser:
             assert type(master._election) is TreeWalk, policy.name
 
 
+class TestElectionPath:
+    """``MasterAgent.election_path``: one case per ``choose_election`` rule."""
+
+    def test_mixed_schedulers_walk(self):
+        master, _ = build_hierarchy(
+            grid5000_placement_platform(nodes_per_cluster=1),
+            scheduler=policy_by_name("POWER"),
+        )
+        master.child_agents[0].scheduler = policy_by_name("POWER")
+        assert master.election_path == "walk"
+
+    def test_rank_key_over_default_estimation_is_resident(self):
+        master = build_flat_hierarchy(_make_seds(3), scheduler=policy_by_name("POWER"))
+        assert master.election_path == "resident"
+
+    def test_rank_key_over_a_custom_estimation_function_is_flat(self):
+        seds = _make_seds(3)
+        seds[2].set_estimation_function(_request_aware_estimation)
+        master = build_flat_hierarchy(seds, scheduler=policy_by_name("GREENPERF"))
+        assert master.election_path == "flat"
+
+    def test_score_inputs_and_rank_are_flat(self):
+        master = build_flat_hierarchy(
+            _make_seds(3), scheduler=policy_by_name("GREEN_SCORE")
+        )
+        assert master.election_path == "flat"
+
+    def test_anything_else_walks(self):
+        for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
+            master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
+            assert master.election_path == "walk", policy.name
+
+    def test_a_ranking_that_handed_over_reports_flat(self):
+        seds = _make_seds(3)
+        master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
+        master.submit(_request())
+        seds[0].set_estimation_function(_request_aware_estimation)
+        assert master.election_path == "resident"  # noticed at the next flush
+        master.submit(_request())
+        assert master.election_path == "flat"
+        assert type(master._election) is ResidentRanking
+
+    def test_the_path_cannot_be_set(self):
+        master = build_flat_hierarchy(_make_seds(2), scheduler=policy_by_name("POWER"))
+        with pytest.raises(AttributeError):
+            master.election_path = "walk"
+
+
+class TestNoLeakedListeners:
+    """Retired strategies leave no listener behind on any SeD."""
+
+    def _setup(self):
+        seds = _make_seds(3)
+        master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
+        order = IncrementalGreenPerfOrder(
+            [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
+        )
+        return seds, master, order
+
+    def _listeners(self, master, order, sed):
+        """``sed``'s listeners, checked to be the order's and the election's."""
+        listeners = sed._invalidation_listeners
+        assert listeners[0] == order._dirty.add
+        election = master._election
+        current = election._flat if getattr(election, "_flat", None) else election
+        assert listeners[1:] == [current._dirty.add]
+        return len(listeners)
+
+    def test_a_topology_bump_retires_the_resident_ranking(self):
+        seds, master, order = self._setup()
+        assert [len(sed._invalidation_listeners) for sed in seds] == [1, 1, 1]
+        master.submit(_request())
+        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
+        master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
+        master.submit(_request())
+        assert master.election_path == "resident"
+        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
+
+    def test_a_swap_then_a_bump_retires_the_handed_over_flat_pass(self):
+        seds, master, order = self._setup()
+        master.submit(_request())
+        seds[1].set_estimation_function(_request_aware_estimation)
+        master.submit(_request())
+        assert master.election_path == "flat"
+        assert type(master._election) is ResidentRanking
+        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
+        master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
+        master.submit(_request())
+        assert type(master._election) is FlatElection
+        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
+        master.add_sed(ServerDaemon(Node(make_spec(name="spare-2"))))
+        master.submit(_request())
+        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
+
+
 class TestCustomEstimation:
     """A ``rank_key`` policy over custom estimation functions: flat, == walk."""
 
@@ -263,10 +360,11 @@ class TestCustomEstimation:
             request = _request(flop)
             assert _elections(master, request) == _elections(walk, request)
         if mid_run:
-            # The resident ranking handed over to a flat pass inside itself.
+            # The resident ranking handed over to a flat pass inside itself
+            # and unsubscribed: the flat pass's listener is the only one.
             assert type(master._election) is ResidentRanking
             assert type(master._election._flat) is FlatElection
-            assert seds[0]._invalidation_listeners == []
+            assert seds[0]._invalidation_listeners == [master._election._flat._dirty.add]
         else:
             assert type(master._election) is FlatElection
 
