@@ -1,8 +1,9 @@
 """Golden-figure regression suite.
 
 ``tests/data/golden/*.json`` (generated by ``tools/make_goldens.py``)
-pins the paper's headline numbers — Table II makespan/energy totals and
-the Figure 9 candidate/power trajectory — to the exact bits the
+pins the paper's headline numbers — Table II makespan/energy totals, the
+Figure 6/7 heterogeneity points and the Figure 9 candidate/power
+trajectory — to the exact bits the
 reproduction computed when the fixtures were last regenerated.  Every
 test here asserts *equality*, not approximation: JSON serialises doubles
 through ``repr``, which round-trips, so any drift — an engine refactor
@@ -19,6 +20,7 @@ timeline subsystem.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,11 @@ import pytest
 from repro.experiments.adaptive import (
     adaptive_config_for,
     run_adaptive_experiment,
+)
+from repro.experiments.greenperf_eval import (
+    HETEROGENEITY_WORKLOAD_PRESETS,
+    heterogeneity_session,
+    run_heterogeneity_experiment,
 )
 from repro.experiments.placement import run_policy_comparison
 from repro.experiments.presets import placement_config_for
@@ -63,6 +70,36 @@ class TestTable2Golden:
                 dict(metrics.energy_per_cluster)
                 == expected[policy]["energy_per_cluster"]
             ), policy
+
+
+@pytest.mark.parametrize("name, kinds", [("figure6.json", 2), ("figure7.json", 4)])
+class TestHeterogeneityGolden:
+    """Figures 6 and 7: the point backend's elections, bit for bit."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_points_and_random_area_are_bit_identical(self, name, kinds, scale):
+        expected = load_golden(name)["scales"][scale]
+        params = HETEROGENEITY_WORKLOAD_PRESETS[scale]
+        result = run_heterogeneity_experiment(kinds=kinds, **params)
+        assert {
+            policy: asdict(point) for policy, point in result.points.items()
+        } == expected["points"]
+        assert asdict(result.random_area) == expected["random_area"]
+        easy = heterogeneity_session("EASY", kinds, **params).run().point
+        assert asdict(easy) == expected["easy"]
+
+    def test_trace_replay_under_failures_is_bit_identical(self, name, kinds):
+        expected = load_golden(name)["trace_replay"]
+        data = Path(__file__).parent / "data"
+        for policy, point in expected.items():
+            session = heterogeneity_session(
+                policy,
+                kinds,
+                servers_per_type=2,
+                trace=str(data / "mini.swf"),
+                timeline=str(data / "failures.toml"),
+            )
+            assert asdict(session.run().point) == point, policy
 
 
 class TestFigure9Golden:

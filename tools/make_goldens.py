@@ -2,8 +2,8 @@
 """Regenerate the golden-figure fixtures under ``tests/data/golden/``.
 
 The golden files lock the paper's headline numbers — Table II makespan and
-energy totals, and the Figure 9 candidate/power trajectory — against
-silent drift: ``tests/test_goldens.py`` re-runs the same scenarios in
+energy totals, the Figure 6/7 heterogeneity points, and the Figure 9
+candidate/power trajectory — against silent drift: ``tests/test_goldens.py`` re-runs the same scenarios in
 quantized energy mode and asserts bit-identical agreement with these
 fixtures.  Refactors of the engine, the energy accountant or the event
 machinery must reproduce these numbers exactly (JSON serialises doubles
@@ -98,8 +98,51 @@ def queue_table_golden() -> dict:
     return {"trace": "mini.swf", "queue_cores": 16, "policies": policies}
 
 
+def heterogeneity_golden(kinds: int) -> dict:
+    """Figure 6 (``kinds=2``) or Figure 7 (``kinds=4``) of the point backend.
+
+    Per scale: every plotted policy point, the RANDOM area and one EASY
+    run (a queue name on the point study, i.e. ``family="plugin"``).
+    Per policy: one open-loop replay of the bundled SWF trace under the
+    bundled failure timeline, which exercises the point backend's
+    availability windows.
+    """
+    from dataclasses import asdict
+
+    from repro.experiments.greenperf_eval import (
+        HETEROGENEITY_WORKLOAD_PRESETS,
+        heterogeneity_session,
+        run_heterogeneity_experiment,
+    )
+
+    scales = {}
+    for scale in SCALES:
+        params = HETEROGENEITY_WORKLOAD_PRESETS[scale]
+        result = run_heterogeneity_experiment(kinds=kinds, **params)
+        easy = heterogeneity_session("EASY", kinds, **params).run().point
+        scales[scale] = {
+            "points": {policy: asdict(point) for policy, point in result.points.items()},
+            "random_area": asdict(result.random_area),
+            "easy": asdict(easy),
+        }
+    data = Path(__file__).resolve().parent.parent / "tests" / "data"
+    replays = {}
+    for policy in ("POWER", "GREENPERF", "PERFORMANCE", "RANDOM", "GREEN_SCORE", "EASY"):
+        session = heterogeneity_session(
+            policy,
+            kinds,
+            servers_per_type=2,
+            trace=str(data / "mini.swf"),
+            timeline=str(data / "failures.toml"),
+        )
+        replays[policy] = asdict(session.run().point)
+    return {"kinds": kinds, "scales": scales, "trace_replay": replays}
+
+
 GOLDENS = {
     "table2.json": table2_golden,
+    "figure6.json": lambda: heterogeneity_golden(2),
+    "figure7.json": lambda: heterogeneity_golden(4),
     "figure9.json": figure9_golden,
     "queue_table.json": queue_table_golden,
 }
