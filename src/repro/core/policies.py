@@ -33,14 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.greenperf import PowerEstimationMode, greenperf_of_vector
-from repro.core.scoring import (
-    ScoreKernel,
-    completion_time_array,
-    energy_consumption_array,
-    power_tag,
-    score_array,
-    server_inputs,
-)
+from repro.core.scoring import ScoreKernel, power_tag, server_inputs
 from repro.middleware.estimation import EstimationTags
 from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler
 from repro.middleware.requests import ServiceRequest
@@ -81,12 +74,6 @@ class PowerPolicy(PluginScheduler):
             entry.server,
         )
 
-    def point_metric(self, request: ServiceRequest, *, flops, power):
-        """Vectorised point-study metric: the power draw itself."""
-        # The point study's vectors carry mean == peak == nameplate power,
-        # so the dynamic/nameplate switch reads the same array.
-        return power
-
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
@@ -118,12 +105,6 @@ class PerformancePolicy(PluginScheduler):
             entry.server,
         )
 
-    def point_metric(self, request: ServiceRequest, *, flops, power):
-        """Vectorised point-study metric: negated speed (fastest first)."""
-        # Single-core point servers expose total == per-core FLOPS, so both
-        # per_core settings read the same array.
-        return -flops
-
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
@@ -135,9 +116,10 @@ class RandomPolicy(PluginScheduler):
 
     The policy is stateful (it owns a seeded RNG) so that experiment runs
     are reproducible while successive requests still see different random
-    orderings.  It keeps the default aggregation (merge, then ``sort``):
-    a single shuffle over the merged set keeps the selection uniform,
-    where re-shuffling every level would favour the last-sorted subtree.
+    orderings.  Every agent re-sorts the concatenation of its children's
+    rankings (:meth:`~repro.middleware.agents.Agent.collect_candidates`),
+    so the Master Agent's ranking is one shuffle over every candidate and
+    the selection stays uniform across subtrees.
     """
 
     name = "RANDOM"
@@ -155,15 +137,6 @@ class RandomPolicy(PluginScheduler):
             key=lambda i: (_availability_rank(indexed[i]), noise[i]),
         )
         return [indexed[i] for i in order]
-
-    def point_metric(self, request: ServiceRequest, *, flops, power):
-        """Vectorised point-study metric: one uniform draw per candidate.
-
-        Consumes exactly the same RNG stream as :meth:`sort` would (one
-        ``random(len(candidates))`` call), so runs stay reproducible and
-        interchangeable with the unvectorised path.
-        """
-        return self._rng.random(len(flops))
 
 
 class GreenPerfPolicy(PluginScheduler):
@@ -184,12 +157,6 @@ class GreenPerfPolicy(PluginScheduler):
             entry.estimation.get(EstimationTags.WAITING_TIME, 0.0),
             entry.server,
         )
-
-    def point_metric(self, request: ServiceRequest, *, flops, power):
-        """Vectorised point-study metric: the power/performance ratio."""
-        # Point vectors expose mean == peak power and total == per-core
-        # FLOPS, so both estimation modes reduce to the same ratio.
-        return power / flops
 
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
@@ -257,21 +224,6 @@ class GreenSchedulerPolicy(PluginScheduler):
     ) -> list[CandidateEntry]:
         return self.rank(request, [self.score_inputs(entry) for entry in candidates])
 
-    def point_metric(self, request: ServiceRequest, *, flops, power):
-        """Vectorised point-study metric: the Equation 6 score.
-
-        Point-study candidates are free and booted (waiting time and boot
-        costs zero), so Equations 4–5 reduce to their active branches.
-        """
-        preference = request.user_preference
-        if preference == 0.0:
-            preference = self.default_preference
-        time = completion_time_array(request.task.flop, flops)
-        energy = energy_consumption_array(
-            request.task.flop, flops, full_load_power=power
-        )
-        return score_array(time, energy, preference)
-
 
 #: Registry used by experiments and the CLI-style examples.
 _POLICIES = {
@@ -288,6 +240,9 @@ def policy_by_name(name: str, **kwargs) -> PluginScheduler:
 
     ``kwargs`` are forwarded to the policy constructor — e.g.
     ``policy_by_name("random", seed=3)``.
+
+    >>> policy_by_name("greenperf").name, policy_by_name(" Easy ").name
+    ('GREENPERF', 'EASY')
 
     Queue-family names (``FCFS``, ``EASY``, ``CONSERVATIVE``, ``DRF`` —
     see :mod:`repro.policy.queue`) resolve to their per-request

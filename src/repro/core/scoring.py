@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.preferences import PRACTICAL_USER_BOUND, UserPreference
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.util.validation import ensure_non_negative, ensure_positive
@@ -89,47 +87,6 @@ def score(time: float, energy: float, user_preference: float) -> float:
     ensure_positive(time, "time")
     ensure_non_negative(energy, "energy")
     return time ** preference_exponent(user_preference) * energy
-
-
-# -- vectorised variants (Equations 4–6 over a candidate axis) ------------------
-#
-# These evaluate the same float64 expressions as the scalar functions above,
-# element-wise over numpy arrays.  IEEE-754 arithmetic makes ``a / b``,
-# ``a * b`` and ``a + b`` bit-identical between the scalar and array forms.
-# ``np.power`` is not: its SIMD loops (AVX-512 hosts, for instance) may
-# differ from the C ``pow`` behind Python's ``**`` by a few ULPs, so the
-# power term is computed with ``**`` per element and elections computed
-# through these arrays match the scalar path exactly.
-
-
-def completion_time_array(
-    flop: float,
-    flops_per_second: np.ndarray,
-    *,
-    waiting_time: np.ndarray | float = 0.0,
-) -> np.ndarray:
-    """Equation 4 for *active* servers, over the candidate axis (s)."""
-    return waiting_time + flop / flops_per_second
-
-
-def energy_consumption_array(
-    flop: float,
-    flops_per_second: np.ndarray,
-    *,
-    full_load_power: np.ndarray,
-) -> np.ndarray:
-    """Equation 5 for *active* servers, over the candidate axis (J)."""
-    # Same association as the scalar form: (power * flop) / flops.
-    return full_load_power * flop / flops_per_second
-
-
-def score_array(
-    time: np.ndarray, energy: np.ndarray, user_preference: float
-) -> np.ndarray:
-    """Equation 6 over the candidate axis (lower is better)."""
-    exponent = preference_exponent(user_preference)
-    powered = np.array([value**exponent for value in time.tolist()], dtype=np.float64)
-    return powered * energy
 
 
 _INF = math.inf

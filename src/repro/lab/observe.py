@@ -318,7 +318,7 @@ def queue_metrics(schedule: QueueSchedule, *, total_energy: float) -> dict[str, 
     }
 
 
-def point_metrics(point: PointSummary) -> dict[str, float]:
+def point_summary_metrics(point: PointSummary) -> dict[str, float]:
     """The flat metric summary of a point-study run.
 
     Matches the historical heterogeneity-family sweep metrics exactly.

@@ -31,7 +31,7 @@ Any workload × any policy × provisioning × any timeline composes here,
 so e.g. a real SWF week can replay through adaptive provisioning under a
 crash storm — a combination no single pre-lab experiment module could
 express.  The golden suite (``tests/test_goldens.py``) pins the
-pre-existing Table II and Figure 9 paths to the exact same bits through
+Table II, Figure 6/7 and Figure 9 paths to the exact same bits through
 this assembly.
 """
 
@@ -41,8 +41,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.lab.components import (
     LabError,
@@ -59,7 +57,7 @@ from repro.lab.observe import (
     PointSummary,
     middleware_detail,
     middleware_metrics,
-    point_metrics,
+    point_summary_metrics,
     provisioned_metrics,
     queue_energy,
     queue_metrics,
@@ -527,22 +525,12 @@ class LabSession:
                 )
         windows = _availability_windows(timeline)
 
-        # Vectorised election: policies exposing ``point_metric`` score the
-        # whole candidate axis in one numpy expression over these columnar
-        # arrays (the fleet is static, so they are built once).  Electing
-        # min(metric, name) equals ``scheduler.sort(...)[0]`` bit-for-bit:
-        # the array ``+``, ``*`` and ``/`` are the scalar IEEE-754 operations,
-        # and ``score_array`` takes Equation 6's power with Python's ``**``
-        # per element, because numpy's SIMD ``power`` may differ by ULPs.
-        point_metric = getattr(scheduler, "point_metric", None)
-        server_names = [server.name for server in servers]
-        flops_column = np.array([server.flops for server in servers], dtype=np.float64)
-        power_column = np.array(
-            [server.peak_power for server in servers], dtype=np.float64
-        )
-
-        def _available(server: _SimServer, now: float) -> bool:
-            return _next_available(windows.get(server.name, ()), now) == now
+        def _free(server: _SimServer, now: float) -> bool:
+            """Whether the server is idle and not failed at ``now``."""
+            return (
+                server.busy_until <= now
+                and _next_available(windows.get(server.name, ()), now) == now
+            )
 
         def _ready_time(server: _SimServer, now: float) -> float:
             """Earliest instant >= ``now`` the server could accept a task."""
@@ -555,32 +543,34 @@ class LabSession:
         tasks_per_type: dict[str, int] = {}
         makespan = 0.0
 
-        def _elect(request: ServiceRequest, now: float) -> _SimServer:
-            """The server ``scheduler.sort`` would rank first, without sorting.
-
-            The vectorised path scores only the free servers' columns and
-            takes ``min(metric, name)``; every point-study candidate is
-            free with zero waiting time, so this is exactly the head of the
-            policy's ranking.
-            """
-            free = [
-                index
-                for index, server in enumerate(servers)
-                if server.busy_until <= now and _available(server, now)
-            ]
-            metric = point_metric(
-                request, flops=flops_column[free], power=power_column[free]
+        # A free point server always reads FREE_CORES 1 and WAITING_TIME 0,
+        # and only free servers are candidates, so the static fleet's
+        # entries are built once (at t = 0, when every server is free).
+        # A rank_key policy's order is then fixed for the whole run; a
+        # rank policy keeps its score_inputs rows; any other policy sorts.
+        entries = {
+            server.name: CandidateEntry.from_vector(server.estimation(0.0))
+            for server in servers
+        }
+        server_by_name = {server.name: server for server in servers}
+        order = rows = None
+        if scheduler.rank_key is not None:
+            order = sorted(
+                servers, key=lambda server: scheduler.rank_key(entries[server.name])
             )
-            best = metric.min()
-            ties = np.flatnonzero(metric == best)
-            if ties.size == 1:
-                winner = free[int(ties[0])]
+        elif scheduler.rank is not None:
+            rows = {name: scheduler.score_inputs(entry) for name, entry in entries.items()}
+
+        def _elect(request: ServiceRequest, now: float) -> _SimServer:
+            """The free server ``scheduler.sort`` ranks first for ``request``."""
+            if order is not None:
+                return next(server for server in order if _free(server, now))
+            free = [server.name for server in servers if _free(server, now)]
+            if rows is not None:
+                head = scheduler.rank(request, [rows[name] for name in free])[0]
             else:
-                winner = min(
-                    (free[int(tie)] for tie in ties),
-                    key=lambda index: server_names[index],
-                )
-            return servers[winner]
+                head = scheduler.sort(request, [entries[name] for name in free])[0]
+            return server_by_name[head.server]
 
         phase_timer = phases.active_timer()
 
@@ -589,17 +579,7 @@ class LabSession:
             request = ServiceRequest.from_task(task)
             if phase_timer is not None:
                 phase_timer.push("scoring")
-            if point_metric is not None:
-                server = _elect(request, now)
-            else:
-                candidates = [
-                    CandidateEntry.from_vector(server.estimation(now))
-                    for server in servers
-                    if server.busy_until <= now and _available(server, now)
-                ]
-                ranked = scheduler.sort(request, candidates)
-                elected = ranked[0].server
-                server = next(s for s in servers if s.name == elected)
+            server = _elect(request, now)
             if phase_timer is not None:
                 phase_timer.pop()
             duration = task.flop / server.flops
@@ -625,10 +605,7 @@ class LabSession:
             # earliest instant a server is both idle and not failed.
             for task in self.workload.resolve_tasks():
                 now = task.arrival_time
-                while not any(
-                    server.busy_until <= now and _available(server, now)
-                    for server in servers
-                ):
+                while not any(_free(server, now) for server in servers):
                     now = _earliest_ready(now)
                 _execute(task, now)
         else:
@@ -644,10 +621,7 @@ class LabSession:
                 now, client = heapq.heappop(ready)
                 if remaining[client] <= 0:
                     continue
-                if not any(
-                    server.busy_until <= now and _available(server, now)
-                    for server in servers
-                ):
+                if not any(_free(server, now) for server in servers):
                     # No server available: wait until the earliest one frees up.
                     heapq.heappush(ready, (_earliest_ready(now), client))
                     continue
@@ -670,7 +644,7 @@ class LabSession:
         )
         return LabResult(
             backend="point",
-            metrics=point_metrics(point),
+            metrics=point_summary_metrics(point),
             detail={"tasks_per_type": dict(point.tasks_per_type)},
             point=point,
             timeline=timeline,

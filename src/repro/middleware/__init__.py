@@ -11,8 +11,8 @@ paper's green plug-in scheduler can be dropped in unchanged:
 
 * :mod:`repro.middleware.estimation` — estimation vectors and their tags.
 * :mod:`repro.middleware.sed` — the Server Daemon bound to a node.
-* :mod:`repro.middleware.plugin_scheduler` — the sorting/aggregation
-  plug-in interface.
+* :mod:`repro.middleware.plugin_scheduler` — the sorting plug-in
+  interface.
 * :mod:`repro.middleware.agents` — Local and Master agents, hierarchical
   candidate collection and election.
 * :mod:`repro.middleware.client` — the client-side request API.

@@ -154,7 +154,10 @@ class Agent:
             return []
         if len(partial_rankings) == 1:
             return list(partial_rankings[0])
-        return self.scheduler.aggregate(request, partial_rankings)
+        # DIET runs the same plug-in at every agent: concatenate the
+        # children's rankings and re-sort them with the same criterion.
+        merged = [entry for ranking in partial_rankings for entry in ranking]
+        return self.scheduler.sort(request, merged)
 
 
 class LocalAgent(Agent):

@@ -44,7 +44,28 @@ class CandidateEntry(NamedTuple):
 
 
 class PluginScheduler(ABC):
-    """Sorts candidate servers for a request.  Stateless unless documented."""
+    """Sorts candidate servers for a request.  Stateless unless documented.
+
+    A policy with a :attr:`rank_key` sorts by exactly that key, so the
+    key alone fixes its order — POWER, for instance, puts free servers
+    first, then the lowest power, then the server name:
+
+    >>> from repro.core.policies import PowerPolicy
+    >>> from repro.middleware.estimation import EstimationTags
+    >>> from repro.simulation.task import Task
+    >>> def entry(name, power, free_cores):
+    ...     return CandidateEntry.from_vector(EstimationVector(name, "x", {
+    ...         EstimationTags.MEAN_POWER: power,
+    ...         EstimationTags.FREE_CORES: free_cores,
+    ...     }))
+    >>> c = [entry("x-2", 90.0, 1.0), entry("x-10", 90.0, 1.0),
+    ...      entry("x-0", 50.0, 0.0), entry("x-1", 120.0, 1.0)]
+    >>> p, r = PowerPolicy(), ServiceRequest.from_task(Task())
+    >>> sorted(c, key=p.rank_key) == p.sort(r, c)
+    True
+    >>> [e.server for e in p.sort(r, c)]
+    ['x-10', 'x-2', 'x-1', 'x-0']
+    """
 
     #: Human-readable policy name used in reports (Table II column headers).
     name: str = "plugin"
@@ -59,7 +80,10 @@ class PluginScheduler(ABC):
     #: level by level or globally — always yields the same permutation,
     #: which lets :class:`~repro.middleware.ranking.ResidentRanking` keep
     #: the order resident across requests and reposition single servers in
-    #: O(log n) instead of re-sorting everything per election.
+    #: O(log n) instead of re-sorting everything per election.  The lab's
+    #: point backend (:class:`~repro.lab.session.LabSession`) relies on it
+    #: too: it sorts its static fleet by the key once and elects the first
+    #: free server in that order.
     rank_key = None
 
     #: Request-independent score inputs of one candidate, or ``None``.
@@ -70,24 +94,15 @@ class PluginScheduler(ABC):
     #: ``score_inputs(entry) -> row`` returns what the key needs from the
     #: estimation vector, and ``rank(request, rows) -> list[CandidateEntry]``
     #: returns the rows' entries sorted exactly as :meth:`sort` would.  One
-    #: global sort then equals the per-level sort + aggregate walk, which
+    #: global sort then equals the per-level sort + merge walk, which
     #: lets :class:`~repro.middleware.ranking.FlatElection` keep each
     #: server's row between elections and re-read only the SeDs that changed.
+    #: The lab's point backend relies on it too: it builds each static
+    #: server's row once and elects ``rank(request, free rows)[0]``.
     score_inputs = None
 
     #: Ranks :attr:`score_inputs` rows for a request, or ``None`` (see there).
     rank = None
-
-    #: Vectorised metric over free single-core point-study servers, or ``None``.
-    #:
-    #: Policies that can score the lab point backend's candidate axis in
-    #: one numpy expression override this with a method
-    #: ``point_metric(request, *, flops, power) -> np.ndarray`` returning a
-    #: per-candidate figure such that electing ``min(metric, server_name)``
-    #: equals ``sort(request, candidates)[0]``.  Only valid for the point
-    #: study's vector shape (every candidate free, waiting time zero, mean
-    #: == idle == peak power, total == per-core FLOPS).
-    point_metric = None
 
     @abstractmethod
     def sort(
@@ -98,22 +113,6 @@ class PluginScheduler(ABC):
         Implementations must not mutate the input sequence and must return
         a new list containing exactly the same entries (a permutation).
         """
-
-    def aggregate(
-        self,
-        request: ServiceRequest,
-        partial_rankings: Sequence[Sequence[CandidateEntry]],
-    ) -> list[CandidateEntry]:
-        """Merge the sorted lists coming from child agents.
-
-        The default aggregation concatenates the children's candidates and
-        re-sorts them with the same criterion, which mirrors DIET where the
-        same plug-in runs at each agent of the hierarchy.
-        """
-        merged: list[CandidateEntry] = []
-        for ranking in partial_rankings:
-            merged.extend(ranking)
-        return self.sort(request, merged)
 
 
 class FirstComeFirstServedScheduler(PluginScheduler):

@@ -121,13 +121,6 @@ class TestRandomPolicy:
             ranked = RandomPolicy(seed=seed).sort(make_request(), candidates)
             assert ranked[0].server == "free"
 
-    def test_aggregate_merges_subtrees(self):
-        policy = RandomPolicy(seed=0)
-        first = [entry("a"), entry("b")]
-        second = [entry("c")]
-        merged = policy.aggregate(make_request(), [first, second])
-        assert sorted(c.server for c in merged) == ["a", "b", "c"]
-
 
 class TestGreenPerfPolicy:
     def test_best_ratio_first(self):

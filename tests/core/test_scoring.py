@@ -8,12 +8,9 @@ from repro.core.scoring import (
     ScoreKernel,
     ServerScore,
     completion_time,
-    completion_time_array,
     energy_consumption,
-    energy_consumption_array,
     preference_exponent,
     score,
-    score_array,
 )
 from repro.middleware.estimation import EstimationTags
 from repro.util.validation import ensure_non_negative
@@ -185,21 +182,6 @@ _TAGS = (
     EstimationTags.MEAN_POWER,
     EstimationTags.PEAK_POWER,
 )
-
-
-class TestScoreArray:
-    @pytest.mark.parametrize("preference", [-0.7, -0.3, 0.2, 0.6])
-    def test_matches_scalar_score_bit_for_bit(self, preference):
-        """numpy's SIMD ``power`` may differ from ``**`` by ULPs; the array must not."""
-        rng = np.random.default_rng(20)
-        flops = rng.uniform(1e8, 1e10, 4096)
-        power = rng.uniform(50.0, 500.0, 4096)
-        time = completion_time_array(4e9, flops)
-        energy = energy_consumption_array(4e9, flops, full_load_power=power)
-        expected = [
-            score(t, e, preference) for t, e in zip(time.tolist(), energy.tolist())
-        ]
-        assert score_array(time, energy, preference).tolist() == expected
 
 
 class TestScoreKernel:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.policies import PerformancePolicy, PowerPolicy
+from repro.core.policies import PerformancePolicy, PowerPolicy, RandomPolicy
 from repro.infrastructure.node import Node, NodeState
 from repro.middleware.agents import LocalAgent, MasterAgent, build_flat_hierarchy
-from repro.middleware.plugin_scheduler import FirstComeFirstServedScheduler
+from repro.middleware.plugin_scheduler import FirstComeFirstServedScheduler, PluginScheduler
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
@@ -74,6 +74,31 @@ class TestTopology:
 
 
 class TestCandidateCollection:
+    def test_two_children_are_concatenated_then_sorted(self):
+        """An agent merges its children's rankings and re-sorts them with its plug-in."""
+
+        class ReverseAlphabetical(PluginScheduler):
+            name = "reverse"
+
+            def sort(self, request, candidates):
+                return sorted(candidates, key=lambda entry: entry.server, reverse=True)
+
+        master = MasterAgent()
+        for name, seds in (("la-0", ("a", "c")), ("la-1", ("b",))):
+            local = LocalAgent(name)
+            master.add_agent(local)
+            for sed in seds:
+                local.add_sed(make_sed(sed))
+        request = make_request()
+
+        def collected(scheduler):
+            master.set_scheduler(scheduler)
+            return [entry.server for entry in master.collect_candidates(request)]
+
+        assert collected(FirstComeFirstServedScheduler()) == ["a", "c", "b"]
+        assert collected(ReverseAlphabetical()) == ["c", "b", "a"]
+        assert sorted(collected(RandomPolicy(seed=0))) == ["a", "b", "c"]
+
     def test_collects_only_matching_service(self):
         master = build_flat_hierarchy([make_sed("n-0"), make_sed("n-1")])
         outcome = master.submit(make_request(service="unknown-service"))

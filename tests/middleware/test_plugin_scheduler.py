@@ -1,10 +1,6 @@
 """Tests for the plug-in scheduler interface."""
 
-from repro.middleware.plugin_scheduler import (
-    CandidateEntry,
-    FirstComeFirstServedScheduler,
-    PluginScheduler,
-)
+from repro.middleware.plugin_scheduler import CandidateEntry, FirstComeFirstServedScheduler
 from repro.middleware.requests import ServiceRequest
 from repro.simulation.task import Task
 from tests.conftest import make_vector
@@ -37,29 +33,3 @@ class TestFirstComeFirstServed:
         candidates = entries("a", "b")
         result = scheduler.sort(make_request(), candidates)
         assert result is not candidates
-
-    def test_aggregate_concatenates_then_sorts(self):
-        scheduler = FirstComeFirstServedScheduler()
-        first, second = entries("a"), entries("b", "c")
-        merged = scheduler.aggregate(make_request(), [first, second])
-        assert [entry.server for entry in merged] == ["a", "b", "c"]
-
-
-class TestDefaultAggregation:
-    def test_aggregate_applies_subclass_criterion(self):
-        class ReverseAlphabetical(PluginScheduler):
-            name = "reverse"
-
-            def sort(self, request, candidates):
-                return sorted(candidates, key=lambda entry: entry.server, reverse=True)
-
-        scheduler = ReverseAlphabetical()
-        merged = scheduler.aggregate(make_request(), [entries("a", "c"), entries("b")])
-        assert [entry.server for entry in merged] == ["c", "b", "a"]
-
-    def test_aggregate_result_is_permutation_of_inputs(self):
-        scheduler = FirstComeFirstServedScheduler()
-        first, second = entries("a", "b"), entries("c")
-        merged = scheduler.aggregate(make_request(), [first, second])
-        assert {entry.server for entry in merged} == {"a", "b", "c"}
-        assert len(merged) == 3
