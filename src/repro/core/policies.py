@@ -120,9 +120,17 @@ class RandomPolicy(PluginScheduler):
     rankings (:meth:`~repro.middleware.agents.Agent.collect_candidates`),
     so the Master Agent's ranking is one shuffle over every candidate and
     the selection stays uniform across subtrees.
+
+    Each :meth:`sort` call draws one ``random(n)`` for its ``n``
+    candidates, so the ranking depends on the call sequence, not on the
+    entries alone: the policy has no total-order key and sets
+    ``replay_walk``, and the Master Agent replays the walk's calls over
+    resident rows (:class:`~repro.middleware.ranking.WalkReplay`), which
+    moves the RNG exactly as the walk does.
     """
 
     name = "RANDOM"
+    replay_walk = True
 
     def __init__(self, *, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
@@ -130,13 +138,15 @@ class RandomPolicy(PluginScheduler):
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
-        indexed = list(candidates)
-        noise = self._rng.random(len(indexed))
-        order = sorted(
-            range(len(indexed)),
-            key=lambda i: (_availability_rank(indexed[i]), noise[i]),
+        noise = self._rng.random(len(candidates)).tolist()
+        if len(candidates) <= 1:
+            return list(candidates)
+        # (availability, noise, position): the position breaks noise ties
+        # as a stable sort on (availability, noise) would.
+        decorated = sorted(
+            zip(map(_availability_rank, candidates), noise, range(len(candidates)))
         )
-        return [indexed[i] for i in order]
+        return [candidates[index] for _, _, index in decorated]
 
 
 class GreenPerfPolicy(PluginScheduler):

@@ -98,8 +98,9 @@ class Agent:
         self._bump_version()
 
     def add_sed(self, sed: ServerDaemon) -> None:
-        """Attach a SeD."""
+        """Attach a SeD; installing an estimation function on it bumps the version."""
         self._seds.append(sed)
+        sed.add_function_listener(self._bump_version)
         self._bump_version()
 
     @property
@@ -171,7 +172,7 @@ class MasterAgent(Agent):
     optional *candidate filter* before the final sort — the hook used by
     the adaptive provisioning layer to cap the number of candidate nodes —
     and elects the first SeD of the resulting ranking.  How that ranking
-    is produced (resident, flat or tree walk) is chosen once per topology
+    is produced (resident, flat, replayed or tree walk) is chosen once per topology
     version by :func:`~repro.middleware.ranking.choose_election`.
     """
 
@@ -208,9 +209,9 @@ class MasterAgent(Agent):
 
     @property
     def election_path(self) -> str:
-        """The current topology's election strategy: ``"resident"``, ``"flat"`` or ``"walk"``.
+        """The current topology's election strategy.
 
-        A resident ranking that handed over to a flat pass reports ``"flat"``.
+        One of ``"resident"``, ``"flat"``, ``"replay"`` or ``"walk"``.
         """
         return self._current_election().path
 

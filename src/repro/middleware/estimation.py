@@ -88,6 +88,26 @@ class EstimationVector:
                 self._check_value(tag, value)
         self.values = values
 
+    @classmethod
+    def from_finite(
+        cls, server: str, cluster: str, values: dict[str, float]
+    ) -> "EstimationVector":
+        """A vector over ``values`` itself, skipping the constructor's checks.
+
+        The caller guarantees what the constructor would check: ``server``
+        is non-empty and every tag is a non-empty string mapped to a finite
+        ``float``.
+
+        >>> vector = EstimationVector.from_finite("n-0", "c", {"free_cores": 2.0})
+        >>> vector == EstimationVector("n-0", "c", {"free_cores": 2})
+        True
+        """
+        vector = cls.__new__(cls)
+        vector.server = server
+        vector.cluster = cluster
+        vector.values = values
+        return vector
+
     @staticmethod
     def _check_value(tag: str, value: float) -> float:
         if not tag:

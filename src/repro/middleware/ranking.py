@@ -3,33 +3,41 @@
 Every agent of the hierarchy sorts its candidates with the plug-in
 scheduler and the Master Agent elects the head of the ranking
 (Section III-A).  :func:`choose_election` picks how that ranking is
-produced, once per topology version, among three strategies with one
+produced, once per topology version, among four strategies with one
 surface — ``candidates(request)``, ``detach()``, the class flag
 ``resort_after_filter`` and the name ``path`` (what
-:attr:`~repro.middleware.agents.MasterAgent.election_path` reports):
+:attr:`~repro.middleware.agents.MasterAgent.election_path` reports).
+
+Three of them are rankers over one :class:`RowStore`: a row per SeD, kept
+between elections in the walk's depth-first order.  The store subscribes
+to every SeD's invalidation listeners (the triggers that invalidate the
+estimation cache) and only marks the affected server dirty; the next
+election re-estimates the dirty SeDs, and every SeD with a custom
+estimation function (whose vector may move with no notification), the
+latter in the walk's order so their ``estimate`` calls are the walk's.
 
 * :class:`ResidentRanking` keeps the candidate list sorted by the policy's
   request-independent
   :meth:`~repro.middleware.plugin_scheduler.PluginScheduler.rank_key` in a
-  binary-searchable sorted key list aligned with the entries.  It
-  subscribes to every SeD's invalidation listeners (the triggers that
-  invalidate the estimation cache) and only marks the affected server
-  dirty; the next election repositions each dirty server in O(log n) and
-  serves the resident order as-is.
-* :class:`FlatElection` keeps one row per SeD — the candidate entry and
-  the request-independent inputs of the policy's key — re-reads only the
-  SeDs the same listeners marked dirty, and ranks the rows once per
-  election, so each server is scored once (GREEN_SCORE's
-  request-dependent score, or any ``rank_key`` with custom estimation
-  functions).
+  binary-searchable sorted key list aligned with the entries; each dirty
+  server is repositioned in O(log n) and the resident order is served
+  as-is.
+* :class:`FlatElection` ranks the rows once per election, so each server
+  is scored once (GREEN_SCORE's request-dependent score, or any
+  ``rank_key`` with custom estimation functions).
+* :class:`WalkReplay` replays the walk's per-level ``sort`` calls over the
+  rows, for policies whose every call counts (RANDOM draws its noise per
+  call).
 * :class:`TreeWalk` is the per-request walk of Section III-A itself.
 
 The first two equal the walk because their key is a total order ending in
 the server name and one policy instance sorts at every level: per-level
 sorts plus aggregates then give the same permutation as one global sort.
-``tests/core/test_ranking_incremental.py`` and
-``tests/core/test_flat_election.py`` prove it bit for bit against the
-walk under hypothesis-generated transition streams.
+The replay equals it because it makes the same ``sort`` calls on the same
+lists.  ``tests/core/test_ranking_incremental.py``,
+``tests/core/test_flat_election.py`` and
+``tests/core/test_walk_replay.py`` prove it bit for bit against the walk
+under hypothesis-generated transition streams.
 """
 
 from __future__ import annotations
@@ -38,21 +46,112 @@ from bisect import bisect_left
 from typing import Sequence
 
 from repro.middleware.plugin_scheduler import CandidateEntry
-from repro.middleware.sed import WILDCARD_SERVICE, ServerDaemon
+from repro.middleware.sed import WILDCARD_SERVICE, ServerDaemon, default_estimation_function
 
 
-class ResidentRanking:
-    """A policy-sorted server order kept resident across requests.
+class RowStore:
+    """One row per SeD kept between elections, in the walk's depth-first order.
 
-    It serves what the walk would for a hierarchy whose agents all share
-    one ``rank_key`` policy: available servers only (OFF/BOOTING/FAILED
-    nodes re-appear through their recovery transitions), filtered by
-    ``can_solve``.  Once a SeD installs a custom estimation function its
-    vectors can change without a notification, so the ranking hands over
-    to a :class:`FlatElection` for the rest of the topology version.
+    ``make_row(entry)`` turns an available SeD's candidate entry into its
+    row; an unavailable SeD's row is ``None`` (OFF/BOOTING/FAILED nodes
+    re-appear through their recovery transitions).  The set of SeDs with
+    custom estimation functions is fixed for the store's life: installing
+    one bumps the topology version of every agent holding the SeD
+    (:meth:`~repro.middleware.sed.ServerDaemon.set_estimation_function`),
+    so the Master Agent chooses a new strategy.
     """
 
     resort_after_filter = False
+
+    def __init__(self, seds: Sequence[ServerDaemon], make_row) -> None:
+        self._make_row = make_row
+        #: Each SeD's row in the walk's depth-first order (updating a row
+        #: keeps its place); ``None`` while the SeD is unavailable.
+        self._rows: dict[ServerDaemon, object] = dict.fromkeys(seds)
+        #: The SeDs with custom estimation functions, in the same order.
+        self._custom = tuple(sed for sed in self._rows if not sed.estimation_cacheable)
+        #: SeDs whose vector moved since the last election (all, initially).
+        #: Its bound ``add`` is the invalidation listener itself, so a
+        #: notification costs no Python frame; the set is only ever
+        #: cleared, never rebound, so ``detach`` removes that same listener.
+        self._dirty: set[ServerDaemon] = set(self._rows)
+        self._uniform_services = _uniform_services(self._rows)
+        for sed in self._rows:
+            sed.add_invalidation_listener(self._dirty.add)
+
+    def detach(self) -> None:
+        """Unsubscribe from every SeD (when the strategy is replaced)."""
+        for sed in self._rows:
+            sed.remove_invalidation_listener(self._dirty.add)
+
+    @property
+    def dirty_servers(self) -> frozenset[str]:
+        """Names of the servers queued for re-estimation at the next election."""
+        return frozenset(sed.name for sed in self._dirty)
+
+    def _row(self, sed: ServerDaemon, request):
+        vector = sed.estimate(request)
+        return self._make_row(CandidateEntry.from_vector(vector)) if vector.available else None
+
+    def _update(self, request) -> None:
+        """Re-read the dirty SeDs, then the custom ones in walk order."""
+        rows, dirty = self._rows, self._dirty
+        if dirty:
+            for sed in dirty:
+                if sed.estimation_cacheable:
+                    rows[sed] = self._row(sed, request)
+            dirty.clear()
+        service = request.service
+        for sed in self._custom:
+            if sed.can_solve(service):
+                rows[sed] = self._row(sed, request)
+
+    def _present(self, service: str) -> list:
+        """The rows of the available SeDs solving ``service``, in walk order."""
+        rows = self._rows
+        services = self._uniform_services
+        if services is None:
+            return [
+                row for sed, row in rows.items() if row is not None and sed.can_solve(service)
+            ]
+        if service in services or WILDCARD_SERVICE in services:
+            return [row for row in rows.values() if row is not None]
+        return []
+
+    def check(self) -> None:
+        """Raise :class:`AssertionError` unless the store is consistent.
+
+        Meant right after an election: the dirty set is empty, the custom
+        SeDs are exactly those without the default estimation function, and
+        every other SeD's row equals the row of a freshly computed vector.
+        """
+        if self._dirty:
+            raise AssertionError(f"dirty after an election: {sorted(self.dirty_servers)}")
+        custom = tuple(sed for sed in self._rows if not sed.estimation_cacheable)
+        if custom != self._custom:
+            raise AssertionError("the custom estimation functions changed under the store")
+        for sed, row in self._rows.items():
+            if sed.estimation_cacheable:
+                vector = default_estimation_function(sed, None)
+                fresh = (
+                    self._make_row(CandidateEntry.from_vector(vector))
+                    if vector.available
+                    else None
+                )
+                if row != fresh:
+                    raise AssertionError(f"stale row for {sed.name!r}")
+
+
+class ResidentRanking(RowStore):
+    """A policy-sorted server order kept resident across requests.
+
+    It serves what the walk would for a hierarchy whose agents all share
+    one ``rank_key`` policy over SeDs that all use the default estimation
+    function: available servers only, filtered by ``can_solve``.  Each row
+    is the SeD's key; the sorted keys and the entries are aligned lists.
+    """
+
+    path = "resident"
 
     def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
         if scheduler.rank_key is None:
@@ -60,47 +159,17 @@ class ResidentRanking:
                 f"policy {scheduler.name!r} has no request-independent "
                 "rank_key; use the tree walk instead"
             )
-        self._scheduler = scheduler
-        self._key_fn = scheduler.rank_key
-        self._sed_order = tuple(seds)
-        self._seds = {sed.name: sed for sed in seds}
-        #: Sorted keys, aligned entry list, and each present SeD's key.
+        if not all(sed.estimation_cacheable for sed in seds):
+            raise ValueError(
+                "a custom estimation function can move a key without a "
+                "notification; use a FlatElection instead"
+            )
+        super().__init__(seds, scheduler.rank_key)
+        self._seds = {sed.name: sed for sed in self._rows}
+        #: Sorted keys and the aligned entry list.
         self._keys: list[tuple] = []
         self._entries: list[CandidateEntry] = []
-        self._key_of: dict[ServerDaemon, tuple] = {}
-        #: SeDs whose vector moved since the last flush (all, initially).
-        #: Its bound ``add`` is the invalidation listener itself, so a
-        #: notification costs no Python frame; the set is only ever
-        #: cleared, never rebound, so ``detach`` removes that same listener.
-        self._dirty: set[ServerDaemon] = set(self._seds.values())
-        #: The flat pass serving elections once a SeD stopped being cacheable.
-        self._flat: FlatElection | None = None
-        self._uniform_services = _uniform_services(seds)
-        for sed in self._seds.values():
-            sed.add_invalidation_listener(self._dirty.add)
 
-    # -- invalidation ------------------------------------------------------------
-    def detach(self) -> None:
-        """Unsubscribe from every SeD (when the ranking is replaced).
-
-        A ranking that handed over detaches its flat election too.
-        """
-        for sed in self._seds.values():
-            sed.remove_invalidation_listener(self._dirty.add)
-        if self._flat is not None:
-            self._flat.detach()
-
-    @property
-    def path(self) -> str:
-        """``"resident"``, or ``"flat"`` once the ranking has handed over."""
-        return "resident" if self._flat is None else "flat"
-
-    @property
-    def dirty_servers(self) -> frozenset[str]:
-        """Names of the servers queued for repositioning at the next flush."""
-        return frozenset(sed.name for sed in self._dirty)
-
-    # -- maintenance ---------------------------------------------------------------
     def refresh(self, request) -> None:
         """Reposition every dirty server; O(dirty × log n) key locates.
 
@@ -110,32 +179,24 @@ class ResidentRanking:
         dirty = self._dirty
         if not dirty:
             return
-        keys, entries, key_of = self._keys, self._entries, self._key_of
+        keys, entries, rows, key_fn = self._keys, self._entries, self._rows, self._make_row
         for sed in dirty:
-            if not sed.estimation_cacheable:
-                break
-            old_key = key_of.pop(sed, None)
+            old_key = rows[sed]
             if old_key is not None:
                 index = bisect_left(keys, old_key)
                 del keys[index]
                 del entries[index]
             vector = sed.estimate(request)
             if not vector.available:
-                continue  # re-inserted by the recovery/boot transition
+                rows[sed] = None  # re-inserted by the recovery/boot transition
+                continue
             entry = CandidateEntry.from_vector(vector)
-            key = self._key_fn(entry)
+            key = rows[sed] = key_fn(entry)
             index = bisect_left(keys, key)
             keys.insert(index, key)
             entries.insert(index, entry)
-            key_of[sed] = key
-        else:
-            dirty.clear()
-            return
-        self.detach()
         dirty.clear()
-        self._flat = FlatElection(self._scheduler, self._sed_order)
 
-    # -- queries -----------------------------------------------------------------------
     def candidates(self, request) -> list[CandidateEntry]:
         """The ranked candidates for ``request``.
 
@@ -143,8 +204,6 @@ class ResidentRanking:
         callers must treat it as read-only.
         """
         self.refresh(request)
-        if self._flat is not None:
-            return self._flat.candidates(request)
         services = self._uniform_services
         if services is not None:
             if request.service in services or WILDCARD_SERVICE in services:
@@ -157,84 +216,105 @@ class ResidentRanking:
             if seds[entry.server].can_solve(request.service)
         ]
 
-    def insort_check(self) -> bool:  # pragma: no cover - debugging helper
-        """Whether the resident key list is currently sorted (invariant check)."""
+    def check(self) -> None:
+        """:meth:`RowStore.check`, plus: the keys are sorted and match the rows."""
+        super().check()
         keys = self._keys
-        return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
+        if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
+            raise AssertionError("resident keys out of order")
+        present = sorted(key for key in self._rows.values() if key is not None)
+        if keys != present or [self._make_row(entry) for entry in self._entries] != keys:
+            raise AssertionError("resident keys do not match the rows and entries")
 
 
-class FlatElection:
-    """One sort per election over rows kept resident per SeD.
+class FlatElection(RowStore):
+    """One rank per election over the rows.
 
     Used for a total-order key the ranking cannot keep resident: one that
     depends on the request (GREEN_SCORE's Equation 6 score, served by the
     policy's ``score_inputs``/``rank`` hooks) or a ``rank_key`` over custom
     estimation functions (whose rows are the entries, ranked by ``sort``).
-    Each SeD's row holds its candidate entry and the request-independent
-    inputs of the key.  Like :class:`ResidentRanking` it subscribes to every
-    SeD's invalidation listeners and re-estimates only the dirty SeDs; a
-    SeD with a custom estimation function is re-estimated every election,
-    in the walk's depth-first order, so its ``estimate`` call sequence is
-    the walk's.  Each election ranks the available, solvable rows once:
-    each server is scored exactly once.
+    Each row holds the request-independent inputs of the key, and each
+    election ranks the available, solvable rows once: each server is
+    scored exactly once.
     """
 
-    resort_after_filter = False
     path = "flat"
 
     def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
-        self._make_row = scheduler.score_inputs or _entry_row
+        super().__init__(seds, scheduler.score_inputs or _entry_row)
         self._rank = scheduler.rank or scheduler.sort
-        #: Each SeD's row in the walk's depth-first order (updating a key
-        #: keeps its place); ``None`` while the SeD is unavailable.
-        self._rows: dict[ServerDaemon, object] = dict.fromkeys(seds)
-        #: The SeDs with custom estimation functions, in the same order.
-        self._custom: tuple[ServerDaemon, ...] = ()
-        #: Same bound-``add`` listener discipline as :class:`ResidentRanking`.
-        self._dirty: set[ServerDaemon] = set(self._rows)
-        self._uniform_services = _uniform_services(self._rows)
-        for sed in self._rows:
-            sed.add_invalidation_listener(self._dirty.add)
-
-    def detach(self) -> None:
-        """Unsubscribe from every SeD (when the election is replaced)."""
-        for sed in self._rows:
-            sed.remove_invalidation_listener(self._dirty.add)
-
-    def _row(self, sed: ServerDaemon, request):
-        vector = sed.estimate(request)
-        return self._make_row(CandidateEntry.from_vector(vector)) if vector.available else None
 
     def candidates(self, request) -> list[CandidateEntry]:
         """The candidates for ``request``, ranked by one ``rank`` call."""
-        rows, dirty = self._rows, self._dirty
-        if dirty:
-            for sed in dirty:
-                if sed.estimation_cacheable:
-                    rows[sed] = self._row(sed, request)
-            if not all(sed.estimation_cacheable for sed in dirty):
-                self._custom = tuple(sed for sed in rows if not sed.estimation_cacheable)
-            dirty.clear()
+        self._update(request)
+        return self._rank(request, self._present(request.service))
+
+
+class WalkReplay(RowStore):
+    """The walk's ``sort`` calls, replayed over the rows.
+
+    For a policy whose ranking is not a function of the entries alone but
+    of its call sequence (RANDOM draws fresh noise per ``sort``), the only
+    equal ranking is the walk's own: a local sort per agent, a merge
+    re-sort only where an agent holds more than one partial ranking, and
+    the Master Agent's re-sort after the candidate filter.  The replay
+    makes exactly those calls on exactly those lists, so the policy's
+    state (RANDOM's RNG) moves as under the walk; only the per-request
+    ``estimate`` calls and entry wrapping are gone.
+    """
+
+    resort_after_filter = True
+    path = "replay"
+
+    def __init__(self, master) -> None:
+        super().__init__(master.all_seds(), _entry_row)
+        self._sort = master.scheduler.sort
+        self._tree = _agent_tree(master)
+
+    def candidates(self, request) -> list[CandidateEntry]:
+        """The Master Agent's ranking for ``request``, as the walk builds it."""
+        self._update(request)
         service = request.service
-        for sed in self._custom:
-            if sed.can_solve(service):
-                rows[sed] = self._row(sed, request)
         services = self._uniform_services
-        if services is None:
-            present = [
-                row
-                for sed, row in rows.items()
-                if row is not None and sed.can_solve(service)
-            ]
-        elif service in services or WILDCARD_SERVICE in services:
-            present = [row for row in rows.values() if row is not None]
+        if services is not None:
+            if service not in services and WILDCARD_SERVICE not in services:
+                return []
+            service = None  # every SeD solves it
+        return self._collect(self._tree, request, service)
+
+    def _collect(self, node, request, service) -> list[CandidateEntry]:
+        """``Agent.collect_candidates`` over the rows (``service=None``: all solve)."""
+        seds, children = node
+        rows = self._rows
+        if service is None:
+            local = [row for sed in seds if (row := rows[sed]) is not None]
         else:
-            present = []
-        return self._rank(request, present)
+            local = [
+                row
+                for sed in seds
+                if (row := rows[sed]) is not None and sed.can_solve(service)
+            ]
+        partial_rankings = [self._sort(request, local)] if local else []
+        for child in children:
+            ranking = self._collect(child, request, service)
+            if ranking:
+                partial_rankings.append(ranking)
+        if len(partial_rankings) == 1:
+            return partial_rankings[0]
+        if not partial_rankings:
+            return []
+        merged = [entry for ranking in partial_rankings for entry in ranking]
+        return self._sort(request, merged)
+
+
+def _agent_tree(agent) -> tuple:
+    """``(agent's own SeDs, child subtrees)``, recursively."""
+    return tuple(agent.seds), tuple(_agent_tree(child) for child in agent.child_agents)
 
 
 def _entry_row(entry: CandidateEntry) -> CandidateEntry:
-    """A ``rank_key`` policy's row: the entry itself, ranked by ``sort``."""
+    """A row that is the entry itself (ranked by ``sort``)."""
     return entry
 
 
@@ -247,11 +327,11 @@ def _uniform_services(seds) -> frozenset[str] | None:
 class TreeWalk:
     """The per-request hierarchy walk: propagate, collect, sort per level.
 
-    It serves RANDOM (its noise is drawn per level), policies without a
-    total-order key and hierarchies whose agents do not share one policy
-    instance.  Its output need not be in the Master Agent's order (RANDOM
-    draws fresh noise, a mixed hierarchy ends in a child's order), so the
-    Master Agent re-sorts it after the candidate filter.
+    It serves policies without hooks (FCFS, the budget-aware scheduler)
+    and hierarchies whose agents do not share one policy instance.  Its
+    output need not be in the Master Agent's order (a mixed hierarchy ends
+    in a child's order), so the Master Agent re-sorts it after the
+    candidate filter.
     """
 
     resort_after_filter = True
@@ -274,7 +354,7 @@ def _schedulers(agent):
         yield from _schedulers(child)
 
 
-def choose_election(master) -> ResidentRanking | FlatElection | TreeWalk:
+def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay | TreeWalk:
     """The election strategy for ``master``'s current topology, by these rules:
 
     1. agents that do not all share one scheduler instance walk the tree
@@ -283,7 +363,8 @@ def choose_election(master) -> ResidentRanking | FlatElection | TreeWalk:
        function gets a :class:`ResidentRanking`;
     3. any other ``rank_key`` policy, or one with ``score_inputs`` and
        ``rank`` (GREEN_SCORE), gets a :class:`FlatElection`;
-    4. anything else (RANDOM, FCFS, the budget-aware scheduler) walks.
+    4. a policy with ``replay_walk`` (RANDOM) gets a :class:`WalkReplay`;
+    5. anything else (FCFS, the budget-aware scheduler) walks.
 
     Each strategy names itself in ``path``; on a three-SeD hierarchy:
 
@@ -297,7 +378,7 @@ def choose_election(master) -> ResidentRanking | FlatElection | TreeWalk:
     ...     election.detach()
     ...     return len(seds), election.path
     >>> [path(name) for name in ("POWER", "GREEN_SCORE", "RANDOM")]
-    [(3, 'resident'), (3, 'flat'), (3, 'walk')]
+    [(3, 'resident'), (3, 'flat'), (3, 'replay')]
     """
     scheduler = master.scheduler
     if any(other is not scheduler for other in _schedulers(master)):
@@ -307,7 +388,11 @@ def choose_election(master) -> ResidentRanking | FlatElection | TreeWalk:
         return ResidentRanking(scheduler, seds)
     if scheduler.rank_key is not None or scheduler.rank is not None:
         return FlatElection(scheduler, seds)
+    if scheduler.replay_walk:
+        return WalkReplay(master)
     return TreeWalk(master)
 
 
-__all__ = ["FlatElection", "ResidentRanking", "TreeWalk", "choose_election"]
+__all__ = [
+    "FlatElection", "ResidentRanking", "RowStore", "TreeWalk", "WalkReplay", "choose_election",
+]

@@ -34,6 +34,7 @@ for that SeD, because custom functions may read the request.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 from repro.infrastructure.node import Node
@@ -73,6 +74,9 @@ class ServerDaemon:
         self._cacheable = estimation_function is None
         self._cached_vector: EstimationVector | None = None
         self._estimation_function = estimation_function or default_estimation_function
+        #: The default function's vector template: the seven spec tags
+        #: converted and checked once, in tag order (built on first use).
+        self._vector_template: dict[str, float] | None = None
         #: Per-request energy/duration history feeding the dynamic power estimate.
         self._request_power = RunningStats()
         self._request_energy = RunningStats()
@@ -80,6 +84,8 @@ class ServerDaemon:
         #: resident ranking (:mod:`repro.middleware.ranking`) subscribes
         #: here to mark this SeD dirty in O(1) per transition.
         self._invalidation_listeners: list[Callable[["ServerDaemon"], None]] = []
+        #: Callbacks fired when a new estimation function is installed.
+        self._function_listeners: list[Callable[[], None]] = []
         if self._cacheable:
             node.add_power_listener(self.invalidate_estimation)
             self.queue.add_listener(self.invalidate_estimation)
@@ -141,6 +147,15 @@ class ServerDaemon:
         except ValueError:
             pass
 
+    def add_function_listener(self, listener: Callable[[], None]) -> None:
+        """Subscribe ``listener()`` to :meth:`set_estimation_function`.
+
+        Each agent holding this SeD subscribes its topology-version bump:
+        whether the SeD's vectors can be kept between elections is part of
+        what the Master Agent chooses its election strategy by.
+        """
+        self._function_listeners.append(listener)
+
     @property
     def estimation_cached(self) -> bool:
         """Whether the current estimation vector is served from the cache."""
@@ -189,49 +204,107 @@ class ServerDaemon:
         """Install a custom estimation function (the DIET plug-in hook).
 
         Custom functions may read the request, so installing one disables
-        this SeD's estimation cache: every request recomputes.
+        this SeD's estimation cache: every request recomputes.  The agents
+        holding the SeD bump their topology version, so the Master Agent
+        chooses its election strategy again.
         """
         self._estimation_function = function
         self._cacheable = False
         self.invalidate_estimation()
+        for listener in self._function_listeners:
+            listener()
 
     def estimate(self, request: ServiceRequest) -> EstimationVector:
         """Produce the estimation vector for ``request``.
 
         With the default estimation function the vector is cached and
         only recomputed after a node transition, queue mutation or power
-        observation invalidated it (see module docstring).
+        observation invalidated it (see module docstring); its required
+        tags were checked once, on its template.  Any other function's
+        vector is checked on every call.
         """
-        if self._cached_vector is not None:
-            return self._cached_vector
+        vector = self._cached_vector
+        if vector is not None:
+            return vector
         vector = self._estimation_function(self, request)
-        vector.validate_required()
         if self._cacheable:
             self._cached_vector = vector
+        else:
+            vector.validate_required()
         return vector
 
 
 def default_estimation_function(
     sed: ServerDaemon, request: ServiceRequest
 ) -> EstimationVector:
-    """The default DIET-like estimation function extended with power tags."""
+    """The default DIET-like estimation function extended with power tags.
+
+    The request is never read.  Twelve tags, in this order:
+
+    >>> from repro.infrastructure.node import Node
+    >>> from repro.infrastructure.platform import taurus_spec
+    >>> sed = ServerDaemon(Node(taurus_spec()))
+    >>> vector = default_estimation_function(sed, None)
+    >>> for tag in vector:
+    ...     print(tag, vector.get(tag))
+    flops_per_core 2300000000.0
+    total_flops 27600000000.0
+    free_cores 12.0
+    total_cores 12.0
+    waiting_time 0.0
+    completed_tasks 0.0
+    mean_power 190.0
+    idle_power 95.0
+    peak_power 190.0
+    boot_power 142.5
+    boot_time 120.0
+    node_available 1.0
+    >>> sed.node.acquire_core()
+    >>> later = default_estimation_function(sed, None)
+    >>> list(later) == list(vector), later.free_cores
+    (True, 11.0)
+
+    The first call per SeD builds the vector through the checking
+    constructor and keeps its values as the SeD's template (the seven spec
+    tags come from a frozen spec); later calls copy the template and store
+    the five state tags, checked on every call.
+    """
     node = sed.node
     spec = node.spec
-    return EstimationVector(
-        spec.name,
-        spec.cluster,
-        {
-            EstimationTags.FLOPS_PER_CORE: spec.flops_per_core,
-            EstimationTags.TOTAL_FLOPS: spec.total_flops,
-            EstimationTags.FREE_CORES: node.free_cores,
-            EstimationTags.TOTAL_CORES: spec.cores,
-            EstimationTags.WAITING_TIME: sed.queue.waiting_time_estimate(),
-            EstimationTags.COMPLETED_TASKS: node.completed_tasks,
-            EstimationTags.MEAN_POWER: sed.dynamic_mean_power(),
-            EstimationTags.IDLE_POWER: spec.idle_power,
-            EstimationTags.PEAK_POWER: spec.peak_power,
-            EstimationTags.BOOT_POWER: spec.boot_power,
-            EstimationTags.BOOT_TIME: spec.boot_time,
-            EstimationTags.NODE_AVAILABLE: 1.0 if node.is_available else 0.0,
-        },
-    )
+    free = float(node.free_cores)
+    waiting = float(sed.queue.waiting_time_estimate())
+    completed = float(node.completed_tasks)
+    mean_power = float(sed.dynamic_mean_power())
+    available = 1.0 if node.is_available else 0.0
+    template = sed._vector_template
+    # A non-finite value makes the sum non-finite; the checking constructor
+    # then raises the per-tag error (a finite sum that overflows passes it).
+    if template is None or not math.isfinite(free + waiting + completed + mean_power):
+        vector = EstimationVector(
+            spec.name,
+            spec.cluster,
+            {
+                EstimationTags.FLOPS_PER_CORE: spec.flops_per_core,
+                EstimationTags.TOTAL_FLOPS: spec.total_flops,
+                EstimationTags.FREE_CORES: free,
+                EstimationTags.TOTAL_CORES: spec.cores,
+                EstimationTags.WAITING_TIME: waiting,
+                EstimationTags.COMPLETED_TASKS: completed,
+                EstimationTags.MEAN_POWER: mean_power,
+                EstimationTags.IDLE_POWER: spec.idle_power,
+                EstimationTags.PEAK_POWER: spec.peak_power,
+                EstimationTags.BOOT_POWER: spec.boot_power,
+                EstimationTags.BOOT_TIME: spec.boot_time,
+                EstimationTags.NODE_AVAILABLE: available,
+            },
+        )
+        vector.validate_required()
+        sed._vector_template = dict(vector.values)
+        return vector
+    values = template.copy()
+    values[EstimationTags.FREE_CORES] = free
+    values[EstimationTags.WAITING_TIME] = waiting
+    values[EstimationTags.COMPLETED_TASKS] = completed
+    values[EstimationTags.MEAN_POWER] = mean_power
+    values[EstimationTags.NODE_AVAILABLE] = available
+    return EstimationVector.from_finite(spec.name, spec.cluster, values)

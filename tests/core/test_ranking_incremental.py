@@ -31,7 +31,7 @@ from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.middleware.plugin_scheduler import CandidateEntry, FirstComeFirstServedScheduler
 from repro.middleware.estimation import EstimationTags
-from repro.middleware.ranking import FlatElection, ResidentRanking, TreeWalk
+from repro.middleware.ranking import FlatElection, ResidentRanking, TreeWalk, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
@@ -185,7 +185,7 @@ class TestIncrementalEqualsRebuild:
             assert [policy.rank_key(e) for e in resident] == [
                 policy.rank_key(e) for e in reference
             ]
-            assert ranking.insort_check()
+            ranking.check()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -204,6 +204,7 @@ class TestIncrementalEqualsRebuild:
             _apply(op, sed, magnitude, running[sed.name])
             request = _request()
             fast = master.submit(request)
+            master._election.check()
             slow = baseline.submit(request)
             assert fast.elected == slow.elected
             assert [v.server for v in fast.ranked_candidates] == [
@@ -213,6 +214,31 @@ class TestIncrementalEqualsRebuild:
         assert type(baseline._election) is TreeWalk
 
 
+class TestRowStoreCheck:
+    def test_check_catches_each_broken_invariant(self):
+        seds = _make_seds(3)
+        ranking = ResidentRanking(policy_by_name("POWER"), seds)
+        ranking.refresh(_request())
+        ranking.check()
+        seds[0].record_request_power(999.0, 1.0)  # moves its POWER key
+        with pytest.raises(AssertionError, match="dirty"):
+            ranking.check()
+        ranking._dirty.clear()  # a missed notification
+        with pytest.raises(AssertionError, match="stale row"):
+            ranking.check()
+        ranking._dirty.add(seds[0])
+        ranking.refresh(_request())
+        ranking._keys.reverse()
+        with pytest.raises(AssertionError, match="out of order"):
+            ranking.check()
+        ranking._keys.reverse()
+        ranking.check()
+        seds[2].set_estimation_function(_request_aware_estimation)
+        ranking._dirty.clear()
+        with pytest.raises(AssertionError, match="custom"):
+            ranking.check()
+
+
 class TestChooser:
     def test_rank_key_policies_get_the_resident_ranking(self):
         for name in RANKED_POLICIES:
@@ -220,11 +246,14 @@ class TestChooser:
             assert master.submit(_request()).elected is not None
             assert type(master._election) is ResidentRanking, name
 
-    def test_policies_without_a_total_order_walk_the_tree(self):
-        for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
+    def test_random_replays_the_walk_and_hookless_policies_walk_the_tree(self):
+        for policy, strategy in (
+            (policy_by_name("RANDOM", seed=7), WalkReplay),
+            (FirstComeFirstServedScheduler(), TreeWalk),
+        ):
             master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
             assert master.submit(_request()).elected is not None
-            assert type(master._election) is TreeWalk, policy.name
+            assert type(master._election) is strategy, policy.name
 
 
 class TestElectionPath:
@@ -254,20 +283,32 @@ class TestElectionPath:
         )
         assert master.election_path == "flat"
 
-    def test_anything_else_walks(self):
-        for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
-            master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
-            assert master.election_path == "walk", policy.name
+    def test_replay_walk_replays_and_anything_else_walks(self):
+        master = build_flat_hierarchy(
+            _make_seds(3), scheduler=policy_by_name("RANDOM", seed=7)
+        )
+        assert master.election_path == "replay"
+        master = build_flat_hierarchy(
+            _make_seds(3), scheduler=FirstComeFirstServedScheduler()
+        )
+        assert master.election_path == "walk"
 
-    def test_a_ranking_that_handed_over_reports_flat(self):
+    def test_a_mid_run_custom_function_chooses_flat_at_once(self):
         seds = _make_seds(3)
         master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
         master.submit(_request())
+        resident = master._election
         seds[0].set_estimation_function(_request_aware_estimation)
-        assert master.election_path == "resident"  # noticed at the next flush
-        master.submit(_request())
-        assert master.election_path == "flat"
-        assert type(master._election) is ResidentRanking
+        assert master.election_path == "flat"  # chosen again, before any election
+        assert type(master._election) is FlatElection
+        assert seds[1]._invalidation_listeners == [master._election._dirty.add]
+        assert master._election is not resident
+
+    def test_the_resident_ranking_refuses_a_custom_estimation_function(self):
+        seds = _make_seds(2)
+        seds[1].set_estimation_function(_request_aware_estimation)
+        with pytest.raises(ValueError, match="FlatElection"):
+            ResidentRanking(policy_by_name("POWER"), seds)
 
     def test_the_path_cannot_be_set(self):
         master = build_flat_hierarchy(_make_seds(2), scheduler=policy_by_name("POWER"))
@@ -290,9 +331,7 @@ class TestNoLeakedListeners:
         """``sed``'s listeners, checked to be the order's and the election's."""
         listeners = sed._invalidation_listeners
         assert listeners[0] == order._dirty.add
-        election = master._election
-        current = election._flat if getattr(election, "_flat", None) else election
-        assert listeners[1:] == [current._dirty.add]
+        assert listeners[1:] == [master._election._dirty.add]
         return len(listeners)
 
     def test_a_topology_bump_retires_the_resident_ranking(self):
@@ -305,17 +344,19 @@ class TestNoLeakedListeners:
         assert master.election_path == "resident"
         assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
 
-    def test_a_swap_then_a_bump_retires_the_handed_over_flat_pass(self):
+    def test_a_swap_then_a_bump_retires_the_resident_then_the_flat_election(self):
         seds, master, order = self._setup()
         master.submit(_request())
         seds[1].set_estimation_function(_request_aware_estimation)
         master.submit(_request())
         assert master.election_path == "flat"
-        assert type(master._election) is ResidentRanking
+        flat = master._election
+        assert type(flat) is FlatElection
         assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
         master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
         master.submit(_request())
         assert type(master._election) is FlatElection
+        assert master._election is not flat
         assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
         master.add_sed(ServerDaemon(Node(make_spec(name="spare-2"))))
         master.submit(_request())
@@ -359,28 +400,25 @@ class TestCustomEstimation:
                 _apply(op, sed, magnitude, running[sed.name])
             request = _request(flop)
             assert _elections(master, request) == _elections(walk, request)
-        if mid_run:
-            # The resident ranking handed over to a flat pass inside itself
-            # and unsubscribed: the flat pass's listener is the only one.
-            assert type(master._election) is ResidentRanking
-            assert type(master._election._flat) is FlatElection
-            assert seds[0]._invalidation_listeners == [master._election._flat._dirty.add]
-        else:
-            assert type(master._election) is FlatElection
+        # Installed mid-run, the function made the Master Agent choose again:
+        # the resident ranking unsubscribed, the flat election's listener
+        # is the only one.
+        assert type(master._election) is FlatElection
+        assert seds[0]._invalidation_listeners == [master._election._dirty.add]
 
     def test_a_topology_change_chooses_the_strategy_again(self):
-        """The handed-over ranking is replaced; a still-custom SeD means flat."""
+        """The flat election is replaced; a still-custom SeD means flat."""
         seds = _make_seds(3)
         master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
         master.submit(_request())
         seds[1].set_estimation_function(_request_aware_estimation)
         master.submit(_request())
-        spare = ServerDaemon(Node(make_spec(name="spare")))
-        master.add_sed(spare)
-        assert type(master._election) is ResidentRanking
-        assert master._election._flat is not None
+        flat = master._election
+        assert type(flat) is FlatElection
+        master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
         master.submit(_request())  # seds[1] is still custom: a flat election
         assert type(master._election) is FlatElection
+        assert master._election is not flat
 
 
 class TestServiceFilter:
