@@ -123,14 +123,13 @@ class RandomPolicy(PluginScheduler):
 
     Each :meth:`sort` call draws one ``random(n)`` for its ``n``
     candidates, so the ranking depends on the call sequence, not on the
-    entries alone: the policy has no total-order key and sets
-    ``replay_walk``, and the Master Agent replays the walk's calls over
+    entries alone: the policy has no total-order key (and must not get a
+    ``rank`` hook), so the Master Agent replays the walk's calls over
     resident rows (:class:`~repro.middleware.ranking.WalkReplay`), which
     moves the RNG exactly as the walk does.
     """
 
     name = "RANDOM"
-    replay_walk = True
 
     def __init__(self, *, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)

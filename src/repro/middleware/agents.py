@@ -65,6 +65,9 @@ class Agent:
         #: topology or scheduler change, so the Master Agent knows when to
         #: choose its election strategy again.
         self._version = 0
+        #: ``_bump_version`` bound once: the function listener of every SeD
+        #: this agent holds (one callable shared by all of them).
+        self._bump_on_function_change = self._bump_version
 
     @property
     def scheduler(self) -> PluginScheduler:
@@ -100,7 +103,7 @@ class Agent:
     def add_sed(self, sed: ServerDaemon) -> None:
         """Attach a SeD; installing an estimation function on it bumps the version."""
         self._seds.append(sed)
-        sed.add_function_listener(self._bump_version)
+        sed.add_function_listener(self._bump_on_function_change)
         self._bump_version()
 
     @property
@@ -172,8 +175,8 @@ class MasterAgent(Agent):
     optional *candidate filter* before the final sort — the hook used by
     the adaptive provisioning layer to cap the number of candidate nodes —
     and elects the first SeD of the resulting ranking.  How that ranking
-    is produced (resident, flat, replayed or tree walk) is chosen once per topology
-    version by :func:`~repro.middleware.ranking.choose_election`.
+    is produced (resident, flat or a replay of the tree walk) is chosen once
+    per topology version by :func:`~repro.middleware.ranking.choose_election`.
     """
 
     def __init__(
@@ -211,7 +214,8 @@ class MasterAgent(Agent):
     def election_path(self) -> str:
         """The current topology's election strategy.
 
-        One of ``"resident"``, ``"flat"``, ``"replay"`` or ``"walk"``.
+        One of ``"resident"``, ``"flat"`` or ``"replay"`` (``"walk"`` only
+        when pinned to the reference :class:`~repro.middleware.ranking.TreeWalk`).
         """
         return self._current_election().path
 

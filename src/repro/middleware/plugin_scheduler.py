@@ -104,17 +104,6 @@ class PluginScheduler(ABC):
     #: Ranks :attr:`score_inputs` rows for a request, or ``None`` (see there).
     rank = None
 
-    #: Whether the election may replay the walk's :meth:`sort` calls.
-    #:
-    #: A policy without a total-order key whose ranking depends on its own
-    #: call sequence (RANDOM draws fresh noise per call) sets this: the
-    #: walk's per-level ``sort`` calls are then the ranking, and
-    #: :class:`~repro.middleware.ranking.WalkReplay` makes exactly those
-    #: calls over rows kept between elections instead of re-estimating
-    #: every SeD per request.  It promises that :meth:`sort` reads only its
-    #: arguments and the policy's own state.
-    replay_walk = False
-
     @abstractmethod
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]

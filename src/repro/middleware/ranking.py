@@ -3,12 +3,12 @@
 Every agent of the hierarchy sorts its candidates with the plug-in
 scheduler and the Master Agent elects the head of the ranking
 (Section III-A).  :func:`choose_election` picks how that ranking is
-produced, once per topology version, among four strategies with one
+produced, once per topology version, among three strategies with one
 surface — ``candidates(request)``, ``detach()``, the class flag
 ``resort_after_filter`` and the name ``path`` (what
 :attr:`~repro.middleware.agents.MasterAgent.election_path` reports).
 
-Three of them are rankers over one :class:`RowStore`: a row per SeD, kept
+All three are rankers over one :class:`RowStore`: a row per SeD, kept
 between elections in the walk's depth-first order.  The store subscribes
 to every SeD's invalidation listeners (the triggers that invalidate the
 estimation cache) and only marks the affected server dirty; the next
@@ -26,15 +26,18 @@ latter in the walk's order so their ``estimate`` calls are the walk's.
   is scored once (GREEN_SCORE's request-dependent score, or any
   ``rank_key`` with custom estimation functions).
 * :class:`WalkReplay` replays the walk's per-level ``sort`` calls over the
-  rows, for policies whose every call counts (RANDOM draws its noise per
-  call).
-* :class:`TreeWalk` is the per-request walk of Section III-A itself.
+  rows, for every other policy or hierarchy (RANDOM draws its noise per
+  call, so every call counts).
+
+:class:`TreeWalk`, the per-request walk of Section III-A itself, is the
+reference they are proven equal to.
 
 The first two equal the walk because their key is a total order ending in
 the server name and one policy instance sorts at every level: per-level
 sorts plus aggregates then give the same permutation as one global sort.
-The replay equals it because it makes the same ``sort`` calls on the same
-lists.  ``tests/core/test_ranking_incremental.py``,
+The replay equals it because it makes the same ``sort`` calls, with each
+agent's own scheduler, on the same lists.
+``tests/core/test_ranking_incremental.py``,
 ``tests/core/test_flat_election.py`` and
 ``tests/core/test_walk_replay.py`` prove it bit for bit against the walk
 under hypothesis-generated transition streams.
@@ -106,17 +109,16 @@ class RowStore:
             if sed.can_solve(service):
                 rows[sed] = self._row(sed, request)
 
-    def _present(self, service: str) -> list:
-        """The rows of the available SeDs solving ``service``, in walk order."""
-        rows = self._rows
+    def _solved_by_all(self, service: str) -> bool | None:
+        """The uniform-services filter: does every SeD solve ``service``?
+
+        ``True`` if all do, ``False`` if none does, ``None`` when their
+        services differ and each SeD must be asked.
+        """
         services = self._uniform_services
         if services is None:
-            return [
-                row for sed, row in rows.items() if row is not None and sed.can_solve(service)
-            ]
-        if service in services or WILDCARD_SERVICE in services:
-            return [row for row in rows.values() if row is not None]
-        return []
+            return None
+        return service in services or WILDCARD_SERVICE in services
 
     def check(self) -> None:
         """Raise :class:`AssertionError` unless the store is consistent.
@@ -204,17 +206,12 @@ class ResidentRanking(RowStore):
         callers must treat it as read-only.
         """
         self.refresh(request)
-        services = self._uniform_services
-        if services is not None:
-            if request.service in services or WILDCARD_SERVICE in services:
-                return self._entries
-            return []
+        service = request.service
+        solved = self._solved_by_all(service)
+        if solved is not None:
+            return self._entries if solved else []
         seds = self._seds
-        return [
-            entry
-            for entry in self._entries
-            if seds[entry.server].can_solve(request.service)
-        ]
+        return [entry for entry in self._entries if seds[entry.server].can_solve(service)]
 
     def check(self) -> None:
         """:meth:`RowStore.check`, plus: the keys are sorted and match the rows."""
@@ -250,18 +247,31 @@ class FlatElection(RowStore):
         self._update(request)
         return self._rank(request, self._present(request.service))
 
+    def _present(self, service: str) -> list:
+        """The rows of the available SeDs solving ``service``, in walk order."""
+        rows = self._rows
+        solved = self._solved_by_all(service)
+        if solved is None:
+            return [
+                row for sed, row in rows.items() if row is not None and sed.can_solve(service)
+            ]
+        return [row for row in rows.values() if row is not None] if solved else []
+
 
 class WalkReplay(RowStore):
     """The walk's ``sort`` calls, replayed over the rows.
 
-    For a policy whose ranking is not a function of the entries alone but
-    of its call sequence (RANDOM draws fresh noise per ``sort``), the only
-    equal ranking is the walk's own: a local sort per agent, a merge
+    For every policy without a total-order key, and for hierarchies whose
+    agents do not share one policy instance, the walk's own calls are the
+    ranking: a local sort per agent with that agent's scheduler, a merge
     re-sort only where an agent holds more than one partial ranking, and
     the Master Agent's re-sort after the candidate filter.  The replay
-    makes exactly those calls on exactly those lists, so the policy's
-    state (RANDOM's RNG) moves as under the walk; only the per-request
-    ``estimate`` calls and entry wrapping are gone.
+    makes exactly those calls on exactly those lists, so a policy whose
+    ranking depends on its call sequence (RANDOM draws fresh noise per
+    ``sort``) moves its state as under the walk; only the per-request
+    ``estimate`` calls and entry wrapping are gone.  The custom estimation
+    functions run before the sorts rather than between them, so a policy
+    must not share mutable state with one.
     """
 
     resort_after_filter = True
@@ -269,23 +279,20 @@ class WalkReplay(RowStore):
 
     def __init__(self, master) -> None:
         super().__init__(master.all_seds(), _entry_row)
-        self._sort = master.scheduler.sort
         self._tree = _agent_tree(master)
 
     def candidates(self, request) -> list[CandidateEntry]:
         """The Master Agent's ranking for ``request``, as the walk builds it."""
         self._update(request)
         service = request.service
-        services = self._uniform_services
-        if services is not None:
-            if service not in services and WILDCARD_SERVICE not in services:
-                return []
-            service = None  # every SeD solves it
-        return self._collect(self._tree, request, service)
+        solved = self._solved_by_all(service)
+        if solved is False:
+            return []
+        return self._collect(self._tree, request, None if solved else service)
 
     def _collect(self, node, request, service) -> list[CandidateEntry]:
         """``Agent.collect_candidates`` over the rows (``service=None``: all solve)."""
-        seds, children = node
+        sort, seds, children = node
         rows = self._rows
         if service is None:
             local = [row for sed in seds if (row := rows[sed]) is not None]
@@ -295,7 +302,7 @@ class WalkReplay(RowStore):
                 for sed in seds
                 if (row := rows[sed]) is not None and sed.can_solve(service)
             ]
-        partial_rankings = [self._sort(request, local)] if local else []
+        partial_rankings = [sort(request, local)] if local else []
         for child in children:
             ranking = self._collect(child, request, service)
             if ranking:
@@ -305,12 +312,20 @@ class WalkReplay(RowStore):
         if not partial_rankings:
             return []
         merged = [entry for ranking in partial_rankings for entry in ranking]
-        return self._sort(request, merged)
+        return sort(request, merged)
 
 
 def _agent_tree(agent) -> tuple:
-    """``(agent's own SeDs, child subtrees)``, recursively."""
-    return tuple(agent.seds), tuple(_agent_tree(child) for child in agent.child_agents)
+    """``(agent's sort, agent's own SeDs, child subtrees)``, recursively.
+
+    A scheduler swap bumps the topology version, so binding each agent's
+    ``sort`` here is safe for the strategy's life.
+    """
+    return (
+        agent.scheduler.sort,
+        tuple(agent.seds),
+        tuple(_agent_tree(child) for child in agent.child_agents),
+    )
 
 
 def _entry_row(entry: CandidateEntry) -> CandidateEntry:
@@ -325,13 +340,13 @@ def _uniform_services(seds) -> frozenset[str] | None:
 
 
 class TreeWalk:
-    """The per-request hierarchy walk: propagate, collect, sort per level.
+    """The per-request hierarchy walk of Section III-A: propagate, collect, sort.
 
-    It serves policies without hooks (FCFS, the budget-aware scheduler)
-    and hierarchies whose agents do not share one policy instance.  Its
-    output need not be in the Master Agent's order (a mixed hierarchy ends
-    in a child's order), so the Master Agent re-sorts it after the
-    candidate filter.
+    The reference every strategy above is proven equal to; it is never
+    chosen by :func:`choose_election` (``tests/conftest.py``'s
+    ``force_tree_walk`` pins a Master Agent to it).  Its output need not
+    be in the Master Agent's order (a mixed hierarchy ends in a child's
+    order), so the Master Agent re-sorts it after the candidate filter.
     """
 
     resort_after_filter = True
@@ -354,17 +369,17 @@ def _schedulers(agent):
         yield from _schedulers(child)
 
 
-def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay | TreeWalk:
+def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay:
     """The election strategy for ``master``'s current topology, by these rules:
 
-    1. agents that do not all share one scheduler instance walk the tree
-       (per-level policies may rank differently);
-    2. a ``rank_key`` policy whose SeDs all use the default estimation
-       function gets a :class:`ResidentRanking`;
-    3. any other ``rank_key`` policy, or one with ``score_inputs`` and
-       ``rank`` (GREEN_SCORE), gets a :class:`FlatElection`;
-    4. a policy with ``replay_walk`` (RANDOM) gets a :class:`WalkReplay`;
-    5. anything else (FCFS, the budget-aware scheduler) walks.
+    1. a ``rank_key`` policy shared by every agent, over SeDs that all use
+       the default estimation function, gets a :class:`ResidentRanking`;
+    2. any other shared ``rank_key`` policy, or a shared one with
+       ``score_inputs`` and ``rank`` (GREEN_SCORE), gets a
+       :class:`FlatElection`;
+    3. anything else — RANDOM, the hook-less FCFS and budget-aware
+       schedulers, and agents that do not all share one scheduler
+       instance — gets a :class:`WalkReplay`.
 
     Each strategy names itself in ``path``; on a three-SeD hierarchy:
 
@@ -381,16 +396,13 @@ def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay | Tre
     [(3, 'resident'), (3, 'flat'), (3, 'replay')]
     """
     scheduler = master.scheduler
-    if any(other is not scheduler for other in _schedulers(master)):
-        return TreeWalk(master)
-    seds = master.all_seds()
-    if scheduler.rank_key is not None and all(sed.estimation_cacheable for sed in seds):
-        return ResidentRanking(scheduler, seds)
-    if scheduler.rank_key is not None or scheduler.rank is not None:
-        return FlatElection(scheduler, seds)
-    if scheduler.replay_walk:
-        return WalkReplay(master)
-    return TreeWalk(master)
+    if all(other is scheduler for other in _schedulers(master)):
+        seds = master.all_seds()
+        if scheduler.rank_key is not None and all(sed.estimation_cacheable for sed in seds):
+            return ResidentRanking(scheduler, seds)
+        if scheduler.rank_key is not None or scheduler.rank is not None:
+            return FlatElection(scheduler, seds)
+    return WalkReplay(master)
 
 
 __all__ = [

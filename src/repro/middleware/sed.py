@@ -75,7 +75,8 @@ class ServerDaemon:
         self._cached_vector: EstimationVector | None = None
         self._estimation_function = estimation_function or default_estimation_function
         #: The default function's vector template: the seven spec tags
-        #: converted and checked once, in tag order (built on first use).
+        #: converted and checked once, in tag order (built on first use,
+        #: shared by every SeD whose spec tags are bit-identical).
         self._vector_template: dict[str, float] | None = None
         #: Per-request energy/duration history feeding the dynamic power estimate.
         self._request_power = RunningStats()
@@ -85,7 +86,7 @@ class ServerDaemon:
         #: here to mark this SeD dirty in O(1) per transition.
         self._invalidation_listeners: list[Callable[["ServerDaemon"], None]] = []
         #: Callbacks fired when a new estimation function is installed.
-        self._function_listeners: list[Callable[[], None]] = []
+        self._function_listeners: tuple[Callable[[], None], ...] = ()
         if self._cacheable:
             node.add_power_listener(self.invalidate_estimation)
             self.queue.add_listener(self.invalidate_estimation)
@@ -154,7 +155,7 @@ class ServerDaemon:
         whether the SeD's vectors can be kept between elections is part of
         what the Master Agent chooses its election strategy by.
         """
-        self._function_listeners.append(listener)
+        self._function_listeners += (listener,)
 
     @property
     def estimation_cached(self) -> bool:
@@ -266,8 +267,9 @@ def default_estimation_function(
 
     The first call per SeD builds the vector through the checking
     constructor and keeps its values as the SeD's template (the seven spec
-    tags come from a frozen spec); later calls copy the template and store
-    the five state tags, checked on every call.
+    tags come from a frozen spec; SeDs of one node type share a template);
+    later calls copy the template and store the five state tags, checked
+    on every call.
     """
     node = sed.node
     spec = node.spec
@@ -299,7 +301,7 @@ def default_estimation_function(
             },
         )
         vector.validate_required()
-        sed._vector_template = dict(vector.values)
+        sed._vector_template = _shared_template(vector.values)
         return vector
     values = template.copy()
     values[EstimationTags.FREE_CORES] = free
@@ -308,3 +310,29 @@ def default_estimation_function(
     values[EstimationTags.MEAN_POWER] = mean_power
     values[EstimationTags.NODE_AVAILABLE] = available
     return EstimationVector.from_finite(spec.name, spec.cluster, values)
+
+
+#: The templates of :func:`default_estimation_function`, one per distinct
+#: set of spec tags (a platform has a handful of node types).  Sharing one
+#: is invisible to callers: its spec tags are its key, every build
+#: overwrites its five state tags, and builds only ever copy it.
+_TEMPLATES: dict[tuple[str, ...], dict[str, float]] = {}
+
+_SPEC_TAGS = (
+    EstimationTags.FLOPS_PER_CORE,
+    EstimationTags.TOTAL_FLOPS,
+    EstimationTags.TOTAL_CORES,
+    EstimationTags.IDLE_POWER,
+    EstimationTags.PEAK_POWER,
+    EstimationTags.BOOT_POWER,
+    EstimationTags.BOOT_TIME,
+)
+
+
+def _shared_template(values: dict[str, float]) -> dict[str, float]:
+    """The template for ``values``' spec tags; the first such ``values`` seeds it.
+
+    The key is bit-exact (``float.hex``), so ``0.0`` and ``-0.0`` differ.
+    """
+    key = tuple(values[tag].hex() for tag in _SPEC_TAGS)
+    return _TEMPLATES.setdefault(key, dict(values))

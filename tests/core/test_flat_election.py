@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.policies import GreenSchedulerPolicy
 from repro.infrastructure.node import Node
 from repro.middleware.agents import LocalAgent, MasterAgent
-from repro.middleware.ranking import FlatElection, TreeWalk
+from repro.middleware.ranking import FlatElection, TreeWalk, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
@@ -240,12 +240,12 @@ class TestFlatElectionGate:
         assert calls == [6, 6]
         assert len(outcome.ranked_candidates) == 5
 
-    def test_mixed_policy_instances_walk_the_tree(self):
+    def test_mixed_policy_instances_replay_the_walk(self):
         seds = _make_seds(4)
         master = _build(seds, range(4), 2, GreenSchedulerPolicy())
         master.child_agents[0].scheduler = GreenSchedulerPolicy()
         assert master.submit(self._request()).elected is not None
-        assert type(master._election) is TreeWalk
+        assert type(master._election) is WalkReplay
 
     def test_topology_change_rebuilds_the_flat_election(self):
         seds = _make_seds(3)

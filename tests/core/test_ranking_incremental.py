@@ -246,26 +246,23 @@ class TestChooser:
             assert master.submit(_request()).elected is not None
             assert type(master._election) is ResidentRanking, name
 
-    def test_random_replays_the_walk_and_hookless_policies_walk_the_tree(self):
-        for policy, strategy in (
-            (policy_by_name("RANDOM", seed=7), WalkReplay),
-            (FirstComeFirstServedScheduler(), TreeWalk),
-        ):
+    def test_policies_without_a_total_order_replay_the_walk(self):
+        for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
             master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
             assert master.submit(_request()).elected is not None
-            assert type(master._election) is strategy, policy.name
+            assert type(master._election) is WalkReplay, policy.name
 
 
 class TestElectionPath:
     """``MasterAgent.election_path``: one case per ``choose_election`` rule."""
 
-    def test_mixed_schedulers_walk(self):
+    def test_mixed_schedulers_replay(self):
         master, _ = build_hierarchy(
             grid5000_placement_platform(nodes_per_cluster=1),
             scheduler=policy_by_name("POWER"),
         )
         master.child_agents[0].scheduler = policy_by_name("POWER")
-        assert master.election_path == "walk"
+        assert master.election_path == "replay"
 
     def test_rank_key_over_default_estimation_is_resident(self):
         master = build_flat_hierarchy(_make_seds(3), scheduler=policy_by_name("POWER"))
@@ -283,15 +280,10 @@ class TestElectionPath:
         )
         assert master.election_path == "flat"
 
-    def test_replay_walk_replays_and_anything_else_walks(self):
-        master = build_flat_hierarchy(
-            _make_seds(3), scheduler=policy_by_name("RANDOM", seed=7)
-        )
-        assert master.election_path == "replay"
-        master = build_flat_hierarchy(
-            _make_seds(3), scheduler=FirstComeFirstServedScheduler()
-        )
-        assert master.election_path == "walk"
+    def test_anything_else_replays_the_walk(self):
+        for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
+            master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
+            assert master.election_path == "replay", policy.name
 
     def test_a_mid_run_custom_function_chooses_flat_at_once(self):
         seds = _make_seds(3)

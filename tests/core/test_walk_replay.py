@@ -1,17 +1,21 @@
-"""Property-based proof: RANDOM's replayed walk == the tree walk, draw for draw.
+"""Property-based proof: the replayed walk == the tree walk, call for call.
 
-RANDOM draws fresh noise in every ``sort`` call, so its ranking is a
-function of the call sequence: a local sort per agent, a merge re-sort
-where an agent holds more than one partial ranking, and the Master
-Agent's re-sort after the candidate filter.
-:class:`~repro.middleware.ranking.WalkReplay` makes those calls over rows
-kept between elections.  These tests make hypothesis hunt for a
+Every policy without a total-order key, and every hierarchy whose agents
+do not share one scheduler, is elected by
+:class:`~repro.middleware.ranking.WalkReplay`: it makes the walk's own
+``sort`` calls — a local sort per agent with that agent's scheduler, a
+merge re-sort where an agent holds more than one partial ranking, and the
+Master Agent's re-sort after the candidate filter — over rows kept
+between elections.  RANDOM draws fresh noise in every call, so its
+ranking is a function of that call sequence.  These tests make hypothesis
+hunt for a scheduler (RANDOM, FCFS, the budget-aware scheduler over
+RANDOM or POWER as its budget depletes, or one scheduler per agent), a
 hierarchy (depth 1–3, empty Local Agents, a Local Agent whose SeDs all
 failed, mixed services), a transition stream (fail, repair, boot,
 power-off, core acquire/release, queue work, mid-run estimation-function
 swaps) and a candidate filter under which the replay and the walk
 (:func:`tests.conftest.force_tree_walk`) disagree — in the elected server,
-the full ranking or the RNG state after the run — or under which the row
+the full ranking or the RNG states after the run — or under which the row
 store's :meth:`~repro.middleware.ranking.RowStore.check` fails after an
 election.  A second property pins ``RandomPolicy.sort`` to the
 implementation it replaced, kept below as the oracle.
@@ -22,10 +26,16 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.policies import RandomPolicy, _availability_rank
+from repro.core.budget import BudgetAwareScheduler, EnergyBudget
+from repro.core.policies import (
+    GreenSchedulerPolicy,
+    PowerPolicy,
+    RandomPolicy,
+    _availability_rank,
+)
 from repro.infrastructure.node import NodeState
 from repro.middleware.agents import LocalAgent, MasterAgent
-from repro.middleware.plugin_scheduler import CandidateEntry
+from repro.middleware.plugin_scheduler import CandidateEntry, FirstComeFirstServedScheduler
 from repro.middleware.ranking import TreeWalk, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
@@ -35,33 +45,90 @@ from tests.core.test_flat_election import _outcome, _step, flat_op_strategy
 from tests.core.test_ranking_incremental import _make_seds
 
 
-def _build(seds, placement, depth, seed, *, walk, empty_agent):
-    """A ``depth``-level hierarchy sharing one ``RandomPolicy(seed)``.
+def _budget_aware(inner):
+    """A strict budget-aware scheduler over ``inner`` with a fresh 100 J budget."""
+    return BudgetAwareScheduler(inner, EnergyBudget(allowance=100.0), soft_threshold=0.5)
 
-    Agent 0 is the Master Agent; depth 2 adds two Local Agents, depth 3 a
-    child under each.  ``empty_agent`` hangs one more Local Agent, which
-    never gets a SeD, under the Master Agent.
+
+#: Schedulers with no total-order key, by name; ``seed`` seeds any RNG.
+HOOKLESS = {
+    "RANDOM": lambda seed: RandomPolicy(seed=seed),
+    "FCFS": lambda seed: FirstComeFirstServedScheduler(),
+    "BUDGET_RANDOM": lambda seed: _budget_aware(RandomPolicy(seed=seed)),
+    "BUDGET_POWER": lambda seed: _budget_aware(PowerPolicy()),
+}
+
+#: What a Local Agent of a mixed hierarchy may run besides those.
+ANY_POLICY = {
+    **HOOKLESS,
+    "POWER": lambda seed: PowerPolicy(),
+    "GREEN_SCORE": lambda seed: GreenSchedulerPolicy(),
+}
+
+
+def _build(seds, placement, depth, seed, *, walk, empty_agent, kinds=("RANDOM",)):
+    """A ``depth``-level hierarchy; returns the Master Agent.
+
+    With one name in ``kinds`` every agent shares one scheduler of that
+    kind; with more, agent ``i`` gets its own scheduler of kind
+    ``kinds[i % len(kinds)]``, seeded ``seed + i``.  Agent 0 is the Master
+    Agent; depth 2 adds two Local Agents, depth 3 a child under each.
+    ``empty_agent`` hangs one more Local Agent, which never gets a SeD,
+    under the Master Agent.
     """
-    policy = RandomPolicy(seed=seed)
-    master = MasterAgent(scheduler=policy)
+    shared = HOOKLESS[kinds[0]](seed) if len(kinds) == 1 else None
+
+    def scheduler(index):
+        return shared or ANY_POLICY[kinds[index % len(kinds)]](seed + index)
+
+    master = MasterAgent(scheduler=scheduler(0))
     if walk:
         force_tree_walk(master)
     agents = [master]
     if depth >= 2:
         for index in range(2):
-            child = LocalAgent(f"la-{index}", scheduler=policy)
+            child = LocalAgent(f"la-{index}", scheduler=scheduler(len(agents)))
             master.add_agent(child)
             agents.append(child)
     if depth >= 3:
         for parent in list(agents[1:]):
-            grandchild = LocalAgent(f"{parent.name}-sub", scheduler=policy)
+            grandchild = LocalAgent(f"{parent.name}-sub", scheduler=scheduler(len(agents)))
             parent.add_agent(grandchild)
             agents.append(grandchild)
     if empty_agent:
-        master.add_agent(LocalAgent("la-empty", scheduler=policy))
+        master.add_agent(LocalAgent("la-empty", scheduler=scheduler(len(agents))))
     for sed, slot in zip(seds, placement):
         agents[slot % len(agents)].add_sed(sed)
     return master
+
+
+def _agents(agent):
+    yield agent
+    for child in agent.child_agents:
+        yield from _agents(child)
+
+
+def _budgets(master):
+    """The distinct energy budgets of ``master``'s budget-aware schedulers."""
+    schedulers = {id(agent.scheduler): agent.scheduler for agent in _agents(master)}
+    return [
+        scheduler.budget
+        for scheduler in schedulers.values()
+        if isinstance(scheduler, BudgetAwareScheduler)
+    ]
+
+
+def _state(master):
+    """Every agent's scheduler state: RNG states and budget consumption."""
+    state = []
+    for agent in _agents(master):
+        scheduler = agent.scheduler
+        if isinstance(scheduler, BudgetAwareScheduler):
+            state.append(scheduler.budget.consumed())
+            scheduler = scheduler.inner
+        if isinstance(scheduler, RandomPolicy):
+            state.append(scheduler._rng.bit_generator.state)
+    return state
 
 
 def _drop_every_other(request, candidates):
@@ -71,7 +138,7 @@ def _drop_every_other(request, candidates):
 
 class TestReplayEqualsTreeWalk:
     @settings(
-        max_examples=200,
+        max_examples=300,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -83,12 +150,21 @@ class TestReplayEqualsTreeWalk:
         empty_agent=st.booleans(),
         fail_first_agent=st.booleans(),
         with_filter=st.booleans(),
+        kinds=st.one_of(
+            st.sampled_from(sorted(HOOKLESS)).map(lambda kind: (kind,)),
+            st.tuples(
+                st.sampled_from(sorted(HOOKLESS)),
+                st.sampled_from(sorted(ANY_POLICY)),
+                st.sampled_from(sorted(ANY_POLICY)),
+            ),
+        ),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         steps=st.lists(
             st.tuples(
                 st.lists(flat_op_strategy, max_size=6),
                 st.sampled_from(("cpu-burn", "matmul")),
                 st.floats(min_value=1e8, max_value=1e13),
+                st.floats(min_value=0.0, max_value=40.0),
             ),
             min_size=1,
             max_size=8,
@@ -96,16 +172,19 @@ class TestReplayEqualsTreeWalk:
     )
     def test_replay_matches_tree_walk(
         self, depth, node_count, matmul_only, placement, empty_agent,
-        fail_first_agent, with_filter, seed, steps,
+        fail_first_agent, with_filter, kinds, seed, steps,
     ):
-        """Elected server, full ranking and RNG state agree bit for bit."""
+        """Elected server, full ranking and scheduler states agree bit for bit."""
         seds = [
             ServerDaemon(sed.node, services=("matmul",)) if other else sed
             for sed, other in zip(_make_seds(node_count), matmul_only)
         ]
         running = {sed.name: [] for sed in seds}
         masters = [
-            _build(seds, placement, depth, seed, walk=walk, empty_agent=empty_agent)
+            _build(
+                seds, placement, depth, seed,
+                walk=walk, empty_agent=empty_agent, kinds=kinds,
+            )
             for walk in (False, True)
         ]
         if fail_first_agent:
@@ -115,10 +194,13 @@ class TestReplayEqualsTreeWalk:
         if with_filter:
             for master in masters:
                 master.set_candidate_filter(_drop_every_other)
-        for ops, service, flop in steps:
+        for ops, service, flop, joules in steps:
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
                 _step(op, sed, magnitude, running[sed.name])
+            for master in masters:
+                for budget in _budgets(master):
+                    budget.charge(joules)
             request = ServiceRequest.from_task(Task(flop=flop, service=service))
             replayed = _outcome(masters[0], request)
             assert masters[0].election_path == "replay"
@@ -126,8 +208,7 @@ class TestReplayEqualsTreeWalk:
             assert replayed == _outcome(masters[1], request)
         assert type(masters[0]._election) is WalkReplay
         assert type(masters[1]._election) is TreeWalk
-        states = [master.scheduler._rng.bit_generator.state for master in masters]
-        assert states[0] == states[1]
+        assert _state(masters[0]) == _state(masters[1])
 
     def test_steady_state_elections_estimate_nothing(self, monkeypatch):
         """Only the SeDs a transition marked dirty are re-estimated."""

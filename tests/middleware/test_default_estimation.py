@@ -10,6 +10,7 @@ every node state, and the error a non-finite state value raises.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -151,3 +152,21 @@ def test_a_vector_owns_its_values():
     third = default_estimation_function(sed, request)
     assert len({id(first.values), id(second.values), id(third.values)}) == 3
     assert first.waiting_time == third.waiting_time == 0.0
+
+
+def test_seds_of_one_node_type_share_a_template():
+    """One template per node type; its key tells ``0.0`` from ``-0.0``."""
+    request = ServiceRequest.from_task(Task())
+    taurus = [ServerDaemon(Node(taurus_spec(index))) for index in range(2)]
+    orion = ServerDaemon(Node(orion_spec()))
+    for sed in (*taurus, orion):
+        default_estimation_function(sed, request)
+    assert taurus[0]._vector_template is taurus[1]._vector_template
+    assert taurus[0]._vector_template is not orion._vector_template
+    zero, negative_zero = (
+        ServerDaemon(Node(dataclasses.replace(taurus_spec(), boot_time=boot_time)))
+        for boot_time in (0.0, -0.0)
+    )
+    for sed in (zero, negative_zero, zero, negative_zero):
+        boot_time = default_estimation_function(sed, request).get(EstimationTags.BOOT_TIME)
+        assert math.copysign(1.0, boot_time) == math.copysign(1.0, sed.node.spec.boot_time)
