@@ -23,6 +23,7 @@ without committing to either).
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,6 +31,9 @@ from typing import Mapping, Sequence
 from repro.infrastructure.node import Node, NodeSpec
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.util.validation import ensure_positive
+
+
+_INF = math.inf
 
 
 class PowerEstimationMode(enum.Enum):
@@ -75,18 +79,27 @@ def greenperf_of_vector(
     """GreenPerf ratio computed from an estimation vector.
 
     In DYNAMIC mode the power term is the SeD-reported mean power over past
-    requests; in STATIC mode it is the nameplate peak power.
+    requests; in STATIC mode it is the nameplate peak power.  A missing
+    tag raises the vector's :class:`KeyError`; a value that is not
+    positive, the validators' :class:`ValueError`.
     """
+    values = vector.values
     if mode is PowerEstimationMode.DYNAMIC:
-        power = vector.get(EstimationTags.MEAN_POWER)
+        power_tag = EstimationTags.MEAN_POWER
     else:
-        power = vector.get(EstimationTags.PEAK_POWER)
-    ensure_positive(power, "power")
+        power_tag = EstimationTags.PEAK_POWER
+    power = values.get(power_tag)
+    if not (type(power) is float and 0.0 < power < _INF):
+        power = vector.get(power_tag)
+        ensure_positive(power, "power")
     if basis is PerformanceBasis.TOTAL_FLOPS:
-        performance = vector.get(EstimationTags.TOTAL_FLOPS)
+        performance_tag = EstimationTags.TOTAL_FLOPS
     else:
-        performance = vector.get(EstimationTags.FLOPS_PER_CORE)
-    ensure_positive(performance, "performance")
+        performance_tag = EstimationTags.FLOPS_PER_CORE
+    performance = values.get(performance_tag)
+    if not (type(performance) is float and 0.0 < performance < _INF):
+        performance = vector.get(performance_tag)
+        ensure_positive(performance, "performance")
     return power / performance
 
 

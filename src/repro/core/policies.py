@@ -39,9 +39,16 @@ from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler
 from repro.middleware.requests import ServiceRequest
 
 
+# The rank keys read an estimation vector's values dict directly (every
+# value in it is a finite float, an ``EstimationVector`` invariant) and
+# fall back to ``EstimationVector.get`` only for its missing-tag KeyError.
+_FREE_CORES = EstimationTags.FREE_CORES
+_WAITING_TIME = EstimationTags.WAITING_TIME
+
+
 def _availability_rank(entry: CandidateEntry) -> int:
     """0 when the server can start the task immediately, 1 otherwise."""
-    return 0 if entry.estimation.get(EstimationTags.FREE_CORES, 0.0) > 0 else 1
+    return 0 if entry.estimation.values.get(_FREE_CORES, 0.0) > 0 else 1
 
 
 class PowerPolicy(PluginScheduler):
@@ -57,20 +64,17 @@ class PowerPolicy(PluginScheduler):
     def __init__(self, *, use_dynamic_power: bool = True) -> None:
         self.use_dynamic_power = use_dynamic_power
 
-    def _power_of(self, entry: CandidateEntry) -> float:
-        tag = (
-            EstimationTags.MEAN_POWER
-            if self.use_dynamic_power
-            else EstimationTags.PEAK_POWER
-        )
-        return entry.estimation.get(tag)
-
     def rank_key(self, entry: CandidateEntry) -> tuple:
         """Request-independent total-order key (availability, power, waiting, name)."""
+        values = entry.estimation.values
+        tag = EstimationTags.MEAN_POWER if self.use_dynamic_power else EstimationTags.PEAK_POWER
+        power = values.get(tag)
+        if power is None:
+            power = entry.estimation.get(tag)
         return (
-            _availability_rank(entry),
-            self._power_of(entry),
-            entry.estimation.get(EstimationTags.WAITING_TIME, 0.0),
+            0 if values.get(_FREE_CORES, 0.0) > 0 else 1,
+            power,
+            values.get(_WAITING_TIME, 0.0),
             entry.server,
         )
 
@@ -90,18 +94,17 @@ class PerformancePolicy(PluginScheduler):
         #: for latency; set ``per_core=False`` to rank by aggregate FLOPS.
         self.per_core = per_core
 
-    def _speed_of(self, entry: CandidateEntry) -> float:
-        tag = (
-            EstimationTags.FLOPS_PER_CORE if self.per_core else EstimationTags.TOTAL_FLOPS
-        )
-        return entry.estimation.get(tag)
-
     def rank_key(self, entry: CandidateEntry) -> tuple:
         """Request-independent total-order key (availability, −speed, waiting, name)."""
+        values = entry.estimation.values
+        tag = EstimationTags.FLOPS_PER_CORE if self.per_core else EstimationTags.TOTAL_FLOPS
+        speed = values.get(tag)
+        if speed is None:
+            speed = entry.estimation.get(tag)
         return (
-            _availability_rank(entry),
-            -self._speed_of(entry),
-            entry.estimation.get(EstimationTags.WAITING_TIME, 0.0),
+            0 if values.get(_FREE_CORES, 0.0) > 0 else 1,
+            -speed,
+            values.get(_WAITING_TIME, 0.0),
             entry.server,
         )
 
@@ -160,10 +163,11 @@ class GreenPerfPolicy(PluginScheduler):
 
     def rank_key(self, entry: CandidateEntry) -> tuple:
         """Request-independent total-order key (availability, ratio, waiting, name)."""
+        values = entry.estimation.values
         return (
-            _availability_rank(entry),
+            0 if values.get(_FREE_CORES, 0.0) > 0 else 1,
             greenperf_of_vector(entry.estimation, mode=self.mode),
-            entry.estimation.get(EstimationTags.WAITING_TIME, 0.0),
+            values.get(_WAITING_TIME, 0.0),
             entry.server,
         )
 

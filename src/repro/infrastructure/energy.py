@@ -168,12 +168,6 @@ class SegmentEnergyLog:
         self._energy_by_cluster.setdefault(cluster, 0.0)
         self._ticks_by_node[node] = 0
 
-    def _ticks_through(self, time: float) -> int:
-        """Sampling instants at ``start_time + k*period`` with tick time <= ``time``."""
-        if time < self.start_time:
-            return 0
-        return int(math.floor((time - self.start_time) / self.sample_period)) + 1
-
     def add_segment(
         self, node: str, cluster: str, start: float, end: float, watts: float
     ) -> None:
@@ -200,8 +194,13 @@ class SegmentEnergyLog:
                 f"{expected_start}, got {start}"
             )
 
+        # Sampling instants at ``start_time + k * period`` up to ``end``,
+        # less those already accounted.
+        origin = self.start_time
         counted = self._ticks_by_node[node]
-        ticks = self._ticks_through(end) - counted
+        ticks = (
+            0 if end < origin else math.floor((end - origin) / self.sample_period) + 1
+        ) - counted
         if self.mode == "quantized":
             joules = watts * self.sample_period * ticks
         else:

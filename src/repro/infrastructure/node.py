@@ -27,11 +27,14 @@ event-driven energy accountant closes power segments without polling.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.infrastructure.power_model import LinearPowerModel, PowerModel
 from repro.util.validation import ensure_non_negative, ensure_positive
+
+_INF = math.inf
 
 #: Callback invoked after a node's power draw may have changed.
 PowerListener = Callable[["Node"], None]
@@ -118,6 +121,29 @@ class NodeSpec:
         return LinearPowerModel(idle=self.idle_power, peak=self.peak_power)
 
 
+#: ON power tables of exact-float linear models, keyed by their two
+#: figures (``float.hex``, so 0.0 and -0.0 differ) and the core count.
+_LINEAR_TABLES: dict[tuple[str, str, int], tuple[float, ...]] = {}
+
+
+def _on_power_table(model: PowerModel, cores: int) -> tuple:
+    """``model.power_at(busy / cores)`` for ``busy`` in ``0..cores``.
+
+    Nodes with bit-identical linear models and equal core counts share one
+    table, so a platform computes (and checks) it once per node type.
+    """
+    linear = type(model) is LinearPowerModel and type(model.idle) is type(model.peak) is float
+    if linear:
+        key = (model.idle.hex(), model.peak.hex(), cores)
+        table = _LINEAR_TABLES.get(key)
+        if table is not None:
+            return table
+    table = tuple(model.power_at(busy / cores) for busy in range(cores + 1))
+    if linear:
+        _LINEAR_TABLES[key] = table
+    return table
+
+
 class Node:
     """Runtime state of a server.
 
@@ -135,7 +161,7 @@ class Node:
         initial_state: NodeState = NodeState.ON,
     ) -> None:
         self.spec = spec
-        self.power_model = power_model or spec.default_power_model()
+        self._power_model = power_model or spec.default_power_model()
         self._state = initial_state
         self._busy_cores = 0
         self._boot_completion_time: float | None = None
@@ -143,8 +169,9 @@ class Node:
         self._completed_tasks = 0
         self._total_busy_core_seconds = 0.0
         self._power_listeners: list[PowerListener] = []
-        #: Cached :meth:`current_power`; every transition resets it.
-        self._power: float | None = None
+        #: ON power draw per busy-core count, each entry computed (and
+        #: checked) once by the power model.
+        self._on_power = _on_power_table(self._power_model, spec.cores)
 
     # -- identification ----------------------------------------------------
     @property
@@ -156,6 +183,11 @@ class Node:
     def cluster(self) -> str:
         """Cluster this node belongs to (from the spec)."""
         return self.spec.cluster
+
+    @property
+    def power_model(self) -> PowerModel:
+        """The utilisation-to-power model, read once at construction."""
+        return self._power_model
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -202,7 +234,6 @@ class Node:
             )
         self._state = NodeState.OFF
         self._boot_completion_time = None
-        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -228,7 +259,6 @@ class Node:
         )
         self._state = NodeState.FAILED
         self._boot_completion_time = None
-        self._power = None
         if self._power_listeners:
             self._power_changed()
         return lost_cores
@@ -243,7 +273,6 @@ class Node:
         if self._state is not NodeState.FAILED:
             raise RuntimeError(f"repair() on node {self.name} in state {self._state}")
         self._state = self._pre_failure_state
-        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -273,7 +302,6 @@ class Node:
             return self._boot_completion_time
         self._state = NodeState.BOOTING
         self._boot_completion_time = now + self.spec.boot_time
-        self._power = None
         if self._power_listeners:
             self._power_changed()
         return self._boot_completion_time
@@ -284,7 +312,6 @@ class Node:
             raise RuntimeError(f"complete_boot() on node {self.name} in state {self._state}")
         self._state = NodeState.ON
         self._boot_completion_time = None
-        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -320,7 +347,6 @@ class Node:
         if self._busy_cores >= self.spec.cores:
             raise RuntimeError(f"node {self.name} has no free core")
         self._busy_cores += 1
-        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -332,11 +358,11 @@ class Node:
         """
         if self._busy_cores <= 0:
             raise RuntimeError(f"release_core() on idle node {self.name}")
-        ensure_non_negative(busy_seconds, "busy_seconds")
+        if not (type(busy_seconds) is float and 0.0 <= busy_seconds < _INF):
+            ensure_non_negative(busy_seconds, "busy_seconds")
         self._busy_cores -= 1
         self._completed_tasks += 1
         self._total_busy_core_seconds += busy_seconds
-        self._power = None
         if self._power_listeners:
             self._power_changed()
 
@@ -344,20 +370,37 @@ class Node:
     def current_power(self) -> float:
         """Instantaneous power draw in watts for the current state.
 
-        Computed once per state: the energy accountant reads it on every
-        transition and the driver reads it again when a task starts.
+        ON, the power model's draw at the current utilisation, read from
+        the table built at construction; booting, the spec's boot power;
+        off or failed, nothing:
+
+        >>> spec = NodeSpec("n-0", "c", cores=2, flops_per_core=1e9,
+        ...                 idle_power=100.0, peak_power=200.0, boot_power=150.0)
+        >>> node = Node(spec)
+        >>> node.current_power()  # no core busy: idle power
+        100.0
+        >>> node.acquire_core()
+        >>> node.acquire_core()
+        >>> node.current_power()  # every core busy: peak power
+        200.0
+        >>> node.release_core()
+        >>> node.release_core()
+        >>> node.power_off()
+        >>> node.current_power()
+        0.0
+        >>> _ = node.begin_boot(0.0)
+        >>> node.current_power()  # booting: boot power
+        150.0
+        >>> _ = node.fail()
+        >>> node.current_power()
+        0.0
         """
-        power = self._power
-        if power is None:
-            state = self._state
-            if state is NodeState.ON:
-                power = self.power_model.power_at(self._busy_cores / self.spec.cores)
-            elif state is NodeState.BOOTING:
-                power = self.spec.boot_power
-            else:
-                power = 0.0
-            self._power = power
-        return power
+        state = self._state
+        if state is NodeState.ON:
+            return self._on_power[self._busy_cores]
+        if state is NodeState.BOOTING:
+            return self.spec.boot_power
+        return 0.0
 
     # -- execution model -------------------------------------------------------
     def task_duration(self, flop: float) -> float:

@@ -66,7 +66,8 @@ class Client:
             user_preference = (
                 task.user_preference if task.user_preference != 0.0 else self.default_preference
             )
-        ensure_in_range(user_preference, "user_preference", -1.0, 1.0)
+        if not (type(user_preference) is float and -1.0 <= user_preference <= 1.0):
+            ensure_in_range(user_preference, "user_preference", -1.0, 1.0)
         return ServiceRequest(
             task=task,
             user_preference=user_preference,

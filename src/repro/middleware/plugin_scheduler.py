@@ -40,7 +40,7 @@ class CandidateEntry(NamedTuple):
     @classmethod
     def from_vector(cls, vector: EstimationVector) -> "CandidateEntry":
         """Wrap an estimation vector."""
-        return cls(server=vector.server, estimation=vector)
+        return cls(vector.server, vector)
 
 
 class PluginScheduler(ABC):

@@ -142,11 +142,8 @@ class ServerDaemon:
     def remove_invalidation_listener(
         self, listener: Callable[["ServerDaemon"], None]
     ) -> None:
-        """Unsubscribe a previously added invalidation listener."""
-        try:
-            self._invalidation_listeners.remove(listener)
-        except ValueError:
-            pass
+        """Unsubscribe a previously added listener (ValueError if absent)."""
+        self._invalidation_listeners.remove(listener)
 
     def add_function_listener(self, listener: Callable[[], None]) -> None:
         """Subscribe ``listener()`` to :meth:`set_estimation_function`.

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
+
+_INF = math.inf
 
 #: FLOP cost of the paper's unit task.
 DEFAULT_TASK_FLOP = 1.0e8
@@ -91,7 +94,8 @@ class Task:
 
     def duration_on(self, flops_per_core: float) -> float:
         """Execution time (s) on a core sustaining ``flops_per_core`` FLOP/s."""
-        ensure_positive(flops_per_core, "flops_per_core")
+        if not (type(flops_per_core) is float and 0.0 < flops_per_core < _INF):
+            ensure_positive(flops_per_core, "flops_per_core")
         return self.flop / flops_per_core
 
 
@@ -135,7 +139,8 @@ class TaskExecution(_ExecutionFields):
             raise ValueError("a task cannot start before it is submitted")
         if completed_at < started_at:
             raise ValueError("a task cannot complete before it starts")
-        ensure_non_negative(energy, "energy")
+        if not (type(energy) is float and 0.0 <= energy < _INF):
+            ensure_non_negative(energy, "energy")
         return tuple.__new__(
             cls, (task_id, node, cluster, submitted_at, started_at, completed_at, energy)
         )

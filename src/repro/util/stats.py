@@ -31,8 +31,10 @@ class RunningStats:
         delta = value - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
-        self._minimum = min(self._minimum, value)
-        self._maximum = max(self._maximum, value)
+        if value < self._minimum:
+            self._minimum = value
+        if value > self._maximum:
+            self._maximum = value
 
     def extend(self, values) -> None:
         """Incorporate an iterable of samples."""

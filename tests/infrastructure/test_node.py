@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.infrastructure.node import Node, NodeSpec, NodeState
+from repro.infrastructure.platform import orion_spec, sagittaire_spec, taurus_spec
+from repro.infrastructure.power_model import LinearPowerModel, PowerModel
 from tests.conftest import make_spec
 
 
@@ -146,18 +148,53 @@ class TestNodePower:
         expected = spec.idle_power + (spec.peak_power - spec.idle_power) / spec.cores
         assert node.current_power() == pytest.approx(expected)
 
-    @settings(max_examples=100, deadline=None)
-    @given(ops=st.lists(st.sampled_from(
-        ["acquire", "release", "off", "boot", "boot_done", "fail", "repair"]
-    ), max_size=40))
-    def test_cached_power_follows_every_transition(self, ops):
-        """The power read after any transition equals a fresh computation."""
-        spec = make_spec(cores=3)
-        node = Node(spec)
 
-        def fresh() -> float:
+class _CubicModel(PowerModel):
+    """A non-linear model that counts its ``power_at`` calls."""
+
+    def __init__(self, idle: float, peak: float) -> None:
+        self._idle, self._peak = idle, peak
+        self.calls = 0
+
+    def power_at(self, utilization: float) -> float:
+        self.calls += 1
+        return self._idle + (self._peak - self._idle) * utilization**3
+
+    @property
+    def idle_power(self) -> float:
+        return self._idle
+
+    @property
+    def peak_power(self) -> float:
+        return self._peak
+
+
+#: The Table I node types with their linear models, and a cubic one.
+_POWERED_NODES = {
+    "orion": lambda: Node(orion_spec()),
+    "taurus": lambda: Node(taurus_spec()),
+    "sagittaire": lambda: Node(sagittaire_spec()),
+    "cubic": lambda: Node(make_spec(cores=5), power_model=_CubicModel(97.3, 211.9)),
+}
+
+
+class TestPowerTable:
+    """``current_power`` is the old per-state formula, read from a table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_POWERED_NODES)),
+        ops=st.lists(st.sampled_from(
+            ["acquire", "release", "off", "boot", "boot_done", "fail", "repair"]
+        ), max_size=60),
+    )
+    def test_every_transition_matches_the_formula_bit_for_bit(self, kind, ops):
+        node = _POWERED_NODES[kind]()
+        spec = node.spec
+
+        def formula() -> float:
             if node.state is NodeState.ON:
-                return node.power_model.power_at(node.utilization)
+                return node.power_model.power_at(node.busy_cores / spec.cores)
             if node.state is NodeState.BOOTING:
                 return spec.boot_power
             return 0.0
@@ -167,10 +204,10 @@ class TestNodePower:
             if op == "acquire" and state is NodeState.ON and node.free_cores:
                 node.acquire_core()
             elif op == "release" and node.busy_cores:
-                node.release_core()
+                node.release_core(busy_seconds=12.5)
             elif op == "off" and state is NodeState.ON and not node.busy_cores:
                 node.power_off()
-            elif op == "boot" and state is NodeState.OFF:
+            elif op == "boot" and state is not NodeState.FAILED:
                 node.begin_boot(0.0)
             elif op == "boot_done" and state is NodeState.BOOTING:
                 node.complete_boot()
@@ -178,8 +215,35 @@ class TestNodePower:
                 node.fail()
             elif op == "repair" and state is NodeState.FAILED:
                 node.repair()
-            assert node.current_power() == fresh()
+            power = node.current_power()
+            assert type(power) is float and power.hex() == formula().hex()
 
+    def test_the_model_is_asked_once_per_busy_core_count(self):
+        model = _CubicModel(50.0, 90.0)
+        node = Node(make_spec(cores=3), power_model=model)
+        assert model.calls == 4
+        for _ in range(3):
+            node.acquire_core()
+            node.current_power()
+        assert model.calls == 4
+
+    def test_equal_linear_models_share_one_table(self):
+        first, second = Node(taurus_spec(0)), Node(taurus_spec(1))
+        assert first._on_power is second._on_power
+        assert Node(orion_spec())._on_power is not first._on_power
+        three, four = Node(make_spec(cores=3)), Node(make_spec(cores=4))
+        assert (len(three._on_power), len(four._on_power)) == (4, 5)
+        assert Node(taurus_spec(), power_model=_CubicModel(1.0, 2.0))._on_power is not (
+            Node(taurus_spec(), power_model=_CubicModel(1.0, 2.0))._on_power
+        )
+
+    def test_zero_and_negative_zero_models_stay_apart(self):
+        plus = Node(make_spec(cores=2, idle_power=0.0, peak_power=0.0))
+        minus = Node(make_spec(cores=2), power_model=LinearPowerModel(idle=-0.0, peak=-0.0))
+        assert plus._on_power is not minus._on_power
+        assert [power.hex() for power in minus._on_power] == [
+            LinearPowerModel(idle=-0.0, peak=-0.0).power_at(busy / 2).hex() for busy in range(3)
+        ]
 
 class TestTaskDuration:
     def test_duration_is_flop_over_rate(self, node, spec):

@@ -19,6 +19,7 @@ from repro.core.greenperf import IncrementalGreenPerfOrder
 from repro.core.policies import PowerPolicy, policy_by_name
 from repro.infrastructure.node import Node
 from repro.infrastructure.platform import grid5000_placement_platform
+from repro.middleware.agents import build_flat_hierarchy
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.middleware.ranking import ResidentRanking
@@ -148,6 +149,35 @@ class TestDetach:
         assert first.dirty_servers == frozenset()
         assert second.dirty_servers == frozenset({"n-0"})
         assert seds[0]._invalidation_listeners == [second._dirty.add]
+
+    def test_a_second_detach_raises(self):
+        """Removing a listener the SeD does not hold is an error, as on nodes and queues."""
+        seds, ranking, _ = _setup()
+        ranking.detach()
+        with pytest.raises(ValueError):
+            ranking.detach()
+        with pytest.raises(ValueError):
+            seds[0].remove_invalidation_listener(lambda sed: None)
+
+    def test_each_swap_leaves_one_listener_per_live_structure(self):
+        """POWER → GREEN_SCORE → RANDOM → POWER: each retired election unsubscribes."""
+        seds = [
+            ServerDaemon(Node(make_spec(name=f"n-{i}", idle_power=90.0 + i))) for i in range(3)
+        ]
+        master = build_flat_hierarchy(seds, scheduler=PowerPolicy())
+        order = IncrementalGreenPerfOrder(
+            [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
+        )
+        paths = []
+        for policy in ("POWER", "GREEN_SCORE", "RANDOM", "POWER"):
+            master.set_scheduler(policy_by_name(policy))
+            master.submit(_request())
+            paths.append(master.election_path)
+            for sed in seds:
+                assert sed._invalidation_listeners == [
+                    order._dirty.add, master._election._dirty.add
+                ]
+        assert paths == ["resident", "flat", "replay", "resident"]
 
 
 def _simulation():
