@@ -602,6 +602,8 @@ def _cmd_trace_stats(args: argparse.Namespace) -> str:
 
 
 def _cmd_trace_inspect(args: argparse.Namespace) -> str:
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
     fmt = _trace_format(args.file, args.format)
     lines = [f"Trace — {args.file} ({fmt})"]
     if fmt == "swf":
@@ -609,7 +611,7 @@ def _cmd_trace_inspect(args: argparse.Namespace) -> str:
             header = read_swf_header(args.file)
             jobs = []
             for job in parse_swf(args.file):
-                if len(jobs) >= max(0, args.jobs):
+                if len(jobs) >= args.jobs:
                     break
                 jobs.append(job)
         except OSError as error:

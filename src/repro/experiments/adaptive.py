@@ -70,26 +70,20 @@ ADAPTIVE_WORKLOAD_PRESETS: Mapping[str, Mapping[str, float]] = {
 }
 
 
-def default_adaptive_timeline(*, minute: float = _MINUTE) -> EventTimeline:
+def default_adaptive_timeline() -> EventTimeline:
     """The Figure 9 scenario as a declarative timeline.
 
-    Loaded from the bundled ``repro/scenario/data/figure9.toml`` — the
-    canonical source of the quartet — with event times rescaled when a
-    non-standard ``minute`` is requested (the file is authored on the
-    real 60-second minute).
+    Loaded from the bundled ``repro/scenario/data/figure9.toml``, the
+    canonical source of the quartet:
+
+    >>> for event in default_adaptive_timeline():
+    ...     print(f"{event.kind:<17} t + {event.time / 60:g} min")
+    tariff_change     t + 60 min
+    tariff_change     t + 100 min
+    thermal_excursion t + 160 min
+    thermal_excursion t + 240 min
     """
-    timeline = bundled_timeline("figure9")
-    if minute == _MINUTE:
-        return timeline
-    scale = minute / _MINUTE
-    return EventTimeline(
-        dataclasses.replace(event, time=event.time * scale) for event in timeline
-    )
-
-
-def default_adaptive_events(*, minute: float = _MINUTE) -> tuple[EnergyEvent, ...]:
-    """The four events of Figure 9, expressed on the simulation clock."""
-    return default_adaptive_timeline(minute=minute).energy_events()
+    return bundled_timeline("figure9")
 
 
 @dataclass(frozen=True)
@@ -99,10 +93,9 @@ class AdaptiveExperimentConfig:
     The defaults replay the paper's 260-minute scenario; tests shrink the
     duration and task size to keep runtimes low.
 
-    The scenario's events come from ``timeline`` when one is given;
-    otherwise from the legacy ``events`` tuple (defaulting to the bundled
-    Figure 9 quartet).  A timeline may carry node failures/recoveries and
-    workload bursts in addition to the tariff/thermal events — see
+    The scenario's events come from ``timeline``, the bundled Figure 9
+    quartet by default.  A timeline may carry node failures/recoveries
+    and workload bursts in addition to the tariff/thermal events — see
     ``docs/SCENARIOS.md``.
 
     When ``trace_path`` is set, the closed-loop capacity client is
@@ -120,8 +113,7 @@ class AdaptiveExperimentConfig:
     task_flop: float = 6.9e11
     client_tick: float = 60.0
     sample_period: float = 5.0
-    events: tuple[EnergyEvent, ...] = field(default_factory=default_adaptive_events)
-    timeline: EventTimeline | None = None
+    timeline: EventTimeline = field(default_factory=default_adaptive_timeline)
     manage_power: bool = True
     base_temperature: float = 21.0
     requeue_on_failure: bool = True
@@ -137,12 +129,6 @@ class AdaptiveExperimentConfig:
             raise ValueError(
                 f"nodes_per_cluster must be >= 1, got {self.nodes_per_cluster}"
             )
-
-    def effective_timeline(self) -> EventTimeline:
-        """The timeline driving the run: ``timeline``, or ``events`` wrapped."""
-        if self.timeline is not None:
-            return self.timeline
-        return EventTimeline.from_energy_events(self.events)
 
 
 @dataclass(frozen=True)
@@ -247,7 +233,6 @@ def adaptive_sweep(
 def adaptive_session(
     config: AdaptiveExperimentConfig | None = None,
     *,
-    energy_mode: str = "quantized",
     trace_level: str = "full",
 ) -> LabSession:
     """The adaptive experiment as a composable lab session.
@@ -275,9 +260,8 @@ def adaptive_session(
             ramp_down_step=config.ramp_down_step,
             manage_power=config.manage_power,
         ),
-        timeline=config.effective_timeline(),
+        timeline=config.timeline,
         horizon=config.duration,
-        energy_mode=energy_mode,
         trace_level=trace_level,
         sample_period=config.sample_period,
         base_temperature=config.base_temperature,
@@ -288,12 +272,11 @@ def adaptive_session(
 def run_adaptive_experiment(
     config: AdaptiveExperimentConfig | None = None,
     *,
-    energy_mode: str = "quantized",
     trace_level: str = "full",
 ) -> AdaptiveExperimentResult:
     """Run the Figure 9 scenario and return its time series.
 
-    ``energy_mode`` and ``trace_level`` forward to
+    ``trace_level`` forwards to
     :class:`~repro.middleware.driver.MiddlewareSimulation`; sweep workers
     run with ``trace_level="off"`` (the planner's own low-frequency
     status-check records are kept either way — the result reads none of
@@ -303,9 +286,7 @@ def run_adaptive_experiment(
     :mod:`repro.lab` path); the golden suite pins this path to the exact
     bits of the pre-lab implementation.
     """
-    session = adaptive_session(
-        config, energy_mode=energy_mode, trace_level=trace_level
-    )
+    session = adaptive_session(config, trace_level=trace_level)
     lab = session.run()
     return AdaptiveExperimentResult(
         candidate_series=lab.candidate_series,

@@ -33,13 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.infrastructure.node import NodeSpec
-from repro.lab.components import (
-    PlatformSource,
-    PolicySource,
-    WorkloadSource,
-    server_type_specs,
-)
+from repro.lab.components import PlatformSource, PolicySource, WorkloadSource
 from repro.lab.session import LabSession
 from repro.runner.executor import run_scenarios
 from repro.runner.spec import ScenarioSpec, SweepSpec
@@ -171,15 +165,6 @@ class HeterogeneityResult:
         """Whether GreenPerf achieves the best trade-off score of the three."""
         scores = {name: self.tradeoff_score(name) for name in self.points}
         return scores["GREENPERF"] <= min(scores.values()) + 1e-9
-
-
-def heterogeneity_server_specs(kinds: int) -> tuple[NodeSpec, ...]:
-    """The single-task server specs of one scenario.
-
-    ``kinds=2`` uses the Orion and Taurus types of Table I; ``kinds=4``
-    adds the Sim1 and Sim2 types of Table III.
-    """
-    return server_type_specs(kinds)
 
 
 def heterogeneity_session(

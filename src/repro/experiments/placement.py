@@ -33,7 +33,6 @@ def placement_session(
     policy: str,
     config: PlacementExperimentConfig | None = None,
     *,
-    energy_mode: str = "quantized",
     trace_level: str = "full",
     timeline=None,
     horizon: float | None = None,
@@ -67,7 +66,6 @@ def placement_session(
         policy=policy_source,
         timeline=timeline,
         horizon=horizon,
-        energy_mode=energy_mode,
         trace_level=trace_level,
         sample_period=config.sample_period,
     )
@@ -77,7 +75,6 @@ def run_placement_experiment(
     policy: str,
     config: PlacementExperimentConfig | None = None,
     *,
-    energy_mode: str = "quantized",
     trace_level: str = "full",
     **policy_kwargs,
 ) -> SimulationResult:
@@ -86,7 +83,7 @@ def run_placement_experiment(
     ``policy`` is one of ``"POWER"``, ``"PERFORMANCE"``, ``"RANDOM"``,
     ``"GREENPERF"`` or ``"GREEN_SCORE"`` (case-insensitive);
     ``policy_kwargs`` are forwarded to the policy constructor (e.g.
-    ``seed=`` for RANDOM).  ``energy_mode`` and ``trace_level`` forward to
+    ``seed=`` for RANDOM).  ``trace_level`` forwards to
     :class:`~repro.middleware.driver.MiddlewareSimulation` — sweep workers
     run with ``trace_level="off"`` since nothing reads per-task trace
     events there.
@@ -96,11 +93,7 @@ def run_placement_experiment(
     capped horizons — are available on the session directly.
     """
     session = placement_session(
-        policy,
-        config,
-        energy_mode=energy_mode,
-        trace_level=trace_level,
-        **policy_kwargs,
+        policy, config, trace_level=trace_level, **policy_kwargs
     )
     return session.run().simulation
 

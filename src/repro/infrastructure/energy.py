@@ -37,23 +37,24 @@ A two-node log, queried per node and per 2-second window:
 >>> windowed_power(log, window=2.0, duration=4.0)
 ((2.0, 150.0), (4.0, 250.0))
 
-Integration modes
------------------
-``mode="quantized"`` (the default) reproduces the seed wattmeter's
-left-Riemann 1 Hz semantics *exactly*: a segment ``(t0, t1]`` contributes
-``watts × sample_period`` for every sampling instant ``t`` with
-``t0 < t <= t1`` (the instant at a transition time reads the power in
-effect *before* the transition, exactly like a polling meter advanced
-to the event's time before the event fires).  Tick counts come from
-floor arithmetic — O(1) per segment — so the per-figure numbers match
-the polling meter bit-for-bit whenever the sample period is exactly
+Integration
+-----------
+The log reproduces the seed wattmeter's left-Riemann 1 Hz semantics
+*exactly*: a segment ``(t0, t1]`` contributes ``watts × sample_period``
+for every sampling instant ``t`` with ``t0 < t <= t1`` (the instant at a
+transition time reads the power in effect *before* the transition,
+exactly like a polling meter advanced to the event's time before the
+event fires).  This is the reading of the paper's Grid'5000 wattmeters,
+which sample every node at 1 Hz.  Tick counts come from floor
+arithmetic — O(1) per segment — so the per-figure numbers match the
+polling meter bit-for-bit whenever the sample period is exactly
 representable in binary floating point (integers and dyadic rationals
 such as 0.5; the experiments use 1 s, 5 s and 10 s).
 
-``mode="exact"`` integrates analytically: a segment contributes
-``watts × (t1 - t0)``.  This is the physically exact energy of the
-piecewise-constant power model.  Segments still count their sampling
-instants, so windowed platform power reads the same grid in both modes.
+Every segment keeps its ``start``, ``end`` and ``watts``, so the
+analytic energy of the piecewise-constant power model (``watts ×
+duration`` summed over :meth:`SegmentEnergyLog.segments`) is always
+recoverable; the tests use it as an oracle (``tests/wattmeter.py``).
 
 One deliberate fidelity improvement over the seed: the seed's driver
 advanced its polling meter only on task and fault events, so a
@@ -72,10 +73,6 @@ from repro.util.validation import ensure_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.infrastructure.node import Node
-
-#: Valid integration modes of :class:`SegmentEnergyLog` / :class:`EnergyAccountant`
-#: (also the driver's :data:`repro.middleware.driver.ENERGY_MODES`).
-SEGMENT_MODES = ("quantized", "exact")
 
 
 class EnergyReadout(Protocol):
@@ -136,18 +133,9 @@ class SegmentEnergyLog:
     only that node's data, never a scan of every node's.
     """
 
-    def __init__(
-        self,
-        sample_period: float = 1.0,
-        *,
-        mode: str = "quantized",
-        start_time: float = 0.0,
-    ) -> None:
+    def __init__(self, sample_period: float = 1.0, *, start_time: float = 0.0) -> None:
         ensure_positive(sample_period, "sample_period")
-        if mode not in SEGMENT_MODES:
-            raise ValueError(f"mode must be one of {SEGMENT_MODES}, got {mode!r}")
         self.sample_period = sample_period
-        self.mode = mode
         self.start_time = start_time
         #: Per-node segment lists, in registration order (the order
         #: platform power sums nodes in).
@@ -179,7 +167,8 @@ class SegmentEnergyLog:
         instant since the last accounted one to the incoming segment; a
         gap would silently book its instants at the wrong power.  A
         segment whose power equals the previous one is merged into it.
-        The node's energy is updated according to the log's mode.
+        The node's energy grows by ``watts × sample_period`` per sampling
+        instant the segment covers.
         """
         if end < start:
             raise ValueError(f"segment for {node!r} ends before it starts: {end} < {start}")
@@ -201,12 +190,9 @@ class SegmentEnergyLog:
         ticks = (
             0 if end < origin else math.floor((end - origin) / self.sample_period) + 1
         ) - counted
-        if self.mode == "quantized":
-            joules = watts * self.sample_period * ticks
-        else:
-            joules = watts * (end - start)
         if ticks == 0 and end == start:
             return  # zero-measure: no tick, no duration, nothing to record
+        joules = watts * self.sample_period * ticks
         self._ticks_by_node[node] = counted + ticks
         self._energy_by_node[node] += joules
         self._energy_by_cluster[cluster] += joules
@@ -281,12 +267,11 @@ class EnergyAccountant:
         nodes: Iterable["Node"],
         *,
         clock: Callable[[], float],
-        mode: str = "quantized",
         sample_period: float = 1.0,
         start_time: float = 0.0,
         phase_timer=None,
     ) -> None:
-        self.log = SegmentEnergyLog(sample_period, mode=mode, start_time=start_time)
+        self.log = SegmentEnergyLog(sample_period, start_time=start_time)
         self._clock = clock
         #: Optional :class:`~repro.util.phases.PhaseTimer` booking segment
         #: bookkeeping to the "energy" phase on profiled runs.
@@ -301,13 +286,8 @@ class EnergyAccountant:
         self._closed = False
 
     @property
-    def mode(self) -> str:
-        """Integration mode of the backing log."""
-        return self.log.mode
-
-    @property
     def sample_period(self) -> float:
-        """Sampling period of the quantized rendering (s)."""
+        """Sampling period of the backing log (s)."""
         return self.log.sample_period
 
     @property

@@ -3,7 +3,7 @@
 A :class:`LabSession` is built from orthogonal components
 (:mod:`repro.lab.components`): platform source × workload source ×
 scheduling policy × optional provisioning × optional event timeline ×
-energy/trace modes.  :meth:`LabSession.validate` checks the combination
+trace level.  :meth:`LabSession.validate` checks the combination
 once; :meth:`LabSession.run` assembles hierarchy, driver and scenario
 application in one place and returns a uniform
 :class:`~repro.lab.observe.LabResult`.
@@ -64,7 +64,7 @@ from repro.lab.observe import (
     series_value_at,
     windowed_power,
 )
-from repro.middleware.driver import ENERGY_MODES, TRACE_LEVELS, MiddlewareSimulation
+from repro.middleware.driver import TRACE_LEVELS, MiddlewareSimulation
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.hierarchy import build_hierarchy
 from repro.middleware.plugin_scheduler import CandidateEntry
@@ -97,7 +97,6 @@ class LabSession:
     provisioning: ProvisioningSource | None = None
     timeline: TimelineLike = None
     horizon: float | None = None
-    energy_mode: str = "quantized"
     trace_level: str = "full"
     sample_period: float = 1.0
     base_temperature: float = 21.0
@@ -133,10 +132,6 @@ class LabSession:
 
         Returns ``self`` so construction and validation chain.
         """
-        if self.energy_mode not in ENERGY_MODES:
-            raise LabError(
-                f"energy_mode must be one of {ENERGY_MODES}, got {self.energy_mode!r}"
-            )
         if self.trace_level not in TRACE_LEVELS:
             raise LabError(
                 f"trace_level must be one of {TRACE_LEVELS}, got {self.trace_level!r}"
@@ -265,7 +260,6 @@ class LabSession:
             platform=self.platform,
             policy=self.policy,
             timeline=self._resolved_timeline,
-            energy_mode=self.energy_mode,
             trace_level=self.trace_level,
             base_temperature=self.base_temperature,
             requeue_on_failure=self.requeue_on_failure,
@@ -310,7 +304,6 @@ class LabSession:
             seds,
             sample_period=self.sample_period,
             policy_name=scheduler.name,
-            energy_mode=self.energy_mode,
             trace_level=self.trace_level,
         )
 

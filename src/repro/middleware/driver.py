@@ -19,20 +19,14 @@ scheduling pipeline of the paper:
   integrates every node's piecewise-constant power into the ground-truth
   energy figures reported in Table II and Figure 5.
 
-Energy accounting modes
------------------------
-``energy_mode`` selects how platform energy is measured:
-
-``"quantized"`` (default)
-    Segment-based accounting that reproduces the seed wattmeter's 1 Hz
-    left-Riemann figures exactly, in O(state-changes) time and memory.
-``"exact"``
-    Analytic integration of the piecewise-constant power (no sampling
-    error), also O(state-changes).
-
-Every simulation has an accountant.  Tests check its quantized figures
-against a 1 Hz polling meter (``tests/wattmeter.py``) advanced beside a
-stepped engine.
+Energy accounting
+-----------------
+Every simulation has an accountant.  Its segment log reproduces the
+seed wattmeter's 1 Hz left-Riemann figures exactly (the reading of the
+paper's Grid'5000 wattmeters), in O(state-changes) time and memory.
+Tests check those figures against a 1 Hz polling meter
+(``tests/wattmeter.py``) advanced beside a stepped engine, and against
+the analytic integral of the logged segments.
 
 Tracing
 -------
@@ -57,7 +51,7 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.infrastructure.energy import SEGMENT_MODES, EnergyAccountant, SegmentEnergyLog
+from repro.infrastructure.energy import EnergyAccountant, SegmentEnergyLog
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import Platform
 from repro.middleware.agents import MasterAgent
@@ -69,9 +63,6 @@ from repro.simulation.metrics import ExperimentMetrics, MetricsCollector
 from repro.simulation.task import Task, TaskExecution, TaskState
 from repro.simulation.trace import ExecutionTrace
 from repro.util import phases
-
-#: Valid values of ``MiddlewareSimulation(energy_mode=...)``.
-ENERGY_MODES = SEGMENT_MODES
 
 #: Valid values of ``MiddlewareSimulation(trace_level=...)``.
 TRACE_LEVELS = ("full", "off")
@@ -111,14 +102,9 @@ class MiddlewareSimulation:
         *,
         sample_period: float = 1.0,
         policy_name: str | None = None,
-        energy_mode: str = "quantized",
         trace_level: str = "full",
         phase_timer: "phases.PhaseTimer | None" = None,
     ) -> None:
-        if energy_mode not in ENERGY_MODES:
-            raise ValueError(
-                f"energy_mode must be one of {ENERGY_MODES}, got {energy_mode!r}"
-            )
         if trace_level not in TRACE_LEVELS:
             raise ValueError(
                 f"trace_level must be one of {TRACE_LEVELS}, got {trace_level!r}"
@@ -147,7 +133,6 @@ class MiddlewareSimulation:
             platform.nodes,
             # ``engine.now`` without a lambda frame per transition.
             clock=functools.partial(getattr, self.engine, "now"),
-            mode=energy_mode,
             sample_period=sample_period,
             phase_timer=self.phase_timer,
         )

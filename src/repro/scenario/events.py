@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.events import ElectricityCostEvent, EnergyEvent, TemperatureEvent
 from repro.util.validation import ensure_non_negative, ensure_positive
@@ -330,18 +330,6 @@ class EventTimeline:
         """Workload bursts in chronological order."""
         return tuple(e for e in self._events if isinstance(e, WorkloadBurst))
 
-    def energy_events(self) -> tuple[EnergyEvent, ...]:
-        """The tariff/thermal subset — what the Figure 9 quartet expressed.
-
-        This is the view handed to consumers of the legacy
-        ``AdaptiveExperimentConfig.events`` contract.
-        """
-        return tuple(
-            e
-            for e in self._events
-            if isinstance(e, (ElectricityCostEvent, TemperatureEvent))
-        )
-
     def arrival_multiplier(self, now: float) -> float:
         """Product of the factors of every burst active at ``now``.
 
@@ -385,31 +373,6 @@ class EventTimeline:
     def from_mappings(cls, mappings: Iterable[Mapping[str, object]]) -> "EventTimeline":
         """Build a timeline from ``kind``-discriminated event mappings."""
         return cls(event_from_mapping(mapping) for mapping in mappings)
-
-    @classmethod
-    def from_energy_events(cls, events: Sequence[EnergyEvent]) -> "EventTimeline":
-        """Wrap plain :mod:`repro.core.events` instances in a timeline.
-
-        Core events are upgraded to their serialisable timeline
-        subclasses, preserving time, value and the scheduled flag.
-        """
-        upgraded: list[EnergyEvent] = []
-        for event in events:
-            if isinstance(event, (ElectricityCostEvent, TemperatureEvent)) and not (
-                isinstance(event, (TariffChange, ThermalExcursion))
-            ):
-                if isinstance(event, ElectricityCostEvent):
-                    event = TariffChange(
-                        time=event.time, cost=event.cost, scheduled=event.scheduled
-                    )
-                else:
-                    event = ThermalExcursion(
-                        time=event.time,
-                        temperature=event.temperature,
-                        scheduled=event.scheduled,
-                    )
-            upgraded.append(event)
-        return cls(upgraded)
 
     def content_hash(self) -> str:
         """Deterministic SHA-256 of the timeline content.

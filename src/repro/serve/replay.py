@@ -82,6 +82,8 @@ def load_trace_tasks(
     """
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     base = tuple(TraceWorkload.from_file(path).generate())
     tasks: list[Task] = list(base)
     if repeat > 1 and base:

@@ -85,7 +85,6 @@ class ServeState:
         platform: PlatformSource | None = None,
         policy: PolicySource | None = None,
         timeline: TimelineLike = None,
-        energy_mode: str = "quantized",
         trace_level: str = "full",
         base_temperature: float = 21.0,
         requeue_on_failure: bool = True,
@@ -114,7 +113,6 @@ class ServeState:
             master,
             seds,
             policy_name=scheduler.name,
-            energy_mode=energy_mode,
             trace_level=trace_level,
         )
         resolved = resolve_timeline(timeline)

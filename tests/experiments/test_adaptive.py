@@ -7,11 +7,9 @@ shortened scenario that still hits every event type.
 import pytest
 
 from repro.core.events import ElectricityCostEvent, TemperatureEvent
-from repro.experiments.adaptive import (
-    AdaptiveExperimentConfig,
-    default_adaptive_events,
-    run_adaptive_experiment,
-)
+from repro.experiments.adaptive import AdaptiveExperimentConfig, run_adaptive_experiment
+from repro.scenario.events import EventTimeline, TariffChange, ThermalExcursion
+from repro.scenario.io import bundled_timeline
 
 _MIN = 60.0
 
@@ -22,15 +20,15 @@ SHORT = AdaptiveExperimentConfig(
     task_flop=2.0e11,
     client_tick=120.0,
     sample_period=30.0,
-    events=(
+    timeline=EventTimeline([
         # Event times leave the first check (t=0, look-ahead 20 min) on the
         # regular tariff and give the heat excursion three checks to ramp
         # the pool all the way down to 2 nodes.
-        ElectricityCostEvent(time=25 * _MIN, cost=0.8, scheduled=True),
-        ElectricityCostEvent(time=35 * _MIN, cost=0.5, scheduled=True),
-        TemperatureEvent(time=45 * _MIN, temperature=30.0, scheduled=False),
-        TemperatureEvent(time=75 * _MIN, temperature=22.0, scheduled=False),
-    ),
+        TariffChange(time=25 * _MIN, cost=0.8, scheduled=True),
+        TariffChange(time=35 * _MIN, cost=0.5, scheduled=True),
+        ThermalExcursion(time=45 * _MIN, temperature=30.0, scheduled=False),
+        ThermalExcursion(time=75 * _MIN, temperature=22.0, scheduled=False),
+    ]),
 )
 
 
@@ -41,7 +39,7 @@ def result():
 
 class TestDefaultScenario:
     def test_default_events_match_paper(self):
-        events = default_adaptive_events()
+        events = AdaptiveExperimentConfig().timeline.events
         assert len(events) == 4
         costs = [e for e in events if isinstance(e, ElectricityCostEvent)]
         temps = [e for e in events if isinstance(e, TemperatureEvent)]
@@ -50,6 +48,9 @@ class TestDefaultScenario:
         assert all(not t.scheduled for t in temps)
         assert temps[0].temperature > 25.0
         assert temps[1].temperature < 25.0
+
+    def test_default_timeline_is_the_bundled_figure9(self):
+        assert AdaptiveExperimentConfig().timeline == bundled_timeline("figure9")
 
     def test_default_config_covers_260_minutes(self):
         config = AdaptiveExperimentConfig()

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.experiments.analysis import (
-    RunStatistics,
     energy_delay_product,
     random_policy_spread,
     relative_change,

@@ -4,12 +4,10 @@ import pytest
 
 from repro.experiments.greenperf_eval import (
     DEFAULT_TASK_FLOP,
-    HeterogeneityResult,
-    MetricPoint,
     RandomArea,
-    heterogeneity_server_specs,
     run_heterogeneity_experiment,
 )
+from repro.lab.components import server_type_specs
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +22,16 @@ def high_heterogeneity():
 
 class TestServerSpecs:
     def test_two_kinds_are_orion_and_taurus(self):
-        specs = heterogeneity_server_specs(2)
+        specs = server_type_specs(2)
         assert [spec.cluster for spec in specs] == ["orion", "taurus"]
 
     def test_four_kinds_add_table3_clusters(self):
-        specs = heterogeneity_server_specs(4)
+        specs = server_type_specs(4)
         assert [spec.cluster for spec in specs] == ["orion", "taurus", "sim1", "sim2"]
 
     def test_invalid_kinds_rejected(self):
         with pytest.raises(ValueError):
-            heterogeneity_server_specs(1)
+            server_type_specs(1)
 
 
 class TestExperimentStructure:

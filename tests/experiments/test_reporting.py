@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.adaptive import run_adaptive_experiment, AdaptiveExperimentConfig
-from repro.core.events import ElectricityCostEvent
 from repro.experiments.greenperf_eval import run_heterogeneity_experiment
 from repro.experiments.placement import run_policy_comparison
 from repro.experiments.presets import PlacementExperimentConfig
@@ -14,6 +13,7 @@ from repro.experiments.reporting import (
     format_table2,
     format_task_distribution,
 )
+from repro.scenario.events import EventTimeline, TariffChange
 
 SMALL = PlacementExperimentConfig(
     nodes_per_cluster=1, requests_per_core=1, task_flop=2.0e10, sample_period=5.0
@@ -62,7 +62,7 @@ class TestAdaptiveReport:
             task_flop=2e11,
             client_tick=300.0,
             sample_period=60.0,
-            events=(ElectricityCostEvent(time=600.0, cost=0.5),),
+            timeline=EventTimeline([TariffChange(time=600.0, cost=0.5)]),
         )
         result = run_adaptive_experiment(config)
         text = format_adaptive_series(result)

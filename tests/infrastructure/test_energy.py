@@ -1,6 +1,6 @@
 """Tests for the event-driven energy accounting (segments + accountant).
 
-The quantized mode's contract is *tick-exact equivalence* with the seed
+The log's contract is *tick-exact equivalence* with the seed
 polling wattmeter: a segment ``(t0, t1]`` owns exactly the sampling
 instants the wattmeter would have attributed to that power level.  The
 tick-arithmetic tests below pin the boundary behaviour (instant at a
@@ -18,7 +18,7 @@ from repro.infrastructure.energy import (
 )
 from repro.infrastructure.node import Node, NodeState
 from tests.conftest import make_spec
-from tests.wattmeter import Wattmeter, power_trace
+from tests.wattmeter import Wattmeter, analytic_energy, power_trace
 
 
 def make_node(name="a-0", cluster="a", idle=100.0, peak=200.0, **kwargs):
@@ -83,13 +83,11 @@ class TestTickArithmetic:
         assert log.tick_count("n") == 4  # + t = 1.5 at the new power
         assert log.energy_of_node("n") == pytest.approx(3 * 80.0 * 0.5 + 40.0 * 0.5)
 
-    def test_exact_mode_integrates_analytically(self):
-        log = SegmentEnergyLog(sample_period=1.0, mode="exact")
+    def test_segments_keep_the_analytic_integral(self):
+        log = SegmentEnergyLog(sample_period=1.0)
         log.add_segment("n", "c", 0.0, 2.5, 100.0)
-        assert log.total_energy == pytest.approx(250.0)
-        quantized = SegmentEnergyLog(sample_period=1.0)
-        quantized.add_segment("n", "c", 0.0, 2.5, 100.0)
-        assert quantized.total_energy == pytest.approx(300.0)  # ticks 0, 1, 2
+        assert log.total_energy == pytest.approx(300.0)  # ticks 0, 1, 2
+        assert analytic_energy(log) == pytest.approx(250.0)
 
     def test_adjacent_same_power_segments_merge(self):
         log = SegmentEnergyLog(sample_period=1.0)
@@ -129,7 +127,9 @@ class TestTickArithmetic:
         with pytest.raises(ValueError):
             SegmentEnergyLog(sample_period=0.0)
         with pytest.raises(ValueError):
-            SegmentEnergyLog(mode="nope")
+            SegmentEnergyLog(sample_period=-1.0)
+        with pytest.raises(TypeError):  # one integration: there is no mode
+            SegmentEnergyLog(mode="exact")
 
 
 class TestSegmentLogQueries:
@@ -279,23 +279,26 @@ class TestEnergyAccountant:
         with pytest.raises(RuntimeError, match="closed"):
             accountant.sync(20.0)
 
-    def test_exact_mode_energy_is_analytic(self):
+    def test_logged_segments_integrate_analytically(self):
         node = make_node()
         clock = FakeClock()
-        accountant = EnergyAccountant([node], clock=clock, mode="exact")
+        accountant = EnergyAccountant([node], clock=clock)
         clock.now = 2.5
         for _ in range(node.spec.cores):
             node.acquire_core()
         accountant.sync(4.0)
-        assert accountant.log.energy_of_node("a-0") == pytest.approx(
+        assert analytic_energy(accountant.log) == pytest.approx(
             2.5 * 100.0 + 1.5 * 200.0
         )
+        # The 1 Hz reading books t = 0, 1, 2 at idle and t = 3, 4 at peak.
+        assert accountant.log.energy_of_node("a-0") == pytest.approx(
+            3 * 100.0 + 2 * 200.0
+        )
 
-    def test_monitored_nodes_and_mode_exposed(self):
+    def test_monitored_nodes_and_period_exposed(self):
         node = make_node()
         accountant = EnergyAccountant([node], clock=FakeClock(), sample_period=2.0)
         assert accountant.monitored_nodes == (node,)
-        assert accountant.mode == "quantized"
         assert accountant.sample_period == 2.0
 
 

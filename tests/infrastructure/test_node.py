@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.infrastructure.node import Node, NodeSpec, NodeState
+from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import orion_spec, sagittaire_spec, taurus_spec
 from repro.infrastructure.power_model import LinearPowerModel, PowerModel
 from tests.conftest import make_spec

@@ -11,7 +11,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.infrastructure.energy import SEGMENT_MODES, SegmentEnergyLog
+from repro.infrastructure.energy import SegmentEnergyLog
 from repro.lab.observe import windowed_power
 from tests.wattmeter import reference_windowed_power
 
@@ -28,7 +28,6 @@ segments_strategy = st.lists(
 
 log_strategy = st.fixed_dictionaries(
     {
-        "mode": st.sampled_from(SEGMENT_MODES),
         "sample_period": st.sampled_from([0.5, 1.0, 5.0, 10.0]),
         "start_time": st.sampled_from([0.0, 3.0]),
         # Zero nodes is the empty log; a node with no segments is silent.
@@ -42,8 +41,8 @@ window_strategy = st.one_of(
 )
 
 
-def build_log(mode, sample_period, start_time, nodes) -> SegmentEnergyLog:
-    log = SegmentEnergyLog(sample_period, mode=mode, start_time=start_time)
+def build_log(sample_period, start_time, nodes) -> SegmentEnergyLog:
+    log = SegmentEnergyLog(sample_period, start_time=start_time)
     for index, segments in enumerate(nodes):
         name = f"n{index}"
         log.register_node(name, f"c{index % 2}")
@@ -75,7 +74,7 @@ class TestMatchesPerSecondRendering:
 
     def test_ragged_nodes_with_a_silent_one(self):
         log = build_log(
-            "quantized", 1.0, 0.0,
+            1.0, 0.0,
             [[(2.0, 10.0), (5.0, 30.0)], [], [(3.5, 7.0)]],
         )
         series = windowed_power(log, window=4.0, duration=20.0)

@@ -74,17 +74,6 @@ class TestValidation:
         with pytest.raises(LabError, match="point-load"):
             session.validate()
 
-    def test_unknown_energy_mode_rejected(self):
-        # The retired "polling" and "off" modes fail like any unknown one.
-        for mode in ("nope", "polling", "off"):
-            session = LabSession(
-                platform=PlatformSource.table1(1),
-                workload=WorkloadSource.from_generator(_tiny_generator()),
-                energy_mode=mode,
-            )
-            with pytest.raises(LabError, match="energy_mode"):
-                session.validate()
-
     def test_point_study_rejects_horizon(self):
         session = LabSession(
             platform=PlatformSource.server_types(2),

@@ -1,7 +1,5 @@
 """Tests for the middleware simulation driver."""
 
-import re
-
 import pytest
 
 from repro.core.policies import PerformancePolicy, PowerPolicy
@@ -12,6 +10,7 @@ from repro.simulation.task import Task, TaskState
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.generator import BurstThenContinuousWorkload
 from tests.conftest import run_beside_meter
+from tests.wattmeter import analytic_energy
 
 
 def make_simulation(policy=None, nodes_per_cluster=1, **kwargs):
@@ -117,15 +116,12 @@ class TestWorkloadExecution:
             node.name for node in simulation.platform.nodes
         }
 
-    def test_energy_modes_agree_on_figures(self):
-        """Quantized segments reproduce the polling figures; exact is close."""
+    def test_energy_figures_match_polling_and_analytic(self):
+        """Segments reproduce the polling figures; the analytic integral is close."""
         tasks = [Task(flop=2.3e10), Task(flop=1.15e10, arrival_time=3.0)]
-        simulation = make_simulation(energy_mode="quantized")
+        simulation = make_simulation()
         simulation.submit_workload(list(tasks))
         quantized, polled_log = run_beside_meter(simulation)
-        simulation = make_simulation(energy_mode="exact")
-        simulation.submit_workload(list(tasks))
-        exact = simulation.run()
         assert quantized.total_energy == pytest.approx(
             polled_log.total_energy, rel=1e-12
         )
@@ -136,14 +132,10 @@ class TestWorkloadExecution:
         # short two-task run the two renderings differ by at most a few
         # platform-peak-seconds (one per transition, plus the t=0 instant).
         peak = sum(n.spec.peak_power for n in simulation.platform.nodes)
-        assert abs(exact.total_energy - quantized.total_energy) <= peak * 6
+        exact = analytic_energy(simulation.energy_log)
+        assert abs(exact - quantized.total_energy) <= peak * 6
 
-    def test_invalid_energy_mode_and_trace_level_rejected(self):
-        # The retired "polling" and "off" modes fail like any unknown one.
-        valid = re.escape("energy_mode must be one of ('quantized', 'exact')")
-        for mode in ("nope", "polling", "off"):
-            with pytest.raises(ValueError, match=valid):
-                make_simulation(energy_mode=mode)
+    def test_invalid_trace_level_rejected(self):
         with pytest.raises(ValueError, match="trace_level"):
             make_simulation(trace_level="sometimes")
 

@@ -14,16 +14,15 @@ from repro.scenario.events import (
 )
 from repro.simulation.task import Task, TaskState
 from repro.simulation.trace import ExecutionTrace
+from tests.wattmeter import analytic_energy
 
 
-def make_simulation(*, nodes_per_cluster: int = 1, energy_mode: str = "quantized"):
+def make_simulation(*, nodes_per_cluster: int = 1):
     platform = PlacementExperimentConfig(
         nodes_per_cluster=nodes_per_cluster
     ).build_platform()
     master, seds = build_hierarchy(platform)
-    simulation = MiddlewareSimulation(
-        platform, master, seds, energy_mode=energy_mode
-    )
+    simulation = MiddlewareSimulation(platform, master, seds)
     return platform, simulation
 
 
@@ -217,29 +216,23 @@ class TestNodeFailureInDriver:
         assert failed[0]["node"] == "orion-0"
 
 
-class TestQuantizedExactAgreement:
+class TestQuantizedAnalyticAgreement:
     def test_crash_energy_brackets_quantized(self):
-        """Exact-mode energy stays within one tick of quantized around a crash."""
-        results = {}
-        for mode in ("quantized", "exact"):
-            platform, simulation = make_simulation(energy_mode=mode)
-            simulation.submit_workload(
-                [Task(flop=5e11, arrival_time=float(i)) for i in range(8)]
-            )
-            install_timeline(
-                simulation,
-                EventTimeline([
-                    NodeFailure(time=33.3, node="orion-0"),
-                    NodeRecovery(time=66.6, node="orion-0"),
-                ]),
-            )
-            results[mode] = simulation.run().metrics.total_energy
-        peak = max(
-            node.spec.peak_power
-            for node in PlacementExperimentConfig(nodes_per_cluster=1)
-            .build_platform()
-            .nodes
+        """Analytic energy stays within one tick of quantized around a crash."""
+        platform, simulation = make_simulation()
+        simulation.submit_workload(
+            [Task(flop=5e11, arrival_time=float(i)) for i in range(8)]
         )
+        install_timeline(
+            simulation,
+            EventTimeline([
+                NodeFailure(time=33.3, node="orion-0"),
+                NodeRecovery(time=66.6, node="orion-0"),
+            ]),
+        )
+        quantized = simulation.run().metrics.total_energy
+        exact = analytic_energy(simulation.energy_log)
+        peak = max(node.spec.peak_power for node in platform.nodes)
         # One sample period of the largest node bounds the quantization gap
         # per transition; a handful of transitions happen here.
-        assert abs(results["quantized"] - results["exact"]) <= 10 * peak
+        assert abs(quantized - exact) <= 10 * peak

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.scenario.events import NodeFailure, NodeRecovery
 from repro.scenario.generators import exponential_failures, periodic_tariffs
 
 

@@ -98,9 +98,6 @@ class TestEventTimeline:
         assert [e.kind for e in timeline.thermal_excursions] == ["thermal_excursion"]
         assert [e.kind for e in timeline.node_events] == ["node_failure", "node_recovery"]
         assert [e.kind for e in timeline.bursts] == ["workload_burst"]
-        assert [e.kind for e in timeline.energy_events()] == [
-            "tariff_change", "thermal_excursion",
-        ]
 
     def test_recovery_without_failure_rejected(self):
         with pytest.raises(TimelineError, match="without a preceding"):
@@ -154,18 +151,6 @@ class TestEventTimeline:
         assert len(extended) == 2 and len(base) == 1
         with pytest.raises(TimelineError):
             base.extended([NodeFailure(time=20.0, node="a")])
-
-    def test_from_energy_events_upgrades_core_events(self):
-        timeline = EventTimeline.from_energy_events([
-            ElectricityCostEvent(time=10.0, cost=0.8),
-            TemperatureEvent(time=20.0, temperature=30.0),
-        ])
-        assert isinstance(timeline.events[0], TariffChange)
-        assert isinstance(timeline.events[1], ThermalExcursion)
-        assert timeline.events[0].cost == 0.8
-        assert timeline.events[1].temperature == 30.0
-        # upgrading preserves the scheduled flag
-        assert timeline.events[0].scheduled and not timeline.events[1].scheduled
 
 
 class TestTimelineHashing:

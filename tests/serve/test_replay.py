@@ -17,6 +17,7 @@ class TestLoadTraceTasks:
 
     def test_limit_truncates(self):
         assert len(load_trace_tasks(MINI_SWF, limit=5)) == 5
+        assert load_trace_tasks(MINI_SWF, limit=0) == ()
 
     def test_repeat_shifts_each_cycle(self):
         once = load_trace_tasks(MINI_SWF)
@@ -34,6 +35,11 @@ class TestLoadTraceTasks:
     def test_zero_repeat_rejected(self):
         with pytest.raises(ValueError):
             load_trace_tasks(MINI_SWF, repeat=0)
+
+    def test_negative_limit_rejected(self):
+        # A negative slice bound would silently drop tasks from the end.
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            load_trace_tasks(MINI_SWF, limit=-1)
 
 
 class TestReplayReport:

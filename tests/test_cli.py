@@ -441,6 +441,14 @@ class TestServeReplayCommands:
         assert "no daemon listening" in err
         assert "repro serve" in err
 
+    def test_replay_negative_limit_exits_2_before_connecting(self, capsys):
+        # Port 9 (discard) is never contacted: the count is checked first.
+        argv = ["replay", str(DATA / "mini.swf"), "--port", "9", "--limit", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "limit must be >= 0, got -1" in err
+        assert "no daemon listening" not in err
+
     def test_serve_then_replay_round_trip(self, capsys):
         import socket
         import threading

@@ -152,3 +152,15 @@ class TestInspectFormatting:
     def test_inspect_jobs_zero_shows_no_records(self, capsys):
         assert main(["trace", "inspect", str(FIXTURE), "--jobs", "0"]) == 0
         assert "First 0 job record(s):" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suffix", [".swf", ".csv"])
+    def test_inspect_negative_jobs_exits_2(self, suffix, tmp_path, capsys):
+        trace = FIXTURE
+        if suffix == ".csv":
+            trace = tmp_path / "mini.csv"
+            main(["trace", "convert", str(FIXTURE), str(trace)])
+            capsys.readouterr()
+        assert main(["trace", "inspect", str(trace), "--jobs", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs must be >= 0, got -2" in captured.err

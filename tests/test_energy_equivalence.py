@@ -1,7 +1,7 @@
 """Property tests: segment-based quantized accounting == seed polling wattmeter.
 
 The headline acceptance criterion of the event-driven refactor is that
-``energy_mode="quantized"`` reproduces the polling wattmeter's figures
+the segment log reproduces the polling wattmeter's figures
 *exactly* — total energy, per-node and per-cluster energy, power traces
 and sample counts — on arbitrary platforms and schedules, while doing
 O(state-changes) work instead of O(nodes × seconds).  The wattmeter is
@@ -32,7 +32,7 @@ from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task
 from tests.conftest import run_beside_meter
-from tests.wattmeter import power_trace
+from tests.wattmeter import analytic_energy, power_trace
 
 # -- strategies -----------------------------------------------------------------
 
@@ -84,7 +84,7 @@ def build_platform(cluster_rows) -> Platform:
     return Platform(clusters)
 
 
-def build_simulation(platform, policy_name, rows, *, energy_mode, sample_period):
+def build_simulation(platform, policy_name, rows, *, sample_period):
     kwargs = {"seed": 0} if policy_name == "RANDOM" else {}
     master, seds = build_hierarchy(
         platform, scheduler=policy_by_name(policy_name, **kwargs)
@@ -94,7 +94,6 @@ def build_simulation(platform, policy_name, rows, *, energy_mode, sample_period)
         master,
         seds,
         sample_period=sample_period,
-        energy_mode=energy_mode,
     )
     simulation.submit_workload(
         [Task(flop=flop, arrival_time=arrival) for flop, arrival in rows]
@@ -138,7 +137,7 @@ class TestQuantizedMatchesPolling:
         """Quantized segment accounting == seed polling, bit for bit."""
         segmented = build_simulation(
             build_platform(cluster_rows), policy_name, rows,
-            energy_mode="quantized", sample_period=period,
+            sample_period=period,
         )
         segmented_result, polled_log = run_beside_meter(segmented)
         assert segmented_result.total_energy == polled_log.total_energy
@@ -158,7 +157,7 @@ class TestQuantizedMatchesPolling:
         steps are not dyadic, so energies agree to float rounding)."""
         segmented = build_simulation(
             grid5000_placement_platform(nodes_per_cluster=1), policy_name, rows,
-            energy_mode="quantized", sample_period=1.0,
+            sample_period=1.0,
         )
         segmented_result, polled_log = run_beside_meter(segmented)
         assert segmented_result.total_energy == pytest.approx(
@@ -176,17 +175,14 @@ class TestQuantizedMatchesPolling:
         rows=workload_strategy,
         period=period_strategy,
     )
-    def test_exact_mode_brackets_quantized(self, cluster_rows, rows, period):
+    def test_analytic_energy_brackets_quantized(self, cluster_rows, rows, period):
         """Analytic energy differs from the 1 Hz rendering by at most one
-        sample period's worth of platform peak power."""
-        quantized = build_simulation(
-            build_platform(cluster_rows), "GREENPERF", rows,
-            energy_mode="quantized", sample_period=period,
-        ).run()
-        exact = build_simulation(
-            build_platform(cluster_rows), "GREENPERF", rows,
-            energy_mode="exact", sample_period=period,
-        ).run()
+        sample period's worth of platform peak power per transition."""
+        simulation = build_simulation(
+            build_platform(cluster_rows), "GREENPERF", rows, sample_period=period,
+        )
+        quantized = simulation.run()
+        exact = analytic_energy(simulation.energy_log)
         peak_platform = sum(
             spec["idle"] + spec["extra"]
             for rows_ in cluster_rows
@@ -196,6 +192,6 @@ class TestQuantizedMatchesPolling:
         # partial trailing period, and rounds each power transition to the
         # next instant — each task contributes at most two transitions.
         transitions = 2 * len(rows) + 2
-        assert abs(quantized.total_energy - exact.total_energy) <= (
+        assert abs(quantized.total_energy - exact) <= (
             peak_platform * period * transitions + 1e-6
         )

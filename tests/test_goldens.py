@@ -126,14 +126,12 @@ class TestFigure9Golden:
 
         This is the acceptance proof for the timeline refactor: the
         golden was generated by the inline-event implementation, and the
-        declarative ``figure9.toml`` path must reproduce it exactly in
-        quantized mode.
+        declarative ``figure9.toml`` path must reproduce it exactly.
         """
         result = run_adaptive_experiment(
             adaptive_config_for(
                 workload="quick", timeline=bundled_timeline("figure9")
-            ),
-            energy_mode="quantized",
+            )
         )
         expected = golden["scales"]["quick"]
         assert [

@@ -16,6 +16,9 @@ accounting of :mod:`repro.infrastructure.energy` is checked against:
   masks that rendering once per window — the straightforward
   O(nodes × simulated-seconds) computation that
   :func:`repro.lab.observe.windowed_power` must reproduce bit for bit.
+* :func:`analytic_energy` integrates a segment log's piecewise-constant
+  power exactly (``watts × duration``), the sampling-free energy the 1 Hz
+  reading must stay within one sample per transition of.
 
 Whoever drives the wattmeter calls :meth:`Wattmeter.advance_to` before
 simulated time moves forward, which keeps the sampling independent from
@@ -205,6 +208,11 @@ class Wattmeter:
 
 
 # -- per-second rendering of a segment log --------------------------------------------
+
+
+def analytic_energy(log: SegmentEnergyLog) -> float:
+    """Exact energy of the logged power segments (J), with no sampling."""
+    return sum(segment.watts * segment.duration for segment in log.segments())
 
 
 def node_watts(log: SegmentEnergyLog, node: str) -> np.ndarray:
