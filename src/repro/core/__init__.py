@@ -11,20 +11,17 @@
 * :mod:`repro.core.policies` — the plug-in schedulers compared in the
   evaluation (POWER, PERFORMANCE, RANDOM, GreenPerf, score-based green
   scheduler).
-* :mod:`repro.core.events` — energy-related events (electricity cost
-  changes, heat peaks), scheduled or unexpected.
 * :mod:`repro.core.rules` — the administrator threshold rules mapping the
   platform status to a candidate-node budget.
 * :mod:`repro.core.provisioning` — the provisioning planner: periodic
   status checks, look-ahead on scheduled events, progressive ramp-up/down
   of the candidate set, and integration with the Master Agent.
-* :mod:`repro.core.budget` — budget-constrained scheduling, the extension
-  announced in the paper's conclusion ("future work").
+
+The energy events the planner reacts to (tariff changes, heat peaks) are
+timeline events of :mod:`repro.scenario.events`.
 """
 
-from repro.core.budget import BudgetAwareScheduler, BudgetTracker, EnergyBudget
 from repro.core.candidate_selection import select_candidate_servers
-from repro.core.events import ElectricityCostEvent, EnergyEvent, TemperatureEvent
 from repro.core.greenperf import (
     GreenPerfRanking,
     PowerEstimationMode,
@@ -46,16 +43,10 @@ from repro.core.preferences import (
 )
 from repro.core.provisioning import ProvisioningPlanner, ProvisioningConfig
 from repro.core.rules import AdministratorRules, ThresholdRule
-from repro.core.scoring import ServerScore, completion_time, energy_consumption, score
+from repro.core.scoring import completion_time, energy_consumption, score
 
 __all__ = [
-    "BudgetAwareScheduler",
-    "BudgetTracker",
-    "EnergyBudget",
     "select_candidate_servers",
-    "ElectricityCostEvent",
-    "EnergyEvent",
-    "TemperatureEvent",
     "GreenPerfRanking",
     "PowerEstimationMode",
     "greenperf_of_node",
@@ -73,7 +64,6 @@ __all__ = [
     "ProvisioningConfig",
     "AdministratorRules",
     "ThresholdRule",
-    "ServerScore",
     "completion_time",
     "energy_consumption",
     "score",

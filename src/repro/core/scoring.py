@@ -24,7 +24,6 @@ time × energy, P → +0.9 makes it energy-dominated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.preferences import PRACTICAL_USER_BOUND, UserPreference
 from repro.middleware.estimation import EstimationTags, EstimationVector
@@ -235,27 +234,3 @@ class ScoreKernel:
             ensure_positive(time, "time")
             ensure_non_negative(energy, "energy")
         return time, energy, time**self.exponent * energy
-
-
-@dataclass(frozen=True)
-class ServerScore:
-    """The scored evaluation of one server for one task."""
-
-    server: str
-    time: float
-    energy: float
-    score: float
-
-    @classmethod
-    def from_vector(
-        cls,
-        vector: EstimationVector,
-        *,
-        flop: float,
-        user_preference: float,
-        use_dynamic_power: bool = True,
-    ) -> "ServerScore":
-        """Score a server from its estimation vector (see :class:`ScoreKernel`)."""
-        kernel = ScoreKernel(flop, user_preference, use_dynamic_power=use_dynamic_power)
-        time, energy, value = kernel.evaluate(vector)
-        return cls(server=vector.server, time=time, energy=energy, score=value)

@@ -15,7 +15,6 @@
 from repro.experiments.adaptive import (
     AdaptiveExperimentResult,
     adaptive_config_for,
-    adaptive_sweep,
     run_adaptive_experiment,
 )
 from repro.experiments.greenperf_eval import (
@@ -23,7 +22,6 @@ from repro.experiments.greenperf_eval import (
     MetricPoint,
     heterogeneity_sweeps,
     run_heterogeneity_experiment,
-    run_heterogeneity_point,
 )
 from repro.experiments.placement import (
     PlacementComparison,
@@ -48,13 +46,11 @@ from repro.experiments.reporting import (
 __all__ = [
     "AdaptiveExperimentResult",
     "adaptive_config_for",
-    "adaptive_sweep",
     "run_adaptive_experiment",
     "HeterogeneityResult",
     "MetricPoint",
     "heterogeneity_sweeps",
     "run_heterogeneity_experiment",
-    "run_heterogeneity_point",
     "placement_config_for",
     "placement_sweep",
     "PlacementComparison",

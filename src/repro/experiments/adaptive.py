@@ -38,7 +38,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.events import EnergyEvent
 from repro.experiments.presets import PLATFORM_PRESETS, preset_value
 from repro.lab.components import (
     PlatformSource,
@@ -48,8 +47,7 @@ from repro.lab.components import (
 )
 from repro.lab.observe import series_value_at
 from repro.lab.session import LabSession
-from repro.runner.spec import ScenarioSpec, SweepSpec
-from repro.scenario.events import EventTimeline
+from repro.scenario.events import EnergyEvent, EventTimeline
 from repro.scenario.io import bundled_timeline
 from repro.util.validation import ensure_positive
 
@@ -206,28 +204,6 @@ def adaptive_config_for(
         raise ValueError(
             f"unknown adaptive parameter(s) {unknown}; valid overrides: {valid}"
         ) from None
-
-
-def adaptive_sweep(
-    *,
-    platforms: Sequence[str] = ("paper",),
-    horizons: Sequence[float | None] = (None,),
-    workload: str = "paper",
-) -> SweepSpec:
-    """The adaptive-provisioning grid as a declarative sweep.
-
-    The Figure 9 scenario always schedules with GreenPerf; the interesting
-    axes are the platform size and the observation horizon.
-    """
-    return SweepSpec(
-        base=ScenarioSpec(
-            experiment="adaptive",
-            platform=platforms[0],
-            workload=workload,
-            policy="GREENPERF",
-        ),
-        axes={"platform": tuple(platforms), "horizon": tuple(horizons)},
-    )
 
 
 def adaptive_session(

@@ -207,43 +207,6 @@ def heterogeneity_session(
     )
 
 
-def run_heterogeneity_point(
-    policy_name: str,
-    kinds: int,
-    *,
-    servers_per_type: int,
-    tasks_per_client: int,
-    clients: int,
-    task_flop: float,
-    seed: int = 0,
-) -> MetricPoint:
-    """Closed-loop run of one policy over one scenario.
-
-    This is the unit of work of the heterogeneity study — the sweep runner
-    (:mod:`repro.runner.executor`) calls it once per scenario.  Assembly
-    and execution happen through :func:`heterogeneity_session` (the
-    :mod:`repro.lab` point backend).
-    """
-    session = heterogeneity_session(
-        policy_name,
-        kinds,
-        servers_per_type=servers_per_type,
-        tasks_per_client=tasks_per_client,
-        clients=clients,
-        task_flop=task_flop,
-        seed=seed,
-    )
-    point = session.run().point
-    return MetricPoint(
-        policy=point.policy,
-        mean_energy_per_task=point.mean_energy_per_task,
-        mean_completion_time=point.mean_completion_time,
-        total_energy=point.total_energy,
-        makespan=point.makespan,
-        tasks_per_type=dict(point.tasks_per_type),
-    )
-
-
 def heterogeneity_sweeps(
     kinds: int,
     *,

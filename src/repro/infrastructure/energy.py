@@ -240,11 +240,6 @@ class SegmentEnergyLog:
         return self._ticks_by_node.get(node, 0)
 
     @property
-    def segment_count(self) -> int:
-        """Total stored segments across all nodes (the O(state-changes) footprint)."""
-        return sum(len(segments) for segments in self._segments.values())
-
-    @property
     def nodes(self) -> Sequence[str]:
         """Observed node names, in registration order."""
         return tuple(self._segments)

@@ -377,9 +377,9 @@ def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay:
     2. any other shared ``rank_key`` policy, or a shared one with
        ``score_inputs`` and ``rank`` (GREEN_SCORE), gets a
        :class:`FlatElection`;
-    3. anything else — RANDOM, the hook-less FCFS and budget-aware
-       schedulers, and agents that do not all share one scheduler
-       instance — gets a :class:`WalkReplay`.
+    3. anything else — RANDOM, the hook-less FCFS scheduler, and agents
+       that do not all share one scheduler instance — gets a
+       :class:`WalkReplay`.
 
     Each strategy names itself in ``path``; on a three-SeD hierarchy:
 

@@ -1,24 +1,24 @@
 """Typed timeline events and the :class:`EventTimeline` container.
 
-This module generalises :mod:`repro.core.events` — the hand-coded quartet
-of the Figure 9 experiment — into a declarative event vocabulary:
+The adaptive provisioning experiment (Sections III-C and IV-C) injects
+energy events "at the scheduler level": scheduled electricity-cost
+changes, known ahead of time through the energy provider's schedule, and
+unexpected temperature excursions, which the monitoring system detects
+when they happen.  This module turns that quartet into a declarative
+event vocabulary, every event an :class:`EnergyEvent`:
 
-* :class:`TariffChange` — a scheduled electricity-cost step
-  (:class:`~repro.core.events.ElectricityCostEvent` with a serialisable
-  ``kind``);
+* :class:`TariffChange` — a scheduled electricity-cost step;
 * :class:`ThermalExcursion` — an (by default unexpected) machine-room
-  temperature step (:class:`~repro.core.events.TemperatureEvent`);
+  temperature step;
 * :class:`NodeFailure` / :class:`NodeRecovery` — a node crash and its
   repair, driven through the ``FAILED`` state of
   :class:`~repro.infrastructure.node.Node`;
 * :class:`WorkloadBurst` — an arrival-rate multiplier over a time window,
   consumed by closed-loop clients.
 
-The tariff/thermal events *subclass* the core energy events, so
-everything that consumes the existing scheduled/unexpected split — the
-:class:`~repro.core.provisioning.ProvisioningPlanner` look-ahead, the
-:class:`~repro.core.rules.AdministratorRules` — keeps working unchanged
-on timeline-built scenarios.
+Events are plain data.  The scheduled/unexpected split is what the
+:class:`~repro.core.provisioning.ProvisioningPlanner` look-ahead and the
+:class:`~repro.core.rules.AdministratorRules` react to.
 
 An :class:`EventTimeline` is an ordered, validated tuple of events with a
 deterministic content hash; it is constructible in code, from a TOML/JSON
@@ -31,11 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
-from repro.core.events import ElectricityCostEvent, EnergyEvent, TemperatureEvent
-from repro.util.validation import ensure_non_negative, ensure_positive
+from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
 
 
 class TimelineError(ValueError):
@@ -43,29 +43,65 @@ class TimelineError(ValueError):
 
 
 @dataclass(frozen=True)
-class TariffChange(ElectricityCostEvent):
+class EnergyEvent(ABC):
+    """Base class of the timeline events.
+
+    ``time`` is when the event takes effect; ``scheduled`` distinguishes
+    events the scheduler can learn about in advance (electricity tariffs)
+    from unexpected ones (heat peaks) it only sees once they occur.
+    """
+
+    time: float
+    scheduled: bool = True
+
+    def __post_init__(self) -> None:
+        ensure_non_negative(self.time, "time")
+
+    @property
+    @abstractmethod
+    def kind(self) -> str:
+        """Short machine-readable event kind, its serialised discriminator."""
+
+    @abstractmethod
+    def describe(self) -> str:
+        """Human-readable description used in traces and reports."""
+
+    def to_mapping(self) -> dict[str, object]:
+        """JSON/TOML-compatible representation: kind, time, own fields, scheduled.
+
+        >>> NodeFailure(time=5.0, node="orion-0").to_mapping()
+        {'kind': 'node_failure', 'time': 5.0, 'node': 'orion-0', 'scheduled': False}
+        """
+        own = {
+            field.name: getattr(self, field.name)
+            for field in fields(self)
+            if field.name not in ("time", "scheduled")
+        }
+        return {"kind": self.kind, "time": self.time, **own, "scheduled": self.scheduled}
+
+
+@dataclass(frozen=True)
+class TariffChange(EnergyEvent):
     """The electricity-cost ratio becomes ``cost`` at ``time`` (scheduled).
 
     >>> TariffChange(time=3600.0, cost=0.8).kind
     'tariff_change'
     """
 
-    @property
-    def kind(self) -> str:
-        return "tariff_change"
+    cost: float = 1.0
+    kind = "tariff_change"
 
-    def to_mapping(self) -> dict[str, object]:
-        """JSON/TOML-compatible representation."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "cost": self.cost,
-            "scheduled": self.scheduled,
-        }
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        ensure_in_range(self.cost, "cost", 0.0, 1.0)
+
+    def describe(self) -> str:
+        flavour = "scheduled" if self.scheduled else "unexpected"
+        return f"[{flavour}] electricity cost -> {self.cost:.2f} at t={self.time:.0f}s"
 
 
 @dataclass(frozen=True)
-class ThermalExcursion(TemperatureEvent):
+class ThermalExcursion(EnergyEvent):
     """The machine-room temperature becomes ``temperature`` °C at ``time``.
 
     Unexpected by default, matching Events 3–4 of Figure 9; a recovery is
@@ -75,18 +111,15 @@ class ThermalExcursion(TemperatureEvent):
     False
     """
 
-    @property
-    def kind(self) -> str:
-        return "thermal_excursion"
+    temperature: float = 25.0
+    scheduled: bool = False
+    kind = "thermal_excursion"
 
-    def to_mapping(self) -> dict[str, object]:
-        """JSON/TOML-compatible representation."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "temperature": self.temperature,
-            "scheduled": self.scheduled,
-        }
+    def describe(self) -> str:
+        flavour = "scheduled" if self.scheduled else "unexpected"
+        return (
+            f"[{flavour}] temperature -> {self.temperature:.1f} degC at t={self.time:.0f}s"
+        )
 
 
 @dataclass(frozen=True)
@@ -100,28 +133,16 @@ class NodeFailure(EnergyEvent):
 
     node: str = ""
     scheduled: bool = False
+    kind = "node_failure"
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.node:
             raise TimelineError("node_failure requires a non-empty node name")
 
-    @property
-    def kind(self) -> str:
-        return "node_failure"
-
     def describe(self) -> str:
         flavour = "scheduled" if self.scheduled else "unexpected"
         return f"[{flavour}] node {self.node} fails at t={self.time:.0f}s"
-
-    def to_mapping(self) -> dict[str, object]:
-        """JSON/TOML-compatible representation."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "node": self.node,
-            "scheduled": self.scheduled,
-        }
 
 
 @dataclass(frozen=True)
@@ -130,28 +151,16 @@ class NodeRecovery(EnergyEvent):
 
     node: str = ""
     scheduled: bool = False
+    kind = "node_recovery"
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.node:
             raise TimelineError("node_recovery requires a non-empty node name")
 
-    @property
-    def kind(self) -> str:
-        return "node_recovery"
-
     def describe(self) -> str:
         flavour = "scheduled" if self.scheduled else "unexpected"
         return f"[{flavour}] node {self.node} recovers at t={self.time:.0f}s"
-
-    def to_mapping(self) -> dict[str, object]:
-        """JSON/TOML-compatible representation."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "node": self.node,
-            "scheduled": self.scheduled,
-        }
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,7 @@ class WorkloadBurst(EnergyEvent):
     duration: float = 0.0
     factor: float = 1.0
     scheduled: bool = True
+    kind = "workload_burst"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -176,10 +186,6 @@ class WorkloadBurst(EnergyEvent):
         ensure_positive(self.factor, "factor")
         if not math.isfinite(self.factor):
             raise TimelineError(f"burst factor must be finite, got {self.factor!r}")
-
-    @property
-    def kind(self) -> str:
-        return "workload_burst"
 
     @property
     def window(self) -> tuple[float, float]:
@@ -196,26 +202,11 @@ class WorkloadBurst(EnergyEvent):
             f"t=[{self.time:.0f}s, {self.time + self.duration:.0f}s)"
         )
 
-    def to_mapping(self) -> dict[str, object]:
-        """JSON/TOML-compatible representation."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "duration": self.duration,
-            "factor": self.factor,
-            "scheduled": self.scheduled,
-        }
-
-
-TimelineEvent = EnergyEvent  # every timeline event is an EnergyEvent subclass
 
 #: Event constructors by serialised ``kind``, shared by the file loader.
 EVENT_KINDS: Mapping[str, type] = {
-    "tariff_change": TariffChange,
-    "thermal_excursion": ThermalExcursion,
-    "node_failure": NodeFailure,
-    "node_recovery": NodeRecovery,
-    "workload_burst": WorkloadBurst,
+    event.kind: event
+    for event in (TariffChange, ThermalExcursion, NodeFailure, NodeRecovery, WorkloadBurst)
 }
 
 
@@ -309,14 +300,14 @@ class EventTimeline:
 
     # -- typed views ------------------------------------------------------------
     @property
-    def tariff_changes(self) -> tuple[ElectricityCostEvent, ...]:
-        """Electricity-cost events, including plain core events."""
-        return tuple(e for e in self._events if isinstance(e, ElectricityCostEvent))
+    def tariff_changes(self) -> tuple[TariffChange, ...]:
+        """Electricity-cost steps in chronological order."""
+        return tuple(e for e in self._events if isinstance(e, TariffChange))
 
     @property
-    def thermal_excursions(self) -> tuple[TemperatureEvent, ...]:
-        """Temperature events, including plain core events."""
-        return tuple(e for e in self._events if isinstance(e, TemperatureEvent))
+    def thermal_excursions(self) -> tuple[ThermalExcursion, ...]:
+        """Temperature steps in chronological order."""
+        return tuple(e for e in self._events if isinstance(e, ThermalExcursion))
 
     @property
     def node_events(self) -> tuple[EnergyEvent, ...]:
@@ -358,16 +349,7 @@ class EventTimeline:
     # -- serialisation ------------------------------------------------------------
     def to_mappings(self) -> list[dict[str, object]]:
         """JSON/TOML-compatible event list (inverse of :meth:`from_mappings`)."""
-        mappings = []
-        for event in self._events:
-            to_mapping = getattr(event, "to_mapping", None)
-            if to_mapping is None:
-                raise TimelineError(
-                    f"{type(event).__name__} events cannot be serialised; use the "
-                    f"repro.scenario event types"
-                )
-            mappings.append(to_mapping())
-        return mappings
+        return [event.to_mapping() for event in self._events]
 
     @classmethod
     def from_mappings(cls, mappings: Iterable[Mapping[str, object]]) -> "EventTimeline":

@@ -40,10 +40,6 @@ class NodeQueue:
         """
         self._listeners.append(listener)
 
-    def remove_listener(self, listener: QueueListener) -> None:
-        """Unsubscribe a previously added listener (ValueError if absent)."""
-        self._listeners.remove(listener)
-
     def _changed(self) -> None:
         for listener in self._listeners:
             listener()

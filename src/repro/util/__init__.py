@@ -1,6 +1,6 @@
 """Shared utilities: phase timing, statistics, tables, validation."""
 
-from repro.util.stats import RunningStats, WindowedAverage
+from repro.util.stats import RunningStats
 from repro.util.validation import (
     ensure_in_range,
     ensure_non_negative,
@@ -9,7 +9,6 @@ from repro.util.validation import (
 
 __all__ = [
     "RunningStats",
-    "WindowedAverage",
     "ensure_in_range",
     "ensure_non_negative",
     "ensure_positive",

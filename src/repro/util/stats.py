@@ -1,17 +1,13 @@
 """Streaming statistics helpers.
 
 The dynamic GreenPerf estimation averages a server's power consumption
-"over the execution of all past requests" (Section III-A) and the
-Grid'5000 wattmeters average "more than 6,000 measurements" (Section IV).
-These helpers provide numerically stable running means/variances and
-fixed-size sliding windows used by the power estimators.
+"over the execution of all past requests" (Section III-A); the SeD keeps
+that average with the numerically stable running mean/variance below.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
 
 
 class RunningStats:
@@ -75,46 +71,3 @@ class RunningStats:
     def total(self) -> float:
         """Sum of observed samples."""
         return self._mean * self._count
-
-
-@dataclass
-class WindowedAverage:
-    """Average over the last ``window`` samples.
-
-    Used for the dynamic power estimate: the estimation vector reports a
-    power figure "based on recent activity rather than on an initial
-    benchmark".
-    """
-
-    window: int = 6000
-    _samples: deque = field(default_factory=deque, repr=False)
-    _sum: float = field(default=0.0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
-
-    def add(self, value: float) -> None:
-        """Push one sample, evicting the oldest if the window is full."""
-        value = float(value)
-        self._samples.append(value)
-        self._sum += value
-        if len(self._samples) > self.window:
-            self._sum -= self._samples.popleft()
-
-    @property
-    def count(self) -> int:
-        """Number of samples currently held (≤ window)."""
-        return len(self._samples)
-
-    @property
-    def value(self) -> float:
-        """Current windowed average (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return self._sum / len(self._samples)
-
-    def clear(self) -> None:
-        """Drop all samples."""
-        self._samples.clear()
-        self._sum = 0.0

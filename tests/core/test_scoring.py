@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.scoring import (
     ScoreKernel,
-    ServerScore,
     completion_time,
     energy_consumption,
     preference_exponent,
@@ -110,18 +109,17 @@ class TestScore:
         assert score(time, energy_low, preference) < score(time, energy_low + extra, preference)
 
 
-class TestServerScore:
-    def test_from_vector_active_server(self):
+class TestKernelFromVector:
+    def test_active_server(self):
         vector = make_vector(
             flops_per_core=1e9, waiting_time=2.0, mean_power=100.0, available=True
         )
-        evaluation = ServerScore.from_vector(vector, flop=1e9, user_preference=0.0)
-        assert evaluation.time == pytest.approx(3.0)
-        assert evaluation.energy == pytest.approx(100.0)
-        assert evaluation.score == pytest.approx(300.0)
-        assert evaluation.server == vector.server
+        time, energy, value = ScoreKernel(1e9, 0.0).evaluate(vector)
+        assert time == pytest.approx(3.0)
+        assert energy == pytest.approx(100.0)
+        assert value == pytest.approx(300.0)
 
-    def test_from_vector_inactive_server_pays_boot(self):
+    def test_inactive_server_pays_boot(self):
         vector = make_vector(
             flops_per_core=1e9,
             boot_time=10.0,
@@ -129,17 +127,24 @@ class TestServerScore:
             mean_power=100.0,
             available=False,
         )
-        evaluation = ServerScore.from_vector(vector, flop=1e9, user_preference=0.0)
-        assert evaluation.time == pytest.approx(11.0)
-        assert evaluation.energy == pytest.approx(10.0 * 50.0 + 100.0)
+        time, energy, _ = ScoreKernel(1e9, 0.0).evaluate(vector)
+        assert time == pytest.approx(11.0)
+        assert energy == pytest.approx(10.0 * 50.0 + 100.0)
 
     def test_static_power_option(self):
         vector = make_vector(mean_power=100.0, peak_power=400.0, flops_per_core=1e9)
-        dynamic = ServerScore.from_vector(vector, flop=1e9, user_preference=0.0)
-        static = ServerScore.from_vector(
-            vector, flop=1e9, user_preference=0.0, use_dynamic_power=False
+        _, dynamic, _ = ScoreKernel(1e9, 0.0).evaluate(vector)
+        _, static, _ = ScoreKernel(1e9, 0.0, use_dynamic_power=False).evaluate(vector)
+        assert static == pytest.approx(4 * dynamic)
+
+    def test_preference_moves_only_the_score(self):
+        vector = make_vector(
+            flops_per_core=1e9, waiting_time=1.0, mean_power=100.0, available=True
         )
-        assert static.energy == pytest.approx(4 * dynamic.energy)
+        neutral = ScoreKernel(4e9, 0.0).evaluate(vector)
+        greener = ScoreKernel(4e9, 0.5).evaluate(vector)
+        assert greener[:2] == neutral[:2] == pytest.approx((5.0, 400.0))
+        assert greener[2] == pytest.approx(5.0 ** preference_exponent(0.5) * 400.0)
 
 
 def _scalar_reference(vector, *, flop, user_preference, use_dynamic_power):
@@ -185,7 +190,7 @@ _TAGS = (
 
 
 class TestScoreKernel:
-    """The kernel (and ``from_vector``, which calls it) == the scalar functions."""
+    """The kernel == the scalar functions."""
 
     @settings(max_examples=300)
     @given(
@@ -214,15 +219,8 @@ class TestScoreKernel:
         kernel = _outcome(lambda: ScoreKernel(
             flop, preference, use_dynamic_power=use_dynamic_power
         ).evaluate(vector))
-        wrapped = _outcome(lambda: ServerScore.from_vector(
-            vector, flop=flop, user_preference=preference,
-            use_dynamic_power=use_dynamic_power,
-        ))
         assert kernel == expected
-        if isinstance(expected[0], type):
-            assert wrapped == expected
-        else:
-            assert (wrapped.time, wrapped.energy, wrapped.score) == expected
+        if not isinstance(expected[0], type):
             assert [type(value) for value in kernel] == [type(value) for value in expected]
 
     @pytest.mark.parametrize(
@@ -244,5 +242,3 @@ class TestScoreKernel:
             vector.set(tag, value)
         with pytest.raises(ValueError, match=f"^{error}$"):
             ScoreKernel(flop, 0.0).evaluate(vector)
-        with pytest.raises(ValueError, match=f"^{error}$"):
-            ServerScore.from_vector(vector, flop=flop, user_preference=0.0)

@@ -8,14 +8,15 @@ merge re-sort where an agent holds more than one partial ranking, and the
 Master Agent's re-sort after the candidate filter — over rows kept
 between elections.  RANDOM draws fresh noise in every call, so its
 ranking is a function of that call sequence.  These tests make hypothesis
-hunt for a scheduler (RANDOM, FCFS, the budget-aware scheduler over
-RANDOM or POWER as its budget depletes, or one scheduler per agent), a
+hunt for a scheduler (RANDOM, FCFS, a recording scheduler whose ranking
+follows its call count, or one scheduler per agent), a
 hierarchy (depth 1–3, empty Local Agents, a Local Agent whose SeDs all
 failed, mixed services), a transition stream (fail, repair, boot,
 power-off, core acquire/release, queue work, mid-run estimation-function
 swaps) and a candidate filter under which the replay and the walk
 (:func:`tests.conftest.force_tree_walk`) disagree — in the elected server,
-the full ranking or the RNG states after the run — or under which the row
+the full ranking, the RNG states after the run or the recorded ``sort``
+calls — or under which the row
 store's :meth:`~repro.middleware.ranking.RowStore.check` fails after an
 election.  A second property pins ``RandomPolicy.sort`` to the
 implementation it replaced, kept below as the oracle.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.budget import BudgetAwareScheduler, EnergyBudget
 from repro.core.policies import (
     GreenSchedulerPolicy,
     PowerPolicy,
@@ -35,7 +35,11 @@ from repro.core.policies import (
 )
 from repro.infrastructure.node import NodeState
 from repro.middleware.agents import LocalAgent, MasterAgent
-from repro.middleware.plugin_scheduler import CandidateEntry, FirstComeFirstServedScheduler
+from repro.middleware.plugin_scheduler import (
+    CandidateEntry,
+    FirstComeFirstServedScheduler,
+    PluginScheduler,
+)
 from repro.middleware.ranking import TreeWalk, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
@@ -45,17 +49,36 @@ from tests.core.test_flat_election import _outcome, _step, flat_op_strategy
 from tests.core.test_ranking_incremental import _make_seds
 
 
-def _budget_aware(inner):
-    """A strict budget-aware scheduler over ``inner`` with a fresh 100 J budget."""
-    return BudgetAwareScheduler(inner, EnergyBudget(allowance=100.0), soft_threshold=0.5)
+class _Recorder(PluginScheduler):
+    """A stateful hook-less scheduler that logs every ``sort`` call.
+
+    Each call appends ``(label, candidate server names)`` to ``log`` and
+    returns the candidates rotated by this scheduler's own call count, so,
+    like RANDOM, its ranking depends on the whole call sequence.  ``label``
+    is the seed it was built with, which differs per agent when every
+    agent has its own scheduler; :func:`_build` gives all the recorders of
+    one hierarchy the same ``log``, so it holds the calls in order.
+    """
+
+    name = "recorder"
+
+    def __init__(self, label):
+        self.label = label
+        self.log = []
+        self._count = 0
+
+    def sort(self, request, candidates):
+        self.log.append((self.label, [entry.server for entry in candidates]))
+        self._count += 1
+        shift = self._count % len(candidates) if candidates else 0
+        return [*candidates[shift:], *candidates[:shift]]
 
 
 #: Schedulers with no total-order key, by name; ``seed`` seeds any RNG.
 HOOKLESS = {
     "RANDOM": lambda seed: RandomPolicy(seed=seed),
     "FCFS": lambda seed: FirstComeFirstServedScheduler(),
-    "BUDGET_RANDOM": lambda seed: _budget_aware(RandomPolicy(seed=seed)),
-    "BUDGET_POWER": lambda seed: _budget_aware(PowerPolicy()),
+    "RECORDER": lambda seed: _Recorder(seed),
 }
 
 #: What a Local Agent of a mixed hierarchy may run besides those.
@@ -99,6 +122,9 @@ def _build(seds, placement, depth, seed, *, walk, empty_agent, kinds=("RANDOM",)
         master.add_agent(LocalAgent("la-empty", scheduler=scheduler(len(agents))))
     for sed, slot in zip(seds, placement):
         agents[slot % len(agents)].add_sed(sed)
+    log = []
+    for recorder in _schedulers(master, _Recorder):
+        recorder.log = log
     return master
 
 
@@ -108,26 +134,22 @@ def _agents(agent):
         yield from _agents(child)
 
 
-def _budgets(master):
-    """The distinct energy budgets of ``master``'s budget-aware schedulers."""
+def _schedulers(master, kind):
+    """The distinct schedulers of type ``kind`` in ``master``'s hierarchy."""
     schedulers = {id(agent.scheduler): agent.scheduler for agent in _agents(master)}
-    return [
-        scheduler.budget
-        for scheduler in schedulers.values()
-        if isinstance(scheduler, BudgetAwareScheduler)
-    ]
+    return [scheduler for scheduler in schedulers.values() if isinstance(scheduler, kind)]
 
 
 def _state(master):
-    """Every agent's scheduler state: RNG states and budget consumption."""
-    state = []
-    for agent in _agents(master):
-        scheduler = agent.scheduler
-        if isinstance(scheduler, BudgetAwareScheduler):
-            state.append(scheduler.budget.consumed())
-            scheduler = scheduler.inner
-        if isinstance(scheduler, RandomPolicy):
-            state.append(scheduler._rng.bit_generator.state)
+    """Every agent's scheduler state: RNG states and the recorded calls."""
+    state = [
+        agent.scheduler._rng.bit_generator.state
+        for agent in _agents(master)
+        if isinstance(agent.scheduler, RandomPolicy)
+    ]
+    recorders = _schedulers(master, _Recorder)
+    if recorders:
+        state.append(recorders[0].log)
     return state
 
 
@@ -164,7 +186,6 @@ class TestReplayEqualsTreeWalk:
                 st.lists(flat_op_strategy, max_size=6),
                 st.sampled_from(("cpu-burn", "matmul")),
                 st.floats(min_value=1e8, max_value=1e13),
-                st.floats(min_value=0.0, max_value=40.0),
             ),
             min_size=1,
             max_size=8,
@@ -194,13 +215,10 @@ class TestReplayEqualsTreeWalk:
         if with_filter:
             for master in masters:
                 master.set_candidate_filter(_drop_every_other)
-        for ops, service, flop, joules in steps:
+        for ops, service, flop in steps:
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
                 _step(op, sed, magnitude, running[sed.name])
-            for master in masters:
-                for budget in _budgets(master):
-                    budget.charge(joules)
             request = ServiceRequest.from_task(Task(flop=flop, service=service))
             replayed = _outcome(masters[0], request)
             assert masters[0].election_path == "replay"
@@ -209,6 +227,30 @@ class TestReplayEqualsTreeWalk:
         assert type(masters[0]._election) is WalkReplay
         assert type(masters[1]._election) is TreeWalk
         assert _state(masters[0]) == _state(masters[1])
+
+    def test_recorded_sort_calls_match_the_walk(self):
+        """One recorder per agent: the same calls, in the same order, on the same lists."""
+        seds = _make_seds(6)
+        replay, walk = (
+            _build(
+                seds, (0, 1, 1, 2, 3, 4), 3, 20, walk=walk, empty_agent=True,
+                kinds=("RECORDER",) * 3,
+            )
+            for walk in (False, True)
+        )
+        for master in (replay, walk):
+            master.set_candidate_filter(_drop_every_other)
+        request = ServiceRequest.from_task(Task(flop=4.0e9))
+        for _ in range(3):
+            assert _outcome(replay, request) == _outcome(walk, request)
+            seds[1].node.acquire_core()
+        (log,) = _state(replay)
+        assert log == _state(walk)[0]
+        # Per election: a local sort at each of the five agents holding a
+        # SeD, a merge re-sort at the three holding more than one partial
+        # ranking, and the Master Agent's re-sort after the filter.
+        assert len(log) == 3 * (5 + 3 + 1)
+        assert log[:2] == [(20, ["node-0"]), (21, ["node-1", "node-2"])]
 
     def test_steady_state_elections_estimate_nothing(self, monkeypatch):
         """Only the SeDs a transition marked dirty are re-estimated."""

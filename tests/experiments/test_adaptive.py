@@ -6,7 +6,6 @@ shortened scenario that still hits every event type.
 
 import pytest
 
-from repro.core.events import ElectricityCostEvent, TemperatureEvent
 from repro.experiments.adaptive import AdaptiveExperimentConfig, run_adaptive_experiment
 from repro.scenario.events import EventTimeline, TariffChange, ThermalExcursion
 from repro.scenario.io import bundled_timeline
@@ -41,8 +40,8 @@ class TestDefaultScenario:
     def test_default_events_match_paper(self):
         events = AdaptiveExperimentConfig().timeline.events
         assert len(events) == 4
-        costs = [e for e in events if isinstance(e, ElectricityCostEvent)]
-        temps = [e for e in events if isinstance(e, TemperatureEvent)]
+        costs = [e for e in events if isinstance(e, TariffChange)]
+        temps = [e for e in events if isinstance(e, ThermalExcursion)]
         assert [c.cost for c in costs] == [0.8, 0.5]
         assert all(c.scheduled for c in costs)
         assert all(not t.scheduled for t in temps)

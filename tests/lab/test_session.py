@@ -135,25 +135,6 @@ class TestMiddlewareBackend:
 
 
 class TestPointBackend:
-    def test_closed_loop_matches_legacy_kernel(self):
-        from repro.experiments.greenperf_eval import run_heterogeneity_point
-
-        legacy = run_heterogeneity_point(
-            "GREENPERF", 2, servers_per_type=1, tasks_per_client=5, clients=2,
-            task_flop=2.0e10,
-        )
-        result = LabSession(
-            platform=PlatformSource.server_types(2, servers_per_type=1),
-            workload=WorkloadSource.point_load(
-                clients=2, tasks_per_client=5, task_flop=2.0e10
-            ),
-            policy=PolicySource("GREENPERF"),
-        ).run()
-        assert result.point.mean_energy_per_task == legacy.mean_energy_per_task
-        assert result.point.mean_completion_time == legacy.mean_completion_time
-        assert result.point.makespan == legacy.makespan
-        assert dict(result.point.tasks_per_type) == dict(legacy.tasks_per_type)
-
     def test_failure_window_moves_work_off_the_failed_server(self):
         """POWER always prefers orion; with orion-0 failed for the whole
         run, every task lands on taurus instead."""

@@ -1,9 +1,12 @@
 """Tests for the typed timeline events and the EventTimeline container."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.events import ElectricityCostEvent, TemperatureEvent
 from repro.scenario.events import (
+    EVENT_KINDS,
+    EnergyEvent,
     EventTimeline,
     NodeFailure,
     NodeRecovery,
@@ -16,22 +19,69 @@ from repro.scenario.events import (
 
 
 class TestEventTypes:
-    def test_tariff_change_is_a_core_cost_event(self):
+    def test_tariff_change_is_a_scheduled_energy_event(self):
         event = TariffChange(time=60.0, cost=0.8)
-        assert isinstance(event, ElectricityCostEvent)
+        assert isinstance(event, EnergyEvent)
         assert event.scheduled  # tariffs are known in advance
         assert event.kind == "tariff_change"
 
-    def test_thermal_excursion_is_a_core_temperature_event(self):
+    def test_thermal_excursion_is_an_unexpected_energy_event(self):
         event = ThermalExcursion(time=60.0, temperature=30.0)
-        assert isinstance(event, TemperatureEvent)
+        assert isinstance(event, EnergyEvent)
         assert not event.scheduled  # heat peaks are unexpected
         assert event.kind == "thermal_excursion"
+        assert ThermalExcursion(time=60.0, temperature=28.0, scheduled=True).scheduled
 
-    def test_scheduled_events_honour_lookahead(self):
-        event = TariffChange(time=100.0, cost=0.5)
-        assert not event.visible_at(50.0, lookahead=20.0)
-        assert event.visible_at(80.0, lookahead=20.0)
+    @pytest.mark.parametrize("cost", [-0.1, 1.2, float("nan")])
+    def test_tariff_cost_outside_unit_range_rejected(self, cost):
+        with pytest.raises(ValueError, match="cost"):
+            TariffChange(time=0.0, cost=cost)
+
+    @pytest.mark.parametrize("cost", [0.0, 1.0])
+    def test_tariff_cost_bounds_accepted(self, cost):
+        assert TariffChange(time=0.0, cost=cost).cost == cost
+
+    @pytest.mark.parametrize("event", [TariffChange, ThermalExcursion, WorkloadBurst])
+    def test_negative_time_rejected(self, event):
+        with pytest.raises(ValueError, match="time"):
+            event(time=-1.0)
+
+    def test_describe_text(self):
+        assert TariffChange(time=60.0, cost=0.8).describe() == (
+            "[scheduled] electricity cost -> 0.80 at t=60s"
+        )
+        assert TariffChange(time=60.0, cost=0.8, scheduled=False).describe() == (
+            "[unexpected] electricity cost -> 0.80 at t=60s"
+        )
+        assert ThermalExcursion(time=60.0, temperature=30.0).describe() == (
+            "[unexpected] temperature -> 30.0 degC at t=60s"
+        )
+        assert ThermalExcursion(time=90.5, temperature=28.25, scheduled=True).describe() == (
+            "[scheduled] temperature -> 28.2 degC at t=90s"
+        )
+
+    @pytest.mark.parametrize("event", [NodeFailure, NodeRecovery])
+    def test_node_event_negative_time_rejected(self, event):
+        with pytest.raises(ValueError, match="time"):
+            event(time=-1.0, node="orion-0")
+
+    @pytest.mark.parametrize("event, text", [
+        (NodeFailure(time=5.0, node="orion-0"), "[unexpected] node orion-0 fails at t=5s"),
+        (
+            NodeRecovery(time=8.4, node="orion-0", scheduled=True),
+            "[scheduled] node orion-0 recovers at t=8s",
+        ),
+        (
+            WorkloadBurst(time=10.0, duration=5.0, factor=2.5),
+            "[scheduled] arrival rate x2.5 over t=[10s, 15s)",
+        ),
+    ], ids=["NodeFailure", "NodeRecovery", "WorkloadBurst"])
+    def test_describe_text_of_node_and_burst_events(self, event, text):
+        assert event.describe() == text
+
+    def test_energy_event_is_abstract(self):
+        with pytest.raises(TypeError):
+            EnergyEvent(time=0.0)
 
     def test_node_events_require_a_node(self):
         with pytest.raises(TimelineError, match="node"):
@@ -42,7 +92,6 @@ class TestEventTypes:
     def test_node_failure_is_unexpected(self):
         event = NodeFailure(time=5.0, node="orion-0")
         assert not event.scheduled
-        assert not event.visible_at(4.0, lookahead=1e9)
         assert "orion-0" in event.describe()
 
     def test_burst_window_and_activity(self):
@@ -69,6 +118,65 @@ class TestEventTypes:
     def test_event_from_mapping_rejects_bad_fields(self):
         with pytest.raises(TimelineError, match="invalid"):
             event_from_mapping({"kind": "tariff_change", "time": 1.0, "frobnicate": 2})
+
+
+#: One event of every kind and its serialised mapping, in the key order
+#: the timeline files and the content hash are written with.
+MAPPINGS = {
+    "tariff_change": (
+        TariffChange(time=60.0, cost=0.8),
+        {"kind": "tariff_change", "time": 60.0, "cost": 0.8, "scheduled": True},
+    ),
+    "thermal_excursion": (
+        ThermalExcursion(time=90.0, temperature=30.0),
+        {"kind": "thermal_excursion", "time": 90.0, "temperature": 30.0, "scheduled": False},
+    ),
+    "node_failure": (
+        NodeFailure(time=5.0, node="orion-0"),
+        {"kind": "node_failure", "time": 5.0, "node": "orion-0", "scheduled": False},
+    ),
+    "node_recovery": (
+        NodeRecovery(time=8.0, node="orion-0"),
+        {"kind": "node_recovery", "time": 8.0, "node": "orion-0", "scheduled": False},
+    ),
+    "workload_burst": (
+        WorkloadBurst(time=10.0, duration=5.0, factor=2.0),
+        {
+            "kind": "workload_burst", "time": 10.0, "duration": 5.0, "factor": 2.0,
+            "scheduled": True,
+        },
+    ),
+}
+
+
+class TestEventMappings:
+    def test_event_kinds_name_every_event_class(self):
+        assert sorted(EVENT_KINDS) == sorted(MAPPINGS)
+        assert set(EVENT_KINDS.values()) == set(EnergyEvent.__subclasses__())
+        for kind, event in EVENT_KINDS.items():
+            assert event.kind == kind
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    def test_to_mapping_is_kind_time_own_fields_scheduled(self, kind):
+        event, mapping = MAPPINGS[kind]
+        assert list(event.to_mapping().items()) == list(mapping.items())
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    def test_event_round_trips_through_its_mapping(self, kind):
+        event, _ = MAPPINGS[kind]
+        assert event_from_mapping(event.to_mapping()) == event
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    def test_omitted_scheduled_flag_takes_the_kind_default(self, kind):
+        event, mapping = MAPPINGS[kind]
+        partial = {key: value for key, value in mapping.items() if key != "scheduled"}
+        assert event_from_mapping(partial).scheduled is event.scheduled
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    def test_events_are_frozen(self, kind):
+        event, _ = MAPPINGS[kind]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.time = 1.0
 
 
 class TestEventTimeline:
@@ -177,6 +285,13 @@ class TestTimelineHashing:
         assert base.content_hash() != EventTimeline(
             [TariffChange(time=11.0, cost=0.8)]
         ).content_hash()
+
+    def test_hash_moves_with_the_scheduled_flag(self):
+        expected = EventTimeline([ThermalExcursion(time=20.0, temperature=30.0)])
+        announced = EventTimeline(
+            [ThermalExcursion(time=20.0, temperature=30.0, scheduled=True)]
+        )
+        assert expected.content_hash() != announced.content_hash()
 
     def test_round_trip_through_mappings(self):
         timeline = EventTimeline([

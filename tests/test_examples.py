@@ -65,8 +65,3 @@ class TestExamples:
         assert "Figure 9" in out
         assert "Candidate pool over time:" in out
         assert "Completed tasks:" in out
-
-    def test_budget_constrained(self):
-        out = run_example("budget_constrained.py")
-        assert "Without a budget" in out
-        assert "budget consumed" in out

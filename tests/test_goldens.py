@@ -13,8 +13,8 @@ paper.
 
 The Figure 9 fixtures were generated by the pre-refactor inline-event
 implementation; the current code reproduces them through the bundled
-``figure9.toml`` timeline, which is the bit-identity proof for the
-timeline subsystem.
+``figure9.toml`` timeline (the adaptive config's default), which is the
+bit-identity proof for the timeline subsystem.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.experiments.greenperf_eval import (
 )
 from repro.experiments.placement import run_policy_comparison
 from repro.experiments.presets import placement_config_for
-from repro.scenario.io import bundled_timeline
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -120,28 +119,6 @@ class TestFigure9Golden:
         assert result.completed_tasks == expected["completed_tasks"]
         assert result.total_energy == expected["total_energy"]
         assert result.total_nodes == expected["total_nodes"]
-
-    def test_explicit_figure9_timeline_matches_golden(self, golden):
-        """Passing the bundled timeline explicitly hits the same bits.
-
-        This is the acceptance proof for the timeline refactor: the
-        golden was generated by the inline-event implementation, and the
-        declarative ``figure9.toml`` path must reproduce it exactly.
-        """
-        result = run_adaptive_experiment(
-            adaptive_config_for(
-                workload="quick", timeline=bundled_timeline("figure9")
-            )
-        )
-        expected = golden["scales"]["quick"]
-        assert [
-            [time, count] for time, count in result.candidate_series
-        ] == expected["candidate_series"]
-        assert [
-            [time, power] for time, power in result.power_series
-        ] == expected["power_series"]
-        assert result.total_energy == expected["total_energy"]
-        assert result.completed_tasks == expected["completed_tasks"]
 
     def test_faultless_timeline_reports_no_losses(self):
         result = run_adaptive_experiment(adaptive_config_for(workload="quick"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import RunningStats, WindowedAverage
+from repro.util.stats import RunningStats
 
 
 class TestRunningStats:
@@ -59,47 +59,25 @@ class TestRunningStats:
         stats.extend(values)
         assert stats.variance >= -1e-9
 
-
-class TestWindowedAverage:
-    def test_empty_average_is_zero(self):
-        window = WindowedAverage(window=10)
-        assert window.value == 0.0
-        assert window.count == 0
-
-    def test_average_below_window(self):
-        window = WindowedAverage(window=10)
-        for value in (1.0, 2.0, 3.0):
-            window.add(value)
-        assert window.value == pytest.approx(2.0)
-        assert window.count == 3
-
-    def test_eviction_beyond_window(self):
-        window = WindowedAverage(window=3)
-        for value in (1.0, 2.0, 3.0, 10.0):
-            window.add(value)
-        # Oldest value (1.0) evicted: average of (2, 3, 10).
-        assert window.count == 3
-        assert window.value == pytest.approx(5.0)
-
-    def test_clear(self):
-        window = WindowedAverage(window=3)
-        window.add(4.0)
-        window.clear()
-        assert window.count == 0
-        assert window.value == 0.0
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            WindowedAverage(window=0)
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=50),
-        st.integers(min_value=1, max_value=20),
-    )
-    def test_windowed_average_matches_tail_mean(self, values, window_size):
-        window = WindowedAverage(window=window_size)
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=50))
+    def test_extend_equals_repeated_add(self, values):
+        extended, added = RunningStats(), RunningStats()
+        extended.extend(values)
         for value in values:
-            window.add(value)
-        tail = values[-window_size:]
-        assert window.value == pytest.approx(float(np.mean(tail)), rel=1e-9, abs=1e-9)
-        assert window.count == min(len(values), window_size)
+            added.add(value)
+        assert (extended.count, extended.mean, extended.variance) == (
+            added.count, added.mean, added.variance
+        )
+
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=100))
+    def test_std_is_square_root_of_variance(self, values):
+        stats = RunningStats()
+        stats.extend(values)
+        assert stats.std == pytest.approx(math.sqrt(stats.variance))
+
+    def test_integer_and_numpy_samples_are_floats(self):
+        stats = RunningStats()
+        stats.extend([1, np.float32(2.0), np.int64(3)])
+        assert stats.mean == 2.0
+        assert type(stats.minimum) is float and type(stats.maximum) is float
+        assert stats.total == pytest.approx(6.0)
