@@ -9,13 +9,18 @@ the better of POWER and PERFORMANCE at each heterogeneity level.
 
 from __future__ import annotations
 
-from repro.experiments.greenperf_eval import run_heterogeneity_experiment
+from repro.experiments.greenperf_eval import HeterogeneityResult
+from repro.runner.executor import run_scenarios
+from repro.runner.grids import heterogeneity_grid
 
 
 def _sweep():
     results = {}
     for kinds in (2, 3, 4):
-        results[kinds] = run_heterogeneity_experiment(kinds=kinds, tasks_per_client=40)
+        grid = heterogeneity_grid((kinds,), overrides={"tasks_per_client": 40})
+        results[kinds] = HeterogeneityResult.from_results(
+            run_scenarios(grid).results, kinds
+        )
     return results
 
 

@@ -8,19 +8,19 @@ available when decisions are made."
 
 from __future__ import annotations
 
-from repro.experiments.placement import run_placement_experiment
 from repro.experiments.reporting import format_task_distribution
+from repro.lab.compat import execute_spec
 
 
-def test_bench_fig4_random_task_distribution(benchmark, full_scale_config):
+def test_bench_fig4_random_task_distribution(benchmark, table2_specs):
     result = benchmark.pedantic(
-        lambda: run_placement_experiment("RANDOM", full_scale_config),
+        lambda: execute_spec(table2_specs["RANDOM"]),
         rounds=2,
         iterations=1,
     )
 
-    per_cluster = result.metrics.tasks_per_cluster
-    per_node = result.metrics.tasks_per_node
+    per_cluster = result.detail["tasks_per_cluster"]
+    per_node = result.detail["tasks_per_node"]
     # Every cluster takes part under RANDOM...
     assert set(per_cluster) == {"orion", "taurus", "sagittaire"}
     # ...but the slow Sagittaire nodes execute the fewest tasks.

@@ -7,18 +7,20 @@ are in use during the experiment."
 
 from __future__ import annotations
 
-from repro.experiments.placement import run_policy_comparison
 from repro.experiments.reporting import format_energy_per_cluster
+from repro.runner.executor import run_scenarios
 
 
-def test_bench_fig5_energy_per_cluster(benchmark, full_scale_config):
-    comparison = benchmark.pedantic(
-        lambda: run_policy_comparison(config=full_scale_config),
+def test_bench_fig5_energy_per_cluster(benchmark, table2_specs):
+    results = benchmark.pedantic(
+        lambda: run_scenarios(table2_specs.values()).by_policy(),
         rounds=1,
         iterations=1,
     )
 
-    per_policy = comparison.energy_per_cluster()
+    per_policy = {
+        policy: result.detail["energy_per_cluster"] for policy, result in results.items()
+    }
     # Every policy reports energy for every cluster (nodes idle but powered).
     for energies in per_policy.values():
         assert set(energies) == {"orion", "taurus", "sagittaire"}
@@ -35,4 +37,4 @@ def test_bench_fig5_energy_per_cluster(benchmark, full_scale_config):
 
     print()
     print("Figure 5: energy per cluster (J)")
-    print(format_energy_per_cluster(comparison))
+    print(format_energy_per_cluster(results))

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.greenperf_eval import run_heterogeneity_experiment
+from repro.experiments.greenperf_eval import HeterogeneityResult
 from repro.experiments.reporting import format_metric_points
+from repro.runner.executor import run_scenarios
+from repro.runner.grids import heterogeneity_grid
 
 
 def test_bench_fig6_low_heterogeneity(benchmark):
     result = benchmark.pedantic(
-        lambda: run_heterogeneity_experiment(kinds=2, tasks_per_client=50),
+        lambda: HeterogeneityResult.from_results(
+            run_scenarios(heterogeneity_grid((2,))).results, 2
+        ),
         rounds=3,
         iterations=1,
     )

@@ -8,13 +8,17 @@ sufficient diversity of hardware to efficiently use GreenPerf."
 
 from __future__ import annotations
 
-from repro.experiments.greenperf_eval import run_heterogeneity_experiment
+from repro.experiments.greenperf_eval import HeterogeneityResult
 from repro.experiments.reporting import format_metric_points
+from repro.runner.executor import run_scenarios
+from repro.runner.grids import heterogeneity_grid
 
 
 def test_bench_fig7_high_heterogeneity(benchmark):
     result = benchmark.pedantic(
-        lambda: run_heterogeneity_experiment(kinds=4, tasks_per_client=50),
+        lambda: HeterogeneityResult.from_results(
+            run_scenarios(heterogeneity_grid((4,))).results, 4
+        ),
         rounds=3,
         iterations=1,
     )

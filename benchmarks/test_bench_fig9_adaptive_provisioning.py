@@ -15,14 +15,18 @@ pool with a delay (running tasks are allowed to complete).
 
 from __future__ import annotations
 
-from repro.experiments.adaptive import run_adaptive_experiment
 from repro.experiments.reporting import format_adaptive_series
+from repro.lab.compat import session_for_spec
+from repro.runner.spec import ScenarioSpec
 
 _MIN = 60.0
 
 
 def test_bench_fig9_adaptive_provisioning(benchmark):
-    result = benchmark.pedantic(run_adaptive_experiment, rounds=1, iterations=1)
+    spec = ScenarioSpec(experiment="adaptive", policy="GREENPERF")
+    result = benchmark.pedantic(
+        lambda: session_for_spec(spec).run(), rounds=1, iterations=1
+    )
 
     candidates = dict(result.candidate_series)
 

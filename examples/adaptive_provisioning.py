@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.adaptive import AdaptiveExperimentConfig, run_adaptive_experiment
 from repro.experiments.reporting import format_adaptive_series
+from repro.lab.compat import session_for_spec
+from repro.runner.spec import ScenarioSpec
 
 
 def ascii_curve(series, total_nodes, *, width: int = 52) -> str:
@@ -41,8 +42,10 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    config = AdaptiveExperimentConfig(duration=args.minutes * 60.0)
-    result = run_adaptive_experiment(config)
+    spec = ScenarioSpec(
+        experiment="adaptive", policy="GREENPERF", horizon=args.minutes * 60.0
+    )
+    result = session_for_spec(spec).run()
 
     print(format_adaptive_series(result))
     print()

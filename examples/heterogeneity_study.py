@@ -15,13 +15,16 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.greenperf_eval import run_heterogeneity_experiment
+from repro.experiments.greenperf_eval import HeterogeneityResult
 from repro.experiments.reporting import format_metric_points
+from repro.runner import run_scenarios
+from repro.runner.grids import heterogeneity_grid
 
 
 def main() -> None:
     for kinds in (2, 3, 4):
-        result = run_heterogeneity_experiment(kinds=kinds, tasks_per_client=50)
+        outcome = run_scenarios(heterogeneity_grid((kinds,)))
+        result = HeterogeneityResult.from_results(outcome.results, kinds)
         print(format_metric_points(result))
         scores = {name: result.tradeoff_score(name) for name in result.points}
         formatted = ", ".join(f"{name}: {score:.2f}" for name, score in scores.items())

@@ -92,16 +92,10 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.experiments.adaptive import adaptive_config_for, run_adaptive_experiment
-from repro.experiments.greenperf_eval import run_heterogeneity_experiment
-from repro.experiments.placement import run_placement_experiment, run_policy_comparison
-from repro.experiments.presets import (
-    PlacementExperimentConfig,
-    paper_infrastructure_table,
-    placement_config_for,
-    simulated_clusters_table,
-)
+from repro.experiments.greenperf_eval import HeterogeneityResult
+from repro.experiments.presets import paper_infrastructure_table, simulated_clusters_table
 from repro.experiments.reporting import (
+    energy_saving,
     format_adaptive_series,
     format_energy_per_cluster,
     format_metric_points,
@@ -109,8 +103,17 @@ from repro.experiments.reporting import (
     format_task_distribution,
 )
 from repro._version import __version__
+from repro.lab.compat import session_for_spec
 from repro.runner.executor import run_scenarios
-from repro.runner.grids import cross_grid, grid, named_grids, timeline_grid, trace_grid
+from repro.runner.grids import (
+    cross_grid,
+    grid,
+    heterogeneity_grid,
+    named_grids,
+    table2_grid,
+    timeline_grid,
+    trace_grid,
+)
 from repro.runner.spec import ScenarioSpec
 from repro.scenario import load_timeline
 from repro.runner.reporting import (
@@ -133,9 +136,8 @@ from repro.workload.ingest import (
 from repro.workload.ingest.swf import SWF_FIELDS
 from repro.workload.traces import load_trace, save_trace
 
-def _placement_config(args: argparse.Namespace) -> PlacementExperimentConfig:
-    scale = "quick" if args.quick else "paper"
-    return placement_config_for(scale, scale, seed=args.seed)
+def _scale(args: argparse.Namespace) -> str:
+    return "quick" if args.quick else "paper"
 
 
 def _cmd_table1(args: argparse.Namespace) -> str:
@@ -151,11 +153,11 @@ def _cmd_table1(args: argparse.Namespace) -> str:
 
 
 def _cmd_table2(args: argparse.Namespace) -> str:
-    comparison = run_policy_comparison(config=_placement_config(args))
-    lines = ["Table II — makespan and energy per policy", format_table2(comparison)]
+    results = run_scenarios(table2_grid(_scale(args), args.seed)).by_policy()
+    lines = ["Table II — makespan and energy per policy", format_table2(results)]
     lines.append(
-        f"POWER saves {comparison.energy_saving('POWER', 'RANDOM'):.1%} vs RANDOM "
-        f"and {comparison.energy_saving('POWER', 'PERFORMANCE'):.1%} vs PERFORMANCE "
+        f"POWER saves {energy_saving(results, 'POWER', 'RANDOM'):.1%} vs RANDOM "
+        f"and {energy_saving(results, 'POWER', 'PERFORMANCE'):.1%} vs PERFORMANCE "
         f"(paper: 25% / 19%)"
     )
     return "\n".join(lines)
@@ -175,9 +177,10 @@ def _cmd_table3(args: argparse.Namespace) -> str:
 
 def _distribution_command(policy: str, figure: str) -> Callable[[argparse.Namespace], str]:
     def _command(args: argparse.Namespace) -> str:
-        result = run_placement_experiment(policy, _placement_config(args))
+        specs = [s for s in table2_grid(_scale(args), args.seed) if s.policy == policy]
+        (result,) = run_scenarios(specs).results
         return format_task_distribution(
-            result.metrics.tasks_per_node,
+            result.detail["tasks_per_node"],
             title=f"{figure}: tasks per node ({policy})",
         )
 
@@ -185,27 +188,22 @@ def _distribution_command(policy: str, figure: str) -> Callable[[argparse.Namesp
 
 
 def _cmd_fig5(args: argparse.Namespace) -> str:
-    comparison = run_policy_comparison(config=_placement_config(args))
-    return "Figure 5 — energy per cluster (J)\n" + format_energy_per_cluster(comparison)
+    results = run_scenarios(table2_grid(_scale(args), args.seed)).by_policy()
+    return "Figure 5 — energy per cluster (J)\n" + format_energy_per_cluster(results)
 
 
 def _heterogeneity_command(kinds: int) -> Callable[[argparse.Namespace], str]:
     def _command(args: argparse.Namespace) -> str:
-        tasks = 20 if args.quick else 50
-        result = run_heterogeneity_experiment(
-            kinds=kinds,
-            tasks_per_client=tasks,
-            random_seeds=tuple(args.seed + offset for offset in range(5)),
-        )
-        return format_metric_points(result)
+        seeds = tuple(args.seed + offset for offset in range(5))
+        outcome = run_scenarios(heterogeneity_grid((kinds,), _scale(args), seeds))
+        return format_metric_points(HeterogeneityResult.from_results(outcome.results, kinds))
 
     return _command
 
 
 def _cmd_fig9(args: argparse.Namespace) -> str:
-    config = adaptive_config_for(workload="quick" if args.quick else "paper")
-    result = run_adaptive_experiment(config)
-    return format_adaptive_series(result)
+    spec = ScenarioSpec(experiment="adaptive", workload=_scale(args), policy="GREENPERF")
+    return format_adaptive_series(session_for_spec(spec).run())
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
@@ -353,8 +351,6 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _cmd_lab_run(args: argparse.Namespace) -> str:
-    from repro.lab.compat import session_for_spec
-
     policy = args.policy
     if policy is None:
         if args.family == "adaptive":

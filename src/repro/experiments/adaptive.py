@@ -25,7 +25,7 @@ The four events ship as the bundled declarative timeline
 ``repro/scenario/data/figure9.toml`` (see ``docs/SCENARIOS.md``); any
 other :class:`~repro.scenario.events.EventTimeline` — including node
 crash/recovery storms and workload bursts — can be substituted through
-:class:`AdaptiveExperimentConfig` or ``repro sweep --timeline``.  The
+a spec's ``timeline`` file (``repro sweep --timeline``).  The
 golden suite (``tests/test_goldens.py``) pins the bundled timeline to
 the exact bits of the historical inline-event implementation.
 """
@@ -34,22 +34,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from repro.experiments.presets import PLATFORM_PRESETS, preset_value
+from repro.lab.compat import reject_unused
 from repro.lab.components import (
     PlatformSource,
     PolicySource,
     ProvisioningSource,
     WorkloadSource,
 )
-from repro.lab.observe import series_value_at
 from repro.lab.session import LabSession
-from repro.scenario.events import EnergyEvent, EventTimeline
-from repro.scenario.io import bundled_timeline
-from repro.util.validation import ensure_positive
+from repro.runner.spec import ScenarioSpec
+from repro.scenario.events import EventTimeline
+from repro.scenario.io import bundled_timeline, load_timeline
+from repro.util.validation import ensure_integer, ensure_positive
 
 _MINUTE = 60.0
 
@@ -129,31 +128,6 @@ class AdaptiveExperimentConfig:
             )
 
 
-@dataclass(frozen=True)
-class AdaptiveExperimentResult:
-    """Everything needed to redraw Figure 9."""
-
-    candidate_series: Sequence[tuple[float, int]]
-    power_series: Sequence[tuple[float, float]]
-    events: Sequence[EnergyEvent]
-    total_nodes: int
-    completed_tasks: int
-    total_energy: float
-    planning_entries: Sequence
-    events_processed: int = 0
-    failed_tasks: int = 0
-    rejected_tasks: int = 0
-
-    def candidates_at(self, time: float) -> int:
-        """Candidate count in effect at simulated ``time`` (s)."""
-        return int(series_value_at(self.candidate_series, time))
-
-    def mean_power_between(self, start: float, end: float) -> float:
-        """Average platform power over ``[start, end]`` from the 10-min series."""
-        values = [power for time, power in self.power_series if start <= time <= end]
-        return float(np.mean(values)) if values else 0.0
-
-
 def adaptive_config_for(
     platform: str = "paper",
     workload: str = "paper",
@@ -192,6 +166,9 @@ def adaptive_config_for(
     params["nodes_per_cluster"] = preset_value(PLATFORM_PRESETS, platform, "platform")
     if overrides:
         params.update(overrides)
+    for key in ("nodes_per_cluster", "ramp_up_step", "ramp_down_step"):
+        if key in params:
+            ensure_integer(params[key], key)
     if horizon is not None:
         params["duration"] = horizon
     if timeline is not None:
@@ -206,25 +183,45 @@ def adaptive_config_for(
         ) from None
 
 
-def adaptive_session(
-    config: AdaptiveExperimentConfig | None = None,
-    *,
-    trace_level: str = "full",
-) -> LabSession:
-    """The adaptive experiment as a composable lab session.
+def adaptive_session(spec: ScenarioSpec) -> LabSession:
+    """Resolve an adaptive spec into a lab session (Figure 9).
 
-    Platform size, provisioning cadence and the event timeline come from
-    ``config``; the workload is the closed-loop capacity client unless
-    ``config.trace_path`` replays a recorded trace through the
-    provisioned platform instead.
+    Platform size, provisioning cadence and workload scale come from the
+    spec's presets and overrides; ``horizon`` replaces the simulated
+    duration and ``timeline`` the bundled Figure 9 events.  The workload
+    is the closed-loop capacity client unless ``workload="trace"``
+    replays a recorded trace through the provisioned platform instead.
+
+    >>> session = adaptive_session(
+    ...     ScenarioSpec(experiment="adaptive", workload="quick", policy="GREENPERF"))
+    >>> session.horizon, len(session.timeline)
+    (3600.0, 4)
     """
-    config = config or AdaptiveExperimentConfig()
+    # The Figure 9 scenario always schedules with GreenPerf and has no
+    # stochastic component (generated fault timelines are seeded at
+    # generation time, so a timeline file is deterministic content too).
+    reject_unused(spec, policy="GREENPERF", preference=0.0, seed=0)
+    if spec.trace is not None and spec.horizon is None:
+        raise ValueError(
+            "adaptive trace replay needs an observation horizon: the planner "
+            "re-checks forever; add horizon=<seconds> to the spec"
+        )
+    config = adaptive_config_for(
+        platform=spec.platform,
+        workload=spec.workload,
+        horizon=spec.horizon,
+        timeline=load_timeline(spec.timeline) if spec.timeline is not None else None,
+        trace=spec.trace,
+        overrides=dict(spec.overrides),
+    )
     if config.trace_path is not None:
         workload = WorkloadSource.from_trace(config.trace_path)
     else:
         workload = WorkloadSource.capacity(
             task_flop=config.task_flop, client_tick=config.client_tick
         )
+    # The result reads no per-task trace events: only the planner's own
+    # status checks, which are kept at every trace level.
     return LabSession(
         platform=PlatformSource.table1(config.nodes_per_cluster),
         workload=workload,
@@ -238,41 +235,8 @@ def adaptive_session(
         ),
         timeline=config.timeline,
         horizon=config.duration,
-        trace_level=trace_level,
+        trace_level="off",
         sample_period=config.sample_period,
         base_temperature=config.base_temperature,
         requeue_on_failure=config.requeue_on_failure,
-    )
-
-
-def run_adaptive_experiment(
-    config: AdaptiveExperimentConfig | None = None,
-    *,
-    trace_level: str = "full",
-) -> AdaptiveExperimentResult:
-    """Run the Figure 9 scenario and return its time series.
-
-    ``trace_level`` forwards to
-    :class:`~repro.middleware.driver.MiddlewareSimulation`; sweep workers
-    run with ``trace_level="off"`` (the planner's own low-frequency
-    status-check records are kept either way — the result reads none of
-    the per-task lifecycle events).
-
-    Assembly happens through :func:`adaptive_session` (the
-    :mod:`repro.lab` path); the golden suite pins this path to the exact
-    bits of the pre-lab implementation.
-    """
-    session = adaptive_session(config, trace_level=trace_level)
-    lab = session.run()
-    return AdaptiveExperimentResult(
-        candidate_series=lab.candidate_series,
-        power_series=lab.power_series,
-        events=lab.timeline.events,
-        total_nodes=lab.total_nodes,
-        completed_tasks=lab.completed_tasks,
-        total_energy=lab.total_energy,
-        planning_entries=lab.planning_entries,
-        events_processed=int(lab.metrics["events"]),
-        failed_tasks=int(lab.metrics["failed_tasks"]),
-        rejected_tasks=int(lab.metrics["rejected_tasks"]),
     )

@@ -19,6 +19,9 @@ task executes on the elected server at its peak performance and peak
 power.  The figure coordinates are the averages over all tasks of the
 energy consumed and the completion time; the RANDOM policy is run over
 several seeds and contributes an area (the shaded region of the figures).
+The study is :func:`repro.runner.grids.heterogeneity_grid`; each of its
+specs resolves here into a lab session, and :class:`HeterogeneityResult`
+reduces one figure's results to its points and area.
 
 Expected shape: with low heterogeneity the POWER (G) and GreenPerf (GP)
 points coincide and sit apart from PERFORMANCE (P) — the ratio adds
@@ -30,17 +33,18 @@ relies on the heterogeneity of servers".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.experiments.presets import preset_value
+from repro.lab.compat import reject_unused
 from repro.lab.components import PlatformSource, PolicySource, WorkloadSource
+from repro.lab.observe import PointSummary
 from repro.lab.session import LabSession
-from repro.runner.executor import run_scenarios
-from repro.runner.spec import ScenarioSpec, SweepSpec
+from repro.runner.spec import ScenarioSpec
 from repro.runner.store import ScenarioResult
-
-#: Policies plotted as single points in Figures 6 and 7.
-POINT_POLICIES = ("POWER", "GREENPERF", "PERFORMANCE")
+from repro.util.validation import ensure_integer
 
 #: Default per-task cost of the heterogeneity study.
 DEFAULT_TASK_FLOP = 5.0e10
@@ -77,9 +81,12 @@ def heterogeneity_params_for(
     the single-task servers) starts from the paper-scale server fleet;
     the closed-loop client parameters it carries are ignored by the
     replay.
-    """
-    from repro.experiments.presets import preset_value
 
+    >>> heterogeneity_params_for("tiny", overrides={"clients": 2.7})
+    Traceback (most recent call last):
+    ...
+    ValueError: clients must be an integer, got 2.7
+    """
     if workload == "trace":
         params: dict[str, object] = dict(HETEROGENEITY_WORKLOAD_PRESETS["paper"])
     else:
@@ -96,22 +103,72 @@ def heterogeneity_params_for(
                 f"valid overrides: {sorted(params)}"
             )
         params.update(overrides)
-    params["servers_per_type"] = int(params["servers_per_type"])
-    params["tasks_per_client"] = int(params["tasks_per_client"])
-    params["clients"] = int(params["clients"])
+    for key in ("servers_per_type", "tasks_per_client", "clients"):
+        ensure_integer(params[key], key)
     return params
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    """One point of the metric-comparison plot: a policy's averages."""
+def _server_type_count(platform: str) -> int:
+    """The server-type count a heterogeneity platform name spells.
 
-    policy: str
-    mean_energy_per_task: float
-    mean_completion_time: float
-    total_energy: float
-    makespan: float
-    tasks_per_type: Mapping[str, int]
+    Only the canonical ``types<N>`` spelling is accepted, so one platform
+    never runs under two names (and two content hashes).
+
+    >>> _server_type_count("types3")
+    3
+    >>> _server_type_count("types03")
+    Traceback (most recent call last):
+    ...
+    ValueError: heterogeneity platform must be 'types<N>' (types2..types4), got 'types03'
+    """
+    match = re.fullmatch(r"types([1-9][0-9]*)", platform)
+    if match is None:
+        raise ValueError(
+            "heterogeneity platform must be 'types<N>' (types2..types4), "
+            f"got {platform!r}"
+        )
+    return int(match.group(1))
+
+
+def heterogeneity_session(spec: ScenarioSpec) -> LabSession:
+    """Resolve a heterogeneity spec into a lab session.
+
+    The default workload is the paper's closed loop (``clients`` clients
+    each keeping one request in flight); ``workload="trace"`` replays a
+    recorded task stream through the single-task servers instead, and
+    the spec's ``timeline`` turns node-failure events into
+    server-unavailability windows.
+
+    >>> heterogeneity_session(ScenarioSpec(experiment="heterogeneity", platform="types2")).backend
+    'point'
+    """
+    reject_unused(spec, preference=0.0, horizon=None)
+    if spec.policy != "RANDOM":
+        reject_unused(spec, seed=0)
+    kinds = _server_type_count(spec.platform)
+    params = heterogeneity_params_for(spec.workload, overrides=dict(spec.overrides))
+    if spec.trace is not None:
+        workload = WorkloadSource.from_trace(spec.trace)
+    else:
+        workload = WorkloadSource.point_load(
+            clients=params["clients"],
+            tasks_per_client=params["tasks_per_client"],
+            task_flop=params["task_flop"],
+        )
+    return LabSession(
+        platform=PlatformSource.server_types(
+            kinds, servers_per_type=params["servers_per_type"]
+        ),
+        workload=workload,
+        policy=PolicySource(
+            spec.policy,
+            seed=spec.seed if spec.policy == "RANDOM" else None,
+            # Per-request semantics on the point study: queue-family names
+            # run as their placement adapter, never the batch backend.
+            family="plugin",
+        ),
+        timeline=spec.timeline,
+    )
 
 
 @dataclass(frozen=True)
@@ -131,15 +188,63 @@ class RandomArea:
         )
 
 
+def _point_from_result(result: ScenarioResult) -> PointSummary:
+    """Rebuild the figure coordinates of one scenario result."""
+    return PointSummary(
+        policy=result.spec.policy,
+        mean_energy_per_task=result.metrics["mean_energy_per_task"],
+        mean_completion_time=result.metrics["mean_completion_time"],
+        total_energy=result.metrics["total_energy"],
+        makespan=result.metrics["makespan"],
+        tasks_per_type={
+            kind: int(count)
+            for kind, count in result.detail.get("tasks_per_type", {}).items()
+        },
+    )
+
+
 @dataclass(frozen=True)
 class HeterogeneityResult:
-    """Full result of one heterogeneity scenario."""
+    """One figure of the heterogeneity study: the policy points and RANDOM area."""
 
     kinds: int
-    points: Mapping[str, MetricPoint]
+    points: Mapping[str, PointSummary]
     random_area: RandomArea
 
-    def point(self, policy: str) -> MetricPoint:
+    @classmethod
+    def from_results(
+        cls, results: Sequence[ScenarioResult], kinds: int
+    ) -> "HeterogeneityResult":
+        """Reduce the results of ``kinds`` server types to the figure.
+
+        Every non-RANDOM result on ``types<kinds>`` is a point; the RANDOM
+        results there span the area.  Results on other platforms are
+        skipped, so one grid run can feed several figures.
+        """
+        platform = f"types{kinds}"
+        points: dict[str, PointSummary] = {}
+        randoms: list[PointSummary] = []
+        for result in results:
+            if result.spec.platform != platform:
+                continue
+            point = _point_from_result(result)
+            if result.spec.policy == "RANDOM":
+                randoms.append(point)
+            else:
+                points[result.spec.policy] = point
+        if not randoms:
+            raise ValueError(f"no RANDOM results on {platform!r} to span the area")
+        energies = [p.mean_energy_per_task for p in randoms]
+        times = [p.mean_completion_time for p in randoms]
+        area = RandomArea(
+            energy_min=min(energies),
+            energy_max=max(energies),
+            time_min=min(times),
+            time_max=max(times),
+        )
+        return cls(kinds=kinds, points=points, random_area=area)
+
+    def point(self, policy: str) -> PointSummary:
         """The metric point of one policy."""
         return self.points[policy.upper()]
 
@@ -165,140 +270,3 @@ class HeterogeneityResult:
         """Whether GreenPerf achieves the best trade-off score of the three."""
         scores = {name: self.tradeoff_score(name) for name in self.points}
         return scores["GREENPERF"] <= min(scores.values()) + 1e-9
-
-
-def heterogeneity_session(
-    policy_name: str,
-    kinds: int,
-    *,
-    servers_per_type: int,
-    tasks_per_client: int = 50,
-    clients: int = 2,
-    task_flop: float = DEFAULT_TASK_FLOP,
-    seed: int = 0,
-    trace: str | None = None,
-    timeline=None,
-) -> LabSession:
-    """The heterogeneity study as a composable lab session.
-
-    The default workload is the paper's closed loop (``clients`` clients
-    each keeping one request in flight); ``trace`` replays a recorded
-    task stream through the single-task servers instead, and
-    ``timeline`` turns node-failure events into server-unavailability
-    windows — axes the pre-lab study could not express.
-    """
-    if trace is not None:
-        workload = WorkloadSource.from_trace(trace)
-    else:
-        workload = WorkloadSource.point_load(
-            clients=clients, tasks_per_client=tasks_per_client, task_flop=task_flop
-        )
-    return LabSession(
-        platform=PlatformSource.server_types(kinds, servers_per_type=servers_per_type),
-        workload=workload,
-        policy=PolicySource(
-            policy_name,
-            seed=seed if policy_name.upper() == "RANDOM" else None,
-            # Per-request semantics on the point study: queue-family names
-            # run as their placement adapter, never the batch backend.
-            family="plugin",
-        ),
-        timeline=timeline,
-    )
-
-
-def heterogeneity_sweeps(
-    kinds: int,
-    *,
-    servers_per_type: int = 2,
-    tasks_per_client: int = 50,
-    clients: int = 2,
-    task_flop: float = DEFAULT_TASK_FLOP,
-    random_seeds: Sequence[int] = (0, 1, 2, 3, 4),
-) -> tuple[SweepSpec, SweepSpec]:
-    """The scenario grid of one heterogeneity study, as two sweeps.
-
-    The first sweep covers the deterministic point policies (Figures 6–7
-    plot them as single markers); the second spans the RANDOM policy over
-    ``random_seeds`` (the shaded area).  Explicit parameters travel as spec
-    overrides so arbitrary configurations remain cacheable by content hash.
-    """
-    base = ScenarioSpec(
-        experiment="heterogeneity",
-        platform=f"types{kinds}",
-        workload="paper",
-        overrides={
-            "servers_per_type": servers_per_type,
-            "tasks_per_client": tasks_per_client,
-            "clients": clients,
-            "task_flop": task_flop,
-        },
-    )
-    points = SweepSpec(base, {"policy": POINT_POLICIES})
-    randoms = SweepSpec(base.replace(policy="RANDOM"), {"seed": tuple(random_seeds)})
-    return points, randoms
-
-
-def _point_from_result(result: ScenarioResult) -> MetricPoint:
-    """Rebuild the figure coordinates of one scenario result."""
-    return MetricPoint(
-        policy=result.spec.policy,
-        mean_energy_per_task=result.metrics["mean_energy_per_task"],
-        mean_completion_time=result.metrics["mean_completion_time"],
-        total_energy=result.metrics["total_energy"],
-        makespan=result.metrics["makespan"],
-        tasks_per_type={
-            kind: int(count)
-            for kind, count in result.detail.get("tasks_per_type", {}).items()
-        },
-    )
-
-
-def run_heterogeneity_experiment(
-    *,
-    kinds: int = 2,
-    servers_per_type: int = 2,
-    tasks_per_client: int = 50,
-    clients: int = 2,
-    task_flop: float = DEFAULT_TASK_FLOP,
-    random_seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    jobs: int = 1,
-    store=None,
-) -> HeterogeneityResult:
-    """Run one heterogeneity scenario (Figure 6 with ``kinds=2``, Figure 7 with 4).
-
-    Returns the POWER / GreenPerf / PERFORMANCE metric points and the
-    RANDOM area computed over ``random_seeds``.  The grid executes through
-    the sweep runner: ``jobs`` fans the scenarios out over worker
-    processes and ``store`` (a store directory path or
-    :class:`~repro.runner.store.ShardedResultStore`) makes re-runs
-    incremental.
-    """
-    point_sweep, random_sweep = heterogeneity_sweeps(
-        kinds,
-        servers_per_type=servers_per_type,
-        tasks_per_client=tasks_per_client,
-        clients=clients,
-        task_flop=task_flop,
-        random_seeds=random_seeds,
-    )
-    point_specs = point_sweep.expand()
-    random_specs = random_sweep.expand()
-    outcome = run_scenarios(point_specs + random_specs, jobs=jobs, store=store)
-
-    points: dict[str, MetricPoint] = {}
-    for result in outcome.results[: len(point_specs)]:
-        points[result.spec.policy] = _point_from_result(result)
-
-    random_points = [
-        _point_from_result(result) for result in outcome.results[len(point_specs):]
-    ]
-    energies = [p.mean_energy_per_task for p in random_points]
-    times = [p.mean_completion_time for p in random_points]
-    area = RandomArea(
-        energy_min=min(energies),
-        energy_max=max(energies),
-        time_min=min(times),
-        time_max=max(times),
-    )
-    return HeterogeneityResult(kinds=kinds, points=points, random_area=area)

@@ -33,8 +33,7 @@ from repro.infrastructure.platform import (
     simulated_cluster_specs,
     taurus_spec,
 )
-from repro.runner.spec import ScenarioSpec, SweepSpec
-from repro.util.validation import ensure_positive
+from repro.util.validation import ensure_integer, ensure_positive
 from repro.workload.generator import BurstThenContinuousWorkload, WorkloadGenerator
 from repro.workload.traces import TraceWorkload
 
@@ -70,7 +69,6 @@ class PlacementExperimentConfig:
     task_flop: float = CALIBRATED_TASK_FLOP
     continuous_rate: float = CONTINUOUS_RATE
     burst_size: int | None = None
-    random_seed: int = 0
     sample_period: float = 1.0
     trace_path: str | None = None
 
@@ -163,14 +161,14 @@ def preset_value(presets: Mapping[str, object], name: str, kind: str):
         ) from None
 
 
-_preset = preset_value
+#: Integer parameters of the placement config, checked where overrides enter.
+_INTEGER_PARAMETERS = ("nodes_per_cluster", "requests_per_core", "burst_size")
 
 
 def placement_config_for(
     platform: str = "paper",
     workload: str = "paper",
     *,
-    seed: int = 0,
     trace: str | None = None,
     overrides: Mapping[str, object] | None = None,
 ) -> PlacementExperimentConfig:
@@ -178,8 +176,8 @@ def placement_config_for(
 
     ``platform`` selects the node count (:data:`PLATFORM_PRESETS`),
     ``workload`` the request/task parameters
-    (:data:`PLACEMENT_WORKLOAD_PRESETS`), ``seed`` the RANDOM-policy seed,
-    and ``overrides`` replaces individual config fields — this is how
+    (:data:`PLACEMENT_WORKLOAD_PRESETS`), and ``overrides`` replaces
+    individual config fields — this is how
     :class:`~repro.runner.spec.ScenarioSpec` values resolve to runnable
     configurations.
 
@@ -190,6 +188,10 @@ def placement_config_for(
 
     >>> placement_config_for("quick", "quick").nodes_per_cluster
     1
+    >>> placement_config_for("quick", "quick", overrides={"nodes_per_cluster": 1.5})
+    Traceback (most recent call last):
+    ...
+    ValueError: nodes_per_cluster must be an integer, got 1.5
     """
     if (trace is not None) != (workload == "trace"):
         raise ValueError(
@@ -199,12 +201,15 @@ def placement_config_for(
     if workload == "trace":
         params: dict[str, object] = {"trace_path": str(trace)}
     else:
-        params = dict(_preset(PLACEMENT_WORKLOAD_PRESETS, workload, "workload"))
-    params["nodes_per_cluster"] = _preset(PLATFORM_PRESETS, platform, "platform")
+        params = dict(preset_value(PLACEMENT_WORKLOAD_PRESETS, workload, "workload"))
+    params["nodes_per_cluster"] = preset_value(PLATFORM_PRESETS, platform, "platform")
     if overrides:
         params.update(overrides)
+    for key in _INTEGER_PARAMETERS:
+        if key in params:
+            ensure_integer(params[key], key)
     try:
-        return PlacementExperimentConfig(random_seed=seed, **params)
+        return PlacementExperimentConfig(**params)
     except TypeError:
         valid = sorted(
             f.name for f in dataclasses.fields(PlacementExperimentConfig)
@@ -213,33 +218,6 @@ def placement_config_for(
         raise ValueError(
             f"unknown placement parameter(s) {unknown}; valid overrides: {valid}"
         ) from None
-
-
-def placement_sweep(
-    *,
-    policies: Sequence[str] = ("RANDOM", "POWER", "PERFORMANCE"),
-    seeds: Sequence[int] = (0,),
-    preferences: Sequence[float] = (0.0,),
-    platform: str = "paper",
-    workload: str = "paper",
-) -> SweepSpec:
-    """The placement experiment grid as a declarative sweep.
-
-    The default reproduces the Table II comparison (three policies, one
-    seed); widen ``seeds`` (meaningful for RANDOM only — the executor
-    rejects seed axes on deterministic policies) or ``preferences``
-    (GREEN_SCORE only) to grow the grid.
-    """
-    _preset(PLATFORM_PRESETS, platform, "platform")
-    _preset(PLACEMENT_WORKLOAD_PRESETS, workload, "workload")
-    return SweepSpec(
-        base=ScenarioSpec(experiment="placement", platform=platform, workload=workload),
-        axes={
-            "policy": tuple(policy.strip().upper() for policy in policies),
-            "seed": tuple(seeds),
-            "preference": tuple(preferences),
-        },
-    )
 
 
 def paper_infrastructure_table() -> Sequence[Mapping[str, object]]:

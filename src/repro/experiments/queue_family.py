@@ -2,7 +2,7 @@
 
 The paper's middleware places every request the instant it arrives; a
 batch queue instead *plans* — it may hold a wide job, promise it a
-start, and slide smaller jobs into the gap.  This module compares the
+start, and slide smaller jobs into the gap.  The queue family compares the
 four queue policies of :mod:`repro.policy.queue` (FCFS, EASY backfill,
 conservative backfill, DRF fair share) on the same job stream and the
 same aggregated capacity, the queue-side counterpart of the placement
@@ -16,159 +16,55 @@ experiment's Table II:
   :func:`repro.lab.observe.queue_energy`, comparable across policies
   because all four see identical capacity.
 
-Sessions assemble through :class:`~repro.lab.session.LabSession`'s
-queue backend; ``config.trace_path`` (an SWF log) is the interesting
-case because real traces carry the requested-runtime and user fields
-the planners feed on.
+The comparison is :func:`repro.runner.grids.queue_grid`; each of its
+specs resolves here into a session on
+:class:`~repro.lab.session.LabSession`'s queue backend.  A replayed SWF
+log is the interesting case because real traces carry the
+requested-runtime and user fields the planners feed on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from repro.experiments.presets import PlacementExperimentConfig
+from repro.experiments.presets import placement_config_for
+from repro.lab.compat import reject_unused
 from repro.lab.components import PlatformSource, PolicySource, WorkloadSource
-from repro.lab.observe import LabResult
 from repro.lab.session import LabSession
-
-#: The four queue policies, in canonical comparison order (the baseline
-#: first, then the two backfill variants, then fair share).
-QUEUE_COMPARISON_POLICIES = ("FCFS", "EASY", "CONSERVATIVE", "DRF")
+from repro.runner.spec import ScenarioSpec
+from repro.util.validation import ensure_integer
 
 
-def queue_session(
-    policy: str,
-    config: PlacementExperimentConfig | None = None,
-    *,
-    timeline=None,
-    horizon: float | None = None,
-    queue_cores: int | None = None,
-) -> LabSession:
-    """One queue-policy run as a composable lab session.
+def queue_session(spec: ScenarioSpec) -> LabSession:
+    """Resolve a queue-policy spec into a lab session.
 
-    ``config`` supplies the platform size and the job stream exactly as
-    it does for the placement experiment — synthetic burst + continuous
-    by default, an SWF/CSV replay when ``config.trace_path`` is set.
-    ``queue_cores`` caps the scheduled capacity below the platform's
-    core count (e.g. a trace's native ``MaxProcs``) so queues actually
-    form; ``timeline`` injects ``NodeFailure``/``NodeRecovery`` capacity
-    events and ``horizon`` cuts observation.
+    The platform size and the job stream come from the spec's presets
+    exactly as for the placement experiment — synthetic burst +
+    continuous by default, an SWF/CSV replay with ``workload="trace"``.
+    The ``queue_cores`` override caps the scheduled capacity below the
+    platform's core count (e.g. a trace's native ``MaxProcs``) so queues
+    actually form; ``timeline`` injects ``NodeFailure``/``NodeRecovery``
+    capacity events and ``horizon`` cuts observation.
 
-    >>> queue_session("EASY").backend
+    >>> queue_session(ScenarioSpec(experiment="queue", policy="EASY")).backend
     'queue'
     """
-    config = config or PlacementExperimentConfig()
+    # Queue policies are deterministic and preference-free; a seed or
+    # preference axis would sweep identical schedules under new labels.
+    reject_unused(spec, preference=0.0, seed=0)
+    overrides = dict(spec.overrides)
+    queue_cores = overrides.pop("queue_cores", None)
+    if queue_cores is not None:
+        ensure_integer(queue_cores, "queue_cores")
+    config = placement_config_for(
+        platform=spec.platform,
+        workload=spec.workload,
+        trace=spec.trace,
+        overrides=overrides,
+    )
     return LabSession(
         platform=PlatformSource.table1(config.nodes_per_cluster),
         workload=WorkloadSource.from_generator(config.build_workload),
-        policy=PolicySource(policy, family="queue"),
-        timeline=timeline,
-        horizon=horizon,
+        policy=PolicySource(spec.policy, family="queue"),
+        timeline=spec.timeline,
+        horizon=spec.horizon,
         queue_cores=queue_cores,
     )
-
-
-def run_queue_experiment(
-    policy: str,
-    config: PlacementExperimentConfig | None = None,
-    *,
-    timeline=None,
-    horizon: float | None = None,
-    queue_cores: int | None = None,
-) -> LabResult:
-    """Run the queue workload under one policy and return the lab result."""
-    return queue_session(
-        policy,
-        config,
-        timeline=timeline,
-        horizon=horizon,
-        queue_cores=queue_cores,
-    ).run()
-
-
-@dataclass(frozen=True)
-class QueueComparison:
-    """Results of scheduling the same job stream under several queue policies."""
-
-    results: Mapping[str, LabResult]
-
-    @property
-    def policies(self) -> tuple[str, ...]:
-        """Policy names, in run order."""
-        return tuple(self.results)
-
-    def metric(self, policy: str, name: str) -> float:
-        """One flat metric of one policy run."""
-        return float(self.results[policy].metrics[name])
-
-    def rows(self) -> Sequence[Mapping[str, float]]:
-        """Makespan / energy / wait / outcome counts per policy."""
-        return tuple(
-            {
-                "policy": policy,
-                "makespan_s": result.metrics["makespan"],
-                "energy_j": result.metrics["total_energy"],
-                "mean_wait_s": result.metrics["mean_wait"],
-                "completed": result.metrics["task_count"],
-                "failed": result.metrics["failed_tasks"],
-            }
-            for policy, result in self.results.items()
-        )
-
-    def makespan_improvement(self, reference: str, against: str = "FCFS") -> float:
-        """Fractional makespan reduction of ``reference`` vs ``against``.
-
-        Positive when ``reference`` finishes the stream earlier — the
-        figure that justifies backfilling over plain FCFS.
-        """
-        other = self.metric(against, "makespan")
-        if other == 0:
-            raise ZeroDivisionError(f"policy {against!r} reports zero makespan")
-        return 1.0 - self.metric(reference, "makespan") / other
-
-    def format_report(self) -> str:
-        """The comparison as an aligned text table with FCFS deltas."""
-        header = (
-            f"{'policy':<14}{'makespan (s)':>14}{'energy (J)':>16}"
-            f"{'mean wait (s)':>15}{'completed':>11}{'vs FCFS':>10}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows():
-            policy = str(row["policy"])
-            if policy == "FCFS" or "FCFS" not in self.results:
-                delta = "—"
-            else:
-                delta = f"{self.makespan_improvement(policy):+.1%}"
-            lines.append(
-                f"{policy:<14}{row['makespan_s']:>14.1f}{row['energy_j']:>16.1f}"
-                f"{row['mean_wait_s']:>15.1f}{int(row['completed']):>11}{delta:>10}"
-            )
-        return "\n".join(lines)
-
-
-def run_queue_comparison(
-    policies: Sequence[str] = QUEUE_COMPARISON_POLICIES,
-    config: PlacementExperimentConfig | None = None,
-    *,
-    timeline=None,
-    horizon: float | None = None,
-    queue_cores: int | None = None,
-) -> QueueComparison:
-    """Run the same job stream under each queue policy and collect results.
-
-    Every policy sees the identical platform capacity and job list (job
-    construction is deterministic), so the makespan/energy deltas are
-    attributable to ordering and packing decisions alone.
-    """
-    config = config or PlacementExperimentConfig()
-    results: dict[str, LabResult] = {}
-    for policy in policies:
-        results[policy.strip().upper()] = run_queue_experiment(
-            policy,
-            config,
-            timeline=timeline,
-            horizon=horizon,
-            queue_cores=queue_cores,
-        )
-    return QueueComparison(results=results)

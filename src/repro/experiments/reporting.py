@@ -1,31 +1,51 @@
 """Plain-text renderers for the paper's tables and figures.
 
-Benchmarks and examples print these renderings so that a reproduction run
-produces output directly comparable to the paper: the rows of Table II,
-the per-node task histograms of Figures 2–4, the per-cluster energy bars
-of Figure 5, the metric points of Figures 6–7 and the candidate/power time
-series of Figure 9.
+Each paper artifact is a grid plus a renderer: the CLI, the benchmarks
+and the examples run a grid of :mod:`repro.runner.grids` and print its
+results through these functions, so a reproduction run produces output
+directly comparable to the paper — the rows of Table II, the per-node
+task histograms of Figures 2–4, the per-cluster energy bars of Figure 5
+(all from placement :class:`~repro.runner.store.ScenarioResult`s keyed by
+policy), the metric points of Figures 6–7 (a
+:class:`~repro.experiments.greenperf_eval.HeterogeneityResult`) and the
+candidate/power time series of Figure 9 (the
+:class:`~repro.lab.observe.LabResult` of the adaptive session).
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.experiments.adaptive import AdaptiveExperimentResult
 from repro.experiments.greenperf_eval import HeterogeneityResult
-from repro.experiments.placement import PlacementComparison
+from repro.lab.observe import LabResult
+from repro.runner.store import ScenarioResult
 from repro.util.tables import render_table as _render_table
 
 
-def format_table2(comparison: PlacementComparison) -> str:
+def energy_saving(
+    results: Mapping[str, ScenarioResult], reference: str, against: str
+) -> float:
+    """Fractional energy saving of policy ``reference`` compared to ``against``.
+
+    Table II reports POWER saving 25 % against RANDOM and 19 % against
+    PERFORMANCE; this computes the equivalent figures for the
+    reproduction.
+    """
+    other = results[against].metrics["total_energy"]
+    if other == 0:
+        raise ZeroDivisionError(f"policy {against!r} reports zero energy")
+    return 1.0 - results[reference].metrics["total_energy"] / other
+
+
+def format_table2(results: Mapping[str, ScenarioResult]) -> str:
     """Table II: makespan and energy per scheduling policy."""
-    policies = list(comparison.policies)
+    policies = list(results)
     headers = [""] + policies
     makespan_row = ["Makespan (s)"] + [
-        f"{comparison.metrics(p).makespan:,.0f}" for p in policies
+        f"{results[p].metrics['makespan']:,.0f}" for p in policies
     ]
     energy_row = ["Energy (J)"] + [
-        f"{comparison.metrics(p).total_energy:,.0f}" for p in policies
+        f"{results[p].metrics['total_energy']:,.0f}" for p in policies
     ]
     return _render_table(headers, [makespan_row, energy_row])
 
@@ -42,9 +62,11 @@ def format_task_distribution(
     return f"{title}\n" + _render_table(headers, rows)
 
 
-def format_energy_per_cluster(comparison: PlacementComparison) -> str:
+def format_energy_per_cluster(results: Mapping[str, ScenarioResult]) -> str:
     """Figure 5: energy consumption per cluster, one column per policy."""
-    per_policy = comparison.energy_per_cluster()
+    per_policy = {
+        policy: result.detail["energy_per_cluster"] for policy, result in results.items()
+    }
     clusters = sorted({c for values in per_policy.values() for c in values})
     headers = ["cluster"] + list(per_policy)
     rows = []
@@ -79,7 +101,7 @@ def format_metric_points(result: HeterogeneityResult) -> str:
     return f"{title}\n" + _render_table(headers, rows)
 
 
-def format_adaptive_series(result: AdaptiveExperimentResult) -> str:
+def format_adaptive_series(result: LabResult) -> str:
     """Figure 9: candidate nodes and average power over time."""
     headers = ["t (min)", "candidates", "avg power (W)"]
     power_by_window = dict(result.power_series)
@@ -92,10 +114,10 @@ def format_adaptive_series(result: AdaptiveExperimentResult) -> str:
                 break
         power = power_by_window.get(window_end, 0.0) if window_end is not None else 0.0
         rows.append([f"{time / 60.0:,.0f}", str(candidates), f"{power:,.0f}"])
-    events = "\n".join(event.describe() for event in result.events)
+    events = result.timeline.events if result.timeline is not None else ()
     return (
         "Adaptive provisioning (Figure 9)\n"
         + _render_table(headers, rows)
         + "\nInjected events:\n"
-        + events
+        + "\n".join(event.describe() for event in events)
     )

@@ -98,16 +98,6 @@ class Cluster:
         """Total number of cores across the cluster."""
         return sum(node.spec.cores for node in self._nodes)
 
-    @property
-    def total_peak_power(self) -> float:
-        """Sum of per-node peak power (W)."""
-        return sum(node.spec.peak_power for node in self._nodes)
-
-    @property
-    def total_idle_power(self) -> float:
-        """Sum of per-node idle power (W)."""
-        return sum(node.spec.idle_power for node in self._nodes)
-
     def current_power(self) -> float:
         """Instantaneous power draw of the whole cluster (W)."""
         return sum(node.current_power() for node in self._nodes)

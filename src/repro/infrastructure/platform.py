@@ -192,10 +192,6 @@ class Platform:
         """All powered-on nodes."""
         return tuple(node for node in self.nodes if node.is_available)
 
-    def power_by_cluster(self) -> Mapping[str, float]:
-        """Instantaneous power draw per cluster (W)."""
-        return {cluster.name: cluster.current_power() for cluster in self._clusters}
-
 
 def grid5000_placement_platform(
     *,

@@ -76,11 +76,6 @@ class ThermalEnvironment:
         self._event_times.insert(index, event.time)
         self._events.insert(index, event)
 
-    def clear_events(self) -> None:
-        """Remove all scheduled events."""
-        self._events.clear()
-        self._event_times.clear()
-
     @property
     def events(self) -> tuple[ThermalEvent, ...]:
         """Scheduled events sorted by time."""

@@ -24,8 +24,8 @@ Modules
     :class:`LabResult` plus the shared metric/figure extraction.
 ``compat``
     :func:`session_for_spec` / :func:`execute_spec` — the declarative
-    :class:`~repro.runner.spec.ScenarioSpec` surface, kept resolving
-    exactly as before the lab refactor.
+    :class:`~repro.runner.spec.ScenarioSpec` surface, dispatching each
+    spec to its experiment family's one resolver.
 """
 
 from repro.lab.components import (

@@ -1,27 +1,27 @@
-"""Thin wrappers keeping the pre-lab entry points on the lab assembly path.
+"""The declarative surface: one resolver per family from a spec to a session.
 
-Two surfaces meet here:
+:func:`session_for_spec` resolves a frozen
+:class:`~repro.runner.spec.ScenarioSpec` (preset names, policy, trace/
+timeline paths) into a runnable :class:`~repro.lab.session.LabSession`,
+and :func:`execute_spec` is the sweep executor's unit of work.  Each
+experiment family owns exactly one resolver, a function from a spec to a
+session: :func:`repro.experiments.placement.placement_session`,
+:func:`~repro.experiments.greenperf_eval.heterogeneity_session`,
+:func:`~repro.experiments.adaptive.adaptive_session` and
+:func:`~repro.experiments.queue_family.queue_session`.  The paper's
+tables and figures are named grids of such specs
+(:mod:`repro.runner.grids`) plus a renderer
+(:mod:`repro.experiments.reporting`).
 
-* the **declarative** one — :func:`session_for_spec` resolves a frozen
-  :class:`~repro.runner.spec.ScenarioSpec` (preset names, policy, trace/
-  timeline paths) into a runnable :class:`~repro.lab.session.LabSession`,
-  and :func:`execute_spec` is the sweep executor's unit of work;
-* the **family-specific** one — the experiment modules
-  (:mod:`repro.experiments.placement`, :mod:`~repro.experiments.adaptive`,
-  :mod:`~repro.experiments.greenperf_eval`,
-  :mod:`~repro.experiments.queue_family`) each expose a
-  ``*_session(...)`` builder; this module dispatches to them so that the
-  historical preset vocabulary keeps resolving exactly as before.
+``trace`` and ``timeline`` are legal on *every* family.  The resolvers
+refuse spec values they would otherwise ignore or alias — a seed on a
+deterministic policy, a preference outside GREEN_SCORE
+(:func:`reject_unused`), a non-integer count — because every field
+participates in the content hash, and a swept-but-ignored field would
+cache identical simulations under distinct labels.
 
-Since the lab refactor, ``trace`` and ``timeline`` are legal on *every*
-family — the validation kept here is only the honesty check on spec
-fields a family genuinely ignores (a seed on a deterministic policy, a
-preference outside GREEN_SCORE), because every field participates in the
-content hash and a swept-but-ignored field would cache identical
-simulations under distinct labels.
-
-Experiment modules are imported lazily inside the dispatch functions so
-the lab package stays import-light and cycle-free.
+Experiment modules are imported lazily inside :func:`session_for_spec`
+so the lab package stays import-light and cycle-free.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def reject_unused(spec: ScenarioSpec, **unused: object) -> None:
     """Refuse spec fields the experiment family would silently ignore.
 
     Every field participates in the content hash, so a sweep over a field
-    the dispatcher ignores would run identical simulations under distinct
+    the resolver ignores would run identical simulations under distinct
     labels (and cache them as distinct entries).  Failing loudly keeps
     sweep axes honest.
     """
@@ -47,124 +47,6 @@ def reject_unused(spec: ScenarioSpec, **unused: object) -> None:
             )
 
 
-def _placement_session(spec: ScenarioSpec) -> LabSession:
-    from repro.experiments.placement import placement_session
-    from repro.experiments.presets import placement_config_for
-
-    if spec.policy != "GREEN_SCORE":
-        reject_unused(spec, preference=0.0)
-    if spec.policy != "RANDOM":
-        reject_unused(spec, seed=0)
-    config = placement_config_for(
-        platform=spec.platform,
-        workload=spec.workload,
-        seed=spec.seed,
-        trace=spec.trace,
-        overrides=dict(spec.overrides),
-    )
-    policy_kwargs = {}
-    if spec.policy == "GREEN_SCORE":
-        policy_kwargs["default_preference"] = spec.preference
-    # Sweep workers skip per-task trace recording: nothing in the sweep
-    # path reads it, and million-task replays would allocate four trace
-    # events per task for nothing.
-    return placement_session(
-        spec.policy,
-        config,
-        trace_level="off",
-        timeline=spec.timeline,
-        horizon=spec.horizon,
-        **policy_kwargs,
-    )
-
-
-def _heterogeneity_session(spec: ScenarioSpec) -> LabSession:
-    from repro.experiments.greenperf_eval import (
-        heterogeneity_params_for,
-        heterogeneity_session,
-    )
-
-    reject_unused(spec, preference=0.0, horizon=None)
-    if spec.policy != "RANDOM":
-        reject_unused(spec, seed=0)
-    if not spec.platform.startswith("types"):
-        raise ValueError(
-            f"heterogeneity platforms are 'types2'..'types4', got {spec.platform!r}"
-        )
-    kinds = int(spec.platform.removeprefix("types"))
-    params = heterogeneity_params_for(spec.workload, overrides=dict(spec.overrides))
-    return heterogeneity_session(
-        spec.policy,
-        kinds,
-        seed=spec.seed,
-        trace=spec.trace,
-        timeline=spec.timeline,
-        **params,
-    )
-
-
-def _adaptive_session(spec: ScenarioSpec) -> LabSession:
-    from repro.experiments.adaptive import adaptive_config_for, adaptive_session
-
-    # The Figure 9 scenario always schedules with GreenPerf and has no
-    # stochastic component (generated fault timelines are seeded at
-    # generation time, so a timeline file is deterministic content too).
-    reject_unused(spec, policy="GREENPERF", preference=0.0, seed=0)
-    if spec.trace is not None and spec.horizon is None:
-        raise ValueError(
-            "adaptive trace replay needs an observation horizon: the planner "
-            "re-checks forever; add horizon=<seconds> to the spec"
-        )
-    timeline = None
-    if spec.timeline is not None:
-        from repro.scenario.io import load_timeline
-
-        timeline = load_timeline(spec.timeline)
-    config = adaptive_config_for(
-        platform=spec.platform,
-        workload=spec.workload,
-        horizon=spec.horizon,
-        timeline=timeline,
-        trace=spec.trace,
-        overrides=dict(spec.overrides),
-    )
-    return adaptive_session(config, trace_level="off")
-
-
-def _queue_session(spec: ScenarioSpec) -> LabSession:
-    from repro.experiments.presets import placement_config_for
-    from repro.experiments.queue_family import queue_session
-
-    # Queue policies are deterministic and preference-free; a seed or
-    # preference axis would sweep identical schedules under new labels.
-    reject_unused(spec, preference=0.0, seed=0)
-    overrides = dict(spec.overrides)
-    queue_cores = overrides.pop("queue_cores", None)
-    if queue_cores is not None:
-        queue_cores = int(queue_cores)
-    config = placement_config_for(
-        platform=spec.platform,
-        workload=spec.workload,
-        trace=spec.trace,
-        overrides=overrides,
-    )
-    return queue_session(
-        spec.policy,
-        config,
-        timeline=spec.timeline,
-        horizon=spec.horizon,
-        queue_cores=queue_cores,
-    )
-
-
-_FAMILY_SESSIONS = {
-    "placement": _placement_session,
-    "heterogeneity": _heterogeneity_session,
-    "adaptive": _adaptive_session,
-    "queue": _queue_session,
-}
-
-
 def session_for_spec(spec: ScenarioSpec) -> LabSession:
     """Resolve a declarative scenario spec into a runnable lab session.
 
@@ -172,11 +54,22 @@ def session_for_spec(spec: ScenarioSpec) -> LabSession:
     it is returned, so callers can rely on :class:`ValueError` surfacing
     here rather than mid-run.
     """
+    from repro.experiments.adaptive import adaptive_session
+    from repro.experiments.greenperf_eval import heterogeneity_session
+    from repro.experiments.placement import placement_session
+    from repro.experiments.queue_family import queue_session
+
+    resolvers = {
+        "placement": placement_session,
+        "heterogeneity": heterogeneity_session,
+        "adaptive": adaptive_session,
+        "queue": queue_session,
+    }
     try:
-        builder = _FAMILY_SESSIONS[spec.experiment]
+        resolver = resolvers[spec.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment family {spec.experiment!r}") from None
-    return builder(spec).validate()
+    return resolver(spec).validate()
 
 
 def execute_spec(spec: ScenarioSpec) -> ScenarioResult:

@@ -192,6 +192,16 @@ class LabResult:
         """Candidate count in effect at simulated ``time`` (s)."""
         return int(series_value_at(self.candidate_series, time))
 
+    def mean_power_between(self, start: float, end: float) -> float:
+        """Average platform power over ``[start, end]`` from the windowed series.
+
+        >>> result = LabResult("middleware", {}, power_series=((600.0, 10.0), (1200.0, 30.0)))
+        >>> result.mean_power_between(0.0, 1200.0)
+        20.0
+        """
+        values = [power for time, power in self.power_series if start <= time <= end]
+        return float(np.mean(values)) if values else 0.0
+
 
 # -- per-backend metric extraction ------------------------------------------------------
 

@@ -26,8 +26,8 @@ value).
 
 The lab (and, through it, the experiment modules) is imported lazily
 inside ``execute_scenario``: the runner package stays import-light and
-free of circular dependencies (experiment modules themselves declare
-their grids with :mod:`repro.runner.spec`).
+free of circular dependencies (each experiment family's resolver itself
+takes a :class:`~repro.runner.spec.ScenarioSpec`).
 """
 
 from __future__ import annotations

@@ -1,47 +1,35 @@
-"""Named scenario grids for the ``repro sweep`` command.
+"""Named scenario grids for ``repro sweep`` and the paper's figures.
 
 Each grid is a composition of :class:`~repro.runner.spec.SweepSpec`s
-covering one slice of the paper's evaluation.  Grids are defined purely in
-terms of spec presets — the experiment modules resolve the preset names at
-execution time — so this module stays importable without touching any
-simulation code.
+covering one slice of the paper's evaluation.  A paper artifact is one
+grid function plus a renderer: ``repro table2`` and ``fig2``–``fig5``
+run :func:`table2_grid`, ``fig6``/``fig7`` run :func:`heterogeneity_grid`,
+and :mod:`repro.experiments.reporting` renders the results.  The named
+``table2`` and ``heterogeneity`` grids are these functions at their
+defaults.  Grids are defined purely in terms of spec presets — the
+experiment modules resolve the preset names at execution time — so this
+module stays importable without touching any simulation code.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.runner.spec import ScenarioSpec, SweepSpec, expand_grid
-
-#: The deterministic placement policies plotted as single points.
-_POINT_POLICIES = ("POWER", "GREENPERF", "PERFORMANCE")
+from repro.runner.spec import Scalar, ScenarioSpec, SweepSpec, expand_grid
 
 
 def _default_grid() -> tuple[ScenarioSpec, ...]:
     """The 24-scenario demonstration grid (quick presets, every family)."""
     placement = ScenarioSpec(experiment="placement", platform="quick", workload="quick")
-    heterogeneity = ScenarioSpec(
-        experiment="heterogeneity", platform="types2", workload="quick"
-    )
     return expand_grid(
         (
-            SweepSpec(placement, {"policy": _POINT_POLICIES}),
+            SweepSpec(placement, {"policy": ("POWER", "GREENPERF", "PERFORMANCE")}),
             SweepSpec(placement.replace(policy="RANDOM"), {"seed": (0, 1, 2, 3, 4)}),
             SweepSpec(
                 placement.replace(policy="GREEN_SCORE"),
                 {"preference": (-0.75, -0.25, 0.25, 0.75)},
             ),
-            SweepSpec(
-                heterogeneity,
-                {
-                    "platform": ("types2", "types3", "types4"),
-                    "policy": _POINT_POLICIES,
-                },
-            ),
-            SweepSpec(
-                heterogeneity.replace(policy="RANDOM"),
-                {"platform": ("types2", "types4")},
-            ),
+            *heterogeneity_grid(scale="quick", seeds=(0,)),
             ScenarioSpec(
                 experiment="adaptive",
                 platform="quick",
@@ -69,29 +57,69 @@ def _smoke_grid() -> tuple[ScenarioSpec, ...]:
     )
 
 
-def _table2_grid() -> tuple[ScenarioSpec, ...]:
-    """Paper-scale placement comparison behind Table II and Figures 2–5."""
-    base = ScenarioSpec(experiment="placement", platform="paper", workload="paper")
+def table2_grid(scale: str = "paper", seed: int = 0) -> tuple[ScenarioSpec, ...]:
+    """The placement comparison behind Table II and Figures 2–5.
+
+    RANDOM, POWER and PERFORMANCE on the Table I platform, with ``scale``
+    naming both the platform and the workload preset.  ``seed`` moves
+    RANDOM's draws; the deterministic policies take none.
+
+    >>> for spec in table2_grid("quick", seed=3):
+    ...     print(spec.scenario_id)
+    placement/quick/quick/RANDOM/p+0.00/s3
+    placement/quick/quick/POWER/p+0.00/s0
+    placement/quick/quick/PERFORMANCE/p+0.00/s0
+    """
+    base = ScenarioSpec(experiment="placement", platform=scale, workload=scale)
     return expand_grid(
-        SweepSpec(base, {"policy": ("RANDOM", "POWER", "PERFORMANCE")})
+        (
+            base.replace(policy="RANDOM", seed=seed),
+            SweepSpec(base, {"policy": ("POWER", "PERFORMANCE")}),
+        )
     )
 
 
-def _heterogeneity_grid() -> tuple[ScenarioSpec, ...]:
-    """Paper-scale heterogeneity study behind Figures 6 and 7."""
-    base = ScenarioSpec(experiment="heterogeneity", platform="types2", workload="paper")
+def heterogeneity_grid(
+    kinds: Sequence[int] = (2, 3, 4),
+    scale: str = "paper",
+    seeds: Sequence[int] = (0, 1, 2, 3, 4),
+    overrides: Mapping[str, Scalar] | None = None,
+) -> tuple[ScenarioSpec, ...]:
+    """The GreenPerf heterogeneity study behind Figures 6 and 7.
+
+    POWER, GREENPERF and PERFORMANCE at every server-type count in
+    ``kinds``, then RANDOM over ``seeds`` at the lowest and the highest
+    count: the shaded areas of Figure 6 (two types) and Figure 7 (four).
+    ``scale`` names the workload preset and ``overrides`` replace its
+    parameters.
+
+    >>> for spec in heterogeneity_grid((2,), "quick", seeds=(7,)):
+    ...     print(spec.scenario_id)
+    heterogeneity/types2/quick/POWER/p+0.00/s0
+    heterogeneity/types2/quick/GREENPERF/p+0.00/s0
+    heterogeneity/types2/quick/PERFORMANCE/p+0.00/s0
+    heterogeneity/types2/quick/RANDOM/p+0.00/s7
+    """
+    platforms = tuple(f"types{count}" for count in kinds)
+    ends = tuple(dict.fromkeys((f"types{min(kinds)}", f"types{max(kinds)}")))
+    base = ScenarioSpec(
+        experiment="heterogeneity",
+        platform=platforms[0],
+        workload=scale,
+        overrides=overrides,
+    )
     return expand_grid(
         (
             SweepSpec(
                 base,
                 {
-                    "platform": ("types2", "types3", "types4"),
-                    "policy": _POINT_POLICIES,
+                    "platform": platforms,
+                    "policy": ("POWER", "GREENPERF", "PERFORMANCE"),
                 },
             ),
             SweepSpec(
                 base.replace(policy="RANDOM"),
-                {"platform": ("types2", "types4"), "seed": (0, 1, 2, 3, 4)},
+                {"platform": ends, "seed": tuple(seeds)},
             ),
         )
     )
@@ -237,7 +265,7 @@ def queue_grid(
     scheduled capacity (e.g. a trace's native ``MaxProcs``) so queues
     form and the backfill policies separate from FCFS.
     """
-    overrides = {"queue_cores": int(queue_cores)} if queue_cores is not None else None
+    overrides = {"queue_cores": queue_cores} if queue_cores is not None else None
     base = ScenarioSpec(
         experiment="queue",
         platform=platforms[0],
@@ -261,17 +289,13 @@ def queue_grid(
     )
 
 
-def _queue_grid() -> tuple[ScenarioSpec, ...]:
-    return queue_grid()
-
-
 _GRIDS: dict[str, Callable[[], tuple[ScenarioSpec, ...]]] = {
     "default": _default_grid,
     "smoke": _smoke_grid,
-    "table2": _table2_grid,
-    "heterogeneity": _heterogeneity_grid,
+    "table2": table2_grid,
+    "heterogeneity": heterogeneity_grid,
     "preferences": _preferences_grid,
-    "queue": _queue_grid,
+    "queue": queue_grid,
 }
 
 

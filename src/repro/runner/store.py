@@ -97,10 +97,6 @@ class ScenarioResult:
             cached=cached,
         )
 
-    def as_cached(self) -> "ScenarioResult":
-        """The same result flagged as served from cache."""
-        return dataclasses.replace(self, cached=True)
-
 
 # -- crash-safe JSONL primitives --------------------------------------------------------
 

@@ -152,14 +152,3 @@ class QueueSet:
     def queues(self) -> Mapping[str, NodeQueue]:
         """All queues, keyed by node name."""
         return dict(self._queues)
-
-    def total_pending(self) -> int:
-        """Number of waiting tasks across the platform."""
-        return sum(queue.pending_count for queue in self._queues.values())
-
-    def waiting_times(self) -> Mapping[str, float]:
-        """Waiting-time estimate of every node (s)."""
-        return {
-            name: queue.waiting_time_estimate()
-            for name, queue in self._queues.items()
-        }

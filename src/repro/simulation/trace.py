@@ -85,24 +85,3 @@ class ExecutionTrace:
             if event.kind == kind:
                 return event
         return None
-
-    def count_by(self, kind: str, key: str) -> Mapping[Any, int]:
-        """Histogram of ``details[key]`` over records of ``kind``.
-
-        Used, e.g., to count completed tasks per node (Figures 2–4).
-        """
-        counts: dict[Any, int] = {}
-        for event in self._events:
-            if event.kind != kind:
-                continue
-            value = event.details.get(key)
-            counts[value] = counts.get(value, 0) + 1
-        return counts
-
-    def time_series(self, kind: str, key: str) -> Sequence[tuple[float, Any]]:
-        """Chronological ``(time, details[key])`` pairs for records of ``kind``."""
-        return tuple(
-            (event.time, event.details.get(key))
-            for event in self._events
-            if event.kind == kind
-        )

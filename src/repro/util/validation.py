@@ -31,6 +31,25 @@ def ensure_non_negative(value: float, name: str) -> float:
     return float(value)
 
 
+def ensure_integer(value: object, name: str) -> int:
+    """Return ``value`` if it is an ``int`` (a ``bool`` is not).
+
+    Raises :class:`ValueError` naming ``name`` otherwise.  Spec parameters
+    go through this check, because truncating ``1.9`` to ``1`` would run
+    one simulation under two content hashes.
+
+    >>> ensure_integer(3, "clients")
+    3
+    >>> ensure_integer(1.9, "clients")
+    Traceback (most recent call last):
+    ...
+    ValueError: clients must be an integer, got 1.9
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def ensure_in_range(
     value: float,
     name: str,

@@ -6,34 +6,43 @@ shortened scenario that still hits every event type.
 
 import pytest
 
-from repro.experiments.adaptive import AdaptiveExperimentConfig, run_adaptive_experiment
+from repro.experiments.adaptive import AdaptiveExperimentConfig
+from repro.lab.compat import session_for_spec
+from repro.runner.spec import ScenarioSpec
 from repro.scenario.events import EventTimeline, TariffChange, ThermalExcursion
-from repro.scenario.io import bundled_timeline
+from repro.scenario.io import bundled_timeline, save_timeline
 
 _MIN = 60.0
 
-SHORT = AdaptiveExperimentConfig(
-    duration=80 * _MIN,
-    check_period=600.0,
-    lookahead=1200.0,
-    task_flop=2.0e11,
-    client_tick=120.0,
-    sample_period=30.0,
-    timeline=EventTimeline([
-        # Event times leave the first check (t=0, look-ahead 20 min) on the
-        # regular tariff and give the heat excursion three checks to ramp
-        # the pool all the way down to 2 nodes.
-        TariffChange(time=25 * _MIN, cost=0.8, scheduled=True),
-        TariffChange(time=35 * _MIN, cost=0.5, scheduled=True),
-        ThermalExcursion(time=45 * _MIN, temperature=30.0, scheduled=False),
-        ThermalExcursion(time=75 * _MIN, temperature=22.0, scheduled=False),
-    ]),
-)
+SHORT_TIMELINE = EventTimeline([
+    # Event times leave the first check (t=0, look-ahead 20 min) on the
+    # regular tariff and give the heat excursion three checks to ramp
+    # the pool all the way down to 2 nodes.
+    TariffChange(time=25 * _MIN, cost=0.8, scheduled=True),
+    TariffChange(time=35 * _MIN, cost=0.5, scheduled=True),
+    ThermalExcursion(time=45 * _MIN, temperature=30.0, scheduled=False),
+    ThermalExcursion(time=75 * _MIN, temperature=22.0, scheduled=False),
+])
 
 
 @pytest.fixture(scope="module")
-def result():
-    return run_adaptive_experiment(SHORT)
+def result(tmp_path_factory):
+    timeline = tmp_path_factory.mktemp("adaptive") / "short.json"
+    save_timeline(timeline, SHORT_TIMELINE)
+    spec = ScenarioSpec(
+        experiment="adaptive",
+        policy="GREENPERF",
+        horizon=80 * _MIN,
+        timeline=str(timeline),
+        overrides={
+            "check_period": 600.0,
+            "lookahead": 1200.0,
+            "task_flop": 2.0e11,
+            "client_tick": 120.0,
+            "sample_period": 30.0,
+        },
+    )
+    return session_for_spec(spec).run()
 
 
 class TestDefaultScenario:

@@ -4,20 +4,28 @@ import pytest
 
 from repro.experiments.greenperf_eval import (
     DEFAULT_TASK_FLOP,
+    HeterogeneityResult,
     RandomArea,
-    run_heterogeneity_experiment,
 )
 from repro.lab.components import server_type_specs
+from repro.runner.executor import run_scenarios
+from repro.runner.grids import heterogeneity_grid
+
+
+def run_study(kinds, **overrides):
+    """One figure of the study: its grid through the runner, then reduced."""
+    outcome = run_scenarios(heterogeneity_grid((kinds,), overrides=overrides))
+    return HeterogeneityResult.from_results(outcome.results, kinds)
 
 
 @pytest.fixture(scope="module")
 def low_heterogeneity():
-    return run_heterogeneity_experiment(kinds=2, tasks_per_client=30)
+    return run_study(2, tasks_per_client=30)
 
 
 @pytest.fixture(scope="module")
 def high_heterogeneity():
-    return run_heterogeneity_experiment(kinds=4, tasks_per_client=30)
+    return run_study(4, tasks_per_client=30)
 
 
 class TestServerSpecs:
@@ -55,6 +63,24 @@ class TestExperimentStructure:
         area = high_heterogeneity.random_area
         assert area.energy_min <= area.energy_max
         assert area.time_min <= area.time_max
+
+    def test_reducer_keeps_only_its_own_server_type_count(self):
+        outcome = run_scenarios(
+            heterogeneity_grid((2, 3, 4), seeds=(0,), overrides={"tasks_per_client": 5})
+        )
+        result = HeterogeneityResult.from_results(outcome.results, 4)
+        assert result.kinds == 4
+        assert set(result.points) == {"POWER", "GREENPERF", "PERFORMANCE"}
+        # Only the four-type platform has the Table III clusters to elect.
+        assert result.point("POWER").tasks_per_type == {"sim2": 10}
+
+    def test_reducer_needs_random_results_for_the_area(self):
+        outcome = run_scenarios(
+            heterogeneity_grid((2, 3, 4), seeds=(0,), overrides={"tasks_per_client": 5})
+        )
+        # RANDOM runs at the two ends of the kinds range only.
+        with pytest.raises(ValueError, match="RANDOM"):
+            HeterogeneityResult.from_results(outcome.results, 3)
 
     def test_random_area_contains_helper(self):
         area = RandomArea(energy_min=1.0, energy_max=2.0, time_min=10.0, time_max=20.0)
@@ -98,14 +124,14 @@ class TestPaperShape:
 
 class TestDeterminism:
     def test_repeated_runs_identical(self):
-        first = run_heterogeneity_experiment(kinds=4, tasks_per_client=10)
-        second = run_heterogeneity_experiment(kinds=4, tasks_per_client=10)
+        first = run_study(4, tasks_per_client=10)
+        second = run_study(4, tasks_per_client=10)
         for name in first.points:
             assert first.points[name] == second.points[name]
 
     def test_task_flop_scales_times(self):
-        small = run_heterogeneity_experiment(kinds=2, tasks_per_client=10, task_flop=DEFAULT_TASK_FLOP)
-        large = run_heterogeneity_experiment(kinds=2, tasks_per_client=10, task_flop=2 * DEFAULT_TASK_FLOP)
+        small = run_study(2, tasks_per_client=10, task_flop=DEFAULT_TASK_FLOP)
+        large = run_study(2, tasks_per_client=10, task_flop=2 * DEFAULT_TASK_FLOP)
         assert large.point("POWER").mean_completion_time == pytest.approx(
             2 * small.point("POWER").mean_completion_time
         )

@@ -61,11 +61,6 @@ class TestLookupAndAggregates:
         cluster = make_cluster("alpha", 3, cores=4)
         assert cluster.total_cores == 12
 
-    def test_total_power_aggregates(self):
-        cluster = make_cluster("alpha", 2, idle_power=100.0, peak_power=250.0)
-        assert cluster.total_idle_power == 200.0
-        assert cluster.total_peak_power == 500.0
-
     def test_current_power_of_idle_cluster(self):
         cluster = make_cluster("alpha", 2, idle_power=100.0, peak_power=250.0)
         assert cluster.current_power() == pytest.approx(200.0)

@@ -36,11 +36,6 @@ class TestPlatformContainer:
         assert len(platform) == 6
         assert len(list(platform)) == 6
 
-    def test_power_by_cluster_keys(self):
-        platform = grid5000_placement_platform(nodes_per_cluster=1)
-        by_cluster = platform.power_by_cluster()
-        assert set(by_cluster) == {"orion", "taurus", "sagittaire"}
-
     def test_available_nodes_tracks_power_state(self):
         platform = grid5000_placement_platform(nodes_per_cluster=1)
         platform.node("orion-0").power_off()

@@ -30,13 +30,6 @@ class TestThermalEnvironment:
         assert env.temperature(250.0) == 22.0
         assert [event.time for event in env.events] == [100.0, 200.0]
 
-    def test_clear_events(self):
-        env = ThermalEnvironment(base_temperature=21.0)
-        env.schedule_event(ThermalEvent(time=10.0, temperature=40.0))
-        env.clear_events()
-        assert env.temperature(20.0) == 21.0
-        assert env.events == ()
-
     def test_default_threshold_matches_paper(self):
         env = ThermalEnvironment()
         assert env.threshold == DEFAULT_TEMPERATURE_THRESHOLD == 25.0

@@ -80,6 +80,56 @@ class TestExecuteScenario:
         with pytest.raises(ValueError, match="do not use"):
             execute_scenario(spec)
 
+    @pytest.mark.parametrize("platform", ["types 3", "types03", "typesfoo", "types"])
+    def test_non_canonical_heterogeneity_platform_rejected(self, platform):
+        """``types 3`` and ``types03`` used to run as ``types3`` under
+        other hashes; ``typesfoo`` failed with a bare ``int()`` message."""
+        spec = ScenarioSpec(experiment="heterogeneity", platform=platform, workload="tiny")
+        with pytest.raises(ValueError, match=r"heterogeneity platform must be 'types<N>'"):
+            execute_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            # Integer parameters used to be truncated (1.9 ran as 1, True
+            # as 1) under a new hash, or to crash deep inside the run.
+            (ScenarioSpec(experiment="heterogeneity", platform="types2", workload="tiny",
+                          overrides={"servers_per_type": 1.9}), "servers_per_type"),
+            (ScenarioSpec(experiment="heterogeneity", platform="types2", workload="tiny",
+                          overrides={"tasks_per_client": 2.7}), "tasks_per_client"),
+            (ScenarioSpec(experiment="heterogeneity", platform="types2", workload="tiny",
+                          overrides={"clients": True}), "clients"),
+            (ScenarioSpec(experiment="heterogeneity", platform="types2", workload="tiny",
+                          overrides={"clients": 2.0}), "clients"),
+            (ScenarioSpec(experiment="queue", platform="tiny", workload="tiny",
+                          policy="FCFS", overrides={"queue_cores": 16.5}), "queue_cores"),
+            (ScenarioSpec(experiment="queue", platform="tiny", workload="tiny",
+                          policy="FCFS", overrides={"queue_cores": True}), "queue_cores"),
+            (ScenarioSpec(experiment="placement", platform="tiny", workload="tiny",
+                          overrides={"nodes_per_cluster": 1.5}), "nodes_per_cluster"),
+            (ScenarioSpec(experiment="placement", platform="tiny", workload="tiny",
+                          overrides={"requests_per_core": 2.0}), "requests_per_core"),
+            (ScenarioSpec(experiment="placement", platform="tiny", workload="tiny",
+                          overrides={"burst_size": True}), "burst_size"),
+            (ScenarioSpec(experiment="queue", platform="tiny", workload="tiny",
+                          policy="FCFS", overrides={"nodes_per_cluster": 1.5}),
+             "nodes_per_cluster"),
+            (ScenarioSpec(experiment="adaptive", platform="tiny", workload="tiny",
+                          policy="GREENPERF", overrides={"ramp_up_step": 1.5}),
+             "ramp_up_step"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, spec, key):
+        with pytest.raises(ValueError, match=rf"{key} must be an integer"):
+            execute_scenario(spec)
+
+    def test_integer_counts_still_resolve(self):
+        spec = ScenarioSpec(
+            experiment="heterogeneity", platform="types2", workload="tiny",
+            policy="GREENPERF", overrides={"tasks_per_client": 3},
+        )
+        assert execute_scenario(spec).metrics["task_count"] == 2 * 3
+
     def test_placement_horizon_caps_the_run(self):
         """Since the lab refactor a horizon is legal on every engine-driven
         family: the placement run stops observing at the cap."""

@@ -47,10 +47,6 @@ class TestScenarioResult:
         assert rebuilt.cached
         assert rebuilt.scenario_hash == make_result().scenario_hash
 
-    def test_as_cached_flags_result(self):
-        assert not make_result().cached
-        assert make_result().as_cached().cached
-
 
 def seeds_in_one_shard(count: int, policy: str = "POWER") -> list[int]:
     """``count`` seeds whose scenario hashes share a shard (prefix_len 1)."""

@@ -81,18 +81,3 @@ class TestQueueSet:
         assert "n-1" in queues
         assert queues["n-1"].node.name == "n-1"
         assert "missing" not in queues
-
-    def test_total_pending(self):
-        nodes = [Node(make_spec(name=f"n-{i}")) for i in range(2)]
-        queues = QueueSet(nodes)
-        queues["n-0"].enqueue(Task())
-        queues["n-1"].enqueue(Task())
-        queues["n-1"].enqueue(Task())
-        assert queues.total_pending() == 3
-
-    def test_waiting_times_map(self):
-        nodes = [Node(make_spec(name=f"n-{i}")) for i in range(2)]
-        queues = QueueSet(nodes)
-        times = queues.waiting_times()
-        assert set(times) == {"n-0", "n-1"}
-        assert all(value == 0.0 for value in times.values())

@@ -43,21 +43,6 @@ class TestExecutionTrace:
         assert last is not None and last["value"] == 2
         assert trace.last_of_kind("missing") is None
 
-    def test_count_by_builds_histogram(self):
-        trace = ExecutionTrace()
-        trace.record(1.0, ExecutionTrace.TASK_COMPLETED, node="n-0")
-        trace.record(2.0, ExecutionTrace.TASK_COMPLETED, node="n-0")
-        trace.record(3.0, ExecutionTrace.TASK_COMPLETED, node="n-1")
-        counts = trace.count_by(ExecutionTrace.TASK_COMPLETED, "node")
-        assert counts == {"n-0": 2, "n-1": 1}
-
-    def test_time_series_extraction(self):
-        trace = ExecutionTrace()
-        trace.record(1.0, "candidates_changed", candidates=4)
-        trace.record(2.0, "candidates_changed", candidates=8)
-        series = trace.time_series("candidates_changed", "candidates")
-        assert series == ((1.0, 4), (2.0, 8))
-
     def test_events_property_is_chronological_copy(self):
         trace = ExecutionTrace()
         trace.record(1.0, "a")

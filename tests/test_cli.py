@@ -378,6 +378,13 @@ class TestLabRun:
         assert "KEY=VALUE" in err
         assert "Traceback" not in err
 
+    def test_non_integer_count_exits_cleanly(self, capsys):
+        argv = ["lab", "run", "--family", "placement", "--set", "nodes_per_cluster=1.5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "nodes_per_cluster must be an integer, got 1.5" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv,expected",
         [

@@ -4,7 +4,9 @@
 pins the paper's headline numbers — Table II makespan/energy totals, the
 Figure 6/7 heterogeneity points and the Figure 9 candidate/power
 trajectory — to the exact bits the
-reproduction computed when the fixtures were last regenerated.  Every
+reproduction computed when the fixtures were last regenerated.
+``grids.json`` pins every named grid's scenario ids and content hashes,
+and ``cli/*.txt`` the exact stdout of ``repro table2`` and ``fig2``–``fig9``.  Every
 test here asserts *equality*, not approximation: JSON serialises doubles
 through ``repr``, which round-trips, so any drift — an engine refactor
 reordering events, an energy-accounting change, a preset edit — fails
@@ -14,7 +16,9 @@ paper.
 The Figure 9 fixtures were generated by the pre-refactor inline-event
 implementation; the current code reproduces them through the bundled
 ``figure9.toml`` timeline (the adaptive config's default), which is the
-bit-identity proof for the timeline subsystem.
+bit-identity proof for the timeline subsystem.  Every figure here runs
+the path the CLI runs: a spec grid through the sweep runner, or one spec
+through :func:`~repro.lab.compat.session_for_spec`.
 """
 
 from __future__ import annotations
@@ -25,17 +29,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.adaptive import (
-    adaptive_config_for,
-    run_adaptive_experiment,
-)
-from repro.experiments.greenperf_eval import (
-    HETEROGENEITY_WORKLOAD_PRESETS,
-    heterogeneity_session,
-    run_heterogeneity_experiment,
-)
-from repro.experiments.placement import run_policy_comparison
-from repro.experiments.presets import placement_config_for
+from repro.experiments.greenperf_eval import HeterogeneityResult
+from repro.lab.compat import session_for_spec
+from repro.runner.executor import run_scenarios
+from repro.runner.grids import heterogeneity_grid, table2_grid
+from repro.runner.spec import ScenarioSpec
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -55,18 +53,17 @@ class TestTable2Golden:
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_policy_totals_are_bit_identical(self, golden, scale):
-        comparison = run_policy_comparison(
-            config=placement_config_for(scale, scale)
-        )
+        results = run_scenarios(table2_grid(scale)).by_policy()
         expected = golden["scales"][scale]
-        assert sorted(comparison.policies) == sorted(expected)
-        for policy in comparison.policies:
-            metrics = comparison.metrics(policy)
-            assert metrics.makespan == expected[policy]["makespan"], policy
-            assert metrics.total_energy == expected[policy]["total_energy"], policy
-            assert metrics.task_count == expected[policy]["task_count"], policy
+        assert sorted(results) == sorted(expected)
+        for policy, result in results.items():
+            assert result.metrics["makespan"] == expected[policy]["makespan"], policy
             assert (
-                dict(metrics.energy_per_cluster)
+                result.metrics["total_energy"] == expected[policy]["total_energy"]
+            ), policy
+            assert result.metrics["task_count"] == expected[policy]["task_count"], policy
+            assert (
+                result.detail["energy_per_cluster"]
                 == expected[policy]["energy_per_cluster"]
             ), policy
 
@@ -78,27 +75,31 @@ class TestHeterogeneityGolden:
     @pytest.mark.parametrize("scale", SCALES)
     def test_points_and_random_area_are_bit_identical(self, name, kinds, scale):
         expected = load_golden(name)["scales"][scale]
-        params = HETEROGENEITY_WORKLOAD_PRESETS[scale]
-        result = run_heterogeneity_experiment(kinds=kinds, **params)
+        outcome = run_scenarios(heterogeneity_grid((kinds,), scale))
+        result = HeterogeneityResult.from_results(outcome.results, kinds)
         assert {
             policy: asdict(point) for policy, point in result.points.items()
         } == expected["points"]
         assert asdict(result.random_area) == expected["random_area"]
-        easy = heterogeneity_session("EASY", kinds, **params).run().point
-        assert asdict(easy) == expected["easy"]
+        easy = ScenarioSpec(
+            experiment="heterogeneity", platform=f"types{kinds}", workload=scale,
+            policy="EASY",
+        )
+        assert asdict(session_for_spec(easy).run().point) == expected["easy"]
 
     def test_trace_replay_under_failures_is_bit_identical(self, name, kinds):
         expected = load_golden(name)["trace_replay"]
         data = Path(__file__).parent / "data"
         for policy, point in expected.items():
-            session = heterogeneity_session(
-                policy,
-                kinds,
-                servers_per_type=2,
+            spec = ScenarioSpec(
+                experiment="heterogeneity",
+                platform=f"types{kinds}",
+                workload="trace",
+                policy=policy,
                 trace=str(data / "mini.swf"),
                 timeline=str(data / "failures.toml"),
             )
-            assert asdict(session.run().point) == point, policy
+            assert asdict(session_for_spec(spec).run().point) == point, policy
 
 
 class TestFigure9Golden:
@@ -108,7 +109,7 @@ class TestFigure9Golden:
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_trajectory_is_bit_identical(self, golden, scale):
-        result = run_adaptive_experiment(adaptive_config_for(workload=scale))
+        result = session_for_spec(TOOL.figure9_spec(scale)).run()
         expected = golden["scales"][scale]
         assert [
             [time, count] for time, count in result.candidate_series
@@ -121,9 +122,9 @@ class TestFigure9Golden:
         assert result.total_nodes == expected["total_nodes"]
 
     def test_faultless_timeline_reports_no_losses(self):
-        result = run_adaptive_experiment(adaptive_config_for(workload="quick"))
-        assert result.failed_tasks == 0
-        assert result.rejected_tasks == 0
+        result = session_for_spec(TOOL.figure9_spec("quick")).run()
+        assert result.metrics["failed_tasks"] == 0
+        assert result.metrics["rejected_tasks"] == 0
 
 
 class TestQueueTableGolden:
@@ -134,19 +135,13 @@ class TestQueueTableGolden:
         return load_golden("queue_table.json")
 
     @pytest.fixture(scope="class")
-    def comparison(self):
-        from repro.experiments.queue_family import run_queue_comparison
+    def results(self):
+        return TOOL.queue_table_results()
 
-        trace = Path(__file__).parent / "data" / "mini.swf"
-        return run_queue_comparison(
-            config=placement_config_for("quick", "trace", trace=str(trace)),
-            queue_cores=16,
-        )
-
-    def test_queue_table_is_bit_identical(self, golden, comparison):
+    def test_queue_table_is_bit_identical(self, golden, results):
         expected = golden["policies"]
-        assert sorted(comparison.policies) == sorted(expected)
-        for policy, result in comparison.results.items():
+        assert sorted(results) == sorted(expected)
+        for policy, result in results.items():
             assert result.metrics["makespan"] == expected[policy]["makespan"], policy
             assert (
                 result.metrics["total_energy"] == expected[policy]["total_energy"]
@@ -157,37 +152,68 @@ class TestQueueTableGolden:
                 result.metrics["failed_tasks"] == expected[policy]["failed"]
             ), policy
 
-    def test_backfill_improves_makespan_over_fcfs(self, comparison):
+    def test_backfill_improves_makespan_over_fcfs(self, results):
         """The reason the queue family exists: on a stream where a wide
         job head-blocks runnable small jobs, both backfill planners must
         finish strictly earlier than FCFS without losing a single job."""
+        fcfs = results["FCFS"].metrics
         for policy in ("EASY", "CONSERVATIVE"):
-            assert comparison.makespan_improvement(policy) > 0, policy
+            assert results[policy].metrics["makespan"] < fcfs["makespan"], policy
             assert (
-                comparison.metric(policy, "task_count")
-                == comparison.metric("FCFS", "task_count")
+                results[policy].metrics["task_count"] == fcfs["task_count"]
             ), policy
 
-    def test_report_formats_every_policy(self, comparison):
-        report = comparison.format_report()
-        for policy in comparison.policies:
-            assert policy in report
+
+def _load_tool():
+    import importlib.util
+
+    tool_path = Path(__file__).parent.parent / "tools" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", tool_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TOOL = _load_tool()
+
+
+class TestNamedGridGolden:
+    """Named grids keep their scenarios, order and hashes, so stores built
+    by ``repro sweep --grid NAME`` keep serving cache hits."""
+
+    @pytest.mark.parametrize("name", sorted(load_golden("grids.json")))
+    def test_grid_ids_and_hashes_are_unchanged(self, name):
+        from repro.runner.grids import grid
+
+        expected = load_golden("grids.json")[name]
+        assert [
+            [spec.scenario_id, spec.content_hash()] for spec in grid(name)
+        ] == expected
+
+    def test_every_named_grid_is_pinned(self):
+        from repro.runner.grids import named_grids
+
+        assert sorted(load_golden("grids.json")) == sorted(named_grids())
+
+
+class TestCliGolden:
+    """``repro table2``/``fig2``–``fig9`` print exactly the pinned text."""
+
+    @pytest.mark.parametrize("name", sorted(TOOL.CLI_COMMANDS))
+    def test_stdout_is_byte_identical(self, name):
+        expected = (TOOL.CLI_GOLDEN_DIR / name).read_text("utf-8")
+        assert TOOL.cli_stdout(TOOL.CLI_COMMANDS[name]) == expected
 
 
 class TestGoldenToolIsInSync:
     def test_fixtures_match_the_generator(self):
         """`tools/make_goldens.py` run against HEAD must be a no-op.
 
-        Imports the tool and rebuilds each payload in-process: if this
-        fails, someone changed the numbers without regenerating (or
-        regenerated without committing).
+        Rebuilds each JSON payload in-process (the CLI text fixtures are
+        rebuilt by :class:`TestCliGolden`): if this fails, someone changed
+        the numbers without regenerating (or regenerated without
+        committing).
         """
-        import importlib.util
-
-        tool_path = Path(__file__).parent.parent / "tools" / "make_goldens.py"
-        spec = importlib.util.spec_from_file_location("make_goldens", tool_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        for name, build in module.GOLDENS.items():
+        for name, build in TOOL.GOLDENS.items():
             expected = json.dumps(build(), indent=2, sort_keys=True) + "\n"
             assert (GOLDEN_DIR / name).read_text("utf-8") == expected, name

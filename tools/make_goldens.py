@@ -5,7 +5,10 @@ The golden files lock the paper's headline numbers — Table II makespan and
 energy totals, the Figure 6/7 heterogeneity points, and the Figure 9
 candidate/power trajectory — against silent drift: ``tests/test_goldens.py``
 re-runs the same scenarios and asserts bit-identical agreement with these
-fixtures.  Refactors of the engine, the energy accountant or the event
+fixtures.  ``grids.json`` pins the ``(scenario_id, content_hash)`` list of
+every named grid, so stores written by ``repro sweep --grid NAME`` keep
+serving cache hits (a change there orphans those stores' records), and
+``cli/*.txt`` pins the exact stdout of the figure commands.  Refactors of the engine, the energy accountant or the event
 machinery must reproduce these numbers exactly (JSON serialises doubles
 through ``repr``, which round-trips, so equality here is equality of the
 underlying bits).
@@ -20,11 +23,15 @@ them.  The tool prints a diff summary when a fixture changes.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden"
+DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
+GOLDEN_DIR = DATA_DIR / "golden"
+CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
 
 #: Header of the energy fixtures.  Energy has one integration, the 1 Hz
 #: quantized reading; the key stays so regenerated files match byte for byte.
@@ -37,34 +44,38 @@ SCALES = ("quick", "paper")
 
 def table2_golden() -> dict:
     """Makespan/energy totals per policy (Table II, Figure 5)."""
-    from repro.experiments.placement import run_policy_comparison
-    from repro.experiments.presets import placement_config_for
+    from repro.runner.executor import run_scenarios
+    from repro.runner.grids import table2_grid
 
     scales = {}
     for scale in SCALES:
-        comparison = run_policy_comparison(
-            config=placement_config_for(scale, scale)
-        )
-        policies = {}
-        for policy in comparison.policies:
-            metrics = comparison.metrics(policy)
-            policies[policy] = {
-                "makespan": metrics.makespan,
-                "total_energy": metrics.total_energy,
-                "task_count": metrics.task_count,
-                "energy_per_cluster": dict(metrics.energy_per_cluster),
+        results = run_scenarios(table2_grid(scale)).by_policy()
+        scales[scale] = {
+            policy: {
+                "makespan": result.metrics["makespan"],
+                "total_energy": result.metrics["total_energy"],
+                "task_count": int(result.metrics["task_count"]),
+                "energy_per_cluster": dict(result.detail["energy_per_cluster"]),
             }
-        scales[scale] = policies
+            for policy, result in results.items()
+        }
     return {**ENERGY_HEADER, "scales": scales}
+
+
+def figure9_spec(scale: str):
+    """The Figure 9 scenario at one workload scale."""
+    from repro.runner.spec import ScenarioSpec
+
+    return ScenarioSpec(experiment="adaptive", workload=scale, policy="GREENPERF")
 
 
 def figure9_golden() -> dict:
     """Candidate-count and windowed-power trajectories (Figure 9)."""
-    from repro.experiments.adaptive import adaptive_config_for, run_adaptive_experiment
+    from repro.lab.compat import session_for_spec
 
     scales = {}
     for scale in SCALES:
-        result = run_adaptive_experiment(adaptive_config_for(workload=scale))
+        result = session_for_spec(figure9_spec(scale)).run()
         scales[scale] = {
             "candidate_series": [[time, count] for time, count in result.candidate_series],
             "power_series": [[time, power] for time, power in result.power_series],
@@ -75,6 +86,15 @@ def figure9_golden() -> dict:
     return {**ENERGY_HEADER, "scales": scales}
 
 
+def queue_table_results() -> dict:
+    """Queue-policy results on the bundled SWF trace at 16 cores, by policy."""
+    from repro.runner.executor import run_scenarios
+    from repro.runner.grids import queue_grid
+
+    grid = queue_grid(str(DATA_DIR / "mini.swf"), platforms=("quick",), queue_cores=16)
+    return run_scenarios(grid).by_policy()
+
+
 def queue_table_golden() -> dict:
     """Makespan/energy/wait per queue policy on the bundled SWF trace.
 
@@ -82,16 +102,8 @@ def queue_table_golden() -> dict:
     backfill planners visibly beat FCFS (a wide job head-blocks runnable
     small jobs); the fixture locks each policy's schedule bits.
     """
-    from repro.experiments.presets import placement_config_for
-    from repro.experiments.queue_family import run_queue_comparison
-
-    trace = Path(__file__).resolve().parent.parent / "tests" / "data" / "mini.swf"
-    comparison = run_queue_comparison(
-        config=placement_config_for("quick", "trace", trace=str(trace)),
-        queue_cores=16,
-    )
     policies = {}
-    for policy, result in comparison.results.items():
+    for policy, result in queue_table_results().items():
         policies[policy] = {
             "makespan": result.metrics["makespan"],
             "total_energy": result.metrics["total_energy"],
@@ -100,6 +112,10 @@ def queue_table_golden() -> dict:
             "failed": result.metrics["failed_tasks"],
         }
     return {"trace": "mini.swf", "queue_cores": 16, "policies": policies}
+
+
+#: Policies replayed over the bundled trace and failure timeline per figure.
+TRACE_REPLAY_POLICIES = ("POWER", "GREENPERF", "PERFORMANCE", "RANDOM", "GREEN_SCORE", "EASY")
 
 
 def heterogeneity_golden(kinds: int) -> dict:
@@ -113,34 +129,72 @@ def heterogeneity_golden(kinds: int) -> dict:
     """
     from dataclasses import asdict
 
-    from repro.experiments.greenperf_eval import (
-        HETEROGENEITY_WORKLOAD_PRESETS,
-        heterogeneity_session,
-        run_heterogeneity_experiment,
-    )
+    from repro.experiments.greenperf_eval import HeterogeneityResult
+    from repro.lab.compat import session_for_spec
+    from repro.runner.executor import run_scenarios
+    from repro.runner.grids import heterogeneity_grid
+    from repro.runner.spec import ScenarioSpec
 
+    base = ScenarioSpec(experiment="heterogeneity", platform=f"types{kinds}")
     scales = {}
     for scale in SCALES:
-        params = HETEROGENEITY_WORKLOAD_PRESETS[scale]
-        result = run_heterogeneity_experiment(kinds=kinds, **params)
-        easy = heterogeneity_session("EASY", kinds, **params).run().point
+        outcome = run_scenarios(heterogeneity_grid((kinds,), scale))
+        result = HeterogeneityResult.from_results(outcome.results, kinds)
+        easy = session_for_spec(base.replace(workload=scale, policy="EASY")).run()
         scales[scale] = {
             "points": {policy: asdict(point) for policy, point in result.points.items()},
             "random_area": asdict(result.random_area),
-            "easy": asdict(easy),
+            "easy": asdict(easy.point),
         }
-    data = Path(__file__).resolve().parent.parent / "tests" / "data"
-    replays = {}
-    for policy in ("POWER", "GREENPERF", "PERFORMANCE", "RANDOM", "GREEN_SCORE", "EASY"):
-        session = heterogeneity_session(
-            policy,
-            kinds,
-            servers_per_type=2,
-            trace=str(data / "mini.swf"),
-            timeline=str(data / "failures.toml"),
-        )
-        replays[policy] = asdict(session.run().point)
+    replay = base.replace(
+        workload="trace",
+        trace=str(DATA_DIR / "mini.swf"),
+        timeline=str(DATA_DIR / "failures.toml"),
+    )
+    replays = {
+        policy: asdict(session_for_spec(replay.replace(policy=policy)).run().point)
+        for policy in TRACE_REPLAY_POLICIES
+    }
     return {"kinds": kinds, "scales": scales, "trace_replay": replays}
+
+
+def grids_golden() -> dict:
+    """``(scenario_id, content_hash)`` of every named grid, in grid order."""
+    from repro.runner.grids import grid, named_grids
+
+    return {
+        name: [[spec.scenario_id, spec.content_hash()] for spec in grid(name)]
+        for name in named_grids()
+    }
+
+
+#: ``repro`` invocations whose stdout is pinned byte for byte, by file name.
+CLI_COMMANDS = {
+    "table2-quick.txt": ("table2", "--quick"),
+    "fig2-quick.txt": ("fig2", "--quick"),
+    "fig3-quick.txt": ("fig3", "--quick"),
+    "fig4-quick.txt": ("fig4", "--quick"),
+    "fig5-quick.txt": ("fig5", "--quick"),
+    "fig6-quick.txt": ("fig6", "--quick"),
+    "fig7-quick.txt": ("fig7", "--quick"),
+    "fig9-quick.txt": ("fig9", "--quick"),
+    "table2.txt": ("table2",),
+    "fig5.txt": ("fig5",),
+    "fig4-quick-seed3.txt": ("fig4", "--quick", "--seed", "3"),
+    "fig6-quick-seed7.txt": ("fig6", "--quick", "--seed", "7"),
+}
+
+
+def cli_stdout(argv) -> str:
+    """What ``repro <argv>`` prints, run in-process."""
+    from repro.cli import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        status = main(list(argv))
+    if status != 0:
+        raise RuntimeError(f"repro {' '.join(argv)} exited with {status}")
+    return buffer.getvalue()
 
 
 GOLDENS = {
@@ -149,24 +203,33 @@ GOLDENS = {
     "figure7.json": lambda: heterogeneity_golden(4),
     "figure9.json": figure9_golden,
     "queue_table.json": queue_table_golden,
+    "grids.json": grids_golden,
 }
 
 
+def _write(path: Path, payload: str) -> bool:
+    """Write ``payload`` to ``path``; report and return whether it changed."""
+    previous = path.read_text("utf-8") if path.exists() else None
+    name = path.relative_to(GOLDEN_DIR)
+    if payload == previous:
+        print(f"make_goldens: {name}: unchanged")
+        return False
+    path.write_text(payload, "utf-8")
+    state = "rewritten" if previous is not None else "created"
+    print(f"make_goldens: {name}: {state}")
+    return True
+
+
 def main() -> int:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    CLI_GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     changed = 0
     for name, build in GOLDENS.items():
-        path = GOLDEN_DIR / name
         payload = json.dumps(build(), indent=2, sort_keys=True) + "\n"
-        previous = path.read_text("utf-8") if path.exists() else None
-        if payload == previous:
-            print(f"make_goldens: {name}: unchanged")
-            continue
-        path.write_text(payload, "utf-8")
-        changed += 1
-        state = "rewritten" if previous is not None else "created"
-        print(f"make_goldens: {name}: {state}")
-    print(f"make_goldens: {len(GOLDENS)} fixture(s), {changed} changed")
+        changed += _write(GOLDEN_DIR / name, payload)
+    for name, argv in CLI_COMMANDS.items():
+        changed += _write(CLI_GOLDEN_DIR / name, cli_stdout(argv))
+    total = len(GOLDENS) + len(CLI_COMMANDS)
+    print(f"make_goldens: {total} fixture(s), {changed} changed")
     return 0
 
 
