@@ -221,29 +221,43 @@ class IncrementalGreenPerfOrder:
         seds: Mapping[str, object] | None = None,
         basis: PerformanceBasis = PerformanceBasis.TOTAL_FLOPS,
     ) -> None:
-        self._nodes = {node.name: node for node in nodes}
         self._seds = dict(seds) if seds is not None else {}
-        self._basis = basis
+        #: Each node's performance term and nameplate ratio.  The peak
+        #: power is checked here, once per node (by ``greenperf_of_node``),
+        #: and a SeD checks each power observation finite and non-negative
+        #: where it records it, so recomputing a dirty ratio is a division
+        #: behind one comparison.
+        self._performance: dict[str, float] = {}
+        self._static_ratio: dict[str, float] = {}
+        for node in nodes:
+            name, spec = node.name, node.spec
+            self._performance[name] = (
+                spec.total_flops if basis is PerformanceBasis.TOTAL_FLOPS else spec.flops_per_core
+            )
+            self._static_ratio[name] = greenperf_of_node(node, basis=basis)
         self._keys: list[tuple[float, str]] = []
         self._ratio_of: dict[str, float] = {}
         #: SeDs invalidated since the last refresh; its bound ``add`` is
         #: the invalidation listener.
         self._dirty: set = set()
-        for name, node in self._nodes.items():
-            key = (self._ratio(node), name)
+        for name in self._static_ratio:
+            key = (self._ratio(name), name)
             self._keys.append(key)
             self._ratio_of[name] = key[0]
         self._keys.sort()
         for name, sed in self._seds.items():
-            if name in self._nodes and hasattr(sed, "add_invalidation_listener"):
+            if name in self._static_ratio and hasattr(sed, "add_invalidation_listener"):
                 sed.add_invalidation_listener(self._dirty.add)
 
-    def _ratio(self, node: Node) -> float:
-        measured: float | None = None
-        sed = self._seds.get(node.name)
+    def _ratio(self, name: str) -> float:
+        """``greenperf_of_node`` with the SeD's dynamic power once it has history."""
+        sed = self._seds.get(name)
         if sed is not None and sed.observed_request_count > 0:
-            measured = sed.dynamic_mean_power()
-        return greenperf_of_node(node, measured_power=measured, basis=self._basis)
+            power = sed.dynamic_mean_power()
+            if not power > 0.0:
+                ensure_positive(power, "power")
+            return power / self._performance[name]
+        return self._static_ratio[name]
 
     def _refresh(self) -> None:
         dirty = self._dirty
@@ -252,11 +266,10 @@ class IncrementalGreenPerfOrder:
         keys = self._keys
         for sed in dirty:
             name = sed.name
-            node = self._nodes.get(name)
-            if node is None:
+            if name not in self._static_ratio:
                 continue
             old_ratio = self._ratio_of[name]
-            new_ratio = self._ratio(node)
+            new_ratio = self._ratio(name)
             if new_ratio == old_ratio:
                 continue
             index = bisect_left(keys, (old_ratio, name))

@@ -27,7 +27,6 @@ when decisions are made".
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -187,8 +186,9 @@ class GreenSchedulerPolicy(PluginScheduler):
     ``default_preference`` applies when the request carries none.
 
     The key, (Equation 6 score, server name), depends on the request but
-    is a total order: :meth:`sort` is :meth:`rank` over rows built by
-    :meth:`score_inputs`, which the flat election keeps between elections.
+    is a total order: :meth:`sort` sorts the :meth:`score_keys` of rows
+    built by :meth:`score_inputs`, which the flat election keeps between
+    elections and elects from by ``min``.
     """
 
     name = "GREEN_SCORE"
@@ -206,11 +206,34 @@ class GreenSchedulerPolicy(PluginScheduler):
         """``(entry, inputs)``: the :func:`~repro.core.scoring.server_inputs` row."""
         return entry, server_inputs(entry.estimation, power_tag(self.use_dynamic_power))
 
-    def rank(self, request: ServiceRequest, rows: Sequence[tuple]) -> list[CandidateEntry]:
-        """The rows' entries sorted by (Equation 6 score, server name).
+    def score_keys(
+        self, request: ServiceRequest, rows: Sequence[tuple]
+    ) -> list[tuple[float, str, int]]:
+        """One ``(Equation 6 score, server name, row position)`` key per row.
 
+        Rows with equal inputs get one :meth:`ScoreKernel.evaluate_inputs`
+        call between them (servers of one type in one state score alike).
         Rows whose inputs failed the fast-path checks are scored from their
-        vector, which raises the scalar functions' errors.
+        vector, which raises the scalar functions' errors; rows are scored
+        in order, so the first bad row raises.
+
+        >>> from repro.middleware.estimation import EstimationVector
+        >>> from repro.simulation.task import Task
+        >>> def row(name, power):
+        ...     return policy.score_inputs(CandidateEntry.from_vector(
+        ...         EstimationVector(name, "c", {
+        ...             EstimationTags.FLOPS_PER_CORE: 1e9,
+        ...             EstimationTags.MEAN_POWER: power,
+        ...             EstimationTags.NODE_AVAILABLE: 1.0,
+        ...         })
+        ...     ))
+        >>> policy = GreenSchedulerPolicy()
+        >>> rows = [row("b", 90.0), row("a", 90.0), row("c", 50.0)]
+        >>> keys = policy.score_keys(ServiceRequest.from_task(Task(flop=1e9)), rows)
+        >>> [(score, server) for score, server, _ in sorted(keys)]
+        [(50.0, 'c'), (90.0, 'a'), (90.0, 'b')]
+        >>> min(keys)[2]  # the winner's row
+        2
         """
         if not rows:
             return []
@@ -221,21 +244,23 @@ class GreenSchedulerPolicy(PluginScheduler):
             request.task.flop, preference, use_dynamic_power=self.use_dynamic_power
         )
         evaluate, evaluate_inputs = kernel.evaluate, kernel.evaluate_inputs
-        scored = [
-            (
-                (evaluate(entry.estimation) if inputs is None else evaluate_inputs(*inputs))[2],
-                entry.server,
-                entry,
-            )
-            for entry, inputs in rows
-        ]
-        scored.sort(key=itemgetter(0, 1))  # (score, server)
-        return [entry for _, _, entry in scored]
+        scores: dict[tuple, float] = {}
+        keys = []
+        for position, (entry, inputs) in enumerate(rows):
+            if inputs is None:
+                score = evaluate(entry.estimation)[2]
+            else:
+                score = scores.get(inputs)
+                if score is None:
+                    score = scores[inputs] = evaluate_inputs(*inputs)[2]
+            keys.append((score, entry.server, position))
+        return keys
 
     def sort(
         self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
     ) -> list[CandidateEntry]:
-        return self.rank(request, [self.score_inputs(entry) for entry in candidates])
+        keys = self.score_keys(request, [self.score_inputs(entry) for entry in candidates])
+        return [candidates[key[-1]] for key in sorted(keys)]
 
 
 #: Registry used by experiments and the CLI-style examples.

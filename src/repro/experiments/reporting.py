@@ -14,6 +14,7 @@ candidate/power time series of Figure 9 (the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Mapping
 
 from repro.experiments.greenperf_eval import HeterogeneityResult
@@ -102,19 +103,24 @@ def format_metric_points(result: HeterogeneityResult) -> str:
 
 
 def format_adaptive_series(result: LabResult) -> str:
-    """Figure 9: candidate nodes and average power over time."""
+    """Figure 9: candidate nodes and average power over time.
+
+    Each row reads the power of the first window ending at or after its
+    time.  The event list holds the timeline events the run reached: the
+    engine fires an event at exactly the horizon, so those stay; later
+    ones never happened.
+    """
     headers = ["t (min)", "candidates", "avg power (W)"]
     power_by_window = dict(result.power_series)
+    window_ends = sorted(power_by_window)
     rows = []
     for time, candidates in result.candidate_series:
-        window_end = None
-        for end in sorted(power_by_window):
-            if end >= time:
-                window_end = end
-                break
-        power = power_by_window.get(window_end, 0.0) if window_end is not None else 0.0
+        index = bisect_left(window_ends, time)
+        power = power_by_window[window_ends[index]] if index < len(window_ends) else 0.0
         rows.append([f"{time / 60.0:,.0f}", str(candidates), f"{power:,.0f}"])
     events = result.timeline.events if result.timeline is not None else ()
+    if result.horizon is not None:
+        events = [event for event in events if event.time <= result.horizon]
     return (
         "Adaptive provisioning (Figure 9)\n"
         + _render_table(headers, rows)

@@ -540,7 +540,8 @@ class LabSession:
         # and only free servers are candidates, so the static fleet's
         # entries are built once (at t = 0, when every server is free).
         # A rank_key policy's order is then fixed for the whole run; a
-        # rank policy keeps its score_inputs rows; any other policy sorts.
+        # score_keys policy keeps its score_inputs rows and elects the least
+        # key; any other policy sorts.
         entries = {
             server.name: CandidateEntry.from_vector(server.estimation(0.0))
             for server in servers
@@ -551,7 +552,7 @@ class LabSession:
             order = sorted(
                 servers, key=lambda server: scheduler.rank_key(entries[server.name])
             )
-        elif scheduler.rank is not None:
+        elif scheduler.score_keys is not None:
             rows = {name: scheduler.score_inputs(entry) for name, entry in entries.items()}
 
         def _elect(request: ServiceRequest, now: float) -> _SimServer:
@@ -560,7 +561,8 @@ class LabSession:
                 return next(server for server in order if _free(server, now))
             free = [server.name for server in servers if _free(server, now)]
             if rows is not None:
-                head = scheduler.rank(request, [rows[name] for name in free])[0]
+                present = [rows[name] for name in free]
+                head = present[min(scheduler.score_keys(request, present))[-1]][0]
             else:
                 head = scheduler.sort(request, [entries[name] for name in free])[0]
             return server_by_name[head.server]

@@ -20,7 +20,7 @@ final sorting — that is where the administrator's thresholds and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.middleware.plugin_scheduler import (
     CandidateEntry,
@@ -123,13 +123,6 @@ class Agent:
             found.extend(child.all_seds())
         return tuple(found)
 
-    def set_scheduler(self, scheduler: PluginScheduler, *, recursive: bool = True) -> None:
-        """Install a plug-in scheduler on this agent (and its subtree by default)."""
-        self.scheduler = scheduler
-        if recursive:
-            for child in self._child_agents:
-                child.set_scheduler(scheduler, recursive=True)
-
     # -- request propagation -----------------------------------------------------------
     def collect_candidates(self, request: ServiceRequest) -> list[CandidateEntry]:
         """Steps 2–4 for this subtree: propagate, collect, sort.
@@ -174,9 +167,11 @@ class MasterAgent(Agent):
     In addition to the common agent behaviour, the Master Agent applies an
     optional *candidate filter* before the final sort — the hook used by
     the adaptive provisioning layer to cap the number of candidate nodes —
-    and elects the first SeD of the resulting ranking.  How that ranking
-    is produced (resident, flat or a replay of the tree walk) is chosen once
-    per topology version by :func:`~repro.middleware.ranking.choose_election`.
+    and elects the first SeD of the resulting ranking.  How that head is
+    found (a resident order, a flat ``min`` or a replay of the tree walk)
+    is chosen once per topology version by
+    :func:`~repro.middleware.ranking.choose_election`; only a candidate
+    filter makes the strategy build the whole ranking.
     """
 
     def __init__(
@@ -210,72 +205,42 @@ class MasterAgent(Agent):
             self._election_version = self._version
         return self._election
 
-    @property
-    def election_path(self) -> str:
-        """The current topology's election strategy.
-
-        One of ``"resident"``, ``"flat"`` or ``"replay"`` (``"walk"`` only
-        when pinned to the reference :class:`~repro.middleware.ranking.TreeWalk`).
-        """
-        return self._current_election().path
-
-    def submit(
-        self, request: ServiceRequest, *, include_ranking: bool = True
-    ) -> SchedulingOutcome:
+    def submit(self, request: ServiceRequest) -> SchedulingOutcome:
         """Run the full scheduling process for one request.
 
         Returns a :class:`SchedulingOutcome` whose ``elected`` field is
         ``None`` when no SeD can solve the request (error case of step 1).
-        ``include_ranking=False`` elects identically but leaves the
-        outcome's ``ranked_candidates`` empty — sweeps that never read the
-        ranking skip materialising an O(servers) tuple per request.
+        Without a candidate filter the election strategy finds the winner
+        itself (``elect``); a filter needs the ranking, so the Master Agent
+        filters the strategy's ``candidates`` and elects their head.
         """
         timer = self.phase_timer
         if timer is not None:
             timer.push("estimation")
         election = self._current_election()
-        candidates = election.candidates(request)
         if timer is not None:
+            election.refresh(request)
             timer.pop()
             timer.push("scoring")
         try:
-            if self.candidate_filter is not None and candidates:
-                candidates = list(self.candidate_filter(request, candidates))
-                # An order-preserving subsequence of a total order is still
-                # sorted; the walk's output may not be.
-                if election.resort_after_filter:
-                    candidates = self.scheduler.sort(request, candidates)
-            if not candidates:
-                return SchedulingOutcome(
-                    request=request, elected=None, ranked_candidates=()
-                )
-            ranked_vectors = (
-                tuple(entry.estimation for entry in candidates) if include_ranking else ()
-            )
-            return SchedulingOutcome(
-                request=request,
-                elected=candidates[0].server,
-                ranked_candidates=ranked_vectors,
-            )
+            if self.candidate_filter is None:
+                winner = election.elect(request)
+            else:
+                ranking = self._filtered_candidates(election, request)
+                winner = ranking[0] if ranking else None
         finally:
             if timer is not None:
                 timer.pop()
+        return SchedulingOutcome(request, None if winner is None else winner.server)
 
-    def find_sed(self, name: str) -> ServerDaemon:
-        """Look up a SeD by name anywhere in the hierarchy."""
-        for sed in self.all_seds():
-            if sed.name == name:
-                return sed
-        raise KeyError(f"no SeD named {name!r} in the hierarchy")
-
-
-def build_flat_hierarchy(
-    seds: Iterable[ServerDaemon],
-    *,
-    scheduler: PluginScheduler | None = None,
-) -> MasterAgent:
-    """Attach every SeD directly under a Master Agent (the simplest topology)."""
-    master = MasterAgent(scheduler=scheduler)
-    for sed in seds:
-        master.add_sed(sed)
-    return master
+    def _filtered_candidates(self, election, request: ServiceRequest) -> Sequence[CandidateEntry]:
+        """``election``'s ranking for ``request`` after the candidate filter."""
+        candidates = election.candidates(request)
+        if not candidates:
+            return candidates
+        candidates = list(self.candidate_filter(request, candidates))
+        # An order-preserving subsequence of a total order is still
+        # sorted; the replayed walk's output may not be.
+        if election.resort_after_filter:
+            candidates = self.scheduler.sort(request, candidates)
+        return candidates

@@ -4,13 +4,11 @@ A DIET client "uses the DIET infrastructure for remote problem solving"
 (Section II-A): it submits a problem description to the Master Agent and
 then contacts the elected SeD.  In this reproduction the client is a thin
 convenience wrapper that builds :class:`ServiceRequest` objects from tasks
-and keeps per-client submission statistics; the actual execution is driven
-by :class:`repro.middleware.driver.MiddlewareSimulation`.
+and submits them; the actual execution is driven by
+:class:`repro.middleware.driver.MiddlewareSimulation`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from repro.middleware.agents import MasterAgent
 from repro.middleware.requests import SchedulingOutcome, ServiceRequest
@@ -27,8 +25,6 @@ class Client:
         *,
         name: str = "client-0",
         default_preference: float = 0.0,
-        keep_outcomes: bool = True,
-        include_ranking: bool | None = None,
     ) -> None:
         if not name:
             raise ValueError("client name must be a non-empty string")
@@ -36,18 +32,6 @@ class Client:
         self.master = master
         self.name = name
         self.default_preference = default_preference
-        #: With ``keep_outcomes=False`` only the counters survive: every
-        #: outcome retains the full ranked estimation-vector tuple, which
-        #: is O(requests × servers) memory nothing in a sweep reads.
-        self._keep_outcomes = keep_outcomes
-        #: Whether outcomes carry the full ranked estimation-vector tuple.
-        #: Defaults to ``keep_outcomes``: a client that drops its outcomes
-        #: has nothing that reads the ranking, so the Master Agent skips
-        #: materialising the O(servers) tuple per request.
-        self._include_ranking = keep_outcomes if include_ranking is None else include_ranking
-        self._outcomes: list[SchedulingOutcome] = []
-        self._submitted = 0
-        self._rejected = 0
 
     def make_request(
         self,
@@ -81,33 +65,8 @@ class Client:
         submitted_at: float | None = None,
         user_preference: float | None = None,
     ) -> SchedulingOutcome:
-        """Submit ``task`` to the Master Agent and record the outcome."""
+        """Submit ``task`` to the Master Agent."""
         request = self.make_request(
             task, submitted_at=submitted_at, user_preference=user_preference
         )
-        outcome = self.master.submit(request, include_ranking=self._include_ranking)
-        self._submitted += 1
-        if not outcome.succeeded:
-            self._rejected += 1
-        if self._keep_outcomes:
-            self._outcomes.append(outcome)
-        return outcome
-
-    # -- bookkeeping --------------------------------------------------------------
-    @property
-    def outcomes(self) -> Sequence[SchedulingOutcome]:
-        """All outcomes received so far, in submission order.
-
-        Empty when the client was built with ``keep_outcomes=False``.
-        """
-        return tuple(self._outcomes)
-
-    @property
-    def submitted_count(self) -> int:
-        """Number of requests submitted."""
-        return self._submitted
-
-    @property
-    def rejected_count(self) -> int:
-        """Number of requests for which no server could be elected."""
-        return self._rejected
+        return self.master.submit(request)

@@ -125,10 +125,7 @@ class MiddlewareSimulation:
         self.metrics = MetricsCollector(
             policy=policy_name or getattr(master.scheduler, "name", "unknown")
         )
-        # Outcome history mirrors the trace: debugging data with an
-        # O(requests × servers) footprint (each outcome pins the full
-        # ranked estimation-vector tuple), so sweeps drop it too.
-        self.client = Client(master, keep_outcomes=self._trace_on)
+        self.client = Client(master)
         self.accountant = EnergyAccountant(
             platform.nodes,
             # ``engine.now`` without a lambda frame per transition.
@@ -235,7 +232,6 @@ class MiddlewareSimulation:
                 task_id=task.task_id,
                 node=sed.name,
                 cluster=sed.cluster,
-                candidates=outcome.candidate_names,
             )
         queue = sed.queue
         if not queue.pending_count and sed.node.free_cores > 0:
@@ -303,7 +299,7 @@ class MiddlewareSimulation:
         del self._inflight[sed][task.task_id]
         task.state = TaskState.COMPLETED
         energy = attributed_power * duration
-        sed.record_request_power(node_power, energy)
+        sed.record_request_power(node_power)
         execution = TaskExecution(
             task_id=task.task_id,
             node=spec.name,

@@ -3,8 +3,8 @@
 The paper deploys one Master Agent and twelve SeDs spread over three
 clusters (Table I).  The natural DIET topology for such a platform is one
 Local Agent per cluster under the Master Agent, with one SeD per node —
-that is what :func:`build_hierarchy` produces.  A flat topology (all SeDs
-directly under the MA) is also available for small experiments and tests.
+that is what :func:`build_hierarchy` produces; ``per_cluster_agents=False``
+gives the flat topology (all SeDs directly under the MA).
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ def build_hierarchy(
     platform:
         The infrastructure to expose through the middleware.
     scheduler:
-        Plug-in scheduler installed on every agent (may be replaced later
-        with :meth:`~repro.middleware.agents.Agent.set_scheduler`).
+        Plug-in scheduler installed on every agent (each agent's
+        :attr:`~repro.middleware.agents.Agent.scheduler` may be replaced
+        later).
     services:
         Services offered by every SeD.  When omitted, they are derived
         from ``workload`` (every service the workload requests), falling

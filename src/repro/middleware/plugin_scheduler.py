@@ -90,19 +90,22 @@ class PluginScheduler(ABC):
     #:
     #: Policies whose :meth:`sort` orders by a total-order key that ends in
     #: the server name but depends on the request (so there is no
-    #: ``rank_key``) override this and :attr:`rank` together:
+    #: ``rank_key``) override this and :attr:`score_keys` together:
     #: ``score_inputs(entry) -> row`` returns what the key needs from the
-    #: estimation vector, and ``rank(request, rows) -> list[CandidateEntry]``
-    #: returns the rows' entries sorted exactly as :meth:`sort` would.  One
-    #: global sort then equals the per-level sort + merge walk, which
-    #: lets :class:`~repro.middleware.ranking.FlatElection` keep each
-    #: server's row between elections and re-read only the SeDs that changed.
-    #: The lab's point backend relies on it too: it builds each static
-    #: server's row once and elects ``rank(request, free rows)[0]``.
+    #: estimation vector, and ``score_keys(request, rows)`` returns one
+    #: ``(score, server, position)`` key per row, in row order, where
+    #: ``position`` is the row's index.  The keys are a total order, so
+    #: sorting them is :meth:`sort` and their ``min`` is its head; one
+    #: global sort equals the per-level sort + merge walk.  That lets
+    #: :class:`~repro.middleware.ranking.FlatElection` keep each server's
+    #: row between elections, re-read only the SeDs that changed and elect
+    #: by ``min`` without ranking.  The lab's point backend relies on it
+    #: too: it builds each static server's row once and elects the ``min``
+    #: key over the free servers' rows.
     score_inputs = None
 
-    #: Ranks :attr:`score_inputs` rows for a request, or ``None`` (see there).
-    rank = None
+    #: Keys :attr:`score_inputs` rows for a request, or ``None`` (see there).
+    score_keys = None
 
     @abstractmethod
     def sort(

@@ -2,50 +2,57 @@
 
 Every agent of the hierarchy sorts its candidates with the plug-in
 scheduler and the Master Agent elects the head of the ranking
-(Section III-A).  :func:`choose_election` picks how that ranking is
-produced, once per topology version, among three strategies with one
-surface — ``candidates(request)``, ``detach()``, the class flag
-``resort_after_filter`` and the name ``path`` (what
-:attr:`~repro.middleware.agents.MasterAgent.election_path` reports).
+(Section III-A).  :func:`choose_election` picks how that head is found,
+once per topology version, among three strategies with one surface —
+``elect(request)`` (the winner, or ``None``), ``candidates(request)`` (the
+full ranking, which the candidate filter needs), ``refresh(request)``,
+``detach()`` and the class flag ``resort_after_filter``.
 
-All three are rankers over one :class:`RowStore`: a row per SeD, kept
-between elections in the walk's depth-first order.  The store subscribes
-to every SeD's invalidation listeners (the triggers that invalidate the
-estimation cache) and only marks the affected server dirty; the next
-election re-estimates the dirty SeDs, and every SeD with a custom
-estimation function (whose vector may move with no notification), the
-latter in the walk's order so their ``estimate`` calls are the walk's.
+All three keep one :class:`RowStore`: a row per SeD, kept between
+elections in the walk's depth-first order.  The store subscribes to every
+SeD's invalidation listeners (the triggers that invalidate the estimation
+cache) and only marks the affected server dirty; ``refresh`` re-estimates
+the dirty SeDs, and each election then re-reads every SeD with a custom
+estimation function (whose vector may move with no notification), in the
+walk's order so their ``estimate`` calls are the walk's.
 
 * :class:`ResidentRanking` keeps the candidate list sorted by the policy's
   request-independent
   :meth:`~repro.middleware.plugin_scheduler.PluginScheduler.rank_key` in a
   binary-searchable sorted key list aligned with the entries; each dirty
-  server is repositioned in O(log n) and the resident order is served
-  as-is.
-* :class:`FlatElection` ranks the rows once per election, so each server
-  is scored once (GREEN_SCORE's request-dependent score, or any
-  ``rank_key`` with custom estimation functions).
+  server is repositioned in O(log n).
+* :class:`FlatElection` orders the rows by one total-order key per
+  election: GREEN_SCORE's request-dependent ``score_keys`` (each distinct
+  server state scored once), or a ``rank_key`` over custom estimation
+  functions.  ``elect`` takes the ``min`` of those keys and
+  ``candidates`` sorts them.
 * :class:`WalkReplay` replays the walk's per-level ``sort`` calls over the
   rows, for every other policy or hierarchy (RANDOM draws its noise per
   call, so every call counts).
 
-:class:`TreeWalk`, the per-request walk of Section III-A itself, is the
-reference they are proven equal to.
+``elect`` is the head of ``candidates`` everywhere but in
+:class:`FlatElection`, the one strategy where electing costs less than
+ranking.
 
-The first two equal the walk because their key is a total order ending in
-the server name and one policy instance sorts at every level: per-level
-sorts plus aggregates then give the same permutation as one global sort.
+The per-request walk of Section III-A itself
+(:meth:`~repro.middleware.agents.Agent.collect_candidates`) is the
+reference they are proven equal to.  The first two equal the walk because
+their key is a total order ending in the server name and one policy
+instance sorts at every level: per-level sorts plus aggregates then give
+the same permutation as one global sort, whose head is the key's minimum.
 The replay equals it because it makes the same ``sort`` calls, with each
 agent's own scheduler, on the same lists.
 ``tests/core/test_ranking_incremental.py``,
 ``tests/core/test_flat_election.py`` and
 ``tests/core/test_walk_replay.py`` prove it bit for bit against the walk
-under hypothesis-generated transition streams.
+under hypothesis-generated transition streams, and
+``tests/core/test_elect.py`` proves each ``elect`` equal to the head of
+its ``candidates``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Sequence
 
 from repro.middleware.plugin_scheduler import CandidateEntry
@@ -96,18 +103,36 @@ class RowStore:
         vector = sed.estimate(request)
         return self._make_row(CandidateEntry.from_vector(vector)) if vector.available else None
 
-    def _update(self, request) -> None:
-        """Re-read the dirty SeDs, then the custom ones in walk order."""
-        rows, dirty = self._rows, self._dirty
+    def _set_row(self, sed: ServerDaemon, row) -> None:
+        """Store ``sed``'s new row (a store that indexes its rows extends this)."""
+        self._rows[sed] = row
+
+    def refresh(self, request) -> None:
+        """Re-read the dirty SeDs (a no-op when none moved since the last call)."""
+        dirty = self._dirty
         if dirty:
+            set_row = self._set_row
             for sed in dirty:
                 if sed.estimation_cacheable:
-                    rows[sed] = self._row(sed, request)
+                    set_row(sed, self._row(sed, request))
             dirty.clear()
+
+    def _update(self, request) -> None:
+        """:meth:`refresh`, then re-read the custom SeDs in walk order.
+
+        Runs once per election: a custom estimation function is called
+        exactly as often as under the walk.
+        """
+        self.refresh(request)
         service = request.service
         for sed in self._custom:
             if sed.can_solve(service):
-                rows[sed] = self._row(sed, request)
+                self._set_row(sed, self._row(sed, request))
+
+    def elect(self, request) -> CandidateEntry | None:
+        """The winner for ``request`` (the head of :meth:`candidates`), or ``None``."""
+        ranking = self.candidates(request)
+        return ranking[0] if ranking else None
 
     def _solved_by_all(self, service: str) -> bool | None:
         """The uniform-services filter: does every SeD solve ``service``?
@@ -152,8 +177,6 @@ class ResidentRanking(RowStore):
     function: available servers only, filtered by ``can_solve``.  Each row
     is the SeD's key; the sorted keys and the entries are aligned lists.
     """
-
-    path = "resident"
 
     def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
         if scheduler.rank_key is None:
@@ -225,27 +248,88 @@ class ResidentRanking(RowStore):
 
 
 class FlatElection(RowStore):
-    """One rank per election over the rows.
+    """One total-order key per server and election: ``min`` elects, ``sorted`` ranks.
 
-    Used for a total-order key the ranking cannot keep resident: one that
-    depends on the request (GREEN_SCORE's Equation 6 score, served by the
-    policy's ``score_inputs``/``rank`` hooks) or a ``rank_key`` over custom
-    estimation functions (whose rows are the entries, ranked by ``sort``).
-    Each row holds the request-independent inputs of the key, and each
-    election ranks the available, solvable rows once: each server is
-    scored exactly once.
+    Used for a key the ranking cannot keep resident.  GREEN_SCORE's
+    Equation 6 score depends on the request: each row holds the policy's
+    request-independent ``score_inputs``, and its ``score_keys`` scores
+    each distinct server state once per election.  Servers of one type in
+    one state share their inputs, so the store also groups the available
+    servers by inputs, each group sorted by (server, walk position):
+    ``elect`` scores one head per group and takes the least key, which is
+    the least key over all rows.  It keys every row instead (which raises
+    the same error at the same row as ``candidates``) when the SeDs'
+    services differ, a row's inputs failed the fast-path checks, or a
+    group's score raises.  A ``rank_key`` over custom estimation
+    functions moves without a notification: each row is the entry itself,
+    keyed by ``rank_key``.
     """
 
-    path = "flat"
-
     def __init__(self, scheduler, seds: Sequence[ServerDaemon]) -> None:
-        super().__init__(seds, scheduler.score_inputs or _entry_row)
-        self._rank = scheduler.rank or scheduler.sort
+        self._rank_key = scheduler.rank_key
+        self._score_keys = scheduler.score_keys
+        make_row = _entry_row if self._rank_key is not None else scheduler.score_inputs
+        super().__init__(seds, make_row)
+        #: Score inputs -> ``(server, walk position, entry)`` of every
+        #: available SeD holding them, sorted; and the count of available
+        #: rows whose inputs are ``None`` (both unused under a ``rank_key``).
+        self._groups: dict[tuple, list[tuple]] = {}
+        self._unscorable = 0
+        self._position = {sed: position for position, sed in enumerate(self._rows)}
+
+    def _set_row(self, sed: ServerDaemon, row) -> None:
+        """Store the row and move the SeD between the input groups."""
+        if self._rank_key is not None:
+            self._rows[sed] = row
+            return
+        old = self._rows[sed]
+        if old is not None:
+            if old[1] is None:
+                self._unscorable -= 1
+            else:
+                members = self._groups[old[1]]
+                del members[bisect_left(members, (old[0].server, self._position[sed]))]
+                if not members:
+                    del self._groups[old[1]]
+        self._rows[sed] = row
+        if row is not None:
+            if row[1] is None:
+                self._unscorable += 1
+            else:
+                members = self._groups.setdefault(row[1], [])
+                insort(members, (row[0].server, self._position[sed], row[0]))
 
     def candidates(self, request) -> list[CandidateEntry]:
-        """The candidates for ``request``, ranked by one ``rank`` call."""
+        """The candidates for ``request``, sorted by the key."""
         self._update(request)
-        return self._rank(request, self._present(request.service))
+        rows = self._present(request.service)
+        if self._rank_key is not None:
+            return sorted(rows, key=self._rank_key)
+        return [rows[key[-1]][0] for key in sorted(self._score_keys(request, rows))]
+
+    def elect(self, request) -> CandidateEntry | None:
+        """The candidate with the least key, or ``None``."""
+        self._update(request)
+        if self._rank_key is None and not self._unscorable and self._solved_by_all(
+            request.service
+        ):
+            heads = [(members[0], inputs) for inputs, members in self._groups.items()]
+            try:
+                keys = self._score_keys(request, [(head[2], inputs) for head, inputs in heads])
+            except (TypeError, ValueError):
+                pass  # key every row: the first bad one in walk order raises
+            else:
+                if not keys:
+                    return None
+                # (score, server, walk position): the least over every row.
+                best = min((score, server, heads[i][0][1], i) for score, server, i in keys)
+                return heads[best[-1]][0][2]
+        rows = self._present(request.service)
+        if not rows:
+            return None
+        if self._rank_key is not None:
+            return min(rows, key=self._rank_key)
+        return rows[min(self._score_keys(request, rows))[-1]][0]
 
     def _present(self, service: str) -> list:
         """The rows of the available SeDs solving ``service``, in walk order."""
@@ -256,6 +340,21 @@ class FlatElection(RowStore):
                 row for sed, row in rows.items() if row is not None and sed.can_solve(service)
             ]
         return [row for row in rows.values() if row is not None] if solved else []
+
+    def check(self) -> None:
+        """:meth:`RowStore.check`, plus: the input groups match the rows."""
+        super().check()
+        if self._rank_key is not None:
+            return
+        groups: dict[tuple, list[tuple]] = {}
+        for sed, row in self._rows.items():
+            if row is not None and row[1] is not None:
+                groups.setdefault(row[1], []).append((row[0].server, self._position[sed], row[0]))
+        unscorable = sum(1 for row in self._rows.values() if row is not None and row[1] is None)
+        if {inputs: sorted(members) for inputs, members in groups.items()} != self._groups:
+            raise AssertionError("input groups do not match the rows")
+        if unscorable != self._unscorable:
+            raise AssertionError("unscorable count does not match the rows")
 
 
 class WalkReplay(RowStore):
@@ -275,7 +374,6 @@ class WalkReplay(RowStore):
     """
 
     resort_after_filter = True
-    path = "replay"
 
     def __init__(self, master) -> None:
         super().__init__(master.all_seds(), _entry_row)
@@ -329,7 +427,7 @@ def _agent_tree(agent) -> tuple:
 
 
 def _entry_row(entry: CandidateEntry) -> CandidateEntry:
-    """A row that is the entry itself (ranked by ``sort``)."""
+    """A row that is the entry itself (keyed by ``rank_key``, or replayed by ``sort``)."""
     return entry
 
 
@@ -337,30 +435,6 @@ def _uniform_services(seds) -> frozenset[str] | None:
     """The one service set every SeD offers, or ``None`` if they differ."""
     services = {sed.services for sed in seds}
     return next(iter(services)) if len(services) == 1 else None
-
-
-class TreeWalk:
-    """The per-request hierarchy walk of Section III-A: propagate, collect, sort.
-
-    The reference every strategy above is proven equal to; it is never
-    chosen by :func:`choose_election` (``tests/conftest.py``'s
-    ``force_tree_walk`` pins a Master Agent to it).  Its output need not
-    be in the Master Agent's order (a mixed hierarchy ends in a child's
-    order), so the Master Agent re-sorts it after the candidate filter.
-    """
-
-    resort_after_filter = True
-    path = "walk"
-
-    def __init__(self, master) -> None:
-        self._master = master
-
-    def detach(self) -> None:
-        """Nothing to unsubscribe: the walk keeps no per-server state."""
-
-    def candidates(self, request) -> list[CandidateEntry]:
-        """The Master Agent's ``collect_candidates`` for ``request``."""
-        return self._master.collect_candidates(request)
 
 
 def _schedulers(agent):
@@ -375,36 +449,36 @@ def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay:
     1. a ``rank_key`` policy shared by every agent, over SeDs that all use
        the default estimation function, gets a :class:`ResidentRanking`;
     2. any other shared ``rank_key`` policy, or a shared one with
-       ``score_inputs`` and ``rank`` (GREEN_SCORE), gets a
+       ``score_inputs`` and ``score_keys`` (GREEN_SCORE), gets a
        :class:`FlatElection`;
     3. anything else — RANDOM, the hook-less FCFS scheduler, and agents
        that do not all share one scheduler instance — gets a
        :class:`WalkReplay`.
 
-    Each strategy names itself in ``path``; on a three-SeD hierarchy:
+    On a three-SeD hierarchy:
 
     >>> from repro.core.policies import policy_by_name
     >>> from repro.infrastructure.platform import grid5000_placement_platform
     >>> from repro.middleware.hierarchy import build_hierarchy
-    >>> def path(policy):
+    >>> def strategy(policy):
     ...     platform = grid5000_placement_platform(nodes_per_cluster=1)
     ...     master, seds = build_hierarchy(platform, scheduler=policy_by_name(policy))
     ...     election = choose_election(master)
     ...     election.detach()
-    ...     return len(seds), election.path
-    >>> [path(name) for name in ("POWER", "GREEN_SCORE", "RANDOM")]
-    [(3, 'resident'), (3, 'flat'), (3, 'replay')]
+    ...     return len(seds), type(election).__name__
+    >>> [strategy(name) for name in ("POWER", "GREEN_SCORE", "RANDOM")]
+    [(3, 'ResidentRanking'), (3, 'FlatElection'), (3, 'WalkReplay')]
     """
     scheduler = master.scheduler
     if all(other is scheduler for other in _schedulers(master)):
         seds = master.all_seds()
         if scheduler.rank_key is not None and all(sed.estimation_cacheable for sed in seds):
             return ResidentRanking(scheduler, seds)
-        if scheduler.rank_key is not None or scheduler.rank is not None:
+        if scheduler.rank_key is not None or scheduler.score_keys is not None:
             return FlatElection(scheduler, seds)
     return WalkReplay(master)
 
 
 __all__ = [
-    "FlatElection", "ResidentRanking", "RowStore", "TreeWalk", "WalkReplay", "choose_election",
+    "FlatElection", "ResidentRanking", "RowStore", "WalkReplay", "choose_election",
 ]

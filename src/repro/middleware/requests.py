@@ -3,16 +3,14 @@
 A :class:`ServiceRequest` is what travels down the agent hierarchy: the
 problem description (service name, task cost) plus the requesting user's
 energy/performance preference.  A :class:`SchedulingOutcome` is what the
-Master Agent returns to the client: the elected SeD and the ranked list of
-candidates with their estimation vectors (step 4 of the scheduling process
-in Section III-A).
+Master Agent returns to the client: the elected SeD (step 4 of the
+scheduling process in Section III-A).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from repro.middleware.estimation import EstimationVector
 from repro.simulation.task import Task
 
 
@@ -56,21 +54,13 @@ class SchedulingOutcome(NamedTuple):
 
     ``elected`` is the SeD name chosen to solve the problem (``None`` when
     no server can serve the request — the error case of step 1 in
-    Section III-A).  ``ranked_candidates`` preserves the full sorted list
-    so clients and experiments can inspect the decision.  An immutable
-    named tuple (one is built per arrival).
+    Section III-A).  An immutable named tuple (one is built per arrival).
     """
 
     request: ServiceRequest
     elected: str | None
-    ranked_candidates: Sequence[EstimationVector] = ()
 
     @property
     def succeeded(self) -> bool:
         """Whether a server was elected."""
         return self.elected is not None
-
-    @property
-    def candidate_names(self) -> tuple[str, ...]:
-        """Names of the ranked candidate servers, best first."""
-        return tuple(vector.server for vector in self.ranked_candidates)

@@ -42,6 +42,9 @@ from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.requests import ServiceRequest
 from repro.simulation.queueing import NodeQueue
 from repro.util.stats import RunningStats
+from repro.util.validation import ensure_non_negative
+
+_INF = math.inf
 
 EstimationFunction = Callable[["ServerDaemon", ServiceRequest], EstimationVector]
 
@@ -78,9 +81,10 @@ class ServerDaemon:
         #: converted and checked once, in tag order (built on first use,
         #: shared by every SeD whose spec tags are bit-identical).
         self._vector_template: dict[str, float] | None = None
-        #: Per-request energy/duration history feeding the dynamic power estimate.
+        #: Per-request power history feeding the dynamic power estimate;
+        #: every observation is checked finite and non-negative where it
+        #: enters, so the mean needs no check.
         self._request_power = RunningStats()
-        self._request_energy = RunningStats()
         #: Callbacks fired whenever the cached vector is invalidated — the
         #: resident ranking (:mod:`repro.middleware.ranking`) subscribes
         #: here to mark this SeD dirty in O(1) per transition.
@@ -165,15 +169,18 @@ class ServerDaemon:
         return self._cacheable
 
     # -- dynamic power estimation -------------------------------------------------
-    def record_request_power(self, mean_power: float, energy: float) -> None:
+    def record_request_power(self, mean_power: float) -> None:
         """Feed the power observed while serving one past request.
 
         The paper favours "a second, more dynamic approach, where the energy
         consumed by a server while computing a number of past requests is
         used to compute its average power consumption" (Section III-A).
+        ``mean_power`` must be a finite number >= 0 (W); the GreenPerf
+        order, which divides by it, rejects a zero mean where it reads it.
         """
+        if not (type(mean_power) is float and 0.0 <= mean_power < _INF):
+            ensure_non_negative(mean_power, "mean_power")
         self._request_power.add(mean_power)
-        self._request_energy.add(energy)
         self.invalidate_estimation()
 
     @property
@@ -192,10 +199,6 @@ class ServerDaemon:
         if self._request_power.count == 0:
             return self.node.spec.peak_power
         return self._request_power.mean
-
-    def mean_energy_per_request(self) -> float:
-        """Average energy per past request (J); 0.0 before any completion."""
-        return self._request_energy.mean
 
     # -- estimation ------------------------------------------------------------------
     def set_estimation_function(self, function: EstimationFunction) -> None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -326,14 +327,25 @@ class ShardedResultStore:
         return tuple(sorted(self._root.glob("shard-*.jsonl")))
 
     def _write_meta(self, directory: Path) -> None:
+        """Write the metadata file whole: readers see no file or a complete one.
+
+        Concurrent workers opening a fresh store race here (each writes the
+        file on its first ``put``), so the metadata goes to a temporary file
+        private to this process and thread, renamed over ``store.json``.
+        It is opened like a shard, so its mode follows the umask too.
+        """
         meta = {
             "format": STORE_FORMAT,
             "version": STORE_FORMAT_VERSION,
             "prefix_len": self._prefix_len,
         }
-        (directory / STORE_META_NAME).write_text(
-            json.dumps(meta, sort_keys=True) + "\n", "utf-8"
-        )
+        temporary = directory / f".{STORE_META_NAME}.{os.getpid()}.{threading.get_ident()}"
+        try:
+            temporary.write_text(json.dumps(meta, sort_keys=True) + "\n", "utf-8")
+            os.replace(temporary, directory / STORE_META_NAME)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
 
     def _read_meta(self) -> None:
         meta_path = self._meta_path()

@@ -3,10 +3,10 @@
 ``repro sweep --profile`` breaks a run's wall time down into the
 kernel's four cost centres so future hot spots stay attributable:
 
-* ``estimation`` — refreshing dirty estimation vectors (the resident
-  ranking's flush, or the full candidate collection on the fallback path);
-* ``scoring`` — the placement election itself (policy sort / outcome
-  construction);
+* ``estimation`` — refreshing dirty estimation vectors (the election
+  strategy's ``refresh``);
+* ``scoring`` — the placement election itself (the strategy's ``elect``,
+  or its ranking plus the candidate filter, and the outcome);
 * ``dispatch`` — everything else inside the engine loop (heap management,
   queueing, task lifecycle callbacks);
 * ``energy`` — the energy accountant's segment bookkeeping.

@@ -6,8 +6,8 @@ import pytest
 
 from repro.infrastructure.node import Node, NodeSpec
 from repro.infrastructure.platform import grid5000_placement_platform
+from repro.middleware.agents import MasterAgent
 from repro.middleware.estimation import EstimationTags, EstimationVector
-from repro.middleware.ranking import TreeWalk
 from repro.simulation.task import Task
 from tests.wattmeter import Wattmeter
 
@@ -70,6 +70,37 @@ def make_vector(
     return vector
 
 
+class TreeWalk:
+    """The per-request hierarchy walk of Section III-A: propagate, collect, sort.
+
+    The oracle every election strategy of :mod:`repro.middleware.ranking`
+    is proven equal to (:func:`force_tree_walk` pins a Master Agent to
+    it).  Its output need not be in the Master Agent's order (a mixed
+    hierarchy ends in a child's order), so the Master Agent re-sorts it
+    after the candidate filter.
+    """
+
+    resort_after_filter = True
+
+    def __init__(self, master) -> None:
+        self._master = master
+
+    def detach(self) -> None:
+        """Nothing to unsubscribe: the walk keeps no per-server state."""
+
+    def refresh(self, request) -> None:
+        """Nothing to refresh: every election estimates every SeD."""
+
+    def candidates(self, request):
+        """The Master Agent's ``collect_candidates`` for ``request``."""
+        return self._master.collect_candidates(request)
+
+    def elect(self, request):
+        """The head of the walk's ranking, or ``None``."""
+        ranking = self.candidates(request)
+        return ranking[0] if ranking else None
+
+
 def force_tree_walk(master):
     """Pin ``master`` to the per-request tree walk, the equivalence oracle.
 
@@ -78,6 +109,32 @@ def force_tree_walk(master):
     master._choose_election = TreeWalk
     master._election_version = -1  # choose again at the next election
     return master
+
+
+def flat_hierarchy(seds, *, scheduler=None) -> MasterAgent:
+    """Every SeD directly under one Master Agent (the simplest topology)."""
+    master = MasterAgent(scheduler=scheduler)
+    for sed in seds:
+        master.add_sed(sed)
+    return master
+
+
+def election_type(master) -> type:
+    """The class of ``master``'s strategy for its current topology."""
+    return type(master._current_election())
+
+
+def ranking(master, request) -> list:
+    """What ``master`` would rank for ``request``: its strategy's candidates.
+
+    This runs one election (a RANDOM policy draws); with a candidate
+    filter installed the ranking is filtered (and re-sorted) as
+    ``MasterAgent.submit`` does.
+    """
+    election = master._current_election()
+    if master.candidate_filter is None:
+        return list(election.candidates(request))
+    return list(master._filtered_candidates(election, request))
 
 
 def run_beside_meter(simulation):

@@ -22,13 +22,14 @@ from contextlib import contextmanager
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.policies import GreenSchedulerPolicy
+from repro.core.scoring import ScoreKernel
 from repro.infrastructure.node import Node
 from repro.middleware.agents import LocalAgent, MasterAgent
-from repro.middleware.ranking import FlatElection, TreeWalk, WalkReplay
+from repro.middleware.ranking import FlatElection, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
-from tests.conftest import force_tree_walk, make_spec
+from tests.conftest import TreeWalk, election_type, force_tree_walk, make_spec, ranking
 from tests.core.test_ranking_incremental import (
     _apply,
     _make_seds,
@@ -118,22 +119,29 @@ def _build(seds, placement, depth, policy, *, walk=False):
     return master
 
 
-def _outcome(master, request):
-    """What one election returns, or the error it raises.
+def _outcome(master, request, *, full):
+    """One election: its full ranking (``full``) or its winner, or the error.
 
-    A ranked vector is its identity when its SeD caches (both paths must
-    serve the very same cached object) and its contents otherwise (a
-    custom estimation function builds a fresh vector per call).
+    Returns ``("ranking", vectors)``, ``("elected", name)`` or ``("error",
+    (type, message))``.  The ranking is the strategy's ``candidates``,
+    filtered as the Master Agent filters it; the winner is what
+    ``MasterAgent.submit`` elects.  A ranked vector is its identity when
+    its SeD caches (both paths must serve the very same cached object) and
+    its contents otherwise (a custom estimation function builds a fresh
+    vector per call).
     """
+    seds = {sed.name: sed for sed in master.all_seds()}
     try:
-        outcome = master.submit(request)
+        if not full:
+            return "elected", master.submit(request).elected
+        ranked = ranking(master, request)
     except (ValueError, TypeError) as error:
-        return type(error), str(error)
-    return outcome.elected, [
-        id(vector)
-        if master.find_sed(vector.server).estimation_cacheable
-        else (vector.server, dict(vector.values))
-        for vector in outcome.ranked_candidates
+        return "error", (type(error), str(error))
+    return "ranking", [
+        id(entry.estimation)
+        if seds[entry.server].estimation_cacheable
+        else (entry.server, dict(entry.estimation.values))
+        for entry in ranked
     ]
 
 
@@ -165,7 +173,10 @@ class TestFlatEqualsTreeWalk:
         self, depth, node_count, twins, matmul_only, placement, default_preference,
         use_dynamic_power, steps,
     ):
-        """Elected server, ranked vectors and errors agree bit for bit.
+        """Elected servers, ranked vectors and errors agree bit for bit.
+
+        Steps alternate between an election through ``submit`` and one
+        that returns the whole ranking.
 
         The flat election calls ``estimate`` only on the SeDs invalidated
         since its last election and on those with custom estimation
@@ -193,27 +204,28 @@ class TestFlatEqualsTreeWalk:
             for walk in (False, True)
         ]
         order = masters[0].all_seds()
-        for ops, preference, flop in steps:
+        for index, (ops, preference, flop) in enumerate(steps):
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
                 _step(op, sed, magnitude, running[sed.name])
             request = ServiceRequest.from_task(
                 Task(flop=flop, user_preference=preference)
             )
-            assert masters[0].election_path == "flat"
+            assert election_type(masters[0]) is FlatElection
             dirty = set(masters[0]._election._dirty)
             custom = [
                 sed
                 for sed in order
                 if not sed.estimation_cacheable and sed.can_solve(request.service)
             ]
+            full = index % 2 == 1
             with _estimate_calls() as calls:
-                flat = _outcome(masters[0], request)
+                flat = _outcome(masters[0], request, full=full)
             assert set(calls) <= dirty | set(custom)
             assert [sed for sed in calls if sed in custom] == custom
-            if not isinstance(flat[0], type):  # the election did not raise
+            if flat[0] != "error":
                 masters[0]._election.check()
-            assert flat == _outcome(masters[1], request)
+            assert flat == _outcome(masters[1], request, full=full)
         assert type(masters[0]._election) is FlatElection
         assert type(masters[1]._election) is TreeWalk
 
@@ -222,23 +234,37 @@ class TestFlatElectionGate:
     def _request(self):
         return ServiceRequest.from_task(Task(flop=4.0e9))
 
-    def test_one_rank_per_election_even_with_a_filter(self, monkeypatch):
+    def test_one_scoring_pass_per_election_even_with_a_filter(self, monkeypatch):
         calls = []
-        original = GreenSchedulerPolicy.rank
+        original = GreenSchedulerPolicy.score_keys
 
         def counted(self, request, rows):
             calls.append(len(rows))
             return original(self, request, rows)
 
-        monkeypatch.setattr(GreenSchedulerPolicy, "rank", counted)
+        monkeypatch.setattr(GreenSchedulerPolicy, "score_keys", counted)
+        monkeypatch.setattr(GreenSchedulerPolicy, "sort", None)  # never re-sorted
         seds = _make_seds(6)
         master = _build(seds, range(6), 3, GreenSchedulerPolicy())
         master.submit(self._request())
         # An order-preserving filter does not trigger a re-sort.
         master.set_candidate_filter(lambda request, candidates: candidates[1:])
-        outcome = master.submit(self._request())
-        assert calls == [6, 6]
-        assert len(outcome.ranked_candidates) == 5
+        assert len(ranking(master, self._request())) == 5
+        assert master.submit(self._request()).elected is not None
+        assert calls == [6, 6, 6]
+
+    def test_equal_server_states_are_scored_once(self, monkeypatch):
+        calls = []
+        original = ScoreKernel.evaluate_inputs
+
+        def counted(self, *inputs):
+            calls.append(inputs)
+            return original(self, *inputs)
+
+        monkeypatch.setattr(ScoreKernel, "evaluate_inputs", counted)
+        master = _build(_identical_seds(5), range(5), 2, GreenSchedulerPolicy())
+        assert master.submit(self._request()).elected == "twin-0"
+        assert len(calls) == 1
 
     def test_mixed_policy_instances_replay_the_walk(self):
         seds = _make_seds(4)
@@ -253,10 +279,9 @@ class TestFlatElectionGate:
         master.submit(self._request())
         first = master._election
         master.add_sed(seds[2])
-        outcome = master.submit(self._request())
+        assert len(ranking(master, self._request())) == 3
         assert type(master._election) is FlatElection
         assert master._election is not first
-        assert len(outcome.ranked_candidates) == 3
 
     def test_custom_estimation_function_keeps_the_flat_election(self):
         seds = _make_seds(4)
@@ -266,9 +291,10 @@ class TestFlatElectionGate:
             for walk in (False, True)
         )
         request = self._request()
-        assert [v.server for v in flat.submit(request).ranked_candidates] == [
-            v.server for v in walk.submit(request).ranked_candidates
+        assert [e.server for e in ranking(flat, request)] == [
+            e.server for e in ranking(walk, request)
         ]
+        assert flat.submit(request).elected == walk.submit(request).elected
         assert type(flat._election) is FlatElection
 
     def test_steady_state_election_reads_only_the_changed_seds(self):
@@ -282,7 +308,7 @@ class TestFlatElectionGate:
             master.submit(self._request())
         assert calls == [seds[4]]
         seds[1].node.acquire_core()
-        seds[2].record_request_power(120.0, 1200.0)
+        seds[2].record_request_power(120.0)
         with _estimate_calls() as calls:
             outcome = master.submit(self._request())
         assert sorted(sed.name for sed in calls) == sorted(

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.greenperf import (
     GreenPerfRanking,
+    IncrementalGreenPerfOrder,
     PerformanceBasis,
     PowerEstimationMode,
     greenperf_of_node,
@@ -12,6 +13,7 @@ from repro.core.greenperf import (
 )
 from repro.infrastructure.node import Node
 from repro.infrastructure.platform import orion_spec, sagittaire_spec, taurus_spec
+from repro.middleware.sed import ServerDaemon
 from tests.conftest import make_spec, make_vector
 
 
@@ -136,3 +138,24 @@ class TestGreenPerfRanking:
         ratios = [entry.greenperf for entry in ranking]
         assert ratios == sorted(ratios)
         assert len(ranking) == len(powers)
+
+
+class TestIncrementalOrderPower:
+    def test_a_zero_dynamic_mean_power_is_rejected_where_it_is_read(self):
+        """A SeD records 0 W (a node may draw none); the ratio divides by it."""
+        seds = [ServerDaemon(Node(make_spec(name=f"n-{i}"))) for i in range(2)]
+        order = IncrementalGreenPerfOrder(
+            [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
+        )
+        assert order.order() == ["n-0", "n-1"]
+        seds[1].record_request_power(0.0)
+        with pytest.raises(ValueError, match="power must be > 0, got 0.0"):
+            order.order()
+
+    def test_a_dynamic_mean_power_moves_the_order(self):
+        seds = [ServerDaemon(Node(make_spec(name=f"n-{i}"))) for i in range(2)]
+        order = IncrementalGreenPerfOrder(
+            [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
+        )
+        seds[0].record_request_power(300.0)
+        assert order.order() == ["n-1", "n-0"]

@@ -26,16 +26,22 @@ from repro.core.greenperf import IncrementalGreenPerfOrder
 from repro.core.policies import policy_by_name
 from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import grid5000_placement_platform
-from repro.middleware.agents import build_flat_hierarchy
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.middleware.plugin_scheduler import CandidateEntry, FirstComeFirstServedScheduler
 from repro.middleware.estimation import EstimationTags
-from repro.middleware.ranking import FlatElection, ResidentRanking, TreeWalk, WalkReplay
+from repro.middleware.ranking import FlatElection, ResidentRanking, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
-from tests.conftest import force_tree_walk, make_spec
+from tests.conftest import (
+    TreeWalk,
+    election_type,
+    flat_hierarchy,
+    force_tree_walk,
+    make_spec,
+    ranking,
+)
 
 #: Policies exposing a request-independent ``rank_key`` (the resident set):
 #: the paper's three plus the queue family's placement adapters.
@@ -98,7 +104,7 @@ def _apply(op: str, sed: ServerDaemon, magnitude: float, running: list[Task]) ->
             sed.queue.mark_completed(task)
             node.release_core(busy_seconds=magnitude)
     elif op == "record_power":
-        sed.record_request_power(magnitude, magnitude * 10.0)
+        sed.record_request_power(magnitude)
     elif op == "power_off":
         if node.state is NodeState.ON and node.busy_cores == 0:
             node.power_off()
@@ -149,10 +155,10 @@ def _request_aware_estimation(sed: ServerDaemon, request: ServiceRequest):
 
 
 def _elections(master, request):
-    """The elected server and every ranked vector's contents, in order."""
-    outcome = master.submit(request)
-    return outcome.elected, [
-        (vector.server, dict(vector.values)) for vector in outcome.ranked_candidates
+    """One election's winner, then a second one's ranked vector contents, in order."""
+    elected = master.submit(request).elected
+    return elected, [
+        (entry.server, dict(entry.estimation.values)) for entry in ranking(master, request)
     ]
 
 
@@ -197,8 +203,8 @@ class TestIncrementalEqualsRebuild:
         policy = policy_by_name(policy_name)
         seds = _make_seds(4)
         running: dict[str, list[Task]] = {sed.name: [] for sed in seds}
-        master = build_flat_hierarchy(seds, scheduler=policy)
-        baseline = force_tree_walk(build_flat_hierarchy(seds, scheduler=policy))
+        master = flat_hierarchy(seds, scheduler=policy)
+        baseline = force_tree_walk(flat_hierarchy(seds, scheduler=policy))
         for op, selector, magnitude in ops:
             sed = seds[selector % 4]
             _apply(op, sed, magnitude, running[sed.name])
@@ -207,8 +213,8 @@ class TestIncrementalEqualsRebuild:
             master._election.check()
             slow = baseline.submit(request)
             assert fast.elected == slow.elected
-            assert [v.server for v in fast.ranked_candidates] == [
-                v.server for v in slow.ranked_candidates
+            assert [e.server for e in ranking(master, request)] == [
+                e.server for e in ranking(baseline, request)
             ]
         assert type(master._election) is ResidentRanking
         assert type(baseline._election) is TreeWalk
@@ -220,7 +226,7 @@ class TestRowStoreCheck:
         ranking = ResidentRanking(policy_by_name("POWER"), seds)
         ranking.refresh(_request())
         ranking.check()
-        seds[0].record_request_power(999.0, 1.0)  # moves its POWER key
+        seds[0].record_request_power(999.0)  # moves its POWER key
         with pytest.raises(AssertionError, match="dirty"):
             ranking.check()
         ranking._dirty.clear()  # a missed notification
@@ -242,19 +248,19 @@ class TestRowStoreCheck:
 class TestChooser:
     def test_rank_key_policies_get_the_resident_ranking(self):
         for name in RANKED_POLICIES:
-            master = build_flat_hierarchy(_make_seds(3), scheduler=policy_by_name(name))
+            master = flat_hierarchy(_make_seds(3), scheduler=policy_by_name(name))
             assert master.submit(_request()).elected is not None
             assert type(master._election) is ResidentRanking, name
 
     def test_policies_without_a_total_order_replay_the_walk(self):
         for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
-            master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
+            master = flat_hierarchy(_make_seds(3), scheduler=policy)
             assert master.submit(_request()).elected is not None
             assert type(master._election) is WalkReplay, policy.name
 
 
 class TestElectionPath:
-    """``MasterAgent.election_path``: one case per ``choose_election`` rule."""
+    """The strategy's ``path``: one case per ``choose_election`` rule."""
 
     def test_mixed_schedulers_replay(self):
         master, _ = build_hierarchy(
@@ -262,36 +268,36 @@ class TestElectionPath:
             scheduler=policy_by_name("POWER"),
         )
         master.child_agents[0].scheduler = policy_by_name("POWER")
-        assert master.election_path == "replay"
+        assert election_type(master) is WalkReplay
 
     def test_rank_key_over_default_estimation_is_resident(self):
-        master = build_flat_hierarchy(_make_seds(3), scheduler=policy_by_name("POWER"))
-        assert master.election_path == "resident"
+        master = flat_hierarchy(_make_seds(3), scheduler=policy_by_name("POWER"))
+        assert election_type(master) is ResidentRanking
 
     def test_rank_key_over_a_custom_estimation_function_is_flat(self):
         seds = _make_seds(3)
         seds[2].set_estimation_function(_request_aware_estimation)
-        master = build_flat_hierarchy(seds, scheduler=policy_by_name("GREENPERF"))
-        assert master.election_path == "flat"
+        master = flat_hierarchy(seds, scheduler=policy_by_name("GREENPERF"))
+        assert election_type(master) is FlatElection
 
-    def test_score_inputs_and_rank_are_flat(self):
-        master = build_flat_hierarchy(
+    def test_score_inputs_and_score_keys_are_flat(self):
+        master = flat_hierarchy(
             _make_seds(3), scheduler=policy_by_name("GREEN_SCORE")
         )
-        assert master.election_path == "flat"
+        assert election_type(master) is FlatElection
 
     def test_anything_else_replays_the_walk(self):
         for policy in (policy_by_name("RANDOM", seed=7), FirstComeFirstServedScheduler()):
-            master = build_flat_hierarchy(_make_seds(3), scheduler=policy)
-            assert master.election_path == "replay", policy.name
+            master = flat_hierarchy(_make_seds(3), scheduler=policy)
+            assert election_type(master) is WalkReplay, policy.name
 
     def test_a_mid_run_custom_function_chooses_flat_at_once(self):
         seds = _make_seds(3)
-        master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
+        master = flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
         master.submit(_request())
         resident = master._election
         seds[0].set_estimation_function(_request_aware_estimation)
-        assert master.election_path == "flat"  # chosen again, before any election
+        assert election_type(master) is FlatElection  # chosen again, before any election
         assert type(master._election) is FlatElection
         assert seds[1]._invalidation_listeners == [master._election._dirty.add]
         assert master._election is not resident
@@ -302,18 +308,13 @@ class TestElectionPath:
         with pytest.raises(ValueError, match="FlatElection"):
             ResidentRanking(policy_by_name("POWER"), seds)
 
-    def test_the_path_cannot_be_set(self):
-        master = build_flat_hierarchy(_make_seds(2), scheduler=policy_by_name("POWER"))
-        with pytest.raises(AttributeError):
-            master.election_path = "walk"
-
 
 class TestNoLeakedListeners:
     """Retired strategies leave no listener behind on any SeD."""
 
     def _setup(self):
         seds = _make_seds(3)
-        master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
+        master = flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
         order = IncrementalGreenPerfOrder(
             [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
         )
@@ -333,7 +334,7 @@ class TestNoLeakedListeners:
         assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
         master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
         master.submit(_request())
-        assert master.election_path == "resident"
+        assert election_type(master) is ResidentRanking
         assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
 
     def test_a_swap_then_a_bump_retires_the_resident_then_the_flat_election(self):
@@ -341,7 +342,7 @@ class TestNoLeakedListeners:
         master.submit(_request())
         seds[1].set_estimation_function(_request_aware_estimation)
         master.submit(_request())
-        assert master.election_path == "flat"
+        assert election_type(master) is FlatElection
         flat = master._election
         assert type(flat) is FlatElection
         assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
@@ -382,8 +383,8 @@ class TestCustomEstimation:
         if not mid_run:
             seds[1].set_estimation_function(_request_aware_estimation)
         policy = policy_by_name(policy_name)
-        master = build_flat_hierarchy(seds, scheduler=policy)
-        walk = force_tree_walk(build_flat_hierarchy(seds, scheduler=policy))
+        master = flat_hierarchy(seds, scheduler=policy)
+        walk = force_tree_walk(flat_hierarchy(seds, scheduler=policy))
         for index, (ops, flop) in enumerate(steps):
             if mid_run and index == 1:
                 seds[1].set_estimation_function(_request_aware_estimation)
@@ -401,7 +402,7 @@ class TestCustomEstimation:
     def test_a_topology_change_chooses_the_strategy_again(self):
         """The flat election is replaced; a still-custom SeD means flat."""
         seds = _make_seds(3)
-        master = build_flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
+        master = flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
         master.submit(_request())
         seds[1].set_estimation_function(_request_aware_estimation)
         master.submit(_request())

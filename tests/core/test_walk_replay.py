@@ -40,11 +40,11 @@ from repro.middleware.plugin_scheduler import (
     FirstComeFirstServedScheduler,
     PluginScheduler,
 )
-from repro.middleware.ranking import TreeWalk, WalkReplay
+from repro.middleware.ranking import WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
-from tests.conftest import force_tree_walk, make_vector
+from tests.conftest import TreeWalk, election_type, force_tree_walk, make_vector
 from tests.core.test_flat_election import _outcome, _step, flat_op_strategy
 from tests.core.test_ranking_incremental import _make_seds
 
@@ -195,7 +195,11 @@ class TestReplayEqualsTreeWalk:
         self, depth, node_count, matmul_only, placement, empty_agent,
         fail_first_agent, with_filter, kinds, seed, steps,
     ):
-        """Elected server, full ranking and scheduler states agree bit for bit."""
+        """Elected servers, full rankings and scheduler states agree bit for bit.
+
+        Steps alternate between an election through ``submit`` and one
+        that returns the whole (filtered) ranking.
+        """
         seds = [
             ServerDaemon(sed.node, services=("matmul",)) if other else sed
             for sed, other in zip(_make_seds(node_count), matmul_only)
@@ -215,15 +219,16 @@ class TestReplayEqualsTreeWalk:
         if with_filter:
             for master in masters:
                 master.set_candidate_filter(_drop_every_other)
-        for ops, service, flop in steps:
+        for index, (ops, service, flop) in enumerate(steps):
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
                 _step(op, sed, magnitude, running[sed.name])
             request = ServiceRequest.from_task(Task(flop=flop, service=service))
-            replayed = _outcome(masters[0], request)
-            assert masters[0].election_path == "replay"
+            full = index % 2 == 1
+            replayed = _outcome(masters[0], request, full=full)
+            assert election_type(masters[0]) is WalkReplay
             masters[0]._election.check()
-            assert replayed == _outcome(masters[1], request)
+            assert replayed == _outcome(masters[1], request, full=full)
         assert type(masters[0]._election) is WalkReplay
         assert type(masters[1]._election) is TreeWalk
         assert _state(masters[0]) == _state(masters[1])
@@ -241,8 +246,9 @@ class TestReplayEqualsTreeWalk:
         for master in (replay, walk):
             master.set_candidate_filter(_drop_every_other)
         request = ServiceRequest.from_task(Task(flop=4.0e9))
-        for _ in range(3):
-            assert _outcome(replay, request) == _outcome(walk, request)
+        for index in range(3):
+            full = index % 2 == 1
+            assert _outcome(replay, request, full=full) == _outcome(walk, request, full=full)
             seds[1].node.acquire_core()
         (log,) = _state(replay)
         assert log == _state(walk)[0]

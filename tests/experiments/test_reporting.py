@@ -89,3 +89,29 @@ class TestAdaptiveReport:
         assert "candidates" in text
         assert "Injected events" in text
         assert "electricity cost" in text
+
+    @pytest.mark.parametrize(
+        ("horizon", "listed"),
+        [(1200.0, ["0.50 at t=600s", "0.80 at t=1200s"]), (900.0, ["0.50 at t=600s"])],
+    )
+    def test_only_events_the_run_reached_are_listed(self, tmp_path, horizon, listed):
+        """An event at exactly the horizon fires (and is listed); later ones do not."""
+        timeline = tmp_path / "tariff.json"
+        events = [
+            TariffChange(time=600.0, cost=0.5),
+            TariffChange(time=1200.0, cost=0.8),
+            TariffChange(time=5000.0, cost=0.2),
+        ]
+        save_timeline(timeline, EventTimeline(events))
+        spec = ScenarioSpec(
+            experiment="adaptive",
+            policy="GREENPERF",
+            horizon=horizon,
+            timeline=str(timeline),
+            overrides={"task_flop": 2e11, "client_tick": 300.0, "sample_period": 60.0},
+        )
+        result = session_for_spec(spec).run()
+        text = format_adaptive_series(result)
+        listed_lines = text.split("Injected events:\n")[1].splitlines()
+        assert [line.split("-> ")[1] for line in listed_lines] == listed
+        assert len(result.timeline.events) == 3

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.policies import PerformancePolicy, PowerPolicy, RandomPolicy
 from repro.infrastructure.node import Node, NodeState
-from repro.middleware.agents import LocalAgent, MasterAgent, build_flat_hierarchy
+from repro.middleware.agents import LocalAgent, MasterAgent
 from repro.middleware.plugin_scheduler import FirstComeFirstServedScheduler, PluginScheduler
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
-from tests.conftest import make_spec
+from tests.conftest import flat_hierarchy, make_spec, ranking
 
 
 def make_sed(name, cluster="c", *, peak_power=200.0, flops=2.0e9, state=NodeState.ON):
@@ -45,33 +45,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             LocalAgent("")
 
-    def test_set_scheduler_recursive(self):
-        master = MasterAgent()
-        local = LocalAgent("la-0")
-        master.add_agent(local)
-        policy = PowerPolicy()
-        master.set_scheduler(policy)
-        assert master.scheduler is policy
-        assert local.scheduler is policy
-
-    def test_set_scheduler_non_recursive(self):
-        master = MasterAgent()
-        local = LocalAgent("la-0")
-        master.add_agent(local)
-        default = local.scheduler
-        master.set_scheduler(PowerPolicy(), recursive=False)
-        assert local.scheduler is default
-
-    def test_find_sed(self):
-        master = MasterAgent()
-        local = LocalAgent("la-0")
-        master.add_agent(local)
-        sed = make_sed("n-0")
-        local.add_sed(sed)
-        assert master.find_sed("n-0") is sed
-        with pytest.raises(KeyError):
-            master.find_sed("missing")
-
 
 class TestCandidateCollection:
     def test_two_children_are_concatenated_then_sorted(self):
@@ -92,7 +65,8 @@ class TestCandidateCollection:
         request = make_request()
 
         def collected(scheduler):
-            master.set_scheduler(scheduler)
+            for agent in (master, *master.child_agents):
+                agent.scheduler = scheduler
             return [entry.server for entry in master.collect_candidates(request)]
 
         assert collected(FirstComeFirstServedScheduler()) == ["a", "c", "b"]
@@ -100,7 +74,7 @@ class TestCandidateCollection:
         assert sorted(collected(RandomPolicy(seed=0))) == ["a", "b", "c"]
 
     def test_collects_only_matching_service(self):
-        master = build_flat_hierarchy([make_sed("n-0"), make_sed("n-1")])
+        master = flat_hierarchy([make_sed("n-0"), make_sed("n-1")])
         outcome = master.submit(make_request(service="unknown-service"))
         assert not outcome.succeeded
         assert outcome.elected is None
@@ -108,14 +82,14 @@ class TestCandidateCollection:
     def test_collects_only_available_nodes(self):
         on_sed = make_sed("n-on")
         off_sed = make_sed("n-off", state=NodeState.OFF)
-        master = build_flat_hierarchy([on_sed, off_sed])
-        outcome = master.submit(make_request())
-        assert outcome.candidate_names == ("n-on",)
+        master = flat_hierarchy([on_sed, off_sed])
+        assert [entry.server for entry in ranking(master, make_request())] == ["n-on"]
+        assert master.submit(make_request()).elected == "n-on"
 
     def test_election_returns_first_of_ranking(self):
         cheap = make_sed("cheap", peak_power=100.0)
         hungry = make_sed("hungry", peak_power=400.0)
-        master = build_flat_hierarchy([hungry, cheap], scheduler=PowerPolicy())
+        master = flat_hierarchy([hungry, cheap], scheduler=PowerPolicy())
         outcome = master.submit(make_request())
         assert outcome.elected == "cheap"
         assert outcome.succeeded
@@ -128,7 +102,7 @@ class TestCandidateCollection:
             make_sed("b-0", cluster="b", peak_power=100.0),
             make_sed("b-1", cluster="b", peak_power=250.0),
         ]
-        flat = build_flat_hierarchy(seds, scheduler=PowerPolicy())
+        flat = flat_hierarchy(seds, scheduler=PowerPolicy())
 
         hierarchical = MasterAgent(scheduler=PowerPolicy())
         cluster_a = LocalAgent("la-a", scheduler=PowerPolicy())
@@ -143,48 +117,50 @@ class TestCandidateCollection:
         flat_outcome = flat.submit(make_request())
         tree_outcome = hierarchical.submit(make_request())
         assert flat_outcome.elected == tree_outcome.elected == "b-0"
-        assert flat_outcome.candidate_names == tree_outcome.candidate_names
+        assert ranking(flat, make_request()) == ranking(hierarchical, make_request())
 
     def test_performance_policy_elects_fastest(self):
         slow = make_sed("slow", flops=1.0e9)
         fast = make_sed("fast", flops=3.0e9)
-        master = build_flat_hierarchy([slow, fast], scheduler=PerformancePolicy())
+        master = flat_hierarchy([slow, fast], scheduler=PerformancePolicy())
         assert master.submit(make_request()).elected == "fast"
 
     def test_default_scheduler_preserves_collection_order(self):
-        master = build_flat_hierarchy(
+        master = flat_hierarchy(
             [make_sed("first"), make_sed("second")],
             scheduler=FirstComeFirstServedScheduler(),
         )
-        outcome = master.submit(make_request())
-        assert outcome.candidate_names == ("first", "second")
+        assert master.submit(make_request()).elected == "first"
+        assert [entry.server for entry in ranking(master, make_request())] == [
+            "first", "second",
+        ]
 
     def test_ranked_candidates_expose_estimations(self):
-        master = build_flat_hierarchy([make_sed("n-0")])
-        outcome = master.submit(make_request())
-        assert outcome.ranked_candidates[0].server == "n-0"
-        assert outcome.ranked_candidates[0].peak_power == 200.0
+        master = flat_hierarchy([make_sed("n-0")])
+        (entry,) = ranking(master, make_request())
+        assert entry.server == entry.estimation.server == "n-0"
+        assert entry.estimation.peak_power == 200.0
 
 
 class TestCandidateFilter:
     def test_filter_restricts_election(self):
         cheap = make_sed("cheap", peak_power=100.0)
         hungry = make_sed("hungry", peak_power=400.0)
-        master = build_flat_hierarchy([cheap, hungry], scheduler=PowerPolicy())
+        master = flat_hierarchy([cheap, hungry], scheduler=PowerPolicy())
         master.set_candidate_filter(
             lambda request, candidates: [c for c in candidates if c.server == "hungry"]
         )
         assert master.submit(make_request()).elected == "hungry"
 
     def test_filter_returning_empty_falls_back_to_no_candidates(self):
-        master = build_flat_hierarchy([make_sed("n-0")])
+        master = flat_hierarchy([make_sed("n-0")])
         master.set_candidate_filter(lambda request, candidates: [])
         outcome = master.submit(make_request())
         # An empty filtered list means no server may be elected.
         assert not outcome.succeeded
 
     def test_filter_can_be_cleared(self):
-        master = build_flat_hierarchy([make_sed("n-0")])
+        master = flat_hierarchy([make_sed("n-0")])
         master.set_candidate_filter(lambda request, candidates: [])
         master.set_candidate_filter(None)
         assert master.submit(make_request()).succeeded

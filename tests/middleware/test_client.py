@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.middleware.agents import build_flat_hierarchy
 from repro.middleware.client import Client
 from repro.middleware.sed import ServerDaemon
 from repro.infrastructure.node import Node
 from repro.simulation.task import Task
-from tests.conftest import make_spec
+from tests.conftest import flat_hierarchy, make_spec
 
 
 def make_master(*names):
     seds = [ServerDaemon(Node(make_spec(name=name))) for name in names]
-    return build_flat_hierarchy(seds)
+    return flat_hierarchy(seds)
 
 
 class TestRequestConstruction:
@@ -51,30 +50,16 @@ class TestRequestConstruction:
 
 
 class TestSubmission:
-    def test_submit_records_outcome(self):
+    def test_submit_elects_a_server(self):
         client = Client(make_master("n-0"))
-        outcome = client.submit(Task())
+        outcome = client.submit(Task(user_preference=0.4), submitted_at=3.0)
         assert outcome.succeeded
-        assert client.submitted_count == 1
-        assert client.rejected_count == 0
-        assert client.outcomes == (outcome,)
+        assert outcome.elected == "n-0"
+        assert outcome.request.user_preference == 0.4
+        assert outcome.request.submitted_at == 3.0
 
-    def test_rejection_counted(self):
+    def test_an_unsolvable_request_is_rejected(self):
         client = Client(make_master("n-0"))
         outcome = client.submit(Task(service="unsupported"))
         assert not outcome.succeeded
-        assert client.rejected_count == 1
-
-    def test_keep_outcomes_false_retains_only_counters(self):
-        client = Client(make_master("n-0"), keep_outcomes=False)
-        assert client.submit(Task()).succeeded
-        assert not client.submit(Task(service="unsupported")).succeeded
-        assert client.outcomes == ()
-        assert client.submitted_count == 2
-        assert client.rejected_count == 1
-
-    def test_multiple_submissions(self):
-        client = Client(make_master("n-0", "n-1"))
-        for _ in range(5):
-            client.submit(Task())
-        assert client.submitted_count == 5
+        assert outcome.elected is None

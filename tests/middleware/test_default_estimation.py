@@ -91,10 +91,10 @@ STATES = {
     "busy": _busy,
     "full": _full,
     "observed": lambda sed: (
-        sed.record_request_power(123.25, 4567.5),
-        sed.record_request_power(98.5, 1200.0),
+        sed.record_request_power(123.25),
+        sed.record_request_power(98.5),
     ),
-    "busy_then_observed": lambda sed: (_busy(sed), sed.record_request_power(150.0, 10.0)),
+    "busy_then_observed": lambda sed: (_busy(sed), sed.record_request_power(150.0)),
 }
 
 

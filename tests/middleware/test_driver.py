@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.core.policies import PerformancePolicy, PowerPolicy
-from repro.infrastructure.platform import grid5000_placement_platform
+from repro.core.policies import PerformancePolicy, PowerPolicy, policy_by_name
+from repro.infrastructure.node import Node
+from repro.infrastructure.platform import Cluster, Platform, grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
+from repro.middleware.plugin_scheduler import FirstComeFirstServedScheduler
 from repro.simulation.task import Task, TaskState
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.generator import BurstThenContinuousWorkload
-from tests.conftest import run_beside_meter
+from tests.conftest import make_spec, run_beside_meter
 from tests.wattmeter import analytic_energy
 
 
@@ -217,3 +219,21 @@ class TestQueueOverflow:
         result = simulation.run()
         assert result.metrics.task_count == total_cores * 2
         assert result.metrics.mean_queue_delay > 0.0
+
+
+class TestZeroPowerNode:
+    @pytest.mark.parametrize("policy", ["POWER", "RANDOM", "FCFS", "GREEN_SCORE"])
+    def test_a_node_that_draws_no_power_serves_its_tasks(self, policy):
+        """``NodeSpec`` allows ``peak_power=0``: each completion records 0 W."""
+        spec = make_spec(cores=2, idle_power=0.0, peak_power=0.0, boot_power=0.0)
+        platform = Platform([Cluster(spec.cluster, [Node(spec)])])
+        scheduler = (
+            FirstComeFirstServedScheduler() if policy == "FCFS" else policy_by_name(policy)
+        )
+        master, seds = build_hierarchy(platform, scheduler=scheduler)
+        simulation = MiddlewareSimulation(platform, master, seds)
+        simulation.submit_workload([Task(flop=2.0e9, arrival_time=float(i)) for i in range(3)])
+        result = simulation.run()
+        assert result.metrics.task_count == 3
+        assert seds[spec.name].observed_request_count == 3
+        assert seds[spec.name].dynamic_mean_power() == 0.0

@@ -92,7 +92,7 @@ class TestStoredValues:
         sed = ServerDaemon(Node(make_spec(cores=3)))
         sed.node.acquire_core()
         sed.queue.enqueue(Task(flop=4.0e9))
-        sed.record_request_power(140.0, 900.0)
+        sed.record_request_power(140.0)
         vector = default_estimation_function(sed, ServiceRequest.from_task(Task()))
         node, spec = sed.node, sed.node.spec
         expected = EstimationVector(server=sed.name, cluster=sed.cluster)

@@ -19,14 +19,13 @@ from repro.core.greenperf import IncrementalGreenPerfOrder
 from repro.core.policies import PowerPolicy, policy_by_name
 from repro.infrastructure.node import Node
 from repro.infrastructure.platform import grid5000_placement_platform
-from repro.middleware.agents import build_flat_hierarchy
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
-from repro.middleware.ranking import ResidentRanking
+from repro.middleware.ranking import FlatElection, ResidentRanking, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task, TaskState
-from tests.conftest import make_spec
+from tests.conftest import election_type, flat_hierarchy, make_spec
 
 
 def _request() -> ServiceRequest:
@@ -97,7 +96,7 @@ TRIGGERS = {
     ),
     "record_request_power": (
         _nothing,
-        lambda sed, _: sed.record_request_power(150.0, 900.0),
+        lambda sed, _: sed.record_request_power(150.0),
     ),
 }
 
@@ -133,7 +132,7 @@ class TestDetach:
         for sed in seds:
             sed.node.acquire_core()
             sed.queue.enqueue(Task())
-            sed.record_request_power(120.0, 60.0)
+            sed.record_request_power(120.0)
         assert ranking.dirty_servers == frozenset()
 
     def test_detach_removes_only_its_own_set(self):
@@ -164,20 +163,20 @@ class TestDetach:
         seds = [
             ServerDaemon(Node(make_spec(name=f"n-{i}", idle_power=90.0 + i))) for i in range(3)
         ]
-        master = build_flat_hierarchy(seds, scheduler=PowerPolicy())
+        master = flat_hierarchy(seds, scheduler=PowerPolicy())
         order = IncrementalGreenPerfOrder(
             [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
         )
         paths = []
         for policy in ("POWER", "GREEN_SCORE", "RANDOM", "POWER"):
-            master.set_scheduler(policy_by_name(policy))
+            master.scheduler = policy_by_name(policy)
             master.submit(_request())
-            paths.append(master.election_path)
+            paths.append(election_type(master))
             for sed in seds:
                 assert sed._invalidation_listeners == [
                     order._dirty.add, master._election._dirty.add
                 ]
-        assert paths == ["resident", "flat", "replay", "resident"]
+        assert paths == [ResidentRanking, FlatElection, WalkReplay, ResidentRanking]
 
 
 def _simulation():

@@ -63,14 +63,28 @@ class TestDynamicPowerEstimate:
 
     def test_averages_past_request_power(self):
         sed = make_sed()
-        sed.record_request_power(100.0, 1000.0)
-        sed.record_request_power(200.0, 3000.0)
+        sed.record_request_power(100.0)
+        sed.record_request_power(200.0)
         assert sed.observed_request_count == 2
         assert sed.dynamic_mean_power() == pytest.approx(150.0)
-        assert sed.mean_energy_per_request() == pytest.approx(2000.0)
 
-    def test_mean_energy_zero_before_history(self):
-        assert make_sed().mean_energy_per_request() == 0.0
+    @pytest.mark.parametrize("power", [-1.0, float("nan"), float("inf"), "100"])
+    def test_an_observation_is_checked_where_it_enters(self, power):
+        sed = make_sed()
+        with pytest.raises((ValueError, TypeError)):
+            sed.record_request_power(power)
+        assert sed.observed_request_count == 0
+
+    def test_a_zero_observation_is_accepted(self):
+        """A node may draw no power (``NodeSpec`` allows ``peak_power=0``)."""
+        sed = make_sed(idle_power=0.0, peak_power=0.0)
+        sed.record_request_power(0.0)
+        assert sed.dynamic_mean_power() == 0.0
+
+    def test_an_int_observation_is_accepted(self):
+        sed = make_sed()
+        sed.record_request_power(120)
+        assert sed.dynamic_mean_power() == 120.0
 
 
 class TestEstimation:
@@ -96,7 +110,7 @@ class TestEstimation:
 
     def test_estimation_uses_dynamic_power(self):
         sed = make_sed(peak_power=400.0)
-        sed.record_request_power(111.0, 500.0)
+        sed.record_request_power(111.0)
         vector = sed.estimate(make_request())
         assert vector.get(EstimationTags.MEAN_POWER) == pytest.approx(111.0)
 
@@ -170,7 +184,7 @@ class TestEstimationCache:
     def test_power_history_invalidates(self):
         sed = make_sed()
         sed.estimate(make_request())
-        sed.record_request_power(100.0, 500.0)
+        sed.record_request_power(100.0)
         assert not sed.estimation_cached
         assert sed.estimate(make_request()).get(
             EstimationTags.MEAN_POWER

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -108,6 +111,26 @@ class TestResultStore:
         store.put(make_result(policy="RANDOM"))
         store.put(make_result(policy="POWER"))
         assert [r.spec.policy for r in store.results()] == ["POWER", "RANDOM"]
+
+    def test_metadata_gets_a_shards_mode(self, tmp_path):
+        """``store.json`` is as readable as the shards under the umask."""
+        previous = os.umask(0o022)
+        try:
+            ShardedResultStore(tmp_path / "results").load().put(make_result())
+        finally:
+            os.umask(previous)
+        (shard,) = (tmp_path / "results").glob("shard-*.jsonl")
+        meta = tmp_path / "results" / "store.json"
+        assert stat.S_IMODE(meta.stat().st_mode) == stat.S_IMODE(shard.stat().st_mode) == 0o644
+
+    def test_a_failed_metadata_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(source, target):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            ShardedResultStore(tmp_path / "results").load().put(make_result())
+        assert not list((tmp_path / "results").glob(".store.json.*"))
 
     def test_refresh_sees_another_writers_append(self, tmp_path):
         path = tmp_path / "results"
@@ -233,17 +256,57 @@ for seed in {seeds!r}:
                         path=str(path),
                         seeds=seeds[worker :: self.N_PROCS],
                     ),
-                ]
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
             )
             for worker in range(self.N_PROCS)
         ]
+        writers = []
         for proc in procs:
-            assert proc.wait(timeout=120) == 0
+            try:
+                _, stderr = proc.communicate(timeout=120)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                _, stderr = proc.communicate()
+                stderr = f"(killed after 120 s)\n{stderr}"
+            writers.append((proc.returncode, stderr))
+        diagnosis = _append_diagnosis(path, seeds, writers)
+        assert all(code == 0 for code, _ in writers), diagnosis
         store = ShardedResultStore(path).load()
-        assert len(store.shard_files()) == 1
-        assert len(store) == self.N_PROCS * self.N_RECORDS
-        assert store.quarantined() == 0
-        assert sorted(r.spec.seed for r in store.results()) == sorted(seeds)
+        assert len(store.shard_files()) == 1, diagnosis
+        assert len(store) == self.N_PROCS * self.N_RECORDS, diagnosis
+        assert store.quarantined() == 0, diagnosis
+        assert sorted(r.spec.seed for r in store.results()) == sorted(seeds), diagnosis
+
+
+def _append_diagnosis(path: Path, seeds, writers) -> str:
+    """What a failed concurrent-append run left behind, read before the store loads.
+
+    Each writer's exit code and stderr, the shard files with their line
+    counts, the lines that do not parse, the quarantine count, and the
+    seeds missing from or duplicated in the shards.
+    """
+    lines = [
+        f"writer {worker}: exit code {code}" + (f", stderr:\n{stderr}" if stderr else "")
+        for worker, (code, stderr) in enumerate(writers)
+    ]
+    found: Counter = Counter()
+    unparsable = 0
+    for shard in sorted(path.glob("shard-*.jsonl")):
+        shard_lines = shard.read_text("utf-8").splitlines()
+        lines.append(f"{shard.name}: {len(shard_lines)} lines (expected {len(seeds)})")
+        for line in shard_lines:
+            try:
+                found[json.loads(line)["spec"]["seed"]] += 1
+            except (ValueError, KeyError, TypeError):
+                unparsable += 1
+    quarantined = ShardedResultStore(path).quarantined()
+    lines.append(f"unparsable lines: {unparsable}; quarantined records: {quarantined}")
+    lines.append(f"missing seeds: {sorted(set(seeds) - set(found))}")
+    lines.append(f"duplicated seeds: {sorted(seed for seed, n in found.items() if n > 1)}")
+    return "\n".join(lines)
 
 
 class TestSummarize:
