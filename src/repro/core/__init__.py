@@ -4,8 +4,8 @@
   and server rankings built from estimation vectors.
 * :mod:`repro.core.preferences` — provider and user preference models
   (Equations 1–3).
-* :mod:`repro.core.scoring` — completion-time, energy and score models for
-  active and inactive servers (Equations 4–6).
+* :mod:`repro.core.scoring` — the completion-time, energy and score
+  kernel for active and inactive servers (Equations 4–6).
 * :mod:`repro.core.candidate_selection` — the greedy power-capped
   candidate-server selection (Algorithm 1).
 * :mod:`repro.core.policies` — the plug-in schedulers compared in the
@@ -43,7 +43,6 @@ from repro.core.preferences import (
 )
 from repro.core.provisioning import ProvisioningPlanner, ProvisioningConfig
 from repro.core.rules import AdministratorRules, ThresholdRule
-from repro.core.scoring import completion_time, energy_consumption, score
 
 __all__ = [
     "select_candidate_servers",
@@ -64,7 +63,4 @@ __all__ = [
     "ProvisioningConfig",
     "AdministratorRules",
     "ThresholdRule",
-    "completion_time",
-    "energy_consumption",
-    "score",
 ]

@@ -110,7 +110,6 @@ class RankedServer:
     server: str
     greenperf: float
     power: float
-    performance: float
 
 
 class GreenPerfRanking:
@@ -138,19 +137,7 @@ class GreenPerfRanking:
                 if mode is PowerEstimationMode.DYNAMIC
                 else vector.get(EstimationTags.PEAK_POWER)
             )
-            performance = (
-                vector.get(EstimationTags.TOTAL_FLOPS)
-                if basis is PerformanceBasis.TOTAL_FLOPS
-                else vector.get(EstimationTags.FLOPS_PER_CORE)
-            )
-            entries.append(
-                RankedServer(
-                    server=vector.server,
-                    greenperf=ratio,
-                    power=power,
-                    performance=performance,
-                )
-            )
+            entries.append(RankedServer(server=vector.server, greenperf=ratio, power=power))
         # Stable sort: ties keep collection order, which keeps the ranking
         # deterministic for homogeneous clusters.
         entries.sort(key=lambda entry: entry.greenperf)
@@ -170,28 +157,6 @@ class GreenPerfRanking:
     def entries(self) -> tuple[RankedServer, ...]:
         """Ranking entries, most energy-efficient first."""
         return self._entries
-
-    @property
-    def server_names(self) -> tuple[str, ...]:
-        """Server names in ranking order."""
-        return tuple(entry.server for entry in self._entries)
-
-    def position_of(self, server: str) -> int:
-        """Zero-based rank of ``server``.  Raises :class:`KeyError` if absent."""
-        for index, entry in enumerate(self._entries):
-            if entry.server == server:
-                return index
-        raise KeyError(f"server {server!r} is not part of this ranking")
-
-    def best(self) -> RankedServer:
-        """The most energy-efficient server (the paper's ``S0``)."""
-        if not self._entries:
-            raise ValueError("ranking is empty")
-        return self._entries[0]
-
-    def total_power(self) -> float:
-        """Sum of the power figures of all ranked servers (W) — Algorithm 1's ``P_Total``."""
-        return sum(entry.power for entry in self._entries)
 
 
 class IncrementalGreenPerfOrder:

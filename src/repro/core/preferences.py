@@ -10,8 +10,8 @@ User preference (Equation 2)
     ``Preference_user ∈ [−1, 1]``: −1 maximises performance, 0 expresses
     no preference, +1 maximises energy efficiency.  "In practice it is
     better to restrict the value to [−0.9, 0.9]" to avoid waiting queues on
-    the most energy-efficient nodes, so clamping is offered (and used by
-    the score-based scheduler).
+    the most energy-efficient nodes, so the score-based scheduler clamps
+    it to :data:`PRACTICAL_USER_BOUND`.
 
 Combination (Equation 3)
     ``(P_provider, P_user) ⇔ P_provider · (P_user − 1)`` — the user's
@@ -64,17 +64,6 @@ class ProviderPreference:
         ensure_in_range(electricity_cost, "electricity_cost", 0.0, 1.0)
         return self.alpha * (1.0 - electricity_cost) + self.beta * utilization
 
-    def available_fraction(self, utilization: float, electricity_cost: float) -> float:
-        """Fraction of the infrastructure to expose, normalised to ``[0, 1]``.
-
-        Equation 1 yields values in ``[0, alpha + beta]``; dividing by the
-        weight total keeps "the higher the value ... the larger the number
-        of available servers" while using the full ``[0, 1]`` range, which
-        is what Algorithm 1 expects as its power-cap factor.
-        """
-        raw = self.value(utilization, electricity_cost)
-        return raw / (self.alpha + self.beta)
-
 
 @dataclass(frozen=True)
 class UserPreference:
@@ -82,28 +71,8 @@ class UserPreference:
 
     value: float = 0.0
 
-    #: Symbolic constants matching the paper's three reference settings.
-    MAXIMIZE_PERFORMANCE = -1.0
-    NO_PREFERENCE = 0.0
-    MAXIMIZE_ENERGY_EFFICIENCY = 1.0
-
     def __post_init__(self) -> None:
         ensure_in_range(self.value, "user preference", -1.0, 1.0)
-
-    def clamped(self, bound: float = PRACTICAL_USER_BOUND) -> float:
-        """The preference restricted to ``[-bound, bound]`` (paper: 0.9)."""
-        ensure_in_range(bound, "bound", 0.0, 1.0)
-        return max(-bound, min(bound, self.value))
-
-    @property
-    def favors_energy(self) -> bool:
-        """Whether the user leans towards energy efficiency."""
-        return self.value > 0
-
-    @property
-    def favors_performance(self) -> bool:
-        """Whether the user leans towards performance."""
-        return self.value < 0
 
 
 def combine_preferences(provider: float, user: float) -> float:

@@ -97,8 +97,6 @@ class ProvisioningDecision:
     time: float
     temperature: float
     electricity_cost: float
-    rule_label: str
-    target_candidates: int
     candidate_count: int
     candidate_nodes: tuple[str, ...] = field(default_factory=tuple)
 
@@ -189,11 +187,6 @@ class ProvisioningPlanner:
         return len(self._candidates)
 
     @property
-    def decisions(self) -> Sequence[ProvisioningDecision]:
-        """All per-check decisions in chronological order."""
-        return tuple(self._decisions)
-
-    @property
     def planning_entries(self) -> Sequence[PlanningEntry]:
         """The provisioning-planning samples accumulated so far (Fig. 8)."""
         return tuple(self._planning)
@@ -264,8 +257,6 @@ class ProvisioningPlanner:
             time=now,
             temperature=status.temperature,
             electricity_cost=status.electricity_cost,
-            rule_label=decision.rule.label,
-            target_candidates=target,
             candidate_count=len(self._candidates),
             candidate_nodes=tuple(sorted(self._candidates)),
         )

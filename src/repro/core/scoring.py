@@ -25,49 +25,9 @@ from __future__ import annotations
 
 import math
 
-from repro.core.preferences import PRACTICAL_USER_BOUND, UserPreference
+from repro.core.preferences import PRACTICAL_USER_BOUND
 from repro.middleware.estimation import EstimationTags, EstimationVector
-from repro.util.validation import ensure_non_negative, ensure_positive
-
-
-def completion_time(
-    flop: float,
-    flops_per_second: float,
-    *,
-    active: bool,
-    waiting_time: float = 0.0,
-    boot_time: float = 0.0,
-) -> float:
-    """Equation 4: expected completion time of a task on a server (s)."""
-    ensure_non_negative(flop, "flop")
-    ensure_positive(flops_per_second, "flops_per_second")
-    ensure_non_negative(waiting_time, "waiting_time")
-    ensure_non_negative(boot_time, "boot_time")
-    execution = flop / flops_per_second
-    if active:
-        return waiting_time + execution
-    return boot_time + execution
-
-
-def energy_consumption(
-    flop: float,
-    flops_per_second: float,
-    *,
-    active: bool,
-    full_load_power: float,
-    boot_time: float = 0.0,
-    boot_power: float = 0.0,
-) -> float:
-    """Equation 5: expected energy of a task on a server (J)."""
-    ensure_non_negative(flop, "flop")
-    ensure_positive(flops_per_second, "flops_per_second")
-    ensure_non_negative(full_load_power, "full_load_power")
-    ensure_non_negative(boot_time, "boot_time")
-    ensure_non_negative(boot_power, "boot_power")
-    execution_energy = full_load_power * flop / flops_per_second
-    if active:
-        return execution_energy
-    return boot_time * boot_power + execution_energy
+from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
 
 
 def preference_exponent(user_preference: float) -> float:
@@ -77,15 +37,9 @@ def preference_exponent(user_preference: float) -> float:
     before use, which keeps the exponent finite (P = −1 would make it blow
     up) — exactly the reason the paper recommends the clamp.
     """
-    clamped = UserPreference(user_preference).clamped(PRACTICAL_USER_BOUND)
+    ensure_in_range(user_preference, "user preference", -1.0, 1.0)
+    clamped = max(-PRACTICAL_USER_BOUND, min(PRACTICAL_USER_BOUND, user_preference))
     return 2.0 / (clamped + 1.0) - 1.0
-
-
-def score(time: float, energy: float, user_preference: float) -> float:
-    """Equation 6: the server score ``Sc`` (lower is better)."""
-    ensure_positive(time, "time")
-    ensure_non_negative(energy, "energy")
-    return time ** preference_exponent(user_preference) * energy
 
 
 _INF = math.inf
@@ -134,13 +88,16 @@ class ScoreKernel:
     The request constants are computed once: the checked flop count and
     the Equation 6 exponent, preference clamp included.
     :meth:`evaluate_inputs` then scores one server's :func:`server_inputs`
-    in plain float arithmetic, with the same association as
-    :func:`completion_time`, :func:`energy_consumption` and :func:`score`,
-    so its results are bit-identical to theirs.  :meth:`evaluate` reads
-    the inputs from an estimation vector and raises the same
-    :class:`ValueError`/:class:`TypeError` as those functions on the same
-    inputs.  The request-level checks (flop, preference) run before any
-    server's.
+    in plain float arithmetic, in the association the equations are
+    written in: ``w_s + n_i / f_s`` (or ``bt_s + n_i / f_s``) for the
+    time, ``c_s * n_i / f_s`` (plus ``bt_s * bc_s`` while booting) for the
+    energy and ``time ** exponent * energy`` for the score.
+    :meth:`evaluate` reads the inputs from an estimation vector and checks
+    them with the validators, raising their
+    :class:`ValueError`/:class:`TypeError` on the first bad input in the
+    order flop, ``f_s``, ``w_s``, ``bt_s``, ``c_s``, ``bc_s``, then time
+    and energy.  The request-level checks (flop, preference) run before
+    any server's.
 
     Equation 7's sanity claims: a fast, power-hungry server and a slow,
     frugal one (time 2 s / energy 600 J against 4 s / 200 J).
@@ -187,9 +144,8 @@ class ScoreKernel:
         inputs = server_inputs(vector, self.power_tag)
         if inputs is not None:
             return self.evaluate_inputs(*inputs)
-        # Not exact in-range floats: the validators, in the scalar
-        # functions' order, raise their usual error or accept the value
-        # (ints, numpy floats).
+        # Not exact in-range floats: the validators, in the order above,
+        # raise their usual error or accept the value (ints, numpy floats).
         values = vector.values
         if EstimationTags.FLOPS_PER_CORE in values and self.power_tag in values:
             flops = values[EstimationTags.FLOPS_PER_CORE]

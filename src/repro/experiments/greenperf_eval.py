@@ -180,13 +180,6 @@ class RandomArea:
     time_min: float
     time_max: float
 
-    def contains(self, energy: float, time: float, *, tolerance: float = 0.0) -> bool:
-        """Whether a point falls inside the (tolerance-expanded) area."""
-        return (
-            self.energy_min - tolerance <= energy <= self.energy_max + tolerance
-            and self.time_min - tolerance <= time <= self.time_max + tolerance
-        )
-
 
 def _point_from_result(result: ScenarioResult) -> PointSummary:
     """Rebuild the figure coordinates of one scenario result."""

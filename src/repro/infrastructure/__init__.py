@@ -26,7 +26,6 @@ from repro.infrastructure.node import Node, NodeSpec, NodeState
 from repro.infrastructure.platform import (
     Platform,
     grid5000_placement_platform,
-    heterogeneity_platform,
     simulated_cluster_specs,
 )
 from repro.infrastructure.power_model import LinearPowerModel, PowerModel
@@ -44,7 +43,6 @@ __all__ = [
     "NodeState",
     "Platform",
     "grid5000_placement_platform",
-    "heterogeneity_platform",
     "simulated_cluster_specs",
     "LinearPowerModel",
     "PowerModel",

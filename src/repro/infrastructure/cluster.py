@@ -101,7 +101,3 @@ class Cluster:
     def current_power(self) -> float:
         """Instantaneous power draw of the whole cluster (W)."""
         return sum(node.current_power() for node in self._nodes)
-
-    def available_nodes(self) -> Sequence[Node]:
-        """Nodes that are powered on."""
-        return tuple(node for node in self._nodes if node.is_available)

@@ -10,15 +10,14 @@ a given period and the theoretical maximum cost" with three states:
 The schedule is a piecewise-constant function of simulated time built from
 :class:`TariffPeriod` segments.  The provisioning planner queries both the
 *current* cost and the cost at a *future* time (the Master Agent learns of
-scheduled cost changes 20 minutes ahead), so lookahead is a first-class
-operation here.
+scheduled cost changes 20 minutes ahead): both are :meth:`cost_at`.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.util.validation import ensure_in_range, ensure_non_negative
 
@@ -54,21 +53,11 @@ class ElectricityCostSchedule:
         self._periods: list[TariffPeriod] = sorted(periods)
         self._starts: list[float] = [p.start for p in self._periods]
 
-    @classmethod
-    def constant(cls, cost: float) -> "ElectricityCostSchedule":
-        """Schedule with a single constant cost."""
-        return cls(default_cost=cost)
-
     def add_period(self, period: TariffPeriod) -> None:
         """Insert a tariff change, keeping the schedule sorted."""
         index = bisect.bisect(self._starts, period.start)
         self._starts.insert(index, period.start)
         self._periods.insert(index, period)
-
-    @property
-    def periods(self) -> Sequence[TariffPeriod]:
-        """Tariff changes sorted by start time."""
-        return tuple(self._periods)
 
     def cost_at(self, time: float) -> float:
         """Electricity cost ratio in effect at simulated ``time``."""
@@ -76,18 +65,3 @@ class ElectricityCostSchedule:
         if index < 0:
             return self.default_cost
         return self._periods[index].cost
-
-    def next_change_after(self, time: float) -> TariffPeriod | None:
-        """The first tariff change strictly after ``time``, if any."""
-        index = bisect.bisect_right(self._starts, time)
-        if index >= len(self._periods):
-            return None
-        return self._periods[index]
-
-    def changes_between(self, start: float, end: float) -> Sequence[TariffPeriod]:
-        """Tariff changes with ``start < period.start <= end``."""
-        if end < start:
-            raise ValueError(f"end ({end}) must be >= start ({start})")
-        lo = bisect.bisect_right(self._starts, start)
-        hi = bisect.bisect_right(self._starts, end)
-        return tuple(self._periods[lo:hi])

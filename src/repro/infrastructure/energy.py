@@ -15,7 +15,7 @@ Three cooperating pieces:
 * :class:`SegmentEnergyLog` — the segment store.  It integrates energy
   per segment and answers the energy queries (``total_energy``,
   ``energy_by_node/cluster``) plus the segment queries (``segments``,
-  ``tick_count``, ``nodes``) that observation reads.  It never renders a
+  ``nodes``) that observation reads.  It never renders a
   per-second trace: Figure 9's per-window platform power is computed from
   the segments by :func:`repro.lab.observe.windowed_power`.
 * :class:`EnergyAccountant` — subscribes to every node's power-change
@@ -129,8 +129,8 @@ class SegmentEnergyLog:
     Segments are appended through :meth:`add_segment` in per-node
     chronological order (adjacent same-power segments are merged in
     place).  Energy figures are maintained incrementally — O(1) per
-    segment.  Per-node queries (``segments(node)``, ``tick_count``) read
-    only that node's data, never a scan of every node's.
+    segment.  A per-node query (``segments(node)``) reads only that
+    node's data, never a scan of every node's.
     """
 
     def __init__(self, sample_period: float = 1.0, *, start_time: float = 0.0) -> None:
@@ -210,17 +210,9 @@ class SegmentEnergyLog:
         """Total integrated energy over all nodes (J)."""
         return sum(self._energy_by_node.values())
 
-    def energy_of_node(self, node: str) -> float:
-        """Integrated energy of one node (J); 0.0 if never observed."""
-        return self._energy_by_node.get(node, 0.0)
-
     def energy_by_node(self) -> Mapping[str, float]:
         """Integrated energy per node (J)."""
         return dict(self._energy_by_node)
-
-    def energy_of_cluster(self, cluster: str) -> float:
-        """Integrated energy of one cluster (J); 0.0 if never observed."""
-        return self._energy_by_cluster.get(cluster, 0.0)
 
     def energy_by_cluster(self) -> Mapping[str, float]:
         """Integrated energy per cluster (J)."""
@@ -234,10 +226,6 @@ class SegmentEnergyLog:
         return tuple(
             segment for segments in self._segments.values() for segment in segments
         )
-
-    def tick_count(self, node: str) -> int:
-        """Number of sampling instants accounted for ``node`` so far."""
-        return self._ticks_by_node.get(node, 0)
 
     @property
     def nodes(self) -> Sequence[str]:
@@ -284,11 +272,6 @@ class EnergyAccountant:
     def sample_period(self) -> float:
         """Sampling period of the backing log (s)."""
         return self.log.sample_period
-
-    @property
-    def monitored_nodes(self) -> Sequence["Node"]:
-        """Nodes this accountant listens to."""
-        return tuple(self._nodes)
 
     # -- the transition hook -------------------------------------------------------
     def _on_power_change(self, node: "Node") -> None:

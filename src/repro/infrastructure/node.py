@@ -161,7 +161,6 @@ class Node:
         initial_state: NodeState = NodeState.ON,
     ) -> None:
         self.spec = spec
-        self._power_model = power_model or spec.default_power_model()
         self._state = initial_state
         self._busy_cores = 0
         self._boot_completion_time: float | None = None
@@ -171,7 +170,7 @@ class Node:
         self._power_listeners: list[PowerListener] = []
         #: ON power draw per busy-core count, each entry computed (and
         #: checked) once by the power model.
-        self._on_power = _on_power_table(self._power_model, spec.cores)
+        self._on_power = _on_power_table(power_model or spec.default_power_model(), spec.cores)
 
     # -- identification ----------------------------------------------------
     @property
@@ -183,11 +182,6 @@ class Node:
     def cluster(self) -> str:
         """Cluster this node belongs to (from the spec)."""
         return self.spec.cluster
-
-    @property
-    def power_model(self) -> PowerModel:
-        """The utilisation-to-power model, read once at construction."""
-        return self._power_model
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -315,11 +309,6 @@ class Node:
         if self._power_listeners:
             self._power_changed()
 
-    @property
-    def boot_completion_time(self) -> float | None:
-        """Absolute completion time of an in-progress boot, if any."""
-        return self._boot_completion_time
-
     # -- core occupancy ------------------------------------------------------
     @property
     def busy_cores(self) -> int:
@@ -332,13 +321,6 @@ class Node:
         if self._state is not NodeState.ON:
             return 0
         return self.spec.cores - self._busy_cores
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of cores busy, in ``[0, 1]``."""
-        if self._state is not NodeState.ON or self.spec.cores == 0:
-            return 0.0
-        return self._busy_cores / self.spec.cores
 
     def acquire_core(self) -> None:
         """Mark one core as busy.  Raises if the node is full or not ON."""
@@ -401,12 +383,6 @@ class Node:
         if state is NodeState.BOOTING:
             return self.spec.boot_power
         return 0.0
-
-    # -- execution model -------------------------------------------------------
-    def task_duration(self, flop: float) -> float:
-        """Time (s) for one core of this node to execute ``flop`` operations."""
-        ensure_non_negative(flop, "flop")
-        return flop / self.spec.flops_per_core
 
     # -- counters ----------------------------------------------------------------
     @property

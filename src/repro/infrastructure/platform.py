@@ -7,9 +7,9 @@ platform configurations used by the paper's evaluation:
 * :func:`grid5000_placement_platform` — the 12-SeD deployment of Table I
   (4 Orion, 4 Taurus, 4 Sagittaire nodes) used for the workload-placement
   experiment (Figures 2–5, Table II).
-* :func:`heterogeneity_platform` — the platforms of the GreenPerf
-  heterogeneity study (Figures 6 and 7), optionally extended with the Sim1
-  and Sim2 clusters of Table III.
+* :func:`simulated_cluster_specs` — the Sim1 and Sim2 server types of
+  Table III, which extend the GreenPerf heterogeneity study (Figures 6
+  and 7) beyond Orion and Taurus.
 
 The absolute power and FLOPS figures below are derived from the public
 Grid'5000 hardware descriptions of the Lyon site (Orion and Taurus are
@@ -188,10 +188,6 @@ class Platform:
         """Instantaneous power draw of the whole platform (W)."""
         return sum(cluster.current_power() for cluster in self._clusters)
 
-    def available_nodes(self) -> Sequence[Node]:
-        """All powered-on nodes."""
-        return tuple(node for node in self.nodes if node.is_available)
-
 
 def grid5000_placement_platform(
     *,
@@ -220,43 +216,3 @@ def grid5000_placement_platform(
             ),
         ]
     )
-
-
-def heterogeneity_platform(
-    *,
-    kinds: int = 2,
-    nodes_per_cluster: int = 4,
-    initial_state: NodeState = NodeState.ON,
-) -> Platform:
-    """Platforms for the GreenPerf heterogeneity study (Figures 6 and 7).
-
-    ``kinds=2`` reproduces the low-heterogeneity scenario (two server types
-    with similar specifications: Orion and Taurus, per Table I).  ``kinds=4``
-    adds the simulated Sim1 and Sim2 clusters of Table III to increase the
-    platform's heterogeneity.
-    """
-    if kinds not in (2, 3, 4):
-        raise ValueError(f"kinds must be 2, 3 or 4, got {kinds}")
-    clusters = [
-        Cluster.homogeneous(
-            "orion", nodes_per_cluster, orion_spec(), initial_state=initial_state
-        ),
-        Cluster.homogeneous(
-            "taurus", nodes_per_cluster, taurus_spec(), initial_state=initial_state
-        ),
-    ]
-    if kinds >= 3:
-        sims = simulated_cluster_specs()
-        clusters.append(
-            Cluster.homogeneous(
-                "sim1", nodes_per_cluster, sims["sim1"], initial_state=initial_state
-            )
-        )
-    if kinds == 4:
-        sims = simulated_cluster_specs()
-        clusters.append(
-            Cluster.homogeneous(
-                "sim2", nodes_per_cluster, sims["sim2"], initial_state=initial_state
-            )
-        )
-    return Platform(clusters)

@@ -39,11 +39,6 @@ class PowerModel(ABC):
     def peak_power(self) -> float:
         """Power draw at full utilisation (W)."""
 
-    def energy(self, utilization: float, duration: float) -> float:
-        """Energy in joules for holding ``utilization`` during ``duration`` seconds."""
-        ensure_non_negative(duration, "duration")
-        return self.power_at(utilization) * duration
-
 
 @dataclass(frozen=True)
 class LinearPowerModel(PowerModel):

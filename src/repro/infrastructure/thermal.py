@@ -99,10 +99,3 @@ class ThermalEnvironment:
             self.ambient_temperature(time)
             + self.load_coefficient * platform_power_watts / 1000.0
         )
-
-    def in_range(self, time: float, *, platform_power_watts: float = 0.0) -> bool:
-        """Whether the temperature at ``time`` is within the allowed range."""
-        return (
-            self.temperature(time, platform_power_watts=platform_power_watts)
-            <= self.threshold
-        )

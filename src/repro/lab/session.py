@@ -80,11 +80,11 @@ from repro.util.validation import ensure_positive
 class LabSession:
     """A validated composition of experiment components.
 
-    >>> from repro.workload.generator import SteadyRateWorkload
+    >>> from repro.workload.generator import BurstThenContinuousWorkload
     >>> session = LabSession(
     ...     platform=PlatformSource.table1(1),
-    ...     workload=WorkloadSource.from_generator(
-    ...         SteadyRateWorkload(total_tasks=3, rate=1.0, flop_per_task=1e9)),
+    ...     workload=WorkloadSource.from_generator(BurstThenContinuousWorkload(
+    ...         total_tasks=3, burst_size=1, continuous_rate=1.0, flop_per_task=1e9)),
     ...     policy=PolicySource("POWER"),
     ... )
     >>> session.run().completed_tasks

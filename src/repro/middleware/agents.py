@@ -231,7 +231,7 @@ class MasterAgent(Agent):
         finally:
             if timer is not None:
                 timer.pop()
-        return SchedulingOutcome(request, None if winner is None else winner.server)
+        return SchedulingOutcome(None if winner is None else winner.server)
 
     def _filtered_candidates(self, election, request: ServiceRequest) -> Sequence[CandidateEntry]:
         """``election``'s ranking for ``request`` after the candidate filter."""

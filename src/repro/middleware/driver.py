@@ -298,7 +298,6 @@ class MiddlewareSimulation:
         sed.queue.mark_completed(task)
         del self._inflight[sed][task.task_id]
         task.state = TaskState.COMPLETED
-        energy = attributed_power * duration
         sed.record_request_power(node_power)
         execution = TaskExecution(
             task_id=task.task_id,
@@ -307,7 +306,6 @@ class MiddlewareSimulation:
             submitted_at=submitted_at,
             started_at=started_at,
             completed_at=now,
-            energy=energy,
         )
         self.metrics.record_execution(execution)
         if self._trace_on:
@@ -318,7 +316,7 @@ class MiddlewareSimulation:
                 node=spec.name,
                 cluster=spec.cluster,
                 duration=duration,
-                energy=energy,
+                energy=attributed_power * duration,
             )
         self._pending_completions -= 1
         self._try_start(sed, now)

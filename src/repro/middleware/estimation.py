@@ -156,19 +156,9 @@ class EstimationVector:
         return self.get(EstimationTags.FLOPS_PER_CORE)
 
     @property
-    def mean_power(self) -> float:
-        """Dynamic mean-power estimate of the reporting node (W)."""
-        return self.get(EstimationTags.MEAN_POWER)
-
-    @property
     def peak_power(self) -> float:
         """Full-load power of the reporting node (W)."""
         return self.get(EstimationTags.PEAK_POWER)
-
-    @property
-    def waiting_time(self) -> float:
-        """Estimated queueing delay before a new task starts (s)."""
-        return self.get(EstimationTags.WAITING_TIME)
 
     @property
     def free_cores(self) -> float:

@@ -57,7 +57,6 @@ class SchedulingOutcome(NamedTuple):
     Section III-A).  An immutable named tuple (one is built per arrival).
     """
 
-    request: ServiceRequest
     elected: str | None
 
     @property

@@ -2,9 +2,8 @@
 
 The building blocks:
 
-- :mod:`repro.policy.queue.jobs` — the :class:`QueueJob` record and the
-  converters from SWF jobs (:func:`jobs_from_swf`) and middleware tasks
-  (:func:`jobs_from_tasks`).
+- :mod:`repro.policy.queue.jobs` — the :class:`QueueJob` record and its
+  converter from middleware tasks (:func:`jobs_from_tasks`).
 - :mod:`repro.policy.queue.profile` — :class:`CoreProfile`, the
   piecewise-constant free-core step function backfill planning runs on.
 - :mod:`repro.policy.queue.policies` — the four policies behind
@@ -18,7 +17,7 @@ The building blocks:
 ('CONSERVATIVE', 'DRF', 'EASY', 'FCFS')
 """
 
-from repro.policy.queue.jobs import QueueJob, jobs_from_swf, jobs_from_tasks
+from repro.policy.queue.jobs import QueueJob, jobs_from_tasks
 from repro.policy.queue.policies import (
     QUEUE_POLICY_NAMES,
     PlanDecision,
@@ -48,7 +47,6 @@ __all__ = [
     "SchedulerView",
     "SimulationError",
     "check_schedule",
-    "jobs_from_swf",
     "jobs_from_tasks",
     "queue_policy_by_name",
     "run_queue_simulation",

@@ -6,15 +6,11 @@ user's *requested* runtime (the wall limit backfill plans against), the
 owning user (fair share), and an optional memory demand (DRF's second
 resource).
 
-Two converters produce them:
-
-- :func:`jobs_from_swf` maps parsed SWF jobs directly — this is the
-  faithful path, because SWF carries real requested runtimes and user
-  ids.
-- :func:`jobs_from_tasks` maps middleware :class:`~repro.simulation.task.Task`
-  objects by inverting the flop model (``runtime = flop / (cores ×
-  flops_per_core)``), so generator workloads from :mod:`repro.lab`
-  compose with queue policies too.
+:func:`jobs_from_tasks` produces them from middleware
+:class:`~repro.simulation.task.Task` objects by inverting the flop model
+(``runtime = flop / (cores × flops_per_core)``), so SWF traces (whose
+tasks carry their original runtime, width and wall limit) and generator
+workloads from :mod:`repro.lab` both compose with queue policies.
 
 Job ids are **positional indices**, never the global ``Task.task_id``
 counter — that counter is per-process, and positional ids are what keep
@@ -34,11 +30,10 @@ counter — that counter is per-process, and positional ids are what keep
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.simulation.task import Task
-    from repro.workload.ingest.swf import SWFJob
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,54 +80,6 @@ class QueueJob:
         if self.requested_runtime is None:
             return self.runtime
         return min(self.runtime, self.requested_runtime)
-
-
-def jobs_from_swf(
-    swf_jobs: Iterable["SWFJob"],
-    *,
-    origin: float | None = None,
-) -> list[QueueJob]:
-    """Convert parsed SWF jobs into :class:`QueueJob` records.
-
-    Unplayable jobs (negative runtime or no allocated processors) are
-    skipped, mirroring :class:`repro.workload.ingest.mapping.SWFTraceMap`.
-    Arrivals are normalised so the first playable job arrives at
-    ``origin`` seconds past zero (default: first playable submit time,
-    i.e. the trace starts at t=0).  Unknown requested runtimes (``-1``
-    in SWF) map to ``None``; unknown memory maps to ``0.0``.
-
-    >>> from repro.workload.ingest.swf import parse_swf
-    >>> lines = ["1 10 0 300 4 -1 1024 4 600 -1 1 7 1 1 1 -1 -1 -1"]
-    >>> [job] = jobs_from_swf(parse_swf(lines))
-    >>> (job.arrival, job.cores, job.runtime, job.requested_runtime)
-    (0.0, 4, 300.0, 600.0)
-    >>> (job.user, job.memory)
-    ('user7', 1024.0)
-    """
-    jobs: list[QueueJob] = []
-    base = origin
-    for swf_job in swf_jobs:
-        if swf_job.run_time is None or not swf_job.allocated_processors:
-            continue
-        if base is None:
-            base = float(swf_job.submit_time)
-        requested = (
-            None if swf_job.requested_time is None else float(swf_job.requested_time)
-        )
-        user = "user?" if swf_job.user_id is None else f"user{swf_job.user_id}"
-        memory = 0.0 if swf_job.used_memory is None else float(swf_job.used_memory)
-        jobs.append(
-            QueueJob(
-                job_id=len(jobs),
-                arrival=max(0.0, float(swf_job.submit_time) - base),
-                cores=int(swf_job.allocated_processors),
-                runtime=float(swf_job.run_time),
-                requested_runtime=requested,
-                user=user,
-                memory=memory,
-            )
-        )
-    return jobs
 
 
 def jobs_from_tasks(

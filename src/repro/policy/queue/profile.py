@@ -15,9 +15,7 @@ it; FCFS never needs it (head-blocking needs only the instantaneous
 free count).
 
 >>> profile = CoreProfile(4)
->>> profile.reserve(0.0, cores=3, duration=10.0)   # a running job
->>> profile.free_at(5.0)
-1
+>>> profile.reserve(0.0, cores=3, duration=10.0)   # a running job: 1 core free
 >>> profile.earliest_start(cores=2, duration=5.0, not_before=0.0)
 10.0
 >>> profile.earliest_start(cores=1, duration=100.0, not_before=0.0)
@@ -64,17 +62,6 @@ class CoreProfile:
         self._times.insert(index + 1, time)
         self._free.insert(index + 1, self._free[index])
         return index + 1
-
-    def free_at(self, time: float) -> int:
-        """Free cores at instant ``time``.
-
-        >>> CoreProfile(8).free_at(123.0)
-        8
-        """
-        index = self._segment_index(time)
-        if index < 0:
-            raise ValueError(f"time {time} precedes the profile origin")
-        return self._free[index]
 
     def reserve(self, start: float, *, cores: int, duration: float) -> None:
         """Subtract ``cores`` over ``[start, start + duration)``.

@@ -44,7 +44,6 @@ from typing import Mapping, Sequence
 
 from repro.policy.queue.jobs import QueueJob
 from repro.policy.queue.policies import (
-    PlanDecision,
     QueuePolicy,
     RunningJob,
     SchedulerView,
@@ -120,7 +119,6 @@ class QueueSchedule:
     busy_core_seconds: float
     makespan: float
     horizon: float | None
-    plan_log: tuple[tuple[float, PlanDecision], ...] = ()
 
     @property
     def counts(self) -> Mapping[str, int]:
@@ -157,7 +155,6 @@ class _Live:
     start: float | None = None
     end: float | None = None
     outcome: str | None = None
-    running_end: float | None = None
 
     def record(self) -> JobRecord:
         outcome = self.outcome if self.outcome is not None else "queued"
@@ -179,7 +176,6 @@ def run_queue_simulation(
     horizon: float | None = None,
     requeue_limit: int = 1,
     memory_capacity: float = 0.0,
-    record_plans: bool = False,
 ) -> QueueSchedule:
     """Run ``jobs`` through ``policy`` on a ``capacity``-core system.
 
@@ -209,7 +205,6 @@ def run_queue_simulation(
     running: dict[int, QueueJob] = {}
     heap: list[tuple[float, int, int]] = []
     slices: list[ExecutionSlice] = []
-    plan_log: list[tuple[float, PlanDecision]] = []
     capacity_steps: list[tuple[float, int]] = [(0.0, capacity)]
     capacity_now = capacity
     used = 0
@@ -231,7 +226,6 @@ def run_queue_simulation(
                 ExecutionSlice(victim_id, state.start, time, state.job.cores)
             )
             state.token += 1  # invalidate the pending completion event
-            state.running_end = None
             if state.attempts > requeue_limit:
                 state.outcome = "failed"
             else:
@@ -265,7 +259,6 @@ def run_queue_simulation(
             slices.append(ExecutionSlice(job_id, state.start, now, state.job.cores))
             state.end = now
             state.outcome = "completed"
-            state.running_end = None
             makespan = max(makespan, now)
 
         changed = False
@@ -307,8 +300,6 @@ def run_queue_simulation(
             queue=tuple(queue),
         )
         decision = policy.plan(view)
-        if record_plans:
-            plan_log.append((now, decision))
         queued_ids = {job.job_id for job in queue}
         for job_id in decision.start_now:
             if job_id not in queued_ids:
@@ -327,11 +318,9 @@ def run_queue_simulation(
             state.attempts += 1
             state.token += 1
             state.start = now
-            end = now + job.effective_runtime
-            state.running_end = end
             running[job_id] = job
             used += job.cores
-            heapq.heappush(heap, (end, job_id, state.token))
+            heapq.heappush(heap, (now + job.effective_runtime, job_id, state.token))
 
     cut = horizon if horizon is not None else makespan
     for job_id, job in sorted(running.items()):
@@ -351,7 +340,6 @@ def run_queue_simulation(
         busy_core_seconds=busy,
         makespan=makespan,
         horizon=horizon,
-        plan_log=tuple(plan_log),
     )
 
 

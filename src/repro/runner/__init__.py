@@ -25,14 +25,12 @@ from repro.runner.executor import (
     SweepOutcome,
     execute_scenario,
     run_scenarios,
-    run_sweep,
 )
 from repro.runner.grids import grid, named_grids, trace_grid
 from repro.runner.reporting import SweepProgressPrinter, format_sweep_summary
 from repro.runner.spec import (
     ScenarioSpec,
     SweepSpec,
-    expand_grid,
     iter_grid,
     trace_file_hash,
 )
@@ -47,7 +45,6 @@ from repro.runner.workers import WorkerReport, run_worker
 __all__ = [
     "ScenarioSpec",
     "SweepSpec",
-    "expand_grid",
     "iter_grid",
     "ScenarioResult",
     "ShardedResultStore",
@@ -56,7 +53,6 @@ __all__ = [
     "SweepOutcome",
     "execute_scenario",
     "run_scenarios",
-    "run_sweep",
     "WorkerReport",
     "run_worker",
     "SweepProgressPrinter",

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.runner.spec import GridLike, ScenarioSpec, expand_grid, iter_grid
+from repro.runner.spec import ScenarioSpec
 from repro.runner.store import ScenarioResult, ShardedResultStore, open_store
 
 #: Callback fired as each scenario completes: ``(grid_index, result, total)``.
@@ -224,40 +224,4 @@ def run_scenarios(
         cached=total - executed,
         wall_times=tuple(wall_times.get(i, 0.0) for i in range(total)) if profile else (),
         phase_times=tuple(phase_times.get(i, {}) for i in range(total)) if profile else (),
-    )
-
-
-def run_sweep(
-    sweep: GridLike,
-    *,
-    jobs: int = 1,
-    store: StoreLike = None,
-    force: bool = False,
-    filter: str | None = None,
-    progress: Optional[ProgressCallback] = None,
-    profile: bool = False,
-    stream: bool = False,
-    window: int | None = None,
-) -> SweepOutcome:
-    """Expand a sweep/grid and execute it (see :func:`run_scenarios`).
-
-    ``filter`` keeps only scenarios whose ``scenario_id`` contains the
-    given substring — handy for re-running one slice of a large grid.
-    ``stream=True`` feeds the grid through the lazy
-    :func:`~repro.runner.spec.iter_grid` instead of materialising it:
-    required for 100k-scenario cross-products, at the price of progress
-    callbacks not knowing the total up front.
-    """
-    if stream:
-        scenarios = iter_grid(sweep)
-        if filter:
-            scenarios = (s for s in scenarios if filter in s.scenario_id)
-    else:
-        expanded = expand_grid(sweep)
-        if filter:
-            expanded = tuple(s for s in expanded if filter in s.scenario_id)
-        scenarios = expanded
-    return run_scenarios(
-        scenarios, jobs=jobs, store=store, force=force, progress=progress,
-        profile=profile, window=window,
     )

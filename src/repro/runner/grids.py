@@ -15,28 +15,30 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from repro.runner.spec import Scalar, ScenarioSpec, SweepSpec, expand_grid
+from repro.runner.spec import Scalar, ScenarioSpec, SweepSpec, iter_grid
 
 
 def _default_grid() -> tuple[ScenarioSpec, ...]:
     """The 24-scenario demonstration grid (quick presets, every family)."""
     placement = ScenarioSpec(experiment="placement", platform="quick", workload="quick")
-    return expand_grid(
-        (
-            SweepSpec(placement, {"policy": ("POWER", "GREENPERF", "PERFORMANCE")}),
-            SweepSpec(placement.replace(policy="RANDOM"), {"seed": (0, 1, 2, 3, 4)}),
-            SweepSpec(
-                placement.replace(policy="GREEN_SCORE"),
-                {"preference": (-0.75, -0.25, 0.25, 0.75)},
-            ),
-            *heterogeneity_grid(scale="quick", seeds=(0,)),
-            ScenarioSpec(
-                experiment="adaptive",
-                platform="quick",
-                workload="quick",
-                policy="GREENPERF",
-                horizon=3600.0,
-            ),
+    return tuple(
+        iter_grid(
+            (
+                SweepSpec(placement, {"policy": ("POWER", "GREENPERF", "PERFORMANCE")}),
+                SweepSpec(placement.replace(policy="RANDOM"), {"seed": (0, 1, 2, 3, 4)}),
+                SweepSpec(
+                    placement.replace(policy="GREEN_SCORE"),
+                    {"preference": (-0.75, -0.25, 0.25, 0.75)},
+                ),
+                *heterogeneity_grid(scale="quick", seeds=(0,)),
+                ScenarioSpec(
+                    experiment="adaptive",
+                    platform="quick",
+                    workload="quick",
+                    policy="GREENPERF",
+                    horizon=3600.0,
+                ),
+            )
         )
     )
 
@@ -44,15 +46,17 @@ def _default_grid() -> tuple[ScenarioSpec, ...]:
 def _smoke_grid() -> tuple[ScenarioSpec, ...]:
     """A three-scenario grid small enough for unit tests and CI smoke runs."""
     placement = ScenarioSpec(experiment="placement", platform="tiny", workload="tiny")
-    return expand_grid(
-        (
-            SweepSpec(placement, {"policy": ("POWER", "RANDOM")}),
-            ScenarioSpec(
-                experiment="heterogeneity",
-                platform="types2",
-                workload="tiny",
-                policy="GREENPERF",
-            ),
+    return tuple(
+        iter_grid(
+            (
+                SweepSpec(placement, {"policy": ("POWER", "RANDOM")}),
+                ScenarioSpec(
+                    experiment="heterogeneity",
+                    platform="types2",
+                    workload="tiny",
+                    policy="GREENPERF",
+                ),
+            )
         )
     )
 
@@ -71,10 +75,12 @@ def table2_grid(scale: str = "paper", seed: int = 0) -> tuple[ScenarioSpec, ...]
     placement/quick/quick/PERFORMANCE/p+0.00/s0
     """
     base = ScenarioSpec(experiment="placement", platform=scale, workload=scale)
-    return expand_grid(
-        (
-            base.replace(policy="RANDOM", seed=seed),
-            SweepSpec(base, {"policy": ("POWER", "PERFORMANCE")}),
+    return tuple(
+        iter_grid(
+            (
+                base.replace(policy="RANDOM", seed=seed),
+                SweepSpec(base, {"policy": ("POWER", "PERFORMANCE")}),
+            )
         )
     )
 
@@ -108,19 +114,21 @@ def heterogeneity_grid(
         workload=scale,
         overrides=overrides,
     )
-    return expand_grid(
-        (
-            SweepSpec(
-                base,
-                {
-                    "platform": platforms,
-                    "policy": ("POWER", "GREENPERF", "PERFORMANCE"),
-                },
-            ),
-            SweepSpec(
-                base.replace(policy="RANDOM"),
-                {"platform": ends, "seed": tuple(seeds)},
-            ),
+    return tuple(
+        iter_grid(
+            (
+                SweepSpec(
+                    base,
+                    {
+                        "platform": platforms,
+                        "policy": ("POWER", "GREENPERF", "PERFORMANCE"),
+                    },
+                ),
+                SweepSpec(
+                    base.replace(policy="RANDOM"),
+                    {"platform": ends, "seed": tuple(seeds)},
+                ),
+            )
         )
     )
 
@@ -130,8 +138,10 @@ def _preferences_grid() -> tuple[ScenarioSpec, ...]:
     base = ScenarioSpec(
         experiment="placement", platform="quick", workload="quick", policy="GREEN_SCORE"
     )
-    return expand_grid(
-        SweepSpec(base, {"preference": (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)})
+    return tuple(
+        iter_grid(
+            SweepSpec(base, {"preference": (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)})
+        )
     )
 
 
@@ -156,49 +166,45 @@ def trace_grid(
         workload="trace",
         trace=trace,
     )
-    return expand_grid(
-        SweepSpec(base, {"platform": tuple(platforms), "policy": tuple(policies)})
+    return tuple(
+        iter_grid(
+            SweepSpec(base, {"platform": tuple(platforms), "policy": tuple(policies)})
+        )
     )
 
 
-def timeline_grid(
-    timeline: str,
-    *,
-    platforms: Sequence[str] = ("quick", "half"),
-    horizons: Sequence[float] = (1800.0, 3600.0),
-    workload: str = "quick",
-) -> tuple[ScenarioSpec, ...]:
+#: The platforms and observation horizons (s) of the timeline and cross grids.
+_TIMELINE_PLATFORMS = ("quick", "half")
+_TIMELINE_HORIZONS = (1800.0, 3600.0)
+
+
+def timeline_grid(timeline: str) -> tuple[ScenarioSpec, ...]:
     """An adaptive grid replaying one timeline file: platforms × horizons.
 
     This is the grid behind ``repro sweep --timeline``: the same declared
     event stream (tariffs, thermal excursions, node crashes, bursts — see
     ``docs/SCENARIOS.md``) run on each platform size over each
-    observation horizon.  The defaults form a 2×2 grid; the *parsed*
-    timeline's content hash is folded into every scenario hash, so a
-    store built from one timeline stays correct when the file is edited
-    and survives the file being moved or reformatted.
+    observation horizon, a 2×2 grid.  The *parsed* timeline's content
+    hash is folded into every scenario hash, so a store built from one
+    timeline stays correct when the file is edited and survives the file
+    being moved or reformatted.
     """
     base = ScenarioSpec(
         experiment="adaptive",
-        platform=platforms[0],
-        workload=workload,
+        platform=_TIMELINE_PLATFORMS[0],
+        workload="quick",
         policy="GREENPERF",
-        horizon=horizons[0],
+        horizon=_TIMELINE_HORIZONS[0],
         timeline=timeline,
     )
-    return expand_grid(
-        SweepSpec(base, {"platform": tuple(platforms), "horizon": tuple(horizons)})
+    return tuple(
+        iter_grid(
+            SweepSpec(base, {"platform": _TIMELINE_PLATFORMS, "horizon": _TIMELINE_HORIZONS})
+        )
     )
 
 
-def cross_grid(
-    trace: str,
-    timeline: str,
-    *,
-    platforms: Sequence[str] = ("quick", "half"),
-    policies: Sequence[str] = ("POWER", "PERFORMANCE"),
-    horizons: Sequence[float] = (1800.0, 3600.0),
-) -> tuple[ScenarioSpec, ...]:
+def cross_grid(trace: str, timeline: str) -> tuple[ScenarioSpec, ...]:
     """The trace × timeline × provisioning cross-product grid.
 
     This is the grid behind ``repro sweep --grid cross --trace FILE
@@ -206,9 +212,9 @@ def cross_grid(
     together) — the composition the pre-lab assembly paths could not
     express.  Two slices:
 
-    * a **placement** slice (platforms × policies): the recorded request
-      stream placed by each policy while the timeline crashes and
-      repairs nodes under it;
+    * a **placement** slice (platforms × POWER/PERFORMANCE): the recorded
+      request stream placed by each policy while the timeline crashes
+      and repairs nodes under it;
     * an **adaptive** slice (platforms × horizons): the same stream
       replayed open-loop through the provisioning planner — e.g. a real
       SWF week through adaptive provisioning under a crash storm.
@@ -219,30 +225,32 @@ def cross_grid(
     """
     placement = ScenarioSpec(
         experiment="placement",
-        platform=platforms[0],
+        platform=_TIMELINE_PLATFORMS[0],
         workload="trace",
         trace=trace,
         timeline=timeline,
     )
     adaptive = ScenarioSpec(
         experiment="adaptive",
-        platform=platforms[0],
+        platform=_TIMELINE_PLATFORMS[0],
         workload="trace",
         policy="GREENPERF",
         trace=trace,
         timeline=timeline,
-        horizon=horizons[0],
+        horizon=_TIMELINE_HORIZONS[0],
     )
-    return expand_grid(
-        (
-            SweepSpec(
-                placement,
-                {"platform": tuple(platforms), "policy": tuple(policies)},
-            ),
-            SweepSpec(
-                adaptive,
-                {"platform": tuple(platforms), "horizon": tuple(horizons)},
-            ),
+    return tuple(
+        iter_grid(
+            (
+                SweepSpec(
+                    placement,
+                    {"platform": _TIMELINE_PLATFORMS, "policy": ("POWER", "PERFORMANCE")},
+                ),
+                SweepSpec(
+                    adaptive,
+                    {"platform": _TIMELINE_PLATFORMS, "horizon": _TIMELINE_HORIZONS},
+                ),
+            )
         )
     )
 
@@ -276,15 +284,19 @@ def queue_grid(
     )
     axes = {"policy": tuple(policies)}
     if trace is not None:
-        return expand_grid(
-            SweepSpec(base, {"platform": tuple(platforms), **axes})
+        return tuple(
+            iter_grid(
+                SweepSpec(base, {"platform": tuple(platforms), **axes})
+            )
         )
     # Synthetic streams scale the workload preset with the platform, so
     # each platform size schedules a stream sized for its capacity.
-    return expand_grid(
-        tuple(
-            SweepSpec(base.replace(platform=platform, workload=platform), axes)
-            for platform in platforms
+    return tuple(
+        iter_grid(
+            tuple(
+                SweepSpec(base.replace(platform=platform, workload=platform), axes)
+                for platform in platforms
+            )
         )
     )
 

@@ -3,7 +3,7 @@
 Two renderers for sweep runs:
 
 * :class:`SweepProgressPrinter` — a progress callback for
-  :func:`repro.runner.executor.run_sweep` that prints one line per
+  :func:`repro.runner.executor.run_scenarios` that prints one line per
   scenario.  Completions arrive in arbitrary order from the worker pool;
   the printer buffers them and flushes strictly in *grid order*, so the
   progress log of a parallel sweep is byte-identical to a serial one.
@@ -30,7 +30,8 @@ class SweepProgressPrinter:
     Out-of-order completions are buffered until every earlier scenario has
     completed, which keeps the output deterministic under any worker
     scheduling.  A streaming sweep whose total is unknown up front
-    (``run_sweep(stream=True)``, multi-worker claim passes) prints ``?``
+    (a lazy :func:`~repro.runner.spec.iter_grid` stream, multi-worker
+    claim passes) prints ``?``
     in place of ``N``.
     """
 

@@ -309,8 +309,9 @@ class SweepSpec:
     """A base scenario plus axes to vary: the declarative form of a grid.
 
     ``axes`` maps :class:`ScenarioSpec` field names to the values each
-    takes; :meth:`expand` yields the cartesian product in axis order (last
-    axis fastest), which fixes the canonical scenario order of a sweep.
+    takes; :meth:`iter_expand` yields the cartesian product in axis order
+    (last axis fastest), which fixes the canonical scenario order of a
+    sweep.
 
     >>> sweep = SweepSpec(
     ...     base=ScenarioSpec(experiment="placement", policy="RANDOM"),
@@ -318,7 +319,7 @@ class SweepSpec:
     ... )
     >>> sweep.size
     3
-    >>> [spec.seed for spec in sweep.expand()]
+    >>> [spec.seed for spec in sweep.iter_expand()]
     [0, 1, 2]
     """
 
@@ -359,9 +360,9 @@ class SweepSpec:
     def iter_expand(self) -> Iterator[ScenarioSpec]:
         """Yield the grid's scenarios lazily, in deterministic cartesian order.
 
-        The streaming form of :meth:`expand`: a 100k-cell cross-product
-        never materialises — each cell is built (and can be executed,
-        stored and discarded) as the consumer reaches it.
+        A 100k-cell cross-product never materialises — each cell is built
+        (and can be executed, stored and discarded) as the consumer
+        reaches it.
 
         >>> import itertools
         >>> sweep = SweepSpec(ScenarioSpec(policy="RANDOM"), {"seed": range(100_000)})
@@ -376,10 +377,6 @@ class SweepSpec:
         for combo in itertools.product(*value_lists):
             yield self.base.replace(**dict(zip(names, combo)))
 
-    def expand(self) -> tuple[ScenarioSpec, ...]:
-        """All scenarios of the grid, in deterministic cartesian order."""
-        return tuple(self.iter_expand())
-
 
 GridLike = Union[ScenarioSpec, SweepSpec, Iterable[Union[ScenarioSpec, SweepSpec]]]
 
@@ -387,11 +384,14 @@ GridLike = Union[ScenarioSpec, SweepSpec, Iterable[Union[ScenarioSpec, SweepSpec
 def iter_grid(grid: GridLike) -> Iterator[ScenarioSpec]:
     """Stream a grid as a flat, duplicate-free scenario iterator.
 
-    The lazy form of :func:`expand_grid` — same composition rules, same
-    canonical order, but the cross-product is generated cell by cell, so
-    a 100k-scenario sweep starts executing immediately and never holds
-    the whole grid in memory (only the seen-hash set, ~64 bytes per
-    scenario, is retained for deduplication).
+    Accepts a single :class:`ScenarioSpec`, a single :class:`SweepSpec`,
+    or any iterable mixing both.  Duplicates (same content hash) keep
+    their first occurrence, so composed grids stay stable under
+    re-ordering of later sweeps.  The cross-product is generated cell by
+    cell, so a 100k-scenario sweep starts executing immediately and never
+    holds the whole grid in memory (only the seen-hash set, ~64 bytes per
+    scenario, is retained for deduplication); ``tuple(iter_grid(grid))``
+    materialises it.
 
     >>> import itertools
     >>> sweep = SweepSpec(ScenarioSpec(policy="RANDOM"), {"seed": range(100_000)})
@@ -418,20 +418,3 @@ def iter_grid(grid: GridLike) -> Iterator[ScenarioSpec]:
             if digest not in seen:
                 seen.add(digest)
                 yield scenario
-
-
-def expand_grid(grid: GridLike) -> tuple[ScenarioSpec, ...]:
-    """Expand sweeps/specs into a flat, duplicate-free scenario tuple.
-
-    Accepts a single :class:`ScenarioSpec`, a single :class:`SweepSpec`, or
-    any iterable mixing both.  Duplicates (same content hash) keep their
-    first occurrence, so composed grids stay stable under re-ordering of
-    later sweeps.  Large grids are better consumed through the streaming
-    :func:`iter_grid`, which this merely materialises.
-
-    >>> base = ScenarioSpec(policy="POWER")
-    >>> grid = expand_grid((base, SweepSpec(base, {"policy": ("POWER", "RANDOM")})))
-    >>> [spec.policy for spec in grid]  # duplicate POWER collapsed
-    ['POWER', 'RANDOM']
-    """
-    return tuple(iter_grid(grid))

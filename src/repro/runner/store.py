@@ -73,10 +73,6 @@ class ScenarioResult:
         """Content hash of the underlying spec (the store key)."""
         return self.spec.content_hash()
 
-    def metric(self, name: str) -> float:
-        """One metric value; raises ``KeyError`` for unknown names."""
-        return self.metrics[name]
-
     def to_record(self) -> dict[str, object]:
         """JSON-compatible store record (inverse of :meth:`from_record`)."""
         return {

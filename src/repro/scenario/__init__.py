@@ -38,7 +38,6 @@ from repro.scenario.io import (
     bundled_timeline,
     bundled_timeline_path,
     load_timeline,
-    save_timeline,
     timeline_file_hash,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "exponential_failures",
     "load_timeline",
     "periodic_tariffs",
-    "save_timeline",
     "timeline_file_hash",
 ]

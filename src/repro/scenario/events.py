@@ -56,6 +56,8 @@ class EnergyEvent(ABC):
 
     def __post_init__(self) -> None:
         ensure_non_negative(self.time, "time")
+        if not isinstance(self.scheduled, bool):
+            raise TimelineError(f"scheduled must be true or false, got {self.scheduled!r}")
 
     @property
     @abstractmethod
@@ -122,6 +124,13 @@ class ThermalExcursion(EnergyEvent):
         )
 
 
+def _check_node_name(node: object, kind: str) -> None:
+    if not isinstance(node, str):
+        raise TimelineError(f"{kind} node must be a string, got {node!r}")
+    if not node:
+        raise TimelineError(f"{kind} requires a non-empty node name")
+
+
 @dataclass(frozen=True)
 class NodeFailure(EnergyEvent):
     """Node ``node`` crashes at ``time`` (unexpected).
@@ -137,8 +146,7 @@ class NodeFailure(EnergyEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.node:
-            raise TimelineError("node_failure requires a non-empty node name")
+        _check_node_name(self.node, self.kind)
 
     def describe(self) -> str:
         flavour = "scheduled" if self.scheduled else "unexpected"
@@ -155,8 +163,7 @@ class NodeRecovery(EnergyEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.node:
-            raise TimelineError("node_recovery requires a non-empty node name")
+        _check_node_name(self.node, self.kind)
 
     def describe(self) -> str:
         flavour = "scheduled" if self.scheduled else "unexpected"
@@ -213,19 +220,30 @@ EVENT_KINDS: Mapping[str, type] = {
 def event_from_mapping(mapping: Mapping[str, object]) -> EnergyEvent:
     """Build one typed event from its ``kind``-discriminated mapping.
 
+    Every malformed entry raises :class:`TimelineError`, whatever the
+    fault: not a mapping, an unknown or non-string ``kind``, an unknown
+    field, or a field value its event rejects.
+
     >>> event_from_mapping({"kind": "tariff_change", "time": 60.0, "cost": 0.5}).cost
     0.5
+    >>> try:
+    ...     event_from_mapping({"kind": "tariff_change", "time": float("nan")})
+    ... except TimelineError as error:
+    ...     print(error)
+    invalid tariff_change event {'time': nan}: time must be finite, got nan
     """
+    if not isinstance(mapping, Mapping):
+        raise TimelineError(f"an event must be a table/object, got {mapping!r}")
     data = dict(mapping)
     kind = data.pop("kind", None)
-    if kind not in EVENT_KINDS:
+    if not isinstance(kind, str) or kind not in EVENT_KINDS:
         raise TimelineError(
             f"unknown event kind {kind!r}; expected one of {sorted(EVENT_KINDS)}"
         )
     try:
         return EVENT_KINDS[kind](**data)
-    except TypeError as error:
-        raise TimelineError(f"invalid {kind} event {dict(mapping)!r}: {error}") from None
+    except (TypeError, ValueError) as error:
+        raise TimelineError(f"invalid {kind} event {data!r}: {error}") from None
 
 
 class EventTimeline:
@@ -348,13 +366,8 @@ class EventTimeline:
 
     # -- serialisation ------------------------------------------------------------
     def to_mappings(self) -> list[dict[str, object]]:
-        """JSON/TOML-compatible event list (inverse of :meth:`from_mappings`)."""
+        """JSON/TOML-compatible event list (each entry inverts :func:`event_from_mapping`)."""
         return [event.to_mapping() for event in self._events]
-
-    @classmethod
-    def from_mappings(cls, mappings: Iterable[Mapping[str, object]]) -> "EventTimeline":
-        """Build a timeline from ``kind``-discriminated event mappings."""
-        return cls(event_from_mapping(mapping) for mapping in mappings)
 
     def content_hash(self) -> str:
         """Deterministic SHA-256 of the timeline content.

@@ -1,4 +1,4 @@
-"""Timeline files: TOML/JSON loading, saving and bundled scenarios.
+"""Timeline files: TOML/JSON loading and bundled scenarios.
 
 The on-disk format (``docs/SCENARIOS.md``) is a list of
 ``kind``-discriminated event tables::
@@ -22,7 +22,9 @@ content, never the file syntax or path.
 
 TOML parsing uses :mod:`tomllib` (stdlib since Python 3.11); on older
 interpreters TOML files raise a clear error while JSON keeps working.
-Saving always writes JSON — the stdlib has no TOML writer.
+A file that cannot be read or parsed, or whose events are malformed,
+raises :class:`~repro.scenario.events.TimelineError` naming the file
+(and the event's position, for a bad event).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
-from repro.scenario.events import EventTimeline, TimelineError
+from repro.scenario.events import EventTimeline, TimelineError, event_from_mapping
 
 try:  # pragma: no cover - tomllib is stdlib on the supported 3.11 toolchain
     import tomllib
@@ -44,13 +46,19 @@ _BUNDLED_DIR = Path(__file__).resolve().parent / "data"
 
 
 def _parse_payload(payload: Mapping[str, object], source: str) -> EventTimeline:
-    events = payload.get("events")
-    if not isinstance(events, list):
+    entries = payload.get("events")
+    if not isinstance(entries, list):
         raise TimelineError(
             f"{source}: a timeline file needs a top-level 'events' array"
         )
+    events = []
+    for index, entry in enumerate(entries):
+        try:
+            events.append(event_from_mapping(entry))
+        except TimelineError as error:
+            raise TimelineError(f"{source}: event {index}: {error}") from None
     try:
-        return EventTimeline.from_mappings(events)
+        return EventTimeline(events)
     except TimelineError as error:
         raise TimelineError(f"{source}: {error}") from None
 
@@ -69,8 +77,10 @@ def load_timeline(path: str | Path) -> EventTimeline:
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except ValueError as error:  # bad UTF-8, bad JSON, an over-long integer
             raise TimelineError(f"{path}: invalid JSON: {error}") from None
+        except RecursionError:
+            raise TimelineError(f"{path}: invalid JSON: nested too deeply") from None
     else:
         if tomllib is None:  # pragma: no cover - Python 3.10 fallback
             raise TimelineError(
@@ -79,32 +89,13 @@ def load_timeline(path: str | Path) -> EventTimeline:
             )
         try:
             payload = tomllib.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, tomllib.TOMLDecodeError) as error:
+        except ValueError as error:  # bad UTF-8, bad TOML, an over-long integer
             raise TimelineError(f"{path}: invalid TOML: {error}") from None
+        except RecursionError:
+            raise TimelineError(f"{path}: invalid TOML: nested too deeply") from None
     if not isinstance(payload, dict):
         raise TimelineError(f"{path}: a timeline file must be a table/object")
     return _parse_payload(payload, str(path))
-
-
-def save_timeline(
-    path: str | Path, timeline: EventTimeline, *, title: str | None = None
-) -> None:
-    """Write ``timeline`` as a JSON timeline file (loadable by :func:`load_timeline`).
-
-    The stdlib has no TOML writer, so the output is always JSON; a
-    ``.toml`` target is rejected rather than silently producing a file
-    :func:`load_timeline` would refuse to parse.
-    """
-    path = Path(path)
-    if path.suffix.lower() != ".json":
-        raise TimelineError(
-            f"save_timeline writes JSON; use a .json path, not {path.name!r}"
-        )
-    payload: dict[str, object] = {}
-    if title:
-        payload["title"] = title
-    payload["events"] = timeline.to_mappings()
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
 
 
 def timeline_file_hash(path: str | Path) -> str:

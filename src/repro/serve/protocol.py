@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.simulation.task import Task
@@ -181,7 +181,6 @@ class HttpRequest:
 
     method: str
     path: str
-    headers: Mapping[str, str] = field(default_factory=dict)
     body: bytes = b""
 
     def json(self) -> object:
@@ -231,7 +230,7 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     if len(parts) != 3:
         raise ProtocolError(f"malformed request line {start!r}")
     method, path, _version = parts
-    return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
+    return HttpRequest(method=method.upper(), path=path, body=body)
 
 
 async def read_response(reader: asyncio.StreamReader) -> tuple[int, object]:

@@ -141,11 +141,6 @@ class ServeState:
         """Name of the plug-in policy electing nodes."""
         return self._simulation.metrics.policy
 
-    def advance_to(self, time: float) -> None:
-        """Advance the virtual clock to ``time``, firing due events."""
-        if time > self.now:
-            self._simulation.engine.run(until=time)
-
     # -- placement ----------------------------------------------------------------
     def place_batch(self, tasks: Sequence[Task]) -> list[PlacementDecision]:
         """Elect a node for every task of one micro-batch, in order.
@@ -196,11 +191,6 @@ class ServeState:
         return self._simulation.run()
 
     # -- introspection -------------------------------------------------------------
-    @property
-    def decisions(self) -> int:
-        """Placement elections made so far (accepted or not)."""
-        return self._decisions
-
     def snapshot(self) -> dict:
         """Live counters for the daemon's ``/stats`` endpoint."""
         simulation = self._simulation

@@ -39,12 +39,12 @@ class ScheduledEvent:
     A plain event fires ``callback(*args)``.  A batched event
     (:meth:`SimulationEngine.schedule_many`) carries ``items`` instead and
     fires ``callback(item)`` once per item, in submission order; each item
-    counts as one logical event towards ``processed_events`` and
-    ``pending_events``.  A batch fires atomically: cancelling it after the
-    first item has fired has no effect.
+    counts as one logical event towards ``processed_events``.  A batch
+    fires atomically: cancelling it after the first item has fired has no
+    effect.
     """
 
-    __slots__ = ("time", "callback", "args", "items", "label", "cancelled", "_engine")
+    __slots__ = ("time", "callback", "args", "items", "label", "cancelled")
 
     def __init__(
         self,
@@ -53,7 +53,6 @@ class ScheduledEvent:
         args: Sequence,
         items: tuple | None,
         label: str,
-        engine: "SimulationEngine | None",
     ) -> None:
         self.time = time
         self.callback = callback
@@ -61,22 +60,10 @@ class ScheduledEvent:
         self.items = items
         self.label = label
         self.cancelled = False
-        self._engine = engine
-
-    @property
-    def event_count(self) -> int:
-        """How many logical events this entry carries (1 unless batched)."""
-        return 1 if self.items is None else len(self.items)
 
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        engine = self._engine
-        if engine is not None:
-            self._engine = None
-            engine._pending -= self.event_count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = " cancelled" if self.cancelled else ""
@@ -98,11 +85,7 @@ class SimulationEngine:
     >>> _ = engine.schedule(1.0, fired.append, args=("fifo",))
     >>> _ = engine.schedule(1.0, fired.append, args=("urgent",), priority=-1)
     >>> dropped = engine.schedule(2.0, fired.append, args=("dropped",))
-    >>> engine.pending_events
-    4
     >>> dropped.cancel()
-    >>> engine.pending_events
-    3
     >>> engine.run()
     >>> fired
     ['urgent', 'fifo', 'late']
@@ -117,24 +100,12 @@ class SimulationEngine:
         self._heap: list[tuple[float, int, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._processed = 0
-        self._pending = 0
 
     # -- clock -----------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time (s)."""
         return self._now
-
-    @property
-    def pending_events(self) -> int:
-        """Number of live events still queued.
-
-        Cancelled events stop counting the moment they are cancelled (they
-        stay in the heap as tombstones until popped, but they are no longer
-        backlog); each item of a batched entry counts individually, so the
-        figure is the true number of callbacks still to fire.
-        """
-        return self._pending
 
     @property
     def processed_events(self) -> int:
@@ -157,9 +128,8 @@ class SimulationEngine:
         :meth:`~ScheduledEvent.cancel` method removes it.
         """
         self._check_time(time)
-        entry = ScheduledEvent(time, callback, args, None, label, self)
+        entry = ScheduledEvent(time, callback, args, None, label)
         heapq.heappush(self._heap, (time, priority, next(self._sequence), entry))
-        self._pending += 1
         return entry
 
     def schedule_many(
@@ -177,16 +147,15 @@ class SimulationEngine:
         the order given — exactly as if each had been scheduled
         individually, back to back — but a burst of any size costs a single
         heap push/pop.  Each item still counts as one logical event for
-        :attr:`pending_events` and :attr:`processed_events`, so metrics are
-        identical to the unbatched formulation.
+        :attr:`processed_events`, so metrics are identical to the unbatched
+        formulation.
         """
         self._check_time(time)
         if not items:
             raise ValueError("schedule_many requires at least one item")
         items = tuple(items)
-        entry = ScheduledEvent(time, callback, (), items, label, self)
+        entry = ScheduledEvent(time, callback, (), items, label)
         heapq.heappush(self._heap, (time, priority, next(self._sequence), entry))
-        self._pending += len(items)
         return entry
 
     def _check_time(self, time: float) -> None:
@@ -226,15 +195,12 @@ class SimulationEngine:
             if entry.cancelled:
                 continue
             self._now = time
-            entry._engine = None  # late cancels must not decrement again
             items = entry.items
             if items is None:
-                self._pending -= 1
                 entry.callback(*entry.args)
                 self._processed += 1
                 return 1
             count = len(items)
-            self._pending -= count
             callback = entry.callback
             for item in items:
                 callback(item)
@@ -269,14 +235,3 @@ class SimulationEngine:
             fired += step()
         if until is not None:
             self._now = max(self._now, until)
-
-    def peek_next_time(self) -> float | None:
-        """Firing time of the next live event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _, _, entry = heap[0]
-            if entry.cancelled:
-                heapq.heappop(heap)
-                continue
-            return time
-        return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -64,13 +64,6 @@ class ExperimentMetrics:
             return float("nan")
         return self.total_energy / self.task_count
 
-    @property
-    def throughput(self) -> float:
-        """Completed tasks per second of makespan; ``nan`` for zero makespan."""
-        if self.makespan == 0:
-            return float("nan")
-        return self.task_count / self.makespan
-
 
 class MetricsCollector:
     """Accumulates task execution records and produces :class:`ExperimentMetrics`."""
@@ -93,11 +86,6 @@ class MetricsCollector:
             self._last_completion = execution.completed_at
 
     # -- raw accessors -------------------------------------------------------------
-    @property
-    def executions(self) -> Sequence[TaskExecution]:
-        """All recorded executions in insertion order."""
-        return tuple(self._executions)
-
     @property
     def task_count(self) -> int:
         """Number of recorded executions."""

@@ -10,7 +10,7 @@ queue and in flight divided by the node's processing capacity.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, Mapping
+from typing import Callable, Deque, Iterable
 
 from repro.infrastructure.node import Node
 from repro.simulation.task import Task
@@ -97,19 +97,9 @@ class NodeQueue:
 
     # -- introspection -------------------------------------------------------------
     @property
-    def pending_tasks(self) -> tuple[Task, ...]:
-        """Tasks waiting for a core, oldest first."""
-        return tuple(self._pending)
-
-    @property
     def pending_count(self) -> int:
         """Number of waiting tasks."""
         return len(self._pending)
-
-    @property
-    def running_count(self) -> int:
-        """Number of tasks currently executing."""
-        return len(self._running_remaining_flop)
 
     @property
     def backlog_flop(self) -> float:
@@ -147,8 +137,3 @@ class QueueSet:
 
     def __len__(self) -> int:
         return len(self._queues)
-
-    @property
-    def queues(self) -> Mapping[str, NodeQueue]:
-        """All queues, keyed by node name."""
-        return dict(self._queues)

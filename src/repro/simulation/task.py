@@ -106,21 +106,20 @@ class _ExecutionFields(NamedTuple):
     submitted_at: float
     started_at: float
     completed_at: float
-    energy: float
 
 
 class TaskExecution(_ExecutionFields):
     """Completed execution record of a task on a node.
 
     ``queue_delay`` is the time spent waiting between submission and the
-    start of execution; ``energy`` is the marginal energy attributed to the
-    task (dynamic power above idle integrated over the execution), which is
-    what the dynamic GreenPerf estimator consumes.
+    start of execution.  The task's energy is not kept here: platform
+    energy comes from the segment log, and the execution trace records
+    each task's attributed share.
 
     An immutable, validated named tuple: one is allocated per completed
     task, so it skips a frozen dataclass's per-field ``__setattr__``.
     Construction (also through ``_make`` and ``_replace``) checks the
-    time ordering and the energy.
+    time ordering.
     """
 
     __slots__ = ()
@@ -133,17 +132,12 @@ class TaskExecution(_ExecutionFields):
         submitted_at: float,
         started_at: float,
         completed_at: float,
-        energy: float,
     ) -> "TaskExecution":
         if started_at < submitted_at:
             raise ValueError("a task cannot start before it is submitted")
         if completed_at < started_at:
             raise ValueError("a task cannot complete before it starts")
-        if not (type(energy) is float and 0.0 <= energy < _INF):
-            ensure_non_negative(energy, "energy")
-        return tuple.__new__(
-            cls, (task_id, node, cluster, submitted_at, started_at, completed_at, energy)
-        )
+        return tuple.__new__(cls, (task_id, node, cluster, submitted_at, started_at, completed_at))
 
     @classmethod
     def _make(cls, iterable) -> "TaskExecution":
@@ -163,10 +157,3 @@ class TaskExecution(_ExecutionFields):
     def response_time(self) -> float:
         """Submission-to-completion latency (s)."""
         return self.completed_at - self.submitted_at
-
-    @property
-    def mean_power(self) -> float:
-        """Average marginal power over the execution (W); 0.0 for zero duration."""
-        if self.duration == 0:
-            return 0.0
-        return self.energy / self.duration

@@ -11,7 +11,7 @@ scheduling code paths themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class TraceEvent:
 
 
 class ExecutionTrace:
-    """Append-only list of :class:`TraceEvent` with simple query helpers."""
+    """Append-only list of :class:`TraceEvent`, iterated in recording order."""
 
     #: Well-known event kinds emitted by the middleware driver.
     TASK_SUBMITTED = "task_submitted"
@@ -47,7 +47,6 @@ class ExecutionTrace:
     NODE_BOOT_COMPLETED = "node_boot_completed"
     NODE_POWERED_OFF = "node_powered_off"
     CANDIDATES_CHANGED = "candidates_changed"
-    ENERGY_EVENT = "energy_event"
     STATUS_CHECK = "status_check"
 
     def __init__(self) -> None:
@@ -65,23 +64,3 @@ class ExecutionTrace:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    @property
-    def events(self) -> Sequence[TraceEvent]:
-        """All records in insertion (chronological) order."""
-        return tuple(self._events)
-
-    def of_kind(self, kind: str) -> Sequence[TraceEvent]:
-        """All records of one kind."""
-        return tuple(event for event in self._events if event.kind == kind)
-
-    def filter(self, predicate: Callable[[TraceEvent], bool]) -> Sequence[TraceEvent]:
-        """All records matching ``predicate``."""
-        return tuple(event for event in self._events if predicate(event))
-
-    def last_of_kind(self, kind: str) -> TraceEvent | None:
-        """Most recent record of one kind, or ``None``."""
-        for event in reversed(self._events):
-            if event.kind == kind:
-                return event
-        return None

@@ -73,5 +73,9 @@ def _ensure_finite_number(value: float, name: str) -> None:
     # Exact floats, the common case, skip the slow ``numbers.Real`` ABC check.
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")

@@ -14,9 +14,7 @@ Workloads Archive) into those streams — see ``docs/TRACE_FORMAT.md``.
 
 from repro.workload.generator import (
     BurstThenContinuousWorkload,
-    ClosedLoopWorkload,
     PoissonWorkload,
-    SteadyRateWorkload,
     WorkloadGenerator,
 )
 from repro.workload.ingest import (
@@ -31,9 +29,7 @@ from repro.workload.traces import TraceWorkload, load_trace, save_trace
 
 __all__ = [
     "BurstThenContinuousWorkload",
-    "ClosedLoopWorkload",
     "PoissonWorkload",
-    "SteadyRateWorkload",
     "WorkloadGenerator",
     "TraceWorkload",
     "load_trace",

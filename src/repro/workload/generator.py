@@ -11,11 +11,9 @@ The paper's placement experiment (Section IV-A) uses:
 * a *burst* phase with ``r`` simultaneous requests, then a *continuous*
   phase at two requests per second.
 
-:class:`BurstThenContinuousWorkload` encodes exactly that;
-:class:`PoissonWorkload`, :class:`SteadyRateWorkload` and
-:class:`ClosedLoopWorkload` cover the additional examples and the adaptive
-provisioning experiment (a client that adapts its request flow to the
-number of candidate nodes).
+:class:`BurstThenContinuousWorkload` encodes exactly that (a one-task
+burst makes it a constant-rate stream); :class:`PoissonWorkload` covers
+open arrivals with random gaps.
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ class WorkloadGenerator(ABC):
     Subclasses implement :meth:`generate`; iteration delegates to it, so
     any generator can be fed directly to a simulation driver:
 
-    >>> workload = SteadyRateWorkload(total_tasks=3, rate=1.0)
+    >>> workload = BurstThenContinuousWorkload(
+    ...     total_tasks=3, burst_size=1, continuous_rate=1.0)
     >>> [task.arrival_time for task in workload]
     [0.0, 1.0, 2.0]
     """
@@ -123,45 +122,6 @@ class BurstThenContinuousWorkload(WorkloadGenerator):
 
 
 @dataclass
-class SteadyRateWorkload(WorkloadGenerator):
-    """A constant-rate open arrival process (one request every ``1/rate`` s).
-
-    >>> workload = SteadyRateWorkload(total_tasks=3, rate=4.0, start_time=1.0)
-    >>> [task.arrival_time for task in workload.generate()]
-    [1.0, 1.25, 1.5]
-    """
-
-    total_tasks: int
-    rate: float
-    flop_per_task: float = DEFAULT_TASK_FLOP
-    start_time: float = 0.0
-    client: str = "client-0"
-    user_preference: float = 0.0
-    service: str = "cpu-burn"
-
-    def __post_init__(self) -> None:
-        if self.total_tasks < 1:
-            raise ValueError(f"total_tasks must be >= 1, got {self.total_tasks}")
-        ensure_positive(self.rate, "rate")
-        ensure_positive(self.flop_per_task, "flop_per_task")
-        ensure_non_negative(self.start_time, "start_time")
-
-    def generate(self) -> Sequence[Task]:
-        interval = 1.0 / self.rate
-        tasks = [
-            Task(
-                flop=self.flop_per_task,
-                arrival_time=self.start_time + index * interval,
-                client=self.client,
-                user_preference=self.user_preference,
-                service=self.service,
-            )
-            for index in range(self.total_tasks)
-        ]
-        return _sorted_by_arrival(tasks)
-
-
-@dataclass
 class PoissonWorkload(WorkloadGenerator):
     """Poisson arrivals with exponential inter-arrival times.
 
@@ -211,55 +171,4 @@ class PoissonWorkload(WorkloadGenerator):
             )
             for index in range(self.total_tasks)
         ]
-        return _sorted_by_arrival(tasks)
-
-
-@dataclass
-class ClosedLoopWorkload(WorkloadGenerator):
-    """A client that keeps ``concurrency`` requests in flight.
-
-    Used by the adaptive-provisioning experiment, whose client "dynamically
-    adjusts its flow of requests to reach the capacity of available nodes"
-    (Section IV-C).  Because the actual submission instants depend on the
-    completions, this generator emits *submission opportunities* spaced by
-    ``think_time``; the experiment driver caps in-flight requests at the
-    current candidate capacity.
-
-    >>> workload = ClosedLoopWorkload(total_tasks=4, concurrency=2, think_time=3.0)
-    >>> [task.arrival_time for task in workload.generate()]
-    [0.0, 0.0, 3.0, 3.0]
-    """
-
-    total_tasks: int
-    concurrency: int
-    think_time: float = 1.0
-    flop_per_task: float = DEFAULT_TASK_FLOP
-    start_time: float = 0.0
-    client: str = "client-0"
-    user_preference: float = 0.0
-    service: str = "cpu-burn"
-
-    def __post_init__(self) -> None:
-        if self.total_tasks < 1:
-            raise ValueError(f"total_tasks must be >= 1, got {self.total_tasks}")
-        if self.concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
-        ensure_positive(self.think_time, "think_time")
-        ensure_positive(self.flop_per_task, "flop_per_task")
-        ensure_non_negative(self.start_time, "start_time")
-
-    def generate(self) -> Sequence[Task]:
-        tasks: list[Task] = []
-        for index in range(self.total_tasks):
-            wave = index // self.concurrency
-            arrival = self.start_time + wave * self.think_time
-            tasks.append(
-                Task(
-                    flop=self.flop_per_task,
-                    arrival_time=arrival,
-                    client=self.client,
-                    user_preference=self.user_preference,
-                    service=self.service,
-                )
-            )
         return _sorted_by_arrival(tasks)

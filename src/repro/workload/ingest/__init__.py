@@ -23,7 +23,6 @@ from repro.workload.ingest.mapping import (
     DEFAULT_FLOPS_PER_CORE,
     SWFTraceMap,
     load_swf_trace,
-    preference_by_queue,
     tasks_from_swf,
 )
 from repro.workload.ingest.swf import (
@@ -51,7 +50,6 @@ __all__ = [
     "read_swf_header",
     "DEFAULT_FLOPS_PER_CORE",
     "SWFTraceMap",
-    "preference_by_queue",
     "tasks_from_swf",
     "load_swf_trace",
     "TraceTransform",

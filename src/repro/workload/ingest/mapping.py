@@ -9,11 +9,10 @@ fast clusters and slower on slow ones, exactly like the synthetic
 workloads.
 
 Identity fields map onto the middleware model: the SWF user (or group)
-becomes the submitting ``client``, the queue (or partition) becomes the
-requested ``service``, and a pluggable rule assigns each job a
-``user_preference`` — e.g. "the throughput queue runs energy-first"
-(Section III-B of the paper gives preferences to requests, which real
-logs obviously lack).
+becomes the submitting ``client`` and the queue (or partition) becomes
+the requested ``service``.  Section III-B of the paper gives preferences
+to requests, which real logs lack, so every replayed job carries the
+neutral preference.
 
 >>> from repro.workload.ingest.swf import SWFJob
 >>> job = SWFJob(job_id=1, submit_time=30.0, run_time=60.0,
@@ -26,8 +25,8 @@ logs obviously lack).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from repro.simulation.task import Task
 from repro.util.validation import ensure_positive
@@ -36,7 +35,6 @@ from repro.workload.ingest.transforms import TraceTransform, apply_transforms
 
 __all__ = [
     "SWFTraceMap",
-    "preference_by_queue",
     "tasks_from_swf",
     "load_swf_trace",
     "DEFAULT_FLOPS_PER_CORE",
@@ -45,36 +43,6 @@ __all__ = [
 #: Default node-speed anchor: one GFLOP/s per core, a deliberately round
 #: number in the range of the Table I clusters (5–9.2 GFLOPS per node).
 DEFAULT_FLOPS_PER_CORE = 1.0e9
-
-#: A rule assigning a ``user_preference`` in [-1, 1] to a parsed job.
-PreferenceRule = Callable[[SWFJob], float]
-
-
-def preference_by_queue(
-    table: Mapping[int, float], default: float = 0.0
-) -> PreferenceRule:
-    """A preference rule looking the job's queue number up in ``table``.
-
-    Queues are the natural "job class" of most archive logs (interactive
-    vs. batch vs. low-priority), so this is the common way to inject the
-    paper's per-request preference into a real trace.
-
-    >>> from repro.workload.ingest.swf import SWFJob
-    >>> rule = preference_by_queue({1: -0.5, 2: 1.0})
-    >>> rule(SWFJob(job_id=1, submit_time=0.0, queue=2))
-    1.0
-    >>> rule(SWFJob(job_id=2, submit_time=0.0, queue=9))  # unlisted queue
-    0.0
-    """
-    frozen = dict(table)
-
-    def rule(job: SWFJob) -> float:
-        if job.queue is None:
-            return default
-        return frozen.get(job.queue, default)
-
-    return rule
-
 
 @dataclass(frozen=True)
 class SWFTraceMap:
@@ -92,10 +60,9 @@ class SWFTraceMap:
     service_by:
         ``"queue"`` (default) or ``"partition"`` — which field names the
         requested service; unknown maps to ``"<kind>?"``.
-    preference_rule:
-        Optional rule assigning ``user_preference`` per job (see
-        :func:`preference_by_queue`); omitted means 0.0 everywhere.
-        Values are clamped to the valid [-1, 1] range.
+
+    Every task carries the neutral user preference (0.0): SWF has no
+    column for it.
 
     Jobs whose runtime or processor count is unknown or zero carry no
     replayable work and are skipped by :meth:`task_for` (it returns
@@ -110,7 +77,6 @@ class SWFTraceMap:
     flops_per_core: float = DEFAULT_FLOPS_PER_CORE
     client_by: str = "user"
     service_by: str = "queue"
-    preference_rule: PreferenceRule | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         ensure_positive(self.flops_per_core, "flops_per_core")
@@ -131,11 +97,6 @@ class SWFTraceMap:
         value = job.queue if self.service_by == "queue" else job.partition
         return f"{self.service_by}{value if value is not None else '?'}"
 
-    def _preference(self, job: SWFJob) -> float:
-        if self.preference_rule is None:
-            return 0.0
-        return min(1.0, max(-1.0, float(self.preference_rule(job))))
-
     def task_for(self, job: SWFJob, *, origin: float = 0.0) -> Task | None:
         """The :class:`Task` replaying ``job``, or ``None`` if unplayable.
 
@@ -149,7 +110,6 @@ class SWFTraceMap:
             flop=job.run_time * job.allocated_processors * self.flops_per_core,
             arrival_time=max(0.0, job.submit_time - origin),
             client=self._client(job),
-            user_preference=self._preference(job),
             service=self._service(job),
             cores=job.allocated_processors,
             requested_runtime=job.requested_time,

@@ -203,14 +203,3 @@ class TraceWorkload(WorkloadGenerator):
             return cls(loader=_load)
         return cls(tasks=_load())
 
-    @classmethod
-    def from_iter(cls, tasks: Iterable[Task]) -> "TraceWorkload":
-        """Wrap a (possibly lazy) task iterable — e.g. a transform pipeline.
-
-        The iterable is consumed once, on the first :meth:`generate`.
-
-        >>> workload = TraceWorkload.from_iter(Task() for _ in range(3))
-        >>> len(workload.generate())
-        3
-        """
-        return cls(tasks=tasks)

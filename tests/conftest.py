@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.infrastructure.node import Node, NodeSpec
@@ -9,6 +12,7 @@ from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.agents import MasterAgent
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.simulation.task import Task
+from repro.workload.generator import BurstThenContinuousWorkload
 from tests.wattmeter import Wattmeter
 
 
@@ -137,6 +141,61 @@ def ranking(master, request) -> list:
     return list(master._filtered_candidates(election, request))
 
 
+def steady_workload(total_tasks: int) -> BurstThenContinuousWorkload:
+    """One 1-GFLOP task per second from t = 0: a burst of one, then a 1/s stream."""
+    return BurstThenContinuousWorkload(
+        total_tasks=total_tasks, burst_size=1, continuous_rate=1.0, flop_per_task=1e9
+    )
+
+
+def next_event_time(engine) -> float | None:
+    """Firing time of the engine's next live event, or ``None`` when none is left."""
+    live = [time for time, _, _, event in engine._heap if not event.cancelled]
+    return min(live, default=None)
+
+
+def live_events(engine) -> int:
+    """Callbacks still to fire: every item of a live batch counts."""
+    return sum(
+        1 if event.items is None else len(event.items)
+        for *_, event in engine._heap
+        if not event.cancelled
+    )
+
+
+def executions(metrics) -> tuple:
+    """The task executions a metrics collector has recorded, in recording order."""
+    return tuple(metrics._executions)
+
+
+def pending_tasks(queue) -> list:
+    """The tasks a node queue holds waiting for a core, oldest first."""
+    return list(queue._pending)
+
+
+def running_count(queue) -> int:
+    """The tasks a node queue has marked running and not yet completed."""
+    return len(queue._running_remaining_flop)
+
+
+def of_kind(trace, kind: str) -> tuple:
+    """The records of one kind in an execution trace, in recording order."""
+    return tuple(event for event in trace if event.kind == kind)
+
+
+def last_of_kind(trace, kind: str):
+    """The most recent record of one kind, or ``None``."""
+    matching = of_kind(trace, kind)
+    return matching[-1] if matching else None
+
+
+def write_timeline(path, timeline, *, title: str | None = None) -> None:
+    """Write ``timeline`` as a JSON timeline file ``load_timeline`` reads back."""
+    payload: dict = {"title": title} if title else {}
+    payload["events"] = timeline.to_mappings()
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
+
+
 def run_beside_meter(simulation):
     """Run ``simulation`` with a polling :class:`Wattmeter` stepped beside it.
 
@@ -149,7 +208,7 @@ def run_beside_meter(simulation):
     meter = Wattmeter(
         simulation.platform.nodes, sample_period=simulation.energy_log.sample_period
     )
-    while (time := engine.peek_next_time()) is not None:
+    while (time := next_event_time(engine)) is not None:
         meter.advance_to(time)
         engine.step()
     meter.advance_to(engine.now)
@@ -183,3 +242,4 @@ def placement_platform():
 def task() -> Task:
     """A default unit task."""
     return Task(flop=1.0e8, arrival_time=0.0)
+

@@ -13,7 +13,7 @@ from tests.conftest import make_vector
 
 def ranked(name, power, performance=1e9):
     return RankedServer(
-        server=name, greenperf=power / performance, power=power, performance=performance
+        server=name, greenperf=power / performance, power=power
     )
 
 

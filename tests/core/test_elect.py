@@ -31,7 +31,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.policies import GreenSchedulerPolicy, PowerPolicy, RandomPolicy, policy_by_name
-from repro.core.scoring import completion_time, energy_consumption, score
 from repro.middleware.agents import LocalAgent, MasterAgent
 from repro.middleware.estimation import EstimationTags
 from repro.middleware.plugin_scheduler import CandidateEntry, FirstComeFirstServedScheduler
@@ -40,6 +39,7 @@ from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
 from tests.conftest import make_vector
+from tests.equations import completion_time, energy_consumption, score
 from tests.core.test_flat_election import (
     DEFAULT_PREFERENCES,
     LIFECYCLE,

@@ -82,25 +82,14 @@ class TestGreenPerfRanking:
     def test_ascending_order(self):
         # Ratios: frugal 100/2e9, hungry 400/2e9, slow 150/0.5e9 (worst).
         ranking = GreenPerfRanking(self.make_vectors())
-        assert ranking.server_names == ("frugal", "hungry", "slow")
-        assert ranking.best().server == "frugal"
-
-    def test_position_of(self):
-        ranking = GreenPerfRanking(self.make_vectors())
-        assert ranking.position_of("frugal") == 0
-        assert ranking.position_of("slow") == 2
-        with pytest.raises(KeyError):
-            ranking.position_of("missing")
-
-    def test_total_power(self):
-        ranking = GreenPerfRanking(self.make_vectors())
-        assert ranking.total_power() == pytest.approx(650.0)
+        assert [entry.server for entry in ranking.entries] == ["frugal", "hungry", "slow"]
+        assert [entry.power for entry in ranking.entries] == [100.0, 400.0, 150.0]
 
     def test_len_and_indexing(self):
         ranking = GreenPerfRanking(self.make_vectors())
         assert len(ranking) == 3
         assert ranking[0].server == "frugal"
-        assert [entry.server for entry in ranking] == list(ranking.server_names)
+        assert list(ranking) == list(ranking.entries)
 
     def test_static_mode_ignores_dynamic_history(self):
         vectors = [
@@ -109,14 +98,11 @@ class TestGreenPerfRanking:
         ]
         dynamic = GreenPerfRanking(vectors, mode=PowerEstimationMode.DYNAMIC)
         static = GreenPerfRanking(vectors, mode=PowerEstimationMode.STATIC)
-        assert dynamic.best().server == "a"
-        assert static.best().server == "b"
+        assert dynamic[0].server == "a"
+        assert static[0].server == "b"
 
     def test_empty_ranking(self):
-        ranking = GreenPerfRanking([])
-        assert len(ranking) == 0
-        with pytest.raises(ValueError):
-            ranking.best()
+        assert len(GreenPerfRanking([])) == 0
 
     def test_tie_keeps_collection_order(self):
         vectors = [
@@ -124,7 +110,7 @@ class TestGreenPerfRanking:
             make_vector(server="second", mean_power=100.0),
         ]
         ranking = GreenPerfRanking(vectors)
-        assert ranking.server_names == ("first", "second")
+        assert [entry.server for entry in ranking] == ["first", "second"]
 
     @given(
         powers=st.lists(st.floats(min_value=10, max_value=1000), min_size=1, max_size=20)

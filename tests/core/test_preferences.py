@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.preferences import (
-    PRACTICAL_USER_BOUND,
-    ProviderPreference,
-    UserPreference,
-    combine_preferences,
-)
+from repro.core.preferences import ProviderPreference, UserPreference, combine_preferences
 
 
 class TestProviderPreference:
@@ -31,11 +26,6 @@ class TestProviderPreference:
     def test_high_utilisation_raises_preference(self):
         preference = ProviderPreference(alpha=0.0, beta=1.0)
         assert preference.value(0.9, 0.5) > preference.value(0.1, 0.5)
-
-    def test_available_fraction_normalised(self):
-        preference = ProviderPreference(alpha=0.25, beta=0.25)
-        assert preference.available_fraction(1.0, 0.0) == pytest.approx(1.0)
-        assert preference.available_fraction(0.0, 1.0) == pytest.approx(0.0)
 
     def test_weights_must_not_exceed_one(self):
         with pytest.raises(ValueError):
@@ -68,36 +58,11 @@ class TestProviderPreference:
 
 
 class TestUserPreference:
-    def test_symbolic_constants(self):
-        assert UserPreference.MAXIMIZE_PERFORMANCE == -1.0
-        assert UserPreference.NO_PREFERENCE == 0.0
-        assert UserPreference.MAXIMIZE_ENERGY_EFFICIENCY == 1.0
-
-    def test_clamping_to_practical_bound(self):
-        assert UserPreference(1.0).clamped() == PRACTICAL_USER_BOUND == 0.9
-        assert UserPreference(-1.0).clamped() == -0.9
-        assert UserPreference(0.5).clamped() == 0.5
-
-    def test_custom_bound(self):
-        assert UserPreference(1.0).clamped(bound=0.5) == 0.5
-
-    def test_orientation_flags(self):
-        assert UserPreference(0.4).favors_energy
-        assert not UserPreference(0.4).favors_performance
-        assert UserPreference(-0.4).favors_performance
-        assert not UserPreference(0.0).favors_energy
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             UserPreference(1.2)
         with pytest.raises(ValueError):
             UserPreference(-1.2)
-
-    @given(value=st.floats(min_value=-1, max_value=1))
-    def test_clamp_is_idempotent_and_bounded(self, value):
-        clamped = UserPreference(value).clamped()
-        assert -0.9 <= clamped <= 0.9
-        assert UserPreference(clamped).clamped() == clamped
 
 
 class TestCombinePreferences:

@@ -14,6 +14,7 @@ from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.task import Task
 from repro.simulation.trace import ExecutionTrace
+from tests.conftest import last_of_kind, of_kind
 
 
 def make_planner(
@@ -80,7 +81,7 @@ class TestCandidateFilter:
         simulation = MiddlewareSimulation(platform, master, seds)
         simulation.inject_task(Task(flop=2.3e9))
         simulation.run()
-        scheduled = simulation.trace.of_kind(ExecutionTrace.TASK_SCHEDULED)
+        scheduled = of_kind(simulation.trace, ExecutionTrace.TASK_SCHEDULED)
         assert scheduled[0]["node"] in planner.candidate_nodes
 
     def test_filter_falls_back_when_no_candidate_can_serve(self):
@@ -97,29 +98,32 @@ class TestCandidateFilter:
 
 class TestChecksAndRamping:
     def test_ramp_up_towards_cheaper_tariff(self):
+        trace = ExecutionTrace()
         planner, *_ = make_planner(
-            cost_periods=[TariffPeriod(start=3600.0, cost=0.5)], default_cost=1.0
+            cost_periods=[TariffPeriod(start=3600.0, cost=0.5)], default_cost=1.0, trace=trace
         )
         # Before the look-ahead window reaches the event nothing changes.
         decision = planner.check(0.0)
         assert decision.candidate_count == 4
         # Within the look-ahead (t+20min of a t=60min event): ramp by 2.
         decision = planner.check(2400.0)
-        assert decision.target_candidates == 12
+        assert last_of_kind(trace, ExecutionTrace.STATUS_CHECK)["target"] == 12
         assert decision.candidate_count == 6
         decision = planner.check(3000.0)
         assert decision.candidate_count == 8
 
     def test_ramp_down_on_heat_peak(self):
+        trace = ExecutionTrace()
         planner, *_ = make_planner(
             default_cost=0.5,
             thermal_events=[ThermalEvent(time=1000.0, temperature=30.0)],
+            trace=trace,
         )
         planner.check(0.0)
         assert planner.candidate_count == 12
         decision = planner.check(1000.0)
         # Overheating rule: target 2, ramped down by at most 4 per check.
-        assert decision.target_candidates == 2
+        assert last_of_kind(trace, ExecutionTrace.STATUS_CHECK)["target"] == 2
         assert decision.candidate_count == 8
         planner.check(1600.0)
         planner.check(2200.0)
@@ -152,7 +156,7 @@ class TestChecksAndRamping:
         planner.check(600.0)
         entries = planner.planning_entries
         assert len(entries) == 2
-        assert entries[0].candidates == planner.decisions[0].candidate_count
+        assert entries[0].candidates == planner.candidate_history()[0][1]
         assert entries[1].timestamp == 600.0
 
     def test_candidate_history_series(self):
@@ -166,7 +170,7 @@ class TestChecksAndRamping:
         trace = ExecutionTrace()
         planner, *_ = make_planner(trace=trace)
         planner.check(0.0)
-        assert len(trace.of_kind(ExecutionTrace.STATUS_CHECK)) == 1
+        assert len(of_kind(trace, ExecutionTrace.STATUS_CHECK)) == 1
 
 
 class TestPowerManagement:
@@ -256,7 +260,7 @@ class TestPeriodicScheduling:
         planner.start(first_check_at=0.0)
         planner.engine.run(until=1900.0)
         # Checks at t = 0, 600, 1200, 1800.
-        assert len(planner.decisions) == 4
+        assert len(planner.candidate_history()) == 4
 
     def test_start_installs_candidate_filter(self):
         planner, _, master, _ = make_planner(with_engine=True)

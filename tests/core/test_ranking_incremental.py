@@ -42,6 +42,7 @@ from tests.conftest import (
     make_spec,
     ranking,
 )
+from tests.conftest import executions
 
 #: Policies exposing a request-independent ``rank_key`` (the resident set):
 #: the paper's three plus the queue family's placement adapters.
@@ -468,7 +469,7 @@ class TestEndToEndEquivalence:
             result = simulation.run()
             # Task ids are globally auto-assigned, so compare the placement
             # sequence (submission order is deterministic), not the ids.
-            placements = tuple(e.node for e in simulation.metrics.executions)
+            placements = tuple(e.node for e in executions(simulation.metrics))
             results.append(
                 (result.metrics.makespan, result.total_energy, placements)
             )

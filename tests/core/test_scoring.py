@@ -1,19 +1,16 @@
 """Tests for the completion-time / energy / score models (Equations 4-6)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.scoring import (
-    ScoreKernel,
-    completion_time,
-    energy_consumption,
-    preference_exponent,
-    score,
-)
+from repro.core.scoring import ScoreKernel, preference_exponent
 from repro.middleware.estimation import EstimationTags
 from repro.util.validation import ensure_non_negative
 from tests.conftest import make_vector
+from tests.equations import completion_time, energy_consumption, score
 
 
 class TestCompletionTime:
@@ -66,6 +63,25 @@ class TestScore:
         # P = -1 would make the exponent diverge; the clamp keeps it finite.
         assert preference_exponent(-1.0) == pytest.approx(19.0)
         assert preference_exponent(1.0) == pytest.approx(2 / 1.9 - 1)
+
+    @pytest.mark.parametrize(
+        "preference, clamped",
+        [(-1, -0.9), (-0.9, -0.9), (0, 0), (0.9, 0.9), (1, 0.9)],
+    )
+    def test_exponent_is_pinned_at_the_range_ends(self, preference, clamped):
+        assert preference_exponent(preference) == 2.0 / (clamped + 1.0) - 1.0
+
+    @pytest.mark.parametrize(
+        "preference, message",
+        [
+            (1.5, "user preference must be in [-1.0, 1.0], got 1.5"),
+            (math.nan, "user preference must be finite, got nan"),
+        ],
+    )
+    def test_exponent_rejects_out_of_range_preferences(self, preference, message):
+        with pytest.raises(ValueError) as raised:
+            preference_exponent(preference)
+        assert str(raised.value) == message
 
     def test_neutral_preference_is_time_times_energy(self):
         assert score(10.0, 5.0, 0.0) == pytest.approx(50.0)

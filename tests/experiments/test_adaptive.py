@@ -10,7 +10,8 @@ from repro.experiments.adaptive import AdaptiveExperimentConfig
 from repro.lab.compat import session_for_spec
 from repro.runner.spec import ScenarioSpec
 from repro.scenario.events import EventTimeline, TariffChange, ThermalExcursion
-from repro.scenario.io import bundled_timeline, save_timeline
+from repro.scenario.io import bundled_timeline
+from tests.conftest import write_timeline
 
 _MIN = 60.0
 
@@ -28,7 +29,7 @@ SHORT_TIMELINE = EventTimeline([
 @pytest.fixture(scope="module")
 def result(tmp_path_factory):
     timeline = tmp_path_factory.mktemp("adaptive") / "short.json"
-    save_timeline(timeline, SHORT_TIMELINE)
+    write_timeline(timeline, SHORT_TIMELINE)
     spec = ScenarioSpec(
         experiment="adaptive",
         policy="GREENPERF",

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.greenperf_eval import (
     DEFAULT_TASK_FLOP,
     HeterogeneityResult,
-    RandomArea,
 )
 from repro.lab.components import server_type_specs
 from repro.runner.executor import run_scenarios
@@ -81,12 +80,6 @@ class TestExperimentStructure:
         # RANDOM runs at the two ends of the kinds range only.
         with pytest.raises(ValueError, match="RANDOM"):
             HeterogeneityResult.from_results(outcome.results, 3)
-
-    def test_random_area_contains_helper(self):
-        area = RandomArea(energy_min=1.0, energy_max=2.0, time_min=10.0, time_max=20.0)
-        assert area.contains(1.5, 15.0)
-        assert not area.contains(3.0, 15.0)
-        assert area.contains(2.5, 15.0, tolerance=0.5)
 
 
 class TestPaperShape:

@@ -17,7 +17,7 @@ from repro.runner.grids import heterogeneity_grid, table2_grid
 from repro.runner.spec import ScenarioSpec
 from repro.runner.store import ScenarioResult
 from repro.scenario.events import EventTimeline, TariffChange
-from repro.scenario.io import save_timeline
+from tests.conftest import write_timeline
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ class TestHeterogeneityReport:
 class TestAdaptiveReport:
     def test_adaptive_series_table(self, tmp_path):
         timeline = tmp_path / "tariff.json"
-        save_timeline(timeline, EventTimeline([TariffChange(time=600.0, cost=0.5)]))
+        write_timeline(timeline, EventTimeline([TariffChange(time=600.0, cost=0.5)]))
         spec = ScenarioSpec(
             experiment="adaptive",
             policy="GREENPERF",
@@ -102,7 +102,7 @@ class TestAdaptiveReport:
             TariffChange(time=1200.0, cost=0.8),
             TariffChange(time=5000.0, cost=0.2),
         ]
-        save_timeline(timeline, EventTimeline(events))
+        write_timeline(timeline, EventTimeline(events))
         spec = ScenarioSpec(
             experiment="adaptive",
             policy="GREENPERF",

@@ -69,10 +69,3 @@ class TestLookupAndAggregates:
         cluster = make_cluster("alpha", 2, cores=2, idle_power=100.0, peak_power=200.0)
         cluster[0].acquire_core()
         assert cluster.current_power() == pytest.approx(100.0 + 50.0 + 100.0)
-
-    def test_available_nodes_excludes_off(self):
-        cluster = make_cluster("alpha", 3)
-        cluster[1].power_off()
-        available = cluster.available_nodes()
-        assert len(available) == 2
-        assert cluster[1] not in available

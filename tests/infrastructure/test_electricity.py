@@ -20,7 +20,7 @@ class TestCostConstants:
 
 class TestSchedule:
     def test_constant_schedule(self):
-        schedule = ElectricityCostSchedule.constant(0.7)
+        schedule = ElectricityCostSchedule(default_cost=0.7)
         assert schedule.cost_at(0.0) == 0.7
         assert schedule.cost_at(1e9) == 0.7
 
@@ -46,31 +46,7 @@ class TestSchedule:
         schedule = ElectricityCostSchedule()
         schedule.add_period(TariffPeriod(start=200.0, cost=0.5))
         schedule.add_period(TariffPeriod(start=100.0, cost=0.8))
-        assert [p.start for p in schedule.periods] == [100.0, 200.0]
-        assert schedule.cost_at(150.0) == 0.8
-
-    def test_next_change_after(self):
-        schedule = ElectricityCostSchedule(
-            [TariffPeriod(start=100.0, cost=0.8), TariffPeriod(start=200.0, cost=0.5)]
-        )
-        upcoming = schedule.next_change_after(50.0)
-        assert upcoming is not None and upcoming.start == 100.0
-        upcoming = schedule.next_change_after(100.0)
-        assert upcoming is not None and upcoming.start == 200.0
-        assert schedule.next_change_after(200.0) is None
-
-    def test_changes_between(self):
-        schedule = ElectricityCostSchedule(
-            [TariffPeriod(start=100.0, cost=0.8), TariffPeriod(start=200.0, cost=0.5)]
-        )
-        assert [p.start for p in schedule.changes_between(0.0, 150.0)] == [100.0]
-        assert [p.start for p in schedule.changes_between(100.0, 250.0)] == [200.0]
-        assert schedule.changes_between(250.0, 300.0) == ()
-
-    def test_changes_between_rejects_reversed_interval(self):
-        schedule = ElectricityCostSchedule()
-        with pytest.raises(ValueError):
-            schedule.changes_between(10.0, 5.0)
+        assert [schedule.cost_at(t) for t in (50.0, 150.0, 250.0)] == [1.0, 0.8, 0.5]
 
     def test_cost_out_of_range_rejected(self):
         with pytest.raises(ValueError):

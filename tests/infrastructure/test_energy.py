@@ -18,7 +18,14 @@ from repro.infrastructure.energy import (
 )
 from repro.infrastructure.node import Node, NodeState
 from tests.conftest import make_spec
-from tests.wattmeter import Wattmeter, analytic_energy, power_trace
+from tests.wattmeter import (
+    Wattmeter,
+    analytic_energy,
+    energy_of_cluster,
+    energy_of_node,
+    power_trace,
+    tick_count,
+)
 
 
 def make_node(name="a-0", cluster="a", idle=100.0, peak=200.0, **kwargs):
@@ -30,7 +37,7 @@ class TestTickArithmetic:
         log = SegmentEnergyLog(sample_period=1.0)
         log.add_segment("n", "c", 0.0, 5.0, 100.0)
         # Instants t = 0..5 inclusive, like Wattmeter.advance_to(5.0).
-        assert log.tick_count("n") == 6
+        assert tick_count(log, "n") == 6
         assert log.total_energy == pytest.approx(600.0)
 
     def test_transition_instant_reads_old_power(self):
@@ -40,7 +47,7 @@ class TestTickArithmetic:
         # t=0,1,2 belong to the first segment (the seed samples at the top
         # of the handler, before the state mutation); t=3,4,5 to the second.
         assert [segment.ticks for segment in log.segments("n")] == [3, 3]
-        assert log.energy_of_node("n") == pytest.approx(3 * 100.0 + 3 * 200.0)
+        assert energy_of_node(log, "n") == pytest.approx(3 * 100.0 + 3 * 200.0)
 
     def test_zero_length_segment_at_origin_owns_tick_zero(self):
         log = SegmentEnergyLog(sample_period=1.0)
@@ -49,7 +56,7 @@ class TestTickArithmetic:
         # A transition at exactly t=0 means the t=0 instant saw the power
         # in effect *before* the transition.
         assert [segment.ticks for segment in log.segments("n")] == [1, 2]
-        assert log.energy_of_node("n") == pytest.approx(100.0 + 2 * 50.0)
+        assert energy_of_node(log, "n") == pytest.approx(100.0 + 2 * 50.0)
 
     def test_zero_measure_segment_is_a_no_op(self):
         log = SegmentEnergyLog(sample_period=1.0)
@@ -63,25 +70,25 @@ class TestTickArithmetic:
         # Mirrors the seed's test_sub_period_advance_accumulates.
         log = SegmentEnergyLog(sample_period=1.0)
         log.add_segment("n", "c", 0.0, 0.4, 100.0)
-        assert log.tick_count("n") == 1  # the t=0 instant
+        assert tick_count(log, "n") == 1  # the t=0 instant
         log.add_segment("n", "c", 0.4, 0.9, 100.0)
-        assert log.tick_count("n") == 1
+        assert tick_count(log, "n") == 1
         log.add_segment("n", "c", 0.9, 1.0, 100.0)
-        assert log.tick_count("n") == 2
+        assert tick_count(log, "n") == 2
 
     def test_custom_period(self):
         log = SegmentEnergyLog(sample_period=5.0)
         log.add_segment("n", "c", 0.0, 20.0, 100.0)
-        assert log.tick_count("n") == 5  # t = 0, 5, 10, 15, 20
+        assert tick_count(log, "n") == 5  # t = 0, 5, 10, 15, 20
         assert log.total_energy == pytest.approx(5 * 100.0 * 5.0)
 
     def test_dyadic_period(self):
         log = SegmentEnergyLog(sample_period=0.5)
         log.add_segment("n", "c", 0.0, 1.25, 80.0)
-        assert log.tick_count("n") == 3  # t = 0, 0.5, 1.0
+        assert tick_count(log, "n") == 3  # t = 0, 0.5, 1.0
         log.add_segment("n", "c", 1.25, 1.5, 40.0)
-        assert log.tick_count("n") == 4  # + t = 1.5 at the new power
-        assert log.energy_of_node("n") == pytest.approx(3 * 80.0 * 0.5 + 40.0 * 0.5)
+        assert tick_count(log, "n") == 4  # + t = 1.5 at the new power
+        assert energy_of_node(log, "n") == pytest.approx(3 * 80.0 * 0.5 + 40.0 * 0.5)
 
     def test_segments_keep_the_analytic_integral(self):
         log = SegmentEnergyLog(sample_period=1.0)
@@ -157,19 +164,19 @@ class TestSegmentLogQueries:
 
     def test_energy_by_cluster_and_node(self):
         log = self.make_two_node_log()
-        assert log.energy_of_node("n1") == pytest.approx(3 * 10.0 + 2 * 30.0)
-        assert log.energy_of_cluster("c2") == pytest.approx(5 * 5.0)
+        assert energy_of_node(log, "n1") == pytest.approx(3 * 10.0 + 2 * 30.0)
+        assert energy_of_cluster(log, "c2") == pytest.approx(5 * 5.0)
         assert log.total_energy == pytest.approx(
             sum(log.energy_by_node().values())
         )
-        assert log.energy_of_node("missing") == 0.0
-        assert log.energy_of_cluster("missing") == 0.0
+        assert energy_of_node(log, "missing") == 0.0
+        assert energy_of_cluster(log, "missing") == 0.0
 
     def test_registered_but_silent_node_reports_zero(self):
         log = SegmentEnergyLog(sample_period=1.0)
         log.register_node("quiet", "c")
-        assert log.energy_of_node("quiet") == 0.0
-        assert log.tick_count("quiet") == 0
+        assert energy_of_node(log, "quiet") == 0.0
+        assert tick_count(log, "quiet") == 0
         assert log.segments("quiet") == ()
         assert "quiet" in log.energy_by_node()
 
@@ -201,7 +208,7 @@ class TestEnergyAccountant:
         # t = 0..4 at idle (the t=4 instant reads the pre-transition
         # power), t = 5..9 at peak — same split as Wattmeter.advance_to
         # called before the mutation.
-        assert accountant.log.energy_of_node("a-0") == pytest.approx(
+        assert energy_of_node(accountant.log, "a-0") == pytest.approx(
             5 * 100.0 + 5 * 200.0
         )
 
@@ -228,7 +235,7 @@ class TestEnergyAccountant:
                 event_node.release_core()
         accountant.sync(12.0)
 
-        assert accountant.log.energy_of_node("a-0") == meter.log.energy_of_node("a-0")
+        assert energy_of_node(accountant.log, "a-0") == energy_of_node(meter.log, "a-0")
         assert accountant.log.total_energy == meter.log.total_energy
         polled = meter.log.power_trace("a-0")
         segmented = power_trace(accountant.log, "a-0")
@@ -247,7 +254,7 @@ class TestEnergyAccountant:
         node.complete_boot()  # booting until t=30, then idle again
         accountant.sync(40.0)
         # Instants: t=0..5 idle, t=6..20 off, t=21..30 boot, t=31..40 idle.
-        assert accountant.log.energy_of_node("a-0") == pytest.approx(
+        assert energy_of_node(accountant.log, "a-0") == pytest.approx(
             6 * 100.0 + 15 * 0.0 + 10 * 150.0 + 10 * 100.0
         )
 
@@ -261,7 +268,7 @@ class TestEnergyAccountant:
         accountant.sync(6.0)
         accountant.sync(6.0)  # idempotent
         assert len(accountant.log.segments("a-0")) == 1
-        assert accountant.log.tick_count("a-0") == 7
+        assert tick_count(accountant.log, "a-0") == 7
 
     def test_close_detaches_listeners(self):
         node = make_node()
@@ -270,8 +277,8 @@ class TestEnergyAccountant:
         accountant.close(5.0)
         clock.now = 9.0
         node.acquire_core()  # no longer observed
-        assert accountant.log.tick_count("a-0") == 6
-        assert accountant.log.energy_of_node("a-0") == pytest.approx(6 * 100.0)
+        assert tick_count(accountant.log, "a-0") == 6
+        assert energy_of_node(accountant.log, "a-0") == pytest.approx(6 * 100.0)
         accountant.close()  # idempotent
         assert accountant.closed
         # A closed accountant refuses to extend its intervals: it no
@@ -291,14 +298,12 @@ class TestEnergyAccountant:
             2.5 * 100.0 + 1.5 * 200.0
         )
         # The 1 Hz reading books t = 0, 1, 2 at idle and t = 3, 4 at peak.
-        assert accountant.log.energy_of_node("a-0") == pytest.approx(
+        assert energy_of_node(accountant.log, "a-0") == pytest.approx(
             3 * 100.0 + 2 * 200.0
         )
 
-    def test_monitored_nodes_and_period_exposed(self):
-        node = make_node()
-        accountant = EnergyAccountant([node], clock=FakeClock(), sample_period=2.0)
-        assert accountant.monitored_nodes == (node,)
+    def test_period_exposed(self):
+        accountant = EnergyAccountant([make_node()], clock=FakeClock(), sample_period=2.0)
         assert accountant.sample_period == 2.0
 
 

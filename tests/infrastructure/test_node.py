@@ -51,7 +51,6 @@ class TestNodeCoreAccounting:
         assert node.is_available
         assert node.busy_cores == 0
         assert node.free_cores == node.spec.cores
-        assert node.utilization == 0.0
 
     def test_acquire_release_cycle(self, node):
         node.acquire_core()
@@ -61,11 +60,6 @@ class TestNodeCoreAccounting:
         assert node.busy_cores == 0
         assert node.completed_tasks == 1
         assert node.total_busy_core_seconds == 12.0
-
-    def test_utilization_scales_with_busy_cores(self, node):
-        node.acquire_core()
-        node.acquire_core()
-        assert node.utilization == pytest.approx(2 / node.spec.cores)
 
     def test_cannot_exceed_core_count(self, node):
         for _ in range(node.spec.cores):
@@ -105,10 +99,10 @@ class TestNodeStateMachine:
         completion = node.begin_boot(now=100.0)
         assert node.state is NodeState.BOOTING
         assert completion == pytest.approx(100.0 + spec.boot_time)
-        assert node.boot_completion_time == completion
+        assert node.boot_ready_at == completion
         node.complete_boot()
         assert node.state is NodeState.ON
-        assert node.boot_completion_time is None
+        assert node.boot_ready_at is None
 
     def test_begin_boot_on_running_node_is_noop(self, node):
         assert node.begin_boot(now=5.0) == 5.0
@@ -169,12 +163,22 @@ class _CubicModel(PowerModel):
         return self._peak
 
 
-#: The Table I node types with their linear models, and a cubic one.
+def _linear(spec):
+    return Node(spec), spec.default_power_model()
+
+
+def _cubic():
+    model = _CubicModel(97.3, 211.9)
+    return Node(make_spec(cores=5), power_model=model), model
+
+
+#: The Table I node types with their linear models, and a cubic one:
+#: each factory returns the node and the model it was built with.
 _POWERED_NODES = {
-    "orion": lambda: Node(orion_spec()),
-    "taurus": lambda: Node(taurus_spec()),
-    "sagittaire": lambda: Node(sagittaire_spec()),
-    "cubic": lambda: Node(make_spec(cores=5), power_model=_CubicModel(97.3, 211.9)),
+    "orion": lambda: _linear(orion_spec()),
+    "taurus": lambda: _linear(taurus_spec()),
+    "sagittaire": lambda: _linear(sagittaire_spec()),
+    "cubic": _cubic,
 }
 
 
@@ -189,12 +193,12 @@ class TestPowerTable:
         ), max_size=60),
     )
     def test_every_transition_matches_the_formula_bit_for_bit(self, kind, ops):
-        node = _POWERED_NODES[kind]()
+        node, model = _POWERED_NODES[kind]()
         spec = node.spec
 
         def formula() -> float:
             if node.state is NodeState.ON:
-                return node.power_model.power_at(node.busy_cores / spec.cores)
+                return model.power_at(node.busy_cores / spec.cores)
             if node.state is NodeState.BOOTING:
                 return spec.boot_power
             return 0.0
@@ -245,17 +249,6 @@ class TestPowerTable:
             LinearPowerModel(idle=-0.0, peak=-0.0).power_at(busy / 2).hex() for busy in range(3)
         ]
 
-class TestTaskDuration:
-    def test_duration_is_flop_over_rate(self, node, spec):
-        assert node.task_duration(1.0e9) == pytest.approx(1.0e9 / spec.flops_per_core)
-
-    def test_zero_flop_task_is_instant(self, node):
-        assert node.task_duration(0.0) == 0.0
-
-    def test_negative_flop_rejected(self, node):
-        with pytest.raises(ValueError):
-            node.task_duration(-1.0)
-
 
 class TestFailedState:
     def test_fail_drops_running_work_and_power(self):
@@ -275,7 +268,7 @@ class TestFailedState:
         node.begin_boot(0.0)
         node.fail(now=10.0)
         assert node.state is NodeState.FAILED
-        assert node.boot_completion_time is None
+        assert node.boot_ready_at is None
 
     def test_double_fail_rejected(self):
         node = Node(make_spec())

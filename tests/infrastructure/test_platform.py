@@ -6,7 +6,6 @@ from repro.infrastructure.cluster import Cluster
 from repro.infrastructure.platform import (
     Platform,
     grid5000_placement_platform,
-    heterogeneity_platform,
     orion_spec,
     sagittaire_spec,
     simulated_cluster_specs,
@@ -35,13 +34,6 @@ class TestPlatformContainer:
         platform = grid5000_placement_platform(nodes_per_cluster=2)
         assert len(platform) == 6
         assert len(list(platform)) == 6
-
-    def test_available_nodes_tracks_power_state(self):
-        platform = grid5000_placement_platform(nodes_per_cluster=1)
-        platform.node("orion-0").power_off()
-        names = [node.name for node in platform.available_nodes()]
-        assert "orion-0" not in names
-        assert len(names) == 2
 
 
 class TestTable1Preset:
@@ -94,21 +86,3 @@ class TestTable3Preset:
         assert specs["sim1"].peak_power == 230.0
         assert specs["sim2"].idle_power == 160.0
         assert specs["sim2"].peak_power == 190.0
-
-
-class TestHeterogeneityPreset:
-    def test_two_kinds(self):
-        platform = heterogeneity_platform(kinds=2, nodes_per_cluster=2)
-        assert {c.name for c in platform.clusters} == {"orion", "taurus"}
-
-    def test_four_kinds(self):
-        platform = heterogeneity_platform(kinds=4, nodes_per_cluster=2)
-        assert {c.name for c in platform.clusters} == {"orion", "taurus", "sim1", "sim2"}
-
-    def test_three_kinds(self):
-        platform = heterogeneity_platform(kinds=3, nodes_per_cluster=1)
-        assert {c.name for c in platform.clusters} == {"orion", "taurus", "sim1"}
-
-    def test_invalid_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            heterogeneity_platform(kinds=5)

@@ -24,15 +24,6 @@ class TestLinearPowerModel:
         assert model.idle_power == 90.0
         assert model.peak_power == 210.0
 
-    def test_energy_is_power_times_duration(self):
-        model = LinearPowerModel(idle=100.0, peak=200.0)
-        assert model.energy(0.5, 10.0) == pytest.approx(1500.0)
-
-    def test_energy_rejects_negative_duration(self):
-        model = LinearPowerModel(idle=100.0, peak=200.0)
-        with pytest.raises(ValueError):
-            model.energy(0.5, -1.0)
-
     def test_zero_dynamic_range_is_allowed(self):
         model = LinearPowerModel(idle=150.0, peak=150.0)
         assert model.power_at(0.7) == 150.0

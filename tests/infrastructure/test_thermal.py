@@ -34,12 +34,6 @@ class TestThermalEnvironment:
         env = ThermalEnvironment()
         assert env.threshold == DEFAULT_TEMPERATURE_THRESHOLD == 25.0
 
-    def test_in_range_checks_threshold(self):
-        env = ThermalEnvironment(base_temperature=24.0, threshold=25.0)
-        assert env.in_range(0.0)
-        env.schedule_event(ThermalEvent(time=10.0, temperature=26.0))
-        assert not env.in_range(10.0)
-
     def test_load_coupling_adds_heat(self):
         env = ThermalEnvironment(base_temperature=20.0, load_coefficient=2.0)
         assert env.temperature(0.0, platform_power_watts=1500.0) == pytest.approx(23.0)

@@ -16,7 +16,8 @@ from repro.lab.components import (
     server_type_specs,
 )
 from repro.scenario.events import EventTimeline
-from repro.workload.generator import SteadyRateWorkload
+from repro.workload.generator import BurstThenContinuousWorkload
+from tests.conftest import steady_workload
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -47,17 +48,15 @@ class TestPlatformSource:
 
 class TestWorkloadSource:
     def test_generator_instance_resolves(self):
-        source = WorkloadSource.from_generator(
-            SteadyRateWorkload(total_tasks=3, rate=1.0, flop_per_task=1e9)
-        )
+        source = WorkloadSource.from_generator(steady_workload(3))
         assert len(source.resolve_tasks()) == 3
 
     def test_generator_factory_receives_core_count(self):
         captured = {}
 
-        def factory(total_cores: int) -> SteadyRateWorkload:
+        def factory(total_cores: int) -> BurstThenContinuousWorkload:
             captured["cores"] = total_cores
-            return SteadyRateWorkload(total_tasks=2, rate=1.0, flop_per_task=1e9)
+            return steady_workload(2)
 
         source = WorkloadSource.from_generator(factory)
         assert len(source.resolve_tasks(24)) == 2

@@ -21,13 +21,14 @@ from repro.scenario.events import (
     NodeRecovery,
     TariffChange,
 )
-from repro.workload.generator import SteadyRateWorkload
+from repro.workload.generator import BurstThenContinuousWorkload
+from tests.conftest import steady_workload
 
 FAILURES = str(Path(__file__).parent.parent / "data" / "failures.toml")
 
 
-def _tiny_generator() -> SteadyRateWorkload:
-    return SteadyRateWorkload(total_tasks=5, rate=1.0, flop_per_task=1e9)
+def _tiny_generator() -> BurstThenContinuousWorkload:
+    return steady_workload(5)
 
 
 class TestValidation:
@@ -115,9 +116,7 @@ class TestMiddlewareBackend:
     def test_horizon_caps_open_loop_runs(self):
         capped = LabSession(
             platform=PlatformSource.table1(1),
-            workload=WorkloadSource.from_generator(
-                SteadyRateWorkload(total_tasks=50, rate=1.0, flop_per_task=1e9)
-            ),
+            workload=WorkloadSource.from_generator(steady_workload(50)),
             horizon=10.0,
         ).run()
         assert capped.completed_tasks < 50

@@ -55,8 +55,8 @@ class TestSubmission:
         outcome = client.submit(Task(user_preference=0.4), submitted_at=3.0)
         assert outcome.succeeded
         assert outcome.elected == "n-0"
-        assert outcome.request.user_preference == 0.4
-        assert outcome.request.submitted_at == 3.0
+        request = client.make_request(Task(user_preference=0.4), submitted_at=3.0)
+        assert (request.user_preference, request.submitted_at) == (0.4, 3.0)
 
     def test_an_unsolvable_request_is_rejected(self):
         client = Client(make_master("n-0"))

@@ -151,7 +151,8 @@ def test_a_vector_owns_its_values():
     second.set(EstimationTags.WAITING_TIME, 9.0)
     third = default_estimation_function(sed, request)
     assert len({id(first.values), id(second.values), id(third.values)}) == 3
-    assert first.waiting_time == third.waiting_time == 0.0
+    waiting = EstimationTags.WAITING_TIME
+    assert first.get(waiting) == third.get(waiting) == 0.0
 
 
 def test_seds_of_one_node_type_share_a_template():

@@ -11,7 +11,7 @@ from repro.middleware.plugin_scheduler import FirstComeFirstServedScheduler
 from repro.simulation.task import Task, TaskState
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.generator import BurstThenContinuousWorkload
-from tests.conftest import make_spec, run_beside_meter
+from tests.conftest import executions, make_spec, run_beside_meter
 from tests.wattmeter import analytic_energy
 
 
@@ -48,7 +48,7 @@ class TestSingleTask:
         flop = 4.6e9
         simulation.submit_workload([Task(flop=flop)])
         simulation.run()
-        execution = simulation.metrics.executions[0]
+        execution = executions(simulation.metrics)[0]
         taurus_speed = simulation.platform.node("taurus-0").spec.flops_per_core
         assert execution.duration == pytest.approx(flop / taurus_speed)
 

@@ -138,9 +138,7 @@ class TestConvenienceAccessors:
             waiting_time=4.0, free_cores=2,
         )
         assert vector.flops_per_core == 3.0e9
-        assert vector.mean_power == 120.0
         assert vector.peak_power == 240.0
-        assert vector.waiting_time == 4.0
         assert vector.free_cores == 2
 
     def test_available_flag(self):

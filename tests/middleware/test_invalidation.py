@@ -25,7 +25,14 @@ from repro.middleware.ranking import FlatElection, ResidentRanking, WalkReplay
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task, TaskState
-from tests.conftest import election_type, flat_hierarchy, make_spec
+from tests.conftest import (
+    election_type,
+    flat_hierarchy,
+    live_events,
+    make_spec,
+    pending_tasks,
+    running_count,
+)
 
 
 def _request() -> ServiceRequest:
@@ -192,13 +199,13 @@ def _observe(simulation: MiddlewareSimulation, sed_name: str):
     queue = sed.queue
     candidates = simulation.master._current_election().candidates(request)
     return (
-        [task.task_id for task in queue.pending_tasks],
-        queue.running_count,
+        [task.task_id for task in pending_tasks(queue)],
+        running_count(queue),
         queue.waiting_time_estimate(),
         dict(sed.estimate(request).values),
         [(entry.server, dict(entry.estimation.values)) for entry in candidates],
         simulation.running_tasks,
-        simulation.engine.pending_events,
+        live_events(simulation.engine),
     )
 
 
@@ -235,4 +242,4 @@ class TestDirectStart:
         assert outcome.elected == elected
         assert waiting.state is TaskState.RUNNING
         assert sed.queue.pending_count == 0
-        assert sed.queue.running_count == 2
+        assert running_count(sed.queue) == 2

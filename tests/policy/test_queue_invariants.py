@@ -77,6 +77,28 @@ def run_policy(name, jobs, capacity, **kwargs):
     return schedule
 
 
+class RecordingPolicy:
+    """A queue policy that keeps every ``(now, decision)`` it planned."""
+
+    def __init__(self, name):
+        self._policy = queue_policy_by_name(name)
+        self.name = self._policy.name
+        self.plans = []
+
+    def plan(self, view):
+        decision = self._policy.plan(view)
+        self.plans.append((view.now, decision))
+        return decision
+
+
+def run_recorded(name, jobs, capacity):
+    """``run_policy`` that also returns the planning passes, in order."""
+    policy = RecordingPolicy(name)
+    schedule = run_queue_simulation(jobs, capacity=capacity, policy=policy)
+    check_schedule(schedule)
+    return schedule, policy.plans
+
+
 class TestSharedInvariants:
     """check_schedule + eventual completion, 200 examples per policy."""
 
@@ -146,9 +168,9 @@ class TestEasyGuarantees:
         the *latest* shadow time promised for it (replanning may only
         hold or improve the promise while estimates bound execution)."""
         jobs = build_jobs(entries)
-        schedule = run_policy("EASY", jobs, capacity, record_plans=True)
+        schedule, plans = run_recorded("EASY", jobs, capacity)
         last_promise: dict[int, float] = {}
-        for _, decision in schedule.plan_log:
+        for _, decision in plans:
             for reservation in decision.reservations:
                 last_promise[reservation.job_id] = reservation.start
         for record in schedule.records:
@@ -169,8 +191,8 @@ class TestConservativeGuarantees:
         reservation in the future with a positive span, and the
         reserved-core sum at any instant within the machine."""
         jobs = build_jobs(entries)
-        schedule = run_policy("CONSERVATIVE", jobs, capacity, record_plans=True)
-        for now, decision in schedule.plan_log:
+        _, plans = run_recorded("CONSERVATIVE", jobs, capacity)
+        for now, decision in plans:
             seen: set[int] = set()
             deltas: dict[float, int] = {}
             for reservation in decision.reservations:
@@ -200,13 +222,13 @@ class TestConservativeGuarantees:
         """Conservative promises everyone: any job still queued after a
         pass appears in that pass's reservation list."""
         jobs = build_jobs(entries)
-        schedule = run_policy("CONSERVATIVE", jobs, capacity, record_plans=True)
+        schedule, plans = run_recorded("CONSERVATIVE", jobs, capacity)
         started_by: dict[int, float] = {
             record.job.job_id: record.start
             for record in schedule.records
             if record.start is not None
         }
-        for now, decision in schedule.plan_log:
+        for now, decision in plans:
             reserved = {reservation.job_id for reservation in decision.reservations}
             for job in jobs:
                 queued = (

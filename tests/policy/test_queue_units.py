@@ -17,7 +17,6 @@ from repro.policy.queue import (
     QueueJob,
     SimulationError,
     check_schedule,
-    jobs_from_swf,
     jobs_from_tasks,
     queue_policy_by_name,
     run_queue_simulation,
@@ -60,23 +59,6 @@ class TestQueueJob:
 
 
 class TestConverters:
-    def test_swf_unplayable_jobs_skipped_and_arrivals_normalised(self):
-        from repro.workload.ingest.swf import parse_swf
-
-        lines = [
-            "1 100 0 -1 4 -1 -1 4 600 -1 1 7 1 1 1 -1 -1 -1",  # no runtime
-            "2 100 0 300 0 -1 -1 4 600 -1 1 7 1 1 1 -1 -1 -1",  # no processors
-            "3 120 0 300 4 -1 -1 4 600 -1 1 7 1 1 1 -1 -1 -1",
-            "4 150 0 60 2 -1 -1 2 -1 -1 1 -1 1 1 1 -1 -1 -1",
-        ]
-        jobs = jobs_from_swf(parse_swf(lines))
-        assert [job.job_id for job in jobs] == [0, 1]
-        assert jobs[0].arrival == 0.0  # first *playable* submit is the origin
-        assert jobs[1].arrival == 30.0
-        assert jobs[0].user == "user7"
-        assert jobs[1].user == "user?"  # unknown user id
-        assert jobs[1].requested_runtime is None  # unknown wall limit
-
     def test_tasks_round_trip_swf_runtimes(self):
         """mapping.task_for encodes runtime as flop; jobs_from_tasks at the
         same reference speed must recover the SWF run_time exactly."""
@@ -107,10 +89,11 @@ class TestCoreProfile:
         profile = CoreProfile(4)
         profile.reserve(0.0, cores=3, duration=10.0)
         profile.reserve(5.0, cores=1, duration=10.0)
-        assert profile.free_at(0.0) == 1
-        assert profile.free_at(5.0) == 0
-        assert profile.free_at(10.0) == 3
-        assert profile.free_at(15.0) == 4
+        # Free cores: 1 on [0, 5), 0 on [5, 10), 3 on [10, 15), then 4.
+        assert profile.earliest_start(cores=1, duration=5.0, not_before=0.0) == 0.0
+        assert profile.earliest_start(cores=1, duration=1.0, not_before=5.0) == 10.0
+        assert profile.earliest_start(cores=3, duration=5.0, not_before=0.0) == 10.0
+        assert profile.earliest_start(cores=4, duration=1.0, not_before=0.0) == 15.0
 
     def test_earliest_start_skips_busy_windows(self):
         profile = CoreProfile(4)
@@ -287,13 +270,11 @@ class TestLabQueueBackend:
             WorkloadSource,
         )
         from repro.lab.session import LabSession
-        from repro.workload.generator import SteadyRateWorkload
+        from tests.conftest import steady_workload
 
         defaults = dict(
             platform=PlatformSource.table1(1),
-            workload=WorkloadSource.from_generator(
-                SteadyRateWorkload(total_tasks=5, rate=1.0, flop_per_task=1e9)
-            ),
+            workload=WorkloadSource.from_generator(steady_workload(5)),
             policy=PolicySource("EASY"),
         )
         defaults.update(kwargs)

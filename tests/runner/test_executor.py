@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import repro.runner.executor as executor_module
-from repro.runner.executor import execute_scenario, run_scenarios, run_sweep
+from repro.runner.executor import execute_scenario, run_scenarios
 from repro.runner.reporting import SweepProgressPrinter, format_sweep_summary
 from repro.runner.grids import grid
-from repro.runner.spec import ScenarioSpec, SweepSpec
+from repro.runner.spec import ScenarioSpec, SweepSpec, iter_grid
 from repro.runner.store import ShardedResultStore
 
 #: A grid small enough for unit tests: two placement policies + one
@@ -26,6 +26,7 @@ TINY_GRID = (
         experiment="heterogeneity", platform="types2", workload="tiny", policy="GREENPERF"
     ),
 )
+TINY = tuple(iter_grid(TINY_GRID))
 
 
 class TestExecuteScenario:
@@ -165,9 +166,9 @@ class TestExecuteScenario:
         assert energy_biased.metrics != performance_biased.metrics
 
 
-class TestRunSweep:
+class TestRunGrid:
     def test_results_in_grid_order(self):
-        outcome = run_sweep(TINY_GRID)
+        outcome = run_scenarios(TINY)
         assert outcome.executed == 3
         assert outcome.cached == 0
         assert [r.spec.policy for r in outcome.results] == [
@@ -176,26 +177,21 @@ class TestRunSweep:
             "GREENPERF",
         ]
 
-    def test_filter_restricts_scenarios(self):
-        outcome = run_sweep(TINY_GRID, filter="placement")
-        assert outcome.total == 2
-        assert all(r.spec.experiment == "placement" for r in outcome.results)
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_sweep(TINY_GRID, jobs=0)
+            run_scenarios(TINY, jobs=0)
 
     def test_two_workers_match_serial_run_byte_for_byte(self):
-        serial = run_sweep(TINY_GRID, jobs=1)
-        parallel = run_sweep(TINY_GRID, jobs=2)
+        serial = run_scenarios(TINY, jobs=1)
+        parallel = run_scenarios(TINY, jobs=2)
         assert [r.metrics for r in serial.results] == [r.metrics for r in parallel.results]
         assert [r.detail for r in serial.results] == [r.detail for r in parallel.results]
         assert format_sweep_summary(serial) == format_sweep_summary(parallel)
 
     def test_progress_printer_is_deterministic_under_parallelism(self):
         serial_log, parallel_log = io.StringIO(), io.StringIO()
-        run_sweep(TINY_GRID, jobs=1, progress=SweepProgressPrinter(serial_log))
-        run_sweep(TINY_GRID, jobs=2, progress=SweepProgressPrinter(parallel_log))
+        run_scenarios(TINY, jobs=1, progress=SweepProgressPrinter(serial_log))
+        run_scenarios(TINY, jobs=2, progress=SweepProgressPrinter(parallel_log))
         assert serial_log.getvalue() == parallel_log.getvalue()
         assert "[  1/3] run" in serial_log.getvalue()
 
@@ -204,8 +200,6 @@ class TestStreamingExecution:
     """Generator scenario streams: same results, bounded in-flight window."""
 
     def test_generator_input_matches_tuple_input(self):
-        from repro.runner.spec import iter_grid
-
         eager = run_scenarios(tuple(iter_grid(TINY_GRID)))
         streamed = run_scenarios(iter_grid(TINY_GRID), jobs=2)
         assert [r.metrics for r in eager.results] == [
@@ -214,19 +208,17 @@ class TestStreamingExecution:
         assert [r.spec for r in eager.results] == [r.spec for r in streamed.results]
 
     def test_window_of_one_matches_serial(self):
-        serial = run_scenarios(tuple(TINY_GRID[0].expand()), jobs=1)
-        windowed = run_scenarios(tuple(TINY_GRID[0].expand()), jobs=2, window=1)
+        serial = run_scenarios(tuple(TINY_GRID[0].iter_expand()), jobs=1)
+        windowed = run_scenarios(tuple(TINY_GRID[0].iter_expand()), jobs=2, window=1)
         assert [r.metrics for r in serial.results] == [
             r.metrics for r in windowed.results
         ]
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            run_scenarios(tuple(TINY_GRID[0].expand()), jobs=2, window=0)
+            run_scenarios(tuple(TINY_GRID[0].iter_expand()), jobs=2, window=0)
 
     def test_progress_total_is_none_for_generators(self):
-        from repro.runner.spec import iter_grid
-
         totals = []
         run_scenarios(
             iter_grid(TINY_GRID),
@@ -237,34 +229,17 @@ class TestStreamingExecution:
     def test_progress_total_is_known_for_sequences(self):
         totals = []
         run_scenarios(
-            tuple(TINY_GRID[0].expand()),
+            tuple(TINY_GRID[0].iter_expand()),
             progress=lambda i, r, total: totals.append(total),
         )
         assert totals == [2, 2]
 
     def test_progress_printer_renders_unknown_total(self):
-        from repro.runner.spec import iter_grid
-
         log = io.StringIO()
         run_scenarios(iter_grid(TINY_GRID), progress=SweepProgressPrinter(log))
         assert "[  1/?] run" in log.getvalue()
 
-    def test_run_sweep_stream_matches_eager(self):
-        eager = run_sweep(TINY_GRID)
-        streamed = run_sweep(TINY_GRID, jobs=2, stream=True)
-        assert [r.metrics for r in eager.results] == [
-            r.metrics for r in streamed.results
-        ]
-        assert streamed.total == eager.total == 3
-
-    def test_run_sweep_stream_applies_filter(self):
-        streamed = run_sweep(TINY_GRID, stream=True, filter="placement")
-        assert streamed.total == 2
-        assert all(r.spec.experiment == "placement" for r in streamed.results)
-
     def test_streamed_store_caching(self, tmp_path):
-        from repro.runner.spec import iter_grid
-
         store_dir = tmp_path / "store"
         first = run_scenarios(iter_grid(TINY_GRID), store=store_dir, jobs=2)
         second = run_scenarios(iter_grid(TINY_GRID), store=store_dir, jobs=2)
@@ -278,7 +253,7 @@ class TestStreamingExecution:
 class TestStoreIntegration:
     def test_second_run_is_all_cache_hits(self, tmp_path, monkeypatch):
         path = tmp_path / "results.jsonl"
-        first = run_sweep(TINY_GRID, store=path)
+        first = run_scenarios(TINY, store=path)
         assert first.executed == 3 and first.cached == 0
 
         # A cache-served sweep must not execute a single simulation.
@@ -286,21 +261,21 @@ class TestStoreIntegration:
             raise AssertionError(f"scenario {spec.scenario_id} was re-simulated")
 
         monkeypatch.setattr(executor_module, "execute_scenario", _boom)
-        second = run_sweep(TINY_GRID, store=path)
+        second = run_scenarios(TINY, store=path)
         assert second.executed == 0 and second.cached == 3
         assert all(r.cached for r in second.results)
         assert [r.metrics for r in second.results] == [r.metrics for r in first.results]
 
     def test_force_bypasses_cache(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        run_sweep(TINY_GRID, store=path)
-        forced = run_sweep(TINY_GRID, store=path, force=True)
+        run_scenarios(TINY, store=path)
+        forced = run_scenarios(TINY, store=path, force=True)
         assert forced.executed == 3 and forced.cached == 0
 
     def test_partial_store_runs_only_misses(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        run_sweep(TINY_GRID, store=path, filter="placement")
-        full = run_sweep(TINY_GRID, store=path)
+        run_scenarios(tuple(s for s in TINY if "placement" in s.scenario_id), store=path)
+        full = run_scenarios(TINY, store=path)
         assert full.cached == 2 and full.executed == 1
 
     def test_store_accepts_instance(self, tmp_path):
@@ -326,7 +301,7 @@ class TestStoreIntegration:
             raise AssertionError(f"scenario {spec.scenario_id} was re-simulated")
 
         monkeypatch.setattr(executor_module, "execute_scenario", _boom)
-        outcome = run_sweep(grid("smoke"), store=path)
+        outcome = run_scenarios(grid("smoke"), store=path)
         assert outcome.executed == 0 and outcome.cached == 3
         assert path.is_dir()
         backup = tmp_path / "legacy.jsonl.pre-shard.bak"
@@ -456,15 +431,15 @@ class TestProfiledRuns:
 
     def test_cache_hits_report_zero_wall_time(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        run_sweep(TINY_GRID, store=path)
-        outcome = run_sweep(TINY_GRID, store=path, profile=True)
+        run_scenarios(TINY, store=path)
+        outcome = run_scenarios(TINY, store=path, profile=True)
         assert outcome.cached == 3
         assert outcome.wall_times == (0.0, 0.0, 0.0)
 
     def test_profile_format_lists_every_scenario(self):
         from repro.runner.reporting import format_sweep_profile
 
-        outcome = run_sweep(TINY_GRID, profile=True)
+        outcome = run_scenarios(TINY, profile=True)
         report = format_sweep_profile(outcome)
         for result in outcome.results:
             assert result.spec.scenario_id in report
@@ -475,7 +450,7 @@ class TestProfiledRuns:
 
         from repro.runner.reporting import format_sweep_profile
 
-        outcome = run_sweep(TINY_GRID, profile=True)
+        outcome = run_scenarios(TINY, profile=True)
         report = format_sweep_profile(outcome)
         match = re.search(
             r"whole sweep: ([\d,]+) events in ([\d.]+) s wall = ([\d,]+) events/s",
@@ -493,13 +468,13 @@ class TestProfiledRuns:
     def test_profile_format_requires_profiled_outcome(self):
         from repro.runner.reporting import format_sweep_profile
 
-        outcome = run_sweep(TINY_GRID)
+        outcome = run_scenarios(TINY)
         with pytest.raises(ValueError, match="profile"):
             format_sweep_profile(outcome)
 
     def test_parallel_profile_matches_serial_results(self):
-        serial = run_sweep(TINY_GRID, profile=True)
-        parallel = run_sweep(TINY_GRID, jobs=2, profile=True)
+        serial = run_scenarios(TINY, profile=True)
+        parallel = run_scenarios(TINY, jobs=2, profile=True)
         assert [r.metrics for r in serial.results] == [
             r.metrics for r in parallel.results
         ]
@@ -526,7 +501,7 @@ class TestProfiledRuns:
     def test_profile_format_includes_phase_columns(self):
         from repro.runner.reporting import format_sweep_profile
 
-        outcome = run_sweep(TINY_GRID, profile=True)
+        outcome = run_scenarios(TINY, profile=True)
         report = format_sweep_profile(outcome)
         assert "dispatch s" in report
         assert "phase breakdown:" in report

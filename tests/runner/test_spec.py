@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.runner.spec import ScenarioSpec, SweepSpec, expand_grid, iter_grid
+from repro.runner.spec import ScenarioSpec, SweepSpec, iter_grid
 
 
 class TestScenarioSpec:
@@ -107,7 +107,7 @@ class TestSweepSpec:
             axes={"policy": ("POWER", "RANDOM"), "seed": (0, 1)},
         )
         assert sweep.size == 4
-        expanded = sweep.expand()
+        expanded = tuple(sweep.iter_expand())
         assert [(s.policy, s.seed) for s in expanded] == [
             ("POWER", 0),
             ("POWER", 1),
@@ -117,7 +117,7 @@ class TestSweepSpec:
 
     def test_no_axes_expands_to_base(self):
         base = ScenarioSpec()
-        assert SweepSpec(base=base).expand() == (base,)
+        assert tuple(SweepSpec(base=base).iter_expand()) == (base,)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown axis"):
@@ -128,36 +128,24 @@ class TestSweepSpec:
             SweepSpec(base=ScenarioSpec(), axes={"seed": ()})
 
 
-class TestExpandGrid:
+class TestIterGrid:
     def test_mixes_specs_and_sweeps_and_dedupes(self):
         base = ScenarioSpec()
         sweep = SweepSpec(base=base, axes={"seed": (0, 1)})
-        scenarios = expand_grid((sweep, base, base.replace(seed=2)))
+        scenarios = tuple(iter_grid((sweep, base, base.replace(seed=2))))
         # base duplicates sweep's seed=0 entry, so it is dropped.
         assert [s.seed for s in scenarios] == [0, 1, 2]
 
     def test_single_spec_accepted(self):
-        assert expand_grid(ScenarioSpec()) == (ScenarioSpec(),)
+        assert tuple(iter_grid(ScenarioSpec())) == (ScenarioSpec(),)
 
     def test_rejects_foreign_entries(self):
         with pytest.raises(TypeError):
-            expand_grid(("not a spec",))
+            tuple(iter_grid(("not a spec",)))
 
 
 class TestStreamingGrids:
     """iter_grid / iter_expand: same scenarios, nothing materialised."""
-
-    def test_iter_expand_matches_expand(self):
-        sweep = SweepSpec(
-            base=ScenarioSpec(),
-            axes={"policy": ("POWER", "RANDOM"), "seed": (0, 1, 2)},
-        )
-        assert tuple(sweep.iter_expand()) == sweep.expand()
-
-    def test_iter_grid_matches_expand_grid_with_dedup(self):
-        base = ScenarioSpec()
-        grid = (SweepSpec(base=base, axes={"seed": (0, 1)}), base, base.replace(seed=2))
-        assert tuple(iter_grid(grid)) == expand_grid(grid)
 
     def test_iter_grid_is_lazy(self):
         """An invalid axis value deep in the grid only raises when reached —

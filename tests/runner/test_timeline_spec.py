@@ -8,14 +8,14 @@ import pytest
 
 from repro.runner.spec import ScenarioSpec
 from repro.scenario.events import NodeFailure, TariffChange
-from repro.scenario.io import save_timeline
 from repro.scenario.events import EventTimeline
+from tests.conftest import write_timeline
 
 
 @pytest.fixture
 def timeline_file(tmp_path):
     path = tmp_path / "storm.json"
-    save_timeline(
+    write_timeline(
         path,
         EventTimeline([
             TariffChange(time=120.0, cost=0.5),
@@ -71,7 +71,7 @@ class TestTimelineSpec:
 
     def test_replace_rehashes_new_timeline(self, timeline_file, tmp_path):
         other = tmp_path / "other.json"
-        save_timeline(other, EventTimeline([TariffChange(time=60.0, cost=0.8)]))
+        write_timeline(other, EventTimeline([TariffChange(time=60.0, cost=0.8)]))
         spec = ScenarioSpec(
             experiment="adaptive", policy="GREENPERF", timeline=str(timeline_file)
         )

@@ -94,7 +94,7 @@ class TestTraceSpec:
             base=ScenarioSpec(workload="trace", trace=str(trace_file)),
             axes={"trace": (str(trace_file), str(other))},
         )
-        first, second = sweep.expand()
+        first, second = sweep.iter_expand()
         assert first.trace_hash != second.trace_hash
 
 

@@ -15,6 +15,7 @@ from repro.scenario.events import (
 from repro.simulation.task import Task, TaskState
 from repro.simulation.trace import ExecutionTrace
 from tests.wattmeter import analytic_energy
+from tests.conftest import of_kind
 
 
 def make_simulation(*, nodes_per_cluster: int = 1):
@@ -46,7 +47,7 @@ class TestBuildSchedules:
         electricity, thermal = build_schedules(
             EventTimeline([NodeFailure(time=10.0, node="x")])
         )
-        assert electricity.periods == ()
+        assert [electricity.cost_at(t) for t in (0.0, 10.0, 1e9)] == [1.0, 1.0, 1.0]
         assert thermal.events == ()
 
 
@@ -115,8 +116,8 @@ class TestNodeFailureInDriver:
         result = simulation.run()
         assert result.metrics.task_count == 6  # every task completed elsewhere
         assert result.failed_tasks == 0
-        requeued = simulation.trace.of_kind(ExecutionTrace.TASK_REQUEUED)
-        completions = simulation.trace.of_kind(ExecutionTrace.TASK_COMPLETED)
+        requeued = of_kind(simulation.trace, ExecutionTrace.TASK_REQUEUED)
+        completions = of_kind(simulation.trace, ExecutionTrace.TASK_COMPLETED)
         assert {event["failed_node"] for event in requeued} == {"orion-0"}
         assert all(event["node"] != "orion-0" for event in completions)
 
@@ -209,8 +210,8 @@ class TestNodeFailureInDriver:
             ]),
         )
         simulation.run(until=30.0)
-        failed = simulation.trace.of_kind(ExecutionTrace.NODE_FAILED)
-        recovered = simulation.trace.of_kind(ExecutionTrace.NODE_RECOVERED)
+        failed = of_kind(simulation.trace, ExecutionTrace.NODE_FAILED)
+        recovered = of_kind(simulation.trace, ExecutionTrace.NODE_RECOVERED)
         assert [event.time for event in failed] == [10.0]
         assert [event.time for event in recovered] == [20.0]
         assert failed[0]["node"] == "orion-0"

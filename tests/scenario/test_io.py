@@ -1,7 +1,8 @@
-"""Tests for timeline file loading, saving and bundled scenarios."""
+"""Tests for timeline file loading and bundled scenarios."""
 
 import pytest
 
+from repro.cli import main
 from repro.scenario.events import (
     EventTimeline,
     NodeFailure,
@@ -13,9 +14,9 @@ from repro.scenario.io import (
     bundled_timeline,
     bundled_timeline_path,
     load_timeline,
-    save_timeline,
     timeline_file_hash,
 )
+from tests.conftest import write_timeline
 
 TOML_DOC = """
 title = "test"
@@ -99,13 +100,115 @@ class TestLoadTimeline:
         with pytest.raises(TimelineError, match="bad.toml.*unknown event kind"):
             load_timeline(path)
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"events": [1]}', "event 0: an event must be a table"),
+            ('{"events": [{"kind": ["x"], "time": 1.0}]}', "event 0: unknown event kind"),
+            (
+                '{"events": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                "invalid JSON: nested too deeply",
+            ),
+            (
+                '{"events": [{"kind": "node_failure", "time": 1.0, "node": 5}]}',
+                "event 0: invalid node_failure event .*node must be a string",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "time": 1.0, "cost": 0.8},'
+                ' {"kind": "tariff_change", "time": NaN, "cost": 0.5}]}',
+                "event 1: invalid tariff_change event .*time must be finite",
+            ),
+            ("[1]", "a timeline file must be a table/object"),
+            ('{"events": 5}', "a timeline file needs a top-level 'events' array"),
+            ('{"events": [{"time": 1.0}]}', "event 0: unknown event kind None"),
+            ('{"events": [{"kind": {}, "time": 1.0}]}', r"event 0: unknown event kind \{\}"),
+            (
+                '{"events": [{"kind": "node_failure", "time": 1.0, "node": true}]}',
+                "event 0: invalid node_failure event .*node must be a string, got True",
+            ),
+            (
+                '{"events": [{"kind": "node_recovery", "time": 1.0, "node": ""}]}',
+                "event 0: invalid node_recovery event .*requires a non-empty node name",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "time": Infinity, "cost": 0.5}]}',
+                "event 0: invalid tariff_change event .*time must be finite, got inf",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "time": "5", "cost": 0.5}]}',
+                "event 0: invalid tariff_change event .*time must be a real number, got str",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "time": true, "cost": 0.5}]}',
+                "event 0: invalid tariff_change event .*time must be a real number, got bool",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "time": ' + "9" * 400 + ', "cost": 0.5}]}',
+                "event 0: invalid tariff_change event .*time must be finite",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "time": ' + "9" * 5000 + ', "cost": 0.5}]}',
+                "invalid JSON: Exceeds the limit",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "cost": 0.5}]}',
+                "event 0: invalid tariff_change event .*missing 1 required positional "
+                "argument: 'time'",
+            ),
+            (
+                '{"events": [{"kind": "tariff_change", "time": 1.0, "cost": 0.5, "rate": 2}]}',
+                "event 0: invalid tariff_change event .*unexpected keyword argument 'rate'",
+            ),
+            (
+                '{"events": [{"kind": "workload_burst", "time": 1.0, "duration": 5.0,'
+                ' "factor": NaN}]}',
+                "event 0: invalid workload_burst event .*factor must be finite, got nan",
+            ),
+            (
+                '{"events": [{"kind": "node_failure", "time": 1.0, "node": "a",'
+                ' "scheduled": "no"}]}',
+                "event 0: invalid node_failure event .*scheduled must be true or false, "
+                "got 'no'",
+            ),
+            (b'\xff\xfe{"events": []}', "invalid JSON: 'utf-8' codec can't decode"),
+        ],
+        ids=[
+            "not-a-table", "list-kind", "deep-nesting", "int-node", "nan-time",
+            "top-level-array", "events-not-an-array", "missing-kind", "table-kind",
+            "bool-node", "empty-node", "inf-time", "string-time", "bool-time",
+            "huge-int-time", "over-long-int", "missing-time", "unknown-field",
+            "nan-factor", "string-scheduled", "not-utf8",
+        ],
+    )
+    def test_hostile_file_fails_with_a_typed_error(
+        self, tmp_path, capsys, document, message
+    ):
+        path = tmp_path / "hostile.json"
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        else:
+            path.write_text(document)
+        with pytest.raises(TimelineError, match=f"hostile.json: {message}"):
+            load_timeline(path)
+        for command in ("validate", "inspect"):
+            assert main(["timeline", command, str(path)]) == 2
+            assert "hostile.json" in capsys.readouterr().err
+
+    def test_an_over_long_toml_integer_fails_with_a_typed_error(self, tmp_path):
+        path = tmp_path / "hostile.toml"
+        path.write_text(
+            '[[events]]\nkind = "tariff_change"\ntime = ' + "9" * 5000 + "\ncost = 0.5\n"
+        )
+        with pytest.raises(TimelineError, match="hostile.toml: invalid TOML: Exceeds the limit"):
+            load_timeline(path)
+
     def test_timeline_errors_are_value_errors(self, tmp_path):
         # The CLI maps ValueError to exit code 2; timeline problems must
         # follow that path instead of crashing with a traceback.
         assert issubclass(TimelineError, ValueError)
 
 
-class TestSaveTimeline:
+class TestJsonRoundTrip:
     def test_round_trip(self, tmp_path):
         timeline = EventTimeline([
             TariffChange(time=60.0, cost=0.8),
@@ -113,19 +216,10 @@ class TestSaveTimeline:
             WorkloadBurst(time=200.0, duration=50.0, factor=2.0),
         ])
         path = tmp_path / "out.json"
-        save_timeline(path, timeline, title="round trip")
+        write_timeline(path, timeline, title="round trip")
         loaded = load_timeline(path)
         assert loaded == timeline
         assert loaded.content_hash() == timeline.content_hash()
-
-    def test_toml_target_rejected(self, tmp_path):
-        # The stdlib cannot write TOML; a .toml target would produce a
-        # file load_timeline refuses to parse, so it fails up front.
-        with pytest.raises(TimelineError, match="json"):
-            save_timeline(
-                tmp_path / "out.toml",
-                EventTimeline([TariffChange(time=60.0, cost=0.8)]),
-            )
 
     def test_round_trip_preserves_scheduled_flags(self, tmp_path):
         timeline = EventTimeline([
@@ -133,7 +227,7 @@ class TestSaveTimeline:
             WorkloadBurst(time=20.0, duration=5.0, factor=2.0, scheduled=False),
         ])
         path = tmp_path / "flags.json"
-        save_timeline(path, timeline)
+        write_timeline(path, timeline)
         loaded = load_timeline(path)
         assert loaded == timeline
         assert loaded.events[0].scheduled is True

@@ -173,6 +173,14 @@ class TestEventMappings:
         assert event_from_mapping(partial).scheduled is event.scheduled
 
     @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_scheduled_flag_must_be_a_bool(self, kind, flag):
+        # A truthy string such as "no" would otherwise read as scheduled.
+        _, mapping = MAPPINGS[kind]
+        with pytest.raises(TimelineError, match="scheduled must be true or false"):
+            event_from_mapping({**mapping, "scheduled": flag})
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
     def test_events_are_frozen(self, kind):
         event, _ = MAPPINGS[kind]
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -301,6 +309,6 @@ class TestTimelineHashing:
             NodeRecovery(time=40.0, node="a"),
             WorkloadBurst(time=50.0, duration=5.0, factor=2.0),
         ])
-        rebuilt = EventTimeline.from_mappings(timeline.to_mappings())
+        rebuilt = EventTimeline(event_from_mapping(entry) for entry in timeline.to_mappings())
         assert rebuilt == timeline
         assert rebuilt.content_hash() == timeline.content_hash()

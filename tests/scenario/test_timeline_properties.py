@@ -31,6 +31,7 @@ from repro.scenario.events import (
     WorkloadBurst,
 )
 from repro.simulation.task import Task
+from tests.conftest import of_kind
 
 NODE_NAMES = ("orion-0", "taurus-0", "sagittaire-0")
 HORIZON = 600.0
@@ -120,7 +121,7 @@ class TestTimelineInvariants:
         # No task ends twice: completions in the trace are unique.
         completed_ids = [
             event["task_id"]
-            for event in simulation.trace.of_kind("task_completed")
+            for event in of_kind(simulation.trace, "task_completed")
         ]
         assert len(completed_ids) == len(set(completed_ids)) == result.metrics.task_count
 

@@ -22,6 +22,7 @@ from repro.serve import (
 from repro.cli import main
 from repro.serve.protocol import read_response, render_request
 from repro.simulation.trace import ExecutionTrace
+from tests.conftest import of_kind
 
 MINI_SWF = "tests/data/mini.swf"
 
@@ -84,9 +85,7 @@ class TestRoundTrip:
         )
         closed = [
             event.details["node"]
-            for event in session.run().simulation.trace.of_kind(
-                ExecutionTrace.TASK_SCHEDULED
-            )
+            for event in of_kind(session.run().simulation.trace, ExecutionTrace.TASK_SCHEDULED)
         ]
 
         async def scenario():
@@ -440,6 +439,6 @@ class TestCliDaemon:
         monkeypatch.setattr(PlacementService, "serve_until_shutdown", replay_then_serve)
         assert main(["serve", "--platform", "quick", "--port", "0"]) == 0
         state = served["service"].state
-        assert state.decisions == 10
+        assert state.snapshot()["decisions"] == 10
         assert len(state.simulation.trace) == 0
         assert "shut down cleanly" in capsys.readouterr().out

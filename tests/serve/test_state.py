@@ -8,6 +8,7 @@ from repro.serve.state import ServeState
 from repro.simulation.task import Task
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.traces import TraceWorkload
+from tests.conftest import of_kind
 
 MINI_SWF = "tests/data/mini.swf"
 
@@ -23,7 +24,7 @@ def closed_loop_nodes(policy: str, *, timeline=None) -> list[str]:
     result = session.run()
     return [
         event.details["node"]
-        for event in result.simulation.trace.of_kind(ExecutionTrace.TASK_SCHEDULED)
+        for event in of_kind(result.simulation.trace, ExecutionTrace.TASK_SCHEDULED)
     ]
 
 
@@ -80,7 +81,7 @@ class TestClosedLoopDeterminism:
         state.drain()
         served = [
             event.details["node"]
-            for event in state.simulation.trace.of_kind(ExecutionTrace.TASK_SCHEDULED)
+            for event in of_kind(state.simulation.trace, ExecutionTrace.TASK_SCHEDULED)
         ]
         assert served == expected
 
@@ -98,11 +99,11 @@ class TestServeState:
         assert decisions[0].time == 10.0  # clamped to the clock
         assert state.now == 10.0
 
-    def test_advance_to_fires_completions(self):
+    def test_a_later_batch_fires_due_completions(self):
         state = ServeState.assemble()
         state.place_batch([Task(flop=1e6, arrival_time=0.0, client="c")])
         assert state.snapshot()["completed"] == 0
-        state.advance_to(1e6)
+        state.place_batch([Task(flop=1e6, arrival_time=1e6, client="c")])
         assert state.snapshot()["completed"] == 1
 
     def test_drain_completes_everything(self):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulation.engine import SimulationEngine
+from tests.conftest import live_events
 
 
 class TestScheduling:
     def test_initial_clock(self):
         engine = SimulationEngine()
         assert engine.now == 0.0
-        assert engine.pending_events == 0
         assert engine.processed_events == 0
 
     def test_custom_start_time(self):
@@ -138,22 +138,66 @@ class TestCancellation:
         assert fired == ["kept"]
         assert handle.cancelled
 
-    def test_peek_next_time_skips_cancelled(self):
-        engine = SimulationEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.schedule(3.0, lambda: None)
-        handle.cancel()
-        assert engine.peek_next_time() == 3.0
-
-    def test_peek_next_time_empty(self):
-        engine = SimulationEngine()
-        assert engine.peek_next_time() is None
-
     def test_handle_exposes_time_and_label(self):
         engine = SimulationEngine()
         handle = engine.schedule(7.0, lambda: None, label="hello")
         assert handle.time == 7.0
         assert handle.label == "hello"
+
+    def test_cancel_takes_the_event_out_of_the_backlog_at_once(self):
+        engine = SimulationEngine()
+        handle = engine.schedule(1.0, lambda: None)
+        engine.schedule(2.0, lambda: None)
+        assert live_events(engine) == 2
+        handle.cancel()
+        assert live_events(engine) == 1
+
+    def test_cancel_is_idempotent(self):
+        engine = SimulationEngine()
+        fired = []
+        handle = engine.schedule(1.0, fired.append, args=("once",))
+        handle.cancel()
+        handle.cancel()
+        engine.run()
+        assert fired == [] and engine.processed_events == 0
+        assert live_events(engine) == 0
+
+    def test_cancel_after_fire_changes_nothing(self):
+        engine = SimulationEngine()
+        fired = []
+        handle = engine.schedule(1.0, fired.append, args=("first",))
+        engine.schedule(2.0, fired.append, args=("second",))
+        assert engine.step() == 1
+        handle.cancel()  # already fired: the rest of the queue is untouched
+        assert live_events(engine) == 1
+        engine.run()
+        assert fired == ["first", "second"]
+        assert engine.processed_events == 2
+
+    def test_step_skips_a_cancelled_head(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(1.0, fired.append, args=("dropped",)).cancel()
+        engine.schedule(3.0, fired.append, args=("kept",))
+        assert engine.step() == 1
+        assert fired == ["kept"] and engine.now == 3.0
+
+    def test_step_on_an_empty_or_all_cancelled_queue_fires_nothing(self):
+        engine = SimulationEngine()
+        assert engine.step() == 0
+        engine.schedule(4.0, lambda: None).cancel()
+        assert engine.step() == 0
+        assert engine.now == 0.0 and engine.processed_events == 0
+
+    def test_events_scheduled_by_callbacks_join_the_backlog(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(1.0, lambda: engine.schedule(5.0, fired.append, args=("spawned",)))
+        engine.step()
+        assert live_events(engine) == 1
+        engine.run()
+        assert fired == ["spawned"] and engine.now == 5.0
+        assert live_events(engine) == 0
 
 
 class TestCallbackArgs:
@@ -186,52 +230,6 @@ class TestClockMonotonicity:
         assert len(observed) == len(times)
 
 
-class TestPendingCounter:
-    """``pending_events`` counts live events only (cancelled ones drop out)."""
-
-    def test_cancel_decrements_immediately(self):
-        engine = SimulationEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        assert engine.pending_events == 2
-        handle.cancel()
-        assert engine.pending_events == 1
-
-    def test_cancel_is_idempotent(self):
-        engine = SimulationEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert engine.pending_events == 0
-
-    def test_pending_reaches_zero_after_run(self):
-        engine = SimulationEngine()
-        for time in (1.0, 2.0, 3.0):
-            engine.schedule(time, lambda: None)
-        engine.run()
-        assert engine.pending_events == 0
-        assert engine.processed_events == 3
-
-    def test_cancel_after_fire_does_not_double_count(self):
-        engine = SimulationEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.step()
-        assert engine.pending_events == 1
-        handle.cancel()  # already fired: must not decrement again
-        assert engine.pending_events == 1
-
-    def test_events_scheduled_by_callbacks_are_counted(self):
-        engine = SimulationEngine()
-
-        def spawn():
-            engine.schedule(5.0, lambda: None)
-
-        engine.schedule(1.0, spawn)
-        engine.step()
-        assert engine.pending_events == 1
-
-
 class TestBatchedEvents:
     """``schedule_many`` fires one heap entry as N logical events."""
 
@@ -239,11 +237,11 @@ class TestBatchedEvents:
         engine = SimulationEngine()
         fired = []
         engine.schedule_many(1.0, fired.append, [1, 2, 3])
-        assert engine.pending_events == 3
+        assert live_events(engine) == 3
         engine.run()
         assert fired == [1, 2, 3]
         assert engine.processed_events == 3
-        assert engine.pending_events == 0
+        assert live_events(engine) == 0
 
     def test_empty_batch_is_rejected(self):
         engine = SimulationEngine()
@@ -255,7 +253,6 @@ class TestBatchedEvents:
         fired = []
         handle = engine.schedule_many(1.0, fired.append, ["a", "b"])
         handle.cancel()
-        assert engine.pending_events == 0
         engine.run()
         assert fired == []
         assert engine.processed_events == 0
@@ -388,7 +385,7 @@ class TestTupleHeapAgainstOracle:
 
         for action in actions:
             apply(action)
-        assert engine.pending_events == oracle.pending
+        assert live_events(engine) == oracle.pending
 
         expected: list[tuple[int, int]] = []
         while True:
@@ -404,9 +401,9 @@ class TestTupleHeapAgainstOracle:
             expected.extend((index, item) for item in range(items))
             assert fired == expected
             assert engine.now == oracle.now
-            assert engine.pending_events == oracle.pending
+            assert live_events(engine) == oracle.pending
             assert engine.processed_events == oracle.processed
-        assert engine.pending_events == 0
+        assert live_events(engine) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -10,7 +10,7 @@ from tests.wattmeter import EnergyLog, PowerSample
 
 
 def make_execution(task_id=0, node="a-0", cluster="a", submitted=0.0, started=0.0,
-                   completed=10.0, energy=100.0):
+                   completed=10.0):
     return TaskExecution(
         task_id=task_id,
         node=node,
@@ -18,7 +18,6 @@ def make_execution(task_id=0, node="a-0", cluster="a", submitted=0.0, started=0.
         submitted_at=submitted,
         started_at=started,
         completed_at=completed,
-        energy=energy,
     )
 
 
@@ -39,7 +38,6 @@ class TestMetricsCollector:
         assert metrics.makespan == 0.0
         assert metrics.total_energy == 0.0
         assert math.isnan(metrics.energy_per_task)
-        assert math.isnan(metrics.throughput)
 
     def test_makespan_spans_first_submission_to_last_completion(self):
         collector = MetricsCollector()
@@ -57,7 +55,7 @@ class TestMetricsCollector:
 
     def test_summary_prefers_wattmeter_energy(self):
         collector = MetricsCollector()
-        collector.record_execution(make_execution(energy=50.0))
+        collector.record_execution(make_execution())
         metrics = collector.summarize(energy_log(300.0))
         assert metrics.total_energy == pytest.approx(300.0)
         assert metrics.energy_per_cluster == {"a": 300.0}
@@ -72,14 +70,7 @@ class TestMetricsCollector:
 
     def test_derived_ratios(self):
         collector = MetricsCollector()
-        collector.record_execution(make_execution(completed=10.0, energy=40.0))
-        collector.record_execution(make_execution(completed=20.0, energy=60.0))
+        collector.record_execution(make_execution(completed=10.0))
+        collector.record_execution(make_execution(completed=20.0))
         metrics = collector.summarize(energy_log(100.0))
         assert metrics.energy_per_task == pytest.approx(50.0)
-        assert metrics.throughput == pytest.approx(2 / 20.0)
-
-    def test_executions_are_exposed(self):
-        collector = MetricsCollector()
-        execution = make_execution()
-        collector.record_execution(execution)
-        assert collector.executions == (execution,)

@@ -5,7 +5,7 @@ import pytest
 from repro.infrastructure.node import Node
 from repro.simulation.queueing import NodeQueue, QueueSet
 from repro.simulation.task import Task
-from tests.conftest import make_spec
+from tests.conftest import make_spec, running_count
 
 
 def make_node(cores=2, flops=1.0e9):
@@ -38,14 +38,14 @@ class TestNodeQueue:
         queue = NodeQueue(make_node())
         task = Task(flop=1e9)
         queue.mark_running(task)
-        assert queue.running_count == 1
+        assert running_count(queue) == 1
         queue.mark_completed(task)
-        assert queue.running_count == 0
+        assert running_count(queue) == 0
 
     def test_mark_completed_unknown_task_is_noop(self):
         queue = NodeQueue(make_node())
         queue.mark_completed(Task())
-        assert queue.running_count == 0
+        assert running_count(queue) == 0
 
     def test_waiting_time_zero_when_core_free_and_empty(self):
         node = make_node(cores=2)

@@ -44,7 +44,7 @@ class TestTask:
 
 
 class TestTaskExecution:
-    def make(self, submitted=0.0, started=5.0, completed=15.0, energy=100.0):
+    def make(self, submitted=0.0, started=5.0, completed=15.0):
         return TaskExecution(
             task_id=1,
             node="n-0",
@@ -52,7 +52,6 @@ class TestTaskExecution:
             submitted_at=submitted,
             started_at=started,
             completed_at=completed,
-            energy=energy,
         )
 
     def test_derived_quantities(self):
@@ -60,11 +59,6 @@ class TestTaskExecution:
         assert execution.duration == 10.0
         assert execution.queue_delay == 5.0
         assert execution.response_time == 15.0
-        assert execution.mean_power == pytest.approx(10.0)
-
-    def test_zero_duration_power_is_zero(self):
-        execution = self.make(started=5.0, completed=5.0, energy=0.0)
-        assert execution.mean_power == 0.0
 
     def test_rejects_start_before_submission(self):
         with pytest.raises(ValueError):
@@ -73,7 +67,3 @@ class TestTaskExecution:
     def test_rejects_completion_before_start(self):
         with pytest.raises(ValueError):
             self.make(started=5.0, completed=4.0)
-
-    def test_rejects_negative_energy(self):
-        with pytest.raises(ValueError):
-            self.make(energy=-1.0)

@@ -32,7 +32,7 @@ from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task
 from tests.conftest import run_beside_meter
-from tests.wattmeter import analytic_energy, power_trace
+from tests.wattmeter import analytic_energy, power_trace, tick_count
 
 # -- strategies -----------------------------------------------------------------
 
@@ -103,7 +103,7 @@ def build_simulation(platform, policy_name, rows, *, sample_period):
 
 def tick_total(segment_log) -> int:
     """Sampling instants the segment log accounts, over every node."""
-    return sum(segment_log.tick_count(node) for node in segment_log.nodes)
+    return sum(tick_count(segment_log, node) for node in segment_log.nodes)
 
 
 def assert_logs_equivalent(platform, polling_log, segment_log):

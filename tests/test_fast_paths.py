@@ -4,7 +4,9 @@ Where a caller's value enters the per-task path, an exact-float range
 check accepts the common case and sends anything else to the validator
 that used to run on every call.  So every input must meet the same fate
 as under the validator alone: the same exception type and message, or
-acceptance of the same value.  The rank keys of POWER, PERFORMANCE and
+acceptance of the same value.  GREEN_SCORE's preference exponent checks
+its input inline, and must fail exactly as the :class:`UserPreference`
+value object does.  The rank keys of POWER, PERFORMANCE and
 GREENPERF read the estimation values dict directly; a missing tag must
 still raise :meth:`EstimationVector.get`'s ``KeyError``.
 """
@@ -18,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.greenperf import PowerEstimationMode, greenperf_of_vector
+from repro.core.preferences import PRACTICAL_USER_BOUND, UserPreference
+from repro.core.scoring import preference_exponent
 from repro.core.policies import GreenPerfPolicy, PerformancePolicy, PowerPolicy, policy_by_name
 from repro.infrastructure.cluster import Cluster
 from repro.infrastructure.node import Node
@@ -28,7 +32,8 @@ from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.hierarchy import build_hierarchy
 from repro.middleware.plugin_scheduler import CandidateEntry
-from repro.simulation.task import Task, TaskExecution
+from repro.middleware.sed import ServerDaemon
+from repro.simulation.task import Task
 from repro.util import validation
 from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
 from tests.conftest import make_spec
@@ -69,11 +74,21 @@ class TestSameFateAsTheValidator:
         else:  # rejected before any state moved
             assert node.busy_cores == 1 and node.completed_tasks == 0
 
-    def test_task_execution_energy(self, value):
-        fate = _fate(lambda: TaskExecution(0, "n", "c", 0.0, 1.0, 2.0, value))
-        assert fate == _fate(lambda: ensure_non_negative(value, "energy"))
+    def test_request_power_observation(self, value):
+        sed = ServerDaemon(Node(make_spec()))
+        fate = _fate(lambda: sed.record_request_power(value))
+        assert fate == _fate(lambda: ensure_non_negative(value, "mean_power"))
         if fate == ("ok",):
-            assert TaskExecution(0, "n", "c", 0.0, 1.0, 2.0, value).energy is value
+            assert sed.observed_request_count == 1 and sed.dynamic_mean_power() == value
+        else:  # rejected before the average moved
+            assert sed.observed_request_count == 0
+
+    def test_preference_exponent(self, value):
+        fate = _fate(lambda: preference_exponent(value))
+        assert fate == _fate(lambda: UserPreference(value))
+        if fate == ("ok",):
+            clamped = max(-PRACTICAL_USER_BOUND, min(PRACTICAL_USER_BOUND, float(value)))
+            assert preference_exponent(value) == 2.0 / (clamped + 1.0) - 1.0
 
     def test_duration_on_flops_per_core(self, value):
         task = Task(flop=3.0e9)

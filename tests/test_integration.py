@@ -19,6 +19,8 @@ from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.generator import BurstThenContinuousWorkload, PoissonWorkload
+from tests.conftest import executions, of_kind
+from tests.wattmeter import tick_count
 
 
 def run_workload(policy_name, tasks, *, nodes_per_cluster=1, sample_period=1.0, seed=0):
@@ -41,7 +43,7 @@ class TestEnergyConservation:
         platform = simulation.platform
         energy_log = simulation.energy_log
         makespan_samples = sum(
-            energy_log.tick_count(node.name) for node in platform.nodes
+            tick_count(energy_log, node.name) for node in platform.nodes
         ) / len(platform)
         idle_floor = sum(node.spec.idle_power for node in platform.nodes)
         peak_ceiling = sum(node.spec.peak_power for node in platform.nodes)
@@ -67,23 +69,23 @@ class TestWorkConservation:
     def test_every_submitted_task_completes_exactly_once(self, policy):
         simulation, result = run_workload(policy, WORKLOAD)
         assert result.metrics.task_count == len(WORKLOAD)
-        completed_ids = [e.task_id for e in simulation.metrics.executions]
+        completed_ids = [e.task_id for e in executions(simulation.metrics)]
         assert len(completed_ids) == len(set(completed_ids))
 
     def test_started_equals_completed(self):
         simulation, _ = run_workload("POWER", WORKLOAD)
         trace = simulation.trace
-        assert len(trace.of_kind(ExecutionTrace.TASK_STARTED)) == len(
-            trace.of_kind(ExecutionTrace.TASK_COMPLETED)
+        assert len(of_kind(trace, ExecutionTrace.TASK_STARTED)) == len(
+            of_kind(trace, ExecutionTrace.TASK_COMPLETED)
         )
 
     def test_scheduled_node_matches_execution_node(self):
         simulation, _ = run_workload("POWER", WORKLOAD)
         scheduled = {
             event["task_id"]: event["node"]
-            for event in simulation.trace.of_kind(ExecutionTrace.TASK_SCHEDULED)
+            for event in of_kind(simulation.trace, ExecutionTrace.TASK_SCHEDULED)
         }
-        for execution in simulation.metrics.executions:
+        for execution in executions(simulation.metrics):
             assert scheduled[execution.task_id] == execution.node
 
 
@@ -134,7 +136,7 @@ class TestProvisioningIntegration:
             platform,
             master,
             AdministratorRules.paper_defaults(),
-            ElectricityCostSchedule.constant(1.0),
+            ElectricityCostSchedule(default_cost=1.0),
             ThermalEnvironment(),
             seds=seds,
             engine=simulation.engine,

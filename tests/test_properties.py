@@ -13,12 +13,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.greenperf import GreenPerfRanking
 from repro.core.candidate_selection import select_candidate_servers
 from repro.core.policies import policy_by_name
-from repro.core.scoring import score
 from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.task import Task
-from tests.conftest import make_vector
+from tests.conftest import executions, make_vector
+from tests.equations import score
+from tests.wattmeter import tick_count
 
 # Small but non-trivial workloads keep each hypothesis example fast.
 workload_strategy = st.lists(
@@ -51,7 +52,7 @@ class TestSimulationProperties:
         """Every submitted task completes exactly once, none is lost."""
         _, simulation, result = _run(policy_name, rows)
         assert result.metrics.task_count == len(rows)
-        task_ids = [e.task_id for e in simulation.metrics.executions]
+        task_ids = [e.task_id for e in executions(simulation.metrics)]
         assert len(task_ids) == len(set(task_ids))
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -61,7 +62,7 @@ class TestSimulationProperties:
         platform, simulation, result = _run(policy_name, rows)
         energy_log = simulation.energy_log
         samples_per_node = sum(
-            energy_log.tick_count(node.name) for node in platform.nodes
+            tick_count(energy_log, node.name) for node in platform.nodes
         ) / len(platform)
         period = simulation.energy_log.sample_period
         idle_floor = sum(node.spec.idle_power for node in platform.nodes)
@@ -74,7 +75,7 @@ class TestSimulationProperties:
     def test_execution_times_are_consistent(self, rows, policy_name):
         """Start >= submission, completion > start, duration matches the node."""
         platform, simulation, _ = _run(policy_name, rows)
-        for execution in simulation.metrics.executions:
+        for execution in executions(simulation.metrics):
             assert execution.started_at >= execution.submitted_at
             assert execution.completed_at > execution.started_at
             node = platform.node(execution.node)
@@ -212,9 +213,7 @@ class TestCoreProperties:
         ]
         ranking = GreenPerfRanking(vectors)
         selected = select_candidate_servers(ranking, preference)
-        assert [entry.server for entry in selected] == list(
-            ranking.server_names[: len(selected)]
-        )
+        assert list(selected) == list(ranking.entries[: len(selected)])
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -120,3 +120,16 @@ class TestFiniteNumberCheck:
             ensure_in_range(False, "x", 0.0, 1.0)
         with pytest.raises(ValueError, match="^x must be finite, got inf$"):
             ensure_in_range(math.inf, "x", 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            ensure_positive,
+            ensure_non_negative,
+            lambda value, name: ensure_in_range(value, name, 0, 1),
+        ],
+        ids=["positive", "non-negative", "in-range"],
+    )
+    def test_an_int_beyond_the_float_range_is_not_finite(self, check):
+        with pytest.raises(ValueError, match="^x must be finite, got 1000"):
+            check(10**400, "x")

@@ -254,3 +254,18 @@ def reference_windowed_power(
             series.append((end, float(watts[mask].mean())))
         k += 1
     return tuple(series)
+
+
+def energy_of_node(log, node: str) -> float:
+    """Integrated energy of one node (J); 0.0 if never observed."""
+    return log.energy_by_node().get(node, 0.0)
+
+
+def energy_of_cluster(log, cluster: str) -> float:
+    """Integrated energy of one cluster (J); 0.0 if never observed."""
+    return log.energy_by_cluster().get(cluster, 0.0)
+
+
+def tick_count(log: SegmentEnergyLog, node: str) -> int:
+    """Sampling instants a segment log has accounted for ``node``."""
+    return sum(segment.ticks for segment in log.segments(node))

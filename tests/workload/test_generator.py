@@ -5,9 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.workload.generator import (
     BurstThenContinuousWorkload,
-    ClosedLoopWorkload,
     PoissonWorkload,
-    SteadyRateWorkload,
 )
 
 
@@ -89,20 +87,6 @@ class TestBurstThenContinuous:
         assert all(t >= 0 for t in times)
 
 
-class TestSteadyRate:
-    def test_constant_gaps(self):
-        workload = SteadyRateWorkload(total_tasks=4, rate=4.0)
-        assert arrivals(workload.generate()) == pytest.approx([0.0, 0.25, 0.5, 0.75])
-
-    def test_start_time_offset(self):
-        workload = SteadyRateWorkload(total_tasks=2, rate=1.0, start_time=100.0)
-        assert arrivals(workload.generate()) == pytest.approx([100.0, 101.0])
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            SteadyRateWorkload(total_tasks=2, rate=0.0)
-
-
 class TestPoisson:
     def test_reproducible_with_seed(self):
         first = PoissonWorkload(total_tasks=20, rate=1.0, seed=42).generate()
@@ -131,18 +115,3 @@ class TestPoisson:
         tasks = PoissonWorkload(total_tasks=50, rate=5.0, seed=3).generate()
         times = arrivals(tasks)
         assert times == sorted(times)
-
-
-class TestClosedLoop:
-    def test_wave_structure(self):
-        workload = ClosedLoopWorkload(total_tasks=6, concurrency=2, think_time=10.0)
-        times = arrivals(workload.generate())
-        assert times == pytest.approx([0.0, 0.0, 10.0, 10.0, 20.0, 20.0])
-
-    def test_total_count(self):
-        workload = ClosedLoopWorkload(total_tasks=7, concurrency=3)
-        assert len(workload.generate()) == 7
-
-    def test_invalid_concurrency(self):
-        with pytest.raises(ValueError):
-            ClosedLoopWorkload(total_tasks=5, concurrency=0)

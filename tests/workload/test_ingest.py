@@ -20,7 +20,6 @@ from repro.workload.ingest import (
     apply_transforms,
     load_swf_trace,
     parse_swf,
-    preference_by_queue,
     read_swf_header,
     tasks_from_swf,
 )
@@ -228,11 +227,6 @@ class TestFieldMapping:
     def test_unplayable_jobs_return_none(self):
         assert SWFTraceMap().task_for(self.job(run_time=None)) is None
         assert SWFTraceMap().task_for(self.job(allocated_processors=0)) is None
-
-    def test_preference_rule_applies_and_clamps(self):
-        mapping = SWFTraceMap(preference_rule=preference_by_queue({2: 5.0}))
-        task = mapping.task_for(self.job(), origin=100.0)
-        assert task.user_preference == 1.0  # clamped into [-1, 1]
 
     def test_arrival_rebased_to_origin_and_clamped(self):
         mapping = SWFTraceMap()

@@ -142,10 +142,8 @@ class TestTraceWorkloadConstruction:
         with pytest.raises(ValueError, match="exactly one"):
             TraceWorkload(tasks=[], loader=lambda: [])
 
-    def test_from_iter_consumes_iterator_once(self):
-        workload = TraceWorkload.from_iter(
-            Task(arrival_time=float(i)) for i in (2, 0, 1)
-        )
+    def test_a_task_iterator_is_consumed_once(self):
+        workload = TraceWorkload(tasks=(Task(arrival_time=float(i)) for i in (2, 0, 1)))
         first = workload.generate()
         second = workload.generate()
         assert first is second

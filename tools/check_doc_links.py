@@ -14,6 +14,10 @@ Two families of checks, both run by CI:
   ``repro.*`` target does not import/resolve.  This is what keeps module
   docstrings honest when code moves: a reference to a renamed policy
   module fails the build instead of silently going stale.
+* **Example imports** — every ``from repro… import …`` (and
+  ``import repro…``) statement in a ```` ```python ```` block of the
+  same Markdown documents must resolve, so a snippet never imports a
+  name the package no longer has.
 
 Run from the repository root (CI does)::
 
@@ -130,24 +134,79 @@ def check_code_references(root: Path) -> tuple[list[str], int]:
     return errors, checked
 
 
+#: A fenced ```python block of a Markdown document.
+PYTHON_BLOCK = re.compile(r"^```python[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+#: One ``repro`` import statement: ``from repro.x import a, b as c`` (a
+#: parenthesised name list may span lines) or ``import repro.x``.
+REPRO_IMPORT = re.compile(
+    r"^\s*(?:from\s+(repro[\w.]*)\s+import\s+(\([^)]*\)|[^\n#]+)|import\s+(repro[\w.]*))",
+    re.MULTILINE,
+)
+
+
+def imported_names(block: str) -> list[tuple[int, str]]:
+    """``(line offset, dotted target)`` for every ``repro`` import of a code block.
+
+    >>> imported_names("import json\\nfrom repro.runner import (\\n    grid,\\n    iter_grid as g)")
+    [(1, 'repro.runner.grid'), (1, 'repro.runner.iter_grid')]
+    >>> imported_names("import repro.cli\\n")
+    [(0, 'repro.cli')]
+    """
+    found = []
+    for match in REPRO_IMPORT.finditer(block):
+        offset = block.count("\n", 0, match.start())
+        module, names, plain = match.groups()
+        if plain:
+            found.append((offset, plain))
+            continue
+        for name in names.strip("()").split(","):
+            name = name.split(" as ")[0].strip()
+            if name:
+                found.append((offset, f"{module}.{name}"))
+    return found
+
+
+def check_document_imports(path: Path, root: Path) -> tuple[list[str], int]:
+    """Resolve every ``repro`` import of ``path``'s ```python blocks.
+
+    Returns ``(errors, import_count)``.
+    """
+    errors: list[str] = []
+    checked = 0
+    text = path.read_text("utf-8")
+    for block in PYTHON_BLOCK.finditer(text):
+        first_line = text.count("\n", 0, block.start(1)) + 1
+        for offset, target in imported_names(block.group(1)):
+            checked += 1
+            if not resolves_reference(target):
+                errors.append(
+                    f"{path.relative_to(root)}:{first_line + offset}: example imports "
+                    f"{target!r}, which does not resolve"
+                )
+    return errors, checked
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     documents = [root / "README.md", *sorted((root / "docs").glob("**/*.md"))]
     errors: list[str] = []
-    checked = 0
+    checked = imports = 0
     for document in documents:
         if not document.exists():
             errors.append(f"expected document is missing: {document}")
             continue
         checked += 1
         errors.extend(check_file(document, root))
+        import_errors, count = check_document_imports(document, root)
+        errors.extend(import_errors)
+        imports += count
     reference_errors, references = check_code_references(root)
     errors.extend(reference_errors)
     for error in errors:
         print(f"check_doc_links: {error}", file=sys.stderr)
     print(
         f"check_doc_links: {checked} document(s), {references} code reference(s), "
-        f"{len(errors)} problem(s)"
+        f"{imports} example import(s), {len(errors)} problem(s)"
     )
     return 1 if errors else 0
 
