@@ -39,10 +39,7 @@ def _run_with_cap(provider_preference: float):
     ranking = GreenPerfRanking(vectors, mode=PowerEstimationMode.STATIC)
     selected = select_candidate_servers(ranking, provider_preference)
     allowed = {entry.server for entry in selected}
-    master.set_candidate_filter(
-        lambda request, candidates: [c for c in candidates if c.server in allowed]
-        or list(candidates)
-    )
+    master.set_candidate_filter(allowed)
 
     simulation = MiddlewareSimulation(
         platform, master, seds, sample_period=CONFIG.sample_period,

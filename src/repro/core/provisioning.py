@@ -16,16 +16,17 @@ The :class:`ProvisioningPlanner` is the piece that makes the scheduling
   kill running work;
 * candidates are always chosen in GreenPerf order: the most
   energy-efficient nodes are enabled first and disabled last;
-* it installs a candidate filter on the Master Agent so that only
-  candidate nodes are eligible for election, and (optionally) powers
-  de-provisioned nodes off once they are idle;
+* it installs its candidate set on the Master Agent (a fresh
+  ``frozenset`` at every change) so that only candidate nodes are eligible
+  for election, and (optionally) powers de-provisioned nodes off once
+  they are idle;
 * every check appends a :class:`PlanningEntry` to the provisioning
   planning, the status samples of the paper's shared planning file (Fig. 8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.greenperf import IncrementalGreenPerfOrder, PerformanceBasis
@@ -35,8 +36,6 @@ from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import Platform
 from repro.infrastructure.thermal import ThermalEnvironment
 from repro.middleware.agents import MasterAgent
-from repro.middleware.plugin_scheduler import CandidateEntry
-from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.trace import ExecutionTrace
@@ -90,17 +89,6 @@ class ProvisioningConfig:
             )
 
 
-@dataclass(frozen=True)
-class ProvisioningDecision:
-    """Snapshot of one status check."""
-
-    time: float
-    temperature: float
-    electricity_cost: float
-    candidate_count: int
-    candidate_nodes: tuple[str, ...] = field(default_factory=tuple)
-
-
 class ProvisioningPlanner:
     """Adapts the candidate-node set to energy-related events."""
 
@@ -127,9 +115,11 @@ class ProvisioningPlanner:
         self.trace = trace
         self.config = config or ProvisioningConfig()
         self._planning: list[PlanningEntry] = []
-        self._decisions: list[ProvisioningDecision] = []
-        self._candidates: set[str] = set()
+        #: Frozen, and replaced at every change: the Master Agent holds it.
+        self._candidates: frozenset[str] = frozenset()
         self._installed = False
+        #: ``(name, node)`` of every node, in platform order (the drain loop).
+        self._named_nodes = tuple((node.name, node) for node in platform.nodes)
         self._order = IncrementalGreenPerfOrder(
             tuple(platform.nodes), seds=self.seds, basis=PerformanceBasis.TOTAL_FLOPS
         )
@@ -143,7 +133,7 @@ class ProvisioningPlanner:
         else:
             status = self.status_at(0.0)
             count = self.rules.evaluate(status).candidate_count
-        self._candidates = set(ranking[:count])
+        self._candidates = frozenset(ranking[:count])
 
     def _greenperf_order(self) -> list[str]:
         """All node names sorted by ascending GreenPerf (best first).
@@ -161,25 +151,21 @@ class ProvisioningPlanner:
 
     # -- candidate filter -----------------------------------------------------------
     def install(self) -> None:
-        """Install this planner as the Master Agent's candidate filter."""
-        self.master.set_candidate_filter(self._filter_candidates)
-        self._installed = True
+        """Install the candidate set as the Master Agent's candidate filter.
 
-    def _filter_candidates(
-        self, request: ServiceRequest, candidates: Sequence[CandidateEntry]
-    ) -> Sequence[CandidateEntry]:
-        allowed = self._candidates
-        filtered = [entry for entry in candidates if entry.server in allowed]
-        # Never leave a request unservable because of provisioning: if the
-        # filter would reject everything, fall back to the full candidate
-        # list (the paper's client always finds at least the minimum pool).
-        return filtered if filtered else list(candidates)
+        Every later change installs the new set.  A request none of the
+        candidates can serve goes to the best server outside the set (the
+        Master Agent's fallback): the paper's client always finds at
+        least the minimum pool.
+        """
+        self.master.set_candidate_filter(self._candidates)
+        self._installed = True
 
     # -- status & decisions -----------------------------------------------------------
     @property
     def candidate_nodes(self) -> frozenset[str]:
         """Names of the nodes currently eligible for election."""
-        return frozenset(self._candidates)
+        return self._candidates
 
     @property
     def candidate_count(self) -> int:
@@ -195,9 +181,7 @@ class ProvisioningPlanner:
         """The platform status visible to the scheduler at ``time``."""
         return PlatformStatus(
             time=time,
-            temperature=self.thermal.temperature(
-                time, platform_power_watts=self.platform.current_power()
-            ),
+            temperature=self.thermal.temperature(time),
             electricity_cost=self.electricity.cost_at(time),
             total_nodes=len(self.platform),
         )
@@ -228,8 +212,8 @@ class ProvisioningPlanner:
         return decision_now, status_now
 
     # -- the periodic check -------------------------------------------------------------
-    def check(self, now: float) -> ProvisioningDecision:
-        """Perform one status check and move the candidate set one ramp step."""
+    def check(self, now: float) -> PlanningEntry:
+        """Perform one status check, move the candidate set one ramp step, log it."""
         decision, status = self._target_candidates(now)
         target = decision.candidate_count
         current = len(self._candidates)
@@ -244,23 +228,13 @@ class ProvisioningPlanner:
         if new_count != current:
             self._resize_candidates(new_count, now)
 
-        self._planning.append(
-            PlanningEntry(
-                timestamp=now,
-                temperature=status.temperature,
-                candidates=len(self._candidates),
-                electricity_cost=status.electricity_cost,
-            )
-        )
-
-        snapshot = ProvisioningDecision(
-            time=now,
+        entry = PlanningEntry(
+            timestamp=now,
             temperature=status.temperature,
+            candidates=len(self._candidates),
             electricity_cost=status.electricity_cost,
-            candidate_count=len(self._candidates),
-            candidate_nodes=tuple(sorted(self._candidates)),
         )
-        self._decisions.append(snapshot)
+        self._planning.append(entry)
         if self.trace is not None:
             self.trace.record(
                 now,
@@ -271,11 +245,11 @@ class ProvisioningPlanner:
                 target=target,
                 candidates=len(self._candidates),
             )
-        return snapshot
+        return entry
 
     def _resize_candidates(self, new_count: int, now: float) -> None:
         ranking = self._greenperf_order()
-        current = self._candidates
+        current = set(self._candidates)
         if new_count > len(current):
             # Enable the most efficient non-candidate nodes first.
             for name in ranking:
@@ -292,6 +266,9 @@ class ProvisioningPlanner:
                 if name in current:
                     current.remove(name)
                     self._power_off(name, now)
+        self._candidates = frozenset(current)
+        if self._installed:
+            self.master.set_candidate_filter(self._candidates)
         if self.trace is not None:
             self.trace.record(
                 now,
@@ -364,16 +341,15 @@ class ProvisioningPlanner:
         if not self.config.manage_power:
             return 0
         turned_off = 0
-        for node in self.platform.nodes:
-            if node.name in self._candidates:
+        candidates = self._candidates
+        for name, node in self._named_nodes:
+            if name in candidates:
                 continue
             if node.state is NodeState.ON and node.busy_cores == 0:
                 node.power_off()
                 turned_off += 1
                 if self.trace is not None:
-                    self.trace.record(
-                        now, ExecutionTrace.NODE_POWERED_OFF, node=node.name
-                    )
+                    self.trace.record(now, ExecutionTrace.NODE_POWERED_OFF, node=name)
         return turned_off
 
     # -- periodic scheduling ------------------------------------------------------------
@@ -398,4 +374,4 @@ class ProvisioningPlanner:
 
     def candidate_history(self) -> Sequence[tuple[float, int]]:
         """``(time, candidate_count)`` series across all checks (Figure 9)."""
-        return tuple((d.time, d.candidate_count) for d in self._decisions)
+        return tuple((entry.timestamp, entry.candidates) for entry in self._planning)

@@ -97,7 +97,3 @@ class Cluster:
     def total_cores(self) -> int:
         """Total number of cores across the cluster."""
         return sum(node.spec.cores for node in self._nodes)
-
-    def current_power(self) -> float:
-        """Instantaneous power draw of the whole cluster (W)."""
-        return sum(node.current_power() for node in self._nodes)

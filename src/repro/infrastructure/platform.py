@@ -184,10 +184,6 @@ class Platform:
         """Total core count of the platform."""
         return sum(cluster.total_cores for cluster in self._clusters)
 
-    def current_power(self) -> float:
-        """Instantaneous power draw of the whole platform (W)."""
-        return sum(cluster.current_power() for cluster in self._clusters)
-
 
 def grid5000_placement_platform(
     *,

@@ -7,10 +7,10 @@ detected by the Master Agent, and Event 4 is the return to an acceptable
 temperature.
 
 This module models the machine-room temperature as a piecewise-constant
-signal that can be perturbed by :class:`ThermalEvent` injections (the
-"unexpected" events of the paper) and optionally nudged by the platform's
-own power draw, which is enough to reproduce the scheduler-visible
-behaviour: a temperature reading compared against a threshold.
+signal stepped by :class:`ThermalEvent` injections (the "unexpected"
+events of the paper), which is enough to reproduce the scheduler-visible
+behaviour: a temperature reading compared against a threshold.  The heat
+peak is injected, not emergent, as in the paper's experiment.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ThermalEvent:
 
 
 class ThermalEnvironment:
-    """Piecewise-constant machine-room temperature with optional load coupling.
+    """Piecewise-constant machine-room temperature.
 
     Parameters
     ----------
@@ -50,10 +50,6 @@ class ThermalEnvironment:
         Temperature before any event (°C).
     threshold:
         Out-of-range threshold used by administrator rules (°C).
-    load_coefficient:
-        Additional degrees per kilowatt of platform draw.  The default of
-        0.0 keeps the temperature purely event-driven, matching the paper's
-        experiment where the heat peak is injected, not emergent.
     """
 
     def __init__(
@@ -61,12 +57,9 @@ class ThermalEnvironment:
         *,
         base_temperature: float = 21.0,
         threshold: float = DEFAULT_TEMPERATURE_THRESHOLD,
-        load_coefficient: float = 0.0,
     ) -> None:
         self.base_temperature = float(base_temperature)
         self.threshold = float(threshold)
-        ensure_non_negative(load_coefficient, "load_coefficient")
-        self.load_coefficient = float(load_coefficient)
         self._events: list[ThermalEvent] = []
         self._event_times: list[float] = []
 
@@ -81,21 +74,9 @@ class ThermalEnvironment:
         """Scheduled events sorted by time."""
         return tuple(self._events)
 
-    def ambient_temperature(self, time: float) -> float:
-        """Event-driven component of the temperature at ``time`` (°C)."""
+    def temperature(self, time: float) -> float:
+        """Temperature reading at ``time`` (°C): the last step at or before it."""
         index = bisect.bisect_right(self._event_times, time) - 1
         if index < 0:
             return self.base_temperature
         return self._events[index].temperature
-
-    def temperature(self, time: float, *, platform_power_watts: float = 0.0) -> float:
-        """Temperature reading at ``time`` (°C).
-
-        ``platform_power_watts`` adds ``load_coefficient`` degrees per
-        kilowatt drawn, when load coupling is enabled.
-        """
-        ensure_non_negative(platform_power_watts, "platform_power_watts")
-        return (
-            self.ambient_temperature(time)
-            + self.load_coefficient * platform_power_watts / 1000.0
-        )

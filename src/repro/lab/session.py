@@ -324,7 +324,7 @@ class LabSession:
                 thermal=thermal,
                 seds=seds,
                 engine=simulation.engine,
-                trace=simulation.trace,
+                trace=simulation.trace if self.trace_level == "full" else None,
             )
             planner.install()
             planner.start(first_check_at=self.provisioning.first_check_at)

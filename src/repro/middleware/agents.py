@@ -12,15 +12,15 @@ scheduling process reproduced here follows Section III-A:
    scheduler; the Master Agent elects the first SeD of the final ranking;
 5. the client contacts the elected SeD.
 
-A *candidate filter* hook on the Master Agent lets the green provisioning
-layer (Section III-C) restrict the set of candidate nodes before the
-final sorting — that is where the administrator's thresholds and
+A *candidate filter* on the Master Agent — a set of server names — lets
+the green provisioning layer (Section III-C) restrict the election to the
+candidate nodes: that is where the administrator's thresholds and
 ``Preference_provider`` act.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from repro.middleware.plugin_scheduler import (
     CandidateEntry,
@@ -30,15 +30,6 @@ from repro.middleware.plugin_scheduler import (
 from repro.middleware.ranking import choose_election
 from repro.middleware.requests import SchedulingOutcome, ServiceRequest
 from repro.middleware.sed import ServerDaemon
-
-#: Hook filtering the candidate entries the Master Agent considers.
-#:
-#: Contract: the filter returns an order-preserving subsequence of its
-#: input (it drops entries, never reorders or adds them).  The Master
-#: Agent relies on it to skip re-sorting a resident or flat-election
-#: ranking after the filter (``resort_after_filter`` in
-#: :mod:`repro.middleware.ranking`).
-CandidateFilter = Callable[[ServiceRequest, Sequence[CandidateEntry]], Sequence[CandidateEntry]]
 
 
 class Agent:
@@ -164,14 +155,14 @@ class LocalAgent(Agent):
 class MasterAgent(Agent):
     """The head of the hierarchy (MA).
 
-    In addition to the common agent behaviour, the Master Agent applies an
-    optional *candidate filter* before the final sort — the hook used by
-    the adaptive provisioning layer to cap the number of candidate nodes —
-    and elects the first SeD of the resulting ranking.  How that head is
-    found (a resident order, a flat ``min`` or a replay of the tree walk)
-    is chosen once per topology version by
-    :func:`~repro.middleware.ranking.choose_election`; only a candidate
-    filter makes the strategy build the whole ranking.
+    In addition to the common agent behaviour, the Master Agent holds an
+    optional *candidate filter* — the frozen set of server names the
+    adaptive provisioning layer allows — and elects the best-ranked
+    allowed SeD, or the best-ranked SeD when the set allows none of the
+    candidates (provisioning never leaves a request unservable).  How
+    that winner is found (a resident order, a flat ``min`` or a replay of
+    the tree walk) is chosen once per topology version by
+    :func:`~repro.middleware.ranking.choose_election`.
     """
 
     def __init__(
@@ -179,10 +170,9 @@ class MasterAgent(Agent):
         name: str = "master-agent",
         *,
         scheduler: PluginScheduler | None = None,
-        candidate_filter: CandidateFilter | None = None,
     ) -> None:
         super().__init__(name, scheduler=scheduler)
-        self.candidate_filter = candidate_filter
+        self.candidate_filter: frozenset[str] | None = None
         #: Picks the election strategy whenever the topology version moves.
         self._choose_election = choose_election
         self._election = None
@@ -192,9 +182,13 @@ class MasterAgent(Agent):
         #: only; ``None`` costs nothing).
         self.phase_timer = None
 
-    def set_candidate_filter(self, candidate_filter: CandidateFilter | None) -> None:
-        """Install (or clear) the candidate filter."""
-        self.candidate_filter = candidate_filter
+    def set_candidate_filter(self, servers: Iterable[str] | None) -> None:
+        """Allow only ``servers`` to be elected (``None`` allows every server).
+
+        The names are frozen (a ``frozenset`` is kept as is), so a caller
+        that goes on mutating its own set never moves the filter.
+        """
+        self.candidate_filter = None if servers is None else frozenset(servers)
 
     def _current_election(self):
         """The election strategy for the current topology version."""
@@ -210,9 +204,6 @@ class MasterAgent(Agent):
 
         Returns a :class:`SchedulingOutcome` whose ``elected`` field is
         ``None`` when no SeD can solve the request (error case of step 1).
-        Without a candidate filter the election strategy finds the winner
-        itself (``elect``); a filter needs the ranking, so the Master Agent
-        filters the strategy's ``candidates`` and elects their head.
         """
         timer = self.phase_timer
         if timer is not None:
@@ -223,24 +214,8 @@ class MasterAgent(Agent):
             timer.pop()
             timer.push("scoring")
         try:
-            if self.candidate_filter is None:
-                winner = election.elect(request)
-            else:
-                ranking = self._filtered_candidates(election, request)
-                winner = ranking[0] if ranking else None
+            winner = election.elect(request, self.candidate_filter)
         finally:
             if timer is not None:
                 timer.pop()
         return SchedulingOutcome(None if winner is None else winner.server)
-
-    def _filtered_candidates(self, election, request: ServiceRequest) -> Sequence[CandidateEntry]:
-        """``election``'s ranking for ``request`` after the candidate filter."""
-        candidates = election.candidates(request)
-        if not candidates:
-            return candidates
-        candidates = list(self.candidate_filter(request, candidates))
-        # An order-preserving subsequence of a total order is still
-        # sorted; the replayed walk's output may not be.
-        if election.resort_after_filter:
-            candidates = self.scheduler.sort(request, candidates)
-        return candidates

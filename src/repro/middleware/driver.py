@@ -262,7 +262,7 @@ class MiddlewareSimulation:
         task.state = TaskState.RUNNING
         duration = task.duration_on(node.spec.flops_per_core)
         node_power = node.current_power()
-        attributed_power = node_power / max(node.busy_cores, 1)
+        args = (sed, task, task.arrival_time, now, node_power)
         if self._trace_on:
             self.trace.record(
                 now,
@@ -272,10 +272,13 @@ class MiddlewareSimulation:
                 cluster=node.cluster,
                 duration=duration,
             )
+            # The per-core share of the node's draw: only the completion
+            # record's ``energy`` detail reads it.
+            args += (node_power / max(node.busy_cores, 1),)
         completion = self.engine.schedule(
             now + duration,
             self._complete_task,
-            args=(sed, task, task.arrival_time, now, node_power, attributed_power),
+            args=args,
             label=f"completion-{task.task_id}" if self._trace_on else "",
         )
         self._inflight[sed][task.task_id] = (completion, task)
@@ -288,7 +291,7 @@ class MiddlewareSimulation:
         submitted_at: float,
         started_at: float,
         node_power: float,
-        attributed_power: float,
+        attributed_power: float = 0.0,
     ) -> None:
         now = self.engine.now
         node = sed.node

@@ -4,9 +4,11 @@ Every agent of the hierarchy sorts its candidates with the plug-in
 scheduler and the Master Agent elects the head of the ranking
 (Section III-A).  :func:`choose_election` picks how that head is found,
 once per topology version, among three strategies with one surface —
-``elect(request)`` (the winner, or ``None``), ``candidates(request)`` (the
-full ranking, which the candidate filter needs), ``refresh(request)``,
-``detach()`` and the class flag ``resort_after_filter``.
+``elect(request, allowed=None)`` (the winner, or ``None``),
+``candidates(request)`` (the full ranking), ``refresh(request)`` and
+``detach()``.  ``allowed`` is the Master Agent's candidate set: the winner
+is the best-ranked server it names, or the best-ranked server when it
+names none of the candidates.
 
 All three keep one :class:`RowStore`: a row per SeD, kept between
 elections in the walk's depth-first order.  The store subscribes to every
@@ -30,9 +32,10 @@ walk's order so their ``estimate`` calls are the walk's.
   rows, for every other policy or hierarchy (RANDOM draws its noise per
   call, so every call counts).
 
-``elect`` is the head of ``candidates`` everywhere but in
-:class:`FlatElection`, the one strategy where electing costs less than
-ranking.
+``elect`` is the first allowed entry of ``candidates`` everywhere but in
+:class:`FlatElection` without a candidate set, the one case where
+electing costs less than ranking, and in :class:`WalkReplay` with one,
+where the Master Agent re-sorts the allowed entries as the walk does.
 
 The per-request walk of Section III-A itself
 (:meth:`~repro.middleware.agents.Agent.collect_candidates`) is the
@@ -45,9 +48,11 @@ agent's own scheduler, on the same lists.
 ``tests/core/test_ranking_incremental.py``,
 ``tests/core/test_flat_election.py`` and
 ``tests/core/test_walk_replay.py`` prove it bit for bit against the walk
-under hypothesis-generated transition streams, and
+under hypothesis-generated transition streams,
 ``tests/core/test_elect.py`` proves each ``elect`` equal to the head of
-its ``candidates``.
+its ``candidates``, and ``tests/core/test_candidate_set.py`` proves it
+equal to "keep the allowed, fall back, re-sort for the replay" under a
+candidate set.
 """
 
 from __future__ import annotations
@@ -70,8 +75,6 @@ class RowStore:
     (:meth:`~repro.middleware.sed.ServerDaemon.set_estimation_function`),
     so the Master Agent chooses a new strategy.
     """
-
-    resort_after_filter = False
 
     def __init__(self, seds: Sequence[ServerDaemon], make_row) -> None:
         self._make_row = make_row
@@ -129,9 +132,18 @@ class RowStore:
             if sed.can_solve(service):
                 self._set_row(sed, self._row(sed, request))
 
-    def elect(self, request) -> CandidateEntry | None:
-        """The winner for ``request`` (the head of :meth:`candidates`), or ``None``."""
+    def elect(self, request, allowed=None) -> CandidateEntry | None:
+        """The winner for ``request``, or ``None`` when no server can serve it.
+
+        The winner is the first entry of :meth:`candidates` whose server
+        is in ``allowed``, or the head when none is (or ``allowed`` is
+        ``None``): a candidate set never leaves a request unservable.
+        """
         ranking = self.candidates(request)
+        if allowed is not None:
+            for entry in ranking:
+                if entry.server in allowed:
+                    return entry
         return ranking[0] if ranking else None
 
     def _solved_by_all(self, service: str) -> bool | None:
@@ -307,8 +319,14 @@ class FlatElection(RowStore):
             return sorted(rows, key=self._rank_key)
         return [rows[key[-1]][0] for key in sorted(self._score_keys(request, rows))]
 
-    def elect(self, request) -> CandidateEntry | None:
-        """The candidate with the least key, or ``None``."""
+    def elect(self, request, allowed=None) -> CandidateEntry | None:
+        """The candidate with the least key, or ``None``.
+
+        With a candidate set the ranking is needed:
+        :meth:`RowStore.elect` scans it.
+        """
+        if allowed is not None:
+            return super().elect(request, allowed)
         self._update(request)
         if self._rank_key is None and not self._unscorable and self._solved_by_all(
             request.service
@@ -364,7 +382,8 @@ class WalkReplay(RowStore):
     agents do not share one policy instance, the walk's own calls are the
     ranking: a local sort per agent with that agent's scheduler, a merge
     re-sort only where an agent holds more than one partial ranking, and
-    the Master Agent's re-sort after the candidate filter.  The replay
+    the Master Agent's re-sort of the entries its candidate set allows
+    (the walk's output may end in a child's order).  The replay
     makes exactly those calls on exactly those lists, so a policy whose
     ranking depends on its call sequence (RANDOM draws fresh noise per
     ``sort``) moves its state as under the walk; only the per-request
@@ -373,11 +392,23 @@ class WalkReplay(RowStore):
     must not share mutable state with one.
     """
 
-    resort_after_filter = True
-
     def __init__(self, master) -> None:
         super().__init__(master.all_seds(), _entry_row)
         self._tree = _agent_tree(master)
+
+    def elect(self, request, allowed=None) -> CandidateEntry | None:
+        """The head of the replay, or ``None``.
+
+        Under a candidate set, the head of the Master Agent's re-sort of the
+        allowed entries (of all of them, when none is allowed).
+        """
+        ranking = self.candidates(request)
+        if not ranking:
+            return None
+        if allowed is not None:
+            kept = [entry for entry in ranking if entry.server in allowed]
+            ranking = self._tree[0](request, kept or ranking)
+        return ranking[0]
 
     def candidates(self, request) -> list[CandidateEntry]:
         """The Master Agent's ranking for ``request``, as the walk builds it."""

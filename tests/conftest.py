@@ -11,6 +11,7 @@ from repro.infrastructure.node import Node, NodeSpec
 from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.agents import MasterAgent
 from repro.middleware.estimation import EstimationTags, EstimationVector
+from repro.middleware.ranking import WalkReplay
 from repro.simulation.task import Task
 from repro.workload.generator import BurstThenContinuousWorkload
 from tests.wattmeter import Wattmeter
@@ -80,11 +81,10 @@ class TreeWalk:
     The oracle every election strategy of :mod:`repro.middleware.ranking`
     is proven equal to (:func:`force_tree_walk` pins a Master Agent to
     it).  Its output need not be in the Master Agent's order (a mixed
-    hierarchy ends in a child's order), so the Master Agent re-sorts it
-    after the candidate filter.
+    hierarchy ends in a child's order), so the Master Agent re-sorts the
+    entries its candidate set allows, as under
+    :class:`~repro.middleware.ranking.WalkReplay`.
     """
-
-    resort_after_filter = True
 
     def __init__(self, master) -> None:
         self._master = master
@@ -99,10 +99,10 @@ class TreeWalk:
         """The Master Agent's ``collect_candidates`` for ``request``."""
         return self._master.collect_candidates(request)
 
-    def elect(self, request):
-        """The head of the walk's ranking, or ``None``."""
-        ranking = self.candidates(request)
-        return ranking[0] if ranking else None
+    def elect(self, request, allowed=None):
+        """The head of the walk's ranking after the candidate set, or ``None``."""
+        ranked = allowed_ranking(self, self._master, request, allowed)
+        return ranked[0] if ranked else None
 
 
 def force_tree_walk(master):
@@ -128,17 +128,31 @@ def election_type(master) -> type:
     return type(master._current_election())
 
 
-def ranking(master, request) -> list:
-    """What ``master`` would rank for ``request``: its strategy's candidates.
+def allowed_ranking(election, master, request, allowed) -> list:
+    """The reference for an election under the candidate set ``allowed``.
 
-    This runs one election (a RANDOM policy draws); with a candidate
-    filter installed the ranking is filtered (and re-sorted) as
-    ``MasterAgent.submit`` does.
+    ``election``'s candidates, cut to the servers in ``allowed`` (all of
+    them when it names none, or is ``None``); a replayed or real tree walk
+    re-sorts them with the Master Agent's scheduler.  Its head is what
+    ``MasterAgent.submit`` elects.
+    """
+    ranked = list(election.candidates(request))
+    if allowed is None or not ranked:
+        return ranked
+    kept = [entry for entry in ranked if entry.server in allowed] or ranked
+    if isinstance(election, (WalkReplay, TreeWalk)):
+        kept = master.scheduler.sort(request, kept)
+    return kept
+
+
+def ranking(master, request) -> list:
+    """What ``master`` would rank for ``request`` under its candidate filter.
+
+    This runs one election (a RANDOM policy draws, and draws again for
+    the re-sort of a walk under a candidate set).
     """
     election = master._current_election()
-    if master.candidate_filter is None:
-        return list(election.candidates(request))
-    return list(master._filtered_candidates(election, request))
+    return allowed_ranking(election, master, request, master.candidate_filter)
 
 
 def steady_workload(total_tasks: int) -> BurstThenContinuousWorkload:

@@ -1,15 +1,15 @@
 """Property-based proof: each strategy's ``elect`` is the head of its ``candidates``.
 
-Without a candidate filter the Master Agent asks its election strategy
-for the winner alone (``elect(request)``); only a filter makes it build
-the whole ranking (``candidates(request)``), which
-``tests/core/test_ranking_incremental.py``,
+The Master Agent asks its election strategy for the winner alone
+(``elect(request)``; ``tests/core/test_candidate_set.py`` covers its
+candidate-set argument), while ``tests/core/test_ranking_incremental.py``,
 ``tests/core/test_flat_election.py`` and ``tests/core/test_walk_replay.py``
-prove equal to the tree walk.  These tests close the loop.  Twin
-hierarchies over the same SeDs, one calling ``elect`` and one calling
-``candidates``, must agree after every transition on the winner (the
-ranking's head, or ``None`` when it is empty) or on the error raised, and
-a RANDOM twin's generator state must match after every election:
+prove the whole ranking (``candidates(request)``) equal to the tree walk.
+These tests close the loop.  Twin hierarchies over the same SeDs, one
+calling ``elect`` and one calling ``candidates``, must agree after every
+transition on the winner (the ranking's head, or ``None`` when it is
+empty) or on the error raised, and a RANDOM twin's generator state must
+match after every election:
 
 * the resident ranking under POWER;
 * the flat election under GREEN_SCORE (with equal server states, score

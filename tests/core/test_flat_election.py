@@ -246,9 +246,9 @@ class TestFlatElectionGate:
         monkeypatch.setattr(GreenSchedulerPolicy, "sort", None)  # never re-sorted
         seds = _make_seds(6)
         master = _build(seds, range(6), 3, GreenSchedulerPolicy())
-        master.submit(self._request())
-        # An order-preserving filter does not trigger a re-sort.
-        master.set_candidate_filter(lambda request, candidates: candidates[1:])
+        head = master.submit(self._request()).elected
+        # A candidate set does not trigger a re-sort.
+        master.set_candidate_filter({sed.name for sed in seds} - {head})
         assert len(ranking(master, self._request())) == 5
         assert master.submit(self._request()).elected is not None
         assert calls == [6, 6, 6]

@@ -95,6 +95,19 @@ class TestCandidateFilter:
         # rather than rejecting it.
         assert result.metrics.task_count == 1
 
+    def test_every_change_installs_a_fresh_frozen_set(self):
+        planner, _, master, _ = make_planner(
+            cost_periods=[TariffPeriod(start=100.0, cost=0.8)], default_cost=1.0
+        )
+        planner.install()
+        before = master.candidate_filter
+        assert isinstance(before, frozenset) and before is planner.candidate_nodes
+        planner.check(100.0)
+        # The set the Master Agent held never moves; the new one replaces it.
+        assert len(before) == 4
+        assert master.candidate_filter is planner.candidate_nodes
+        assert len(master.candidate_filter) == 6
+
 
 class TestChecksAndRamping:
     def test_ramp_up_towards_cheaper_tariff(self):
@@ -103,14 +116,14 @@ class TestChecksAndRamping:
             cost_periods=[TariffPeriod(start=3600.0, cost=0.5)], default_cost=1.0, trace=trace
         )
         # Before the look-ahead window reaches the event nothing changes.
-        decision = planner.check(0.0)
-        assert decision.candidate_count == 4
+        entry = planner.check(0.0)
+        assert entry.candidates == 4
         # Within the look-ahead (t+20min of a t=60min event): ramp by 2.
-        decision = planner.check(2400.0)
+        entry = planner.check(2400.0)
         assert last_of_kind(trace, ExecutionTrace.STATUS_CHECK)["target"] == 12
-        assert decision.candidate_count == 6
-        decision = planner.check(3000.0)
-        assert decision.candidate_count == 8
+        assert entry.candidates == 6
+        entry = planner.check(3000.0)
+        assert entry.candidates == 8
 
     def test_ramp_down_on_heat_peak(self):
         trace = ExecutionTrace()
@@ -121,10 +134,10 @@ class TestChecksAndRamping:
         )
         planner.check(0.0)
         assert planner.candidate_count == 12
-        decision = planner.check(1000.0)
+        entry = planner.check(1000.0)
         # Overheating rule: target 2, ramped down by at most 4 per check.
         assert last_of_kind(trace, ExecutionTrace.STATUS_CHECK)["target"] == 2
-        assert decision.candidate_count == 8
+        assert entry.candidates == 8
         planner.check(1600.0)
         planner.check(2200.0)
         assert planner.candidate_count == 2
@@ -137,8 +150,8 @@ class TestChecksAndRamping:
         start = planner.candidate_count
         assert start == 12
         planner.thermal.schedule_event(ThermalEvent(time=10.0, temperature=40.0))
-        decision = planner.check(10.0)
-        assert decision.candidate_count == max(2, start - 10)
+        entry = planner.check(10.0)
+        assert entry.candidates == max(2, start - 10)
 
     def test_candidates_added_in_greenperf_order(self):
         planner, *_ = make_planner(
@@ -265,4 +278,4 @@ class TestPeriodicScheduling:
     def test_start_installs_candidate_filter(self):
         planner, _, master, _ = make_planner(with_engine=True)
         planner.start()
-        assert master.candidate_filter is not None
+        assert master.candidate_filter is planner.candidate_nodes

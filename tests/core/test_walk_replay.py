@@ -153,9 +153,9 @@ def _state(master):
     return state
 
 
-def _drop_every_other(request, candidates):
-    """An order-preserving candidate filter (it may leave nothing)."""
-    return candidates[1::2]
+def _every_other(seds):
+    """A candidate set of every other server (empty for one server: the fallback)."""
+    return {sed.name for sed in seds[1::2]}
 
 
 class TestReplayEqualsTreeWalk:
@@ -218,7 +218,7 @@ class TestReplayEqualsTreeWalk:
                 sed.node.fail()
         if with_filter:
             for master in masters:
-                master.set_candidate_filter(_drop_every_other)
+                master.set_candidate_filter(_every_other(seds))
         for index, (ops, service, flop) in enumerate(steps):
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
@@ -244,7 +244,7 @@ class TestReplayEqualsTreeWalk:
             for walk in (False, True)
         )
         for master in (replay, walk):
-            master.set_candidate_filter(_drop_every_other)
+            master.set_candidate_filter(_every_other(seds))
         request = ServiceRequest.from_task(Task(flop=4.0e9))
         for index in range(3):
             full = index % 2 == 1
@@ -254,7 +254,7 @@ class TestReplayEqualsTreeWalk:
         assert log == _state(walk)[0]
         # Per election: a local sort at each of the five agents holding a
         # SeD, a merge re-sort at the three holding more than one partial
-        # ranking, and the Master Agent's re-sort after the filter.
+        # ranking, and the Master Agent's re-sort of the allowed entries.
         assert len(log) == 3 * (5 + 3 + 1)
         assert log[:2] == [(20, ["node-0"]), (21, ["node-1", "node-2"])]
 

@@ -60,12 +60,3 @@ class TestLookupAndAggregates:
     def test_total_cores(self):
         cluster = make_cluster("alpha", 3, cores=4)
         assert cluster.total_cores == 12
-
-    def test_current_power_of_idle_cluster(self):
-        cluster = make_cluster("alpha", 2, idle_power=100.0, peak_power=250.0)
-        assert cluster.current_power() == pytest.approx(200.0)
-
-    def test_current_power_tracks_load(self):
-        cluster = make_cluster("alpha", 2, cores=2, idle_power=100.0, peak_power=200.0)
-        cluster[0].acquire_core()
-        assert cluster.current_power() == pytest.approx(100.0 + 50.0 + 100.0)

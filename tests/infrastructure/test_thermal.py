@@ -34,19 +34,6 @@ class TestThermalEnvironment:
         env = ThermalEnvironment()
         assert env.threshold == DEFAULT_TEMPERATURE_THRESHOLD == 25.0
 
-    def test_load_coupling_adds_heat(self):
-        env = ThermalEnvironment(base_temperature=20.0, load_coefficient=2.0)
-        assert env.temperature(0.0, platform_power_watts=1500.0) == pytest.approx(23.0)
-
-    def test_load_coupling_disabled_by_default(self):
-        env = ThermalEnvironment(base_temperature=20.0)
-        assert env.temperature(0.0, platform_power_watts=5000.0) == 20.0
-
-    def test_negative_power_rejected(self):
-        env = ThermalEnvironment()
-        with pytest.raises(ValueError):
-            env.temperature(0.0, platform_power_watts=-1.0)
-
     def test_event_with_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ThermalEvent(time=-1.0, temperature=20.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from repro.scenario.events import (
     NodeRecovery,
     TariffChange,
 )
+from repro.scenario.generators import exponential_failures, periodic_tariffs
+from repro.simulation.trace import ExecutionTrace
 from repro.workload.generator import BurstThenContinuousWorkload
 from tests.conftest import steady_workload
 
@@ -131,6 +134,61 @@ class TestMiddlewareBackend:
         assert result.candidate_series
         assert result.metrics["final_candidates"] >= 1.0
         assert result.planning_entries
+
+
+#: The trace kinds the provisioning planner records.
+PLANNER_KINDS = (
+    ExecutionTrace.STATUS_CHECK,
+    ExecutionTrace.CANDIDATES_CHANGED,
+    ExecutionTrace.NODE_POWERED_OFF,
+    ExecutionTrace.NODE_BOOT_STARTED,
+    ExecutionTrace.NODE_BOOT_COMPLETED,
+)
+
+
+def _storm(trace_level: str):
+    """A provisioned two-hour run under a crash storm and alternating tariffs."""
+    horizon = 7200.0
+    platform = PlatformSource.table1(4)
+    names = [node.name for node in platform.build_platform().nodes]
+    timeline = exponential_failures(
+        names[::3], mtbf=horizon / 4, mttr=horizon / 50, horizon=horizon, seed=3
+    ).extended(periodic_tariffs(period=horizon / 4, costs=(1.0, 0.5), horizon=horizon).events)
+    return LabSession(
+        platform=platform,
+        workload=WorkloadSource.from_generator(
+            BurstThenContinuousWorkload(
+                total_tasks=200, burst_size=20, continuous_rate=0.05, flop_per_task=5e11
+            )
+        ),
+        policy=PolicySource("GREENPERF"),
+        provisioning=ProvisioningSource(),
+        timeline=timeline,
+        horizon=horizon,
+        trace_level=trace_level,
+    ).run()
+
+
+class TestTraceLevel:
+    def test_off_leaves_the_trace_empty_under_provisioning(self):
+        off, full = _storm("off"), _storm("full")
+        assert len(off.simulation.trace) == 0
+        assert off.metrics == full.metrics
+        assert off.planning_entries == full.planning_entries
+
+    def test_full_keeps_every_planner_record(self):
+        """Status checks, candidate changes and power moves, pinned bit for bit."""
+        records = [
+            (event.time, event.kind, sorted(event.details.items()))
+            for event in _storm("full").simulation.trace
+            if event.kind in PLANNER_KINDS
+        ]
+        assert [sum(1 for record in records if record[1] == kind) for kind in PLANNER_KINDS] == [
+            13, 12, 16, 15, 15,
+        ]
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+            "af3e4ca69b21f39fa452de72da2aa73ace558c558fde905659154b99ae876565"
+        )
 
 
 class TestPointBackend:

@@ -143,24 +143,36 @@ class TestCandidateCollection:
 
 
 class TestCandidateFilter:
-    def test_filter_restricts_election(self):
+    def _master(self):
         cheap = make_sed("cheap", peak_power=100.0)
         hungry = make_sed("hungry", peak_power=400.0)
-        master = flat_hierarchy([cheap, hungry], scheduler=PowerPolicy())
-        master.set_candidate_filter(
-            lambda request, candidates: [c for c in candidates if c.server == "hungry"]
-        )
+        return flat_hierarchy([cheap, hungry], scheduler=PowerPolicy())
+
+    def test_filter_restricts_election(self):
+        master = self._master()
+        master.set_candidate_filter({"hungry"})
         assert master.submit(make_request()).elected == "hungry"
 
-    def test_filter_returning_empty_falls_back_to_no_candidates(self):
-        master = flat_hierarchy([make_sed("n-0")])
-        master.set_candidate_filter(lambda request, candidates: [])
-        outcome = master.submit(make_request())
-        # An empty filtered list means no server may be elected.
-        assert not outcome.succeeded
+    @pytest.mark.parametrize("allowed", [set(), {"elsewhere"}])
+    def test_a_set_allowing_no_candidate_elects_the_head(self, allowed):
+        master = self._master()
+        master.set_candidate_filter(allowed)
+        # Provisioning never leaves a request unservable.
+        assert master.submit(make_request()).elected == "cheap"
 
     def test_filter_can_be_cleared(self):
-        master = flat_hierarchy([make_sed("n-0")])
-        master.set_candidate_filter(lambda request, candidates: [])
+        master = self._master()
+        master.set_candidate_filter({"hungry"})
         master.set_candidate_filter(None)
-        assert master.submit(make_request()).succeeded
+        assert master.candidate_filter is None
+        assert master.submit(make_request()).elected == "cheap"
+
+    def test_the_installed_set_is_frozen(self):
+        master = self._master()
+        allowed = {"hungry"}
+        master.set_candidate_filter(allowed)
+        allowed.discard("hungry")
+        assert master.candidate_filter == frozenset({"hungry"})
+        frozen = frozenset({"cheap"})
+        master.set_candidate_filter(frozen)
+        assert master.candidate_filter is frozen

@@ -1,11 +1,11 @@
-"""The candidate-filter contract and the elections that rely on it.
+"""The candidate-set contract and the elections that rely on it.
 
-A :data:`~repro.middleware.agents.CandidateFilter` returns an
-order-preserving subsequence of its input.  The Master Agent relies on it
-to skip re-sorting a resident or flat-election ranking after the filter;
-these tests pin the contract on the provisioning planner and check that,
-with a filter installed, every built-in policy elects exactly what
-"walk, filter, re-sort" elects — RANDOM included, draw for draw.
+The Master Agent's candidate filter is a set of server names: it elects
+the best-ranked allowed server, or the best-ranked server when the set
+allows none of the candidates.  These tests pin the contract on the
+provisioning planner and check that, with a set installed, every built-in
+policy elects exactly what "walk, keep the allowed, re-sort" elects —
+RANDOM included, draw for draw.
 """
 
 from __future__ import annotations
@@ -28,36 +28,39 @@ BUILT_IN_POLICIES = (
 PREFERENCES = (0.0, 0.5, -0.5, 1.0, -1.0)
 
 
-def _keep_even(request, candidates):
-    """An order-preserving filter that falls back to everything, like the planner."""
-    kept = [entry for entry in candidates if int(entry.server.split("-")[1]) % 2 == 0]
+#: The candidate set: the even-numbered servers of ``_make_seds``.
+EVEN = frozenset(f"node-{index}" for index in range(0, 7, 2))
+
+
+def _keep_even(candidates):
+    """The allowed entries of ``candidates``, or all of them when none is."""
+    kept = [entry for entry in candidates if entry.server in EVEN]
     return kept if kept else list(candidates)
 
 
 class TestPlannerFilterContract:
-    def test_filter_is_an_order_preserving_subsequence(self):
+    def test_election_is_the_first_candidate_of_the_ranking(self):
         planner, _, master, _ = make_planner(default_cost=1.0)
+        planner.install()
         request = ServiceRequest.from_task(Task(flop=2.3e9))
         candidates = master.collect_candidates(request)
-        for order in (candidates, candidates[::-1]):
-            filtered = planner._filter_candidates(request, order)
-            assert 0 < len(filtered) < len(order)
-            assert list(filtered) == [
-                entry for entry in order if entry.server in planner.candidate_nodes
-            ]
+        allowed = [entry.server for entry in candidates if entry.server in planner.candidate_nodes]
+        assert 0 < len(allowed) < len(candidates)
+        assert master.submit(request).elected == allowed[0]
 
-    def test_fallback_keeps_the_full_list_in_order(self):
+    def test_fallback_elects_the_head_of_the_full_ranking(self):
         config = ProvisioningConfig(initial_candidates=0)
         planner, _, master, _ = make_planner(config=config)
+        planner.install()
+        assert master.candidate_filter == frozenset()
         request = ServiceRequest.from_task(Task(flop=2.3e9))
-        candidates = master.collect_candidates(request)[::-1]
-        filtered = planner._filter_candidates(request, candidates)
-        assert list(filtered) == candidates
+        assert master.submit(request).elected == master.collect_candidates(request)[0].server
 
 
 def _hierarchy(seds, policy):
     """Two Local Agents under the Master Agent, one policy instance everywhere."""
-    master = MasterAgent(scheduler=policy, candidate_filter=_keep_even)
+    master = MasterAgent(scheduler=policy)
+    master.set_candidate_filter(EVEN)
     for index in range(2):
         child = LocalAgent(f"la-{index}", scheduler=policy)
         master.add_agent(child)
@@ -94,7 +97,7 @@ class TestFilteredElections:
             else:
                 elected = [master.submit(request).elected]
             expected = reference_policy.sort(
-                request, _keep_even(request, reference.collect_candidates(request))
+                request, _keep_even(reference.collect_candidates(request))
             )
             assert elected == [entry.server for entry in expected][: len(elected)]
             assert len(elected) in (1, len(expected))

@@ -1,8 +1,10 @@
 """Tests for the middleware simulation driver."""
 
+import hashlib
+
 import pytest
 
-from repro.core.policies import PerformancePolicy, PowerPolicy, policy_by_name
+from repro.core.policies import GreenPerfPolicy, PerformancePolicy, PowerPolicy, policy_by_name
 from repro.infrastructure.node import Node
 from repro.infrastructure.platform import Cluster, Platform, grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
@@ -148,6 +150,31 @@ class TestWorkloadExecution:
         assert len(simulation.trace) == 0
         assert result.metrics.task_count == 1
         assert result.total_energy > 0.0
+
+    def test_completion_energy_details_are_pinned(self):
+        """Each completion's ``energy``: its core's share of the node draw at start x duration.
+
+        The digest of every ``(node, energy.hex())``, in completion order,
+        pins 120 completions of a queued workload (26 distinct values: the
+        share moves with the node's busy cores) bit for bit.
+        """
+        simulation = make_simulation(GreenPerfPolicy(), nodes_per_cluster=2)
+        simulation.submit_workload(
+            BurstThenContinuousWorkload(
+                total_tasks=120, burst_size=60, continuous_rate=0.5, flop_per_task=2e11
+            ).generate()
+        )
+        result = simulation.run()
+        energies = [
+            (event["node"], event["energy"].hex())
+            for event in result.trace
+            if event.kind == ExecutionTrace.TASK_COMPLETED
+        ]
+        assert len(energies) == 120
+        assert len({energy for _, energy in energies}) == 26
+        assert hashlib.sha256(repr(energies).encode()).hexdigest() == (
+            "f36ab12349ca2549bbc08a34bb5cbd60b654e313fb86c4b7d469f0ac6e0a1bc8"
+        )
 
     def test_events_processed_reported(self):
         simulation = make_simulation()

@@ -187,7 +187,6 @@ UNREFERENCED_BY_DESIGN = {
     # Safety code: the property harness and the doctests drive it.
     "check_schedule": "the queue simulator's invariant checker (no overcommit, exact outcomes)",
     # Format fields, filled from the file or kept because the format names them.
-    "PlanningEntry.timestamp": "the `timestamp` tag of the paper's planning file (Fig. 8)",
     "SWFJob.average_cpu_time": "SWF column 6, parsed so every record keeps all 18 fields",
     "SWFJob.used_memory": "SWF column 7, parsed so every record keeps all 18 fields",
     "SWFJob.requested_processors": "SWF column 8, parsed so every record keeps all 18 fields",
