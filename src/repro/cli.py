@@ -14,7 +14,6 @@ Usage (after ``pip install -e .``)::
     repro table3                 # the simulated cluster specs
     repro sweep                  # parallel scenario sweep with cached store
     repro store verify ...       # check a result store for corruption
-    repro store migrate ...      # shard a legacy single-file store
     repro lab run ...            # one ad-hoc component composition
     repro trace convert ...      # real SWF log -> replayable CSV trace
     repro trace stats ...        # workload statistics of a trace
@@ -35,8 +34,8 @@ base random seed of any stochastic component.
 ``repro sweep`` runs a named scenario grid through the sweep runner:
 ``--jobs`` fans scenarios out over worker processes, ``--store`` caches
 results in a crash-safe sharded store *directory* (per-hash-prefix shard
-files; see ``docs/ARCHITECTURE.md``; a legacy single-file store at the
-path migrates on first open) so a second run over the same grid is
+files; see ``docs/ARCHITECTURE.md``; a regular file at the path is
+refused with exit 2) so a second run over the same grid is
 served entirely from cache; ``--force`` bypasses the cache,
 ``--filter`` restricts the grid to scenarios whose id contains a
 substring, and ``--profile`` appends a per-scenario wall-time /
@@ -46,9 +45,8 @@ work shards via lock files in DIR, execute them against the shared
 ``--store`` directory, sweep up anything a crashed worker left behind,
 and each exits with the identical grid-order summary.
 
-``repro store`` maintains result stores: ``verify`` parses every record
-(exit 2 on corruption, reporting quarantined torn tails), ``migrate``
-shards a legacy single-file store in place.
+``repro store verify`` parses every record of a result store (exit 2
+on corruption, reporting quarantined torn tails).
 ``repro sweep --trace FILE`` replaces the named grid with a
 platforms × policies grid replaying a trace (the trace content hash
 keys the store, so edits invalidate exactly the affected entries).
@@ -299,12 +297,11 @@ def _cmd_store_verify(args: argparse.Namespace) -> str:
 
     path = Path(args.path)
     if not path.exists():
-        raise ValueError(f"{path}: no store file or directory")
+        raise ValueError(f"{path}: no store directory")
     store = open_store(path)
     with warnings.catch_warnings(record=True) as repaired:
         warnings.simplefilter("always")
-        store.load()
-        count = len(store)  # forces a full parse of every shard
+        count = len(store)  # opens the store and parses every shard
     lines = [
         f"{path}: store ok — {count} record(s)",
         f"layout: sharded, {len(store.shard_files())} shard file(s) of "
@@ -314,22 +311,6 @@ def _cmd_store_verify(args: argparse.Namespace) -> str:
     if repaired:
         lines.append(f"torn tails repaired on this open: {len(repaired)}")
     return "\n".join(lines)
-
-
-def _cmd_store_migrate(args: argparse.Namespace) -> str:
-    from repro.runner.store import ShardedResultStore
-
-    path = Path(args.path)
-    if path.is_dir():
-        return f"{path}: already a sharded store directory"
-    if not path.is_file():
-        raise ValueError(f"{path}: no single-file store to migrate")
-    store = ShardedResultStore(path, prefix_len=args.prefix_len).load()
-    return (
-        f"migrated {path} -> sharded store directory "
-        f"({len(store)} record(s), {store.shard_count} addressable shards; "
-        f"original kept as {path.name}.pre-shard.bak)"
-    )
 
 
 # -- repro lab --------------------------------------------------------------------------
@@ -763,8 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="result store directory; already-stored scenarios are not "
-        "re-simulated (a legacy single-file store at PATH migrates to a "
-        "sharded store directory on first open)",
+        "re-simulated",
     )
     sweep.add_argument(
         "--workers-dir",
@@ -804,35 +784,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_cmd_sweep)
 
     store = subparsers.add_parser(
-        "store", help="verify and maintain sweep result stores"
+        "store", help="verify sweep result stores"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_verify = store_sub.add_parser(
         "verify",
         help="parse every record of a store (exit 2 on corruption)",
         description="Load a sharded result store directory, parsing every "
-        "record (a legacy single-file store migrates first).  Corrupt "
-        "interior lines and invalid store.json metadata exit 2; torn tails "
-        "left by crashed appends are quarantined and reported.",
+        "record.  Corrupt interior lines, invalid store.json metadata and "
+        "a path that is a regular file exit 2; torn tails left by crashed "
+        "appends are quarantined and reported.",
     )
-    store_verify.add_argument("path", help="store directory (or legacy file)")
+    store_verify.add_argument("path", help="store directory")
     store_verify.set_defaults(handler=_cmd_store_verify)
-    store_migrate = store_sub.add_parser(
-        "migrate",
-        help="shard a legacy single-file store in place",
-        description="Migrate a single-file JSONL store to the sharded "
-        "directory layout (per-hash-prefix shard files).  The original "
-        "file is kept beside the new directory as <name>.pre-shard.bak.",
-    )
-    store_migrate.add_argument("path", help="single-file store to migrate")
-    store_migrate.add_argument(
-        "--prefix-len",
-        type=int,
-        default=1,
-        help="hex digits of the scenario hash naming a shard "
-        "(default: 1 = 16 shards)",
-    )
-    store_migrate.set_defaults(handler=_cmd_store_migrate)
 
     lab = subparsers.add_parser(
         "lab", help="compose and run ad-hoc experiments through repro.lab"

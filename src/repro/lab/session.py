@@ -254,16 +254,11 @@ class LabSession:
                 f"only 'served' workloads open as a service, not "
                 f"{self.workload.kind!r}; use WorkloadSource.served()"
             )
+        from repro.middleware.sed import WILDCARD_SERVICE
         from repro.serve.state import ServeState
 
-        return ServeState.assemble(
-            platform=self.platform,
-            policy=self.policy,
-            timeline=self._resolved_timeline,
-            trace_level=self.trace_level,
-            base_temperature=self.base_temperature,
-            requeue_on_failure=self.requeue_on_failure,
-        )
+        simulation, *_ = self._assemble_middleware(services=(WILDCARD_SERVICE,))
+        return ServeState(simulation)
 
     def open_service(self, serve: "ServeSource | None" = None):
         """Open the session as an (unstarted) placement daemon.
@@ -290,14 +285,25 @@ class LabSession:
         )
 
     # -- middleware backend -------------------------------------------------------------
-    def _run_middleware(self) -> LabResult:
+    def _assemble_middleware(self, *, services: Sequence[str] | None = None):
+        """The driver over platform and hierarchy, with the timeline applied.
+
+        Returns ``(simulation, tasks, electricity, thermal)``: the open-loop
+        tasks (``None`` otherwise) and the timeline's price and thermal
+        models (``None`` without timeline or provisioning).  The SeDs offer
+        ``services``, or, when ``None``, every service the workload
+        requests (served sessions pass the wildcard: their requests are
+        not known yet).
+        """
         timeline = self._resolved_timeline
         scheduler = self.policy.build()
         platform = self.platform.build_platform()
         tasks: tuple[Task, ...] | None = None
         if self.workload.open_loop:
             tasks = self.workload.resolve_tasks(platform.total_cores)
-        master, seds = build_hierarchy(platform, scheduler=scheduler, workload=tasks)
+        master, seds = build_hierarchy(
+            platform, scheduler=scheduler, services=services, workload=tasks
+        )
         simulation = MiddlewareSimulation(
             platform,
             master,
@@ -306,7 +312,6 @@ class LabSession:
             policy_name=scheduler.name,
             trace_level=self.trace_level,
         )
-
         electricity = thermal = None
         if self.provisioning is not None or timeline is not None:
             electricity, thermal, _ = apply_timeline(
@@ -315,14 +320,20 @@ class LabSession:
                 base_temperature=self.base_temperature,
                 requeue=self.requeue_on_failure,
             )
+        return simulation, tasks, electricity, thermal
+
+    def _run_middleware(self) -> LabResult:
+        timeline = self._resolved_timeline
+        simulation, tasks, electricity, thermal = self._assemble_middleware()
+        platform = simulation.platform
         planner = None
         if self.provisioning is not None:
             planner = self.provisioning.build(
                 platform=platform,
-                master=master,
+                master=simulation.master,
                 electricity=electricity,
                 thermal=thermal,
-                seds=seds,
+                seds=simulation.seds,
                 engine=simulation.engine,
                 trace=simulation.trace if self.trace_level == "full" else None,
             )

@@ -12,8 +12,7 @@ sweeps:
 * :mod:`repro.runner.store` — the crash-safe result store keyed by
   scenario hash (cache hit ⇒ no simulation): a
   :class:`ShardedResultStore` directory of per-hash-prefix JSONL shards
-  (legacy single-file stores migrate on open), plus percentile
-  aggregation;
+  (``store.json`` records the layout), plus percentile aggregation;
 * :mod:`repro.runner.workers` — resumable multi-worker sweeps sharing a
   store directory, claiming work shards via lock files;
 * :mod:`repro.runner.reporting` — deterministic progress and comparison

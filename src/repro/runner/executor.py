@@ -18,8 +18,8 @@ because every scenario is a pure function of its spec (all randomness is
 seeded from ``spec.seed``); workers share no state.
 
 The scenario input may be any iterable, including the lazy
-:func:`~repro.runner.spec.iter_grid` stream: scenarios are consumed with
-a bounded in-flight ``window``, so a 100k-cell cross-product is never
+:func:`~repro.runner.spec.iter_grid` stream: at most ``max(4 * jobs, 16)``
+scenarios are in flight, so a 100k-cell cross-product is never
 materialised — generation, cache lookup, execution and storage all
 pipeline.  Only the results themselves are retained (they are the return
 value).
@@ -127,7 +127,6 @@ def run_scenarios(
     force: bool = False,
     progress: Optional[ProgressCallback] = None,
     profile: bool = False,
-    window: int | None = None,
 ) -> SweepOutcome:
     """Execute a scenario iterable, honouring the cache and ``jobs``.
 
@@ -135,8 +134,8 @@ def run_scenarios(
     from :func:`~repro.runner.spec.iter_grid`.  Each scenario is checked
     against the store as it is generated (a hit is reported without
     simulating); misses execute serially for ``jobs <= 1``, otherwise on
-    a process pool with at most ``window`` scenarios in flight (default
-    ``max(4 * jobs, 16)``), so even an unbounded generator runs in
+    a process pool with at most ``max(4 * jobs, 16)`` scenarios in
+    flight, so even an unbounded generator runs in
     bounded memory beyond the results themselves.  Completions stream to
     ``progress`` and the store as they happen, but the returned
     ``results`` tuple is always in grid order — byte-identical at any
@@ -146,10 +145,7 @@ def run_scenarios(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if window is None:
-        window = max(4 * jobs, 16)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = max(4 * jobs, 16)
     resolved_store = _resolve_store(store)
     try:
         total_known: int | None = len(scenarios)

@@ -5,8 +5,8 @@ JSONL files (one JSON object per line, keyed by the scenario content
 hash of :meth:`repro.runner.spec.ScenarioSpec.content_hash`, sharded by
 hash prefix), built for 100k-scenario sweeps shared by many workers:
 shards load lazily, so a cache lookup reads one shard, not the whole
-store.  A legacy single-file JSONL store found at the store path
-migrates to the sharded layout on first open.
+store.  A regular file at the store path is not a store: opening it
+raises ``ValueError`` and leaves the file as it is.
 
 The store makes the resumability promise real under crashes and
 concurrency:
@@ -178,15 +178,13 @@ def _locked_append(path: Path, data: bytes) -> None:
         os.close(fd)  # releases the lock
 
 
-def _read_store_file(
-    path: Path, records: dict[str, Mapping[str, object]], *, lock: bool = True
-) -> None:
+def _read_store_file(path: Path, records: dict[str, Mapping[str, object]]) -> None:
     """Parse one JSONL store file into ``records`` (last record per hash wins).
 
     Complete lines that fail to parse raise ``ValueError`` (genuine
     corruption); a torn final line without its newline is quarantined.
     Read under the exclusive lock so a concurrent append or repair never
-    races the snapshot (``lock=False`` is for callers already holding it).
+    races the snapshot.
     """
     try:
         fd = os.open(path, os.O_RDWR)
@@ -197,7 +195,7 @@ def _read_store_file(
         fd = os.open(path, os.O_RDONLY)
         writable = False
     try:
-        if lock and writable:
+        if writable:
             _flock(fd, fcntl.LOCK_EX if fcntl is not None else 0)
         data = os.pread(fd, os.fstat(fd).st_size, 0)
         lines = data.split(b"\n")
@@ -243,13 +241,6 @@ STORE_FORMAT = "sharded-jsonl"
 STORE_FORMAT_VERSION = 1
 
 
-def _checked_prefix_len(prefix_len: object) -> int:
-    value = int(prefix_len)
-    if not 1 <= value <= 4:
-        raise ValueError(f"prefix_len must be in [1, 4], got {prefix_len}")
-    return value
-
-
 def _count_quarantined(sidecar: Path) -> int:
     if not sidecar.exists():
         return 0
@@ -261,7 +252,7 @@ class ShardedResultStore:
     """A store *directory* of per-shard JSONL files keyed by hash prefix.
 
     The first ``prefix_len`` hex digits of the scenario hash name the
-    shard (``prefix_len=1`` ⇒ 16 shards ``shard-0.jsonl`` …
+    shard (``prefix_len`` 1 ⇒ 16 shards ``shard-0.jsonl`` …
     ``shard-f.jsonl``).  Shards load lazily: a cache lookup reads only
     the shard its hash lands in, so consulting a 100k-record store for
     one scenario stays O(store/shards), and N workers appending to a
@@ -276,16 +267,16 @@ class ShardedResultStore:
           shard-f.jsonl
           shard-3.jsonl.quarantine   ← torn tails, when a writer crashed
 
-    Opening a path that holds a legacy **single-file** store migrates it
-    in place (original preserved as ``<name>.pre-shard.bak``), so old
-    ``--store results.jsonl`` files keep working.  A ``store.json`` of
+    A new store is written with ``prefix_len`` 1; reopening adopts the
+    ``prefix_len`` recorded in ``store.json``.  A ``store.json`` of
     another format, a newer version or an out-of-range ``prefix_len`` is
-    rejected with ``ValueError`` on open.
+    rejected with ``ValueError`` on open, and so is a path that is a
+    regular file.
     """
 
-    def __init__(self, root: str | Path, *, prefix_len: int = 1) -> None:
+    def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
-        self._prefix_len = _checked_prefix_len(prefix_len)
+        self._prefix_len = 1
         self._shards: dict[str, dict[str, Mapping[str, object]]] = {}
         self._opened = False
 
@@ -322,7 +313,7 @@ class ShardedResultStore:
             return ()
         return tuple(sorted(self._root.glob("shard-*.jsonl")))
 
-    def _write_meta(self, directory: Path) -> None:
+    def _write_meta(self) -> None:
         """Write the metadata file whole: readers see no file or a complete one.
 
         Concurrent workers opening a fresh store race here (each writes the
@@ -335,10 +326,10 @@ class ShardedResultStore:
             "version": STORE_FORMAT_VERSION,
             "prefix_len": self._prefix_len,
         }
-        temporary = directory / f".{STORE_META_NAME}.{os.getpid()}.{threading.get_ident()}"
+        temporary = self._root / f".{STORE_META_NAME}.{os.getpid()}.{threading.get_ident()}"
         try:
             temporary.write_text(json.dumps(meta, sort_keys=True) + "\n", "utf-8")
-            os.replace(temporary, directory / STORE_META_NAME)
+            os.replace(temporary, self._meta_path())
         except BaseException:
             temporary.unlink(missing_ok=True)
             raise
@@ -358,80 +349,37 @@ class ShardedResultStore:
                     f"version {meta['version']!r} is not in "
                     f"[1, {STORE_FORMAT_VERSION}]"
                 )
-            self._prefix_len = _checked_prefix_len(meta["prefix_len"])
+            prefix_len = int(meta["prefix_len"])
+            if not 1 <= prefix_len <= 4:
+                raise ValueError(f"prefix_len must be in [1, 4], got {prefix_len}")
+            self._prefix_len = prefix_len
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"{meta_path}: invalid store metadata ({error})") from None
 
-    # -- open / migrate -----------------------------------------------------------------
+    # -- open -------------------------------------------------------------------------
 
     def load(self) -> "ShardedResultStore":
-        """Open the store: adopt the on-disk layout, migrating if needed.
+        """Open the store: adopt the on-disk layout from ``store.json``.
 
         Shard *contents* are not read here — they load lazily per lookup.
-        A legacy single JSONL file at the store path is migrated to the
-        sharded layout; an interrupted earlier migration is completed.
+        A regular file at the store path raises ``ValueError`` and is
+        left untouched.
         """
         if self._opened:
             return self
-        self._opened = True
-        staging = self._staging_path()
         if self._root.is_file():
-            self._migrate_single_file()
-        elif not self._root.exists() and (staging / STORE_META_NAME).exists():
-            # A migration crashed between moving the legacy file aside and
-            # renaming the fully-written staging directory into place.
-            staging.rename(self._root)
+            raise ValueError(
+                f"{self._root} is a file, not a result store: result stores "
+                f"are directories"
+            )
         self._read_meta()
+        self._opened = True
         return self
 
     def refresh(self) -> "ShardedResultStore":
         """Drop lazily-loaded shards so other workers' appends are seen."""
         self._shards.clear()
         return self
-
-    def _staging_path(self) -> Path:
-        return self._root.with_name(self._root.name + ".migrating")
-
-    def _migrate_single_file(self) -> None:
-        """Shard a legacy single-file store in place (file → directory).
-
-        Crash-safe order: the sharded copy is fully written to a staging
-        directory first, then the legacy file is moved aside (as
-        ``<name>.pre-shard.bak``) and the staging directory renamed into
-        place; :meth:`load` completes a migration interrupted between the
-        two renames.  Concurrent migrations serialise on the legacy
-        file's lock, and the loser re-checks and backs off.
-        """
-        legacy = self._root
-        fd = os.open(legacy, os.O_RDWR)
-        try:
-            _flock(fd, fcntl.LOCK_EX if fcntl is not None else 0)
-            if not legacy.is_file():  # raced: someone else migrated first
-                return
-            records: dict[str, Mapping[str, object]] = {}
-            _read_store_file(legacy, records, lock=False)
-            staging = self._staging_path()
-            if staging.exists():
-                for stale in sorted(staging.glob("*")):
-                    stale.unlink()
-                staging.rmdir()
-            staging.mkdir(parents=True)
-            by_shard: dict[str, list[bytes]] = {}
-            for digest, record in records.items():
-                by_shard.setdefault(self._shard_key(digest), []).append(
-                    _encode_record(record)
-                )
-            for key, lines in sorted(by_shard.items()):
-                (staging / f"shard-{key}.jsonl").write_bytes(b"".join(lines))
-            self._write_meta(staging)
-            backup = legacy.with_name(legacy.name + ".pre-shard.bak")
-            legacy.rename(backup)
-            staging.rename(self._root)
-            sidecar = _quarantine_path(legacy)
-            if sidecar.exists():
-                sidecar.rename(self._root / (self._root.name + ".quarantine"))
-        finally:
-            os.close(fd)
 
     # -- lookup / append ----------------------------------------------------------------
 
@@ -478,7 +426,7 @@ class ShardedResultStore:
         digest = str(record["hash"])
         self._root.mkdir(parents=True, exist_ok=True)
         if not self._meta_path().exists():
-            self._write_meta(self._root)
+            self._write_meta()
         _locked_append(self.shard_path(digest), _encode_record(record))
         key = self._shard_key(digest)
         if key in self._shards:
@@ -508,9 +456,8 @@ class ShardedResultStore:
 def open_store(path: str | Path) -> ShardedResultStore:
     """The result store at ``path``, whatever its name or suffix.
 
-    A fresh path becomes a store directory on the first write; a legacy
-    single-file store at ``path`` migrates to the sharded layout when the
-    store is loaded.
+    A fresh path becomes a store directory on the first write; a regular
+    file at ``path`` is refused when the store is loaded.
     """
     return ShardedResultStore(path)
 

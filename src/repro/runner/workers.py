@@ -114,7 +114,6 @@ def run_worker(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     worker_id: str | None = None,
     progress: Optional[ProgressCallback] = None,
-    window: int | None = None,
 ) -> tuple[SweepOutcome, WorkerReport]:
     """Run one worker's share of a grid against a shared sharded store.
 
@@ -156,7 +155,6 @@ def run_worker(
         jobs=jobs,
         store=shared,
         progress=progress,
-        window=window,
     )
 
     # Sweep-up: other workers may have appended (or crashed) since our
@@ -166,13 +164,12 @@ def run_worker(
         (spec for spec in iter_grid(grid) if spec.content_hash() not in shared),
         jobs=jobs,
         store=shared,
-        window=window,
     )
 
     # Aggregation: every scenario is now stored, so this pass is pure
     # cache hits read lazily per shard, assembled in grid order.
     shared.refresh()
-    final = run_scenarios(iter_grid(grid), jobs=jobs, store=shared, window=window)
+    final = run_scenarios(iter_grid(grid), jobs=jobs, store=shared)
     executed = claimed.executed + swept.executed
     outcome = SweepOutcome(
         results=final.results,

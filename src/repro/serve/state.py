@@ -29,11 +29,13 @@ they beat same-time completions (priority 0) while still firing after
 timeline fault events (also -1, but scheduled at setup and hence with
 lower sequence numbers) — exactly the closed-loop order.
 
-SeDs are built offering :data:`~repro.middleware.sed.WILDCARD_SERVICE`,
-because a live daemon cannot enumerate the services of a request stream
-it has not seen yet.  Elections are unaffected: in the closed-loop run
-every SeD offers every service the workload requests, so the candidate
-sets are identical either way.
+:meth:`repro.lab.session.LabSession.open_state` builds the stack through
+the same assembly as a batch run, with SeDs offering
+:data:`~repro.middleware.sed.WILDCARD_SERVICE`, because a live daemon
+cannot enumerate the services of a request stream it has not seen yet.
+Elections are unaffected: in the closed-loop run every SeD offers every
+service the workload requests, so the candidate sets are identical
+either way.
 """
 
 from __future__ import annotations
@@ -41,11 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.lab.components import PlatformSource, PolicySource, TimelineLike, resolve_timeline
 from repro.middleware.driver import MiddlewareSimulation, SimulationResult
-from repro.middleware.hierarchy import build_hierarchy
-from repro.middleware.sed import WILDCARD_SERVICE
-from repro.scenario.apply import apply_timeline
 from repro.simulation.task import Task
 
 #: Priority of served arrival events (see "Event ordering" above).
@@ -70,60 +68,14 @@ class PlacementDecision:
 class ServeState:
     """One resident middleware stack, advanced by submissions.
 
-    Build it with :meth:`assemble` (from lab components) or wrap an
-    existing :class:`MiddlewareSimulation` directly.
+    Open one with :meth:`repro.lab.session.LabSession.open_state` (a
+    session over ``WorkloadSource.served()``) or wrap an existing
+    :class:`MiddlewareSimulation` directly.
     """
 
     def __init__(self, simulation: MiddlewareSimulation) -> None:
         self._simulation = simulation
         self._decisions = 0
-
-    @classmethod
-    def assemble(
-        cls,
-        *,
-        platform: PlatformSource | None = None,
-        policy: PolicySource | None = None,
-        timeline: TimelineLike = None,
-        trace_level: str = "full",
-        base_temperature: float = 21.0,
-        requeue_on_failure: bool = True,
-    ) -> "ServeState":
-        """Assemble a resident stack from lab components.
-
-        Mirrors the middleware path of :meth:`repro.lab.session.LabSession.run`
-        minus the workload (requests arrive over the wire) and minus
-        provisioning (the planner's periodic check events would interleave
-        with live arrivals on a schedule no client controls).
-        """
-        platform_source = platform or PlatformSource.table1(1)
-        if platform_source.kind != "table1":
-            raise ValueError(
-                "the placement service runs the middleware backend; "
-                "server-types platforms have no resident state to serve"
-            )
-        policy_source = policy or PolicySource()
-        scheduler = policy_source.build()
-        built = platform_source.build_platform()
-        master, seds = build_hierarchy(
-            built, scheduler=scheduler, services=(WILDCARD_SERVICE,)
-        )
-        simulation = MiddlewareSimulation(
-            built,
-            master,
-            seds,
-            policy_name=scheduler.name,
-            trace_level=trace_level,
-        )
-        resolved = resolve_timeline(timeline)
-        if resolved is not None:
-            apply_timeline(
-                simulation,
-                resolved,
-                base_temperature=base_temperature,
-                requeue=requeue_on_failure,
-            )
-        return cls(simulation)
 
     # -- clock ------------------------------------------------------------------
     @property

@@ -4,7 +4,7 @@ Experiments sometimes need to re-run exactly the same request stream under
 different policies (that is how Table II compares RANDOM, POWER and
 PERFORMANCE fairly).  A trace is a plain CSV file with one row per task:
 
-    arrival_time,flop,client,user_preference,service
+    arrival_time,flop,client,user_preference,service,cores,requested_runtime
 
 :func:`save_trace` / :func:`load_trace` round-trip task sequences through
 that format — loading *sorts* rows by ``(arrival_time, task_id)``, so a
@@ -28,6 +28,10 @@ from repro.workload.generator import WorkloadGenerator
 
 _FIELDS = ("arrival_time", "flop", "client", "user_preference", "service")
 
+#: Columns :func:`save_trace` appends; a file without them loads with the
+#: task defaults (one core, no requested runtime).
+_SIZE_FIELDS = ("cores", "requested_runtime")
+
 _FLOAT_FIELDS = ("arrival_time", "flop", "user_preference")
 
 
@@ -35,18 +39,22 @@ def save_trace(path: str | Path, tasks: Iterable[Task]) -> None:
     """Write ``tasks`` to ``path`` as a CSV trace.
 
     Floats are written with ``repr`` so a round-trip through
-    :func:`load_trace` is bit-exact.
+    :func:`load_trace` is bit-exact; an unknown ``requested_runtime`` is
+    an empty cell.
 
     >>> import tempfile, os
     >>> path = os.path.join(tempfile.mkdtemp(), "trace.csv")
-    >>> save_trace(path, [Task(arrival_time=1.5, flop=2e8, client="c-1")])
+    >>> save_trace(path, [Task(arrival_time=1.5, flop=2e8, client="c-1"),
+    ...                   Task(arrival_time=2.0, flop=1e8, client="c-2", cores=8,
+    ...                        requested_runtime=900.0)])
     >>> print(open(path).read().strip())
-    arrival_time,flop,client,user_preference,service
-    1.5,200000000.0,c-1,0.0,cpu-burn
+    arrival_time,flop,client,user_preference,service,cores,requested_runtime
+    1.5,200000000.0,c-1,0.0,cpu-burn,1,
+    2.0,100000000.0,c-2,0.0,cpu-burn,8,900.0
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_FIELDS)
+        writer.writerow(_FIELDS + _SIZE_FIELDS)
         for task in tasks:
             writer.writerow(
                 [
@@ -55,6 +63,8 @@ def save_trace(path: str | Path, tasks: Iterable[Task]) -> None:
                     task.client,
                     repr(task.user_preference),
                     task.service,
+                    task.cores,
+                    "" if task.requested_runtime is None else repr(task.requested_runtime),
                 ]
             )
 
@@ -68,11 +78,13 @@ def load_trace(path: str | Path) -> tuple[Task, ...]:
 
     The returned tuple is sorted by ``(arrival_time, task_id)`` — the
     canonical workload order — regardless of row order in the file.
-    Extra columns beyond the five the format defines are tolerated (and
-    ignored) as long as the header names them; a *row* that is wider or
-    narrower than its header, a duplicated header column, and any
-    non-numeric value in a float field all raise :class:`ValueError`
-    carrying ``path:line`` context.
+    The ``cores`` and ``requested_runtime`` columns are optional: a file
+    without them loads every task with one core and no requested
+    runtime.  Extra columns beyond those the format defines are
+    tolerated (and ignored) as long as the header names them; a *row*
+    that is wider or narrower than its header, a duplicated header
+    column, a non-integer ``cores`` and any non-numeric value in a float
+    field all raise :class:`ValueError` carrying ``path:line`` context.
 
     >>> import tempfile, os
     >>> path = os.path.join(tempfile.mkdtemp(), "trace.csv")
@@ -116,6 +128,18 @@ def load_trace(path: str | Path) -> tuple[Task, ...]:
                         line_number,
                         f"column {name!r} is not a number (got {row[name]!r})",
                     ) from None
+            cores_cell = row.get("cores", "1")
+            runtime_cell = row.get("requested_runtime", "")
+            try:
+                cores = int(cores_cell)
+                requested_runtime = float(runtime_cell) if runtime_cell else None
+            except ValueError:
+                raise _trace_error(
+                    path,
+                    line_number,
+                    f"columns 'cores' and 'requested_runtime' need an integer and "
+                    f"a number or nothing (got {cores_cell!r}, {runtime_cell!r})",
+                ) from None
             try:
                 task = Task(
                     flop=values["flop"],
@@ -123,6 +147,8 @@ def load_trace(path: str | Path) -> tuple[Task, ...]:
                     client=row["client"],
                     user_preference=values["user_preference"],
                     service=row["service"],
+                    cores=cores,
+                    requested_runtime=requested_runtime,
                 )
             except ValueError as error:
                 raise _trace_error(path, line_number, str(error)) from None

@@ -9,6 +9,7 @@ import pytest
 
 from repro.infrastructure.node import Node, NodeSpec
 from repro.infrastructure.platform import grid5000_placement_platform
+from repro.lab import LabSession, PlatformSource, WorkloadSource
 from repro.middleware.agents import MasterAgent
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.ranking import WalkReplay
@@ -201,6 +202,19 @@ def last_of_kind(trace, kind: str):
     """The most recent record of one kind, or ``None``."""
     matching = of_kind(trace, kind)
     return matching[-1] if matching else None
+
+
+def served_state(platform=None, **session):
+    """A :class:`ServeState` opened by a served :class:`LabSession`.
+
+    ``platform`` defaults to Table I at one node per cluster; the other
+    keywords are session fields (``policy``, ``timeline``, …).
+    """
+    return LabSession(
+        platform=platform or PlatformSource.table1(1),
+        workload=WorkloadSource.served(),
+        **session,
+    ).open_state()
 
 
 def write_timeline(path, timeline, *, title: str | None = None) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import shutil
 from pathlib import Path
 
 import pytest
@@ -207,16 +206,12 @@ class TestStreamingExecution:
         ]
         assert [r.spec for r in eager.results] == [r.spec for r in streamed.results]
 
-    def test_window_of_one_matches_serial(self):
+    def test_two_jobs_match_serial(self):
         serial = run_scenarios(tuple(TINY_GRID[0].iter_expand()), jobs=1)
-        windowed = run_scenarios(tuple(TINY_GRID[0].iter_expand()), jobs=2, window=1)
+        parallel = run_scenarios(tuple(TINY_GRID[0].iter_expand()), jobs=2)
         assert [r.metrics for r in serial.results] == [
-            r.metrics for r in windowed.results
+            r.metrics for r in parallel.results
         ]
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            run_scenarios(tuple(TINY_GRID[0].iter_expand()), jobs=2, window=0)
 
     def test_progress_total_is_none_for_generators(self):
         totals = []
@@ -287,25 +282,20 @@ class TestStoreIntegration:
         assert outcome.executed == 1
         assert len(store) == 1
 
-    def test_legacy_single_file_store_migrates_and_serves_hits(
-        self, tmp_path, monkeypatch
-    ):
-        """A store file written by the retired single-file layout (the smoke
-        grid's three records) is sharded on first open and answers the
-        whole grid from cache."""
-        fixture = Path(__file__).parent.parent / "data" / "legacy-store.jsonl"
-        path = tmp_path / "legacy.jsonl"
-        shutil.copyfile(fixture, path)
+    def test_a_file_at_the_store_path_is_refused(self, tmp_path, monkeypatch):
+        """A regular file is not a store: the sweep fails before simulating
+        anything and leaves the file as it was."""
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(b'{"hash": "0123"}\n')
 
         def _boom(spec):
-            raise AssertionError(f"scenario {spec.scenario_id} was re-simulated")
+            raise AssertionError(f"scenario {spec.scenario_id} was simulated")
 
         monkeypatch.setattr(executor_module, "execute_scenario", _boom)
-        outcome = run_scenarios(grid("smoke"), store=path)
-        assert outcome.executed == 0 and outcome.cached == 3
-        assert path.is_dir()
-        backup = tmp_path / "legacy.jsonl.pre-shard.bak"
-        assert backup.read_bytes() == fixture.read_bytes()
+        with pytest.raises(ValueError, match="result stores are directories"):
+            run_scenarios(grid("smoke"), store=path)
+        assert path.read_bytes() == b'{"hash": "0123"}\n'
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 #: The fault-injection timeline fixture: tariff drop, node crash with a

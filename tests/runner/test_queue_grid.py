@@ -9,6 +9,7 @@ the same store must be 100 % cache hits without re-simulating anything.
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,10 @@ from repro.runner.executor import execute_scenario, run_scenarios
 from repro.runner.grids import grid, queue_grid
 from repro.runner.reporting import SweepProgressPrinter, format_sweep_summary
 from repro.runner.spec import ScenarioSpec
+from repro.workload.ingest import load_swf_trace
+from repro.workload.traces import save_trace
+
+MINI_SWF = Path(__file__).resolve().parents[1] / "data" / "mini.swf"
 
 #: A 2x2 slice of the queue grid — two platform scales x (baseline,
 #: backfill) — small enough for unit tests, wide enough to exercise
@@ -44,6 +49,19 @@ class TestQueueGridShape:
         )
         assert scenarios[0].overrides == (("queue_cores", 16),)
         assert scenarios[0].workload == "trace"
+
+    def test_converted_trace_plans_like_the_raw_log(self, tmp_path):
+        # The CSV keeps each job's width and wall limit, so the backfill
+        # policies separate on it exactly as on the SWF log.
+        converted = tmp_path / "mini.csv"
+        save_trace(converted, load_swf_trace(MINI_SWF))
+
+        def makespans(trace) -> list[float]:
+            scenarios = queue_grid(str(trace), platforms=("tiny",), queue_cores=8)
+            return [r.metrics["makespan"] for r in run_scenarios(scenarios).results]
+
+        assert makespans(MINI_SWF) == [4140.0, 3940.0, 3935.0, 3870.0]
+        assert makespans(converted) == makespans(MINI_SWF)
 
     def test_queue_scenario_produces_metrics(self):
         result = execute_scenario(SMALL_QUEUE_GRID[0])

@@ -1,4 +1,4 @@
-"""Tests for the sharded store directory: layout, laziness, migration."""
+"""Tests for the sharded store directory: layout, laziness, refusing a file."""
 
 from __future__ import annotations
 
@@ -35,13 +35,13 @@ def fill(store, count: int) -> list[ScenarioResult]:
     return results
 
 
-def write_legacy_store(path: Path, count: int) -> list[ScenarioResult]:
-    """Write a legacy single-file store: one ``to_record()`` line per result."""
+def write_record_file(path: Path, count: int) -> bytes:
+    """A regular file of ``to_record()`` lines, one per result; its bytes."""
     results = [make_result(seed=seed) for seed in range(count)]
     path.write_text(
         "".join(json.dumps(r.to_record(), sort_keys=True) + "\n" for r in results)
     )
-    return results
+    return path.read_bytes()
 
 
 class TestLayout:
@@ -68,15 +68,37 @@ class TestLayout:
             ]
             assert any(rec["hash"] == result.scenario_hash for rec in lines)
 
-    def test_meta_file_written_and_adopted(self, tmp_path):
+    def test_new_store_writes_prefix_len_1(self, tmp_path):
         root = tmp_path / "store"
-        ShardedResultStore(root, prefix_len=2).load().put(make_result())
+        ShardedResultStore(root).load().put(make_result())
         meta = json.loads((root / STORE_META_NAME).read_text())
-        assert meta["prefix_len"] == 2
-        # Reopening with the default ctor adopts the on-disk layout.
-        reopened = ShardedResultStore(root).load()
-        assert reopened.prefix_len == 2
-        assert reopened.shard_count == 256
+        assert meta == {"format": "sharded-jsonl", "prefix_len": 1, "version": 1}
+
+    def test_prefix_len_is_adopted_from_store_json(self, tmp_path):
+        # A store laid out with two-digit shards still opens and serves
+        # its records as cache hits: the layout is read from store.json.
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / STORE_META_NAME).write_text(
+            json.dumps({"format": "sharded-jsonl", "version": 1, "prefix_len": 2})
+        )
+        results = [make_result(seed=seed) for seed in range(8)]
+        for result in results:
+            shard = root / f"shard-{result.scenario_hash[:2]}.jsonl"
+            with shard.open("a") as handle:
+                handle.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
+        store = ShardedResultStore(root).load()
+        assert store.prefix_len == 2
+        assert store.shard_count == 256
+        assert len(store) == 8
+        for result in results:
+            assert store.get(result.scenario_hash).metrics == result.metrics
+        extra = make_result(seed=99)
+        store.put(extra)
+        assert store.shard_path(extra.scenario_hash).name == (
+            f"shard-{extra.scenario_hash[:2]}.jsonl"
+        )
+        assert ShardedResultStore(root).load().get(extra.scenario_hash) is not None
 
     def test_persists_across_instances(self, tmp_path):
         root = tmp_path / "store"
@@ -94,10 +116,6 @@ class TestLayout:
         reloaded = ShardedResultStore(root).load()
         assert reloaded.get(spec.content_hash()).metrics["makespan"] == 2.0
         assert len(reloaded) == 1
-
-    def test_invalid_prefix_len_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="prefix_len"):
-            ShardedResultStore(tmp_path / "store", prefix_len=0)
 
     @pytest.mark.parametrize(
         "meta",
@@ -166,45 +184,27 @@ class TestLazyLoading:
         assert fresh.quarantined() == 1
 
 
-class TestMigration:
-    def test_single_file_migrates_on_open(self, tmp_path):
-        legacy = tmp_path / "results.jsonl"
-        originals = write_legacy_store(legacy, 12)
-        store = ShardedResultStore(legacy).load()
-        assert legacy.is_dir()
-        assert (legacy / STORE_META_NAME).exists()
-        assert (tmp_path / "results.jsonl.pre-shard.bak").is_file()
-        assert len(store) == 12
-        for original in originals:
-            assert store.get(original.scenario_hash).metrics == original.metrics
+class TestFileAtStorePath:
+    def test_load_refuses_a_regular_file_and_leaves_it_alone(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        original = write_record_file(path, 3)
+        store = ShardedResultStore(path)
+        for _ in range(2):  # a refused open stays refused
+            with pytest.raises(ValueError, match="results.jsonl is a file") as excinfo:
+                store.load()
+            assert "result stores are directories" in str(excinfo.value)
+        assert path.read_bytes() == original
+        assert sorted(tmp_path.iterdir()) == [path]  # no side files
 
-    def test_migrated_store_reopens_as_plain_directory(self, tmp_path):
-        legacy = tmp_path / "results.jsonl"
-        write_legacy_store(legacy, 5)
-        ShardedResultStore(legacy).load()
-        assert len(ShardedResultStore(legacy).load()) == 5
-        assert isinstance(open_store(legacy), ShardedResultStore)
-
-    def test_migration_quarantines_a_torn_legacy_tail(self, tmp_path):
-        legacy = tmp_path / "results.jsonl"
-        write_legacy_store(legacy, 3)
-        with legacy.open("ab") as handle:
-            handle.write(b'{"hash": "torn')
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            store = ShardedResultStore(legacy).load()
-        assert len(store) == 3
-        assert store.quarantined() == 1
-
-    def test_interrupted_migration_completes_on_next_open(self, tmp_path):
-        root = tmp_path / "store"
-        fill(ShardedResultStore(root).load(), 6)
-        # Simulate a crash between "legacy moved aside" and "staging renamed
-        # into place": the fully-written store sits at <root>.migrating.
-        staging = tmp_path / "store.migrating"
-        root.rename(staging)
-        recovered = ShardedResultStore(root).load()
-        assert root.is_dir()
-        assert len(recovered) == 6
+    def test_lookups_and_appends_refuse_a_regular_file(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        original = write_record_file(path, 1)
+        with pytest.raises(ValueError, match="is a file"):
+            ShardedResultStore(path).get(make_result().scenario_hash)
+        with pytest.raises(ValueError, match="is a file"):
+            ShardedResultStore(path).put(make_result(seed=5))
+        assert path.read_bytes() == original
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestOpenStore:
@@ -213,13 +213,13 @@ class TestOpenStore:
         ShardedResultStore(root).load().put(make_result())
         assert isinstance(open_store(root), ShardedResultStore)
 
-    def test_existing_file_migrates_on_load(self, tmp_path):
+    def test_existing_file_is_refused_on_load(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        (original,) = write_legacy_store(path, 1)
-        store = open_store(path)
-        assert path.is_file()  # opening alone does not touch the disk
-        assert store.load().get(original.scenario_hash) is not None
-        assert path.is_dir()
+        original = write_record_file(path, 1)
+        store = open_store(path)  # opening alone does not touch the disk
+        with pytest.raises(ValueError, match="result stores are directories"):
+            store.load()
+        assert path.read_bytes() == original
 
     def test_fresh_jsonl_path_becomes_a_directory(self, tmp_path):
         path = tmp_path / "new.jsonl"

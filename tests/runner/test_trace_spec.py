@@ -160,7 +160,7 @@ class TestTraceExecution:
         assert (second.executed, second.cached) == (0, 1)
         # editing the trace invalidates the cache entry
         with open(trace_file, "a", encoding="utf-8") as handle:
-            handle.write("50.0,1e9,user0,0.0,queue1\n")
+            handle.write("50.0,1e9,user0,0.0,queue1,1,\n")
         third = run_scenarios(trace_grid(str(trace_file), platforms=("tiny",), policies=("POWER",)), store=store)
         assert (third.executed, third.cached) == (1, 0)
 

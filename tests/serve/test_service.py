@@ -16,20 +16,19 @@ from repro.lab import (
 from repro.serve import (
     AdmissionController,
     PlacementService,
-    ServeState,
     replay_trace,
 )
 from repro.cli import main
 from repro.serve.protocol import read_response, render_request
 from repro.simulation.trace import ExecutionTrace
-from tests.conftest import of_kind
+from tests.conftest import of_kind, served_state
 
 MINI_SWF = "tests/data/mini.swf"
 
 
 def make_service(**admission_kwargs) -> PlacementService:
     return PlacementService(
-        ServeState.assemble(platform=PlatformSource.table1(1)),
+        served_state(),
         admission=AdmissionController(**admission_kwargs),
     )
 
@@ -176,7 +175,7 @@ class TestAdmissionOverHttp:
     def test_queue_overflow_sheds_with_503(self):
         async def scenario():
             service = PlacementService(
-                ServeState.assemble(platform=PlatformSource.table1(1)),
+                served_state(),
                 admission=AdmissionController(queue_limit=2),
                 batch_window=0.2,  # hold the batch so the backlog must grow
             )
@@ -247,7 +246,7 @@ class TestShutdown:
     def test_pending_submissions_are_answered_on_stop(self):
         async def scenario():
             service = PlacementService(
-                ServeState.assemble(platform=PlatformSource.table1(1)),
+                served_state(),
                 batch_window=30.0,  # far longer than the test: stop() must flush
             )
             await service.start()
@@ -368,7 +367,7 @@ PIPELINE = [
 
 def pipeline_service(batch_window: float) -> PlacementService:
     return PlacementService(
-        ServeState.assemble(platform=PlatformSource.table1(1)),
+        served_state(),
         admission=AdmissionController(quota_rate=1e-3, quota_burst=3.0),
         batch_window=batch_window,
     )

@@ -4,11 +4,10 @@ import pytest
 
 from repro.lab import LabSession, PlatformSource, PolicySource, WorkloadSource
 from repro.scenario.events import EventTimeline, NodeFailure, NodeRecovery
-from repro.serve.state import ServeState
 from repro.simulation.task import Task
 from repro.simulation.trace import ExecutionTrace
 from repro.workload.traces import TraceWorkload
-from tests.conftest import of_kind
+from tests.conftest import of_kind, served_state
 
 MINI_SWF = "tests/data/mini.swf"
 
@@ -30,11 +29,7 @@ def closed_loop_nodes(policy: str, *, timeline=None) -> list[str]:
 
 def served_nodes(policy: str, *, batch: int, timeline=None) -> list[str]:
     """The same trace through ServeState, ``batch`` tasks per scoring pass."""
-    state = ServeState.assemble(
-        platform=PlatformSource.table1(1),
-        policy=PolicySource(policy),
-        timeline=timeline,
-    )
+    state = served_state(policy=PolicySource(policy), timeline=timeline)
     tasks = list(TraceWorkload.from_file(MINI_SWF).generate())
     nodes: list[str] = []
     for start in range(0, len(tasks), batch):
@@ -70,11 +65,7 @@ class TestClosedLoopDeterminism:
              NodeRecovery(time=4000.0, node="taurus-0"))
         )
         expected = closed_loop_nodes("GREENPERF", timeline=timeline)
-        state = ServeState.assemble(
-            platform=PlatformSource.table1(1),
-            policy=PolicySource("GREENPERF"),
-            timeline=timeline,
-        )
+        state = served_state(policy=PolicySource("GREENPERF"), timeline=timeline)
         tasks = list(TraceWorkload.from_file(MINI_SWF).generate())
         for start in range(0, len(tasks), 5):
             state.place_batch(tasks[start : start + 5])
@@ -88,26 +79,26 @@ class TestClosedLoopDeterminism:
 
 class TestServeState:
     def test_clock_advances_to_last_arrival(self):
-        state = ServeState.assemble()
+        state = served_state()
         state.place_batch([Task(flop=1e9, arrival_time=3.0, client="c")])
         assert state.now == 3.0
 
     def test_clock_never_goes_backwards(self):
-        state = ServeState.assemble()
+        state = served_state()
         state.place_batch([Task(flop=1e9, arrival_time=10.0, client="c")])
         decisions = state.place_batch([Task(flop=1e9, arrival_time=4.0, client="c")])
         assert decisions[0].time == 10.0  # clamped to the clock
         assert state.now == 10.0
 
     def test_a_later_batch_fires_due_completions(self):
-        state = ServeState.assemble()
+        state = served_state()
         state.place_batch([Task(flop=1e6, arrival_time=0.0, client="c")])
         assert state.snapshot()["completed"] == 0
         state.place_batch([Task(flop=1e6, arrival_time=1e6, client="c")])
         assert state.snapshot()["completed"] == 1
 
     def test_drain_completes_everything(self):
-        state = ServeState.assemble()
+        state = served_state()
         tasks = [Task(flop=1e9, arrival_time=float(i), client="c") for i in range(5)]
         state.place_batch(tasks)
         result = state.drain()
@@ -121,13 +112,13 @@ class TestServeState:
                 for node in ("orion-0", "taurus-0", "sagittaire-0")
             )
         )
-        state = ServeState.assemble(timeline=timeline, requeue_on_failure=False)
+        state = served_state(timeline=timeline, requeue_on_failure=False)
         decisions = state.place_batch([Task(flop=1e9, arrival_time=1.0, client="c")])
         assert not decisions[0].accepted
         assert decisions[0].node is None
 
     def test_snapshot_counters(self):
-        state = ServeState.assemble()
+        state = served_state()
         state.place_batch([Task(flop=1e9, arrival_time=0.0, client="c")])
         snapshot = state.snapshot()
         assert snapshot["submitted"] == 1
@@ -136,4 +127,4 @@ class TestServeState:
 
     def test_server_types_platform_refused(self):
         with pytest.raises(ValueError, match="server-types"):
-            ServeState.assemble(platform=PlatformSource.server_types(2))
+            served_state(PlatformSource.server_types(2))

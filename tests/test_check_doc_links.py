@@ -79,3 +79,40 @@ def test_a_trailing_comment_is_not_read_as_a_name(tmp_path):
         tmp_path, "```python\nfrom repro.runner import iter_grid  # , run_sweep\n```\n"
     )
     assert _checker().check_document_imports(path, tmp_path) == ([], 1)
+
+
+def test_the_shipped_documents_show_only_cli_lines_that_parse():
+    checker = _checker()
+    checked = 0
+    for document in (ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))):
+        errors, count = checker.check_document_commands(document, ROOT)
+        assert errors == []
+        checked += count
+    assert checked >= 20
+
+
+def test_a_readme_that_still_shows_store_migrate_is_reported(tmp_path):
+    readme = (ROOT / "README.md").read_text("utf-8")
+    current = "repro store verify /shared/results"
+    assert current in readme
+    (tmp_path / "README.md").write_text(
+        readme.replace(current, "repro store migrate old.jsonl\n" + current), "utf-8"
+    )
+    errors, _ = _checker().check_document_commands(tmp_path / "README.md", tmp_path)
+    assert len(errors) == 1
+    assert "README.md:" in errors[0]
+    assert "'repro store migrate old.jsonl' does not parse" in errors[0]
+    assert "invalid choice: 'migrate'" in errors[0]
+
+
+def test_continued_lines_comments_and_operators_are_handled(tmp_path):
+    path = _document(
+        tmp_path,
+        "```sh\nrepro sweep --jobs 4 \\\n      --store results   # cached\n"
+        "repro serve --port 8423 &\nrepro fig2 --quick > fig2.txt\n"
+        "repro sweep --no-such-flag\n```\n\n```text\nrepro not-a-command\n```\n",
+    )
+    errors, checked = _checker().check_document_commands(path, tmp_path)
+    assert checked == 4
+    assert len(errors) == 1
+    assert errors[0].startswith("GUIDE.md:6: 'repro sweep --no-such-flag' does not parse")

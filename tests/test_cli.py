@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import shutil
 from pathlib import Path
 
 import pytest
@@ -234,22 +233,22 @@ class TestSweepCommand:
         assert "--force is incompatible" in capsys.readouterr().err
 
 
-def legacy_store(tmp_path: Path) -> Path:
-    """A copy of the single-file store fixture (the smoke grid's records)."""
+def record_file(tmp_path: Path) -> Path:
+    """A regular file of one store record where a store directory belongs."""
     path = tmp_path / "results.jsonl"
-    shutil.copyfile(DATA / "legacy-store.jsonl", path)
+    path.write_bytes(b'{"hash": "0123"}\n')
     return path
 
 
 class TestStoreCommand:
-    def test_verify_single_file_store(self, capsys, tmp_path):
-        store = legacy_store(tmp_path)
-        assert main(["store", "verify", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "store ok — 3 record(s)" in out
-        assert "layout: sharded" in out  # migrated on open
-        assert "quarantined: 0" in out
-        assert store.is_dir()
+    def test_verify_a_file_exits_2_and_leaves_it_alone(self, capsys, tmp_path):
+        path = record_file(tmp_path)
+        assert main(["store", "verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "result stores are directories" in err
+        assert "Traceback" not in err
+        assert path.read_bytes() == b'{"hash": "0123"}\n'
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_verify_sharded_store(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -262,8 +261,9 @@ class TestStoreCommand:
         assert "quarantined: 0" in out
 
     def test_verify_corrupt_store_exits_2(self, capsys, tmp_path):
-        store = tmp_path / "results.jsonl"
-        store.write_text('{"bad": "record"}\ngarbage\n')
+        store = tmp_path / "results"
+        store.mkdir()
+        (store / "shard-0.jsonl").write_text('{"bad": "record"}\ngarbage\n')
         assert main(["store", "verify", str(store)]) == 2
         err = capsys.readouterr().err
         assert "corrupt store record" in err
@@ -271,7 +271,7 @@ class TestStoreCommand:
 
     def test_verify_missing_store_exits_2(self, capsys, tmp_path):
         assert main(["store", "verify", str(tmp_path / "nope")]) == 2
-        assert "no store file or directory" in capsys.readouterr().err
+        assert "no store directory" in capsys.readouterr().err
 
     def test_verify_reports_quarantined_tail(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -285,27 +285,20 @@ class TestStoreCommand:
         assert "store ok — 3 record(s)" in out
         assert "quarantined: 1" in out
 
-    def test_migrate_shards_a_legacy_file(self, capsys, tmp_path):
-        store = str(legacy_store(tmp_path))
-        assert main(["store", "migrate", store]) == 0
-        out = capsys.readouterr().out
-        assert "migrated" in out
-        assert (tmp_path / "results.jsonl").is_dir()
-        capsys.readouterr()
-        # The migrated store serves the old results as cache hits.
-        assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
-        assert "0 executed, 3 cached" in capsys.readouterr().out
+    def test_sweep_into_a_file_exits_2_and_leaves_it_alone(self, capsys, tmp_path):
+        path = record_file(tmp_path)
+        assert main(["sweep", "--grid", "smoke", "--store", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "result stores are directories" in err
+        assert "Traceback" not in err
+        assert path.read_bytes() == b'{"hash": "0123"}\n'
+        assert sorted(tmp_path.iterdir()) == [path]
 
-    def test_migrate_directory_is_a_noop(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        assert main(["sweep", "--grid", "smoke", "--store", store]) == 0
-        capsys.readouterr()
-        assert main(["store", "migrate", store]) == 0
-        assert "already a sharded store directory" in capsys.readouterr().out
-
-    def test_migrate_missing_file_exits_2(self, capsys, tmp_path):
-        assert main(["store", "migrate", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no single-file store" in capsys.readouterr().err
+    def test_there_is_no_migrate_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["store", "migrate", "old.jsonl"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
 
 class TestVersion:

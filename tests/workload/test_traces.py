@@ -23,6 +23,40 @@ class TestTraceRoundTrip:
         assert loaded[1].service == "other"
         assert loaded[1].arrival_time == 1.5
 
+    def test_cores_and_requested_runtime_round_trip(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        tasks = [
+            Task(flop=1e8, arrival_time=0.0, cores=8, requested_runtime=900.0),
+            Task(flop=2e8, arrival_time=1.0),
+        ]
+        save_trace(path, tasks)
+        loaded = load_trace(path)
+        assert [(t.cores, t.requested_runtime) for t in loaded] == [(8, 900.0), (1, None)]
+
+    def test_five_column_file_loads_with_default_sizes(self, tmp_path):
+        path = tmp_path / "five.csv"
+        path.write_text(
+            "arrival_time,flop,client,user_preference,service\n"
+            "0.0,1e8,c-0,0.0,cpu-burn\n",
+            encoding="utf-8",
+        )
+        (task,) = load_trace(path)
+        assert (task.cores, task.requested_runtime) == (1, None)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [("2.5,", r"sizes\.csv:2.*'cores'.*'2\.5'"), ("4,soon", r"sizes\.csv:2.*'soon'")],
+    )
+    def test_malformed_size_cells_rejected_with_line(self, tmp_path, cells, message):
+        path = tmp_path / "sizes.csv"
+        path.write_text(
+            "arrival_time,flop,client,user_preference,service,cores,requested_runtime\n"
+            f"0.0,1e8,c-0,0.0,cpu-burn,{cells}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=message):
+            load_trace(path)
+
     def test_load_sorts_by_arrival(self, tmp_path):
         path = tmp_path / "trace.csv"
         tasks = [Task(arrival_time=5.0), Task(arrival_time=1.0)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that documentation references resolve.
 
-Two families of checks, both run by CI:
+Four families of checks, all run by CI:
 
 * **Markdown links** — scans README.md and docs/**/*.md for
   ``[text](target)`` links and fails (exit 1) when a relative target does
@@ -18,6 +18,10 @@ Two families of checks, both run by CI:
   ``import repro…``) statement in a ```` ```python ```` block of the
   same Markdown documents must resolve, so a snippet never imports a
   name the package no longer has.
+* **CLI lines** — every ``repro …`` command line in a ```` ```sh ````
+  block of the same documents must parse with
+  :func:`repro.cli.build_parser` (nothing is run), so the docs never
+  show a subcommand or option the CLI no longer has.
 
 Run from the repository root (CI does)::
 
@@ -26,8 +30,11 @@ Run from the repository root (CI does)::
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -186,11 +193,84 @@ def check_document_imports(path: Path, root: Path) -> tuple[list[str], int]:
     return errors, checked
 
 
+#: A fenced ```sh block of a Markdown document.
+SH_BLOCK = re.compile(r"^```sh[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+#: A word that starts a shell operator (``&``, ``|``, ``;``, a redirection).
+SHELL_OPERATOR = re.compile(r"^\d*[<>|&;]")
+
+
+def command_lines(block: str) -> list[tuple[int, list[str]]]:
+    """``(line offset, argv)`` for every ``repro`` command of a shell block.
+
+    Backslash continuations are joined, ``#`` comments dropped, and the
+    command ends at the first shell operator (redirection, pipe, ``&``).
+
+    >>> command_lines("# comment\\nrepro sweep --jobs 4 \\\\\\n  --store s  # cached\\nls\\n")
+    [(1, ['sweep', '--jobs', '4', '--store', 's'])]
+    >>> command_lines("repro serve --port 8423 &\\nrepro table2 >out.txt 2>&1\\n")
+    [(0, ['serve', '--port', '8423']), (1, ['table2'])]
+    """
+    found = []
+    lines = block.split("\n")
+    index = 0
+    while index < len(lines):
+        start, text = index, lines[index]
+        while text.endswith("\\") and index + 1 < len(lines):
+            index += 1
+            text = text[:-1] + " " + lines[index]
+        index += 1
+        if text.split()[:1] != ["repro"]:
+            continue
+        argv = []
+        for word in shlex.split(text, comments=True)[1:]:
+            if SHELL_OPERATOR.match(word):
+                break
+            argv.append(word)
+        found.append((start, argv))
+    return found
+
+
+def parse_error(argv: list[str]) -> str | None:
+    """Why ``repro <argv>`` does not parse, or ``None`` when it does."""
+    from repro.cli import build_parser
+
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        if exit_.code:
+            message = stderr.getvalue().strip().splitlines()
+            return message[-1] if message else f"exit status {exit_.code}"
+    return None
+
+
+def check_document_commands(path: Path, root: Path) -> tuple[list[str], int]:
+    """Parse every ``repro`` command line of ``path``'s ```sh blocks.
+
+    Returns ``(errors, command_count)``.
+    """
+    errors: list[str] = []
+    checked = 0
+    text = path.read_text("utf-8")
+    for block in SH_BLOCK.finditer(text):
+        first_line = text.count("\n", 0, block.start(1)) + 1
+        for offset, argv in command_lines(block.group(1)):
+            checked += 1
+            error = parse_error(argv)
+            if error is not None:
+                errors.append(
+                    f"{path.relative_to(root)}:{first_line + offset}: "
+                    f"'repro {' '.join(argv)}' does not parse ({error})"
+                )
+    return errors, checked
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     documents = [root / "README.md", *sorted((root / "docs").glob("**/*.md"))]
     errors: list[str] = []
-    checked = imports = 0
+    checked = imports = commands = 0
     for document in documents:
         if not document.exists():
             errors.append(f"expected document is missing: {document}")
@@ -200,13 +280,16 @@ def main() -> int:
         import_errors, count = check_document_imports(document, root)
         errors.extend(import_errors)
         imports += count
+        command_errors, count = check_document_commands(document, root)
+        errors.extend(command_errors)
+        commands += count
     reference_errors, references = check_code_references(root)
     errors.extend(reference_errors)
     for error in errors:
         print(f"check_doc_links: {error}", file=sys.stderr)
     print(
         f"check_doc_links: {checked} document(s), {references} code reference(s), "
-        f"{imports} example import(s), {len(errors)} problem(s)"
+        f"{imports} example import(s), {commands} CLI line(s), {len(errors)} problem(s)"
     )
     return 1 if errors else 0
 
