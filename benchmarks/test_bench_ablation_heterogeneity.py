@@ -1,10 +1,10 @@
 """Ablation A1 — GreenPerf benefit as a function of platform heterogeneity.
 
-DESIGN.md calls out the paper's own conclusion ("the effectiveness of this
-metric strongly relies on the heterogeneity of servers") as a design
-choice worth quantifying: this bench sweeps the number of server types
-(2, 3, 4) and reports how much trade-off improvement GreenPerf buys over
-the better of POWER and PERFORMANCE at each heterogeneity level.
+The paper concludes that "the effectiveness of this metric strongly
+relies on the heterogeneity of servers".  This bench quantifies that
+claim: it sweeps the number of server types (2, 3, 4) and reports how
+much trade-off improvement GreenPerf buys over the better of POWER and
+PERFORMANCE at each heterogeneity level.
 """
 
 from __future__ import annotations

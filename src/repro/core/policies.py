@@ -14,8 +14,8 @@ waiting queues, boot costs and the user preference.
 
 All policies are DIET plug-in schedulers
 (:class:`~repro.middleware.plugin_scheduler.PluginScheduler`): they sort
-candidate estimation vectors best-first and are installed on every agent
-of the hierarchy.
+candidate estimation vectors best-first; the Master Agent holds one, and
+every agent of its hierarchy sorts with it.
 
 A note on availability: the deterministic policies prefer servers that
 have a free core *right now* over servers that would queue the task, then

@@ -17,7 +17,7 @@ performance in FLOP/s, so the preset calibrates the per-task cost
 platform capacity (utilisation ≈ 0.85): high enough that placement
 decisions matter and queues form on the favoured clusters, low enough that
 no policy collapses — which is the regime the paper's Table II and
-Figures 2–4 describe.  This substitution is recorded in DESIGN.md.
+Figures 2–4 describe.
 """
 
 from __future__ import annotations

@@ -35,46 +35,34 @@ from repro.middleware.sed import ServerDaemon
 class Agent:
     """A node of the agent hierarchy.
 
-    Children are either other agents or SeDs.  Each agent owns a plug-in
-    scheduler used to sort the candidates it forwards upwards.
+    Children are either other agents or SeDs.  Every agent sorts the
+    candidates it forwards upwards with the one plug-in scheduler its
+    Master Agent holds (DIET runs the same plug-in at every agent).  The
+    topology is open until the Master Agent's first election and frozen
+    from then on.
     """
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        scheduler: PluginScheduler | None = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("agent name must be a non-empty string")
         self.name = name
-        self._scheduler = scheduler or FirstComeFirstServedScheduler()
         self._child_agents: list[Agent] = []
         self._seds: list[ServerDaemon] = []
         self._parent: "Agent | None" = None
-        #: Monotonic counter bumped (and propagated to ancestors) on every
-        #: topology or scheduler change, so the Master Agent knows when to
-        #: choose its election strategy again.
-        self._version = 0
-        #: ``_bump_version`` bound once: the function listener of every SeD
-        #: this agent holds (one callable shared by all of them).
-        self._bump_on_function_change = self._bump_version
 
-    @property
-    def scheduler(self) -> PluginScheduler:
-        """The plug-in scheduler sorting this agent's candidates."""
-        return self._scheduler
-
-    @scheduler.setter
-    def scheduler(self, scheduler: PluginScheduler) -> None:
-        self._scheduler = scheduler
-        self._bump_version()
-
-    def _bump_version(self) -> None:
-        agent: Agent | None = self
-        while agent is not None:
-            agent._version += 1
+    def _root(self) -> "Agent":
+        agent = self
+        while agent._parent is not None:
             agent = agent._parent
+        return agent
+
+    def _ensure_open(self) -> None:
+        """Raise :class:`RuntimeError` once this agent's hierarchy has elected."""
+        root = self._root()
+        if isinstance(root, MasterAgent) and root._election is not None:
+            raise RuntimeError(
+                f"the hierarchy of {root.name!r} has elected; its topology is frozen"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -84,18 +72,20 @@ class Agent:
 
     # -- topology -----------------------------------------------------------------
     def add_agent(self, agent: "Agent") -> None:
-        """Attach a child agent."""
-        if agent is self:
-            raise ValueError("an agent cannot be its own child")
+        """Attach a parentless child agent (before the first election)."""
+        if agent._parent is not None:
+            raise ValueError(f"agent {agent.name!r} already has a parent")
+        if agent is self._root():
+            raise ValueError("an agent cannot be its own ancestor")
+        self._ensure_open()
+        agent._ensure_open()
         self._child_agents.append(agent)
         agent._parent = self
-        self._bump_version()
 
     def add_sed(self, sed: ServerDaemon) -> None:
-        """Attach a SeD; installing an estimation function on it bumps the version."""
+        """Attach a SeD (before the first election)."""
+        self._ensure_open()
         self._seds.append(sed)
-        sed.add_function_listener(self._bump_on_function_change)
-        self._bump_version()
 
     @property
     def child_agents(self) -> Sequence["Agent"]:
@@ -119,8 +109,12 @@ class Agent:
         """Steps 2–4 for this subtree: propagate, collect, sort.
 
         Only SeDs that can solve the requested service and whose node is
-        powered on contribute an estimation vector.
+        powered on contribute an estimation vector.  Every level sorts
+        with the Master Agent's plug-in scheduler.
         """
+        return self._collect(request, self._root().scheduler.sort)
+
+    def _collect(self, request: ServiceRequest, sort) -> list[CandidateEntry]:
         local: list[CandidateEntry] = []
         for sed in self._seds:
             if not sed.can_solve(request.service):
@@ -132,9 +126,9 @@ class Agent:
 
         partial_rankings: list[Sequence[CandidateEntry]] = []
         if local:
-            partial_rankings.append(self.scheduler.sort(request, local))
+            partial_rankings.append(sort(request, local))
         for child in self._child_agents:
-            ranking = child.collect_candidates(request)
+            ranking = child._collect(request, sort)
             if ranking:
                 partial_rankings.append(ranking)
 
@@ -145,7 +139,7 @@ class Agent:
         # DIET runs the same plug-in at every agent: concatenate the
         # children's rankings and re-sort them with the same criterion.
         merged = [entry for ranking in partial_rankings for entry in ranking]
-        return self.scheduler.sort(request, merged)
+        return sort(request, merged)
 
 
 class LocalAgent(Agent):
@@ -155,14 +149,16 @@ class LocalAgent(Agent):
 class MasterAgent(Agent):
     """The head of the hierarchy (MA).
 
-    In addition to the common agent behaviour, the Master Agent holds an
-    optional *candidate filter* — the frozen set of server names the
-    adaptive provisioning layer allows — and elects the best-ranked
-    allowed SeD, or the best-ranked SeD when the set allows none of the
-    candidates (provisioning never leaves a request unservable).  How
-    that winner is found (a resident order, a flat ``min`` or a replay of
-    the tree walk) is chosen once per topology version by
-    :func:`~repro.middleware.ranking.choose_election`.
+    In addition to the common agent behaviour, the Master Agent holds the
+    hierarchy's one plug-in scheduler and an optional *candidate filter*
+    — the frozen set of server names the adaptive provisioning layer
+    allows — and elects the best-ranked allowed SeD, or the best-ranked
+    SeD when the set allows none of the candidates (provisioning never
+    leaves a request unservable).  How that winner is found (a resident
+    order, a flat ``min`` or a replay of the tree walk) is chosen once,
+    at the first election, by
+    :func:`~repro.middleware.ranking.choose_election`; from then on the
+    hierarchy's topology is frozen.
     """
 
     def __init__(
@@ -171,12 +167,12 @@ class MasterAgent(Agent):
         *,
         scheduler: PluginScheduler | None = None,
     ) -> None:
-        super().__init__(name, scheduler=scheduler)
+        super().__init__(name)
+        self._scheduler = scheduler or FirstComeFirstServedScheduler()
         self.candidate_filter: frozenset[str] | None = None
-        #: Picks the election strategy whenever the topology version moves.
+        #: Picks the election strategy at the first election.
         self._choose_election = choose_election
         self._election = None
-        self._election_version = -1
         #: Optional :class:`~repro.util.phases.PhaseTimer` attributing
         #: election time to the estimation/scoring phases (profiled runs
         #: only; ``None`` costs nothing).
@@ -190,13 +186,15 @@ class MasterAgent(Agent):
         """
         self.candidate_filter = None if servers is None else frozenset(servers)
 
+    @property
+    def scheduler(self) -> PluginScheduler:
+        """The plug-in scheduler every agent of the hierarchy sorts with."""
+        return self._scheduler
+
     def _current_election(self):
-        """The election strategy for the current topology version."""
-        if self._election_version != self._version:
-            if self._election is not None:
-                self._election.detach()
+        """The election strategy, chosen (and the topology frozen) on first use."""
+        if self._election is None:
             self._election = self._choose_election(self)
-            self._election_version = self._version
         return self._election
 
     def submit(self, request: ServiceRequest) -> SchedulingOutcome:
@@ -208,7 +206,9 @@ class MasterAgent(Agent):
         timer = self.phase_timer
         if timer is not None:
             timer.push("estimation")
-        election = self._current_election()
+        election = self._election
+        if election is None:
+            election = self._current_election()
         if timer is not None:
             election.refresh(request)
             timer.pop()

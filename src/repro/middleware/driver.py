@@ -123,7 +123,7 @@ class MiddlewareSimulation:
         self.trace = ExecutionTrace()
         self._trace_on = trace_level == "full"
         self.metrics = MetricsCollector(
-            policy=policy_name or getattr(master.scheduler, "name", "unknown")
+            policy=policy_name or master.scheduler.name
         )
         self.client = Client(master)
         self.accountant = EnergyAccountant(

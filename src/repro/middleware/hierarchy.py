@@ -3,8 +3,7 @@
 The paper deploys one Master Agent and twelve SeDs spread over three
 clusters (Table I).  The natural DIET topology for such a platform is one
 Local Agent per cluster under the Master Agent, with one SeD per node —
-that is what :func:`build_hierarchy` produces; ``per_cluster_agents=False``
-gives the flat topology (all SeDs directly under the MA).
+that is what :func:`build_hierarchy` produces.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro.infrastructure.platform import Platform
 from repro.middleware.agents import LocalAgent, MasterAgent
 from repro.middleware.plugin_scheduler import PluginScheduler
 from repro.middleware.sed import ServerDaemon
-from repro.simulation.queueing import QueueSet
 
 #: The paper's single CPU-bound service, offered when no workload says otherwise.
 DEFAULT_SERVICES = ("cpu-burn",)
@@ -44,8 +42,6 @@ def build_hierarchy(
     scheduler: PluginScheduler | None = None,
     services: Iterable[str] | None = None,
     workload: Sequence | None = None,
-    per_cluster_agents: bool = True,
-    queues: QueueSet | None = None,
 ) -> tuple[MasterAgent, Mapping[str, ServerDaemon]]:
     """Create a Master Agent hierarchy covering every node of ``platform``.
 
@@ -54,9 +50,8 @@ def build_hierarchy(
     platform:
         The infrastructure to expose through the middleware.
     scheduler:
-        Plug-in scheduler installed on every agent (each agent's
-        :attr:`~repro.middleware.agents.Agent.scheduler` may be replaced
-        later).
+        The Master Agent's plug-in scheduler, which every agent sorts with
+        (fixed for the hierarchy's life).
     services:
         Services offered by every SeD.  When omitted, they are derived
         from ``workload`` (every service the workload requests), falling
@@ -64,14 +59,6 @@ def build_hierarchy(
     workload:
         Optional task sequence the hierarchy will serve; only consulted
         when ``services`` is omitted (see :func:`workload_services`).
-    per_cluster_agents:
-        When true (default), one Local Agent per cluster is inserted
-        between the MA and the SeDs, mirroring the paper's deployment;
-        otherwise all SeDs attach directly to the MA.
-    queues:
-        Optional pre-built :class:`~repro.simulation.queueing.QueueSet`; when
-        given, each SeD is bound to the queue of its node so that the
-        middleware and the simulation driver share queue state.
 
     Returns
     -------
@@ -87,15 +74,11 @@ def build_hierarchy(
     seds: dict[str, ServerDaemon] = {}
 
     for cluster in platform.clusters:
-        parent = master
-        if per_cluster_agents:
-            local_agent = LocalAgent(f"la-{cluster.name}", scheduler=scheduler)
-            master.add_agent(local_agent)
-            parent = local_agent
+        local_agent = LocalAgent(f"la-{cluster.name}")
+        master.add_agent(local_agent)
         for node in cluster:
-            queue = queues[node.name] if queues is not None else None
-            sed = ServerDaemon(node, services=services, queue=queue)
-            parent.add_sed(sed)
+            sed = ServerDaemon(node, services=services)
+            local_agent.add_sed(sed)
             seds[node.name] = sed
 
     return master, seds

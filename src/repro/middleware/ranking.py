@@ -1,14 +1,14 @@
-"""The Master Agent's election strategies, chosen once per topology version.
+"""The Master Agent's election strategies, chosen once per hierarchy.
 
-Every agent of the hierarchy sorts its candidates with the plug-in
-scheduler and the Master Agent elects the head of the ranking
+Every agent of the hierarchy sorts its candidates with the Master Agent's
+plug-in scheduler and the Master Agent elects the head of the ranking
 (Section III-A).  :func:`choose_election` picks how that head is found,
-once per topology version, among three strategies with one surface —
-``elect(request, allowed=None)`` (the winner, or ``None``),
-``candidates(request)`` (the full ranking), ``refresh(request)`` and
-``detach()``.  ``allowed`` is the Master Agent's candidate set: the winner
-is the best-ranked server it names, or the best-ranked server when it
-names none of the candidates.
+once, at the first election (the topology is frozen from then on), among
+three strategies with one surface — ``elect(request, allowed=None)`` (the
+winner, or ``None``), ``candidates(request)`` (the full ranking) and
+``refresh(request)``.  ``allowed`` is the Master Agent's candidate set:
+the winner is the best-ranked server it names, or the best-ranked server
+when it names none of the candidates.
 
 All three keep one :class:`RowStore`: a row per SeD, kept between
 elections in the walk's depth-first order.  The store subscribes to every
@@ -16,7 +16,9 @@ SeD's invalidation listeners (the triggers that invalidate the estimation
 cache) and only marks the affected server dirty; ``refresh`` re-estimates
 the dirty SeDs, and each election then re-reads every SeD with a custom
 estimation function (whose vector may move with no notification), in the
-walk's order so their ``estimate`` calls are the walk's.
+walk's order so their ``estimate`` calls are the walk's.  Estimation
+functions are fixed when a SeD is built, so the set of such SeDs is fixed
+for a strategy's life.
 
 * :class:`ResidentRanking` keeps the candidate list sorted by the policy's
   request-independent
@@ -29,8 +31,8 @@ walk's order so their ``estimate`` calls are the walk's.
   functions.  ``elect`` takes the ``min`` of those keys and
   ``candidates`` sorts them.
 * :class:`WalkReplay` replays the walk's per-level ``sort`` calls over the
-  rows, for every other policy or hierarchy (RANDOM draws its noise per
-  call, so every call counts).
+  rows, for every other policy (RANDOM draws its noise per call, so every
+  call counts).
 
 ``elect`` is the first allowed entry of ``candidates`` everywhere but in
 :class:`FlatElection` without a candidate set, the one case where
@@ -43,8 +45,8 @@ reference they are proven equal to.  The first two equal the walk because
 their key is a total order ending in the server name and one policy
 instance sorts at every level: per-level sorts plus aggregates then give
 the same permutation as one global sort, whose head is the key's minimum.
-The replay equals it because it makes the same ``sort`` calls, with each
-agent's own scheduler, on the same lists.
+The replay equals it because it makes the same ``sort`` calls on the same
+lists.
 ``tests/core/test_ranking_incremental.py``,
 ``tests/core/test_flat_election.py`` and
 ``tests/core/test_walk_replay.py`` prove it bit for bit against the walk
@@ -69,11 +71,9 @@ class RowStore:
 
     ``make_row(entry)`` turns an available SeD's candidate entry into its
     row; an unavailable SeD's row is ``None`` (OFF/BOOTING/FAILED nodes
-    re-appear through their recovery transitions).  The set of SeDs with
-    custom estimation functions is fixed for the store's life: installing
-    one bumps the topology version of every agent holding the SeD
-    (:meth:`~repro.middleware.sed.ServerDaemon.set_estimation_function`),
-    so the Master Agent chooses a new strategy.
+    re-appear through their recovery transitions).  The SeDs with custom
+    estimation functions are fixed when the store is built, as their
+    functions are.
     """
 
     def __init__(self, seds: Sequence[ServerDaemon], make_row) -> None:
@@ -86,16 +86,11 @@ class RowStore:
         #: SeDs whose vector moved since the last election (all, initially).
         #: Its bound ``add`` is the invalidation listener itself, so a
         #: notification costs no Python frame; the set is only ever
-        #: cleared, never rebound, so ``detach`` removes that same listener.
+        #: cleared, never rebound.
         self._dirty: set[ServerDaemon] = set(self._rows)
         self._uniform_services = _uniform_services(self._rows)
         for sed in self._rows:
             sed.add_invalidation_listener(self._dirty.add)
-
-    def detach(self) -> None:
-        """Unsubscribe from every SeD (when the strategy is replaced)."""
-        for sed in self._rows:
-            sed.remove_invalidation_listener(self._dirty.add)
 
     @property
     def dirty_servers(self) -> frozenset[str]:
@@ -160,15 +155,12 @@ class RowStore:
     def check(self) -> None:
         """Raise :class:`AssertionError` unless the store is consistent.
 
-        Meant right after an election: the dirty set is empty, the custom
-        SeDs are exactly those without the default estimation function, and
-        every other SeD's row equals the row of a freshly computed vector.
+        Meant right after an election: the dirty set is empty and every
+        SeD with the default estimation function has the row of a freshly
+        computed vector.
         """
         if self._dirty:
             raise AssertionError(f"dirty after an election: {sorted(self.dirty_servers)}")
-        custom = tuple(sed for sed in self._rows if not sed.estimation_cacheable)
-        if custom != self._custom:
-            raise AssertionError("the custom estimation functions changed under the store")
         for sed, row in self._rows.items():
             if sed.estimation_cacheable:
                 vector = default_estimation_function(sed, None)
@@ -378,12 +370,12 @@ class FlatElection(RowStore):
 class WalkReplay(RowStore):
     """The walk's ``sort`` calls, replayed over the rows.
 
-    For every policy without a total-order key, and for hierarchies whose
-    agents do not share one policy instance, the walk's own calls are the
-    ranking: a local sort per agent with that agent's scheduler, a merge
-    re-sort only where an agent holds more than one partial ranking, and
-    the Master Agent's re-sort of the entries its candidate set allows
-    (the walk's output may end in a child's order).  The replay
+    For every policy without a total-order key the walk's own calls are
+    the ranking: a local sort per agent, a merge re-sort only where an
+    agent holds more than one partial ranking, and the Master Agent's
+    re-sort of the entries its candidate set allows (the walk's output
+    may end in a child's order).  Every call is the Master Agent's
+    ``sort``, bound once.  The replay
     makes exactly those calls on exactly those lists, so a policy whose
     ranking depends on its call sequence (RANDOM draws fresh noise per
     ``sort``) moves its state as under the walk; only the per-request
@@ -394,6 +386,7 @@ class WalkReplay(RowStore):
 
     def __init__(self, master) -> None:
         super().__init__(master.all_seds(), _entry_row)
+        self._sort = master.scheduler.sort
         self._tree = _agent_tree(master)
 
     def elect(self, request, allowed=None) -> CandidateEntry | None:
@@ -407,7 +400,7 @@ class WalkReplay(RowStore):
             return None
         if allowed is not None:
             kept = [entry for entry in ranking if entry.server in allowed]
-            ranking = self._tree[0](request, kept or ranking)
+            ranking = self._sort(request, kept or ranking)
         return ranking[0]
 
     def candidates(self, request) -> list[CandidateEntry]:
@@ -421,8 +414,8 @@ class WalkReplay(RowStore):
 
     def _collect(self, node, request, service) -> list[CandidateEntry]:
         """``Agent.collect_candidates`` over the rows (``service=None``: all solve)."""
-        sort, seds, children = node
-        rows = self._rows
+        seds, children = node
+        rows, sort = self._rows, self._sort
         if service is None:
             local = [row for sed in seds if (row := rows[sed]) is not None]
         else:
@@ -445,16 +438,8 @@ class WalkReplay(RowStore):
 
 
 def _agent_tree(agent) -> tuple:
-    """``(agent's sort, agent's own SeDs, child subtrees)``, recursively.
-
-    A scheduler swap bumps the topology version, so binding each agent's
-    ``sort`` here is safe for the strategy's life.
-    """
-    return (
-        agent.scheduler.sort,
-        tuple(agent.seds),
-        tuple(_agent_tree(child) for child in agent.child_agents),
-    )
+    """``(agent's own SeDs, child subtrees)``, recursively."""
+    return tuple(agent.seds), tuple(_agent_tree(child) for child in agent.child_agents)
 
 
 def _entry_row(entry: CandidateEntry) -> CandidateEntry:
@@ -468,22 +453,14 @@ def _uniform_services(seds) -> frozenset[str] | None:
     return next(iter(services)) if len(services) == 1 else None
 
 
-def _schedulers(agent):
-    yield agent.scheduler
-    for child in agent.child_agents:
-        yield from _schedulers(child)
-
-
 def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay:
-    """The election strategy for ``master``'s current topology, by these rules:
+    """The election strategy for ``master``'s hierarchy, by its policy:
 
-    1. a ``rank_key`` policy shared by every agent, over SeDs that all use
-       the default estimation function, gets a :class:`ResidentRanking`;
-    2. any other shared ``rank_key`` policy, or a shared one with
-       ``score_inputs`` and ``score_keys`` (GREEN_SCORE), gets a
-       :class:`FlatElection`;
-    3. anything else — RANDOM, the hook-less FCFS scheduler, and agents
-       that do not all share one scheduler instance — gets a
+    1. a ``rank_key`` policy over SeDs that all use the default estimation
+       function gets a :class:`ResidentRanking`;
+    2. any other ``rank_key`` policy, or one with ``score_inputs`` and
+       ``score_keys`` (GREEN_SCORE), gets a :class:`FlatElection`;
+    3. anything else — RANDOM and the hook-less FCFS scheduler — gets a
        :class:`WalkReplay`.
 
     On a three-SeD hierarchy:
@@ -494,19 +471,16 @@ def choose_election(master) -> ResidentRanking | FlatElection | WalkReplay:
     >>> def strategy(policy):
     ...     platform = grid5000_placement_platform(nodes_per_cluster=1)
     ...     master, seds = build_hierarchy(platform, scheduler=policy_by_name(policy))
-    ...     election = choose_election(master)
-    ...     election.detach()
-    ...     return len(seds), type(election).__name__
+    ...     return len(seds), type(choose_election(master)).__name__
     >>> [strategy(name) for name in ("POWER", "GREEN_SCORE", "RANDOM")]
     [(3, 'ResidentRanking'), (3, 'FlatElection'), (3, 'WalkReplay')]
     """
     scheduler = master.scheduler
-    if all(other is scheduler for other in _schedulers(master)):
-        seds = master.all_seds()
-        if scheduler.rank_key is not None and all(sed.estimation_cacheable for sed in seds):
-            return ResidentRanking(scheduler, seds)
-        if scheduler.rank_key is not None or scheduler.score_keys is not None:
-            return FlatElection(scheduler, seds)
+    seds = master.all_seds()
+    if scheduler.rank_key is not None and all(sed.estimation_cacheable for sed in seds):
+        return ResidentRanking(scheduler, seds)
+    if scheduler.rank_key is not None or scheduler.score_keys is not None:
+        return FlatElection(scheduler, seds)
     return WalkReplay(master)
 
 

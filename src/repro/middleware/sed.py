@@ -7,7 +7,8 @@ monitor, and exposes two things to the agent hierarchy:
 
 * the set of services it can solve;
 * an estimation vector, filled by a (possibly custom) *estimation
-  function* whenever a request arrives.
+  function* whenever a request arrives.  A custom function is DIET's
+  plug-in hook: it is given at construction and fixed for the SeD's life.
 
 The default estimation function populates the standard tags of
 :class:`~repro.middleware.estimation.EstimationTags`.  The paper's green
@@ -28,8 +29,8 @@ re-computes only the vectors whose node changed since the last request —
 usually one — instead of reassembling all *n*; since a dirty vector is
 recomputed by exactly the same function at the same state, election
 results are bit-identical to the always-recompute path (the golden suite
-pins this).  Installing a *custom* estimation function disables the cache
-for that SeD, because custom functions may read the request.
+pins this).  A SeD built with a *custom* estimation function keeps no
+cache, because custom functions may read the request.
 """
 
 from __future__ import annotations
@@ -62,13 +63,10 @@ class ServerDaemon:
         node: Node,
         *,
         services: Iterable[str] = ("cpu-burn",),
-        queue: NodeQueue | None = None,
         estimation_function: EstimationFunction | None = None,
     ) -> None:
         self.node = node
-        self.queue = queue if queue is not None else NodeQueue(node)
-        if self.queue.node is not node:
-            raise ValueError("queue must be bound to the SeD's node")
+        self.queue = NodeQueue(node)
         self._services = frozenset(services)
         if not self._services:
             raise ValueError("a SeD must offer at least one service")
@@ -89,8 +87,6 @@ class ServerDaemon:
         #: resident ranking (:mod:`repro.middleware.ranking`) subscribes
         #: here to mark this SeD dirty in O(1) per transition.
         self._invalidation_listeners: list[Callable[["ServerDaemon"], None]] = []
-        #: Callbacks fired when a new estimation function is installed.
-        self._function_listeners: tuple[Callable[[], None], ...] = ()
         if self._cacheable:
             node.add_power_listener(self.invalidate_estimation)
             self.queue.add_listener(self.invalidate_estimation)
@@ -137,26 +133,11 @@ class ServerDaemon:
     ) -> None:
         """Subscribe ``listener(sed)`` to every estimation invalidation.
 
-        Listeners fire on each node power transition, queue mutation,
-        power observation and estimation-function swap — the complete set
-        of triggers that can move this SeD's estimation vector.
+        Listeners fire on each node power transition, queue mutation and
+        power observation — the complete set of triggers that can move the
+        default estimation function's vector.
         """
         self._invalidation_listeners.append(listener)
-
-    def remove_invalidation_listener(
-        self, listener: Callable[["ServerDaemon"], None]
-    ) -> None:
-        """Unsubscribe a previously added listener (ValueError if absent)."""
-        self._invalidation_listeners.remove(listener)
-
-    def add_function_listener(self, listener: Callable[[], None]) -> None:
-        """Subscribe ``listener()`` to :meth:`set_estimation_function`.
-
-        Each agent holding this SeD subscribes its topology-version bump:
-        whether the SeD's vectors can be kept between elections is part of
-        what the Master Agent chooses its election strategy by.
-        """
-        self._function_listeners += (listener,)
 
     @property
     def estimation_cached(self) -> bool:
@@ -201,20 +182,6 @@ class ServerDaemon:
         return self._request_power.mean
 
     # -- estimation ------------------------------------------------------------------
-    def set_estimation_function(self, function: EstimationFunction) -> None:
-        """Install a custom estimation function (the DIET plug-in hook).
-
-        Custom functions may read the request, so installing one disables
-        this SeD's estimation cache: every request recomputes.  The agents
-        holding the SeD bump their topology version, so the Master Agent
-        chooses its election strategy again.
-        """
-        self._estimation_function = function
-        self._cacheable = False
-        self.invalidate_estimation()
-        for listener in self._function_listeners:
-            listener()
-
     def estimate(self, request: ServiceRequest) -> EstimationVector:
         """Produce the estimation vector for ``request``.
 

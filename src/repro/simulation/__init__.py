@@ -9,7 +9,7 @@ collection (makespan, energy, per-node task counts).
 
 from repro.simulation.engine import ScheduledEvent, SimulationEngine
 from repro.simulation.metrics import ExperimentMetrics, MetricsCollector
-from repro.simulation.queueing import NodeQueue, QueueSet
+from repro.simulation.queueing import NodeQueue
 from repro.simulation.task import Task, TaskExecution, TaskState
 from repro.simulation.trace import ExecutionTrace, TraceEvent
 
@@ -19,7 +19,6 @@ __all__ = [
     "ExperimentMetrics",
     "MetricsCollector",
     "NodeQueue",
-    "QueueSet",
     "Task",
     "TaskExecution",
     "TaskState",

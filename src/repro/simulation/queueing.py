@@ -10,7 +10,7 @@ queue and in flight divided by the node's processing capacity.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable
+from typing import Callable, Deque
 
 from repro.infrastructure.node import Node
 from repro.simulation.task import Task
@@ -119,21 +119,3 @@ class NodeQueue:
             return 0.0
         outstanding = self.backlog_flop + sum(self._running_remaining_flop.values())
         return outstanding / self.node.spec.total_flops
-
-
-class QueueSet:
-    """The queues of every node of a platform, indexed by node name."""
-
-    def __init__(self, nodes: Iterable[Node]) -> None:
-        self._queues: dict[str, NodeQueue] = {
-            node.name: NodeQueue(node) for node in nodes
-        }
-
-    def __getitem__(self, node_name: str) -> NodeQueue:
-        return self._queues[node_name]
-
-    def __contains__(self, node_name: str) -> bool:
-        return node_name in self._queues
-
-    def __len__(self) -> int:
-        return len(self._queues)

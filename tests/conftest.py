@@ -81,17 +81,14 @@ class TreeWalk:
 
     The oracle every election strategy of :mod:`repro.middleware.ranking`
     is proven equal to (:func:`force_tree_walk` pins a Master Agent to
-    it).  Its output need not be in the Master Agent's order (a mixed
-    hierarchy ends in a child's order), so the Master Agent re-sorts the
-    entries its candidate set allows, as under
+    it).  Its output need not be the Master Agent's own ``sort`` output (it
+    may end in a child's sort when only one child has candidates), so the
+    Master Agent re-sorts the entries its candidate set allows, as under
     :class:`~repro.middleware.ranking.WalkReplay`.
     """
 
     def __init__(self, master) -> None:
         self._master = master
-
-    def detach(self) -> None:
-        """Nothing to unsubscribe: the walk keeps no per-server state."""
 
     def refresh(self, request) -> None:
         """Nothing to refresh: every election estimates every SeD."""
@@ -109,10 +106,10 @@ class TreeWalk:
 def force_tree_walk(master):
     """Pin ``master`` to the per-request tree walk, the equivalence oracle.
 
-    Every later topology version is served by a walk too; returns ``master``.
+    Call it before ``master``'s first election; returns ``master``.
     """
+    assert master._election is None, "the strategy is chosen at the first election"
     master._choose_election = TreeWalk
-    master._election_version = -1  # choose again at the next election
     return master
 
 
@@ -125,7 +122,7 @@ def flat_hierarchy(seds, *, scheduler=None) -> MasterAgent:
 
 
 def election_type(master) -> type:
-    """The class of ``master``'s strategy for its current topology."""
+    """The class of ``master``'s election strategy (chosen on first use)."""
     return type(master._current_election())
 
 

@@ -11,9 +11,9 @@ set installed and one through the reference, must agree after every
 transition on the winner and on every RANDOM generator state, and the
 electing twin's store must pass its ``check()``.  Hypothesis draws every
 built-in policy — through the resident ranking, the flat election (a
-custom estimation function, or GREEN_SCORE) and the replay (RANDOM, the
-hook-less scheduler, or one instance per agent) — and allowed sets that
-are empty, disjoint from the fleet, the whole fleet or any mix.
+custom estimation function, or GREEN_SCORE) and the replay (RANDOM or
+the hook-less scheduler) — and allowed sets that are empty, disjoint from
+the fleet, the whole fleet or any mix.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from tests.core.test_elect import _build, _rng_states, step_strategy
 from tests.core.test_flat_election import REQUEST_PREFERENCES
 from tests.core.test_ranking_incremental import (
     _apply,
-    _make_seds,
+    _make_nodes,
     _request_aware_estimation,
 )
 
@@ -59,16 +59,8 @@ def _policy(name: str, seed: int):
     return policy_by_name(name, **({"seed": seed} if name == "RANDOM" else {}))
 
 
-def _scheduler(name: str, seed: int, mixed: bool):
-    """Agent index -> scheduler: one shared instance, or one per agent."""
-    if mixed:
-        return lambda index: _policy(name, seed + index)
-    shared = _policy(name, seed)
-    return lambda index: shared
-
-
-def _expected_strategy(name: str, custom: bool, mixed: bool) -> type:
-    if mixed or name in ("RANDOM", "HOOKLESS"):
+def _expected_strategy(name: str, custom: bool) -> type:
+    if name in ("RANDOM", "HOOKLESS"):
         return WalkReplay
     if name == "GREEN_SCORE" or custom:
         return FlatElection
@@ -84,7 +76,6 @@ class TestCandidateSetElections:
     @given(
         policy=st.sampled_from(POLICIES),
         custom=st.booleans(),
-        mixed=st.booleans(),
         depth=st.integers(min_value=1, max_value=3),
         node_count=st.integers(min_value=1, max_value=8),
         matmul_only=st.one_of(
@@ -105,16 +96,18 @@ class TestCandidateSetElections:
         ),
     )
     def test_submit_equals_rank_keep_fall_back(
-        self, policy, custom, mixed, depth, node_count, matmul_only, placement, seed, steps,
+        self, policy, custom, depth, node_count, matmul_only, placement, seed, steps,
     ):
         seds = [
-            ServerDaemon(sed.node, services=("matmul",)) if other else sed
-            for sed, other in zip(_make_seds(node_count), matmul_only)
+            ServerDaemon(
+                node,
+                services=("matmul",) if other else ("cpu-burn",),
+                estimation_function=_request_aware_estimation if custom and index == 0 else None,
+            )
+            for index, (node, other) in enumerate(zip(_make_nodes(node_count), matmul_only))
         ]
-        if custom:
-            seds[0].set_estimation_function(_request_aware_estimation)
         electing, reference = (
-            _build(seds, placement, depth, _scheduler(policy, seed, mixed)) for _ in range(2)
+            _build(seds, placement, depth, _policy(policy, seed)) for _ in range(2)
         )
         running = {sed.name: [] for sed in seds}
         for ops, allowed, service, preference, flop in steps:
@@ -132,6 +125,6 @@ class TestCandidateSetElections:
             assert elected == (ranked[0].server if ranked else None)
             assert _rng_states(electing) == _rng_states(reference)
             electing._current_election().check()
-        expected = _expected_strategy(policy, custom, mixed and depth >= 2)
+        expected = _expected_strategy(policy, custom)
         assert type(electing._current_election()) is expected
         assert type(reference._current_election()) is expected

@@ -17,8 +17,7 @@ match after every election:
   that scores through the validators, a negative or a missing one that
   raises), and under a ``rank_key`` policy over a custom estimation
   function;
-* the replay under RANDOM and the hook-less FCFS scheduler, and under
-  mixed per-agent schedulers;
+* the replay under RANDOM and the hook-less FCFS scheduler;
 
 over hierarchies of depth 1–3.  Every path above shares GREEN_SCORE's
 memoised ``score_keys``, so a last property pins it to Equations 4–6
@@ -44,25 +43,25 @@ from tests.core.test_flat_election import (
     DEFAULT_PREFERENCES,
     LIFECYCLE,
     REQUEST_PREFERENCES,
+    _identical_nodes,
     _identical_seds,
 )
 from tests.core.test_ranking_incremental import (
     RANKED_POLICIES,
     _apply,
+    _make_nodes,
     _make_seds,
     _request_aware_estimation,
     op_strategy,
 )
-from tests.core.test_walk_replay import ANY_POLICY
 
-#: Each case: the strategy class its shared scheduler gets.
+#: Each case: the strategy class its scheduler gets.
 CASES = {
     "POWER": ResidentRanking,
     "GREEN_SCORE": FlatElection,
     "CUSTOM_RANK_KEY": FlatElection,
     "RANDOM": WalkReplay,
     "FCFS": WalkReplay,
-    "MIXED": WalkReplay,
 }
 
 #: Estimation functions that bend one value of the default vector.  The
@@ -94,11 +93,9 @@ def _odd_estimation(kind: str, index: int):
     return estimate
 
 
-def _schedulers(case, seed, kinds, rank_policy, default_preference, use_dynamic_power):
-    """Agent index -> scheduler: one shared instance, or one per agent (``MIXED``)."""
-    if case == "MIXED":
-        return lambda index: ANY_POLICY[kinds[index % len(kinds)]](seed + index)
-    shared = {
+def _scheduler(case, seed, rank_policy, default_preference, use_dynamic_power):
+    """A fresh scheduler for ``case``."""
+    return {
         "POWER": PowerPolicy,
         "GREEN_SCORE": lambda: GreenSchedulerPolicy(
             default_preference=default_preference, use_dynamic_power=use_dynamic_power
@@ -107,25 +104,24 @@ def _schedulers(case, seed, kinds, rank_policy, default_preference, use_dynamic_
         "RANDOM": lambda: RandomPolicy(seed=seed),
         "FCFS": FirstComeFirstServedScheduler,
     }[case]()
-    return lambda index: shared
 
 
 def _build(seds, placement, depth, scheduler):
-    """A ``depth``-level hierarchy; agent ``i`` runs ``scheduler(i)``.
+    """A ``depth``-level hierarchy sorting with ``scheduler``.
 
     Agent 0 is the Master Agent; depth 2 adds two Local Agents under it,
     depth 3 a child under each.  ``placement[i]`` picks SeD ``i``'s agent.
     """
-    master = MasterAgent(scheduler=scheduler(0))
+    master = MasterAgent(scheduler=scheduler)
     agents = [master]
     if depth >= 2:
         for index in range(2):
-            child = LocalAgent(f"la-{index}", scheduler=scheduler(len(agents)))
+            child = LocalAgent(f"la-{index}")
             master.add_agent(child)
             agents.append(child)
     if depth >= 3:
         for parent in list(agents[1:]):
-            grandchild = LocalAgent(f"{parent.name}-sub", scheduler=scheduler(len(agents)))
+            grandchild = LocalAgent(f"{parent.name}-sub")
             parent.add_agent(grandchild)
             agents.append(grandchild)
     for sed, slot in zip(seds, placement):
@@ -133,19 +129,10 @@ def _build(seds, placement, depth, scheduler):
     return master
 
 
-def _agents(agent):
-    yield agent
-    for child in agent.child_agents:
-        yield from _agents(child)
-
-
 def _rng_states(master):
-    """The generator state of every RANDOM scheduler, agent by agent."""
-    return [
-        agent.scheduler._rng.bit_generator.state
-        for agent in _agents(master)
-        if isinstance(agent.scheduler, RandomPolicy)
-    ]
+    """The generator state of the Master Agent's RANDOM scheduler, if it has one."""
+    scheduler = master.scheduler
+    return scheduler._rng.bit_generator.state if isinstance(scheduler, RandomPolicy) else None
 
 
 def _view(entry):
@@ -203,7 +190,6 @@ class TestElectIsTheHeadOfTheRanking:
             st.lists(st.sampled_from((None, *ODD_KINDS)), min_size=8, max_size=8),
         ),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        kinds=st.tuples(*[st.sampled_from(sorted(ANY_POLICY))] * 3),
         rank_policy=st.sampled_from(RANKED_POLICIES),
         default_preference=st.sampled_from(DEFAULT_PREFERENCES),
         use_dynamic_power=st.booleans(),
@@ -219,28 +205,32 @@ class TestElectIsTheHeadOfTheRanking:
         ),
     )
     def test_elect_equals_the_head_of_candidates(
-        self, case, depth, node_count, twins, matmul_only, placement, odd, seed, kinds,
+        self, case, depth, node_count, twins, matmul_only, placement, odd, seed,
         rank_policy, default_preference, use_dynamic_power, steps,
     ):
-        fleet = _identical_seds(node_count) if twins else _make_seds(node_count)
+        def function(index, kind):
+            """The estimation function SeD ``index`` is built with."""
+            if kind is not None and case != "POWER":  # resident: default estimation
+                return _odd_estimation(kind, index)
+            if index == 0 and case == "CUSTOM_RANK_KEY":
+                return _request_aware_estimation
+            return None
+
+        nodes = _identical_nodes(node_count) if twins else _make_nodes(node_count)
         seds = [
-            ServerDaemon(sed.node, services=("matmul",)) if other else sed
-            for sed, other in zip(fleet, matmul_only)
+            ServerDaemon(
+                node,
+                services=("matmul",) if other else ("cpu-burn",),
+                estimation_function=function(index, kind),
+            )
+            for index, (node, other, kind) in enumerate(zip(nodes, matmul_only, odd))
         ]
-        if case == "CUSTOM_RANK_KEY":
-            seds[0].set_estimation_function(_request_aware_estimation)
-        if case != "POWER":  # the resident ranking needs default estimation
-            for index, (sed, kind) in enumerate(zip(seds, odd)):
-                if kind is not None:
-                    sed.set_estimation_function(_odd_estimation(kind, index))
         electing, ranking = (
             _build(
                 seds,
                 placement,
                 depth,
-                _schedulers(
-                    case, seed, kinds, rank_policy, default_preference, use_dynamic_power
-                ),
+                _scheduler(case, seed, rank_policy, default_preference, use_dynamic_power),
             )
             for _ in range(2)
         )
@@ -255,8 +245,7 @@ class TestElectIsTheHeadOfTheRanking:
             assert _elected(electing, request) == _head(ranking, request)
             assert _rng_states(electing) == _rng_states(ranking)
             electing._current_election().check()
-        if case != "MIXED" or depth >= 2:
-            assert type(electing._current_election()) is CASES[case]
+        assert type(electing._current_election()) is CASES[case]
 
 
 def _request(flop=4.0e9):
@@ -266,7 +255,7 @@ def _request(flop=4.0e9):
 class TestGreenScoreElections:
     def test_score_ties_break_by_server_name(self):
         seds = _identical_seds(4)
-        master = _build(seds[::-1], (0, 1, 2, 1), 2, lambda index: GreenSchedulerPolicy())
+        master = _build(seds[::-1], (0, 1, 2, 1), 2, GreenSchedulerPolicy())
         election = master._current_election()
         assert election.elect(_request()).server == "twin-0"
         assert [entry.server for entry in election.candidates(_request())] == [
@@ -275,27 +264,30 @@ class TestGreenScoreElections:
 
     @pytest.mark.parametrize("method", ["elect", "candidates"])
     def test_the_first_unscorable_row_in_walk_order_raises(self, method):
-        seds = _make_seds(5)
-        seds[3].set_estimation_function(_odd_estimation("negative", 3))
-        seds[1].set_estimation_function(_odd_estimation("negative", 1))
-        seds[4].set_estimation_function(_odd_estimation("int", 4))
-        master = _build(seds, (1, 2, 0, 0, 0), 2, lambda index: GreenSchedulerPolicy())
+        seds = _make_seds(
+            5,
+            {
+                3: _odd_estimation("negative", 3),
+                1: _odd_estimation("negative", 1),
+                4: _odd_estimation("int", 4),
+            },
+        )
+        master = _build(seds, (1, 2, 0, 0, 0), 2, GreenSchedulerPolicy())
         election = master._current_election()
         # Walk order: the Master Agent's SeDs (2, 3, 4), then la-0's (0), la-1's (1).
         with pytest.raises(ValueError, match=r"waiting_time must be >= 0, got -4\.0"):
             getattr(election, method)(_request())
 
     def test_an_int_value_scores_through_the_validators(self):
-        seds = _make_seds(3)
-        seds[2].set_estimation_function(_odd_estimation("int", 2))
-        master = _build(seds, (0, 0, 0), 1, lambda index: GreenSchedulerPolicy())
+        seds = _make_seds(3, {2: _odd_estimation("int", 2)})
+        master = _build(seds, (0, 0, 0), 1, GreenSchedulerPolicy())
         election = master._current_election()
         ranking = election.candidates(_request())
         assert len(ranking) == 3
         assert _view(election.elect(_request())) == _view(ranking[0])
 
     def test_no_candidate_elects_none(self):
-        master = _build(_make_seds(2), (0, 0), 1, lambda index: GreenSchedulerPolicy())
+        master = _build(_make_seds(2), (0, 0), 1, GreenSchedulerPolicy())
         request = ServiceRequest.from_task(Task(service="matmul"))
         assert master._current_election().elect(request) is None
         assert master.submit(request).elected is None

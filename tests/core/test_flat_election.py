@@ -7,8 +7,8 @@ re-scoring aggregates give the same permutation as one global sort.  The
 Master Agent therefore scores each server once per election
 (:class:`~repro.middleware.ranking.FlatElection`), keeping each server's
 score inputs between elections and re-reading only the SeDs that changed.
-These tests make hypothesis hunt for a hierarchy, node state, mid-run
-estimation-function swap or preference where the flat election and the
+These tests make hypothesis hunt for a hierarchy, node state, set of
+custom estimation functions or preference where the flat election and the
 tree walk (:func:`tests.conftest.force_tree_walk`) disagree — in the
 elected server, the ranked vectors or the error raised — or where the
 flat election calls ``estimate`` on a SeD that neither changed nor uses a
@@ -25,13 +25,14 @@ from repro.core.policies import GreenSchedulerPolicy
 from repro.core.scoring import ScoreKernel
 from repro.infrastructure.node import Node
 from repro.middleware.agents import LocalAgent, MasterAgent
-from repro.middleware.ranking import FlatElection, WalkReplay
+from repro.middleware.ranking import FlatElection
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
 from tests.conftest import TreeWalk, election_type, force_tree_walk, make_spec, ranking
 from tests.core.test_ranking_incremental import (
     _apply,
+    _make_nodes,
     _make_seds,
     _request_aware_estimation,
     op_strategy,
@@ -48,8 +49,8 @@ DEFAULT_PREFERENCES = (0.25, -0.7, 1.0, -1.0, 1.5, -2.0)
 #: are common rather than diluted among queue operations.
 LIFECYCLE = ("power_off", "boot", "boot_done", "fail", "repair")
 
-#: One step of a run: a transition from the shared vocabulary, a lifecycle
-#: step, or ``swap`` — a mid-run ``set_estimation_function`` on one SeD.
+#: One step of a run: a transition from the shared vocabulary or a
+#: lifecycle step.
 flat_op_strategy = st.one_of(
     op_strategy,
     st.tuples(
@@ -57,18 +58,11 @@ flat_op_strategy = st.one_of(
         st.integers(min_value=0, max_value=63),
         st.floats(min_value=1.0, max_value=1e3),
     ),
-    st.tuples(st.just("swap"), st.integers(min_value=0, max_value=63), st.booleans()),
 )
 
-
-def _step(op, sed, magnitude, running) -> None:
-    """Apply one generated step (``swap``'s magnitude picks the function)."""
-    if op == "swap":
-        sed.set_estimation_function(
-            _request_aware_estimation if magnitude else default_estimation_function
-        )
-    else:
-        _apply(op, sed, magnitude, running)
+#: The estimation function a SeD is built with: the cached default, the
+#: default installed as a custom function, or a request-aware one.
+FUNCTIONS = (None, default_estimation_function, _request_aware_estimation)
 
 
 @contextmanager
@@ -88,13 +82,17 @@ def _estimate_calls():
         ServerDaemon.estimate = original
 
 
-def _identical_seds(count: int) -> list[ServerDaemon]:
+def _identical_nodes(count: int) -> list[Node]:
     """Same spec everywhere: every score ties, so the name breaks ties."""
-    return [ServerDaemon(Node(make_spec(name=f"twin-{i}"))) for i in range(count)]
+    return [Node(make_spec(name=f"twin-{i}")) for i in range(count)]
+
+
+def _identical_seds(count: int) -> list[ServerDaemon]:
+    return [ServerDaemon(node) for node in _identical_nodes(count)]
 
 
 def _build(seds, placement, depth, policy, *, walk=False):
-    """A ``depth``-level hierarchy with one policy instance at every level.
+    """A ``depth``-level hierarchy sorting with ``policy`` at every level.
 
     Agent 0 is the Master Agent; depth 2 adds two Local Agents under it,
     depth 3 gives each of those a child Local Agent.  ``placement[i]``
@@ -106,12 +104,12 @@ def _build(seds, placement, depth, policy, *, walk=False):
     agents = [master]
     if depth >= 2:
         for index in range(2):
-            child = LocalAgent(f"la-{index}", scheduler=policy)
+            child = LocalAgent(f"la-{index}")
             master.add_agent(child)
             agents.append(child)
     if depth >= 3:
         for parent in list(agents[1:]):
-            grandchild = LocalAgent(f"{parent.name}-sub", scheduler=policy)
+            grandchild = LocalAgent(f"{parent.name}-sub")
             parent.add_agent(grandchild)
             agents.append(grandchild)
     for sed, slot in zip(seds, placement):
@@ -156,6 +154,7 @@ class TestFlatEqualsTreeWalk:
         node_count=st.integers(min_value=1, max_value=8),
         twins=st.booleans(),
         matmul_only=st.lists(st.booleans(), min_size=8, max_size=8),
+        functions=st.lists(st.sampled_from(FUNCTIONS), min_size=8, max_size=8),
         placement=st.lists(st.integers(min_value=0, max_value=6), min_size=8, max_size=8),
         default_preference=st.sampled_from(DEFAULT_PREFERENCES),
         use_dynamic_power=st.booleans(),
@@ -170,8 +169,8 @@ class TestFlatEqualsTreeWalk:
         ),
     )
     def test_flat_election_matches_tree_walk(
-        self, depth, node_count, twins, matmul_only, placement, default_preference,
-        use_dynamic_power, steps,
+        self, depth, node_count, twins, matmul_only, functions, placement,
+        default_preference, use_dynamic_power, steps,
     ):
         """Elected servers, ranked vectors and errors agree bit for bit.
 
@@ -183,10 +182,15 @@ class TestFlatEqualsTreeWalk:
         functions, and the latter in the walk's depth-first order.
         """
         seds = [
-            ServerDaemon(sed.node, services=("matmul",)) if other else sed
-            for sed, other in zip(
-                _identical_seds(node_count) if twins else _make_seds(node_count),
+            ServerDaemon(
+                node,
+                services=("matmul",) if other else ("cpu-burn",),
+                estimation_function=function,
+            )
+            for node, other, function in zip(
+                _identical_nodes(node_count) if twins else _make_nodes(node_count),
                 matmul_only,
+                functions,
             )
         ]
         running = {sed.name: [] for sed in seds}
@@ -207,7 +211,7 @@ class TestFlatEqualsTreeWalk:
         for index, (ops, preference, flop) in enumerate(steps):
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
-                _step(op, sed, magnitude, running[sed.name])
+                _apply(op, sed, magnitude, running[sed.name])
             request = ServiceRequest.from_task(
                 Task(flop=flop, user_preference=preference)
             )
@@ -266,26 +270,8 @@ class TestFlatElectionGate:
         assert master.submit(self._request()).elected == "twin-0"
         assert len(calls) == 1
 
-    def test_mixed_policy_instances_replay_the_walk(self):
-        seds = _make_seds(4)
-        master = _build(seds, range(4), 2, GreenSchedulerPolicy())
-        master.child_agents[0].scheduler = GreenSchedulerPolicy()
-        assert master.submit(self._request()).elected is not None
-        assert type(master._election) is WalkReplay
-
-    def test_topology_change_rebuilds_the_flat_election(self):
-        seds = _make_seds(3)
-        master = _build(seds[:2], range(2), 1, GreenSchedulerPolicy())
-        master.submit(self._request())
-        first = master._election
-        master.add_sed(seds[2])
-        assert len(ranking(master, self._request())) == 3
-        assert type(master._election) is FlatElection
-        assert master._election is not first
-
     def test_custom_estimation_function_keeps_the_flat_election(self):
-        seds = _make_seds(4)
-        seds[2].set_estimation_function(default_estimation_function)
+        seds = _make_seds(4, {2: default_estimation_function})
         flat, walk = (
             _build(seds, range(4), 2, GreenSchedulerPolicy(), walk=walk)
             for walk in (False, True)
@@ -298,8 +284,7 @@ class TestFlatElectionGate:
         assert type(flat._election) is FlatElection
 
     def test_steady_state_election_reads_only_the_changed_seds(self):
-        seds = _make_seds(6)
-        seds[4].set_estimation_function(_request_aware_estimation)
+        seds = _make_seds(6, {4: _request_aware_estimation})
         master = _build(seds, range(6), 3, GreenSchedulerPolicy())
         with _estimate_calls() as calls:
             master.submit(self._request())
@@ -317,20 +302,3 @@ class TestFlatElectionGate:
         assert calls[-1] is seds[4]
         walk = _build(seds, range(6), 3, GreenSchedulerPolicy(), walk=True)
         assert outcome.elected == walk.submit(self._request()).elected
-
-    def test_a_mid_run_swap_is_estimated_every_election(self):
-        seds = _make_seds(4)
-        master = _build(seds, range(4), 2, GreenSchedulerPolicy())
-        master.submit(self._request())
-        seds[3].set_estimation_function(_request_aware_estimation)
-        seds[0].set_estimation_function(_request_aware_estimation)
-        # The swaps made the Master Agent choose a new flat election, which
-        # reads every SeD once; after that only the custom ones are read.
-        for expected in (set(seds), {seds[0], seds[3]}):
-            with _estimate_calls() as calls:
-                master.submit(self._request())
-            # Depth-first order: seds[0] sits on the Master Agent.
-            assert [sed for sed in calls if not sed.estimation_cacheable] == [
-                sed for sed in master.all_seds() if sed in (seds[0], seds[3])
-            ]
-            assert set(calls) == expected

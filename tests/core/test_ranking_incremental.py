@@ -22,7 +22,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.greenperf import IncrementalGreenPerfOrder
 from repro.core.policies import policy_by_name
 from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import grid5000_placement_platform
@@ -71,20 +70,33 @@ op_strategy = st.tuples(
 )
 
 
-def _make_seds(count: int) -> list[ServerDaemon]:
+def _make_nodes(count: int) -> list[Node]:
     """A heterogeneous fleet: no two nodes share a rank key by accident."""
-    seds = []
-    for index in range(count):
-        spec = make_spec(
-            name=f"node-{index}",
-            cluster=f"cluster-{index % 2}",
-            cores=2 + index % 3,
-            flops_per_core=1.0e9 * (1 + index),
-            idle_power=80.0 + 11.0 * index,
-            peak_power=150.0 + 37.0 * index,
+    return [
+        Node(
+            make_spec(
+                name=f"node-{index}",
+                cluster=f"cluster-{index % 2}",
+                cores=2 + index % 3,
+                flops_per_core=1.0e9 * (1 + index),
+                idle_power=80.0 + 11.0 * index,
+                peak_power=150.0 + 37.0 * index,
+            )
         )
-        seds.append(ServerDaemon(Node(spec)))
-    return seds
+        for index in range(count)
+    ]
+
+
+def _make_seds(count: int, custom=None) -> list[ServerDaemon]:
+    """One SeD per :func:`_make_nodes` node.
+
+    ``custom`` maps a SeD's index to the estimation function it is built with.
+    """
+    custom = custom or {}
+    return [
+        ServerDaemon(node, estimation_function=custom.get(index))
+        for index, node in enumerate(_make_nodes(count))
+    ]
 
 
 def _apply(op: str, sed: ServerDaemon, magnitude: float, running: list[Task]) -> None:
@@ -240,10 +252,6 @@ class TestRowStoreCheck:
             ranking.check()
         ranking._keys.reverse()
         ranking.check()
-        seds[2].set_estimation_function(_request_aware_estimation)
-        ranking._dirty.clear()
-        with pytest.raises(AssertionError, match="custom"):
-            ranking.check()
 
 
 class TestChooser:
@@ -263,21 +271,12 @@ class TestChooser:
 class TestElectionPath:
     """The strategy's ``path``: one case per ``choose_election`` rule."""
 
-    def test_mixed_schedulers_replay(self):
-        master, _ = build_hierarchy(
-            grid5000_placement_platform(nodes_per_cluster=1),
-            scheduler=policy_by_name("POWER"),
-        )
-        master.child_agents[0].scheduler = policy_by_name("POWER")
-        assert election_type(master) is WalkReplay
-
     def test_rank_key_over_default_estimation_is_resident(self):
         master = flat_hierarchy(_make_seds(3), scheduler=policy_by_name("POWER"))
         assert election_type(master) is ResidentRanking
 
     def test_rank_key_over_a_custom_estimation_function_is_flat(self):
-        seds = _make_seds(3)
-        seds[2].set_estimation_function(_request_aware_estimation)
+        seds = _make_seds(3, {2: _request_aware_estimation})
         master = flat_hierarchy(seds, scheduler=policy_by_name("GREENPERF"))
         assert election_type(master) is FlatElection
 
@@ -292,69 +291,10 @@ class TestElectionPath:
             master = flat_hierarchy(_make_seds(3), scheduler=policy)
             assert election_type(master) is WalkReplay, policy.name
 
-    def test_a_mid_run_custom_function_chooses_flat_at_once(self):
-        seds = _make_seds(3)
-        master = flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
-        master.submit(_request())
-        resident = master._election
-        seds[0].set_estimation_function(_request_aware_estimation)
-        assert election_type(master) is FlatElection  # chosen again, before any election
-        assert type(master._election) is FlatElection
-        assert seds[1]._invalidation_listeners == [master._election._dirty.add]
-        assert master._election is not resident
-
     def test_the_resident_ranking_refuses_a_custom_estimation_function(self):
-        seds = _make_seds(2)
-        seds[1].set_estimation_function(_request_aware_estimation)
+        seds = _make_seds(2, {1: _request_aware_estimation})
         with pytest.raises(ValueError, match="FlatElection"):
             ResidentRanking(policy_by_name("POWER"), seds)
-
-
-class TestNoLeakedListeners:
-    """Retired strategies leave no listener behind on any SeD."""
-
-    def _setup(self):
-        seds = _make_seds(3)
-        master = flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
-        order = IncrementalGreenPerfOrder(
-            [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
-        )
-        return seds, master, order
-
-    def _listeners(self, master, order, sed):
-        """``sed``'s listeners, checked to be the order's and the election's."""
-        listeners = sed._invalidation_listeners
-        assert listeners[0] == order._dirty.add
-        assert listeners[1:] == [master._election._dirty.add]
-        return len(listeners)
-
-    def test_a_topology_bump_retires_the_resident_ranking(self):
-        seds, master, order = self._setup()
-        assert [len(sed._invalidation_listeners) for sed in seds] == [1, 1, 1]
-        master.submit(_request())
-        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
-        master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
-        master.submit(_request())
-        assert election_type(master) is ResidentRanking
-        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
-
-    def test_a_swap_then_a_bump_retires_the_resident_then_the_flat_election(self):
-        seds, master, order = self._setup()
-        master.submit(_request())
-        seds[1].set_estimation_function(_request_aware_estimation)
-        master.submit(_request())
-        assert election_type(master) is FlatElection
-        flat = master._election
-        assert type(flat) is FlatElection
-        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
-        master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
-        master.submit(_request())
-        assert type(master._election) is FlatElection
-        assert master._election is not flat
-        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
-        master.add_sed(ServerDaemon(Node(make_spec(name="spare-2"))))
-        master.submit(_request())
-        assert [self._listeners(master, order, sed) for sed in seds] == [2, 2, 2]
 
 
 class TestCustomEstimation:
@@ -367,7 +307,6 @@ class TestCustomEstimation:
     )
     @given(
         policy_name=st.sampled_from(RANKED_POLICIES),
-        mid_run=st.booleans(),
         steps=st.lists(
             st.tuples(
                 st.lists(op_strategy, max_size=5),
@@ -377,42 +316,22 @@ class TestCustomEstimation:
             max_size=8,
         ),
     )
-    def test_flat_pass_matches_tree_walk(self, policy_name, mid_run, steps):
-        """Installed before the first election or mid-run, elections == walk."""
-        seds = _make_seds(4)
+    def test_flat_pass_matches_tree_walk(self, policy_name, steps):
+        """With one SeD built with a custom function, elections == walk."""
+        seds = _make_seds(4, {1: _request_aware_estimation})
         running: dict[str, list[Task]] = {sed.name: [] for sed in seds}
-        if not mid_run:
-            seds[1].set_estimation_function(_request_aware_estimation)
         policy = policy_by_name(policy_name)
         master = flat_hierarchy(seds, scheduler=policy)
         walk = force_tree_walk(flat_hierarchy(seds, scheduler=policy))
-        for index, (ops, flop) in enumerate(steps):
-            if mid_run and index == 1:
-                seds[1].set_estimation_function(_request_aware_estimation)
+        for ops, flop in steps:
             for op, selector, magnitude in ops:
                 sed = seds[selector % 4]
                 _apply(op, sed, magnitude, running[sed.name])
             request = _request(flop)
             assert _elections(master, request) == _elections(walk, request)
-        # Installed mid-run, the function made the Master Agent choose again:
-        # the resident ranking unsubscribed, the flat election's listener
-        # is the only one.
+        # The walk keeps no listener: the flat election's is the only one.
         assert type(master._election) is FlatElection
         assert seds[0]._invalidation_listeners == [master._election._dirty.add]
-
-    def test_a_topology_change_chooses_the_strategy_again(self):
-        """The flat election is replaced; a still-custom SeD means flat."""
-        seds = _make_seds(3)
-        master = flat_hierarchy(seds, scheduler=policy_by_name("POWER"))
-        master.submit(_request())
-        seds[1].set_estimation_function(_request_aware_estimation)
-        master.submit(_request())
-        flat = master._election
-        assert type(flat) is FlatElection
-        master.add_sed(ServerDaemon(Node(make_spec(name="spare"))))
-        master.submit(_request())  # seds[1] is still custom: a flat election
-        assert type(master._election) is FlatElection
-        assert master._election is not flat
 
 
 class TestServiceFilter:

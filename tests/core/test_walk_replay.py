@@ -1,19 +1,17 @@
 """Property-based proof: the replayed walk == the tree walk, call for call.
 
-Every policy without a total-order key, and every hierarchy whose agents
-do not share one scheduler, is elected by
+Every policy without a total-order key is elected by
 :class:`~repro.middleware.ranking.WalkReplay`: it makes the walk's own
-``sort`` calls — a local sort per agent with that agent's scheduler, a
-merge re-sort where an agent holds more than one partial ranking, and the
-Master Agent's re-sort after the candidate filter — over rows kept
-between elections.  RANDOM draws fresh noise in every call, so its
-ranking is a function of that call sequence.  These tests make hypothesis
-hunt for a scheduler (RANDOM, FCFS, a recording scheduler whose ranking
-follows its call count, or one scheduler per agent), a
+``sort`` calls — a local sort per agent, a merge re-sort where an agent
+holds more than one partial ranking, and the Master Agent's re-sort after
+the candidate filter — over rows kept between elections.  RANDOM draws
+fresh noise in every call, so its ranking is a function of that call
+sequence.  These tests make hypothesis hunt for a scheduler (RANDOM,
+FCFS, or a recording scheduler whose ranking follows its call count), a
 hierarchy (depth 1–3, empty Local Agents, a Local Agent whose SeDs all
-failed, mixed services), a transition stream (fail, repair, boot,
-power-off, core acquire/release, queue work, mid-run estimation-function
-swaps) and a candidate filter under which the replay and the walk
+failed, mixed services, custom estimation functions), a transition stream
+(fail, repair, boot, power-off, core acquire/release, queue work) and a
+candidate filter under which the replay and the walk
 (:func:`tests.conftest.force_tree_walk`) disagree — in the elected server,
 the full ranking, the RNG states after the run or the recorded ``sort``
 calls — or under which the row
@@ -27,12 +25,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.policies import (
-    GreenSchedulerPolicy,
-    PowerPolicy,
-    RandomPolicy,
-    _availability_rank,
-)
+from repro.core.policies import RandomPolicy, _availability_rank
 from repro.infrastructure.node import NodeState
 from repro.middleware.agents import LocalAgent, MasterAgent
 from repro.middleware.plugin_scheduler import (
@@ -45,30 +38,26 @@ from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
 from tests.conftest import TreeWalk, election_type, force_tree_walk, make_vector
-from tests.core.test_flat_election import _outcome, _step, flat_op_strategy
-from tests.core.test_ranking_incremental import _make_seds
+from tests.core.test_flat_election import FUNCTIONS, _outcome, flat_op_strategy
+from tests.core.test_ranking_incremental import _apply, _make_nodes, _make_seds
 
 
 class _Recorder(PluginScheduler):
     """A stateful hook-less scheduler that logs every ``sort`` call.
 
-    Each call appends ``(label, candidate server names)`` to ``log`` and
-    returns the candidates rotated by this scheduler's own call count, so,
-    like RANDOM, its ranking depends on the whole call sequence.  ``label``
-    is the seed it was built with, which differs per agent when every
-    agent has its own scheduler; :func:`_build` gives all the recorders of
-    one hierarchy the same ``log``, so it holds the calls in order.
+    Each call appends the candidate server names to ``log`` and returns
+    the candidates rotated by this scheduler's own call count, so, like
+    RANDOM, its ranking depends on the whole call sequence.
     """
 
     name = "recorder"
 
-    def __init__(self, label):
-        self.label = label
+    def __init__(self):
         self.log = []
         self._count = 0
 
     def sort(self, request, candidates):
-        self.log.append((self.label, [entry.server for entry in candidates]))
+        self.log.append([entry.server for entry in candidates])
         self._count += 1
         shift = self._count % len(candidates) if candidates else 0
         return [*candidates[shift:], *candidates[:shift]]
@@ -78,79 +67,44 @@ class _Recorder(PluginScheduler):
 HOOKLESS = {
     "RANDOM": lambda seed: RandomPolicy(seed=seed),
     "FCFS": lambda seed: FirstComeFirstServedScheduler(),
-    "RECORDER": lambda seed: _Recorder(seed),
-}
-
-#: What a Local Agent of a mixed hierarchy may run besides those.
-ANY_POLICY = {
-    **HOOKLESS,
-    "POWER": lambda seed: PowerPolicy(),
-    "GREEN_SCORE": lambda seed: GreenSchedulerPolicy(),
+    "RECORDER": lambda seed: _Recorder(),
 }
 
 
-def _build(seds, placement, depth, seed, *, walk, empty_agent, kinds=("RANDOM",)):
-    """A ``depth``-level hierarchy; returns the Master Agent.
+def _build(seds, placement, depth, seed, *, walk, empty_agent, kind="RANDOM"):
+    """A ``depth``-level hierarchy sorting with a ``kind`` scheduler seeded ``seed``.
 
-    With one name in ``kinds`` every agent shares one scheduler of that
-    kind; with more, agent ``i`` gets its own scheduler of kind
-    ``kinds[i % len(kinds)]``, seeded ``seed + i``.  Agent 0 is the Master
-    Agent; depth 2 adds two Local Agents, depth 3 a child under each.
-    ``empty_agent`` hangs one more Local Agent, which never gets a SeD,
-    under the Master Agent.
+    Agent 0 is the Master Agent; depth 2 adds two Local Agents, depth 3 a
+    child under each.  ``empty_agent`` hangs one more Local Agent, which
+    never gets a SeD, under the Master Agent.
     """
-    shared = HOOKLESS[kinds[0]](seed) if len(kinds) == 1 else None
-
-    def scheduler(index):
-        return shared or ANY_POLICY[kinds[index % len(kinds)]](seed + index)
-
-    master = MasterAgent(scheduler=scheduler(0))
+    master = MasterAgent(scheduler=HOOKLESS[kind](seed))
     if walk:
         force_tree_walk(master)
     agents = [master]
     if depth >= 2:
         for index in range(2):
-            child = LocalAgent(f"la-{index}", scheduler=scheduler(len(agents)))
+            child = LocalAgent(f"la-{index}")
             master.add_agent(child)
             agents.append(child)
     if depth >= 3:
         for parent in list(agents[1:]):
-            grandchild = LocalAgent(f"{parent.name}-sub", scheduler=scheduler(len(agents)))
+            grandchild = LocalAgent(f"{parent.name}-sub")
             parent.add_agent(grandchild)
             agents.append(grandchild)
     if empty_agent:
-        master.add_agent(LocalAgent("la-empty", scheduler=scheduler(len(agents))))
+        master.add_agent(LocalAgent("la-empty"))
     for sed, slot in zip(seds, placement):
         agents[slot % len(agents)].add_sed(sed)
-    log = []
-    for recorder in _schedulers(master, _Recorder):
-        recorder.log = log
     return master
 
 
-def _agents(agent):
-    yield agent
-    for child in agent.child_agents:
-        yield from _agents(child)
-
-
-def _schedulers(master, kind):
-    """The distinct schedulers of type ``kind`` in ``master``'s hierarchy."""
-    schedulers = {id(agent.scheduler): agent.scheduler for agent in _agents(master)}
-    return [scheduler for scheduler in schedulers.values() if isinstance(scheduler, kind)]
-
-
 def _state(master):
-    """Every agent's scheduler state: RNG states and the recorded calls."""
-    state = [
-        agent.scheduler._rng.bit_generator.state
-        for agent in _agents(master)
-        if isinstance(agent.scheduler, RandomPolicy)
-    ]
-    recorders = _schedulers(master, _Recorder)
-    if recorders:
-        state.append(recorders[0].log)
-    return state
+    """The scheduler's state: its RNG state or its recorded calls."""
+    scheduler = master.scheduler
+    if isinstance(scheduler, RandomPolicy):
+        return scheduler._rng.bit_generator.state
+    return getattr(scheduler, "log", None)
 
 
 def _every_other(seds):
@@ -168,18 +122,12 @@ class TestReplayEqualsTreeWalk:
         depth=st.integers(min_value=1, max_value=3),
         node_count=st.integers(min_value=1, max_value=8),
         matmul_only=st.lists(st.booleans(), min_size=8, max_size=8),
+        functions=st.lists(st.sampled_from(FUNCTIONS), min_size=8, max_size=8),
         placement=st.lists(st.integers(min_value=0, max_value=6), min_size=8, max_size=8),
         empty_agent=st.booleans(),
         fail_first_agent=st.booleans(),
         with_filter=st.booleans(),
-        kinds=st.one_of(
-            st.sampled_from(sorted(HOOKLESS)).map(lambda kind: (kind,)),
-            st.tuples(
-                st.sampled_from(sorted(HOOKLESS)),
-                st.sampled_from(sorted(ANY_POLICY)),
-                st.sampled_from(sorted(ANY_POLICY)),
-            ),
-        ),
+        kind=st.sampled_from(sorted(HOOKLESS)),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         steps=st.lists(
             st.tuples(
@@ -192,8 +140,8 @@ class TestReplayEqualsTreeWalk:
         ),
     )
     def test_replay_matches_tree_walk(
-        self, depth, node_count, matmul_only, placement, empty_agent,
-        fail_first_agent, with_filter, kinds, seed, steps,
+        self, depth, node_count, matmul_only, functions, placement, empty_agent,
+        fail_first_agent, with_filter, kind, seed, steps,
     ):
         """Elected servers, full rankings and scheduler states agree bit for bit.
 
@@ -201,14 +149,18 @@ class TestReplayEqualsTreeWalk:
         that returns the whole (filtered) ranking.
         """
         seds = [
-            ServerDaemon(sed.node, services=("matmul",)) if other else sed
-            for sed, other in zip(_make_seds(node_count), matmul_only)
+            ServerDaemon(
+                node,
+                services=("matmul",) if other else ("cpu-burn",),
+                estimation_function=function,
+            )
+            for node, other, function in zip(_make_nodes(node_count), matmul_only, functions)
         ]
         running = {sed.name: [] for sed in seds}
         masters = [
             _build(
                 seds, placement, depth, seed,
-                walk=walk, empty_agent=empty_agent, kinds=kinds,
+                walk=walk, empty_agent=empty_agent, kind=kind,
             )
             for walk in (False, True)
         ]
@@ -222,7 +174,7 @@ class TestReplayEqualsTreeWalk:
         for index, (ops, service, flop) in enumerate(steps):
             for op, selector, magnitude in ops:
                 sed = seds[selector % node_count]
-                _step(op, sed, magnitude, running[sed.name])
+                _apply(op, sed, magnitude, running[sed.name])
             request = ServiceRequest.from_task(Task(flop=flop, service=service))
             full = index % 2 == 1
             replayed = _outcome(masters[0], request, full=full)
@@ -234,12 +186,12 @@ class TestReplayEqualsTreeWalk:
         assert _state(masters[0]) == _state(masters[1])
 
     def test_recorded_sort_calls_match_the_walk(self):
-        """One recorder per agent: the same calls, in the same order, on the same lists."""
+        """The same calls, in the same order, on the same lists."""
         seds = _make_seds(6)
         replay, walk = (
             _build(
                 seds, (0, 1, 1, 2, 3, 4), 3, 20, walk=walk, empty_agent=True,
-                kinds=("RECORDER",) * 3,
+                kind="RECORDER",
             )
             for walk in (False, True)
         )
@@ -250,13 +202,13 @@ class TestReplayEqualsTreeWalk:
             full = index % 2 == 1
             assert _outcome(replay, request, full=full) == _outcome(walk, request, full=full)
             seds[1].node.acquire_core()
-        (log,) = _state(replay)
-        assert log == _state(walk)[0]
+        log = _state(replay)
+        assert log == _state(walk)
         # Per election: a local sort at each of the five agents holding a
         # SeD, a merge re-sort at the three holding more than one partial
         # ranking, and the Master Agent's re-sort of the allowed entries.
         assert len(log) == 3 * (5 + 3 + 1)
-        assert log[:2] == [(20, ["node-0"]), (21, ["node-1", "node-2"])]
+        assert log[:2] == [["node-0"], ["node-1", "node-2"]]
 
     def test_steady_state_elections_estimate_nothing(self, monkeypatch):
         """Only the SeDs a transition marked dirty are re-estimated."""

@@ -6,6 +6,7 @@ from repro.core.policies import PerformancePolicy, PowerPolicy, RandomPolicy
 from repro.infrastructure.node import Node, NodeState
 from repro.middleware.agents import LocalAgent, MasterAgent
 from repro.middleware.plugin_scheduler import FirstComeFirstServedScheduler, PluginScheduler
+from repro.middleware.ranking import choose_election
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
@@ -41,9 +42,96 @@ class TestTopology:
         with pytest.raises(ValueError):
             master.add_agent(master)
 
+    def test_agent_cannot_be_its_own_ancestor(self):
+        master = MasterAgent()
+        local = LocalAgent("la-0")
+        master.add_agent(local)
+        with pytest.raises(ValueError, match="ancestor"):
+            local.add_agent(master)
+        assert local.child_agents == ()
+
+    def test_an_attached_agent_cannot_be_attached_again(self):
+        local = LocalAgent("la-0")
+        MasterAgent().add_agent(local)
+        other = MasterAgent("other")
+        with pytest.raises(ValueError, match="already has a parent"):
+            other.add_agent(local)
+        assert other.child_agents == ()
+
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             LocalAgent("")
+
+    def test_local_agents_take_no_scheduler(self):
+        with pytest.raises(TypeError):
+            LocalAgent("la-0", scheduler=PowerPolicy())
+
+    def test_the_scheduler_is_read_only(self):
+        master = MasterAgent(scheduler=PowerPolicy())
+        with pytest.raises(AttributeError):
+            master.scheduler = PerformancePolicy()
+
+
+class TestFrozenTopology:
+    """After the Master Agent's first election its hierarchy cannot change."""
+
+    def _elected(self):
+        master = MasterAgent(scheduler=PowerPolicy())
+        local = LocalAgent("la-0")
+        master.add_agent(local)
+        master.add_sed(make_sed("n-0"))
+        local.add_sed(make_sed("n-1"))
+        assert master.submit(make_request()).elected is not None
+        return master, local
+
+    @pytest.mark.parametrize("where", ["master", "local"])
+    def test_adding_a_sed_raises(self, where):
+        master, local = self._elected()
+        before = master.all_seds()
+        agent = master if where == "master" else local
+        with pytest.raises(RuntimeError, match="frozen"):
+            agent.add_sed(make_sed("late"))
+        assert master.all_seds() == before
+        assert [entry.server for entry in ranking(master, make_request())] == ["n-0", "n-1"]
+
+    @pytest.mark.parametrize("where", ["master", "local"])
+    def test_adding_an_agent_raises(self, where):
+        master, local = self._elected()
+        before = master.all_seds()
+        agent = master if where == "master" else local
+        late = LocalAgent("la-late")
+        late.add_sed(make_sed("late"))
+        with pytest.raises(RuntimeError, match="frozen"):
+            agent.add_agent(late)
+        assert master.all_seds() == before
+        assert late._parent is None
+
+    def test_an_elected_master_cannot_become_a_child(self):
+        master, _ = self._elected()
+        with pytest.raises(RuntimeError, match="frozen"):
+            MasterAgent("other").add_agent(master)
+
+    def test_the_strategy_is_chosen_once_at_the_first_election(self):
+        master = MasterAgent(scheduler=PowerPolicy())
+        master.add_sed(make_sed("n-0"))
+        chosen = []
+
+        def choose(agent):
+            chosen.append(agent)
+            return choose_election(agent)
+
+        master._choose_election = choose
+        assert chosen == []
+        for _ in range(3):
+            assert master.submit(make_request()).elected == "n-0"
+        assert chosen == [master]
+
+    def test_the_topology_is_open_until_the_first_election(self):
+        master = MasterAgent(scheduler=PowerPolicy())
+        master.add_sed(make_sed("n-0"))
+        master.set_candidate_filter({"n-0"})
+        master.add_sed(make_sed("n-1"))
+        assert len(master.all_seds()) == 2
 
 
 class TestCandidateCollection:
@@ -56,22 +144,46 @@ class TestCandidateCollection:
             def sort(self, request, candidates):
                 return sorted(candidates, key=lambda entry: entry.server, reverse=True)
 
-        master = MasterAgent()
-        for name, seds in (("la-0", ("a", "c")), ("la-1", ("b",))):
-            local = LocalAgent(name)
-            master.add_agent(local)
-            for sed in seds:
-                local.add_sed(make_sed(sed))
         request = make_request()
 
         def collected(scheduler):
-            for agent in (master, *master.child_agents):
-                agent.scheduler = scheduler
+            master = MasterAgent(scheduler=scheduler)
+            for name, seds in (("la-0", ("a", "c")), ("la-1", ("b",))):
+                local = LocalAgent(name)
+                master.add_agent(local)
+                for sed in seds:
+                    local.add_sed(make_sed(sed))
             return [entry.server for entry in master.collect_candidates(request)]
 
         assert collected(FirstComeFirstServedScheduler()) == ["a", "c", "b"]
         assert collected(ReverseAlphabetical()) == ["c", "b", "a"]
         assert sorted(collected(RandomPolicy(seed=0))) == ["a", "b", "c"]
+
+    def test_every_level_sorts_with_the_master_agents_scheduler(self):
+        """Local Agents hold no scheduler: every ``sort`` call is the Master Agent's."""
+
+        class Recording(FirstComeFirstServedScheduler):
+            def __init__(self):
+                self.calls = []
+
+            def sort(self, request, candidates):
+                self.calls.append([entry.server for entry in candidates])
+                return super().sort(request, candidates)
+
+        scheduler = Recording()
+        master = MasterAgent(scheduler=scheduler)
+        upper = LocalAgent("la-0")
+        lower = LocalAgent("la-0-sub")
+        master.add_agent(upper)
+        upper.add_agent(lower)
+        upper.add_sed(make_sed("a"))
+        lower.add_sed(make_sed("b"))
+        master.add_sed(make_sed("c"))
+        ranked = [entry.server for entry in master.collect_candidates(make_request())]
+        assert ranked == ["c", "a", "b"]
+        # Local sorts at each agent holding a SeD, then one merge re-sort at
+        # every agent holding more than one partial ranking.
+        assert scheduler.calls == [["c"], ["a"], ["b"], ["a", "b"], ["c", "a", "b"]]
 
     def test_collects_only_matching_service(self):
         master = flat_hierarchy([make_sed("n-0"), make_sed("n-1")])
@@ -105,8 +217,8 @@ class TestCandidateCollection:
         flat = flat_hierarchy(seds, scheduler=PowerPolicy())
 
         hierarchical = MasterAgent(scheduler=PowerPolicy())
-        cluster_a = LocalAgent("la-a", scheduler=PowerPolicy())
-        cluster_b = LocalAgent("la-b", scheduler=PowerPolicy())
+        cluster_a = LocalAgent("la-a")
+        cluster_b = LocalAgent("la-b")
         hierarchical.add_agent(cluster_a)
         hierarchical.add_agent(cluster_b)
         cluster_a.add_sed(seds[0])

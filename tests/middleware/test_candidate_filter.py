@@ -58,11 +58,11 @@ class TestPlannerFilterContract:
 
 
 def _hierarchy(seds, policy):
-    """Two Local Agents under the Master Agent, one policy instance everywhere."""
+    """Two Local Agents under a Master Agent sorting with ``policy``."""
     master = MasterAgent(scheduler=policy)
     master.set_candidate_filter(EVEN)
     for index in range(2):
-        child = LocalAgent(f"la-{index}", scheduler=policy)
+        child = LocalAgent(f"la-{index}")
         master.add_agent(child)
         for sed in seds[index::2]:
             child.add_sed(sed)

@@ -4,7 +4,6 @@ from repro.core.policies import PowerPolicy
 from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.agents import LocalAgent
 from repro.middleware.hierarchy import build_hierarchy
-from repro.simulation.queueing import QueueSet
 
 
 class TestBuildHierarchy:
@@ -27,30 +26,17 @@ class TestBuildHierarchy:
         }
         assert master.seds == ()
 
-    def test_flat_topology(self):
-        platform = grid5000_placement_platform(nodes_per_cluster=1)
-        master, _ = build_hierarchy(platform, per_cluster_agents=False)
-        assert master.child_agents == ()
-        assert len(master.seds) == 3
-
-    def test_scheduler_installed_everywhere(self):
+    def test_the_master_agent_holds_the_one_scheduler(self):
         platform = grid5000_placement_platform(nodes_per_cluster=1)
         policy = PowerPolicy()
         master, _ = build_hierarchy(platform, scheduler=policy)
         assert master.scheduler is policy
-        assert all(agent.scheduler is policy for agent in master.child_agents)
+        assert not any(hasattr(agent, "scheduler") for agent in master.child_agents)
 
     def test_custom_services(self):
         platform = grid5000_placement_platform(nodes_per_cluster=1)
         _, seds = build_hierarchy(platform, services=("a", "b"))
         assert all(sed.can_solve("a") and sed.can_solve("b") for sed in seds.values())
-
-    def test_shared_queue_set(self):
-        platform = grid5000_placement_platform(nodes_per_cluster=1)
-        queues = QueueSet(platform.nodes)
-        _, seds = build_hierarchy(platform, queues=queues)
-        for name, sed in seds.items():
-            assert sed.queue is queues[name]
 
     def test_seds_bound_to_platform_nodes(self):
         platform = grid5000_placement_platform(nodes_per_cluster=1)

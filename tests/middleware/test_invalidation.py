@@ -23,7 +23,7 @@ from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.middleware.ranking import FlatElection, ResidentRanking, WalkReplay
 from repro.middleware.requests import ServiceRequest
-from repro.middleware.sed import ServerDaemon, default_estimation_function
+from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task, TaskState
 from tests.conftest import (
     election_type,
@@ -121,69 +121,25 @@ class TestEveryTriggerReachesEverySubscriber:
         assert order._dirty == {sed}
         assert not sed.estimation_cached
 
-    def test_estimation_function_swap_reaches_both(self):
-        seds, ranking, order = _setup()
-        _flush(ranking, order)
-        seds[0].set_estimation_function(default_estimation_function)
-        assert ranking.dirty_servers == frozenset({seds[0].name})
-        assert order._dirty == {seds[0]}
 
-
-class TestDetach:
-    def test_detach_leaves_no_listener_behind(self):
-        seds, ranking, order = _setup()
-        ranking.detach()
-        for sed in seds:
-            assert sed._invalidation_listeners == [order._dirty.add]
-        ranking._dirty.clear()
-        for sed in seds:
-            sed.node.acquire_core()
-            sed.queue.enqueue(Task())
-            sed.record_request_power(120.0)
-        assert ranking.dirty_servers == frozenset()
-
-    def test_detach_removes_only_its_own_set(self):
-        """Two rankings with equal (empty) dirty sets: ``remove`` is by identity."""
-        seds = [ServerDaemon(Node(make_spec(name=f"n-{i}"))) for i in range(2)]
-        first = ResidentRanking(PowerPolicy(), seds)
-        second = ResidentRanking(PowerPolicy(), seds)
-        first.refresh(_request())
-        second.refresh(_request())
-        assert first._dirty == second._dirty
-        first.detach()
-        seds[0].node.acquire_core()
-        assert first.dirty_servers == frozenset()
-        assert second.dirty_servers == frozenset({"n-0"})
-        assert seds[0]._invalidation_listeners == [second._dirty.add]
-
-    def test_a_second_detach_raises(self):
-        """Removing a listener the SeD does not hold is an error, as on nodes and queues."""
-        seds, ranking, _ = _setup()
-        ranking.detach()
-        with pytest.raises(ValueError):
-            ranking.detach()
-        with pytest.raises(ValueError):
-            seds[0].remove_invalidation_listener(lambda sed: None)
-
-    def test_each_swap_leaves_one_listener_per_live_structure(self):
-        """POWER → GREEN_SCORE → RANDOM → POWER: each retired election unsubscribes."""
+class TestSubscriptions:
+    @pytest.mark.parametrize(
+        "policy, path",
+        [("POWER", ResidentRanking), ("GREEN_SCORE", FlatElection), ("RANDOM", WalkReplay)],
+    )
+    def test_each_election_adds_one_listener_per_sed(self, policy, path):
         seds = [
             ServerDaemon(Node(make_spec(name=f"n-{i}", idle_power=90.0 + i))) for i in range(3)
         ]
-        master = flat_hierarchy(seds, scheduler=PowerPolicy())
         order = IncrementalGreenPerfOrder(
             [sed.node for sed in seds], seds={sed.name: sed for sed in seds}
         )
-        paths = []
-        for policy in ("POWER", "GREEN_SCORE", "RANDOM", "POWER"):
-            master.scheduler = policy_by_name(policy)
+        master = flat_hierarchy(seds, scheduler=policy_by_name(policy))
+        for _ in range(2):
             master.submit(_request())
-            paths.append(election_type(master))
-            for sed in seds:
-                assert sed._invalidation_listeners == [
-                    order._dirty.add, master._election._dirty.add
-                ]
-        assert paths == [ResidentRanking, FlatElection, WalkReplay, ResidentRanking]
+        assert election_type(master) is path
+        for sed in seds:
+            assert sed._invalidation_listeners == [order._dirty.add, master._election._dirty.add]
 
 
 def _simulation():

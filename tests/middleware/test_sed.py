@@ -6,7 +6,6 @@ from repro.infrastructure.node import Node, NodeState
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
-from repro.simulation.queueing import NodeQueue
 from repro.simulation.task import Task
 from tests.conftest import make_spec
 
@@ -42,17 +41,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ServerDaemon(node, services=())
 
-    def test_rejects_queue_bound_to_other_node(self):
-        node = Node(make_spec(name="a-0"))
-        other = Node(make_spec(name="b-0"))
-        with pytest.raises(ValueError):
-            ServerDaemon(node, queue=NodeQueue(other))
-
-    def test_shares_supplied_queue(self):
+    def test_owns_a_queue_bound_to_its_node(self):
         node = Node(make_spec())
-        queue = NodeQueue(node)
-        sed = ServerDaemon(node, queue=queue)
-        assert sed.queue is queue
+        sed = ServerDaemon(node)
+        assert sed.queue.node is node
+        with pytest.raises(TypeError):
+            ServerDaemon(node, queue=sed.queue)
 
 
 class TestDynamicPowerEstimate:
@@ -115,21 +109,19 @@ class TestEstimation:
         assert vector.get(EstimationTags.MEAN_POWER) == pytest.approx(111.0)
 
     def test_custom_estimation_function(self):
-        sed = make_sed()
-
         def custom(sed_arg, request):
             vector = default_estimation_function(sed_arg, request)
             vector.set("custom_tag", 42.0)
             return vector
 
-        sed.set_estimation_function(custom)
+        sed = ServerDaemon(Node(make_spec()), estimation_function=custom)
         vector = sed.estimate(make_request())
         assert vector.get("custom_tag") == 42.0
 
     def test_custom_estimation_missing_required_tags_rejected(self):
-        sed = make_sed()
-        sed.set_estimation_function(
-            lambda s, r: EstimationVector(server=s.name, cluster=s.cluster)
+        sed = ServerDaemon(
+            Node(make_spec()),
+            estimation_function=lambda s, r: EstimationVector(server=s.name, cluster=s.cluster),
         )
         with pytest.raises(ValueError):
             sed.estimate(make_request())
@@ -201,8 +193,7 @@ class TestEstimationCache:
         assert fresh.as_dict() == cached.as_dict()
 
     def test_custom_function_disables_cache(self):
-        sed = make_sed()
-        sed.set_estimation_function(default_estimation_function)
+        sed = ServerDaemon(Node(make_spec()), estimation_function=default_estimation_function)
         first = sed.estimate(make_request())
         assert not sed.estimation_cached
         assert sed.estimate(make_request()) is not first

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.infrastructure.node import Node
-from repro.simulation.queueing import NodeQueue, QueueSet
+from repro.simulation.queueing import NodeQueue
 from repro.simulation.task import Task
 from tests.conftest import make_spec, running_count
 
@@ -71,13 +71,3 @@ class TestNodeQueue:
         running = Task(flop=5e9)
         queue.mark_running(running)
         assert queue.waiting_time_estimate() == pytest.approx(5.0)
-
-
-class TestQueueSet:
-    def test_indexing_and_membership(self):
-        nodes = [Node(make_spec(name=f"n-{i}")) for i in range(3)]
-        queues = QueueSet(nodes)
-        assert len(queues) == 3
-        assert "n-1" in queues
-        assert queues["n-1"].node.name == "n-1"
-        assert "missing" not in queues

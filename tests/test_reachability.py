@@ -28,6 +28,12 @@ inference: a member name shared by several classes counts as read for
 all of them when any of them is read.  Dunders, which the interpreter
 calls, and the names in :data:`UNREFERENCED_BY_DESIGN` (bare, or
 qualified as ``Class.name``) are exempt.
+
+A third guard is setter-level: the name guard sees a property as read
+wherever its getter is, so a setter only tests call would pass it.  Every
+``@<prop>.setter`` under ``src/repro`` must therefore be assigned
+(``x.<prop> = …``, augmented, or ``setattr`` with the name as a string)
+somewhere outside ``tests/``.
 """
 
 from __future__ import annotations
@@ -181,9 +187,6 @@ UNREFERENCED_BY_DESIGN = {
     "rank_key": "PluginScheduler hook: the resident and flat elections' key",
     "score_inputs": "PluginScheduler hook: the flat election's rows",
     "score_keys": "PluginScheduler hook: the flat election's keys",
-    # Plug-in points of the DIET model that the shipped experiments leave
-    # at their defaults.
-    "set_estimation_function": "DIET's estimation-function plug-in (Section II-A)",
     # Safety code: the property harness and the doctests drive it.
     "check_schedule": "the queue simulator's invariant checker (no overcommit, exact outcomes)",
     # Format fields, filled from the file or kept because the format names them.
@@ -473,3 +476,100 @@ def test_every_allow_listed_name_is_defined_and_has_a_reason(monkeypatch):
     for name, reason in UNREFERENCED_BY_DESIGN.items():
         assert name in defined, name
         assert reason.strip(), name
+
+
+# -- setter level ----------------------------------------------------------------------
+
+
+def _setters(directory: Path) -> list[tuple[Path, str, str]]:
+    """``(file, property, Class.property)`` for every property setter under ``directory``."""
+    found = []
+    for path in sorted(directory.rglob("*.py")):
+        for owner in ast.walk(_parse(path)):
+            if not isinstance(owner, ast.ClassDef):
+                continue
+            for node in owner.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(decorator, ast.Attribute) and decorator.attr == "setter"
+                    for decorator in node.decorator_list
+                ):
+                    found.append((path, node.name, f"{owner.name}.{node.name}"))
+    return found
+
+
+def _assigned_attributes(roots) -> set[str]:
+    """Every attribute name the files under ``roots`` assign to, or ``setattr`` by string."""
+    assigned = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    assigned.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    assigned.add(node.args[1].value)
+    return assigned
+
+
+def unassigned_setters(directories=NAME_CHECKED, roots=None) -> list[str]:
+    """The property setters under ``directories`` that nothing outside ``tests/`` calls."""
+    roots = roots if roots is not None else [ROOT / name for name in REFERENCE_DIRS]
+    assigned = _assigned_attributes(roots)
+    return [
+        f"{path.relative_to(ROOT) if path.is_relative_to(ROOT) else path}: {qualified}"
+        for directory in directories
+        for path, name, qualified in _setters(directory)
+        if name not in assigned
+    ]
+
+
+def test_every_setter_is_assigned_outside_the_tests():
+    assert unassigned_setters() == []
+
+
+def test_a_setter_only_tests_assign_is_reported(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "class Agent:\n"
+        "    @property\n"
+        "    def policy(self):\n"
+        "        return self._policy\n"
+        "    @policy.setter\n"
+        "    def policy(self, value):\n"
+        "        self._policy = value\n"
+        "    @property\n"
+        "    def limit(self):\n"
+        "        return self._limit\n"
+        "    @limit.setter\n"
+        "    def limit(self, value):\n"
+        "        self._limit = value\n"
+        "    @property\n"
+        "    def name(self):\n"
+        "        return 'a'\n",
+        "utf-8",
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "from pkg.mod import Agent\nagent = Agent()\nagent.policy = 1\nagent.limit = 2\n",
+        "utf-8",
+    )
+    caller = tmp_path / "caller"
+    caller.mkdir()
+    (caller / "run.py").write_text(
+        "from pkg.mod import Agent\nagent = Agent()\nprint(agent.policy)\nagent.limit += 1\n",
+        "utf-8",
+    )
+    found = unassigned_setters([package], roots=[package, caller])
+    assert [name.rsplit(": ", 1)[1] for name in found] == ["Agent.policy"]
+    (caller / "run.py").write_text(
+        "from pkg.mod import Agent\nsetattr(Agent(), 'policy', 3)\nAgent().limit = 4\n",
+        "utf-8",
+    )
+    assert unassigned_setters([package], roots=[package, caller]) == []
