@@ -118,12 +118,20 @@ class ProvisioningPlanner:
         #: Frozen, and replaced at every change: the Master Agent holds it.
         self._candidates: frozenset[str] = frozenset()
         self._installed = False
-        #: ``(name, node)`` of every node, in platform order (the drain loop).
-        self._named_nodes = tuple((node.name, node) for node in platform.nodes)
+        #: Platform position of every node: the drain visits in this order.
+        self._position = {node.name: index for index, node in enumerate(platform.nodes)}
         self._order = IncrementalGreenPerfOrder(
             tuple(platform.nodes), seds=self.seds, basis=PerformanceBasis.TOTAL_FLOPS
         )
         self._initialise_candidates()
+        #: De-provisioned nodes the drain has not yet seen OFF.  Only the
+        #: planner boots a node and ``repair()`` restores a node's
+        #: pre-failure state, so a non-candidate node that is OFF stays OFF.
+        self._draining = {
+            node.name
+            for node in platform.nodes
+            if node.name not in self._candidates and node.state is not NodeState.OFF
+        }
 
     # -- initialisation ------------------------------------------------------------
     def _initialise_candidates(self) -> None:
@@ -257,6 +265,7 @@ class ProvisioningPlanner:
                     break
                 if name not in current:
                     current.add(name)
+                    self._draining.discard(name)
                     self._power_on(name, now)
         else:
             # Disable the least efficient candidates first.
@@ -265,6 +274,7 @@ class ProvisioningPlanner:
                     break
                 if name in current:
                     current.remove(name)
+                    self._draining.add(name)
                     self._power_off(name, now)
         self._candidates = frozenset(current)
         if self._installed:
@@ -337,19 +347,21 @@ class ProvisioningPlanner:
 
         Returns the number of nodes turned off.  Called by the adaptive
         experiment after task completions when power management is on.
+        Only de-provisioned nodes not yet seen OFF are visited, in
+        platform order.
         """
         if not self.config.manage_power:
             return 0
         turned_off = 0
-        candidates = self._candidates
-        for name, node in self._named_nodes:
-            if name in candidates:
-                continue
+        for name in sorted(self._draining, key=self._position.__getitem__):
+            node = self.platform.node(name)
             if node.state is NodeState.ON and node.busy_cores == 0:
                 node.power_off()
                 turned_off += 1
                 if self.trace is not None:
                     self.trace.record(now, ExecutionTrace.NODE_POWERED_OFF, node=name)
+            if node.state is NodeState.OFF:
+                self._draining.discard(name)
         return turned_off
 
     # -- periodic scheduling ------------------------------------------------------------

@@ -69,40 +69,61 @@ def windowed_power(
     if watts.size == 0:
         return ()
     times = energy_log.start_time + np.arange(watts.size, dtype=float) * energy_log.sample_period
+    # Window k opens while its start ``k * window`` is before ``duration``
+    # and not after the last instant (later windows are empty).  Bounds
+    # come from the index, never accumulated: ``bounds[k]`` is the start
+    # of window k and the end of window k - 1.
     last = float(times[-1])
+    starts = np.arange(math.floor(min(duration, last) / window) + 2, dtype=float) * window
+    count = int(np.count_nonzero((starts < duration) & (starts <= last)))
+    if count == 0:
+        return ()
+    bounds = np.arange(count + 1, dtype=float) * window
+    edges = np.searchsorted(times, bounds)
+    widths = np.diff(edges)
     series: list[tuple[float, float]] = []
-    k = 0
-    # Bounds come from the index, never accumulated; windows that start
-    # after the last instant are empty, so stop there.
-    while (start := k * window) < duration and start <= last:
-        end = (k + 1) * window
-        lo, hi = np.searchsorted(times, (start, end))
-        if hi > lo:
-            series.append((end, float(watts[lo:hi].mean())))
-        k += 1
+    # Adjacent windows of one width tile a contiguous block of instants,
+    # so each run of them is averaged with one reshaped mean (bit-identical
+    # to a mean per window); empty windows are skipped.
+    cuts = (np.flatnonzero(np.diff(widths)) + 1).tolist()
+    for first, stop in zip([0, *cuts], [*cuts, count]):
+        width = int(widths[first])
+        if width:
+            block = watts[edges[first] : edges[stop]].reshape(stop - first, width)
+            series.extend(zip(bounds[first + 1 : stop + 1].tolist(), block.mean(axis=1).tolist()))
     return tuple(series)
 
 
 def _platform_watts(energy_log: SegmentEnergyLog) -> np.ndarray:
-    """Per-instant platform power, summed on the intervals between change points."""
-    nodes = []
-    for node in energy_log.nodes:
-        segments = energy_log.segments(node)
-        if segments:
-            # Instant index at which each segment starts, then where the last ends.
-            edges = np.cumsum([0, *(segment.ticks for segment in segments)])
-            nodes.append((edges, np.array([segment.watts for segment in segments], dtype=float)))
-    if not nodes:
+    """Per-instant platform power, summed on the intervals between change points.
+
+    Every node's segments are read into one flat array; only the final
+    accumulation walks the nodes, in registration order, so each
+    interval's total is summed exactly as a per-instant sum would.
+    """
+    segments = energy_log.segments()
+    if not segments:
         return np.empty(0, dtype=float)
+    counts = [count for node in energy_log.nodes if (count := len(energy_log.segments(node)))]
+    ticks = np.fromiter((segment.ticks for segment in segments), dtype=np.int64, count=len(segments))
+    node_watts = np.fromiter((segment.watts for segment in segments), dtype=float, count=len(segments))
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    # The instant index at which each segment ends, counted from its node's start.
+    ends = np.cumsum(ticks)
+    ends -= np.repeat(ends[starts] - ticks[starts], counts)
     # Instant indices at which any node's power may change.
-    bounds = np.unique(np.concatenate([edges for edges, _ in nodes]))
+    bounds = np.unique(np.concatenate(([0], ends)))
+    # Segment i covers intervals [at[i - 1], at[i]) of its node (from 0 for
+    # the first); past its last segment a node adds nothing, exactly as a
+    # shorter trace would.
+    at = np.searchsorted(bounds, ends)
+    spans = np.diff(at, prepend=0)
+    spans[starts] = at[starts]
     totals = np.zeros(bounds.size - 1, dtype=float)
-    for edges, node_watts in nodes:
-        # Segment i covers intervals [at[i], at[i + 1]); past its last
-        # segment a node adds nothing, exactly as a shorter trace would.
-        at = np.searchsorted(bounds, edges)
-        totals[: at[-1]] += np.repeat(node_watts, at[1:] - at[:-1])
-    return np.repeat(totals, bounds[1:] - bounds[:-1])
+    for start, stop, end in zip(starts.tolist(), stops.tolist(), at[stops - 1].tolist()):
+        totals[:end] += np.repeat(node_watts[start:stop], spans[start:stop])
+    return np.repeat(totals, np.diff(bounds))
 
 
 def series_value_at(

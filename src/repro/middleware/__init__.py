@@ -22,7 +22,7 @@ paper's green plug-in scheduler can be dropped in unchanged:
   elected requests on the platform and accounts time and energy.
 """
 
-from repro.middleware.agents import Agent, LocalAgent, MasterAgent
+from repro.middleware.agents import Agent, HierarchyError, LocalAgent, MasterAgent
 from repro.middleware.client import Client
 from repro.middleware.driver import MiddlewareSimulation, SimulationResult
 from repro.middleware.estimation import EstimationTags, EstimationVector
@@ -37,6 +37,7 @@ from repro.middleware.sed import ServerDaemon
 
 __all__ = [
     "Agent",
+    "HierarchyError",
     "LocalAgent",
     "MasterAgent",
     "Client",

@@ -32,6 +32,10 @@ from repro.middleware.requests import SchedulingOutcome, ServiceRequest
 from repro.middleware.sed import ServerDaemon
 
 
+class HierarchyError(RuntimeError):
+    """The agent hierarchy lacks the shape an operation needs."""
+
+
 class Agent:
     """A node of the agent hierarchy.
 
@@ -110,9 +114,17 @@ class Agent:
 
         Only SeDs that can solve the requested service and whose node is
         powered on contribute an estimation vector.  Every level sorts
-        with the Master Agent's plug-in scheduler.
+        with the Master Agent's plug-in scheduler, so the walk needs a
+        Master Agent at the root of this agent's hierarchy; without one it
+        raises :class:`HierarchyError`.
         """
-        return self._collect(request, self._root().scheduler.sort)
+        root = self._root()
+        if not isinstance(root, MasterAgent):
+            raise HierarchyError(
+                f"agent {self.name!r} has no Master Agent at its root ({root.name!r}): "
+                f"collecting candidates needs one to hold the plug-in scheduler"
+            )
+        return self._collect(request, root.scheduler.sort)
 
     def _collect(self, request: ServiceRequest, sort) -> list[CandidateEntry]:
         local: list[CandidateEntry] = []

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.infrastructure.energy import SegmentEnergyLog
 from repro.lab.observe import windowed_power
-from tests.wattmeter import reference_windowed_power
+from tests.wattmeter import power_trace, reference_windowed_power
 
 duration_strategy = st.one_of(
     st.just(0.0),
@@ -86,6 +86,102 @@ class TestMatchesPerSecondRendering:
         assert windowed_power(SegmentEnergyLog(), window=600.0, duration=86_400.0) == ()
 
 
+long_log_strategy = st.fixed_dictionaries(
+    {
+        "sample_period": st.sampled_from([0.5, 1.0, 3.0, 10.0]),
+        "start_time": st.sampled_from([0.0, 2.5, 7.0, 100.0]),
+        "nodes": st.lists(
+            st.lists(
+                st.tuples(
+                    st.one_of(
+                        st.integers(min_value=1, max_value=900).map(float),
+                        st.floats(min_value=0.01, max_value=900.0),
+                    ),
+                    st.floats(min_value=0.0, max_value=500.0),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    }
+)
+
+
+class TestRunsOfEqualWidthWindows:
+    """Logs long enough that many adjacent windows share a width.
+
+    Each run of equal-width windows is averaged in one reshaped block;
+    windows that are not a multiple of ``sample_period`` alternate
+    widths, a log starting after 0 leaves its first windows empty, and
+    the last window is cut short by the end of the log or by
+    ``duration``.
+    """
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        spec=long_log_strategy,
+        window=st.one_of(
+            st.sampled_from([1.0, 7.0, 37.5, 128.0, 129.0, 600.0, 601.0]),
+            st.floats(min_value=0.3, max_value=700.0),
+        ),
+        # From mid-log to far past its end (5 nodes x 6 x 900 s at most).
+        duration=st.floats(min_value=0.0, max_value=8_000.0),
+    )
+    def test_series_equals_render_mask_mean(self, spec, window, duration):
+        log = build_log(**spec)
+        assert windowed_power(log, window=window, duration=duration) == (
+            reference_windowed_power(log, window=window, duration=duration)
+        )
+
+    def ragged_log(self, start_time=0.0, sample_period=1.0):
+        return build_log(
+            sample_period,
+            start_time,
+            [[(400.0, 95.5), (733.3, 180.25), (200.0, 0.0)], [(1000.0, 121.7)]],
+        )
+
+    @staticmethod
+    def check(log, window, duration):
+        series = windowed_power(log, window=window, duration=duration)
+        assert series == reference_windowed_power(log, window=window, duration=duration)
+        return series
+
+    @pytest.mark.parametrize("sample_period, window", [(1.0, 2.5), (3.0, 7.0), (0.5, 1.3)])
+    def test_windows_that_are_not_a_multiple_of_the_sample_period(self, sample_period, window):
+        log = self.ragged_log(sample_period=sample_period)
+        times = power_trace(log)[:, 0]
+        widths = {
+            sum(1 for time in times if k * window <= time < (k + 1) * window)
+            for k in range(int(times[-1] // window))
+        }
+        assert len(widths) > 1  # windows really differ in width
+        assert self.check(log, window, duration=1_500.0)
+
+    @pytest.mark.parametrize("start_time", [2.5, 100.0, 650.0])
+    def test_a_log_that_starts_after_zero(self, start_time):
+        series = self.check(self.ragged_log(start_time=start_time), 60.0, duration=2_000.0)
+        # Windows wholly before the first instant hold nothing and are skipped.
+        assert series[0][0] == (start_time // 60.0 + 1) * 60.0
+
+    def test_a_duration_that_ends_mid_window(self):
+        series = self.check(self.ragged_log(), 128.0, duration=1_000.0)
+        # The window open at 1000 s (896..1024 s) is still reported in full.
+        assert series[-1][0] == 1_024.0
+
+    def test_a_duration_past_the_last_instant(self):
+        log = self.ragged_log()
+        series = self.check(log, 600.0, duration=86_400.0)
+        # The log ends at 1333.3 s: its last window is cut short, none follows.
+        assert [end for end, _ in series] == [600.0, 1_200.0, 1_800.0]
+
+
 class TestWindowBounds:
     def make_log(self, period=0.5, end=1.0):
         log = SegmentEnergyLog(sample_period=period)
@@ -99,6 +195,15 @@ class TestWindowBounds:
         series = windowed_power(self.make_log(), window=0.1, duration=1.0)
         assert [end for end, _ in series] == [0.1, 6 * 0.1]
         assert all(end <= 1.0 for end, _ in series)
+
+    def test_no_window_opens_at_a_duration_that_is_a_rounded_start(self):
+        # 3 * 0.1 == 0.30000000000000004, and dividing it by 0.1 rounds up
+        # past 3: the window that would start at the duration must not open.
+        log = self.make_log(period=0.05)
+        duration = 3 * 0.1
+        series = windowed_power(log, window=0.1, duration=duration)
+        assert series == reference_windowed_power(log, window=0.1, duration=duration)
+        assert [end for end, _ in series] == [0.1, 2 * 0.1, 3 * 0.1]
 
     @pytest.mark.parametrize("window", [300.0, 600.0])
     def test_integer_windows_match_accumulated_bounds(self, window):

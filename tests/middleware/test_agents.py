@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies import PerformancePolicy, PowerPolicy, RandomPolicy
 from repro.infrastructure.node import Node, NodeState
-from repro.middleware.agents import LocalAgent, MasterAgent
+from repro.middleware.agents import HierarchyError, LocalAgent, MasterAgent
 from repro.middleware.plugin_scheduler import FirstComeFirstServedScheduler, PluginScheduler
 from repro.middleware.ranking import choose_election
 from repro.middleware.requests import ServiceRequest
@@ -184,6 +184,21 @@ class TestCandidateCollection:
         # Local sorts at each agent holding a SeD, then one merge re-sort at
         # every agent holding more than one partial ranking.
         assert scheduler.calls == [["c"], ["a"], ["b"], ["a", "b"], ["c", "a", "b"]]
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_walk_without_a_master_agent_at_the_root_is_refused(self, depth):
+        top = LocalAgent("la-top")
+        walker = top
+        for level in range(1, depth):
+            child = LocalAgent(f"la-{level}")
+            walker.add_agent(child)
+            walker = child
+        walker.add_sed(make_sed("a"))
+        with pytest.raises(HierarchyError, match=r"'la-top'.*needs one to hold the plug-in scheduler"):
+            walker.collect_candidates(make_request())
+        # Once attached under a Master Agent, the same walk sorts with its plug-in.
+        MasterAgent().add_agent(top)
+        assert [entry.server for entry in walker.collect_candidates(make_request())] == ["a"]
 
     def test_collects_only_matching_service(self):
         master = flat_hierarchy([make_sed("n-0"), make_sed("n-1")])

@@ -1,6 +1,7 @@
 """Tests for workload trace persistence."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.simulation.task import Task
 from repro.workload.generator import BurstThenContinuousWorkload
@@ -197,3 +198,130 @@ class TestTraceWorkloadConstruction:
     def test_eager_from_file_reads_immediately(self, tmp_path):
         with pytest.raises(OSError):
             TraceWorkload.from_file(tmp_path / "missing.csv")
+
+
+SIZED_HEADER = "arrival_time,flop,client,user_preference,service,cores,requested_runtime"
+PLAIN_HEADER = "arrival_time,flop,client,user_preference,service"
+
+#: ``(header, rows, line, message)``: every hostile row is refused with
+#: ``trace file <path>:<line>: <message>``, word for word.
+HOSTILE_ROWS = {
+    "row too wide": (
+        PLAIN_HEADER, ["0.0,1e8,c-0,0.0,cpu-burn,EXTRA"], 2, "row has 6 cells, header has 5",
+    ),
+    "row too narrow": (
+        SIZED_HEADER, ["0.0,1e8,c-0,0.0,cpu-burn,1"], 2, "row has 6 cells, header has 7",
+    ),
+    "non-numeric arrival_time": (
+        SIZED_HEADER, ["soon,1e8,c-0,0.0,cpu-burn,1,"], 2,
+        "column 'arrival_time' is not a number (got 'soon')",
+    ),
+    "non-numeric flop": (
+        SIZED_HEADER, ["0.0,lots,c-0,0.0,cpu-burn,1,"], 2,
+        "column 'flop' is not a number (got 'lots')",
+    ),
+    "empty user_preference": (
+        SIZED_HEADER, ["0.0,1e8,c-0,,cpu-burn,1,"], 2,
+        "column 'user_preference' is not a number (got '')",
+    ),
+    "non-integer cores": (
+        SIZED_HEADER, ["0.0,1e8,c-0,0.0,cpu-burn,2.5,"], 2,
+        "columns 'cores' and 'requested_runtime' need an integer and a number or "
+        "nothing (got '2.5', '')",
+    ),
+    "non-numeric requested_runtime": (
+        SIZED_HEADER, ["0.0,1e8,c-0,0.0,cpu-burn,1,later"], 2,
+        "columns 'cores' and 'requested_runtime' need an integer and a number or "
+        "nothing (got '1', 'later')",
+    ),
+    "negative flop": (
+        SIZED_HEADER, ["0.0,-5.0,c-0,0.0,cpu-burn,1,"], 2, "flop must be > 0, got -5.0",
+    ),
+    "NaN arrival_time": (
+        SIZED_HEADER, ["nan,1e8,c-0,0.0,cpu-burn,1,"], 2, "arrival_time must be finite, got nan",
+    ),
+    "NaN flop": (
+        SIZED_HEADER, ["0.0,NaN,c-0,0.0,cpu-burn,1,"], 2, "flop must be finite, got nan",
+    ),
+    "user_preference out of range": (
+        SIZED_HEADER, ["0.0,1e8,c-0,1.5,cpu-burn,1,"], 2,
+        "user_preference must be in [-1.0, 1.0], got 1.5",
+    ),
+    "empty service": (
+        SIZED_HEADER, ["0.0,1e8,c-0,0.0,,1,"], 2, "service must be a non-empty string",
+    ),
+    "zero cores": (
+        SIZED_HEADER, ["0.0,1e8,c-0,0.0,cpu-burn,0,"], 2, "cores must be >= 1",
+    ),
+    "negative requested_runtime": (
+        SIZED_HEADER, ["0.0,1e8,c-0,0.0,cpu-burn,1,-1.0"], 2,
+        "requested_runtime must be >= 0, got -1.0",
+    ),
+    "a float column is reported before the sizes": (
+        SIZED_HEADER, ["0.0,lots,c-0,0.0,cpu-burn,x,"], 2,
+        "column 'flop' is not a number (got 'lots')",
+    ),
+    "the line counts blank lines": (
+        SIZED_HEADER,
+        ["0.0,1e8,c-0,0.0,cpu-burn,1,", "", "1.0,1e8,c-1,0.0,cpu-burn,1,",
+         "2.0,-1,c-2,0.0,cpu-burn,1,"],
+        5, "flop must be > 0, got -1.0",
+    ),
+}
+
+
+class TestHostileRows:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+    def test_refused_with_the_exact_message_and_line(self, tmp_path, case):
+        header, rows, line, message = HOSTILE_ROWS[case]
+        path = tmp_path / "hostile.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_trace(path)
+        assert str(caught.value) == f"trace file {path}:{line}: {message}"
+
+
+tasks_strategy = st.lists(
+    st.builds(
+        Task,
+        flop=st.floats(min_value=1e-3, max_value=1e15),
+        arrival_time=st.one_of(
+            st.sampled_from([0.0, 1.0, 2.5]), st.floats(min_value=0.0, max_value=1e6)
+        ),
+        client=st.text(alphabet="ab ,\"'-_0", max_size=6),
+        user_preference=st.floats(min_value=-1.0, max_value=1.0),
+        service=st.text(alphabet="xy ,\"", min_size=1, max_size=4),
+        cores=st.integers(min_value=1, max_value=4096),
+        requested_runtime=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e7)),
+    ),
+    max_size=12,
+)
+
+
+class TestRoundTripProperty:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(tasks=tasks_strategy)
+    def test_save_then_load_keeps_every_field(self, tmp_path, tasks):
+        path = tmp_path / "round.csv"
+        save_trace(path, tasks)
+        loaded = load_trace(path)
+        workload = TraceWorkload.from_file(path)
+
+        def fields(task):
+            return (
+                task.flop, task.arrival_time, task.client, task.user_preference,
+                task.service, task.cores, task.requested_runtime,
+            )
+
+        # Loading sorts by arrival; equal arrivals keep file order.
+        expected = sorted(tasks, key=lambda task: task.arrival_time)
+        assert [fields(task) for task in loaded] == [fields(task) for task in expected]
+        assert [fields(task) for task in workload.generate()] == [
+            fields(task) for task in expected
+        ]
+        assert workload.generate() is workload.tasks
