@@ -9,12 +9,10 @@ energy efficient servers" (Section III-C).  Algorithm 1:
 3. walk the GreenPerf-sorted server list, adding servers until the
    accumulated power reaches the budget.
 
-The function below keeps the paper's semantics (the first server whose
+The function below keeps the paper's semantics: the first server whose
 addition crosses the budget is still included, because the ``while`` loop
-tests *before* adding) and adds two practical refinements used by the
-adaptive experiments: an optional cap on the number of selected servers
-and an optional guarantee of at least one server whenever the budget is
-positive.
+tests *before* adding.  With positive powers, a positive budget therefore
+always selects at least one server.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ from repro.util.validation import ensure_in_range
 def select_candidate_servers(
     ranking: GreenPerfRanking | Sequence[RankedServer],
     provider_preference: float,
-    *,
-    max_servers: int | None = None,
-    minimum_one: bool = True,
 ) -> tuple[RankedServer, ...]:
     """Run Algorithm 1 over a GreenPerf-sorted server list.
 
@@ -41,12 +36,6 @@ def select_candidate_servers(
     provider_preference:
         ``Preference_provider`` in ``[0, 1]``; the fraction of the total
         power the candidate set may draw.
-    max_servers:
-        Optional hard cap on the number of selected servers (used when the
-        administrator rules express the budget as a node count).
-    minimum_one:
-        When true, a strictly positive budget always yields at least one
-        server even if the most efficient server alone exceeds the budget.
 
     Returns
     -------
@@ -67,16 +56,8 @@ def select_candidate_servers(
     for entry in entries:
         if accumulated >= required_power:
             break
-        if max_servers is not None and len(selected) >= max_servers:
-            break
         selected.append(entry)
         accumulated += entry.power
-
-    if not selected and minimum_one and provider_preference > 0.0:
-        cap = max_servers if max_servers is not None else 1
-        if cap >= 1:
-            selected.append(entries[0])
-
     return tuple(selected)
 
 

@@ -14,10 +14,7 @@ discussion:
   execution of past requests (the paper's favoured approach, reported by
   the SeD through the ``MEAN_POWER`` estimation tag).
 
-Performance defaults to the server's aggregate FLOP/s; a per-core variant
-is available because single-core task latency is sometimes the quantity of
-interest (the paper's secondary parameter is "the node's performance"
-without committing to either).
+Performance is the server's aggregate FLOP/s.
 """
 
 from __future__ import annotations
@@ -43,38 +40,17 @@ class PowerEstimationMode(enum.Enum):
     DYNAMIC = "dynamic"
 
 
-class PerformanceBasis(enum.Enum):
-    """Which performance figure divides the power term."""
-
-    TOTAL_FLOPS = "total_flops"
-    FLOPS_PER_CORE = "flops_per_core"
-
-
-def greenperf_of_node(
-    node: Node | NodeSpec,
-    *,
-    measured_power: float | None = None,
-    basis: PerformanceBasis = PerformanceBasis.TOTAL_FLOPS,
-) -> float:
-    """GreenPerf ratio of a node (W per FLOP/s, lower is better).
-
-    ``measured_power`` overrides the nameplate peak power with a dynamic
-    measurement when available.
-    """
+def greenperf_of_node(node: Node | NodeSpec) -> float:
+    """Nameplate GreenPerf ratio of a node: peak power over total FLOP/s (lower is better)."""
     spec = node.spec if isinstance(node, Node) else node
-    power = spec.peak_power if measured_power is None else measured_power
-    ensure_positive(power, "power")
-    performance = (
-        spec.total_flops if basis is PerformanceBasis.TOTAL_FLOPS else spec.flops_per_core
-    )
-    return power / performance
+    ensure_positive(spec.peak_power, "power")
+    return spec.peak_power / spec.total_flops
 
 
 def greenperf_of_vector(
     vector: EstimationVector,
     *,
     mode: PowerEstimationMode = PowerEstimationMode.DYNAMIC,
-    basis: PerformanceBasis = PerformanceBasis.TOTAL_FLOPS,
 ) -> float:
     """GreenPerf ratio computed from an estimation vector.
 
@@ -92,13 +68,9 @@ def greenperf_of_vector(
     if not (type(power) is float and 0.0 < power < _INF):
         power = vector.get(power_tag)
         ensure_positive(power, "power")
-    if basis is PerformanceBasis.TOTAL_FLOPS:
-        performance_tag = EstimationTags.TOTAL_FLOPS
-    else:
-        performance_tag = EstimationTags.FLOPS_PER_CORE
-    performance = values.get(performance_tag)
+    performance = values.get(EstimationTags.TOTAL_FLOPS)
     if not (type(performance) is float and 0.0 < performance < _INF):
-        performance = vector.get(performance_tag)
+        performance = vector.get(EstimationTags.TOTAL_FLOPS)
         ensure_positive(performance, "performance")
     return power / performance
 
@@ -125,13 +97,11 @@ class GreenPerfRanking:
         vectors: Sequence[EstimationVector],
         *,
         mode: PowerEstimationMode = PowerEstimationMode.DYNAMIC,
-        basis: PerformanceBasis = PerformanceBasis.TOTAL_FLOPS,
     ) -> None:
         self.mode = mode
-        self.basis = basis
         entries: list[RankedServer] = []
         for vector in vectors:
-            ratio = greenperf_of_vector(vector, mode=mode, basis=basis)
+            ratio = greenperf_of_vector(vector, mode=mode)
             power = (
                 vector.get(EstimationTags.MEAN_POWER)
                 if mode is PowerEstimationMode.DYNAMIC
@@ -184,7 +154,6 @@ class IncrementalGreenPerfOrder:
         nodes: Sequence[Node],
         *,
         seds: Mapping[str, object] | None = None,
-        basis: PerformanceBasis = PerformanceBasis.TOTAL_FLOPS,
     ) -> None:
         self._seds = dict(seds) if seds is not None else {}
         #: Each node's performance term and nameplate ratio.  The peak
@@ -196,10 +165,8 @@ class IncrementalGreenPerfOrder:
         self._static_ratio: dict[str, float] = {}
         for node in nodes:
             name, spec = node.name, node.spec
-            self._performance[name] = (
-                spec.total_flops if basis is PerformanceBasis.TOTAL_FLOPS else spec.flops_per_core
-            )
-            self._static_ratio[name] = greenperf_of_node(node, basis=basis)
+            self._performance[name] = spec.total_flops
+            self._static_ratio[name] = greenperf_of_node(node)
         self._keys: list[tuple[float, str]] = []
         self._ratio_of: dict[str, float] = {}
         #: SeDs invalidated since the last refresh; its bound ``add`` is

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.greenperf import PowerEstimationMode, greenperf_of_vector
-from repro.core.scoring import ScoreKernel, power_tag, server_inputs
+from repro.core.scoring import ScoreKernel, server_inputs
 from repro.middleware.estimation import EstimationTags
 from repro.middleware.plugin_scheduler import CandidateEntry, PluginScheduler
 from repro.middleware.requests import ServiceRequest
@@ -43,6 +43,8 @@ from repro.middleware.requests import ServiceRequest
 # fall back to ``EstimationVector.get`` only for its missing-tag KeyError.
 _FREE_CORES = EstimationTags.FREE_CORES
 _WAITING_TIME = EstimationTags.WAITING_TIME
+_MEAN_POWER = EstimationTags.MEAN_POWER
+_FLOPS_PER_CORE = EstimationTags.FLOPS_PER_CORE
 
 
 def _availability_rank(entry: CandidateEntry) -> int:
@@ -53,23 +55,18 @@ def _availability_rank(entry: CandidateEntry) -> int:
 class PowerPolicy(PluginScheduler):
     """POWER: prioritise the servers drawing the least power.
 
-    The power figure is the dynamic mean-power estimate when available
-    (``use_dynamic_power=True``, the default, matching the paper's
-    preferred estimation) or the nameplate peak power otherwise.
+    The power figure is the dynamic mean-power estimate, the paper's
+    preferred estimation.
     """
 
     name = "POWER"
 
-    def __init__(self, *, use_dynamic_power: bool = True) -> None:
-        self.use_dynamic_power = use_dynamic_power
-
     def rank_key(self, entry: CandidateEntry) -> tuple:
         """Request-independent total-order key (availability, power, waiting, name)."""
         values = entry.estimation.values
-        tag = EstimationTags.MEAN_POWER if self.use_dynamic_power else EstimationTags.PEAK_POWER
-        power = values.get(tag)
+        power = values.get(_MEAN_POWER)
         if power is None:
-            power = entry.estimation.get(tag)
+            power = entry.estimation.get(_MEAN_POWER)
         return (
             0 if values.get(_FREE_CORES, 0.0) > 0 else 1,
             power,
@@ -84,22 +81,20 @@ class PowerPolicy(PluginScheduler):
 
 
 class PerformancePolicy(PluginScheduler):
-    """PERFORMANCE: prioritise the fastest servers (highest FLOPS)."""
+    """PERFORMANCE: prioritise the fastest servers (highest per-core FLOPS).
+
+    Tasks are single-core, so per-core speed is the figure that sets
+    their latency.
+    """
 
     name = "PERFORMANCE"
-
-    def __init__(self, *, per_core: bool = True) -> None:
-        #: Tasks are single-core, so per-core speed is the meaningful figure
-        #: for latency; set ``per_core=False`` to rank by aggregate FLOPS.
-        self.per_core = per_core
 
     def rank_key(self, entry: CandidateEntry) -> tuple:
         """Request-independent total-order key (availability, −speed, waiting, name)."""
         values = entry.estimation.values
-        tag = EstimationTags.FLOPS_PER_CORE if self.per_core else EstimationTags.TOTAL_FLOPS
-        speed = values.get(tag)
+        speed = values.get(_FLOPS_PER_CORE)
         if speed is None:
-            speed = entry.estimation.get(tag)
+            speed = entry.estimation.get(_FLOPS_PER_CORE)
         return (
             0 if values.get(_FREE_CORES, 0.0) > 0 else 1,
             -speed,
@@ -193,18 +188,12 @@ class GreenSchedulerPolicy(PluginScheduler):
 
     name = "GREEN_SCORE"
 
-    def __init__(
-        self,
-        *,
-        default_preference: float = 0.0,
-        use_dynamic_power: bool = True,
-    ) -> None:
+    def __init__(self, *, default_preference: float = 0.0) -> None:
         self.default_preference = default_preference
-        self.use_dynamic_power = use_dynamic_power
 
     def score_inputs(self, entry: CandidateEntry) -> tuple:
         """``(entry, inputs)``: the :func:`~repro.core.scoring.server_inputs` row."""
-        return entry, server_inputs(entry.estimation, power_tag(self.use_dynamic_power))
+        return entry, server_inputs(entry.estimation)
 
     def score_keys(
         self, request: ServiceRequest, rows: Sequence[tuple]
@@ -240,9 +229,7 @@ class GreenSchedulerPolicy(PluginScheduler):
         preference = request.user_preference
         if preference == 0.0:
             preference = self.default_preference
-        kernel = ScoreKernel(
-            request.task.flop, preference, use_dynamic_power=self.use_dynamic_power
-        )
+        kernel = ScoreKernel(request.task.flop, preference)
         evaluate, evaluate_inputs = kernel.evaluate, kernel.evaluate_inputs
         scores: dict[tuple, float] = {}
         keys = []

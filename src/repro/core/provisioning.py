@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.greenperf import IncrementalGreenPerfOrder, PerformanceBasis
+from repro.core.greenperf import IncrementalGreenPerfOrder
 from repro.core.rules import AdministratorRules, PlatformStatus, RuleDecision
 from repro.infrastructure.electricity import ElectricityCostSchedule
 from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import Platform
-from repro.infrastructure.thermal import ThermalEnvironment
+from repro.infrastructure.thermal import TEMPERATURE_THRESHOLD, ThermalEnvironment
 from repro.middleware.agents import MasterAgent
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.engine import SimulationEngine
@@ -73,7 +73,6 @@ class ProvisioningConfig:
     ramp_up_step: int = 2
     ramp_down_step: int = 4
     manage_power: bool = False
-    initial_candidates: int | None = None
 
     def __post_init__(self) -> None:
         ensure_positive(self.check_period, "check_period")
@@ -83,10 +82,6 @@ class ProvisioningConfig:
             raise ValueError(f"ramp_up_step must be >= 1, got {self.ramp_up_step}")
         if self.ramp_down_step < 1:
             raise ValueError(f"ramp_down_step must be >= 1, got {self.ramp_down_step}")
-        if self.initial_candidates is not None and self.initial_candidates < 0:
-            raise ValueError(
-                f"initial_candidates must be >= 0, got {self.initial_candidates}"
-            )
 
 
 class ProvisioningPlanner:
@@ -120,9 +115,7 @@ class ProvisioningPlanner:
         self._installed = False
         #: Platform position of every node: the drain visits in this order.
         self._position = {node.name: index for index, node in enumerate(platform.nodes)}
-        self._order = IncrementalGreenPerfOrder(
-            tuple(platform.nodes), seds=self.seds, basis=PerformanceBasis.TOTAL_FLOPS
-        )
+        self._order = IncrementalGreenPerfOrder(tuple(platform.nodes), seds=self.seds)
         self._initialise_candidates()
         #: De-provisioned nodes the drain has not yet seen OFF.  Only the
         #: planner boots a node and ``repair()`` restores a node's
@@ -136,11 +129,7 @@ class ProvisioningPlanner:
     # -- initialisation ------------------------------------------------------------
     def _initialise_candidates(self) -> None:
         ranking = self._greenperf_order()
-        if self.config.initial_candidates is not None:
-            count = min(self.config.initial_candidates, len(ranking))
-        else:
-            status = self.status_at(0.0)
-            count = self.rules.evaluate(status).candidate_count
+        count = self.rules.evaluate(self.status_at(0.0)).candidate_count
         self._candidates = frozenset(ranking[:count])
 
     def _greenperf_order(self) -> list[str]:
@@ -205,7 +194,7 @@ class ProvisioningPlanner:
         """
         status_now = self.status_at(now)
         decision_now = self.rules.evaluate(status_now)
-        if status_now.temperature > self.thermal.threshold:
+        if status_now.temperature > TEMPERATURE_THRESHOLD:
             return decision_now, status_now
         future_time = now + self.config.lookahead
         status_future = PlatformStatus(
@@ -365,15 +354,12 @@ class ProvisioningPlanner:
         return turned_off
 
     # -- periodic scheduling ------------------------------------------------------------
-    def start(self, *, first_check_at: float | None = None) -> None:
-        """Schedule periodic checks on the simulation engine."""
+    def start(self) -> None:
+        """Schedule periodic checks on the simulation engine, the first one now."""
         if self.engine is None:
             raise RuntimeError("an engine is required to schedule periodic checks")
         if not self._installed:
             self.install()
-        start_time = (
-            first_check_at if first_check_at is not None else self.engine.now
-        )
 
         def _periodic() -> None:
             self.check(self.engine.now)
@@ -382,7 +368,7 @@ class ProvisioningPlanner:
                 self.config.check_period, _periodic, label="provisioning-check"
             )
 
-        self.engine.schedule(start_time, _periodic, label="provisioning-check")
+        self.engine.schedule(self.engine.now, _periodic, label="provisioning-check")
 
     def candidate_history(self) -> Sequence[tuple[float, int]]:
         """``(time, candidate_count)`` series across all checks (Figure 9)."""

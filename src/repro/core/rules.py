@@ -15,21 +15,17 @@ temperature returns in range, the cost rules apply again.)
 The rule engine below generalises this: an ordered list of
 :class:`ThresholdRule` objects, the first matching rule wins, temperature
 rules are evaluated before cost rules because an out-of-range temperature
-overrides everything else in the paper's experiment.  Actions may also
-carry an arbitrary callback (the paper mentions "scripts or commands to be
-called by the scheduler").
+overrides everything else in the paper's experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.candidate_selection import candidate_count_for_fraction
+from repro.infrastructure.thermal import TEMPERATURE_THRESHOLD
 from repro.util.validation import ensure_in_range
-
-#: Callback invoked when a rule fires: ``action(status)``.
-RuleAction = Callable[["PlatformStatus"], None]
 
 
 @dataclass(frozen=True)
@@ -53,14 +49,12 @@ class ThresholdRule:
 
     ``predicate`` decides whether the rule applies to a status;
     ``candidate_fraction`` is the fraction of all nodes to keep as
-    candidates when it fires; ``action`` is an optional side effect;
-    ``label`` names the rule in traces.
+    candidates when it fires; ``label`` names the rule in traces.
     """
 
     label: str
     predicate: Callable[[PlatformStatus], bool]
     candidate_fraction: float
-    action: RuleAction | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         ensure_in_range(self.candidate_fraction, "candidate_fraction", 0.0, 1.0)
@@ -104,8 +98,6 @@ class AdministratorRules:
         """
         for rule in self._rules:
             if rule.matches(status):
-                if rule.action is not None:
-                    rule.action(status)
                 return RuleDecision(
                     rule=rule,
                     candidate_count=candidate_count_for_fraction(
@@ -127,19 +119,14 @@ class AdministratorRules:
         )
 
     @classmethod
-    def paper_defaults(
-        cls,
-        *,
-        temperature_threshold: float = 25.0,
-        overheating_fraction: float = 0.20,
-    ) -> "AdministratorRules":
+    def paper_defaults(cls) -> "AdministratorRules":
         """The five behaviours of Section IV-C."""
         return cls(
             [
                 ThresholdRule(
                     label="overheating",
-                    predicate=lambda s: s.temperature > temperature_threshold,
-                    candidate_fraction=overheating_fraction,
+                    predicate=lambda s: s.temperature > TEMPERATURE_THRESHOLD,
+                    candidate_fraction=0.20,
                 ),
                 ThresholdRule(
                     label="regular-tariff",

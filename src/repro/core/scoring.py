@@ -45,17 +45,15 @@ def preference_exponent(user_preference: float) -> float:
 _INF = math.inf
 
 
-def power_tag(use_dynamic_power: bool) -> str:
-    """The tag read as ``c_s``: dynamic mean power, or nameplate peak power."""
-    return EstimationTags.MEAN_POWER if use_dynamic_power else EstimationTags.PEAK_POWER
+_POWER = EstimationTags.MEAN_POWER
 
 
 def server_inputs(
-    vector: EstimationVector, tag: str
+    vector: EstimationVector,
 ) -> tuple[float, float, float, float, float, bool] | None:
     """The request-independent inputs of Equations 4–5, or ``None``.
 
-    ``tag`` is the :func:`power_tag` read as ``c_s``.  Returns
+    ``c_s`` is the dynamic mean-power estimate.  Returns
     ``(f_s, c_s, w_s, bt_s, bc_s, active)`` when every input is an
     exact, finite, in-range float — :class:`ScoreKernel`'s fast path.  Any
     other vector (a missing tag, an int, a negative value) gives ``None``
@@ -64,7 +62,7 @@ def server_inputs(
     """
     values = vector.values
     flops = values.get(EstimationTags.FLOPS_PER_CORE)
-    power = values.get(tag)
+    power = values.get(_POWER)
     waiting = values.get(EstimationTags.WAITING_TIME, 0.0)
     boot_time = values.get(EstimationTags.BOOT_TIME, 0.0)
     boot_power = values.get(EstimationTags.BOOT_POWER, 0.0)
@@ -124,16 +122,12 @@ class ScoreKernel:
     True
     """
 
-    __slots__ = ("flop", "exponent", "power_tag")
+    __slots__ = ("flop", "exponent")
 
-    def __init__(
-        self, flop: float, user_preference: float, *, use_dynamic_power: bool = True
-    ) -> None:
+    def __init__(self, flop: float, user_preference: float) -> None:
         ensure_non_negative(flop, "flop")
         self.flop = flop
         self.exponent = preference_exponent(user_preference)
-        #: ``c_s``: the dynamic mean-power tag, or the nameplate peak power.
-        self.power_tag = power_tag(use_dynamic_power)
 
     def evaluate(self, vector: EstimationVector) -> tuple[float, float, float]:
         """``(time, energy, score)`` of one server (Equations 4, 5 and 6).
@@ -141,18 +135,18 @@ class ScoreKernel:
         ``active`` servers (powered on) pay their waiting queue; inactive
         servers pay their boot time and boot energy.
         """
-        inputs = server_inputs(vector, self.power_tag)
+        inputs = server_inputs(vector)
         if inputs is not None:
             return self.evaluate_inputs(*inputs)
         # Not exact in-range floats: the validators, in the order above,
         # raise their usual error or accept the value (ints, numpy floats).
         values = vector.values
-        if EstimationTags.FLOPS_PER_CORE in values and self.power_tag in values:
+        if EstimationTags.FLOPS_PER_CORE in values and _POWER in values:
             flops = values[EstimationTags.FLOPS_PER_CORE]
-            power = values[self.power_tag]
+            power = values[_POWER]
         else:  # the vector's own KeyError, for the first missing tag
             flops = vector.get(EstimationTags.FLOPS_PER_CORE)
-            power = vector.get(self.power_tag)
+            power = vector.get(_POWER)
         waiting = values.get(EstimationTags.WAITING_TIME, 0.0)
         boot_time = values.get(EstimationTags.BOOT_TIME, 0.0)
         boot_power = values.get(EstimationTags.BOOT_POWER, 0.0)

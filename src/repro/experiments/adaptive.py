@@ -48,7 +48,7 @@ from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec
 from repro.scenario.events import EventTimeline
 from repro.scenario.io import bundled_timeline, load_timeline
-from repro.util.validation import ensure_integer, ensure_positive
+from repro.util.validation import ensure_finite, ensure_integer, ensure_positive
 
 _MINUTE = 60.0
 
@@ -122,6 +122,7 @@ class AdaptiveExperimentConfig:
         ensure_positive(self.task_flop, "task_flop")
         ensure_positive(self.client_tick, "client_tick")
         ensure_positive(self.sample_period, "sample_period")
+        ensure_finite(self.base_temperature, "base_temperature")
         if self.nodes_per_cluster < 1:
             raise ValueError(
                 f"nodes_per_cluster must be >= 1, got {self.nodes_per_cluster}"

@@ -28,7 +28,7 @@ from repro.infrastructure.platform import (
     grid5000_placement_platform,
     simulated_cluster_specs,
 )
-from repro.infrastructure.power_model import LinearPowerModel, PowerModel
+from repro.infrastructure.power_model import LinearPowerModel
 from repro.infrastructure.thermal import ThermalEnvironment, ThermalEvent
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "grid5000_placement_platform",
     "simulated_cluster_specs",
     "LinearPowerModel",
-    "PowerModel",
     "ThermalEnvironment",
     "ThermalEvent",
     "EnergyAccountant",

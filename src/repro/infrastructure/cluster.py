@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.infrastructure.node import Node, NodeSpec, NodeState
-from repro.infrastructure.power_model import PowerModel
+from repro.infrastructure.node import Node, NodeSpec
 
 
 class Cluster:
@@ -38,9 +37,6 @@ class Cluster:
         name: str,
         count: int,
         spec_template: NodeSpec,
-        *,
-        power_model: PowerModel | None = None,
-        initial_state: NodeState = NodeState.ON,
     ) -> "Cluster":
         """Build a cluster of ``count`` identical nodes named ``<name>-<i>``.
 
@@ -62,9 +58,7 @@ class Cluster:
                 boot_time=spec_template.boot_time,
                 memory_gb=spec_template.memory_gb,
             )
-            nodes.append(
-                Node(spec, power_model=power_model, initial_state=initial_state)
-            )
+            nodes.append(Node(spec))
         return cls(name, nodes)
 
     # -- container protocol ---------------------------------------------------

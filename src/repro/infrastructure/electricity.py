@@ -40,16 +40,12 @@ class TariffPeriod:
 
 
 class ElectricityCostSchedule:
-    """Piecewise-constant electricity cost over simulated time."""
+    """Piecewise-constant electricity cost over simulated time.
 
-    def __init__(
-        self,
-        periods: Iterable[TariffPeriod] = (),
-        *,
-        default_cost: float = REGULAR_COST,
-    ) -> None:
-        ensure_in_range(default_cost, "default_cost", 0.0, 1.0)
-        self.default_cost = float(default_cost)
+    Before the first period the cost is :data:`REGULAR_COST`.
+    """
+
+    def __init__(self, periods: Iterable[TariffPeriod] = ()) -> None:
         self._periods: list[TariffPeriod] = sorted(periods)
         self._starts: list[float] = [p.start for p in self._periods]
 
@@ -63,5 +59,5 @@ class ElectricityCostSchedule:
         """Electricity cost ratio in effect at simulated ``time``."""
         index = bisect.bisect_right(self._starts, time) - 1
         if index < 0:
-            return self.default_cost
+            return REGULAR_COST
         return self._periods[index].cost

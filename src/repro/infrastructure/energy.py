@@ -133,10 +133,9 @@ class SegmentEnergyLog:
     node's data, never a scan of every node's.
     """
 
-    def __init__(self, sample_period: float = 1.0, *, start_time: float = 0.0) -> None:
+    def __init__(self, sample_period: float = 1.0) -> None:
         ensure_positive(sample_period, "sample_period")
         self.sample_period = sample_period
-        self.start_time = start_time
         #: Per-node segment lists, in registration order (the order
         #: platform power sums nodes in).
         self._segments: dict[str, list[PowerSegment]] = {}
@@ -162,10 +161,10 @@ class SegmentEnergyLog:
         """Close one constant-power interval ``(start, end]`` for ``node``.
 
         Segments of one node must be contiguous — each starting exactly
-        where the previous one ended, the first at the log's
-        ``start_time`` — because tick attribution charges every sampling
-        instant since the last accounted one to the incoming segment; a
-        gap would silently book its instants at the wrong power.  A
+        where the previous one ended, the first at time 0 — because tick
+        attribution charges every sampling instant since the last
+        accounted one to the incoming segment; a gap would silently book
+        its instants at the wrong power.  A
         segment whose power equals the previous one is merged into it.
         The node's energy grows by ``watts × sample_period`` per sampling
         instant the segment covers.
@@ -176,20 +175,17 @@ class SegmentEnergyLog:
         if segments is None:
             self.register_node(node, cluster)
             segments = self._segments[node]
-        expected_start = segments[-1].end if segments else self.start_time
+        expected_start = segments[-1].end if segments else 0.0
         if start != expected_start:
             raise ValueError(
                 f"segments for {node!r} must be contiguous: expected start "
                 f"{expected_start}, got {start}"
             )
 
-        # Sampling instants at ``start_time + k * period`` up to ``end``,
-        # less those already accounted.
-        origin = self.start_time
+        # Sampling instants at ``k * period`` up to ``end``, less those
+        # already accounted.
         counted = self._ticks_by_node[node]
-        ticks = (
-            0 if end < origin else math.floor((end - origin) / self.sample_period) + 1
-        ) - counted
+        ticks = (0 if end < 0.0 else math.floor(end / self.sample_period) + 1) - counted
         if ticks == 0 and end == start:
             return  # zero-measure: no tick, no duration, nothing to record
         joules = watts * self.sample_period * ticks
@@ -251,10 +247,9 @@ class EnergyAccountant:
         *,
         clock: Callable[[], float],
         sample_period: float = 1.0,
-        start_time: float = 0.0,
         phase_timer=None,
     ) -> None:
-        self.log = SegmentEnergyLog(sample_period, start_time=start_time)
+        self.log = SegmentEnergyLog(sample_period)
         self._clock = clock
         #: Optional :class:`~repro.util.phases.PhaseTimer` booking segment
         #: bookkeeping to the "energy" phase on profiled runs.
@@ -264,7 +259,7 @@ class EnergyAccountant:
         self._open: dict[str, tuple[float, float]] = {}
         for node in self._nodes:
             self.log.register_node(node.name, node.cluster)
-            self._open[node.name] = (start_time, node.current_power())
+            self._open[node.name] = (0.0, node.current_power())
             node.add_power_listener(self._on_power_change)
         self._closed = False
 

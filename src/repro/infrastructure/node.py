@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.infrastructure.power_model import LinearPowerModel, PowerModel
+from repro.infrastructure.power_model import LinearPowerModel
 from repro.util.validation import ensure_non_negative, ensure_positive
 
 _INF = math.inf
@@ -126,13 +126,13 @@ class NodeSpec:
 _LINEAR_TABLES: dict[tuple[str, str, int], tuple[float, ...]] = {}
 
 
-def _on_power_table(model: PowerModel, cores: int) -> tuple:
+def _on_power_table(model: LinearPowerModel, cores: int) -> tuple:
     """``model.power_at(busy / cores)`` for ``busy`` in ``0..cores``.
 
     Nodes with bit-identical linear models and equal core counts share one
     table, so a platform computes (and checks) it once per node type.
     """
-    linear = type(model) is LinearPowerModel and type(model.idle) is type(model.peak) is float
+    linear = type(model.idle) is type(model.peak) is float
     if linear:
         key = (model.idle.hex(), model.peak.hex(), cores)
         table = _LINEAR_TABLES.get(key)
@@ -153,15 +153,9 @@ class Node:
     node for its instantaneous power draw through :meth:`current_power`.
     """
 
-    def __init__(
-        self,
-        spec: NodeSpec,
-        *,
-        power_model: PowerModel | None = None,
-        initial_state: NodeState = NodeState.ON,
-    ) -> None:
+    def __init__(self, spec: NodeSpec) -> None:
         self.spec = spec
-        self._state = initial_state
+        self._state = NodeState.ON
         self._busy_cores = 0
         self._boot_completion_time: float | None = None
         self._pre_failure_state = NodeState.ON
@@ -170,7 +164,7 @@ class Node:
         self._power_listeners: list[PowerListener] = []
         #: ON power draw per busy-core count, each entry computed (and
         #: checked) once by the power model.
-        self._on_power = _on_power_table(power_model or spec.default_power_model(), spec.cores)
+        self._on_power = _on_power_table(spec.default_power_model(), spec.cores)
 
     # -- identification ----------------------------------------------------
     @property

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.infrastructure.cluster import Cluster
-from repro.infrastructure.node import Node, NodeSpec, NodeState
+from repro.infrastructure.node import Node, NodeSpec
 
 #: FLOP cost of the paper's unit task: "1e8 successive additions".
 UNIT_TASK_FLOP = 1.0e8
@@ -185,11 +185,7 @@ class Platform:
         return sum(cluster.total_cores for cluster in self._clusters)
 
 
-def grid5000_placement_platform(
-    *,
-    nodes_per_cluster: int = 4,
-    initial_state: NodeState = NodeState.ON,
-) -> Platform:
+def grid5000_placement_platform(*, nodes_per_cluster: int = 4) -> Platform:
     """The 12-SeD platform of Table I (Orion ×4, Taurus ×4, Sagittaire ×4).
 
     The Master Agent and client nodes of Table I do not execute tasks and
@@ -198,17 +194,8 @@ def grid5000_placement_platform(
     """
     return Platform(
         [
-            Cluster.homogeneous(
-                "orion", nodes_per_cluster, orion_spec(), initial_state=initial_state
-            ),
-            Cluster.homogeneous(
-                "taurus", nodes_per_cluster, taurus_spec(), initial_state=initial_state
-            ),
-            Cluster.homogeneous(
-                "sagittaire",
-                nodes_per_cluster,
-                sagittaire_spec(),
-                initial_state=initial_state,
-            ),
+            Cluster.homogeneous("orion", nodes_per_cluster, orion_spec()),
+            Cluster.homogeneous("taurus", nodes_per_cluster, taurus_spec()),
+            Cluster.homogeneous("sagittaire", nodes_per_cluster, sagittaire_spec()),
         ]
     )

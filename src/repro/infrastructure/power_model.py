@@ -7,8 +7,8 @@ The scheduler in the paper needs, for each server ``s``:
 * the instantaneous power draw, which the Omegawatt wattmeters sample at
   1 Hz on Grid'5000.
 
-Servers are *not* energy proportional (Section II-B), so the default model
-is a linear interpolation between a non-zero idle power and the peak power
+Servers are *not* energy proportional (Section II-B), so the model is a
+linear interpolation between a non-zero idle power and the peak power
 as a function of core utilisation — the standard first-order model used by
 CloudSim-style simulators and consistent with the measurements the paper
 relies on.
@@ -16,32 +16,13 @@ relies on.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.util.validation import ensure_in_range, ensure_non_negative
 
 
-class PowerModel(ABC):
-    """Maps a server's utilisation (``[0, 1]``) to instantaneous power (W)."""
-
-    @abstractmethod
-    def power_at(self, utilization: float) -> float:
-        """Instantaneous power draw in watts at the given utilisation."""
-
-    @property
-    @abstractmethod
-    def idle_power(self) -> float:
-        """Power draw at zero utilisation (W)."""
-
-    @property
-    @abstractmethod
-    def peak_power(self) -> float:
-        """Power draw at full utilisation (W)."""
-
-
 @dataclass(frozen=True)
-class LinearPowerModel(PowerModel):
+class LinearPowerModel:
     """Linear power model: ``P(u) = idle + (peak - idle) * u``.
 
     ``idle`` and ``peak`` are in watts; ``peak`` must be at least ``idle``.
@@ -62,11 +43,3 @@ class LinearPowerModel(PowerModel):
         """Interpolated power at ``utilization`` in ``[0, 1]``."""
         ensure_in_range(utilization, "utilization", 0.0, 1.0)
         return self.idle + (self.peak - self.idle) * utilization
-
-    @property
-    def idle_power(self) -> float:
-        return self.idle
-
-    @property
-    def peak_power(self) -> float:
-        return self.peak

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from repro.util.validation import ensure_non_negative
 
 #: Threshold above which the paper's administrator rules consider the
-#: temperature out of range (degrees Celsius).
-DEFAULT_TEMPERATURE_THRESHOLD = 25.0
+#: temperature out of range (degrees Celsius): the overheating rule and the
+#: provisioning planner's temperature override both read it.
+TEMPERATURE_THRESHOLD = 25.0
 
 
 @dataclass(frozen=True, order=True)
@@ -48,18 +49,10 @@ class ThermalEnvironment:
     ----------
     base_temperature:
         Temperature before any event (°C).
-    threshold:
-        Out-of-range threshold used by administrator rules (°C).
     """
 
-    def __init__(
-        self,
-        *,
-        base_temperature: float = 21.0,
-        threshold: float = DEFAULT_TEMPERATURE_THRESHOLD,
-    ) -> None:
+    def __init__(self, *, base_temperature: float = 21.0) -> None:
         self.base_temperature = float(base_temperature)
-        self.threshold = float(threshold)
         self._events: list[ThermalEvent] = []
         self._event_times: list[float] = []
 

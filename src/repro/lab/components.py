@@ -182,7 +182,6 @@ class WorkloadSource:
     trace_path: str | None = None
     task_flop: float = CAPACITY_TASK_FLOP
     client_tick: float = 60.0
-    client: str = "adaptive-client"
     clients: int = 2
     tasks_per_client: int = 50
 
@@ -218,12 +217,9 @@ class WorkloadSource:
         *,
         task_flop: float = CAPACITY_TASK_FLOP,
         client_tick: float = 60.0,
-        client: str = "adaptive-client",
     ) -> "WorkloadSource":
         """The adaptive closed-loop client (provisioning required)."""
-        return cls(
-            kind="capacity", task_flop=task_flop, client_tick=client_tick, client=client
-        )
+        return cls(kind="capacity", task_flop=task_flop, client_tick=client_tick)
 
     @classmethod
     def point_load(
@@ -270,8 +266,7 @@ class PolicySource:
 
     ``seed`` is forwarded to stochastic policies (RANDOM) and
     ``preference`` to the GREEN_SCORE default user preference; leave them
-    ``None`` for policies that do not take them.  ``options`` carries any
-    further constructor keywords.
+    ``None`` for policies that do not take them.
 
     ``family`` selects how the policy executes: ``"plugin"`` runs it as
     a per-request plug-in scheduler (the GreenPerf family, or the
@@ -292,15 +287,12 @@ class PolicySource:
     name: str = "POWER"
     seed: int | None = None
     preference: float | None = None
-    options: tuple[tuple[str, object], ...] = ()
     family: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.strip():
             raise LabError("policy name must be non-empty")
         object.__setattr__(self, "name", self.name.strip().upper())
-        if not isinstance(self.options, tuple):
-            object.__setattr__(self, "options", tuple(dict(self.options).items()))
         if self.family not in ("auto", "plugin", "queue"):
             raise LabError(
                 f"policy family must be 'auto', 'plugin' or 'queue', "
@@ -328,7 +320,7 @@ class PolicySource:
         :func:`~repro.policy.queue.policies.queue_policy_by_name`
         instead of calling this.
         """
-        kwargs: dict[str, object] = dict(self.options)
+        kwargs: dict[str, object] = {}
         if self.seed is not None:
             kwargs["seed"] = self.seed
         if self.preference is not None:
@@ -355,7 +347,6 @@ class ProvisioningSource:
     ramp_up_step: int = 2
     ramp_down_step: int = 4
     manage_power: bool = True
-    first_check_at: float = 0.0
 
     def config(self) -> ProvisioningConfig:
         """The planner configuration this source describes."""

@@ -68,7 +68,7 @@ def windowed_power(
     watts = _platform_watts(energy_log)
     if watts.size == 0:
         return ()
-    times = energy_log.start_time + np.arange(watts.size, dtype=float) * energy_log.sample_period
+    times = np.arange(watts.size, dtype=float) * energy_log.sample_period
     # Window k opens while its start ``k * window`` is before ``duration``
     # and not after the last instant (later windows are empty).  Bounds
     # come from the index, never accumulated: ``bounds[k]`` is the start

@@ -338,7 +338,7 @@ class LabSession:
                 trace=simulation.trace if self.trace_level == "full" else None,
             )
             planner.install()
-            planner.start(first_check_at=self.provisioning.first_check_at)
+            planner.start()
 
         if self.workload.kind == "capacity":
             self._start_capacity_client(simulation, platform, planner, timeline)
@@ -430,7 +430,7 @@ class LabSession:
                         Task(
                             flop=workload.task_flop,
                             arrival_time=now,
-                            client=workload.client,
+                            client="adaptive-client",
                         )
                     )
                 simulation.engine.schedule_in(

@@ -103,7 +103,6 @@ class MiddlewareSimulation:
         sample_period: float = 1.0,
         policy_name: str | None = None,
         trace_level: str = "full",
-        phase_timer: "phases.PhaseTimer | None" = None,
     ) -> None:
         if trace_level not in TRACE_LEVELS:
             raise ValueError(
@@ -112,12 +111,9 @@ class MiddlewareSimulation:
         self.platform = platform
         self.master = master
         self.seds = dict(seds)
-        #: Per-phase profiling hook.  Explicit timer wins; otherwise the
-        #: process-wide active timer (set by ``repro sweep --profile``) is
-        #: picked up; ``None`` disables attribution.
-        self.phase_timer = (
-            phase_timer if phase_timer is not None else phases.active_timer()
-        )
+        #: Per-phase profiling hook: the process-wide active timer (set by
+        #: ``repro sweep --profile``); ``None`` disables attribution.
+        self.phase_timer = phases.active_timer()
         master.phase_timer = self.phase_timer
         self.engine = SimulationEngine()
         self.trace = ExecutionTrace()
@@ -422,7 +418,7 @@ class MiddlewareSimulation:
         self.accountant.close(self.engine.now)
 
     # -- execution ------------------------------------------------------------------------
-    def run(self, *, until: float | None = None, max_events: int | None = None) -> SimulationResult:
+    def run(self, *, until: float | None = None) -> SimulationResult:
         """Run the simulation to completion (or ``until``) and summarise it."""
         timer = self.phase_timer
         if timer is not None:
@@ -430,7 +426,7 @@ class MiddlewareSimulation:
             # scoring, energy) books to "dispatch".
             timer.push("dispatch")
         try:
-            self.engine.run(until=until, max_events=max_events)
+            self.engine.run(until=until)
         finally:
             if timer is not None:
                 timer.pop()

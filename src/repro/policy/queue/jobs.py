@@ -2,9 +2,8 @@
 
 A :class:`QueueJob` is the minimal view of a batch job that backfill and
 fair-share scheduling need: arrival, width (cores), actual runtime, the
-user's *requested* runtime (the wall limit backfill plans against), the
-owning user (fair share), and an optional memory demand (DRF's second
-resource).
+user's *requested* runtime (the wall limit backfill plans against) and
+the owning user (fair share).
 
 :func:`jobs_from_tasks` produces them from middleware
 :class:`~repro.simulation.task.Task` objects by inverting the flop model
@@ -55,7 +54,6 @@ class QueueJob:
     runtime: float
     requested_runtime: float | None = None
     user: str = "u0"
-    memory: float = 0.0
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
@@ -64,8 +62,6 @@ class QueueJob:
             raise ValueError(f"job {self.job_id}: runtime must be >= 0")
         if self.requested_runtime is not None and self.requested_runtime < 0:
             raise ValueError(f"job {self.job_id}: requested_runtime must be >= 0")
-        if self.memory < 0:
-            raise ValueError(f"job {self.job_id}: memory must be >= 0")
 
     @property
     def estimate(self) -> float:

@@ -15,8 +15,7 @@ exactly the property the EASY reservation guarantee needs.
 
 >>> from repro.policy.queue.jobs import QueueJob
 >>> view = SchedulerView(
-...     now=0.0, capacity=4, free_cores=4, memory_capacity=0.0,
-...     running=(),
+...     now=0.0, capacity=4, free_cores=4, running=(),
 ...     queue=(QueueJob(0, 0.0, 3, 10.0), QueueJob(1, 0.0, 4, 10.0),
 ...            QueueJob(2, 0.0, 1, 5.0)),
 ... )
@@ -62,7 +61,6 @@ class RunningJob:
     start: float
     estimated_end: float
     user: str = "u0"
-    memory: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +84,6 @@ class SchedulerView:
     now: float
     capacity: int
     free_cores: int
-    memory_capacity: float
     running: tuple[RunningJob, ...]
     queue: tuple[QueueJob, ...]
 
@@ -224,12 +221,11 @@ class ConservativeBackfillPolicy(QueuePolicy):
 class DRFPolicy(QueuePolicy):
     """Dominant-resource-fairness ordering across users.
 
-    Each user's *dominant share* is the larger of their core share and
-    (when a memory capacity is configured) their memory share, over
-    currently running work.  Repeatedly, the fittable job of the
-    lowest-dominant-share user starts next (ties: earliest arrival,
-    then job id), updating shares as it goes.  With no memory capacity
-    this degenerates to max-min fair share over cores.  No reservations
+    Cores are the one resource, so each user's *dominant share* is their
+    core share of the system over currently running work: max-min fair
+    share over cores.  Repeatedly, the fittable job of the
+    lowest-share user starts next (ties: earliest arrival, then job id),
+    updating shares as it goes.  No reservations
     and no head blocking: a job that does not fit is skipped, so DRF
     trades FCFS's ordering guarantee for fairness across tenants.
     """
@@ -238,18 +234,12 @@ class DRFPolicy(QueuePolicy):
 
     def plan(self, view: SchedulerView) -> PlanDecision:
         decision = PlanDecision()
-        usage: dict[str, list[float]] = {}
+        usage: dict[str, float] = {}
         for running in view.running:
-            totals = usage.setdefault(running.user, [0.0, 0.0])
-            totals[0] += running.cores
-            totals[1] += running.memory
+            usage[running.user] = usage.get(running.user, 0.0) + running.cores
 
         def dominant_share(user: str) -> float:
-            cores_used, memory_used = usage.get(user, (0.0, 0.0))
-            share = cores_used / view.capacity if view.capacity else 0.0
-            if view.memory_capacity > 0:
-                share = max(share, memory_used / view.memory_capacity)
-            return share
+            return usage.get(user, 0.0) / view.capacity if view.capacity else 0.0
 
         free = view.free_cores
         pending = list(view.queue)
@@ -263,9 +253,7 @@ class DRFPolicy(QueuePolicy):
             )
             decision.start_now.append(job.job_id)
             free -= job.cores
-            totals = usage.setdefault(job.user, [0.0, 0.0])
-            totals[0] += job.cores
-            totals[1] += job.memory
+            usage[job.user] = usage.get(job.user, 0.0) + job.cores
             pending.remove(job)
 
 

@@ -175,7 +175,6 @@ def run_queue_simulation(
     capacity_events: Sequence[tuple[float, int]] = (),
     horizon: float | None = None,
     requeue_limit: int = 1,
-    memory_capacity: float = 0.0,
 ) -> QueueSchedule:
     """Run ``jobs`` through ``policy`` on a ``capacity``-core system.
 
@@ -285,7 +284,6 @@ def run_queue_simulation(
             now=now,
             capacity=capacity_now,
             free_cores=capacity_now - used,
-            memory_capacity=memory_capacity,
             running=tuple(
                 RunningJob(
                     job_id=jid,
@@ -293,7 +291,6 @@ def run_queue_simulation(
                     start=live[jid].start,
                     estimated_end=live[jid].start + job.estimate,
                     user=job.user,
-                    memory=job.memory,
                 )
                 for jid, job in sorted(running.items())
             ),

@@ -145,37 +145,31 @@ def _preferences_grid() -> tuple[ScenarioSpec, ...]:
     )
 
 
-def trace_grid(
-    trace: str,
-    *,
-    platforms: Sequence[str] = ("quick", "half"),
-    policies: Sequence[str] = ("POWER", "PERFORMANCE"),
-) -> tuple[ScenarioSpec, ...]:
+#: The platforms, placement policies and observation horizons (s) of the
+#: trace, timeline and cross grids.
+_FILE_PLATFORMS = ("quick", "half")
+_FILE_POLICIES = ("POWER", "PERFORMANCE")
+_TIMELINE_HORIZONS = (1800.0, 3600.0)
+
+
+def trace_grid(trace: str) -> tuple[ScenarioSpec, ...]:
     """A placement grid replaying one trace file: platforms × policies.
 
     This is the grid behind ``repro sweep --trace``: the same recorded
     request stream (converted from a real log by ``repro trace convert``)
-    placed by each policy on each platform size.  The defaults form a
-    2×2 grid; the trace file's content hash is folded into every
-    scenario hash, so a store built from one trace stays correct when
-    the file is edited.
+    placed by each policy on each platform size, a 2×2 grid.  The trace
+    file's content hash is folded into every scenario hash, so a store
+    built from one trace stays correct when the file is edited.
     """
     base = ScenarioSpec(
         experiment="placement",
-        platform=platforms[0],
+        platform=_FILE_PLATFORMS[0],
         workload="trace",
         trace=trace,
     )
     return tuple(
-        iter_grid(
-            SweepSpec(base, {"platform": tuple(platforms), "policy": tuple(policies)})
-        )
+        iter_grid(SweepSpec(base, {"platform": _FILE_PLATFORMS, "policy": _FILE_POLICIES}))
     )
-
-
-#: The platforms and observation horizons (s) of the timeline and cross grids.
-_TIMELINE_PLATFORMS = ("quick", "half")
-_TIMELINE_HORIZONS = (1800.0, 3600.0)
 
 
 def timeline_grid(timeline: str) -> tuple[ScenarioSpec, ...]:
@@ -191,7 +185,7 @@ def timeline_grid(timeline: str) -> tuple[ScenarioSpec, ...]:
     """
     base = ScenarioSpec(
         experiment="adaptive",
-        platform=_TIMELINE_PLATFORMS[0],
+        platform=_FILE_PLATFORMS[0],
         workload="quick",
         policy="GREENPERF",
         horizon=_TIMELINE_HORIZONS[0],
@@ -199,7 +193,7 @@ def timeline_grid(timeline: str) -> tuple[ScenarioSpec, ...]:
     )
     return tuple(
         iter_grid(
-            SweepSpec(base, {"platform": _TIMELINE_PLATFORMS, "horizon": _TIMELINE_HORIZONS})
+            SweepSpec(base, {"platform": _FILE_PLATFORMS, "horizon": _TIMELINE_HORIZONS})
         )
     )
 
@@ -225,14 +219,14 @@ def cross_grid(trace: str, timeline: str) -> tuple[ScenarioSpec, ...]:
     """
     placement = ScenarioSpec(
         experiment="placement",
-        platform=_TIMELINE_PLATFORMS[0],
+        platform=_FILE_PLATFORMS[0],
         workload="trace",
         trace=trace,
         timeline=timeline,
     )
     adaptive = ScenarioSpec(
         experiment="adaptive",
-        platform=_TIMELINE_PLATFORMS[0],
+        platform=_FILE_PLATFORMS[0],
         workload="trace",
         policy="GREENPERF",
         trace=trace,
@@ -244,22 +238,25 @@ def cross_grid(trace: str, timeline: str) -> tuple[ScenarioSpec, ...]:
             (
                 SweepSpec(
                     placement,
-                    {"platform": _TIMELINE_PLATFORMS, "policy": ("POWER", "PERFORMANCE")},
+                    {"platform": _FILE_PLATFORMS, "policy": _FILE_POLICIES},
                 ),
                 SweepSpec(
                     adaptive,
-                    {"platform": _TIMELINE_PLATFORMS, "horizon": _TIMELINE_HORIZONS},
+                    {"platform": _FILE_PLATFORMS, "horizon": _TIMELINE_HORIZONS},
                 ),
             )
         )
     )
 
 
+#: The queue policies of the queue grid.
+_QUEUE_POLICIES = ("FCFS", "EASY", "CONSERVATIVE", "DRF")
+
+
 def queue_grid(
     trace: str | None = None,
     *,
     platforms: Sequence[str] = ("tiny", "quick"),
-    policies: Sequence[str] = ("FCFS", "EASY", "CONSERVATIVE", "DRF"),
     queue_cores: int | None = None,
 ) -> tuple[ScenarioSpec, ...]:
     """The queue-family grid: platforms × queue policies on one job stream.
@@ -278,11 +275,11 @@ def queue_grid(
         experiment="queue",
         platform=platforms[0],
         workload="trace" if trace is not None else platforms[0],
-        policy=policies[0],
+        policy=_QUEUE_POLICIES[0],
         trace=trace,
         overrides=overrides,
     )
-    axes = {"policy": tuple(policies)}
+    axes = {"policy": _QUEUE_POLICIES}
     if trace is not None:
         return tuple(
             iter_grid(

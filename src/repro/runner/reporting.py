@@ -19,7 +19,12 @@ import sys
 from typing import Sequence, TextIO
 
 from repro.runner.executor import SweepOutcome
-from repro.runner.store import DEFAULT_SUMMARY_METRICS, ScenarioResult, summarize
+from repro.runner.store import (
+    SUMMARY_METRICS,
+    SUMMARY_PERCENTILES,
+    ScenarioResult,
+    summarize,
+)
 from repro.util.phases import PHASES
 from repro.util.tables import render_table
 
@@ -59,22 +64,19 @@ def format_sweep_summary(
     *,
     title: str | None = None,
     group_by: Sequence[str] = ("experiment", "policy"),
-    metrics: Sequence[str] = DEFAULT_SUMMARY_METRICS,
-    percentiles: Sequence[float] = (50.0, 95.0),
 ) -> str:
     """The aggregated comparison table of a sweep outcome.
 
-    One row per group key, with scenario count and mean/percentile columns
-    for every metric.  Row and column order are deterministic, so two runs
-    of the same grid — at any ``--jobs`` level — format identically.
+    One row per group key, with scenario count and mean, p50 and p95
+    columns for every metric of :data:`SUMMARY_METRICS`.  Row and column
+    order are deterministic, so two runs of the same grid — at any
+    ``--jobs`` level — format identically.
     """
-    rows = summarize(
-        outcome.results, group_by=group_by, metrics=metrics, percentiles=percentiles
-    )
+    rows = summarize(outcome.results, group_by=group_by)
     headers = list(group_by) + ["n"]
-    for metric in metrics:
+    for metric in SUMMARY_METRICS:
         headers.append(f"{metric} mean")
-        for q in percentiles:
+        for q in SUMMARY_PERCENTILES:
             headers.append(f"{metric} p{q:g}")
 
     def _cell(row, key: str) -> str:
@@ -89,9 +91,9 @@ def format_sweep_summary(
     for row in rows:
         cells = [str(row[name]) for name in group_by]
         cells.append(str(row["count"]))
-        for metric in metrics:
+        for metric in SUMMARY_METRICS:
             cells.append(_cell(row, f"{metric}_mean"))
-            for q in percentiles:
+            for q in SUMMARY_PERCENTILES:
                 cells.append(_cell(row, f"{metric}_p{q:g}"))
         body.append(cells)
 

@@ -409,15 +409,15 @@ class ShardedResultStore:
     def __contains__(self, scenario_hash: str) -> bool:
         return scenario_hash in self._shard(scenario_hash)
 
-    def get(self, scenario_hash: str, *, cached: bool = True) -> ScenarioResult | None:
-        """The stored result of one scenario hash, or ``None``.
+    def get(self, scenario_hash: str) -> ScenarioResult | None:
+        """The stored result of one scenario hash (marked cached), or ``None``.
 
         Reads (at most) the one shard file the hash lands in.
         """
         record = self._shard(scenario_hash).get(scenario_hash)
         if record is None:
             return None
-        return ScenarioResult.from_record(record, cached=cached)
+        return ScenarioResult.from_record(record, cached=True)
 
     def put(self, result: ScenarioResult) -> None:
         """Append one result to its shard file and the in-memory index."""
@@ -462,8 +462,9 @@ def open_store(path: str | Path) -> ShardedResultStore:
     return ShardedResultStore(path)
 
 
-#: Metrics every experiment family reports, used as the default aggregate.
-DEFAULT_SUMMARY_METRICS = ("makespan", "total_energy", "greenperf")
+#: Metrics every experiment family reports, and the percentiles a summary gives.
+SUMMARY_METRICS = ("makespan", "total_energy", "greenperf")
+SUMMARY_PERCENTILES = (50.0, 95.0)
 
 
 def _group_key(result: ScenarioResult, group_by: Sequence[str]) -> tuple:
@@ -489,14 +490,13 @@ def summarize(
     results: Iterable[ScenarioResult],
     *,
     group_by: Sequence[str] = ("experiment", "policy"),
-    metrics: Sequence[str] = DEFAULT_SUMMARY_METRICS,
-    percentiles: Sequence[float] = (50.0, 95.0),
 ) -> tuple[Mapping[str, object], ...]:
     """Aggregate scenario results per group key.
 
     ``group_by`` names :class:`ScenarioSpec` fields (or metric names); each
     returned row carries the group values, the scenario count, and — for
-    every metric — the mean plus the requested percentiles, as
+    every :data:`SUMMARY_METRICS` entry — the mean plus the
+    :data:`SUMMARY_PERCENTILES`, as
     ``"<metric>_mean"`` / ``"<metric>_p<q>"`` entries.  Rows are sorted by
     group key, so the aggregation of a sweep is byte-stable regardless of
     the execution order of its scenarios.  An unknown group-by name
@@ -520,13 +520,13 @@ def summarize(
         members = grouped[key]
         row: dict[str, object] = dict(zip(group_by, key))
         row["count"] = len(members)
-        for metric in metrics:
+        for metric in SUMMARY_METRICS:
             values = [m.metrics[metric] for m in members if metric in m.metrics]
             if not values:
                 continue
             data = np.asarray(values, dtype=float)
             row[f"{metric}_mean"] = float(data.mean())
-            for q in percentiles:
+            for q in SUMMARY_PERCENTILES:
                 row[f"{metric}_p{q:g}"] = float(np.percentile(data, q))
         rows.append(row)
     return tuple(rows)

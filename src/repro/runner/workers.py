@@ -52,7 +52,7 @@ from repro.runner.spec import GridLike, ScenarioSpec, iter_grid
 #: Grid positions per claimable work shard (chunk).  Small enough that a
 #: late-joining worker finds work even on modest grids, large enough that
 #: claim-file creation is negligible next to scenario execution.
-DEFAULT_CHUNK_SIZE = 8
+CHUNK_SIZE = 8
 
 
 def default_worker_id() -> str:
@@ -111,7 +111,6 @@ def run_worker(
     store: StoreLike,
     workers_dir: str | Path,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     worker_id: str | None = None,
     progress: Optional[ProgressCallback] = None,
 ) -> tuple[SweepOutcome, WorkerReport]:
@@ -119,7 +118,7 @@ def run_worker(
 
     Streams the grid (:func:`~repro.runner.spec.iter_grid` — the full
     cross-product is never materialised), claiming chunks of
-    ``chunk_size`` consecutive scenarios via lock files in
+    :data:`CHUNK_SIZE` consecutive scenarios via lock files in
     ``workers_dir`` and executing the claimed ones with ``jobs`` local
     processes.  After the claim pass, a sweep-up pass executes any
     scenario still missing from the store (leftovers of crashed or
@@ -130,8 +129,6 @@ def run_worker(
     cooperating worker, and byte-identical to a serial run) plus this
     worker's :class:`WorkerReport`.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     worker_id = worker_id or default_worker_id()
     workers_dir = Path(workers_dir)
     workers_dir.mkdir(parents=True, exist_ok=True)
@@ -144,7 +141,7 @@ def run_worker(
 
     def _claimed_scenarios() -> Iterator[ScenarioSpec]:
         nonlocal chunks_total, chunks_claimed
-        for chunk_index, chunk in enumerate(_chunked(iter_grid(grid), chunk_size)):
+        for chunk_index, chunk in enumerate(_chunked(iter_grid(grid), CHUNK_SIZE)):
             chunks_total = chunk_index + 1
             if _try_claim(workers_dir, chunk_index, worker_id):
                 chunks_claimed += 1

@@ -40,7 +40,6 @@ def build_schedules(
     timeline: EventTimeline,
     *,
     base_temperature: float = 21.0,
-    default_cost: float = 1.0,
 ) -> tuple[ElectricityCostSchedule, ThermalEnvironment]:
     """The electricity and thermal schedules a timeline describes.
 
@@ -50,7 +49,7 @@ def build_schedules(
     >>> electricity.cost_at(30.0), electricity.cost_at(90.0)
     (1.0, 0.5)
     """
-    electricity = ElectricityCostSchedule(default_cost=default_cost)
+    electricity = ElectricityCostSchedule()
     thermal = ThermalEnvironment(base_temperature=base_temperature)
     for event in timeline.tariff_changes:
         electricity.add_period(TariffPeriod(start=event.time, cost=event.cost))
@@ -123,7 +122,6 @@ def apply_timeline(
     timeline: EventTimeline,
     *,
     base_temperature: float = 21.0,
-    default_cost: float = 1.0,
     requeue: bool = True,
 ) -> tuple[ElectricityCostSchedule, ThermalEnvironment, Sequence["ScheduledEvent"]]:
     """Wire a whole timeline into a running simulation, in one call.
@@ -132,8 +130,6 @@ def apply_timeline(
     to consume, if one is installed) and schedules the fault events on
     the engine; returns ``(electricity, thermal, fault_handles)``.
     """
-    electricity, thermal = build_schedules(
-        timeline, base_temperature=base_temperature, default_cost=default_cost
-    )
+    electricity, thermal = build_schedules(timeline, base_temperature=base_temperature)
     handles = install_timeline(simulation, timeline, requeue=requeue)
     return electricity, thermal, handles

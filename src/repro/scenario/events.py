@@ -35,7 +35,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
-from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
+from repro.util.validation import (
+    ensure_finite,
+    ensure_in_range,
+    ensure_non_negative,
+    ensure_positive,
+)
 
 
 class TimelineError(ValueError):
@@ -116,6 +121,11 @@ class ThermalExcursion(EnergyEvent):
     temperature: float = 25.0
     scheduled: bool = False
     kind = "thermal_excursion"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # NaN would make every threshold comparison false, inf every one true.
+        ensure_finite(self.temperature, "temperature")
 
     def describe(self) -> str:
         flavour = "scheduled" if self.scheduled else "unexpected"

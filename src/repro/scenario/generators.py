@@ -18,7 +18,7 @@ from repro.scenario.events import (
     NodeRecovery,
     TariffChange,
 )
-from repro.util.validation import ensure_non_negative, ensure_positive
+from repro.util.validation import ensure_positive
 
 
 def exponential_failures(
@@ -73,12 +73,11 @@ def periodic_tariffs(
     period: float,
     costs: Sequence[float],
     horizon: float,
-    start: float = 0.0,
 ) -> EventTimeline:
     """A cyclic tariff schedule: ``costs`` repeat every ``period`` seconds.
 
     Models day/night electricity pricing: each cost level holds for
-    ``period / len(costs)`` seconds, cycling until ``horizon``.
+    ``period / len(costs)`` seconds, cycling from time 0 until ``horizon``.
 
     >>> timeline = periodic_tariffs(period=100.0, costs=(1.0, 0.5), horizon=250.0)
     >>> [(event.time, event.cost) for event in timeline.tariff_changes]
@@ -86,15 +85,14 @@ def periodic_tariffs(
     """
     ensure_positive(period, "period")
     ensure_positive(horizon, "horizon")
-    ensure_non_negative(start, "start")
     if not costs:
         raise ValueError("at least one cost level is required")
     step = period / len(costs)
     events = []
-    time = start
+    time = 0.0
     index = 0
     while time < horizon:
         events.append(TariffChange(time=time, cost=costs[index % len(costs)]))
         index += 1
-        time = start + index * step
+        time = index * step
     return EventTimeline(events)

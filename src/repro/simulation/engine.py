@@ -93,9 +93,8 @@ class SimulationEngine:
     (5.0, 3)
     """
 
-    def __init__(self, *, start_time: float = 0.0) -> None:
-        ensure_non_negative(start_time, "start_time")
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         #: ``(time, priority, sequence, event)`` tuples, a binary heap.
         self._heap: list[tuple[float, int, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
@@ -138,13 +137,12 @@ class SimulationEngine:
         callback: EventCallback,
         items: Sequence,
         *,
-        priority: int = 0,
         label: str = "",
     ) -> ScheduledEvent:
         """Schedule ``callback(item)`` for every item, as one heap entry.
 
-        All items fire at the same ``time`` with the same ``priority``, in
-        the order given — exactly as if each had been scheduled
+        All items fire at the same ``time`` with priority 0, in the order
+        given — exactly as if each had been scheduled
         individually, back to back — but a burst of any size costs a single
         heap push/pop.  Each item still counts as one logical event for
         :attr:`processed_events`, so metrics are identical to the unbatched
@@ -155,7 +153,7 @@ class SimulationEngine:
             raise ValueError("schedule_many requires at least one item")
         items = tuple(items)
         entry = ScheduledEvent(time, callback, (), items, label)
-        heapq.heappush(self._heap, (time, priority, next(self._sequence), entry))
+        heapq.heappush(self._heap, (time, 0, next(self._sequence), entry))
         return entry
 
     def _check_time(self, time: float) -> None:
@@ -171,15 +169,11 @@ class SimulationEngine:
         delay: float,
         callback: EventCallback,
         *,
-        args: Sequence = (),
-        priority: int = 0,
         label: str = "",
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
+        """Schedule ``callback()`` to fire ``delay`` seconds from now."""
         ensure_non_negative(delay, "delay")
-        return self.schedule(
-            self._now + delay, callback, args=args, priority=priority, label=label
-        )
+        return self.schedule(self._now + delay, callback, label=label)
 
     # -- execution -------------------------------------------------------------------
     def step(self) -> int:
@@ -208,21 +202,15 @@ class SimulationEngine:
             return count
         return 0
 
-    def run(self, *, until: float | None = None, max_events: int | None = None) -> None:
+    def run(self, *, until: float | None = None) -> None:
         """Run until the event queue is empty.
 
         ``until`` stops the clock once the next event would fire strictly
-        after that time (the clock is advanced to ``until``).  ``max_events``
-        bounds the number of callbacks fired, as a safety valve against
-        runaway self-rescheduling (a batched entry fires atomically, so the
-        bound may be overshot by the tail of one batch).
+        after that time (the clock is advanced to ``until``).
         """
         heap = self._heap
         step = self.step
-        fired = 0
         while heap:
-            if max_events is not None and fired >= max_events:
-                return
             if until is not None:
                 # Drop tombstones first, so the bound is read off a live event.
                 time, _, _, entry = heap[0]
@@ -232,6 +220,6 @@ class SimulationEngine:
                 if time > until:
                     self._now = max(self._now, until)
                     return
-            fired += step()
+            step()
         if until is not None:
             self._now = max(self._now, until)

@@ -31,6 +31,18 @@ def ensure_non_negative(value: float, name: str) -> float:
     return float(value)
 
 
+def ensure_finite(value: float, name: str) -> float:
+    """Return ``value`` if it is a finite real number (a temperature, say).
+
+    >>> ensure_finite(float("nan"), "temperature")
+    Traceback (most recent call last):
+    ...
+    ValueError: temperature must be finite, got nan
+    """
+    _ensure_finite_number(value, name)
+    return float(value)
+
+
 def ensure_integer(value: object, name: str) -> int:
     """Return ``value`` if it is an ``int`` (a ``bool`` is not).
 
@@ -50,22 +62,11 @@ def ensure_integer(value: object, name: str) -> int:
     return value
 
 
-def ensure_in_range(
-    value: float,
-    name: str,
-    low: float,
-    high: float,
-    *,
-    inclusive: bool = True,
-) -> float:
-    """Return ``value`` if it lies within ``[low, high]`` (or ``(low, high)``)."""
+def ensure_in_range(value: float, name: str, low: float, high: float) -> float:
+    """Return ``value`` if it lies within ``[low, high]``."""
     _ensure_finite_number(value, name)
-    if inclusive:
-        if not (low <= value <= high):
-            raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-    else:
-        if not (low < value < high):
-            raise ValueError(f"{name} must be in ({low}, {high}), got {value!r}")
+    if not (low <= value <= high):
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
     return float(value)
 
 

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.simulation.task import DEFAULT_TASK_FLOP, Task
-from repro.util.validation import ensure_non_negative, ensure_positive
+from repro.util.validation import ensure_positive
 
 
 class WorkloadGenerator(ABC):
@@ -66,10 +66,8 @@ class BurstThenContinuousWorkload(WorkloadGenerator):
         Requests per second during the continuous phase (paper: 2.0).
     flop_per_task:
         Cost of each task (paper: 1e8).
-    start_time:
-        Arrival time of the burst.
-    client / user_preference / service:
-        Propagated to every generated task.
+
+    The burst arrives at time 0.
 
     >>> workload = BurstThenContinuousWorkload(
     ...     total_tasks=4, burst_size=2, continuous_rate=2.0)
@@ -81,10 +79,6 @@ class BurstThenContinuousWorkload(WorkloadGenerator):
     burst_size: int
     continuous_rate: float = 2.0
     flop_per_task: float = DEFAULT_TASK_FLOP
-    start_time: float = 0.0
-    client: str = "client-0"
-    user_preference: float = 0.0
-    service: str = "cpu-burn"
 
     def __post_init__(self) -> None:
         if self.total_tasks < 1:
@@ -98,36 +92,22 @@ class BurstThenContinuousWorkload(WorkloadGenerator):
             )
         ensure_positive(self.continuous_rate, "continuous_rate")
         ensure_positive(self.flop_per_task, "flop_per_task")
-        ensure_non_negative(self.start_time, "start_time")
 
     def generate(self) -> Sequence[Task]:
-        tasks: list[Task] = []
-        for _ in range(self.burst_size):
-            tasks.append(self._make_task(self.start_time))
+        tasks = [Task(flop=self.flop_per_task) for _ in range(self.burst_size)]
         interval = 1.0 / self.continuous_rate
         remaining = self.total_tasks - self.burst_size
         for index in range(remaining):
-            arrival = self.start_time + (index + 1) * interval
-            tasks.append(self._make_task(arrival))
+            tasks.append(Task(flop=self.flop_per_task, arrival_time=(index + 1) * interval))
         return _sorted_by_arrival(tasks)
-
-    def _make_task(self, arrival: float) -> Task:
-        return Task(
-            flop=self.flop_per_task,
-            arrival_time=arrival,
-            client=self.client,
-            user_preference=self.user_preference,
-            service=self.service,
-        )
 
 
 @dataclass
 class PoissonWorkload(WorkloadGenerator):
-    """Poisson arrivals with exponential inter-arrival times.
+    """Poisson arrivals with exponential inter-arrival times, from time 0.
 
-    Task costs can be randomised around ``flop_per_task`` with a lognormal
-    multiplier of standard deviation ``flop_sigma`` (0.0 keeps them fixed).
-    Arrivals are seeded, so equal specs replay identical streams:
+    Every task costs ``flop_per_task``.  Arrivals are seeded, so equal
+    specs replay identical streams:
 
     >>> a = PoissonWorkload(total_tasks=5, rate=1.0, seed=42).generate()
     >>> b = PoissonWorkload(total_tasks=5, rate=1.0, seed=42).generate()
@@ -138,37 +118,24 @@ class PoissonWorkload(WorkloadGenerator):
     total_tasks: int
     rate: float
     flop_per_task: float = DEFAULT_TASK_FLOP
-    flop_sigma: float = 0.0
-    start_time: float = 0.0
     seed: int = 0
-    client: str = "client-0"
     user_preference: float = 0.0
-    service: str = "cpu-burn"
 
     def __post_init__(self) -> None:
         if self.total_tasks < 1:
             raise ValueError(f"total_tasks must be >= 1, got {self.total_tasks}")
         ensure_positive(self.rate, "rate")
         ensure_positive(self.flop_per_task, "flop_per_task")
-        ensure_non_negative(self.flop_sigma, "flop_sigma")
-        ensure_non_negative(self.start_time, "start_time")
 
     def generate(self) -> Sequence[Task]:
         rng = np.random.default_rng(self.seed)
         gaps = rng.exponential(scale=1.0 / self.rate, size=self.total_tasks)
-        arrivals = self.start_time + np.cumsum(gaps)
-        if self.flop_sigma > 0:
-            multipliers = rng.lognormal(mean=0.0, sigma=self.flop_sigma, size=self.total_tasks)
-        else:
-            multipliers = np.ones(self.total_tasks)
         tasks = [
             Task(
-                flop=float(self.flop_per_task * multipliers[index]),
-                arrival_time=float(arrivals[index]),
-                client=self.client,
+                flop=float(self.flop_per_task),
+                arrival_time=arrival,
                 user_preference=self.user_preference,
-                service=self.service,
             )
-            for index in range(self.total_tasks)
+            for arrival in np.cumsum(gaps).tolist()
         ]
         return _sorted_by_arrival(tasks)

@@ -120,14 +120,13 @@ def tasks_from_swf(
     jobs: Iterable[SWFJob],
     mapping: SWFTraceMap | None = None,
     *,
-    origin: float | None = None,
     skipped: list[SWFJob] | None = None,
 ) -> Iterator[Task]:
     """Convert a job stream into a task stream, lazily.
 
-    ``origin`` anchors t=0; the default uses the first job's submit time,
-    so a replay starts immediately instead of idling through the trace's
-    lead-in.  Unplayable jobs (unknown/zero runtime or processors) are
+    The first job's submit time anchors t=0, so a replay starts
+    immediately instead of idling through the trace's lead-in.
+    Unplayable jobs (unknown/zero runtime or processors) are
     dropped; pass ``skipped`` to collect them.
 
     >>> from repro.workload.ingest.swf import SWFJob
@@ -139,6 +138,7 @@ def tasks_from_swf(
     [0.0, 60.0]
     """
     mapping = mapping or SWFTraceMap()
+    origin = None
     for job in jobs:
         if origin is None:
             origin = job.submit_time
@@ -155,7 +155,6 @@ def load_swf_trace(
     mapping: SWFTraceMap | None = None,
     *,
     transforms: Sequence[TraceTransform] = (),
-    origin: float | None = None,
     skipped: list[SWFJob] | None = None,
 ) -> tuple[Task, ...]:
     """Parse, map and transform an SWF log into a sorted task tuple.
@@ -171,7 +170,7 @@ def load_swf_trace(
     >>> [(task.arrival_time, task.client) for task in tasks]
     [(0.0, 'user7'), (5.0, 'user8')]
     """
-    stream = tasks_from_swf(parse_swf(source), mapping, origin=origin, skipped=skipped)
+    stream = tasks_from_swf(parse_swf(source), mapping, skipped=skipped)
     tasks = list(apply_transforms(stream, transforms))
     tasks.sort(key=lambda task: (task.arrival_time, task.task_id))
     return tuple(tasks)

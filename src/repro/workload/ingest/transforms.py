@@ -53,8 +53,7 @@ class TraceTransform(ABC):
 class TimeWindow(TraceTransform):
     """Keep tasks with ``start <= arrival < end``, re-anchored to t=0.
 
-    ``rebase=False`` keeps original arrival times (for overlaying windows
-    on a shared clock).  Slicing one log into consecutive windows is the
+    Slicing one log into consecutive windows is the
     cheapest way to turn a day-long trace into many burst scenarios.
     Selection is a pure per-task filter — an out-of-order record in the
     middle of a log is still kept if it falls inside the window.
@@ -67,7 +66,6 @@ class TimeWindow(TraceTransform):
 
     start: float = 0.0
     end: float = float("inf")
-    rebase: bool = True
 
     def __post_init__(self) -> None:
         ensure_non_negative(self.start, "start")
@@ -77,7 +75,7 @@ class TimeWindow(TraceTransform):
             )
 
     def apply(self, tasks: Iterable[Task]) -> Iterator[Task]:
-        shift = self.start if self.rebase else 0.0
+        shift = self.start
         for task in tasks:
             if self.start <= task.arrival_time < self.end:
                 if shift:

@@ -44,6 +44,13 @@ def make_spec(
     )
 
 
+def off_node(spec: NodeSpec) -> Node:
+    """A node powered off the way the provisioning planner does it."""
+    node = Node(spec)
+    node.power_off()
+    return node
+
+
 def make_vector(
     server: str = "node-0",
     cluster: str = "test",

@@ -41,26 +41,37 @@ class TestSelectCandidateServers:
         selected = select_candidate_servers(servers, provider_preference=0.6)
         assert [entry.server for entry in selected] == ["a", "b"]
 
-    def test_minimum_one_guarantee(self):
-        servers = [ranked("a", 1000.0), ranked("b", 1000.0)]
-        selected = select_candidate_servers(
-            servers, provider_preference=0.0001, minimum_one=True
+    @given(
+        servers=st.lists(
+            st.tuples(
+                st.floats(min_value=1.0, max_value=500.0),
+                st.floats(min_value=1e8, max_value=1e10),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        preference=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_algorithm_one_over_positive_power_rankings(self, servers, preference):
+        ranking = GreenPerfRanking(
+            [
+                make_vector(server=f"s{index}", mean_power=power, flops_per_core=flops)
+                for index, (power, flops) in enumerate(servers)
+            ]
         )
-        assert [entry.server for entry in selected] == ["a"]
-
-    def test_minimum_one_can_be_disabled(self):
-        servers = [ranked("a", 1000.0)]
-        selected = select_candidate_servers(
-            servers, provider_preference=1e-6, minimum_one=False
-        )
-        # 1e-6 * 1000 = 1e-3 W budget: the loop adds "a" anyway because the
-        # accumulated power (0) is below the budget before the first add.
-        assert [entry.server for entry in selected] == ["a"]
-
-    def test_max_servers_cap(self):
-        servers = [ranked(f"s{i}", 10.0) for i in range(10)]
-        selected = select_candidate_servers(servers, provider_preference=1.0, max_servers=3)
-        assert len(selected) == 3
+        selected = select_candidate_servers(ranking, provider_preference=preference)
+        # A prefix of the GreenPerf order ...
+        assert selected == ranking.entries[: len(selected)]
+        # ... that is empty exactly when the provider grants no power ...
+        assert bool(selected) == (preference > 0)
+        # ... and whose every server was added while the accumulated power
+        # was still below the budget (the last one may cross it).
+        required = preference * sum(entry.power for entry in ranking)
+        accumulated = 0.0
+        for entry in selected:
+            assert accumulated < required
+            accumulated += entry.power
+        assert len(selected) == len(ranking) or accumulated >= required
 
     def test_accepts_greenperf_ranking_object(self):
         vectors = [

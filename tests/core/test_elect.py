@@ -93,13 +93,11 @@ def _odd_estimation(kind: str, index: int):
     return estimate
 
 
-def _scheduler(case, seed, rank_policy, default_preference, use_dynamic_power):
+def _scheduler(case, seed, rank_policy, default_preference):
     """A fresh scheduler for ``case``."""
     return {
         "POWER": PowerPolicy,
-        "GREEN_SCORE": lambda: GreenSchedulerPolicy(
-            default_preference=default_preference, use_dynamic_power=use_dynamic_power
-        ),
+        "GREEN_SCORE": lambda: GreenSchedulerPolicy(default_preference=default_preference),
         "CUSTOM_RANK_KEY": lambda: policy_by_name(rank_policy),
         "RANDOM": lambda: RandomPolicy(seed=seed),
         "FCFS": FirstComeFirstServedScheduler,
@@ -192,7 +190,6 @@ class TestElectIsTheHeadOfTheRanking:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         rank_policy=st.sampled_from(RANKED_POLICIES),
         default_preference=st.sampled_from(DEFAULT_PREFERENCES),
-        use_dynamic_power=st.booleans(),
         steps=st.lists(
             st.tuples(
                 st.lists(step_strategy, max_size=6),
@@ -206,7 +203,7 @@ class TestElectIsTheHeadOfTheRanking:
     )
     def test_elect_equals_the_head_of_candidates(
         self, case, depth, node_count, twins, matmul_only, placement, odd, seed,
-        rank_policy, default_preference, use_dynamic_power, steps,
+        rank_policy, default_preference, steps,
     ):
         def function(index, kind):
             """The estimation function SeD ``index`` is built with."""
@@ -230,7 +227,7 @@ class TestElectIsTheHeadOfTheRanking:
                 seds,
                 placement,
                 depth,
-                _scheduler(case, seed, rank_policy, default_preference, use_dynamic_power),
+                _scheduler(case, seed, rank_policy, default_preference),
             )
             for _ in range(2)
         )

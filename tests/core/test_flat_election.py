@@ -157,7 +157,6 @@ class TestFlatEqualsTreeWalk:
         functions=st.lists(st.sampled_from(FUNCTIONS), min_size=8, max_size=8),
         placement=st.lists(st.integers(min_value=0, max_value=6), min_size=8, max_size=8),
         default_preference=st.sampled_from(DEFAULT_PREFERENCES),
-        use_dynamic_power=st.booleans(),
         steps=st.lists(
             st.tuples(
                 st.lists(flat_op_strategy, max_size=6),
@@ -170,7 +169,7 @@ class TestFlatEqualsTreeWalk:
     )
     def test_flat_election_matches_tree_walk(
         self, depth, node_count, twins, matmul_only, functions, placement,
-        default_preference, use_dynamic_power, steps,
+        default_preference, steps,
     ):
         """Elected servers, ranked vectors and errors agree bit for bit.
 
@@ -199,10 +198,7 @@ class TestFlatEqualsTreeWalk:
                 seds,
                 placement,
                 depth,
-                GreenSchedulerPolicy(
-                    default_preference=default_preference,
-                    use_dynamic_power=use_dynamic_power,
-                ),
+                GreenSchedulerPolicy(default_preference=default_preference),
                 walk=walk,
             )
             for walk in (False, True)

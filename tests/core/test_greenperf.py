@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.core.greenperf import (
     GreenPerfRanking,
     IncrementalGreenPerfOrder,
-    PerformanceBasis,
     PowerEstimationMode,
     greenperf_of_node,
     greenperf_of_vector,
@@ -25,16 +24,6 @@ class TestGreenPerfOfNode:
     def test_accepts_node_or_spec(self):
         spec = make_spec()
         assert greenperf_of_node(spec) == greenperf_of_node(Node(spec))
-
-    def test_measured_power_overrides_nameplate(self):
-        spec = make_spec(cores=1, flops_per_core=1.0e9, peak_power=200.0)
-        assert greenperf_of_node(spec, measured_power=100.0) == pytest.approx(1.0e-7)
-
-    def test_per_core_basis(self):
-        spec = make_spec(cores=4, flops_per_core=1.0e9, peak_power=400.0)
-        total = greenperf_of_node(spec, basis=PerformanceBasis.TOTAL_FLOPS)
-        per_core = greenperf_of_node(spec, basis=PerformanceBasis.FLOPS_PER_CORE)
-        assert per_core == pytest.approx(total * 4)
 
     def test_paper_cluster_ordering(self):
         """Taurus must rank best, Sagittaire worst (Section IV-A)."""

@@ -44,15 +44,12 @@ class TestPowerPolicy:
         ranked = PowerPolicy().sort(make_request(), candidates)
         assert ranked[0].server == "hungry-free"
 
-    def test_static_power_variant(self):
+    def test_ranks_by_the_dynamic_power_not_the_nameplate(self):
         candidates = [
             entry("a", mean_power=100.0, peak_power=500.0),
             entry("b", mean_power=300.0, peak_power=200.0),
         ]
-        dynamic = PowerPolicy(use_dynamic_power=True).sort(make_request(), candidates)
-        static = PowerPolicy(use_dynamic_power=False).sort(make_request(), candidates)
-        assert dynamic[0].server == "a"
-        assert static[0].server == "b"
+        assert PowerPolicy().sort(make_request(), candidates)[0].server == "a"
 
     def test_ties_broken_by_waiting_time_then_name(self):
         candidates = [
@@ -78,15 +75,13 @@ class TestPerformancePolicy:
         ranked = PerformancePolicy().sort(make_request(), candidates)
         assert ranked[0].server == "fast"
 
-    def test_per_core_vs_total_basis(self):
+    def test_ranks_by_per_core_speed_not_total(self):
         candidates = [
             entry("many-slow-cores", flops_per_core=1e9, cores=16),
             entry("few-fast-cores", flops_per_core=3e9, cores=2),
         ]
-        per_core = PerformancePolicy(per_core=True).sort(make_request(), candidates)
-        total = PerformancePolicy(per_core=False).sort(make_request(), candidates)
-        assert per_core[0].server == "few-fast-cores"
-        assert total[0].server == "many-slow-cores"
+        ranked = PerformancePolicy().sort(make_request(), candidates)
+        assert ranked[0].server == "few-fast-cores"
 
     def test_busy_nodes_rank_after_free_ones(self):
         candidates = [

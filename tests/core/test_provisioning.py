@@ -1,14 +1,20 @@
 """Tests for the adaptive provisioning planner."""
 
+import math
+
 import pytest
 
 from repro.core.policies import GreenPerfPolicy
 from repro.core.provisioning import ProvisioningConfig, ProvisioningPlanner
-from repro.core.rules import AdministratorRules
+from repro.core.rules import AdministratorRules, PlatformStatus, ThresholdRule
 from repro.infrastructure.electricity import ElectricityCostSchedule, TariffPeriod
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import grid5000_placement_platform
-from repro.infrastructure.thermal import ThermalEnvironment, ThermalEvent
+from repro.infrastructure.thermal import (
+    TEMPERATURE_THRESHOLD,
+    ThermalEnvironment,
+    ThermalEvent,
+)
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.simulation.engine import SimulationEngine
@@ -17,19 +23,26 @@ from repro.simulation.trace import ExecutionTrace
 from tests.conftest import last_of_kind, of_kind
 
 
+#: A rule set that keeps no candidate node at all.
+NO_CANDIDATES = AdministratorRules([ThresholdRule("none", lambda status: True, 0.0)])
+
+
 def make_planner(
     *,
     cost_periods=(),
-    default_cost=1.0,
+    initial_cost=1.0,
     thermal_events=(),
     config=None,
     nodes_per_cluster=4,
     with_engine=False,
     trace=None,
+    rules=None,
 ):
     platform = grid5000_placement_platform(nodes_per_cluster=nodes_per_cluster)
     master, seds = build_hierarchy(platform, scheduler=GreenPerfPolicy())
-    electricity = ElectricityCostSchedule(cost_periods, default_cost=default_cost)
+    electricity = ElectricityCostSchedule(
+        [TariffPeriod(start=0.0, cost=initial_cost), *cost_periods]
+    )
     thermal = ThermalEnvironment()
     for event in thermal_events:
         thermal.schedule_event(event)
@@ -37,7 +50,7 @@ def make_planner(
     planner = ProvisioningPlanner(
         platform,
         master,
-        AdministratorRules.paper_defaults(),
+        rules or AdministratorRules.paper_defaults(),
         electricity,
         thermal,
         seds=seds,
@@ -50,18 +63,13 @@ def make_planner(
 
 class TestInitialisation:
     def test_initial_candidates_follow_rules(self):
-        planner, *_ = make_planner(default_cost=1.0)
+        planner, *_ = make_planner()
         # cost 1.0 -> 40 % of 12 nodes -> 4 candidates.
         assert planner.candidate_count == 4
 
     def test_initial_candidates_prefer_taurus(self):
-        planner, *_ = make_planner(default_cost=1.0)
+        planner, *_ = make_planner()
         assert all(name.startswith("taurus") for name in planner.candidate_nodes)
-
-    def test_explicit_initial_candidates(self):
-        config = ProvisioningConfig(initial_candidates=2)
-        planner, *_ = make_planner(config=config)
-        assert planner.candidate_count == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -70,13 +78,11 @@ class TestInitialisation:
             ProvisioningConfig(ramp_up_step=0)
         with pytest.raises(ValueError):
             ProvisioningConfig(lookahead=-1.0)
-        with pytest.raises(ValueError):
-            ProvisioningConfig(initial_candidates=-1)
 
 
 class TestCandidateFilter:
     def test_filter_restricts_elections_to_candidates(self):
-        planner, platform, master, seds = make_planner(default_cost=1.0)
+        planner, platform, master, seds = make_planner()
         planner.install()
         simulation = MiddlewareSimulation(platform, master, seds)
         simulation.inject_task(Task(flop=2.3e9))
@@ -85,8 +91,7 @@ class TestCandidateFilter:
         assert scheduled[0]["node"] in planner.candidate_nodes
 
     def test_filter_falls_back_when_no_candidate_can_serve(self):
-        config = ProvisioningConfig(initial_candidates=0)
-        planner, platform, master, seds = make_planner(config=config)
+        planner, platform, master, seds = make_planner(rules=NO_CANDIDATES)
         planner.install()
         simulation = MiddlewareSimulation(platform, master, seds)
         simulation.inject_task(Task(flop=2.3e9))
@@ -97,7 +102,7 @@ class TestCandidateFilter:
 
     def test_every_change_installs_a_fresh_frozen_set(self):
         planner, _, master, _ = make_planner(
-            cost_periods=[TariffPeriod(start=100.0, cost=0.8)], default_cost=1.0
+            cost_periods=[TariffPeriod(start=100.0, cost=0.8)]
         )
         planner.install()
         before = master.candidate_filter
@@ -113,7 +118,7 @@ class TestChecksAndRamping:
     def test_ramp_up_towards_cheaper_tariff(self):
         trace = ExecutionTrace()
         planner, *_ = make_planner(
-            cost_periods=[TariffPeriod(start=3600.0, cost=0.5)], default_cost=1.0, trace=trace
+            cost_periods=[TariffPeriod(start=3600.0, cost=0.5)], trace=trace
         )
         # Before the look-ahead window reaches the event nothing changes.
         entry = planner.check(0.0)
@@ -128,7 +133,7 @@ class TestChecksAndRamping:
     def test_ramp_down_on_heat_peak(self):
         trace = ExecutionTrace()
         planner, *_ = make_planner(
-            default_cost=0.5,
+            initial_cost=0.5,
             thermal_events=[ThermalEvent(time=1000.0, temperature=30.0)],
             trace=trace,
         )
@@ -144,9 +149,9 @@ class TestChecksAndRamping:
 
     def test_ramp_steps_respect_configuration(self):
         config = ProvisioningConfig(ramp_up_step=5, ramp_down_step=10)
-        planner, *_ = make_planner(default_cost=0.5, config=config)
-        # Initial pool: 4 (the rules are evaluated at time 0 with cost 0.5?
-        # no — the *default* cost applies, so the initial pool is 12).
+        planner, *_ = make_planner(initial_cost=0.5, config=config)
+        # Initial pool: the rules are evaluated at time 0 with cost 0.5, so
+        # the initial pool is 12.
         start = planner.candidate_count
         assert start == 12
         planner.thermal.schedule_event(ThermalEvent(time=10.0, temperature=40.0))
@@ -155,7 +160,7 @@ class TestChecksAndRamping:
 
     def test_candidates_added_in_greenperf_order(self):
         planner, *_ = make_planner(
-            cost_periods=[TariffPeriod(start=100.0, cost=0.8)], default_cost=1.0
+            cost_periods=[TariffPeriod(start=100.0, cost=0.8)]
         )
         planner.check(100.0)
         # 4 -> 6: the two added nodes must still be the most efficient
@@ -184,6 +189,35 @@ class TestChecksAndRamping:
         planner, *_ = make_planner(trace=trace)
         planner.check(0.0)
         assert len(of_kind(trace, ExecutionTrace.STATUS_CHECK)) == 1
+
+
+class TestOneOverheatingThreshold:
+    """The overheating rule and the planner's temperature override share one threshold."""
+
+    @pytest.mark.parametrize(
+        "temperature, overheating",
+        [
+            (TEMPERATURE_THRESHOLD, False),
+            (math.nextafter(TEMPERATURE_THRESHOLD, math.inf), True),
+        ],
+    )
+    def test_the_rule_and_the_override_agree(self, temperature, overheating):
+        decision = AdministratorRules.paper_defaults().evaluate(
+            PlatformStatus(time=0.0, temperature=temperature, electricity_cost=1.0, total_nodes=12)
+        )
+        assert (decision.rule.label == "overheating") is overheating
+        # With the tariff rules alone only the override reacts to heat: it
+        # keeps the planner from provisioning ahead for a cheap tariff.
+        trace = ExecutionTrace()
+        planner, *_ = make_planner(
+            cost_periods=[TariffPeriod(start=600.0, cost=0.5)],
+            thermal_events=[ThermalEvent(time=0.0, temperature=temperature)],
+            rules=AdministratorRules(AdministratorRules.paper_defaults().rules[1:]),
+            trace=trace,
+        )
+        planner.check(0.0)
+        target = last_of_kind(trace, ExecutionTrace.STATUS_CHECK)["target"]
+        assert target == (4 if overheating else 12)
 
 
 class TestPowerManagement:
@@ -270,7 +304,7 @@ class TestPeriodicScheduling:
 
     def test_periodic_checks_fire_on_engine(self):
         planner, *_ = make_planner(with_engine=True)
-        planner.start(first_check_at=0.0)
+        planner.start()
         planner.engine.run(until=1900.0)
         # Checks at t = 0, 600, 1200, 1800.
         assert len(planner.candidate_history()) == 4

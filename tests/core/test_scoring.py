@@ -147,11 +147,10 @@ class TestKernelFromVector:
         assert time == pytest.approx(11.0)
         assert energy == pytest.approx(10.0 * 50.0 + 100.0)
 
-    def test_static_power_option(self):
+    def test_energy_reads_the_dynamic_power_not_the_nameplate(self):
         vector = make_vector(mean_power=100.0, peak_power=400.0, flops_per_core=1e9)
-        _, dynamic, _ = ScoreKernel(1e9, 0.0).evaluate(vector)
-        _, static, _ = ScoreKernel(1e9, 0.0, use_dynamic_power=False).evaluate(vector)
-        assert static == pytest.approx(4 * dynamic)
+        _, energy, _ = ScoreKernel(1e9, 0.0).evaluate(vector)
+        assert energy == pytest.approx(100.0)
 
     def test_preference_moves_only_the_score(self):
         vector = make_vector(
@@ -163,7 +162,7 @@ class TestKernelFromVector:
         assert greener[2] == pytest.approx(5.0 ** preference_exponent(0.5) * 400.0)
 
 
-def _scalar_reference(vector, *, flop, user_preference, use_dynamic_power):
+def _scalar_reference(vector, *, flop, user_preference):
     """Equations 4–6 through the scalar functions, request-level checks first."""
     ensure_non_negative(flop, "flop")
     preference_exponent(user_preference)
@@ -172,8 +171,7 @@ def _scalar_reference(vector, *, flop, user_preference, use_dynamic_power):
     waiting = vector.get(EstimationTags.WAITING_TIME, 0.0)
     boot_time = vector.get(EstimationTags.BOOT_TIME, 0.0)
     boot_power = vector.get(EstimationTags.BOOT_POWER, 0.0)
-    power_tag = EstimationTags.MEAN_POWER if use_dynamic_power else EstimationTags.PEAK_POWER
-    full_load_power = vector.get(power_tag)
+    full_load_power = vector.get(EstimationTags.MEAN_POWER)
     time = completion_time(
         flop, flops, active=active, waiting_time=waiting, boot_time=boot_time
     )
@@ -215,10 +213,9 @@ class TestScoreKernel:
         available=st.booleans(),
         flop=st.sampled_from([0.0, -1.0, 1e9, 4e12, 7, np.float64(2.5e9)]),
         preference=st.sampled_from([0.0, 0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.5]),
-        use_dynamic_power=st.booleans(),
     )
     def test_matches_scalar_functions_bit_for_bit(
-        self, overrides, missing, available, flop, preference, use_dynamic_power
+        self, overrides, missing, available, flop, preference
     ):
         vector = make_vector(
             flops_per_core=1.7e9, waiting_time=12.5, mean_power=180.0,
@@ -229,12 +226,9 @@ class TestScoreKernel:
         for tag in missing:
             vector.values.pop(tag, None)
         expected = _outcome(lambda: _scalar_reference(
-            vector, flop=flop, user_preference=preference,
-            use_dynamic_power=use_dynamic_power,
+            vector, flop=flop, user_preference=preference
         ))
-        kernel = _outcome(lambda: ScoreKernel(
-            flop, preference, use_dynamic_power=use_dynamic_power
-        ).evaluate(vector))
+        kernel = _outcome(lambda: ScoreKernel(flop, preference).evaluate(vector))
         assert kernel == expected
         if not isinstance(expected[0], type):
             assert [type(value) for value in kernel] == [type(value) for value in expected]

@@ -36,11 +36,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Cluster("", [])
 
-    def test_homogeneous_initial_state(self):
-        cluster = Cluster.homogeneous(
-            "beta", 2, make_spec(cluster="beta"), initial_state=NodeState.OFF
-        )
-        assert all(node.state is NodeState.OFF for node in cluster)
+    def test_homogeneous_nodes_start_on(self):
+        cluster = Cluster.homogeneous("beta", 2, make_spec(cluster="beta"))
+        assert all(node.state is NodeState.ON for node in cluster)
 
 
 class TestLookupAndAggregates:

@@ -20,15 +20,13 @@ class TestCostConstants:
 
 class TestSchedule:
     def test_constant_schedule(self):
-        schedule = ElectricityCostSchedule(default_cost=0.7)
+        schedule = ElectricityCostSchedule([TariffPeriod(start=0.0, cost=0.7)])
         assert schedule.cost_at(0.0) == 0.7
         assert schedule.cost_at(1e9) == 0.7
 
-    def test_default_cost_before_first_period(self):
-        schedule = ElectricityCostSchedule(
-            [TariffPeriod(start=100.0, cost=0.5)], default_cost=1.0
-        )
-        assert schedule.cost_at(50.0) == 1.0
+    def test_regular_cost_before_first_period(self):
+        schedule = ElectricityCostSchedule([TariffPeriod(start=100.0, cost=0.5)])
+        assert schedule.cost_at(50.0) == REGULAR_COST
         assert schedule.cost_at(100.0) == 0.5
 
     def test_piecewise_lookup(self):
@@ -51,8 +49,6 @@ class TestSchedule:
     def test_cost_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TariffPeriod(start=0.0, cost=1.5)
-        with pytest.raises(ValueError):
-            ElectricityCostSchedule(default_cost=-0.1)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):

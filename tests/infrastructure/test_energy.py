@@ -120,7 +120,7 @@ class TestTickArithmetic:
         with pytest.raises(ValueError, match="contiguous"):
             log.add_segment("n", "c", 10.0, 11.0, 0.0)
 
-    def test_first_segment_must_start_at_start_time(self):
+    def test_first_segment_must_start_at_zero(self):
         log = SegmentEnergyLog(sample_period=1.0)
         with pytest.raises(ValueError, match="contiguous"):
             log.add_segment("n", "c", 5.0, 6.0, 100.0)

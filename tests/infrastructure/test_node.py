@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import orion_spec, sagittaire_spec, taurus_spec
-from repro.infrastructure.power_model import LinearPowerModel, PowerModel
-from tests.conftest import make_spec
+from repro.infrastructure.power_model import LinearPowerModel
+from tests.conftest import make_spec, off_node
 
 
 class TestNodeSpec:
@@ -17,8 +17,7 @@ class TestNodeSpec:
     def test_default_power_model_uses_spec_figures(self):
         spec = make_spec(idle_power=80.0, peak_power=160.0)
         model = spec.default_power_model()
-        assert model.idle_power == 80.0
-        assert model.peak_power == 160.0
+        assert (model.idle, model.peak) == (80.0, 160.0)
 
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):
@@ -77,7 +76,7 @@ class TestNodeCoreAccounting:
             node.release_core(busy_seconds=-1.0)
 
     def test_cannot_acquire_on_off_node(self, spec):
-        node = Node(spec, initial_state=NodeState.OFF)
+        node = off_node(spec)
         with pytest.raises(RuntimeError):
             node.acquire_core()
 
@@ -95,7 +94,7 @@ class TestNodeStateMachine:
             node.power_off()
 
     def test_boot_cycle(self, spec):
-        node = Node(spec, initial_state=NodeState.OFF)
+        node = off_node(spec)
         completion = node.begin_boot(now=100.0)
         assert node.state is NodeState.BOOTING
         assert completion == pytest.approx(100.0 + spec.boot_time)
@@ -109,7 +108,7 @@ class TestNodeStateMachine:
         assert node.state is NodeState.ON
 
     def test_begin_boot_twice_returns_same_completion(self, spec):
-        node = Node(spec, initial_state=NodeState.OFF)
+        node = off_node(spec)
         first = node.begin_boot(now=0.0)
         second = node.begin_boot(now=10.0)
         assert first == second
@@ -121,11 +120,11 @@ class TestNodeStateMachine:
 
 class TestNodePower:
     def test_off_node_draws_nothing(self, spec):
-        node = Node(spec, initial_state=NodeState.OFF)
+        node = off_node(spec)
         assert node.current_power() == 0.0
 
     def test_booting_node_draws_boot_power(self, spec):
-        node = Node(spec, initial_state=NodeState.OFF)
+        node = off_node(spec)
         node.begin_boot(now=0.0)
         assert node.current_power() == spec.boot_power
 
@@ -143,42 +142,17 @@ class TestNodePower:
         assert node.current_power() == pytest.approx(expected)
 
 
-class _CubicModel(PowerModel):
-    """A non-linear model that counts its ``power_at`` calls."""
-
-    def __init__(self, idle: float, peak: float) -> None:
-        self._idle, self._peak = idle, peak
-        self.calls = 0
-
-    def power_at(self, utilization: float) -> float:
-        self.calls += 1
-        return self._idle + (self._peak - self._idle) * utilization**3
-
-    @property
-    def idle_power(self) -> float:
-        return self._idle
-
-    @property
-    def peak_power(self) -> float:
-        return self._peak
-
-
 def _linear(spec):
     return Node(spec), spec.default_power_model()
 
 
-def _cubic():
-    model = _CubicModel(97.3, 211.9)
-    return Node(make_spec(cores=5), power_model=model), model
-
-
-#: The Table I node types with their linear models, and a cubic one:
-#: each factory returns the node and the model it was built with.
+#: The Table I node types with their linear models: each factory returns
+#: the node and the model it was built with.
 _POWERED_NODES = {
     "orion": lambda: _linear(orion_spec()),
     "taurus": lambda: _linear(taurus_spec()),
     "sagittaire": lambda: _linear(sagittaire_spec()),
-    "cubic": _cubic,
+    "five-core": lambda: _linear(make_spec(cores=5, idle_power=97.3, peak_power=211.9)),
 }
 
 
@@ -222,28 +196,16 @@ class TestPowerTable:
             power = node.current_power()
             assert type(power) is float and power.hex() == formula().hex()
 
-    def test_the_model_is_asked_once_per_busy_core_count(self):
-        model = _CubicModel(50.0, 90.0)
-        node = Node(make_spec(cores=3), power_model=model)
-        assert model.calls == 4
-        for _ in range(3):
-            node.acquire_core()
-            node.current_power()
-        assert model.calls == 4
-
     def test_equal_linear_models_share_one_table(self):
         first, second = Node(taurus_spec(0)), Node(taurus_spec(1))
         assert first._on_power is second._on_power
         assert Node(orion_spec())._on_power is not first._on_power
         three, four = Node(make_spec(cores=3)), Node(make_spec(cores=4))
         assert (len(three._on_power), len(four._on_power)) == (4, 5)
-        assert Node(taurus_spec(), power_model=_CubicModel(1.0, 2.0))._on_power is not (
-            Node(taurus_spec(), power_model=_CubicModel(1.0, 2.0))._on_power
-        )
 
     def test_zero_and_negative_zero_models_stay_apart(self):
         plus = Node(make_spec(cores=2, idle_power=0.0, peak_power=0.0))
-        minus = Node(make_spec(cores=2), power_model=LinearPowerModel(idle=-0.0, peak=-0.0))
+        minus = Node(make_spec(cores=2, idle_power=-0.0, peak_power=-0.0))
         assert plus._on_power is not minus._on_power
         assert [power.hex() for power in minus._on_power] == [
             LinearPowerModel(idle=-0.0, peak=-0.0).power_at(busy / 2).hex() for busy in range(3)
@@ -264,7 +226,7 @@ class TestFailedState:
         assert not node.is_available
 
     def test_fail_abandons_an_in_progress_boot(self):
-        node = Node(make_spec(boot_time=30.0), initial_state=NodeState.OFF)
+        node = off_node(make_spec(boot_time=30.0))
         node.begin_boot(0.0)
         node.fail(now=10.0)
         assert node.state is NodeState.FAILED
@@ -315,14 +277,14 @@ class TestFailedState:
     def test_repair_restores_pre_failure_off_state(self):
         # A node that was OFF when it "crashed" must come back OFF —
         # repair must not silently power nodes on and inflate energy.
-        node = Node(make_spec(), initial_state=NodeState.OFF)
+        node = off_node(make_spec())
         node.fail()
         node.repair()
         assert node.state is NodeState.OFF
         assert node.current_power() == 0.0
 
     def test_repair_after_interrupted_boot_lands_off(self):
-        node = Node(make_spec(boot_time=30.0), initial_state=NodeState.OFF)
+        node = off_node(make_spec(boot_time=30.0))
         node.begin_boot(0.0)
         node.fail(now=10.0)
         node.repair()

@@ -19,11 +19,6 @@ class TestLinearPowerModel:
         model = LinearPowerModel(idle=100.0, peak=200.0)
         assert model.power_at(0.5) == pytest.approx(150.0)
 
-    def test_idle_and_peak_properties(self):
-        model = LinearPowerModel(idle=90.0, peak=210.0)
-        assert model.idle_power == 90.0
-        assert model.peak_power == 210.0
-
     def test_zero_dynamic_range_is_allowed(self):
         model = LinearPowerModel(idle=150.0, peak=150.0)
         assert model.power_at(0.7) == 150.0
@@ -51,7 +46,7 @@ class TestLinearPowerModel:
     def test_power_always_between_idle_and_peak(self, idle, extra, utilization):
         model = LinearPowerModel(idle=idle, peak=idle + extra)
         power = model.power_at(utilization)
-        assert model.idle_power - 1e-9 <= power <= model.peak_power + 1e-9
+        assert model.idle - 1e-9 <= power <= model.peak + 1e-9
 
     @given(
         st.floats(min_value=0, max_value=500),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.infrastructure.thermal import (
-    DEFAULT_TEMPERATURE_THRESHOLD,
+    TEMPERATURE_THRESHOLD,
     ThermalEnvironment,
     ThermalEvent,
 )
@@ -30,9 +30,8 @@ class TestThermalEnvironment:
         assert env.temperature(250.0) == 22.0
         assert [event.time for event in env.events] == [100.0, 200.0]
 
-    def test_default_threshold_matches_paper(self):
-        env = ThermalEnvironment()
-        assert env.threshold == DEFAULT_TEMPERATURE_THRESHOLD == 25.0
+    def test_threshold_matches_paper(self):
+        assert TEMPERATURE_THRESHOLD == 25.0
 
     def test_event_with_negative_time_rejected(self):
         with pytest.raises(ValueError):

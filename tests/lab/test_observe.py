@@ -29,7 +29,6 @@ segments_strategy = st.lists(
 log_strategy = st.fixed_dictionaries(
     {
         "sample_period": st.sampled_from([0.5, 1.0, 5.0, 10.0]),
-        "start_time": st.sampled_from([0.0, 3.0]),
         # Zero nodes is the empty log; a node with no segments is silent.
         "nodes": st.lists(segments_strategy, max_size=4),
     }
@@ -41,12 +40,12 @@ window_strategy = st.one_of(
 )
 
 
-def build_log(sample_period, start_time, nodes) -> SegmentEnergyLog:
-    log = SegmentEnergyLog(sample_period, start_time=start_time)
+def build_log(sample_period, nodes) -> SegmentEnergyLog:
+    log = SegmentEnergyLog(sample_period)
     for index, segments in enumerate(nodes):
         name = f"n{index}"
         log.register_node(name, f"c{index % 2}")
-        time = start_time
+        time = 0.0
         for length, watts in segments:
             log.add_segment(name, f"c{index % 2}", time, time + length, watts)
             time += length
@@ -73,10 +72,7 @@ class TestMatchesPerSecondRendering:
         )
 
     def test_ragged_nodes_with_a_silent_one(self):
-        log = build_log(
-            1.0, 0.0,
-            [[(2.0, 10.0), (5.0, 30.0)], [], [(3.5, 7.0)]],
-        )
+        log = build_log(1.0, [[(2.0, 10.0), (5.0, 30.0)], [], [(3.5, 7.0)]])
         series = windowed_power(log, window=4.0, duration=20.0)
         assert series == reference_windowed_power(log, window=4.0, duration=20.0)
         # t = 0..2 at 17 W, t = 3 at 37 W; t = 4..7 node n0 alone at 30 W.
@@ -89,7 +85,6 @@ class TestMatchesPerSecondRendering:
 long_log_strategy = st.fixed_dictionaries(
     {
         "sample_period": st.sampled_from([0.5, 1.0, 3.0, 10.0]),
-        "start_time": st.sampled_from([0.0, 2.5, 7.0, 100.0]),
         "nodes": st.lists(
             st.lists(
                 st.tuples(
@@ -114,8 +109,8 @@ class TestRunsOfEqualWidthWindows:
 
     Each run of equal-width windows is averaged in one reshaped block;
     windows that are not a multiple of ``sample_period`` alternate
-    widths, a log starting after 0 leaves its first windows empty, and
-    the last window is cut short by the end of the log or by
+    widths, windows narrower than ``sample_period`` may hold no instant,
+    and the last window is cut short by the end of the log or by
     ``duration``.
     """
 
@@ -140,10 +135,9 @@ class TestRunsOfEqualWidthWindows:
             reference_windowed_power(log, window=window, duration=duration)
         )
 
-    def ragged_log(self, start_time=0.0, sample_period=1.0):
+    def ragged_log(self, sample_period=1.0):
         return build_log(
             sample_period,
-            start_time,
             [[(400.0, 95.5), (733.3, 180.25), (200.0, 0.0)], [(1000.0, 121.7)]],
         )
 
@@ -164,11 +158,13 @@ class TestRunsOfEqualWidthWindows:
         assert len(widths) > 1  # windows really differ in width
         assert self.check(log, window, duration=1_500.0)
 
-    @pytest.mark.parametrize("start_time", [2.5, 100.0, 650.0])
-    def test_a_log_that_starts_after_zero(self, start_time):
-        series = self.check(self.ragged_log(start_time=start_time), 60.0, duration=2_000.0)
-        # Windows wholly before the first instant hold nothing and are skipped.
-        assert series[0][0] == (start_time // 60.0 + 1) * 60.0
+    def test_windows_without_an_instant_are_skipped(self):
+        series = self.check(self.ragged_log(sample_period=10.0), 4.0, duration=100.0)
+        # Instants every 10 s: of the 4 s windows, only those holding a
+        # multiple of 10 are reported.
+        assert [end for end, _ in series] == [
+            4.0, 12.0, 24.0, 32.0, 44.0, 52.0, 64.0, 72.0, 84.0, 92.0,
+        ]
 
     def test_a_duration_that_ends_mid_window(self):
         series = self.check(self.ragged_log(), 128.0, duration=1_000.0)

@@ -17,8 +17,9 @@ def make_sed(name, cluster="c", *, peak_power=200.0, flops=2.0e9, state=NodeStat
     node = Node(
         make_spec(name=name, cluster=cluster, peak_power=peak_power, idle_power=90.0,
                   flops_per_core=flops),
-        initial_state=state,
     )
+    if state is NodeState.OFF:
+        node.power_off()
     return ServerDaemon(node)
 
 

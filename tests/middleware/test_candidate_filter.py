@@ -13,11 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policies import policy_by_name
-from repro.core.provisioning import ProvisioningConfig
 from repro.middleware.agents import LocalAgent, MasterAgent
 from repro.middleware.requests import ServiceRequest
 from repro.simulation.task import Task
-from tests.core.test_provisioning import make_planner
+from tests.core.test_provisioning import NO_CANDIDATES, make_planner
 from tests.conftest import ranking
 from tests.core.test_ranking_incremental import _apply, _make_seds
 
@@ -40,7 +39,7 @@ def _keep_even(candidates):
 
 class TestPlannerFilterContract:
     def test_election_is_the_first_candidate_of_the_ranking(self):
-        planner, _, master, _ = make_planner(default_cost=1.0)
+        planner, _, master, _ = make_planner()
         planner.install()
         request = ServiceRequest.from_task(Task(flop=2.3e9))
         candidates = master.collect_candidates(request)
@@ -49,8 +48,7 @@ class TestPlannerFilterContract:
         assert master.submit(request).elected == allowed[0]
 
     def test_fallback_elects_the_head_of_the_full_ranking(self):
-        config = ProvisioningConfig(initial_candidates=0)
-        planner, _, master, _ = make_planner(config=config)
+        planner, _, master, _ = make_planner(rules=NO_CANDIDATES)
         planner.install()
         assert master.candidate_filter == frozenset()
         request = ServiceRequest.from_task(Task(flop=2.3e9))

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.infrastructure.node import Node, NodeState
+from repro.infrastructure.node import Node
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.requests import ServiceRequest
 from repro.middleware.sed import ServerDaemon, default_estimation_function
 from repro.simulation.task import Task
-from tests.conftest import make_spec
+from tests.conftest import make_spec, off_node
 
 
 def make_sed(**spec_overrides):
@@ -90,7 +90,7 @@ class TestEstimation:
         assert vector.get(EstimationTags.TOTAL_CORES) == sed.node.spec.cores
 
     def test_estimation_reflects_node_state(self):
-        node = Node(make_spec(), initial_state=NodeState.OFF)
+        node = off_node(make_spec())
         sed = ServerDaemon(node)
         vector = sed.estimate(make_request())
         assert not vector.available

@@ -48,7 +48,6 @@ class TestQueueJob:
             {"cores": 0},
             {"runtime": -1.0},
             {"requested_runtime": -5.0},
-            {"memory": -1.0},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -114,7 +113,6 @@ class TestPolicyDecisions:
             now=0.0,
             capacity=capacity,
             free_cores=capacity,
-            memory_capacity=0.0,
             running=(),
             queue=tuple(queue),
         )
@@ -161,7 +159,6 @@ class TestPolicyDecisions:
             now=0.0,
             capacity=4,
             free_cores=2,
-            memory_capacity=0.0,
             running=(),
             queue=(
                 QueueJob(0, 0.0, 1, 10.0, user="alice"),

@@ -26,7 +26,7 @@ MINI_SWF = Path(__file__).resolve().parents[1] / "data" / "mini.swf"
 #: A 2x2 slice of the queue grid — two platform scales x (baseline,
 #: backfill) — small enough for unit tests, wide enough to exercise
 #: both the generator-workload path and the policy dispatch.
-SMALL_QUEUE_GRID = queue_grid(platforms=("tiny", "quick"), policies=("FCFS", "EASY"))
+SMALL_QUEUE_GRID = tuple(spec for spec in queue_grid() if spec.policy in ("FCFS", "EASY"))
 
 
 class TestQueueGridShape:
@@ -44,9 +44,7 @@ class TestQueueGridShape:
     def test_trace_grid_folds_queue_cores_override(self, tmp_path):
         trace = tmp_path / "t.swf"
         trace.write_text("1 0 0 60 4 -1 -1 4 100 -1 1 1 1 1 1 -1 -1 -1\n")
-        scenarios = queue_grid(
-            str(trace), platforms=("quick",), policies=("FCFS",), queue_cores=16
-        )
+        scenarios = queue_grid(str(trace), platforms=("quick",), queue_cores=16)
         assert scenarios[0].overrides == (("queue_cores", 16),)
         assert scenarios[0].workload == "trace"
 

@@ -153,20 +153,20 @@ class TestTraceExecution:
 
     def test_sweep_caches_by_trace_content(self, trace_file, tmp_path):
         store = tmp_path / "store.jsonl"
-        grid = trace_grid(str(trace_file), platforms=("tiny",), policies=("POWER",))
+        grid = trace_grid(str(trace_file))[:1]
         first = run_scenarios(grid, store=store)
         assert (first.executed, first.cached) == (1, 0)
-        second = run_scenarios(trace_grid(str(trace_file), platforms=("tiny",), policies=("POWER",)), store=store)
+        second = run_scenarios(trace_grid(str(trace_file))[:1], store=store)
         assert (second.executed, second.cached) == (0, 1)
         # editing the trace invalidates the cache entry
         with open(trace_file, "a", encoding="utf-8") as handle:
             handle.write("50.0,1e9,user0,0.0,queue1,1,\n")
-        third = run_scenarios(trace_grid(str(trace_file), platforms=("tiny",), policies=("POWER",)), store=store)
+        third = run_scenarios(trace_grid(str(trace_file))[:1], store=store)
         assert (third.executed, third.cached) == (1, 0)
 
     def test_cached_trace_result_round_trips_spec(self, trace_file, tmp_path):
         store_path = tmp_path / "store.jsonl"
-        grid = trace_grid(str(trace_file), platforms=("tiny",), policies=("POWER",))
+        grid = trace_grid(str(trace_file))[:1]
         run_scenarios(grid, store=store_path)
         reloaded = ShardedResultStore(store_path).load()
         result = reloaded.get(grid[0].content_hash())

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.runner.workers as workers_module
 from repro.runner.executor import run_scenarios
 from repro.runner.spec import ScenarioSpec, SweepSpec, iter_grid
 from repro.runner.store import ShardedResultStore
@@ -53,27 +54,18 @@ class TestClaimProtocol:
         assert _try_claim(tmp_path, 0, "alpha")
         assert _try_claim(tmp_path, 1, "beta")
 
-    def test_chunk_size_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="chunk_size"):
-            run_worker(
-                GRID,
-                store=tmp_path / "store",
-                workers_dir=tmp_path / "claims",
-                chunk_size=0,
-            )
-
     def test_store_is_required(self, tmp_path):
         with pytest.raises(ValueError, match="shared store"):
             run_worker(GRID, store=None, workers_dir=tmp_path / "claims")
 
 
 class TestSingleWorker:
-    def test_one_worker_covers_the_whole_grid(self, tmp_path):
+    def test_one_worker_covers_the_whole_grid(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workers_module, "CHUNK_SIZE", 2)
         outcome, report = run_worker(
             GRID,
             store=tmp_path / "store",
             workers_dir=tmp_path / "claims",
-            chunk_size=2,
         )
         assert outcome.total == 6
         assert outcome.executed == 6
@@ -83,13 +75,13 @@ class TestSingleWorker:
         assert isinstance(report, WorkerReport)
         assert "claimed 3/3 chunk(s)" in report.summary
 
-    def test_matches_a_plain_serial_run(self, tmp_path):
+    def test_matches_a_plain_serial_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workers_module, "CHUNK_SIZE", 2)
         serial = run_scenarios(tuple(iter_grid(GRID)))
         outcome, _ = run_worker(
             GRID,
             store=tmp_path / "store",
             workers_dir=tmp_path / "claims",
-            chunk_size=2,
         )
         assert [r.spec for r in serial.results] == [r.spec for r in outcome.results]
         assert [r.metrics for r in serial.results] == [
@@ -109,14 +101,15 @@ class TestSingleWorker:
 
 
 class TestCooperatingWorkers:
-    def test_two_sequential_workers_split_the_chunks(self, tmp_path):
+    def test_two_sequential_workers_split_the_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workers_module, "CHUNK_SIZE", 2)
         store = tmp_path / "store"
         claims = tmp_path / "claims"
         out_a, rep_a = run_worker(
-            GRID, store=store, workers_dir=claims, chunk_size=2, worker_id="alpha"
+            GRID, store=store, workers_dir=claims, worker_id="alpha"
         )
         out_b, rep_b = run_worker(
-            GRID, store=store, workers_dir=claims, chunk_size=2, worker_id="beta"
+            GRID, store=store, workers_dir=claims, worker_id="beta"
         )
         # Worker A claimed everything; worker B found no work left.
         assert rep_a.chunks_claimed == 3
@@ -126,13 +119,14 @@ class TestCooperatingWorkers:
             r.metrics for r in out_b.results
         ]
 
-    def test_concurrent_workers_agree_on_the_outcome(self, tmp_path):
+    def test_concurrent_workers_agree_on_the_outcome(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workers_module, "CHUNK_SIZE", 1)
         store = tmp_path / "store"
         claims = tmp_path / "claims"
 
         def worker(name):
             return run_worker(
-                GRID, store=store, workers_dir=claims, chunk_size=1, worker_id=name
+                GRID, store=store, workers_dir=claims, worker_id=name
             )
 
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -150,9 +144,10 @@ class TestCooperatingWorkers:
         assert len(store_records) == 6
         assert store_records.quarantined() == 0
 
-    def test_ghost_claims_are_swept_up(self, tmp_path):
+    def test_ghost_claims_are_swept_up(self, tmp_path, monkeypatch):
         """Claims left by a crashed worker do not block completion: the
         sweep-up pass executes whatever is missing from the store."""
+        monkeypatch.setattr(workers_module, "CHUNK_SIZE", 2)
         store = tmp_path / "store"
         claims = tmp_path / "claims"
         claims.mkdir()
@@ -161,7 +156,7 @@ class TestCooperatingWorkers:
         for index in range(3):
             assert _try_claim(claims, index, "ghost")
         outcome, report = run_worker(
-            GRID, store=store, workers_dir=claims, chunk_size=2
+            GRID, store=store, workers_dir=claims
         )
         assert report.chunks_claimed == 0
         assert report.swept == 6

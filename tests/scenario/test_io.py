@@ -165,6 +165,21 @@ class TestLoadTimeline:
                 "event 0: invalid workload_burst event .*factor must be finite, got nan",
             ),
             (
+                '{"events": [{"kind": "thermal_excursion", "time": 1.0, "temperature": NaN}]}',
+                "event 0: invalid thermal_excursion event .*temperature must be finite, got nan",
+            ),
+            (
+                '{"events": [{"kind": "thermal_excursion", "time": 1.0,'
+                ' "temperature": Infinity}]}',
+                "event 0: invalid thermal_excursion event .*temperature must be finite, got inf",
+            ),
+            (
+                '{"events": [{"kind": "thermal_excursion", "time": 1.0,'
+                ' "temperature": -Infinity}]}',
+                "event 0: invalid thermal_excursion event .*temperature must be finite, "
+                "got -inf",
+            ),
+            (
                 '{"events": [{"kind": "node_failure", "time": 1.0, "node": "a",'
                 ' "scheduled": "no"}]}',
                 "event 0: invalid node_failure event .*scheduled must be true or false, "
@@ -177,7 +192,8 @@ class TestLoadTimeline:
             "top-level-array", "events-not-an-array", "missing-kind", "table-kind",
             "bool-node", "empty-node", "inf-time", "string-time", "bool-time",
             "huge-int-time", "over-long-int", "missing-time", "unknown-field",
-            "nan-factor", "string-scheduled", "not-utf8",
+            "nan-factor", "nan-temperature", "inf-temperature", "minus-inf-temperature",
+            "string-scheduled", "not-utf8",
         ],
     )
     def test_hostile_file_fails_with_a_typed_error(

@@ -378,6 +378,27 @@ class TestLabRun:
         assert "nodes_per_cluster must be an integer, got 1.5" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_base_temperature_exits_cleanly(self, capsys, value):
+        argv = ["lab", "run", "--family", "adaptive", "--set", f"base_temperature={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "base_temperature must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_timeline_temperature_exits_cleanly(self, tmp_path, capsys, value):
+        path = tmp_path / "heat.toml"
+        path.write_text(
+            f'[[events]]\nkind = "thermal_excursion"\ntime = 60.0\ntemperature = {value}\n'
+        )
+        argv = ["lab", "run", "--family", "adaptive", "--timeline", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "heat.toml: event 0: invalid thermal_excursion event" in err
+        assert "temperature must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv,expected",
         [

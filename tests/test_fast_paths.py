@@ -26,8 +26,6 @@ from repro.core.policies import GreenPerfPolicy, PerformancePolicy, PowerPolicy,
 from repro.infrastructure.cluster import Cluster
 from repro.infrastructure.node import Node
 from repro.infrastructure.platform import Platform, orion_spec, sagittaire_spec, taurus_spec
-from repro.middleware.agents import MasterAgent
-from repro.middleware.client import Client
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.hierarchy import build_hierarchy
@@ -35,7 +33,7 @@ from repro.middleware.plugin_scheduler import CandidateEntry
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
 from repro.util import validation
-from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
+from repro.util.validation import ensure_non_negative, ensure_positive
 from tests.conftest import make_spec
 
 #: Well-formed and hostile inputs: every fast path must treat each one as
@@ -57,13 +55,6 @@ def _fate(call):
 
 @pytest.mark.parametrize("value", INPUTS, ids=repr)
 class TestSameFateAsTheValidator:
-    def test_client_preference(self, value):
-        client = Client(MasterAgent())
-        fate = _fate(lambda: client.make_request(Task(), user_preference=value))
-        assert fate == _fate(lambda: ensure_in_range(value, "user_preference", -1.0, 1.0))
-        if fate == ("ok",):
-            assert client.make_request(Task(), user_preference=value).user_preference is value
-
     def test_release_core_busy_seconds(self, value):
         node = Node(make_spec(cores=2))
         node.acquire_core()
@@ -120,17 +111,14 @@ class TestMissingTags:
         "key, tag",
         [
             (PowerPolicy().rank_key, EstimationTags.MEAN_POWER),
-            (PowerPolicy(use_dynamic_power=False).rank_key, EstimationTags.PEAK_POWER),
             (PerformancePolicy().rank_key, EstimationTags.FLOPS_PER_CORE),
-            (PerformancePolicy(per_core=False).rank_key, EstimationTags.TOTAL_FLOPS),
             (GreenPerfPolicy().rank_key, EstimationTags.MEAN_POWER),
             (
                 GreenPerfPolicy(mode=PowerEstimationMode.STATIC).rank_key,
                 EstimationTags.PEAK_POWER,
             ),
         ],
-        ids=["power", "power-static", "performance", "performance-total",
-             "greenperf", "greenperf-static"],
+        ids=["power", "performance", "greenperf", "greenperf-static"],
     )
     def test_a_missing_tag(self, key, tag):
         entry = _entry(free_cores=1.0)

@@ -136,12 +136,13 @@ class TestProvisioningIntegration:
             platform,
             master,
             AdministratorRules.paper_defaults(),
-            ElectricityCostSchedule(default_cost=1.0),
+            ElectricityCostSchedule(),
             ThermalEnvironment(),
             seds=seds,
             engine=simulation.engine,
             trace=simulation.trace,
-            config=ProvisioningConfig(initial_candidates=2),
+            # Regular tariff: 40 % of the 6 nodes -> 2 candidates.
+            config=ProvisioningConfig(),
         )
         planner.install()
         workload = BurstThenContinuousWorkload(

@@ -1,6 +1,6 @@
 """Every module under ``src/repro`` is reached by something a user runs.
 
-Two guards.  The first is module-level.  The roots are the command line
+Four guards.  The first is module-level.  The roots are the command line
 (``repro.cli`` and ``python -m repro``) and every ``repro`` import of the
 benchmark harness (``bench/``), the examples (``examples/``) and the paper
 benchmarks (``benchmarks/``).
@@ -34,6 +34,30 @@ wherever its getter is, so a setter only tests call would pass it.  Every
 ``@<prop>.setter`` under ``src/repro`` must therefore be assigned
 (``x.<prop> = …``, augmented, or ``setattr`` with the name as a string)
 somewhere outside ``tests/``.
+
+The fourth is parameter-level: the name guard sees an option as read
+wherever its attribute is, so a keyword only tests pass would pass it.
+Every keyword-only parameter of a public function, method or
+constructor under ``src/repro``, and every public defaulted field of a
+public dataclass, must be passed by some call outside ``tests/``.  A call
+counts when its callee resolves by name to the definition: ``f(...)``,
+``x.method(...)``, ``Class.method(...)``, ``cls(...)`` inside the
+class, a subclass's name for an inherited field, ``super().__init__``
+and ``functools.partial(f, ..., name=...)``.  Positional arguments fill
+dataclass fields in order, and a ``*starred`` one fills the rest
+(``SWFJob(*columns)``).  Three ``**mapping`` routes count too:
+
+- a function that passes its own ``**kwargs`` on forwards what reaches
+  it (``ScenarioSpec.replace(**changes)``);
+- a mapping whose keys the calling function spells out (``{"k": v}``,
+  ``dict(k=v)``, ``kwargs["k"] = v``) passes those keys;
+- any other mapping reaches every parameter, because its keys are data:
+  the preset and ``--set`` overrides into ``PlacementExperimentConfig(**params)``
+  and ``AdaptiveExperimentConfig(**params)``, and ``EVENT_KINDS[kind](**data)``
+  from timeline files.  A module-level table (``EVENT_KINDS[kind]``,
+  ``factory = _POLICIES.get(key)``) resolves to every name its value mentions.
+
+The exceptions are in :data:`UNPASSED_BY_DESIGN`, each with its reason.
 """
 
 from __future__ import annotations
@@ -573,3 +597,602 @@ def test_a_setter_only_tests_assign_is_reported(tmp_path):
         "utf-8",
     )
     assert unassigned_setters([package], roots=[package, caller]) == []
+
+
+# -- parameter level -------------------------------------------------------------------
+
+#: Parameters no call outside ``tests/`` passes, each with the reason.  A key
+#: is ``Class.parameter`` for a constructor (a dataclass field included),
+#: ``Class.method.parameter`` for a method and ``function.parameter`` otherwise.
+UNPASSED_BY_DESIGN = {
+    # DIET's plug-in point: a SeD's estimation function is what a deployment
+    # replaces to report its own figures (the CoRI collector's role).
+    "ServerDaemon.estimation_function": "DIET's plug-in estimation hook on a SeD",
+    # State, not settings: the default is where the object starts.
+    "Task.task_id": "identity from the process counter; dataclasses.replace re-passes it",
+    "Task.state": "lifecycle state the driver advances; dataclasses.replace re-passes it",
+    "PlanDecision.start_now": "a plan's output list, which the policy appends to",
+    "PlanDecision.reservations": "a plan's output list, which the policy appends to",
+    "TenantStats.admitted": "a counter the admission controller increments from zero",
+    "TenantStats.rejected": "a counter the admission controller increments from zero",
+    "TenantStats.shed": "a counter the admission controller increments from zero",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if ast.unparse(target).rsplit(".", 1)[-1] == "dataclass":
+            return True
+    return False
+
+
+def _own_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """``(name, has a default)`` for the ``__init__`` fields a dataclass declares."""
+    fields = []
+    for statement in node.body:
+        if not (isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(statement.annotation):
+            continue
+        value = statement.value
+        if isinstance(value, ast.Call) and any(
+            keyword.arg == "init" and ast.unparse(keyword.value) == "False"
+            for keyword in value.keywords
+        ):
+            continue
+        fields.append((statement.target.id, value is not None))
+    return fields
+
+
+class _Callable:
+    """A public function, method or constructor: the names that call it, what it takes."""
+
+    def __init__(self, path, qualified, callees, own, checked, positional=()):
+        self.path = path
+        self.qualified = qualified  # "function", "Class" or "Class.method"
+        self.callees = callees  # the names a call spells: its own, or a subclass's
+        self.own = own  # its own lines: a call from inside them does not count
+        self.checked = checked  # the parameters the guard checks
+        self.positional = positional  # every field, in the order positions fill them
+
+
+def _callables(directory: Path) -> list[_Callable]:
+    """Every public function, method and constructor under ``directory``.
+
+    A function or method is checked for its keyword-only parameters, a
+    dataclass for its public defaulted fields.  A constructor is also
+    called through its subclasses' names.
+    """
+    modules = [(path, _parse(path)) for path in sorted(directory.rglob("*.py"))]
+    classes = {
+        node.name: node
+        for _, tree in modules
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def bases(node):
+        return [
+            classes[base.id]
+            for base in node.bases
+            if isinstance(base, ast.Name) and base.id in classes
+        ]
+
+    def fields(node):
+        if not _is_dataclass(node):
+            return []
+        names = []
+        for base in bases(node):
+            names += [name for name in fields(base) if name not in names]
+        return names + [name for name, _ in _own_fields(node) if name not in names]
+
+    def callees(name):
+        found, pending = {name}, [name]
+        while pending:
+            parent = pending.pop()
+            for node in classes.values():
+                if node.name not in found and parent in (base.name for base in bases(node)):
+                    found.add(node.name)
+                    pending.append(node.name)
+        return frozenset(found)
+
+    def lines(node):
+        return range(node.lineno, node.end_lineno + 1)
+
+    def keyword_only(function):
+        return tuple(argument.arg for argument in function.args.kwonlyargs)
+
+    found = []
+    for path, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    found.append(
+                        _Callable(
+                            path, node.name, {node.name}, lines(node), keyword_only(node)
+                        )
+                    )
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            constructor = callees(node.name)
+            if _is_dataclass(node):
+                checked = tuple(
+                    name
+                    for name, default in _own_fields(node)
+                    if default and not name.startswith("_")
+                )
+                found.append(
+                    _Callable(path, node.name, constructor, range(0), checked, fields(node))
+                )
+            for member in node.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if member.name == "__init__":
+                    found.append(
+                        _Callable(
+                            path, node.name, constructor, lines(member), keyword_only(member)
+                        )
+                    )
+                elif not member.name.startswith("_"):
+                    found.append(
+                        _Callable(
+                            path,
+                            f"{node.name}.{member.name}",
+                            {member.name},
+                            lines(member),
+                            keyword_only(member),
+                        )
+                    )
+    return found
+
+
+def _spelled_keys(value) -> set[str] | None:
+    """The keys of a mapping the code spells out (``{"k": v}``, ``dict(k=v)``), else ``None``."""
+    if isinstance(value, ast.Dict) and all(
+        isinstance(key, ast.Constant) and isinstance(key.value, str) for key in value.keys
+    ):
+        return {key.value for key in value.keys}
+    if (
+        isinstance(value, ast.Call)
+        and ast.unparse(value.func) == "dict"
+        and not value.args
+        and all(keyword.arg for keyword in value.keywords)
+    ):
+        return {keyword.arg for keyword in value.keywords}
+    return None
+
+
+class _Calls(ast.NodeVisitor):
+    """What the calls under ``roots`` pass, by the name of their callee.
+
+    ``keywords`` maps a callee to the ``(keyword, file, line)`` it is
+    passed and ``positional`` to the ``(count, starred, file, line)`` of
+    its positional arguments.  ``everything`` maps it to where a call
+    passes it a ``**mapping`` whose keys are data (a timeline file, a
+    preset table, ``--set KEY=VALUE``), which reaches every parameter.
+    A ``**mapping`` whose keys the calling function spells out
+    (``{"seed": …}``, ``kwargs["seed"] = …``) passes those keys.
+    ``forwards`` maps a callee to the callees it passes its own
+    ``**keywords`` on to; what reaches a forwarder reaches them too.
+    """
+
+    def __init__(self, roots):
+        self.keywords: dict[str, list[tuple[str, Path, int]]] = {}
+        self.positional: dict[str, list[tuple[int, bool, Path, int]]] = {}
+        self.everything: dict[str, list[tuple[Path, int]]] = {}
+        self.forwards: dict[str, set[str]] = {}
+        for root in roots:
+            for path in sorted(root.rglob("*.py")):
+                self._scan(path, _parse(path))
+        self._follow_forwards()
+
+    def _scan(self, path, tree):
+        self.path = path
+        self.aliases = {}  # local spelling -> imported name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    self.aliases[alias.asname or alias.name] = alias.name
+        self.tables = {}  # module-level name -> the names its value mentions
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        self.tables[target.id] = [
+                            self.aliases.get(name.id, name.id)
+                            for name in ast.walk(node.value)
+                            if isinstance(name, ast.Name)
+                        ]
+        self.classes = []  # the enclosing class, innermost last
+        self.functions = []  # the enclosing functions' facts, innermost last
+        self.visit(tree)
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        owner = self.classes[-1].name if self.classes else None
+        self.functions.append(
+            {
+                "callee": owner if node.name == "__init__" and owner else node.name,
+                "kwarg": node.args.kwarg.arg if node.args.kwarg else None,
+                **self._locals(node),
+            }
+        )
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _table(self, value) -> list[str] | None:
+        """The names ``TABLE[key]`` or ``TABLE.get(key)`` may give, for a module-level table."""
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
+            if value.func.attr == "get":
+                value = value.func.value
+        elif isinstance(value, ast.Subscript):
+            value = value.value
+        if isinstance(value, ast.Name):
+            return self.tables.get(value.id)
+        return None
+
+    def _locals(self, function):
+        """A function's spelled-out mappings and its locals drawn from a table."""
+        spelled, drawn = {}, {}
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        keys, known = _spelled_keys(node.value), spelled.get(target.id, set())
+                        spelled[target.id] = (
+                            None if keys is None or known is None else known | keys
+                        )
+                        table = self._table(node.value)
+                        if table is not None:
+                            drawn[target.id] = table
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and spelled.get(node.value.id) is not None
+            ):
+                key = node.slice
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    spelled[node.value.id].add(key.value)
+                else:
+                    spelled[node.value.id] = None
+        return {"spelled": spelled, "drawn": drawn}
+
+    def _callees(self, func, args) -> tuple[list[str], list[ast.expr]]:
+        """The names a call to ``func`` may resolve to, and the positional arguments they get."""
+        local = self.functions[-1] if self.functions else {"drawn": {}}
+        if isinstance(func, ast.Name):
+            if func.id in local["drawn"]:
+                return local["drawn"][func.id], args  # factory = TABLE.get(key)
+            if func.id == "cls" and self.classes:
+                return [self.classes[-1].name], args
+            name = self.aliases.get(func.id, func.id)
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        elif isinstance(func, ast.Subscript):
+            return self._table(func) or [], args  # TABLE[key](...)
+        else:
+            return [], args
+        if name == "partial" and args:
+            return self._callees(args[0], args[1:])
+        if name == "replace" and args and ast.unparse(args[0]) == "self" and self.classes:
+            return [self.classes[-1].name], []  # dataclasses.replace(self, **changes)
+        if (
+            name == "__init__"
+            and isinstance(func.value, ast.Call)
+            and ast.unparse(func.value.func) == "super"
+            and self.classes
+        ):
+            return [ast.unparse(base) for base in self.classes[-1].bases], args
+        return [name], args
+
+    def visit_Call(self, node):
+        callees, args = self._callees(node.func, node.args)
+        local = self.functions[-1] if self.functions else {"kwarg": None, "spelled": {}}
+        where = (self.path, node.lineno)
+        starred = any(isinstance(argument, ast.Starred) for argument in args)
+        count = sum(not isinstance(argument, ast.Starred) for argument in args)
+        for callee in callees:
+            if args:
+                self.positional.setdefault(callee, []).append((count, starred, *where))
+            for keyword in node.keywords:
+                value = keyword.value
+                if keyword.arg is not None:
+                    keys = {keyword.arg}
+                elif isinstance(value, ast.Name) and value.id == local["kwarg"]:
+                    self.forwards.setdefault(local["callee"], set()).add(callee)
+                    continue
+                elif isinstance(value, ast.Name) and local["spelled"].get(value.id) is not None:
+                    keys = local["spelled"][value.id]
+                elif (keys := _spelled_keys(value)) is None:  # not f(**{"k": v})
+                    self.everything.setdefault(callee, []).append(where)
+                    continue
+                self.keywords.setdefault(callee, []).extend((key, *where) for key in keys)
+        self.generic_visit(node)
+
+    def _follow_forwards(self):
+        """What reaches a forwarder reaches the callees it forwards to, transitively."""
+        changed = True
+        while changed:
+            changed = False
+            for forwarder, targets in self.forwards.items():
+                for table in (self.keywords, self.everything):
+                    for target in targets:
+                        known = table.setdefault(target, [])
+                        for passed in table.get(forwarder, []):
+                            if passed not in known:
+                                known.append(passed)
+                                changed = True
+
+
+def _is_passed(parameter: str, definition: _Callable, calls: _Calls) -> bool:
+    def outside(path, line):
+        return not (path == definition.path and line in definition.own)
+
+    index = (
+        definition.positional.index(parameter)
+        if parameter in definition.positional
+        else None
+    )
+    for callee in definition.callees:
+        if any(outside(*where) for where in calls.everything.get(callee, [])):
+            return True
+        if any(
+            keyword == parameter and outside(path, line)
+            for keyword, path, line in calls.keywords.get(callee, [])
+        ):
+            return True
+        if index is not None and any(
+            (index < count or starred) and outside(path, line)
+            for count, starred, path, line in calls.positional.get(callee, [])
+        ):
+            return True
+    return False
+
+
+def unpassed_parameters(directories=NAME_CHECKED, roots=None) -> list[str]:
+    """The checked parameters under ``directories`` that no call outside ``tests/`` passes."""
+    roots = roots if roots is not None else [ROOT / name for name in REFERENCE_DIRS]
+    calls = _Calls(roots)
+    missing = []
+    for directory in directories:
+        for definition in _callables(directory):
+            for parameter in definition.checked:
+                qualified = f"{definition.qualified}.{parameter}"
+                if qualified not in UNPASSED_BY_DESIGN and not _is_passed(
+                    parameter, definition, calls
+                ):
+                    path = definition.path
+                    where = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
+                    missing.append(f"{where}: {qualified}")
+    return missing
+
+
+def test_every_parameter_is_passed_outside_the_tests():
+    assert unpassed_parameters() == []
+
+
+def _unpassed(tmp_path, module: str, *callers: str) -> list[str]:
+    """The parameters of ``pkg/mod.py`` that ``module`` and the ``callers`` leave unpassed."""
+    package = tmp_path / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(module, "utf-8")
+    roots = [package]
+    for index, caller in enumerate(callers):
+        root = tmp_path / f"caller{index}"
+        root.mkdir()
+        (root / "run.py").write_text(caller, "utf-8")
+        roots.append(root)
+    found = unpassed_parameters([package], roots=roots)
+    return [name.rsplit(": ", 1)[1] for name in found]
+
+
+def test_a_keyword_only_tests_pass_is_reported(tmp_path):
+    module = (
+        "def build(size, *, fast=False, label='x'):\n"
+        "    return size\n"
+        "def _private(*, hidden=1):\n"
+        "    return hidden\n"
+    )
+    assert _unpassed(tmp_path, module) == ["build.fast", "build.label"]
+    caller = "from pkg.mod import build\nbuild(1, fast=True)\nbuild(2, label='y')\n"
+    assert _unpassed(tmp_path / "b", module, caller) == []
+
+
+def test_only_public_defaulted_init_fields_of_a_dataclass_are_checked(tmp_path):
+    module = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "@dataclass\n"
+        "class Job:\n"
+        "    job_id: int\n"
+        "    cores: int = 1\n"
+        "    _cache: dict = field(default_factory=dict)\n"
+        "    done: bool = field(default=False, init=False)\n"
+        "    KIND: ClassVar[str] = 'job'\n"
+        "    user: str = 'u0'\n"
+    )
+    assert _unpassed(tmp_path, module, "from pkg.mod import Job\nJob(0)\n") == [
+        "Job.cores", "Job.user",
+    ]
+
+
+def test_a_method_counts_through_any_receiver(tmp_path):
+    module = (
+        "class Store:\n"
+        "    def get(self, key, *, cached=True):\n"
+        "        return key\n"
+        "    @classmethod\n"
+        "    def open(cls, *, path='.'):\n"
+        "        return cls()\n"
+    )
+    assert _unpassed(tmp_path, module) == ["Store.get.cached", "Store.open.path"]
+    caller = "from pkg.mod import Store\nStore.open(path='/').get(1, cached=False)\n"
+    assert _unpassed(tmp_path / "b", module, caller) == []
+
+
+def test_cls_inside_the_class_calls_its_constructor(tmp_path):
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Source:\n"
+        "    kind: str = 'generator'\n"
+        "    tick: float = 60.0\n"
+        "    @classmethod\n"
+        "    def capacity(cls):\n"
+        "        return cls(kind='capacity')\n"
+    )
+    assert _unpassed(tmp_path, module) == ["Source.tick"]
+
+
+def test_functools_partial_passes_its_keywords(tmp_path):
+    module = "def step(engine, *, label=''):\n    return engine\n"
+    caller = (
+        "import functools\n"
+        "from pkg.mod import step\n"
+        "HOOK = functools.partial(step, label='tick')\n"
+    )
+    assert _unpassed(tmp_path, module) == ["step.label"]
+    assert _unpassed(tmp_path / "b", module, caller) == []
+
+
+def test_positional_arguments_fill_dataclass_fields_in_order(tmp_path):
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Row:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: int = 0\n"
+    )
+    assert _unpassed(tmp_path, module, "from pkg.mod import Row\nRow(1, 2)\n") == ["Row.c"]
+    starred = "from pkg.mod import Row\nRow(*'123')\n"
+    assert _unpassed(tmp_path / "b", module, starred) == []
+
+
+def test_a_subclass_call_reaches_an_inherited_field(tmp_path):
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Event:\n"
+        "    time: float\n"
+        "    scheduled: bool = True\n"
+        "@dataclass\n"
+        "class Burst(Event):\n"
+        "    factor: float = 2.0\n"
+    )
+    caller = "from pkg.mod import Burst\nBurst(1.0, scheduled=False, factor=3.0)\n"
+    assert _unpassed(tmp_path, module, caller) == []
+    assert _unpassed(tmp_path / "b", module, "from pkg.mod import Burst\nBurst(1.0)\n") == [
+        "Event.scheduled", "Burst.factor",
+    ]
+
+
+def test_super_init_calls_the_base_constructor(tmp_path):
+    module = (
+        "class Base:\n"
+        "    def __init__(self, *, period=1.0):\n"
+        "        self.period = period\n"
+        "class Child(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(period=5.0)\n"
+    )
+    assert _unpassed(tmp_path, module) == []
+
+
+def test_a_call_from_inside_the_definition_does_not_count(tmp_path):
+    module = (
+        "def countdown(n, *, step=1):\n"
+        "    return countdown(n - step, step=step) if n > 0 else 0\n"
+    )
+    assert _unpassed(tmp_path, module, "from pkg.mod import countdown\ncountdown(3)\n") == [
+        "countdown.step",
+    ]
+
+
+def test_forwarded_keywords_reach_the_forwarding_target(tmp_path):
+    module = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    policy: str = 'POWER'\n"
+        "    seed: int = 0\n"
+        "    def replace(self, **changes):\n"
+        "        return dataclasses.replace(self, **changes)\n"
+    )
+    caller = "from pkg.mod import Spec\nSpec().replace(seed=3)\nSpec(policy='RANDOM')\n"
+    assert _unpassed(tmp_path, module) == ["Spec.policy", "Spec.seed"]
+    assert _unpassed(tmp_path / "b", module, caller) == []
+
+
+def test_a_spelled_out_mapping_passes_only_its_keys(tmp_path):
+    module = (
+        "class Random:\n"
+        "    def __init__(self, *, seed=0, spread=1.0):\n"
+        "        self.seed = seed\n"
+        "_POLICIES = {'RANDOM': Random}\n"
+        "def by_name(name, **kwargs):\n"
+        "    factory = _POLICIES.get(name)\n"
+        "    return factory(**kwargs)\n"
+    )
+    caller = (
+        "from pkg.mod import by_name\n"
+        "def build(seed):\n"
+        "    kwargs = {}\n"
+        "    kwargs['seed'] = seed\n"
+        "    return by_name('random', **kwargs)\n"
+    )
+    assert _unpassed(tmp_path, module, caller) == ["Random.spread"]
+    literal = "from pkg.mod import by_name\nby_name('random', **{'spread': 2.0})\n"
+    assert _unpassed(tmp_path / "b", module, literal) == ["Random.seed"]
+
+
+def test_a_mapping_of_data_reaches_every_parameter(tmp_path):
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    nodes: int = 4\n"
+        "    horizon: float = 60.0\n"
+        "@dataclass\n"
+        "class Tariff:\n"
+        "    time: float\n"
+        "    cost: float = 1.0\n"
+        "KINDS = {'tariff': Tariff}\n"
+        "def config_for(overrides):\n"
+        "    params = dict(overrides)\n"
+        "    return Config(**params)\n"
+        "def event_from(kind, data):\n"
+        "    return KINDS[kind](**data)\n"
+    )
+    assert _unpassed(tmp_path, module) == []
+
+
+def test_an_allow_listed_parameter_is_not_reported(tmp_path, monkeypatch):
+    module = "def serve(*, hook=None):\n    return hook\n"
+    assert _unpassed(tmp_path, module) == ["serve.hook"]
+    monkeypatch.setitem(UNPASSED_BY_DESIGN, "serve.hook", "a plug-in point")
+    assert _unpassed(tmp_path / "b", module) == []
+
+
+def test_every_allow_listed_parameter_is_checked_and_has_a_reason():
+    """A stale entry would exempt a parameter a later change might reintroduce unpassed."""
+    checked = {
+        f"{definition.qualified}.{parameter}"
+        for definition in _callables(SRC / "repro")
+        for parameter in definition.checked
+    }
+    for name, reason in UNPASSED_BY_DESIGN.items():
+        assert name in checked, name
+        assert reason.strip() and "test" not in reason, name

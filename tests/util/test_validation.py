@@ -67,15 +67,9 @@ class TestEnsureInRange:
     def test_accepts_interior_value(self):
         assert ensure_in_range(0.5, "x", 0.0, 1.0) == 0.5
 
-    def test_accepts_bounds_when_inclusive(self):
+    def test_accepts_the_bounds(self):
         assert ensure_in_range(0.0, "x", 0.0, 1.0) == 0.0
         assert ensure_in_range(1.0, "x", 0.0, 1.0) == 1.0
-
-    def test_rejects_bounds_when_exclusive(self):
-        with pytest.raises(ValueError):
-            ensure_in_range(0.0, "x", 0.0, 1.0, inclusive=False)
-        with pytest.raises(ValueError):
-            ensure_in_range(1.0, "x", 0.0, 1.0, inclusive=False)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -235,7 +235,7 @@ def power_trace(log: SegmentEnergyLog, node: str | None = None) -> np.ndarray:
         totals = np.zeros(max((trace.size for trace in traces), default=0), dtype=float)
         for trace in traces:
             totals[: trace.size] += trace
-    times = log.start_time + np.arange(totals.size, dtype=float) * log.sample_period
+    times = np.arange(totals.size, dtype=float) * log.sample_period
     return np.column_stack([times, totals])
 
 
