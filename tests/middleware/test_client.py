@@ -29,6 +29,11 @@ class TestRequestConstruction:
         Client(master).submit(Task(user_preference=0.7))
         assert master.requests[0].user_preference == 0.7
 
+    def test_a_zero_task_preference_stays_zero(self):
+        master = _RecordingMaster()
+        Client(master).submit(Task(user_preference=0.0))
+        assert master.requests[0].user_preference == 0.0
+
     def test_submission_time_defaults_to_arrival(self):
         master = _RecordingMaster()
         Client(master).submit(Task(arrival_time=12.0))

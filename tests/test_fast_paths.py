@@ -4,7 +4,9 @@ Where a caller's value enters the per-task path, an exact-float range
 check accepts the common case and sends anything else to the validator
 that used to run on every call.  So every input must meet the same fate
 as under the validator alone: the same exception type and message, or
-acceptance of the same value.  GREEN_SCORE's preference exponent checks
+acceptance of the same value.  A client's request takes its preference
+from the task, so a preference must fail as the range validator does
+and otherwise reach the request unchanged.  GREEN_SCORE's preference exponent checks
 its input inline, and must fail exactly as the :class:`UserPreference`
 value object does.  The rank keys of POWER, PERFORMANCE and
 GREENPERF read the estimation values dict directly; a missing tag must
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from repro.core.policies import GreenPerfPolicy, PerformancePolicy, PowerPolicy,
 from repro.infrastructure.cluster import Cluster
 from repro.infrastructure.node import Node
 from repro.infrastructure.platform import Platform, orion_spec, sagittaire_spec, taurus_spec
+from repro.middleware.client import Client
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.hierarchy import build_hierarchy
@@ -33,7 +37,7 @@ from repro.middleware.plugin_scheduler import CandidateEntry
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
 from repro.util import validation
-from repro.util.validation import ensure_non_negative, ensure_positive
+from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
 from tests.conftest import make_spec
 
 #: Well-formed and hostile inputs: every fast path must treat each one as
@@ -55,6 +59,16 @@ def _fate(call):
 
 @pytest.mark.parametrize("value", INPUTS, ids=repr)
 class TestSameFateAsTheValidator:
+    def test_client_preference(self, value):
+        requests = []
+        client = Client(SimpleNamespace(submit=requests.append))
+        fate = _fate(lambda: client.submit(Task(user_preference=value)))
+        assert fate == _fate(lambda: ensure_in_range(value, "user_preference", -1.0, 1.0))
+        if fate == ("ok",):
+            assert requests[0].user_preference is value
+        else:  # rejected before a request was sent
+            assert requests == []
+
     def test_release_core_busy_seconds(self, value):
         node = Node(make_spec(cores=2))
         node.acquire_core()
