@@ -57,6 +57,35 @@ contribution on top:
     JSONL result store that turns repeated sweeps into incremental work.
 """
 
-from repro._version import __version__
+import importlib
+import sys
 
 __all__ = ["__version__"]
+
+
+def lazy_exports(package: str, exports: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) resolving ``package``'s public names.
+
+    ``exports`` maps each public name to the module defining it.  That
+    module is imported the first time the name is read, and the value is
+    then cached on the package, so importing a package costs nothing
+    until one of its names is used.
+
+    >>> from repro.core import policy_by_name
+    >>> policy_by_name.__module__
+    'repro.core.policies'
+    """
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = lazy_exports(__name__, {"__version__": "repro._version"})

@@ -88,57 +88,21 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.experiments.greenperf_eval import HeterogeneityResult
-from repro.experiments.presets import paper_infrastructure_table, simulated_clusters_table
-from repro.experiments.reporting import (
-    energy_saving,
-    format_adaptive_series,
-    format_energy_per_cluster,
-    format_metric_points,
-    format_table2,
-    format_task_distribution,
-)
-from repro._version import __version__
-from repro.lab.compat import session_for_spec
-from repro.runner.executor import run_scenarios
-from repro.runner.grids import (
-    cross_grid,
-    grid,
-    heterogeneity_grid,
-    named_grids,
-    table2_grid,
-    timeline_grid,
-    trace_grid,
-)
-from repro.runner.spec import ScenarioSpec
-from repro.scenario import load_timeline
-from repro.runner.reporting import (
-    SweepProgressPrinter,
-    format_sweep_profile,
-    format_sweep_summary,
-)
 from repro.util.tables import render_table
-from repro.workload.ingest import (
-    SampleUsers,
-    ScaleArrivals,
-    ScaleLoad,
-    SWFTraceMap,
-    TimeWindow,
-    Truncate,
-    load_swf_trace,
-    parse_swf,
-    read_swf_header,
-)
-from repro.workload.ingest.swf import SWF_FIELDS
-from repro.workload.traces import load_trace, save_trace
+
+if TYPE_CHECKING:
+    from repro.workload.ingest.mapping import SWFTraceMap
+
 
 def _scale(args: argparse.Namespace) -> str:
     return "quick" if args.quick else "paper"
 
 
 def _cmd_table1(args: argparse.Namespace) -> str:
+    from repro.experiments.presets import paper_infrastructure_table
+
     rows = paper_infrastructure_table()
     lines = ["Table I — experimental infrastructure"]
     lines.append(f"{'Cluster':<12}{'Nodes':>6}  {'CPU':<22}{'Memory':>8}  Role")
@@ -151,6 +115,10 @@ def _cmd_table1(args: argparse.Namespace) -> str:
 
 
 def _cmd_table2(args: argparse.Namespace) -> str:
+    from repro.experiments.reporting import energy_saving, format_table2
+    from repro.runner.executor import run_scenarios
+    from repro.runner.grids import table2_grid
+
     results = run_scenarios(table2_grid(_scale(args), args.seed)).by_policy()
     lines = ["Table II — makespan and energy per policy", format_table2(results)]
     lines.append(
@@ -162,6 +130,8 @@ def _cmd_table2(args: argparse.Namespace) -> str:
 
 
 def _cmd_table3(args: argparse.Namespace) -> str:
+    from repro.experiments.presets import simulated_clusters_table
+
     rows = simulated_clusters_table()
     lines = ["Table III — energy consumption of simulated clusters"]
     lines.append(f"{'Cluster':<10}{'Idle (W)':>10}{'Peak (W)':>10}")
@@ -175,6 +145,10 @@ def _cmd_table3(args: argparse.Namespace) -> str:
 
 def _distribution_command(policy: str, figure: str) -> Callable[[argparse.Namespace], str]:
     def _command(args: argparse.Namespace) -> str:
+        from repro.experiments.reporting import format_task_distribution
+        from repro.runner.executor import run_scenarios
+        from repro.runner.grids import table2_grid
+
         specs = [s for s in table2_grid(_scale(args), args.seed) if s.policy == policy]
         (result,) = run_scenarios(specs).results
         return format_task_distribution(
@@ -186,12 +160,21 @@ def _distribution_command(policy: str, figure: str) -> Callable[[argparse.Namesp
 
 
 def _cmd_fig5(args: argparse.Namespace) -> str:
+    from repro.experiments.reporting import format_energy_per_cluster
+    from repro.runner.executor import run_scenarios
+    from repro.runner.grids import table2_grid
+
     results = run_scenarios(table2_grid(_scale(args), args.seed)).by_policy()
     return "Figure 5 — energy per cluster (J)\n" + format_energy_per_cluster(results)
 
 
 def _heterogeneity_command(kinds: int) -> Callable[[argparse.Namespace], str]:
     def _command(args: argparse.Namespace) -> str:
+        from repro.experiments.greenperf_eval import HeterogeneityResult
+        from repro.experiments.reporting import format_metric_points
+        from repro.runner.executor import run_scenarios
+        from repro.runner.grids import heterogeneity_grid
+
         seeds = tuple(args.seed + offset for offset in range(5))
         outcome = run_scenarios(heterogeneity_grid((kinds,), _scale(args), seeds))
         return format_metric_points(HeterogeneityResult.from_results(outcome.results, kinds))
@@ -200,11 +183,23 @@ def _heterogeneity_command(kinds: int) -> Callable[[argparse.Namespace], str]:
 
 
 def _cmd_fig9(args: argparse.Namespace) -> str:
+    from repro.experiments.reporting import format_adaptive_series
+    from repro.lab.compat import session_for_spec
+    from repro.runner.spec import ScenarioSpec
+
     spec = ScenarioSpec(experiment="adaptive", workload=_scale(args), policy="GREENPERF")
     return format_adaptive_series(session_for_spec(spec).run())
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
+    from repro.runner.executor import run_scenarios
+    from repro.runner.grids import cross_grid, grid, named_grids, timeline_grid, trace_grid
+    from repro.runner.reporting import (
+        SweepProgressPrinter,
+        format_sweep_profile,
+        format_sweep_summary,
+    )
+
     if args.list:
         lines = ["Available grids:"]
         for name in named_grids():
@@ -332,6 +327,9 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _cmd_lab_run(args: argparse.Namespace) -> str:
+    from repro.lab.compat import session_for_spec
+    from repro.runner.spec import ScenarioSpec
+
     policy = args.policy
     if policy is None:
         if args.family == "adaptive":
@@ -484,6 +482,8 @@ def _trace_format(path: str, explicit: str) -> str:
 
 
 def _trace_mapping(args: argparse.Namespace) -> SWFTraceMap:
+    from repro.workload.ingest.mapping import SWFTraceMap
+
     return SWFTraceMap(
         flops_per_core=args.flops_per_core,
         client_by=args.client_by,
@@ -493,6 +493,14 @@ def _trace_mapping(args: argparse.Namespace) -> SWFTraceMap:
 
 def _trace_transforms(args: argparse.Namespace) -> list:
     """The transform pipeline, in fixed window→sample→scale→truncate order."""
+    from repro.workload.ingest.transforms import (
+        SampleUsers,
+        ScaleArrivals,
+        ScaleLoad,
+        TimeWindow,
+        Truncate,
+    )
+
     transforms: list = []
     if args.window is not None:
         start, end = args.window
@@ -510,6 +518,9 @@ def _trace_transforms(args: argparse.Namespace) -> list:
 
 def _load_tasks(path: str, fmt: str, mapping: SWFTraceMap | None = None):
     """A trace file as a task tuple (plus skipped-job count for SWF)."""
+    from repro.workload.ingest.mapping import load_swf_trace
+    from repro.workload.traces import load_trace
+
     try:
         if fmt == "swf":
             skipped: list = []
@@ -521,6 +532,9 @@ def _load_tasks(path: str, fmt: str, mapping: SWFTraceMap | None = None):
 
 
 def _cmd_trace_convert(args: argparse.Namespace) -> str:
+    from repro.workload.ingest.mapping import load_swf_trace
+    from repro.workload.traces import save_trace
+
     skipped: list = []
     try:
         tasks = load_swf_trace(
@@ -579,6 +593,8 @@ def _cmd_trace_stats(args: argparse.Namespace) -> str:
 
 
 def _cmd_trace_inspect(args: argparse.Namespace) -> str:
+    from repro.workload.ingest.swf import SWF_FIELDS, parse_swf, read_swf_header
+
     if args.jobs < 0:
         raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
     fmt = _trace_format(args.file, args.format)
@@ -640,6 +656,8 @@ def _cmd_trace_inspect(args: argparse.Namespace) -> str:
 
 
 def _cmd_timeline_validate(args: argparse.Namespace) -> str:
+    from repro.scenario.io import load_timeline
+
     timeline = load_timeline(args.file)
     kinds: dict[str, int] = {}
     for event in timeline:
@@ -655,6 +673,8 @@ def _cmd_timeline_validate(args: argparse.Namespace) -> str:
 
 
 def _cmd_timeline_inspect(args: argparse.Namespace) -> str:
+    from repro.scenario.io import load_timeline
+
     timeline = load_timeline(args.file)
     rows = [
         (
@@ -670,6 +690,25 @@ def _cmd_timeline_inspect(args: argparse.Namespace) -> str:
         f"hash {timeline.content_hash()[:16]})\n"
         + render_table(("time", "kind", "visibility", "description"), rows)
     )
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: reads the installed version only when the flag is given."""
+
+    def __init__(self, option_strings: Sequence[str], dest: str) -> None:
+        super().__init__(
+            option_strings,
+            dest,
+            nargs=0,
+            default=argparse.SUPPRESS,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        from repro._version import __version__
+
+        print(f"repro {__version__}")
+        parser.exit()
 
 
 _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
@@ -688,13 +727,13 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
+    from repro.runner.grids import named_grids
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the tables and figures of the green-scheduling paper.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"repro {__version__}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)

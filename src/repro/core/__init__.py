@@ -21,46 +21,29 @@ The energy events the planner reacts to (tariff changes, heat peaks) are
 timeline events of :mod:`repro.scenario.events`.
 """
 
-from repro.core.candidate_selection import select_candidate_servers
-from repro.core.greenperf import (
-    GreenPerfRanking,
-    PowerEstimationMode,
-    greenperf_of_node,
-    greenperf_of_vector,
-)
-from repro.core.policies import (
-    GreenPerfPolicy,
-    GreenSchedulerPolicy,
-    PerformancePolicy,
-    PowerPolicy,
-    RandomPolicy,
-    policy_by_name,
-)
-from repro.core.preferences import (
-    ProviderPreference,
-    UserPreference,
-    combine_preferences,
-)
-from repro.core.provisioning import ProvisioningPlanner, ProvisioningConfig
-from repro.core.rules import AdministratorRules, ThresholdRule
+from repro import lazy_exports
 
-__all__ = [
-    "select_candidate_servers",
-    "GreenPerfRanking",
-    "PowerEstimationMode",
-    "greenperf_of_node",
-    "greenperf_of_vector",
-    "GreenPerfPolicy",
-    "GreenSchedulerPolicy",
-    "PerformancePolicy",
-    "PowerPolicy",
-    "RandomPolicy",
-    "policy_by_name",
-    "ProviderPreference",
-    "UserPreference",
-    "combine_preferences",
-    "ProvisioningPlanner",
-    "ProvisioningConfig",
-    "AdministratorRules",
-    "ThresholdRule",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "select_candidate_servers": "repro.core.candidate_selection",
+    "GreenPerfRanking": "repro.core.greenperf",
+    "PowerEstimationMode": "repro.core.greenperf",
+    "greenperf_of_node": "repro.core.greenperf",
+    "greenperf_of_vector": "repro.core.greenperf",
+    "GreenPerfPolicy": "repro.core.policies",
+    "GreenSchedulerPolicy": "repro.core.policies",
+    "PerformancePolicy": "repro.core.policies",
+    "PowerPolicy": "repro.core.policies",
+    "RandomPolicy": "repro.core.policies",
+    "policy_by_name": "repro.core.policies",
+    "ProviderPreference": "repro.core.preferences",
+    "UserPreference": "repro.core.preferences",
+    "combine_preferences": "repro.core.preferences",
+    "ProvisioningPlanner": "repro.core.provisioning",
+    "ProvisioningConfig": "repro.core.provisioning",
+    "AdministratorRules": "repro.core.rules",
+    "ThresholdRule": "repro.core.rules",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

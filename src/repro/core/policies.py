@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.greenperf import PowerEstimationMode, greenperf_of_vector
 from repro.core.scoring import ScoreKernel, server_inputs
 from repro.middleware.estimation import EstimationTags
@@ -129,6 +127,8 @@ class RandomPolicy(PluginScheduler):
     name = "RANDOM"
 
     def __init__(self, *, seed: int = 0) -> None:
+        import numpy as np
+
         self._rng = np.random.default_rng(seed)
 
     def sort(

@@ -21,40 +21,27 @@ named grid of specs (:mod:`repro.runner.grids`) plus a renderer:
   the results the way the paper reports them.
 """
 
-from repro.experiments.adaptive import adaptive_config_for, adaptive_session
-from repro.experiments.greenperf_eval import HeterogeneityResult, heterogeneity_session
-from repro.experiments.placement import placement_session
-from repro.experiments.presets import (
-    PlacementExperimentConfig,
-    paper_infrastructure_table,
-    placement_config_for,
-    simulated_clusters_table,
-)
-from repro.experiments.queue_family import queue_session
-from repro.experiments.reporting import (
-    energy_saving,
-    format_adaptive_series,
-    format_energy_per_cluster,
-    format_metric_points,
-    format_table2,
-    format_task_distribution,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "adaptive_config_for",
-    "adaptive_session",
-    "HeterogeneityResult",
-    "heterogeneity_session",
-    "placement_session",
-    "queue_session",
-    "placement_config_for",
-    "PlacementExperimentConfig",
-    "paper_infrastructure_table",
-    "simulated_clusters_table",
-    "energy_saving",
-    "format_adaptive_series",
-    "format_energy_per_cluster",
-    "format_metric_points",
-    "format_table2",
-    "format_task_distribution",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "adaptive_config_for": "repro.experiments.adaptive",
+    "adaptive_session": "repro.experiments.adaptive",
+    "HeterogeneityResult": "repro.experiments.greenperf_eval",
+    "heterogeneity_session": "repro.experiments.greenperf_eval",
+    "placement_session": "repro.experiments.placement",
+    "queue_session": "repro.experiments.queue_family",
+    "placement_config_for": "repro.experiments.presets",
+    "PlacementExperimentConfig": "repro.experiments.presets",
+    "paper_infrastructure_table": "repro.experiments.presets",
+    "simulated_clusters_table": "repro.experiments.presets",
+    "energy_saving": "repro.experiments.reporting",
+    "format_adaptive_series": "repro.experiments.reporting",
+    "format_energy_per_cluster": "repro.experiments.reporting",
+    "format_metric_points": "repro.experiments.reporting",
+    "format_table2": "repro.experiments.reporting",
+    "format_task_distribution": "repro.experiments.reporting",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -8,47 +8,30 @@ event-driven energy accounting, a thermal environment and an electricity
 tariff schedule.
 """
 
-from repro.infrastructure.cluster import Cluster
-from repro.infrastructure.electricity import (
-    ElectricityCostSchedule,
-    TariffPeriod,
-    OFF_PEAK_1_COST,
-    OFF_PEAK_2_COST,
-    REGULAR_COST,
-)
-from repro.infrastructure.energy import (
-    EnergyAccountant,
-    EnergyReadout,
-    PowerSegment,
-    SegmentEnergyLog,
-)
-from repro.infrastructure.node import Node, NodeSpec, NodeState
-from repro.infrastructure.platform import (
-    Platform,
-    grid5000_placement_platform,
-    simulated_cluster_specs,
-)
-from repro.infrastructure.power_model import LinearPowerModel
-from repro.infrastructure.thermal import ThermalEnvironment, ThermalEvent
+from repro import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "ElectricityCostSchedule",
-    "TariffPeriod",
-    "REGULAR_COST",
-    "OFF_PEAK_1_COST",
-    "OFF_PEAK_2_COST",
-    "Node",
-    "NodeSpec",
-    "NodeState",
-    "Platform",
-    "grid5000_placement_platform",
-    "simulated_cluster_specs",
-    "LinearPowerModel",
-    "ThermalEnvironment",
-    "ThermalEvent",
-    "EnergyAccountant",
-    "EnergyReadout",
-    "PowerSegment",
-    "SegmentEnergyLog",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "Cluster": "repro.infrastructure.cluster",
+    "ElectricityCostSchedule": "repro.infrastructure.electricity",
+    "TariffPeriod": "repro.infrastructure.electricity",
+    "REGULAR_COST": "repro.infrastructure.electricity",
+    "OFF_PEAK_1_COST": "repro.infrastructure.electricity",
+    "OFF_PEAK_2_COST": "repro.infrastructure.electricity",
+    "Node": "repro.infrastructure.node",
+    "NodeSpec": "repro.infrastructure.node",
+    "NodeState": "repro.infrastructure.node",
+    "Platform": "repro.infrastructure.platform",
+    "grid5000_placement_platform": "repro.infrastructure.platform",
+    "simulated_cluster_specs": "repro.infrastructure.platform",
+    "LinearPowerModel": "repro.infrastructure.power_model",
+    "ThermalEnvironment": "repro.infrastructure.thermal",
+    "ThermalEvent": "repro.infrastructure.thermal",
+    "EnergyAccountant": "repro.infrastructure.energy",
+    "EnergyReadout": "repro.infrastructure.energy",
+    "PowerSegment": "repro.infrastructure.energy",
+    "SegmentEnergyLog": "repro.infrastructure.energy",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.util.validation import ensure_in_range, ensure_non_negative
 
@@ -27,7 +26,7 @@ OFF_PEAK_1_COST = 0.8
 OFF_PEAK_2_COST = 0.5
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TariffPeriod:
     """The electricity cost becomes ``cost`` at simulated time ``start`` (s)."""
 
@@ -42,15 +41,23 @@ class TariffPeriod:
 class ElectricityCostSchedule:
     """Piecewise-constant electricity cost over simulated time.
 
-    Before the first period the cost is :data:`REGULAR_COST`.
+    Before the first period the cost is :data:`REGULAR_COST`.  Periods
+    are added one at a time; of two that start at the same time, the one
+    added last is in effect.
+
+    >>> schedule = ElectricityCostSchedule()
+    >>> schedule.add_period(TariffPeriod(start=600.0, cost=0.8))
+    >>> schedule.add_period(TariffPeriod(start=600.0, cost=0.5))
+    >>> schedule.cost_at(0.0), schedule.cost_at(600.0)
+    (1.0, 0.5)
     """
 
-    def __init__(self, periods: Iterable[TariffPeriod] = ()) -> None:
-        self._periods: list[TariffPeriod] = sorted(periods)
-        self._starts: list[float] = [p.start for p in self._periods]
+    def __init__(self) -> None:
+        self._periods: list[TariffPeriod] = []
+        self._starts: list[float] = []
 
     def add_period(self, period: TariffPeriod) -> None:
-        """Insert a tariff change, keeping the schedule sorted."""
+        """Insert a tariff change after every period starting no later."""
         index = bisect.bisect(self._starts, period.start)
         self._starts.insert(index, period.start)
         self._periods.insert(index, period)

@@ -28,27 +28,21 @@ Modules
     spec to its experiment family's one resolver.
 """
 
-from repro.lab.components import (
-    LabError,
-    PlatformSource,
-    PolicySource,
-    ProvisioningSource,
-    ServeSource,
-    WorkloadSource,
-    resolve_timeline,
-)
-from repro.lab.observe import LabResult, PointSummary
-from repro.lab.session import LabSession
+from repro import lazy_exports
 
-__all__ = [
-    "LabError",
-    "LabResult",
-    "LabSession",
-    "PlatformSource",
-    "PointSummary",
-    "PolicySource",
-    "ProvisioningSource",
-    "ServeSource",
-    "WorkloadSource",
-    "resolve_timeline",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "LabError": "repro.lab.components",
+    "LabResult": "repro.lab.observe",
+    "LabSession": "repro.lab.session",
+    "PlatformSource": "repro.lab.components",
+    "PointSummary": "repro.lab.observe",
+    "PolicySource": "repro.lab.components",
+    "ProvisioningSource": "repro.lab.components",
+    "ServeSource": "repro.lab.components",
+    "WorkloadSource": "repro.lab.components",
+    "resolve_timeline": "repro.lab.components",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -20,11 +20,13 @@ deterministic policy, a preference outside GREEN_SCORE
 participates in the content hash, and a swept-but-ignored field would
 cache identical simulations under distinct labels.
 
-Experiment modules are imported lazily inside :func:`session_for_spec`
+Experiment modules are imported lazily inside :func:`family_resolvers`
 so the lab package stays import-light and cycle-free.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec
@@ -47,6 +49,21 @@ def reject_unused(spec: ScenarioSpec, **unused: object) -> None:
             )
 
 
+def family_resolvers() -> dict[str, Callable[[ScenarioSpec], LabSession]]:
+    """Each experiment family's resolver, by family name (imports every family)."""
+    from repro.experiments.adaptive import adaptive_session
+    from repro.experiments.greenperf_eval import heterogeneity_session
+    from repro.experiments.placement import placement_session
+    from repro.experiments.queue_family import queue_session
+
+    return {
+        "placement": placement_session,
+        "heterogeneity": heterogeneity_session,
+        "adaptive": adaptive_session,
+        "queue": queue_session,
+    }
+
+
 def session_for_spec(spec: ScenarioSpec) -> LabSession:
     """Resolve a declarative scenario spec into a runnable lab session.
 
@@ -54,19 +71,8 @@ def session_for_spec(spec: ScenarioSpec) -> LabSession:
     it is returned, so callers can rely on :class:`ValueError` surfacing
     here rather than mid-run.
     """
-    from repro.experiments.adaptive import adaptive_session
-    from repro.experiments.greenperf_eval import heterogeneity_session
-    from repro.experiments.placement import placement_session
-    from repro.experiments.queue_family import queue_session
-
-    resolvers = {
-        "placement": placement_session,
-        "heterogeneity": heterogeneity_session,
-        "adaptive": adaptive_session,
-        "queue": queue_session,
-    }
     try:
-        resolver = resolvers[spec.experiment]
+        resolver = family_resolvers()[spec.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment family {spec.experiment!r}") from None
     return resolver(spec).validate()

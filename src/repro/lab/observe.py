@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.infrastructure.energy import SegmentEnergyLog
 from repro.middleware.driver import SimulationResult
-from repro.policy.queue.simulator import QueueSchedule
 from repro.scenario.events import EventTimeline
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.policy.queue.simulator import QueueSchedule
 
 
 def greenperf_metric(total_energy: float, task_count: float) -> float:
@@ -65,6 +67,8 @@ def windowed_power(
         raise ValueError(f"window must be positive and finite, got {window!r}")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration!r}")
+    import numpy as np
+
     watts = _platform_watts(energy_log)
     if watts.size == 0:
         return ()
@@ -101,6 +105,8 @@ def _platform_watts(energy_log: SegmentEnergyLog) -> np.ndarray:
     accumulation walks the nodes, in registration order, so each
     interval's total is summed exactly as a per-instant sum would.
     """
+    import numpy as np
+
     segments = energy_log.segments()
     if not segments:
         return np.empty(0, dtype=float)
@@ -167,6 +173,8 @@ class PointSummary:
         makespan: float,
     ) -> "PointSummary":
         """Aggregate per-task energies/durations into the figure coordinates."""
+        import numpy as np
+
         return cls(
             policy=policy,
             mean_energy_per_task=float(np.mean(energies)) if energies else 0.0,
@@ -220,6 +228,8 @@ class LabResult:
         >>> result.mean_power_between(0.0, 1200.0)
         20.0
         """
+        import numpy as np
+
         values = [power for time, power in self.power_series if start <= time <= end]
         return float(np.mean(values)) if values else 0.0
 
@@ -304,6 +314,7 @@ def queue_energy(
     compares *ordering and packing* decisions on one aggregated
     capacity, so per-node power attribution does not exist.
 
+    >>> from repro.policy.queue.simulator import QueueSchedule
     >>> schedule = QueueSchedule(
     ...     policy_name="FCFS", capacity=4, records=(), slices=(),
     ...     capacity_steps=((0.0, 4),), busy_core_seconds=10.0,

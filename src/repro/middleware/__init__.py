@@ -15,41 +15,32 @@ paper's green plug-in scheduler can be dropped in unchanged:
   interface.
 * :mod:`repro.middleware.agents` — Local and Master agents, hierarchical
   candidate collection and election.
-* :mod:`repro.middleware.client` — the client-side request API.
 * :mod:`repro.middleware.hierarchy` — helpers building an agent hierarchy
   from a platform description.
 * :mod:`repro.middleware.driver` — the simulation driver that executes
   elected requests on the platform and accounts time and energy.
 """
 
-from repro.middleware.agents import Agent, HierarchyError, LocalAgent, MasterAgent
-from repro.middleware.client import Client
-from repro.middleware.driver import MiddlewareSimulation, SimulationResult
-from repro.middleware.estimation import EstimationTags, EstimationVector
-from repro.middleware.hierarchy import build_hierarchy
-from repro.middleware.plugin_scheduler import (
-    CandidateEntry,
-    FirstComeFirstServedScheduler,
-    PluginScheduler,
-)
-from repro.middleware.requests import ServiceRequest, SchedulingOutcome
-from repro.middleware.sed import ServerDaemon
+from repro import lazy_exports
 
-__all__ = [
-    "Agent",
-    "HierarchyError",
-    "LocalAgent",
-    "MasterAgent",
-    "Client",
-    "MiddlewareSimulation",
-    "SimulationResult",
-    "EstimationTags",
-    "EstimationVector",
-    "build_hierarchy",
-    "CandidateEntry",
-    "FirstComeFirstServedScheduler",
-    "PluginScheduler",
-    "ServiceRequest",
-    "SchedulingOutcome",
-    "ServerDaemon",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "Agent": "repro.middleware.agents",
+    "HierarchyError": "repro.middleware.agents",
+    "LocalAgent": "repro.middleware.agents",
+    "MasterAgent": "repro.middleware.agents",
+    "MiddlewareSimulation": "repro.middleware.driver",
+    "SimulationResult": "repro.middleware.driver",
+    "EstimationTags": "repro.middleware.estimation",
+    "EstimationVector": "repro.middleware.estimation",
+    "build_hierarchy": "repro.middleware.hierarchy",
+    "CandidateEntry": "repro.middleware.plugin_scheduler",
+    "FirstComeFirstServedScheduler": "repro.middleware.plugin_scheduler",
+    "PluginScheduler": "repro.middleware.plugin_scheduler",
+    "ServiceRequest": "repro.middleware.requests",
+    "SchedulingOutcome": "repro.middleware.requests",
+    "ServerDaemon": "repro.middleware.sed",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -55,8 +55,7 @@ from repro.infrastructure.energy import EnergyAccountant, SegmentEnergyLog
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import Platform
 from repro.middleware.agents import MasterAgent
-from repro.middleware.client import Client
-from repro.middleware.requests import SchedulingOutcome
+from repro.middleware.requests import SchedulingOutcome, ServiceRequest
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.engine import ScheduledEvent, SimulationEngine
 from repro.simulation.metrics import ExperimentMetrics, MetricsCollector
@@ -121,7 +120,6 @@ class MiddlewareSimulation:
         self.metrics = MetricsCollector(
             policy=policy_name or master.scheduler.name
         )
-        self.client = Client(master)
         self.accountant = EnergyAccountant(
             platform.nodes,
             # ``engine.now`` without a lambda frame per transition.
@@ -143,6 +141,11 @@ class MiddlewareSimulation:
     def energy_log(self) -> SegmentEnergyLog:
         """The accountant's segment log."""
         return self.accountant.log
+
+    @property
+    def trace_on(self) -> bool:
+        """Whether this run traces (``trace_level="full"``): lifecycle records and event labels."""
+        return self._trace_on
 
     # -- workload submission -------------------------------------------------------
     def submit_workload(self, tasks: Sequence[Task]) -> None:
@@ -207,7 +210,7 @@ class MiddlewareSimulation:
                 task_id=task.task_id,
                 client=task.client,
             )
-        outcome = self.client.submit(task, submitted_at=now)
+        outcome = self.master.submit(ServiceRequest.from_task(task, submitted_at=now))
         self._handle_outcome(task, outcome, now)
         return outcome
 
@@ -401,7 +404,7 @@ class MiddlewareSimulation:
                 task_id=task.task_id,
                 failed_node=failed_node,
             )
-        outcome = self.client.submit(task, submitted_at=now)
+        outcome = self.master.submit(ServiceRequest.from_task(task, submitted_at=now))
         self._handle_outcome(task, outcome, now)
 
     def close(self) -> None:

@@ -17,37 +17,25 @@ The building blocks:
 ('CONSERVATIVE', 'DRF', 'EASY', 'FCFS')
 """
 
-from repro.policy.queue.jobs import QueueJob, jobs_from_tasks
-from repro.policy.queue.policies import (
-    QUEUE_POLICY_NAMES,
-    PlanDecision,
-    QueuePolicy,
-    Reservation,
-    RunningJob,
-    SchedulerView,
-    queue_policy_by_name,
-)
-from repro.policy.queue.profile import CoreProfile
-from repro.policy.queue.simulator import (
-    QueueSchedule,
-    SimulationError,
-    check_schedule,
-    run_queue_simulation,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "QUEUE_POLICY_NAMES",
-    "CoreProfile",
-    "PlanDecision",
-    "QueueJob",
-    "QueuePolicy",
-    "QueueSchedule",
-    "Reservation",
-    "RunningJob",
-    "SchedulerView",
-    "SimulationError",
-    "check_schedule",
-    "jobs_from_tasks",
-    "queue_policy_by_name",
-    "run_queue_simulation",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "QUEUE_POLICY_NAMES": "repro.policy.queue.policies",
+    "CoreProfile": "repro.policy.queue.profile",
+    "PlanDecision": "repro.policy.queue.policies",
+    "QueueJob": "repro.policy.queue.jobs",
+    "QueuePolicy": "repro.policy.queue.policies",
+    "QueueSchedule": "repro.policy.queue.simulator",
+    "Reservation": "repro.policy.queue.policies",
+    "RunningJob": "repro.policy.queue.policies",
+    "SchedulerView": "repro.policy.queue.policies",
+    "SimulationError": "repro.policy.queue.simulator",
+    "check_schedule": "repro.policy.queue.simulator",
+    "jobs_from_tasks": "repro.policy.queue.jobs",
+    "queue_policy_by_name": "repro.policy.queue.policies",
+    "run_queue_simulation": "repro.policy.queue.simulator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

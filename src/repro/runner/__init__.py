@@ -20,44 +20,29 @@ sweeps:
 * :mod:`repro.runner.grids` — the named grids behind ``repro sweep``.
 """
 
-from repro.runner.executor import (
-    SweepOutcome,
-    execute_scenario,
-    run_scenarios,
-)
-from repro.runner.grids import grid, named_grids, trace_grid
-from repro.runner.reporting import SweepProgressPrinter, format_sweep_summary
-from repro.runner.spec import (
-    ScenarioSpec,
-    SweepSpec,
-    iter_grid,
-    trace_file_hash,
-)
-from repro.runner.store import (
-    ScenarioResult,
-    ShardedResultStore,
-    open_store,
-    summarize,
-)
-from repro.runner.workers import WorkerReport, run_worker
+from repro import lazy_exports
 
-__all__ = [
-    "ScenarioSpec",
-    "SweepSpec",
-    "iter_grid",
-    "ScenarioResult",
-    "ShardedResultStore",
-    "open_store",
-    "summarize",
-    "SweepOutcome",
-    "execute_scenario",
-    "run_scenarios",
-    "WorkerReport",
-    "run_worker",
-    "SweepProgressPrinter",
-    "format_sweep_summary",
-    "grid",
-    "named_grids",
-    "trace_grid",
-    "trace_file_hash",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "ScenarioSpec": "repro.runner.spec",
+    "SweepSpec": "repro.runner.spec",
+    "iter_grid": "repro.runner.spec",
+    "ScenarioResult": "repro.runner.store",
+    "ShardedResultStore": "repro.runner.store",
+    "open_store": "repro.runner.store",
+    "summarize": "repro.runner.store",
+    "SweepOutcome": "repro.runner.executor",
+    "execute_scenario": "repro.runner.executor",
+    "run_scenarios": "repro.runner.executor",
+    "WorkerReport": "repro.runner.workers",
+    "run_worker": "repro.runner.workers",
+    "SweepProgressPrinter": "repro.runner.reporting",
+    "format_sweep_summary": "repro.runner.reporting",
+    "grid": "repro.runner.grids",
+    "named_grids": "repro.runner.grids",
+    "trace_grid": "repro.runner.grids",
+    "trace_file_hash": "repro.runner.spec",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

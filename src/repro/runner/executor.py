@@ -27,7 +27,9 @@ value).
 The lab (and, through it, the experiment modules) is imported lazily
 inside ``execute_scenario``: the runner package stays import-light and
 free of circular dependencies (each experiment family's resolver itself
-takes a :class:`~repro.runner.spec.ScenarioSpec`).
+takes a :class:`~repro.runner.spec.ScenarioSpec`).  A parallel sweep
+imports them in the parent right before it opens its process pool, so
+the forked workers inherit them instead of each importing them again.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ def execute_scenario_timed(
     finally:
         phases.deactivate()
     return result, time.perf_counter() - started, timer.totals()
+
+
+def _import_worker_modules() -> None:
+    """Import what every scenario runs, before the pool forks its workers.
+
+    A forked worker inherits the parent's modules; whatever the parent
+    has not imported, every worker of every pool imports again on its
+    first scenario.
+    """
+    import numpy  # noqa: F401  (the lab's metric reductions)
+
+    from repro.lab.compat import family_resolvers
+
+    family_resolvers()
 
 
 @dataclass(frozen=True)
@@ -204,6 +220,7 @@ def run_scenarios(
                     _complete(index, worker(scenario))
             else:
                 if pool is None:
+                    _import_worker_modules()
                     pool = ProcessPoolExecutor(max_workers=jobs)
                 while len(in_flight) >= window:
                     _drain()

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.runner.spec import ScenarioSpec
 
 try:  # advisory locking is POSIX-only; stores degrade gracefully without it
@@ -502,6 +500,8 @@ def summarize(
     the execution order of its scenarios.  An unknown group-by name
     raises ``ValueError`` listing the valid spec fields.
     """
+    import numpy as np
+
     group_by = tuple(group_by)
     grouped: dict[tuple, list[ScenarioResult]] = {}
     for result in results:

@@ -24,35 +24,24 @@ a workload trace: the hash keys the result store, and two processes
 hashing the same timeline always agree.
 """
 
-from repro.scenario.events import (
-    EventTimeline,
-    NodeFailure,
-    NodeRecovery,
-    TariffChange,
-    ThermalExcursion,
-    TimelineError,
-    WorkloadBurst,
-)
-from repro.scenario.generators import exponential_failures, periodic_tariffs
-from repro.scenario.io import (
-    bundled_timeline,
-    bundled_timeline_path,
-    load_timeline,
-    timeline_file_hash,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EventTimeline",
-    "NodeFailure",
-    "NodeRecovery",
-    "TariffChange",
-    "ThermalExcursion",
-    "TimelineError",
-    "WorkloadBurst",
-    "bundled_timeline",
-    "bundled_timeline_path",
-    "exponential_failures",
-    "load_timeline",
-    "periodic_tariffs",
-    "timeline_file_hash",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "EventTimeline": "repro.scenario.events",
+    "NodeFailure": "repro.scenario.events",
+    "NodeRecovery": "repro.scenario.events",
+    "TariffChange": "repro.scenario.events",
+    "ThermalExcursion": "repro.scenario.events",
+    "TimelineError": "repro.scenario.events",
+    "WorkloadBurst": "repro.scenario.events",
+    "bundled_timeline": "repro.scenario.io",
+    "bundled_timeline_path": "repro.scenario.io",
+    "exponential_failures": "repro.scenario.generators",
+    "load_timeline": "repro.scenario.io",
+    "periodic_tariffs": "repro.scenario.generators",
+    "timeline_file_hash": "repro.scenario.io",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

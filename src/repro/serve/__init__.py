@@ -8,34 +8,27 @@ micro-batched scoring, and :func:`replay_trace` fires recorded traces at
 it in real or accelerated time.  See ``docs/SERVING.md``.
 """
 
-from repro.serve.admission import (
-    ADMITTED,
-    REJECTED,
-    SHED,
-    AdmissionController,
-    AdmissionDecision,
-    TokenBucket,
-)
-from repro.serve.protocol import ProtocolError, SubmitRequest, SubmitResponse
-from repro.serve.replay import ReplayReport, load_trace_tasks, replay_tasks, replay_trace
-from repro.serve.service import PlacementService
-from repro.serve.state import PlacementDecision, ServeState
+from repro import lazy_exports
 
-__all__ = [
-    "ADMITTED",
-    "REJECTED",
-    "SHED",
-    "AdmissionController",
-    "AdmissionDecision",
-    "TokenBucket",
-    "ProtocolError",
-    "SubmitRequest",
-    "SubmitResponse",
-    "ReplayReport",
-    "load_trace_tasks",
-    "replay_tasks",
-    "replay_trace",
-    "PlacementService",
-    "PlacementDecision",
-    "ServeState",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "ADMITTED": "repro.serve.admission",
+    "REJECTED": "repro.serve.admission",
+    "SHED": "repro.serve.admission",
+    "AdmissionController": "repro.serve.admission",
+    "AdmissionDecision": "repro.serve.admission",
+    "TokenBucket": "repro.serve.admission",
+    "ProtocolError": "repro.serve.protocol",
+    "SubmitRequest": "repro.serve.protocol",
+    "SubmitResponse": "repro.serve.protocol",
+    "ReplayReport": "repro.serve.replay",
+    "load_trace_tasks": "repro.serve.replay",
+    "replay_tasks": "repro.serve.replay",
+    "replay_trace": "repro.serve.replay",
+    "PlacementService": "repro.serve.service",
+    "PlacementDecision": "repro.serve.state",
+    "ServeState": "repro.serve.state",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -106,6 +106,8 @@ class ServeState:
         engine = self._simulation.engine
         decisions: list[PlacementDecision | None] = [None] * len(tasks)
         at = engine.now
+        # Only an event's repr reads its label: label arrivals only when tracing.
+        labelled = self._simulation.trace_on
         for index, task in enumerate(tasks):
             at = max(at, task.arrival_time)
             engine.schedule(
@@ -113,7 +115,7 @@ class ServeState:
                 self._arrive,
                 args=(task, decisions, index),
                 priority=ARRIVAL_PRIORITY,
-                label=f"serve-arrival-{task.task_id}",
+                label=f"serve-arrival-{task.task_id}" if labelled else "",
             )
         engine.run(until=at)
         return decisions  # type: ignore[return-value]  # every slot was filled

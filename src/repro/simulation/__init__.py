@@ -7,21 +7,21 @@ an event-driven clock, task and queue models, execution tracing and metric
 collection (makespan, energy, per-node task counts).
 """
 
-from repro.simulation.engine import ScheduledEvent, SimulationEngine
-from repro.simulation.metrics import ExperimentMetrics, MetricsCollector
-from repro.simulation.queueing import NodeQueue
-from repro.simulation.task import Task, TaskExecution, TaskState
-from repro.simulation.trace import ExecutionTrace, TraceEvent
+from repro import lazy_exports
 
-__all__ = [
-    "ScheduledEvent",
-    "SimulationEngine",
-    "ExperimentMetrics",
-    "MetricsCollector",
-    "NodeQueue",
-    "Task",
-    "TaskExecution",
-    "TaskState",
-    "ExecutionTrace",
-    "TraceEvent",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "ScheduledEvent": "repro.simulation.engine",
+    "SimulationEngine": "repro.simulation.engine",
+    "ExperimentMetrics": "repro.simulation.metrics",
+    "MetricsCollector": "repro.simulation.metrics",
+    "NodeQueue": "repro.simulation.queueing",
+    "Task": "repro.simulation.task",
+    "TaskExecution": "repro.simulation.task",
+    "TaskState": "repro.simulation.task",
+    "ExecutionTrace": "repro.simulation.trace",
+    "TraceEvent": "repro.simulation.trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

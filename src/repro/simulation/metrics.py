@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from repro.infrastructure.energy import EnergyReadout
 from repro.simulation.task import TaskExecution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,14 @@ class MetricsCollector:
 
     def response_times(self) -> np.ndarray:
         """Array of submission-to-completion latencies (s)."""
+        import numpy as np
+
         return np.array([e.response_time for e in self._executions], dtype=float)
 
     def queue_delays(self) -> np.ndarray:
         """Array of pre-execution waiting times (s)."""
+        import numpy as np
+
         return np.array([e.queue_delay for e in self._executions], dtype=float)
 
     # -- summary ----------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Shared utilities: phase timing, statistics, tables, validation."""
 
-from repro.util.stats import RunningStats
-from repro.util.validation import (
-    ensure_in_range,
-    ensure_non_negative,
-    ensure_positive,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "RunningStats",
-    "ensure_in_range",
-    "ensure_non_negative",
-    "ensure_positive",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "RunningStats": "repro.util.stats",
+    "ensure_in_range": "repro.util.validation",
+    "ensure_non_negative": "repro.util.validation",
+    "ensure_positive": "repro.util.validation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

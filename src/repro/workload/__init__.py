@@ -12,32 +12,23 @@ converts real HPC logs in the Standard Workload Format (Parallel
 Workloads Archive) into those streams — see ``docs/TRACE_FORMAT.md``.
 """
 
-from repro.workload.generator import (
-    BurstThenContinuousWorkload,
-    PoissonWorkload,
-    WorkloadGenerator,
-)
-from repro.workload.ingest import (
-    SWFJob,
-    SWFParseError,
-    SWFTraceMap,
-    load_swf_trace,
-    parse_swf,
-    read_swf_header,
-)
-from repro.workload.traces import TraceWorkload, load_trace, save_trace
+from repro import lazy_exports
 
-__all__ = [
-    "BurstThenContinuousWorkload",
-    "PoissonWorkload",
-    "WorkloadGenerator",
-    "TraceWorkload",
-    "load_trace",
-    "save_trace",
-    "SWFJob",
-    "SWFParseError",
-    "SWFTraceMap",
-    "load_swf_trace",
-    "parse_swf",
-    "read_swf_header",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "BurstThenContinuousWorkload": "repro.workload.generator",
+    "PoissonWorkload": "repro.workload.generator",
+    "WorkloadGenerator": "repro.workload.generator",
+    "TraceWorkload": "repro.workload.traces",
+    "load_trace": "repro.workload.traces",
+    "save_trace": "repro.workload.traces",
+    "SWFJob": "repro.workload.ingest.swf",
+    "SWFParseError": "repro.workload.ingest.swf",
+    "SWFTraceMap": "repro.workload.ingest.mapping",
+    "load_swf_trace": "repro.workload.ingest.mapping",
+    "parse_swf": "repro.workload.ingest.swf",
+    "read_swf_header": "repro.workload.ingest.swf",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -22,8 +22,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.simulation.task import DEFAULT_TASK_FLOP, Task
 from repro.util.validation import ensure_positive
 
@@ -128,6 +126,8 @@ class PoissonWorkload(WorkloadGenerator):
         ensure_positive(self.flop_per_task, "flop_per_task")
 
     def generate(self) -> Sequence[Task]:
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         gaps = rng.exponential(scale=1.0 / self.rate, size=self.total_tasks)
         tasks = [

@@ -19,44 +19,27 @@ The ``repro trace`` CLI drives this pipeline end-to-end; the format and
 mapping are specified in ``docs/TRACE_FORMAT.md``.
 """
 
-from repro.workload.ingest.mapping import (
-    DEFAULT_FLOPS_PER_CORE,
-    SWFTraceMap,
-    load_swf_trace,
-    tasks_from_swf,
-)
-from repro.workload.ingest.swf import (
-    SWF_FIELDS,
-    SWFJob,
-    SWFParseError,
-    parse_swf,
-    read_swf_header,
-)
-from repro.workload.ingest.transforms import (
-    SampleUsers,
-    ScaleArrivals,
-    ScaleLoad,
-    TimeWindow,
-    TraceTransform,
-    Truncate,
-    apply_transforms,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "SWF_FIELDS",
-    "SWFJob",
-    "SWFParseError",
-    "parse_swf",
-    "read_swf_header",
-    "DEFAULT_FLOPS_PER_CORE",
-    "SWFTraceMap",
-    "tasks_from_swf",
-    "load_swf_trace",
-    "TraceTransform",
-    "TimeWindow",
-    "ScaleArrivals",
-    "ScaleLoad",
-    "SampleUsers",
-    "Truncate",
-    "apply_transforms",
-]
+#: Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "SWF_FIELDS": "repro.workload.ingest.swf",
+    "SWFJob": "repro.workload.ingest.swf",
+    "SWFParseError": "repro.workload.ingest.swf",
+    "parse_swf": "repro.workload.ingest.swf",
+    "read_swf_header": "repro.workload.ingest.swf",
+    "DEFAULT_FLOPS_PER_CORE": "repro.workload.ingest.mapping",
+    "SWFTraceMap": "repro.workload.ingest.mapping",
+    "tasks_from_swf": "repro.workload.ingest.mapping",
+    "load_swf_trace": "repro.workload.ingest.mapping",
+    "TraceTransform": "repro.workload.ingest.transforms",
+    "TimeWindow": "repro.workload.ingest.transforms",
+    "ScaleArrivals": "repro.workload.ingest.transforms",
+    "ScaleLoad": "repro.workload.ingest.transforms",
+    "SampleUsers": "repro.workload.ingest.transforms",
+    "Truncate": "repro.workload.ingest.transforms",
+    "apply_transforms": "repro.workload.ingest.transforms",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -120,6 +120,19 @@ def force_tree_walk(master):
     return master
 
 
+def recorded_requests(monkeypatch, master) -> list:
+    """Every request ``master`` is sent from now on; it still elects as before."""
+    requests = []
+    submit = master.submit
+
+    def record(request):
+        requests.append(request)
+        return submit(request)
+
+    monkeypatch.setattr(master, "submit", record)
+    return requests
+
+
 def flat_hierarchy(seds, *, scheduler=None) -> MasterAgent:
     """Every SeD directly under one Master Agent (the simplest topology)."""
     master = MasterAgent(scheduler=scheduler)

@@ -40,9 +40,9 @@ def make_planner(
 ):
     platform = grid5000_placement_platform(nodes_per_cluster=nodes_per_cluster)
     master, seds = build_hierarchy(platform, scheduler=GreenPerfPolicy())
-    electricity = ElectricityCostSchedule(
-        [TariffPeriod(start=0.0, cost=initial_cost), *cost_periods]
-    )
+    electricity = ElectricityCostSchedule()
+    for period in (TariffPeriod(start=0.0, cost=initial_cost), *cost_periods):
+        electricity.add_period(period)
     thermal = ThermalEnvironment()
     for event in thermal_events:
         thermal.schedule_event(event)

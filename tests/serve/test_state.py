@@ -125,6 +125,22 @@ class TestServeState:
         assert snapshot["decisions"] == 1
         assert set(snapshot["nodes"]) == {"orion-0", "taurus-0", "sagittaire-0"}
 
+    @pytest.mark.parametrize("trace_level, label", [("full", "serve-arrival-{}"), ("off", "")])
+    def test_arrivals_are_labelled_only_when_tracing(self, monkeypatch, trace_level, label):
+        state = served_state(trace_level=trace_level)
+        engine = state.simulation.engine
+        labels = []
+        schedule = engine.schedule
+
+        def record(time, callback, **options):
+            labels.append(options.get("label", ""))
+            return schedule(time, callback, **options)
+
+        monkeypatch.setattr(engine, "schedule", record)
+        task = Task(flop=1e9, arrival_time=0.0, client="c")
+        state.place_batch([task])
+        assert labels[0] == label.format(task.task_id)
+
     def test_server_types_platform_refused(self):
         with pytest.raises(ValueError, match="server-types"):
             served_state(PlatformSource.server_types(2))

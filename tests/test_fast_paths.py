@@ -4,9 +4,9 @@ Where a caller's value enters the per-task path, an exact-float range
 check accepts the common case and sends anything else to the validator
 that used to run on every call.  So every input must meet the same fate
 as under the validator alone: the same exception type and message, or
-acceptance of the same value.  A client's request takes its preference
-from the task, so a preference must fail as the range validator does
-and otherwise reach the request unchanged.  GREEN_SCORE's preference exponent checks
+acceptance of the same value.  The driver's request to the Master
+Agent takes its preference from the task, so a preference must fail as
+the range validator does and otherwise reach the request unchanged.  GREEN_SCORE's preference exponent checks
 its input inline, and must fail exactly as the :class:`UserPreference`
 value object does.  The rank keys of POWER, PERFORMANCE and
 GREENPERF read the estimation values dict directly; a missing tag must
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from repro.core.policies import GreenPerfPolicy, PerformancePolicy, PowerPolicy,
 from repro.infrastructure.cluster import Cluster
 from repro.infrastructure.node import Node
 from repro.infrastructure.platform import Platform, orion_spec, sagittaire_spec, taurus_spec
-from repro.middleware.client import Client
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.estimation import EstimationTags, EstimationVector
 from repro.middleware.hierarchy import build_hierarchy
@@ -38,7 +36,7 @@ from repro.middleware.sed import ServerDaemon
 from repro.simulation.task import Task
 from repro.util import validation
 from repro.util.validation import ensure_in_range, ensure_non_negative, ensure_positive
-from tests.conftest import make_spec
+from tests.conftest import make_spec, recorded_requests
 
 #: Well-formed and hostile inputs: every fast path must treat each one as
 #: its validator does.
@@ -59,10 +57,11 @@ def _fate(call):
 
 @pytest.mark.parametrize("value", INPUTS, ids=repr)
 class TestSameFateAsTheValidator:
-    def test_client_preference(self, value):
-        requests = []
-        client = Client(SimpleNamespace(submit=requests.append))
-        fate = _fate(lambda: client.submit(Task(user_preference=value)))
+    def test_client_preference(self, value, monkeypatch):
+        platform = Platform([Cluster("test", [Node(make_spec())])])
+        simulation = MiddlewareSimulation(platform, *build_hierarchy(platform))
+        requests = recorded_requests(monkeypatch, simulation.master)
+        fate = _fate(lambda: simulation.inject_task(Task(user_preference=value)))
         assert fate == _fate(lambda: ensure_in_range(value, "user_preference", -1.0, 1.0))
         if fate == ("ok",):
             assert requests[0].user_preference is value

@@ -93,13 +93,21 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _exported_by(package: str) -> dict[str, str]:
-    """Name -> defining ``repro`` module, for ``package``'s ``from`` re-exports."""
-    exports = {}
-    for node in ast.walk(_parse(FILES[package])):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in FILES:
-            for alias in node.names:
-                exports[alias.asname or alias.name] = node.module
-    return exports
+    """Name -> defining ``repro`` module, from ``package``'s ``_EXPORTS`` table.
+
+    A package resolves its public names lazily (``repro.lazy_exports``)
+    from one module-level dict literal mapping each name to the module
+    that defines it.
+    """
+    for node in _parse(FILES[package]).body:
+        if (
+            isinstance(node, ast.Assign)
+            and [ast.unparse(target) for target in node.targets] == ["_EXPORTS"]
+        ):
+            table = ast.literal_eval(node.value)
+            assert set(table.values()) <= set(FILES), f"{package}: unknown module"
+            return table
+    return {}
 
 
 def _imported_by(tree: ast.Module) -> set[str]:
