@@ -13,27 +13,31 @@ from __future__ import annotations
 
 from repro.core.greenperf import PowerEstimationMode
 from repro.core.policies import GreenPerfPolicy
-from repro.experiments.presets import PlacementExperimentConfig
+from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
+from repro.workload.generator import BurstThenContinuousWorkload
 
-CONFIG = PlacementExperimentConfig(
-    nodes_per_cluster=2,
-    requests_per_core=4,
-    task_flop=2.0e10,
-    continuous_rate=1.0,
-    sample_period=5.0,
-)
+#: Table I platform size, requests per core and task cost of the sweep.
+NODES_PER_CLUSTER = 2
+REQUESTS_PER_CORE = 4
+TASK_FLOP = 2.0e10
+SAMPLE_PERIOD = 5.0
 
 
 def _run(mode: PowerEstimationMode):
-    platform = CONFIG.build_platform()
+    platform = grid5000_placement_platform(nodes_per_cluster=NODES_PER_CLUSTER)
     master, seds = build_hierarchy(platform, scheduler=GreenPerfPolicy(mode=mode))
     simulation = MiddlewareSimulation(
-        platform, master, seds, sample_period=CONFIG.sample_period,
+        platform, master, seds, sample_period=SAMPLE_PERIOD,
         policy_name=f"GREENPERF({mode.value})",
     )
-    workload = CONFIG.build_workload(platform.total_cores)
+    workload = BurstThenContinuousWorkload(
+        total_tasks=REQUESTS_PER_CORE * platform.total_cores,
+        burst_size=platform.total_cores,
+        continuous_rate=1.0,
+        flop_per_task=TASK_FLOP,
+    )
     simulation.submit_workload(workload.generate())
     return simulation.run()
 

@@ -10,33 +10,36 @@ sweep actually bracket the trade-off.
 from __future__ import annotations
 
 from repro.core.policies import GreenSchedulerPolicy
-from repro.experiments.presets import PlacementExperimentConfig
+from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
+from repro.workload.generator import BurstThenContinuousWorkload
 
 #: Reduced-but-representative configuration (one node per cluster keeps the
 #: sweep fast while preserving the heterogeneity that drives the trade-off).
-CONFIG = PlacementExperimentConfig(
-    nodes_per_cluster=1,
-    requests_per_core=4,
-    task_flop=2.0e10,
-    continuous_rate=1.0,
-    sample_period=5.0,
-)
+NODES_PER_CLUSTER = 1
+REQUESTS_PER_CORE = 4
+TASK_FLOP = 2.0e10
+SAMPLE_PERIOD = 5.0
 
 PREFERENCES = (-0.9, -0.5, 0.0, 0.5, 0.9)
 
 
 def _run_with_preference(preference: float):
-    platform = CONFIG.build_platform()
+    platform = grid5000_placement_platform(nodes_per_cluster=NODES_PER_CLUSTER)
     master, seds = build_hierarchy(
         platform, scheduler=GreenSchedulerPolicy(default_preference=preference)
     )
     simulation = MiddlewareSimulation(
-        platform, master, seds, sample_period=CONFIG.sample_period,
+        platform, master, seds, sample_period=SAMPLE_PERIOD,
         policy_name=f"GREEN_SCORE(P={preference})",
     )
-    workload = CONFIG.build_workload(platform.total_cores)
+    workload = BurstThenContinuousWorkload(
+        total_tasks=REQUESTS_PER_CORE * platform.total_cores,
+        burst_size=platform.total_cores,
+        continuous_rate=1.0,
+        flop_per_task=TASK_FLOP,
+    )
     simulation.submit_workload(workload.generate())
     return simulation.run()
 

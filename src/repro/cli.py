@@ -378,13 +378,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     import math
 
     from repro.experiments.presets import PLATFORM_PRESETS
-    from repro.lab import (
-        LabSession,
-        PlatformSource,
-        PolicySource,
-        ServeSource,
-        WorkloadSource,
-    )
+    from repro.lab import LabSession, PlatformSource, PolicySource, WorkloadSource
+    from repro.serve.admission import AdmissionController
+    from repro.serve.service import PlacementService
 
     if args.platform not in PLATFORM_PRESETS:
         raise ValueError(
@@ -403,15 +399,17 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         # process would otherwise keep every request's records forever.
         trace_level="off",
     )
-    service = session.open_service(
-        ServeSource(
-            quota_rate=args.quota_rate if args.quota_rate is not None else math.inf,
-            quota_burst=args.quota_burst,
-            queue_limit=args.queue_limit,
-            host=args.host,
-            port=args.port,
-            batch_window=args.batch_window,
-        )
+    admission = AdmissionController(
+        quota_rate=args.quota_rate if args.quota_rate is not None else math.inf,
+        quota_burst=args.quota_burst,
+        queue_limit=args.queue_limit,
+    )
+    service = PlacementService(
+        session.open_state(),
+        admission=admission,
+        host=args.host,
+        port=args.port,
+        batch_window=args.batch_window,
     )
 
     async def _run() -> None:

@@ -39,7 +39,7 @@ from repro.middleware.agents import MasterAgent
 from repro.middleware.sed import ServerDaemon
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.trace import ExecutionTrace
-from repro.util.validation import ensure_positive
+from repro.util.validation import ensure_non_negative, ensure_positive
 
 
 @dataclass(frozen=True)
@@ -61,23 +61,29 @@ class PlanningEntry:
 
 @dataclass(frozen=True)
 class ProvisioningConfig:
-    """Tunable parameters of the provisioning planner.
+    """Tunable parameters of the provisioning planner, checked on construction.
 
     Defaults reproduce the paper's adaptive experiment: a 10-minute check
     period, a 20-minute look-ahead on scheduled events, ramping of a few
-    nodes per check in each direction.
+    nodes per check in each direction, and de-provisioned nodes powered
+    off once idle.  :mod:`repro.lab` names this class
+    ``ProvisioningSource``, a session's provisioning axis.
+
+    >>> ProvisioningConfig(ramp_up_step=0)
+    Traceback (most recent call last):
+    ...
+    ValueError: ramp_up_step must be >= 1, got 0
     """
 
     check_period: float = 600.0
     lookahead: float = 1200.0
     ramp_up_step: int = 2
     ramp_down_step: int = 4
-    manage_power: bool = False
+    manage_power: bool = True
 
     def __post_init__(self) -> None:
         ensure_positive(self.check_period, "check_period")
-        if self.lookahead < 0:
-            raise ValueError(f"lookahead must be >= 0, got {self.lookahead}")
+        ensure_non_negative(self.lookahead, "lookahead")
         if self.ramp_up_step < 1:
             raise ValueError(f"ramp_up_step must be >= 1, got {self.ramp_up_step}")
         if self.ramp_down_step < 1:

@@ -25,14 +25,11 @@ from repro import lazy_exports
 
 #: Public name -> the module defining it, imported on first access.
 _EXPORTS = {
-    "adaptive_config_for": "repro.experiments.adaptive",
     "adaptive_session": "repro.experiments.adaptive",
     "HeterogeneityResult": "repro.experiments.greenperf_eval",
     "heterogeneity_session": "repro.experiments.greenperf_eval",
     "placement_session": "repro.experiments.placement",
     "queue_session": "repro.experiments.queue_family",
-    "placement_config_for": "repro.experiments.presets",
-    "PlacementExperimentConfig": "repro.experiments.presets",
     "paper_infrastructure_table": "repro.experiments.presets",
     "simulated_clusters_table": "repro.experiments.presets",
     "energy_saving": "repro.experiments.reporting",

@@ -32,12 +32,10 @@ the exact bits of the historical inline-event implementation.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.experiments.presets import PLATFORM_PRESETS, preset_value
-from repro.lab.compat import reject_unused
+from repro.experiments.presets import PLATFORM_PRESETS
+from repro.lab.compat import preset_value, reject_unused, resolve_parameters
 from repro.lab.components import (
     PlatformSource,
     PolicySource,
@@ -48,12 +46,28 @@ from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec
 from repro.scenario.events import EventTimeline
 from repro.scenario.io import bundled_timeline, load_timeline
-from repro.util.validation import ensure_finite, ensure_integer, ensure_positive
+from repro.util.validation import ensure_positive
 
 _MINUTE = 60.0
 
-#: Workload presets of the adaptive experiment, by scale.  Values override
-#: the :class:`AdaptiveExperimentConfig` defaults (the paper's scenario).
+#: The adaptive parameters before any preset: the paper's 260-minute
+#: scenario, with each component's own defaults.
+_PAPER_SCENARIO = {
+    "duration": 260 * _MINUTE,
+    "check_period": ProvisioningSource.check_period,
+    "lookahead": ProvisioningSource.lookahead,
+    "ramp_up_step": ProvisioningSource.ramp_up_step,
+    "ramp_down_step": ProvisioningSource.ramp_down_step,
+    "manage_power": ProvisioningSource.manage_power,
+    "task_flop": WorkloadSource.task_flop,
+    "client_tick": WorkloadSource.client_tick,
+    "sample_period": 5.0,
+    "base_temperature": LabSession.base_temperature,
+    "requeue_on_failure": LabSession.requeue_on_failure,
+}
+
+#: Workload presets of the adaptive experiment, by scale.  Values replace
+#: the paper scenario's parameters.
 ADAPTIVE_WORKLOAD_PRESETS: Mapping[str, Mapping[str, float]] = {
     "paper": {},
     "quick": {"duration": 60 * _MINUTE},
@@ -83,113 +97,12 @@ def default_adaptive_timeline() -> EventTimeline:
     return bundled_timeline("figure9")
 
 
-@dataclass(frozen=True)
-class AdaptiveExperimentConfig:
-    """Parameters of the adaptive-provisioning experiment.
-
-    The defaults replay the paper's 260-minute scenario; tests shrink the
-    duration and task size to keep runtimes low.
-
-    The scenario's events come from ``timeline``, the bundled Figure 9
-    quartet by default.  A timeline may carry node failures/recoveries
-    and workload bursts in addition to the tariff/thermal events — see
-    ``docs/SCENARIOS.md``.
-
-    When ``trace_path`` is set, the closed-loop capacity client is
-    replaced by an open-loop replay of that trace (CSV or raw SWF)
-    through the provisioned platform — a real recorded week under
-    adaptive provisioning, optionally under a crash storm.
-    """
-
-    duration: float = 260 * _MINUTE
-    nodes_per_cluster: int = 4
-    check_period: float = 600.0
-    lookahead: float = 1200.0
-    ramp_up_step: int = 2
-    ramp_down_step: int = 4
-    task_flop: float = 6.9e11
-    client_tick: float = 60.0
-    sample_period: float = 5.0
-    timeline: EventTimeline = field(default_factory=default_adaptive_timeline)
-    manage_power: bool = True
-    base_temperature: float = 21.0
-    requeue_on_failure: bool = True
-    trace_path: str | None = None
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.duration, "duration")
-        ensure_positive(self.check_period, "check_period")
-        ensure_positive(self.task_flop, "task_flop")
-        ensure_positive(self.client_tick, "client_tick")
-        ensure_positive(self.sample_period, "sample_period")
-        ensure_finite(self.base_temperature, "base_temperature")
-        if self.nodes_per_cluster < 1:
-            raise ValueError(
-                f"nodes_per_cluster must be >= 1, got {self.nodes_per_cluster}"
-            )
-
-
-def adaptive_config_for(
-    platform: str = "paper",
-    workload: str = "paper",
-    *,
-    horizon: float | None = None,
-    timeline: EventTimeline | None = None,
-    trace: str | None = None,
-    overrides: Mapping[str, object] | None = None,
-) -> AdaptiveExperimentConfig:
-    """Build an :class:`AdaptiveExperimentConfig` from preset names.
-
-    ``platform`` selects the node count
-    (:data:`repro.experiments.presets.PLATFORM_PRESETS`), ``workload`` the
-    scenario scale (:data:`ADAPTIVE_WORKLOAD_PRESETS`), ``horizon``
-    overrides the simulated duration, ``timeline`` replaces the default
-    Figure 9 event timeline, and ``overrides`` replaces individual config
-    fields — the resolution path of adaptive
-    :class:`~repro.runner.spec.ScenarioSpec` values.
-
-    The special preset ``workload="trace"`` replays the trace file named
-    by ``trace`` through the provisioned platform instead of running the
-    closed-loop capacity client (and is the only workload that accepts
-    ``trace``).
-    """
-    if (trace is not None) != (workload == "trace"):
-        raise ValueError(
-            "workload='trace' and trace=<path> must be given together; "
-            f"got workload={workload!r}, trace={trace!r}"
-        )
-    if workload == "trace":
-        params: dict[str, object] = {"trace_path": str(trace)}
-    else:
-        params = dict(
-            preset_value(ADAPTIVE_WORKLOAD_PRESETS, workload, "adaptive workload")
-        )
-    params["nodes_per_cluster"] = preset_value(PLATFORM_PRESETS, platform, "platform")
-    if overrides:
-        params.update(overrides)
-    for key in ("nodes_per_cluster", "ramp_up_step", "ramp_down_step"):
-        if key in params:
-            ensure_integer(params[key], key)
-    if horizon is not None:
-        params["duration"] = horizon
-    if timeline is not None:
-        params["timeline"] = timeline
-    try:
-        return AdaptiveExperimentConfig(**params)
-    except TypeError:
-        valid = sorted(f.name for f in dataclasses.fields(AdaptiveExperimentConfig))
-        unknown = sorted(set(params) - set(valid))
-        raise ValueError(
-            f"unknown adaptive parameter(s) {unknown}; valid overrides: {valid}"
-        ) from None
-
-
 def adaptive_session(spec: ScenarioSpec) -> LabSession:
     """Resolve an adaptive spec into a lab session (Figure 9).
 
     Platform size, provisioning cadence and workload scale come from the
     spec's presets and overrides; ``horizon`` replaces the simulated
-    duration and ``timeline`` the bundled Figure 9 events.  The workload
+    ``duration`` and ``timeline`` the bundled Figure 9 events.  The workload
     is the closed-loop capacity client unless ``workload="trace"``
     replays a recorded trace through the provisioned platform instead.
 
@@ -207,37 +120,43 @@ def adaptive_session(spec: ScenarioSpec) -> LabSession:
             "adaptive trace replay needs an observation horizon: the planner "
             "re-checks forever; add horizon=<seconds> to the spec"
         )
-    config = adaptive_config_for(
-        platform=spec.platform,
-        workload=spec.workload,
-        horizon=spec.horizon,
-        timeline=load_timeline(spec.timeline) if spec.timeline is not None else None,
-        trace=spec.trace,
-        overrides=dict(spec.overrides),
+    params = resolve_parameters(
+        spec,
+        {
+            **_PAPER_SCENARIO,
+            "nodes_per_cluster": preset_value(PLATFORM_PRESETS, spec.platform, "platform"),
+        },
+        ADAPTIVE_WORKLOAD_PRESETS,
+        integers=("nodes_per_cluster", "ramp_up_step", "ramp_down_step"),
     )
-    if config.trace_path is not None:
-        workload = WorkloadSource.from_trace(config.trace_path)
-    else:
-        workload = WorkloadSource.capacity(
-            task_flop=config.task_flop, client_tick=config.client_tick
-        )
+    capacity = WorkloadSource.capacity(
+        task_flop=params["task_flop"], client_tick=params["client_tick"]
+    )
+    if spec.horizon is None:
+        ensure_positive(params["duration"], "duration")
     # The result reads no per-task trace events: only the planner's own
     # status checks, which are kept at every trace level.
     return LabSession(
-        platform=PlatformSource.table1(config.nodes_per_cluster),
-        workload=workload,
+        platform=PlatformSource.table1(params["nodes_per_cluster"]),
+        workload=(
+            WorkloadSource.from_trace(spec.trace) if spec.trace is not None else capacity
+        ),
         policy=PolicySource("GREENPERF"),
         provisioning=ProvisioningSource(
-            check_period=config.check_period,
-            lookahead=config.lookahead,
-            ramp_up_step=config.ramp_up_step,
-            ramp_down_step=config.ramp_down_step,
-            manage_power=config.manage_power,
+            check_period=params["check_period"],
+            lookahead=params["lookahead"],
+            ramp_up_step=params["ramp_up_step"],
+            ramp_down_step=params["ramp_down_step"],
+            manage_power=params["manage_power"],
         ),
-        timeline=config.timeline,
-        horizon=config.duration,
+        timeline=(
+            load_timeline(spec.timeline)
+            if spec.timeline is not None
+            else default_adaptive_timeline()
+        ),
+        horizon=spec.horizon if spec.horizon is not None else params["duration"],
         trace_level="off",
-        sample_period=config.sample_period,
-        base_temperature=config.base_temperature,
-        requeue_on_failure=config.requeue_on_failure,
+        sample_period=params["sample_period"],
+        base_temperature=params["base_temperature"],
+        requeue_on_failure=params["requeue_on_failure"],
     )

@@ -37,14 +37,12 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.experiments.presets import preset_value
-from repro.lab.compat import reject_unused
+from repro.lab.compat import reject_unused, resolve_parameters
 from repro.lab.components import PlatformSource, PolicySource, WorkloadSource
 from repro.lab.observe import PointSummary
 from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec
 from repro.runner.store import ScenarioResult
-from repro.util.validation import ensure_integer
 
 #: Default per-task cost of the heterogeneity study.
 DEFAULT_TASK_FLOP = 5.0e10
@@ -70,42 +68,6 @@ HETEROGENEITY_WORKLOAD_PRESETS: Mapping[str, Mapping[str, float]] = {
         "task_flop": 2.0e10,
     },
 }
-
-
-def heterogeneity_params_for(
-    workload: str, *, overrides: Mapping[str, object] | None = None
-) -> dict[str, object]:
-    """Resolve a workload preset name (plus overrides) to run parameters.
-
-    The special preset ``workload="trace"`` (an open-loop replay through
-    the single-task servers) starts from the paper-scale server fleet;
-    the closed-loop client parameters it carries are ignored by the
-    replay.
-
-    >>> heterogeneity_params_for("tiny", overrides={"clients": 2.7})
-    Traceback (most recent call last):
-    ...
-    ValueError: clients must be an integer, got 2.7
-    """
-    if workload == "trace":
-        params: dict[str, object] = dict(HETEROGENEITY_WORKLOAD_PRESETS["paper"])
-    else:
-        params = dict(
-            preset_value(
-                HETEROGENEITY_WORKLOAD_PRESETS, workload, "heterogeneity workload"
-            )
-        )
-    if overrides:
-        unknown = sorted(set(overrides) - set(params))
-        if unknown:
-            raise ValueError(
-                f"unknown heterogeneity parameter(s) {unknown}; "
-                f"valid overrides: {sorted(params)}"
-            )
-        params.update(overrides)
-    for key in ("servers_per_type", "tasks_per_client", "clients"):
-        ensure_integer(params[key], key)
-    return params
 
 
 def _server_type_count(platform: str) -> int:
@@ -146,7 +108,14 @@ def heterogeneity_session(spec: ScenarioSpec) -> LabSession:
     if spec.policy != "RANDOM":
         reject_unused(spec, seed=0)
     kinds = _server_type_count(spec.platform)
-    params = heterogeneity_params_for(spec.workload, overrides=dict(spec.overrides))
+    # A trace replay starts from the paper-scale server fleet and ignores
+    # the closed-loop client parameters.
+    params = resolve_parameters(
+        spec,
+        {},
+        HETEROGENEITY_WORKLOAD_PRESETS,
+        integers=("servers_per_type", "tasks_per_client", "clients"),
+    )
     if spec.trace is not None:
         workload = WorkloadSource.from_trace(spec.trace)
     else:

@@ -18,11 +18,49 @@ resolves here into a lab session.
 
 from __future__ import annotations
 
-from repro.experiments.presets import placement_config_for
-from repro.lab.compat import reject_unused
+from repro.experiments.presets import (
+    PLACEMENT_WORKLOAD_PRESETS,
+    PLATFORM_PRESETS,
+    placement_workload,
+)
+from repro.lab.compat import preset_value, reject_unused, resolve_parameters
 from repro.lab.components import PlatformSource, PolicySource, WorkloadSource
 from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec
+
+
+def placement_components(
+    spec: ScenarioSpec, **integer_parameters: int | None
+) -> tuple[dict[str, object], PlatformSource, WorkloadSource]:
+    """The parameters, platform and workload of a spec on the placement workload.
+
+    The Table I platform is sized by the platform preset and the burst +
+    continuous pattern by the workload preset, both under the spec's
+    overrides; ``workload="trace"`` replays the spec's trace instead.
+    ``integer_parameters`` declares a family's further integer
+    overrides with their defaults (the queue family's ``queue_cores``).
+    """
+    params = resolve_parameters(
+        spec,
+        {
+            "nodes_per_cluster": preset_value(PLATFORM_PRESETS, spec.platform, "platform"),
+            "burst_size": None,
+            **integer_parameters,
+        },
+        PLACEMENT_WORKLOAD_PRESETS,
+        integers=("nodes_per_cluster", "requests_per_core", "burst_size", *integer_parameters),
+    )
+    synthetic = placement_workload(
+        requests_per_core=params["requests_per_core"],
+        task_flop=params["task_flop"],
+        continuous_rate=params["continuous_rate"],
+        burst_size=params["burst_size"],
+    )
+    if spec.trace is not None:
+        workload = WorkloadSource.from_trace(spec.trace)
+    else:
+        workload = WorkloadSource.from_generator(synthetic)
+    return params, PlatformSource.table1(params["nodes_per_cluster"]), workload
 
 
 def placement_session(spec: ScenarioSpec) -> LabSession:
@@ -41,17 +79,12 @@ def placement_session(spec: ScenarioSpec) -> LabSession:
         reject_unused(spec, preference=0.0)
     if spec.policy != "RANDOM":
         reject_unused(spec, seed=0)
-    config = placement_config_for(
-        platform=spec.platform,
-        workload=spec.workload,
-        trace=spec.trace,
-        overrides=dict(spec.overrides),
-    )
+    params, platform, workload = placement_components(spec)
     # Nothing a spec's result reads needs the per-task trace events, and a
     # million-task replay would allocate four of them per task.
     return LabSession(
-        platform=PlatformSource.table1(config.nodes_per_cluster),
-        workload=WorkloadSource.from_generator(config.build_workload),
+        platform=platform,
+        workload=workload,
         policy=PolicySource(
             spec.policy,
             seed=spec.seed if spec.policy == "RANDOM" else None,
@@ -61,5 +94,5 @@ def placement_session(spec: ScenarioSpec) -> LabSession:
         timeline=spec.timeline,
         horizon=spec.horizon,
         trace_level="off",
-        sample_period=config.sample_period,
+        sample_period=params["sample_period"],
     )

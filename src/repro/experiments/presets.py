@@ -22,20 +22,16 @@ Figures 2–4 describe.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.infrastructure.platform import (
-    grid5000_placement_platform,
     orion_spec,
     sagittaire_spec,
     simulated_cluster_specs,
     taurus_spec,
 )
-from repro.util.validation import ensure_integer, ensure_positive
-from repro.workload.generator import BurstThenContinuousWorkload, WorkloadGenerator
-from repro.workload.traces import TraceWorkload
+from repro.util.validation import ensure_positive
+from repro.workload.generator import BurstThenContinuousWorkload
 
 #: Per-task cost calibrated so one task lasts ≈ 22 s on a Taurus core: the
 #: favoured cluster can then absorb the 2 req/s continuous phase on its own,
@@ -48,77 +44,6 @@ REQUESTS_PER_CORE = 10
 
 #: The continuous-phase arrival rate (requests per second).
 CONTINUOUS_RATE = 2.0
-
-
-@dataclass(frozen=True)
-class PlacementExperimentConfig:
-    """Parameters of the workload-placement experiment.
-
-    The defaults reproduce the paper's setup; tests shrink
-    ``nodes_per_cluster``, ``requests_per_core`` and ``task_flop`` to keep
-    runtimes small while preserving every code path.
-
-    When ``trace_path`` is set, the synthetic workload parameters
-    (``requests_per_core``, ``task_flop``, ``continuous_rate``,
-    ``burst_size``) are ignored and :meth:`build_workload` replays the
-    trace instead — CSV, or a raw SWF log (see ``docs/TRACE_FORMAT.md``).
-    """
-
-    nodes_per_cluster: int = 4
-    requests_per_core: int = REQUESTS_PER_CORE
-    task_flop: float = CALIBRATED_TASK_FLOP
-    continuous_rate: float = CONTINUOUS_RATE
-    burst_size: int | None = None
-    sample_period: float = 1.0
-    trace_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_cluster < 1:
-            raise ValueError(
-                f"nodes_per_cluster must be >= 1, got {self.nodes_per_cluster}"
-            )
-        if self.requests_per_core < 1:
-            raise ValueError(
-                f"requests_per_core must be >= 1, got {self.requests_per_core}"
-            )
-        ensure_positive(self.task_flop, "task_flop")
-        ensure_positive(self.continuous_rate, "continuous_rate")
-        ensure_positive(self.sample_period, "sample_period")
-        if self.burst_size is not None and self.burst_size < 0:
-            raise ValueError(f"burst_size must be >= 0, got {self.burst_size}")
-
-    def build_platform(self):
-        """The Table I platform sized for this configuration."""
-        return grid5000_placement_platform(nodes_per_cluster=self.nodes_per_cluster)
-
-    def total_tasks(self, total_cores: int) -> int:
-        """Total request count for a platform with ``total_cores`` cores."""
-        return self.requests_per_core * total_cores
-
-    def effective_burst(self, total_cores: int) -> int:
-        """Burst size: explicit value, or one request per core by default."""
-        if self.burst_size is not None:
-            return min(self.burst_size, self.total_tasks(total_cores))
-        return min(total_cores, self.total_tasks(total_cores))
-
-    def build_workload(self, total_cores: int) -> WorkloadGenerator:
-        """The workload of the experiment, sized for ``total_cores``.
-
-        The default is the paper's burst + continuous pattern; a config
-        with ``trace_path`` replays that trace instead (lazily — the file
-        is only read when the workload is generated, typically inside a
-        sweep worker process).
-        """
-        if self.trace_path is not None:
-            return TraceWorkload.from_file(self.trace_path, lazy=True)
-        total = self.total_tasks(total_cores)
-        return BurstThenContinuousWorkload(
-            total_tasks=total,
-            burst_size=self.effective_burst(total_cores),
-            continuous_rate=self.continuous_rate,
-            flop_per_task=self.task_flop,
-        )
-
 
 #: Platform presets: nodes per cluster on the Table I platform.
 PLATFORM_PRESETS: Mapping[str, int] = {
@@ -151,73 +76,44 @@ PLACEMENT_WORKLOAD_PRESETS: Mapping[str, Mapping[str, float]] = {
 }
 
 
-def preset_value(presets: Mapping[str, object], name: str, kind: str):
-    """Look ``name`` up in a preset table, failing with the available names."""
-    try:
-        return presets[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown {kind} preset {name!r}; available: {sorted(presets)}"
-        ) from None
-
-
-#: Integer parameters of the placement config, checked where overrides enter.
-_INTEGER_PARAMETERS = ("nodes_per_cluster", "requests_per_core", "burst_size")
-
-
-def placement_config_for(
-    platform: str = "paper",
-    workload: str = "paper",
+def placement_workload(
     *,
-    trace: str | None = None,
-    overrides: Mapping[str, object] | None = None,
-) -> PlacementExperimentConfig:
-    """Build a :class:`PlacementExperimentConfig` from preset names.
+    requests_per_core: int,
+    task_flop: float,
+    continuous_rate: float,
+    burst_size: int | None,
+) -> Callable[[int], BurstThenContinuousWorkload]:
+    """The placement experiment's workload, as a factory of the platform's core count.
 
-    ``platform`` selects the node count (:data:`PLATFORM_PRESETS`),
-    ``workload`` the request/task parameters
-    (:data:`PLACEMENT_WORKLOAD_PRESETS`), and ``overrides`` replaces
-    individual config fields — this is how
-    :class:`~repro.runner.spec.ScenarioSpec` values resolve to runnable
-    configurations.
+    ``requests_per_core`` requests per core, a burst of ``burst_size``
+    (one request per core when ``None``, at most every request) and
+    then ``continuous_rate`` requests per second.  The values are
+    checked here, before any run.
 
-    The special preset ``workload="trace"`` replays the trace file named
-    by ``trace`` — native CSV, or a raw ``.swf`` log under the default
-    field mapping — instead of a synthetic pattern (and is the only
-    workload that accepts ``trace``).
-
-    >>> placement_config_for("quick", "quick").nodes_per_cluster
-    1
-    >>> placement_config_for("quick", "quick", overrides={"nodes_per_cluster": 1.5})
-    Traceback (most recent call last):
-    ...
-    ValueError: nodes_per_cluster must be an integer, got 1.5
+    >>> factory = placement_workload(
+    ...     requests_per_core=2, task_flop=1e9, continuous_rate=1.0, burst_size=None)
+    >>> workload = factory(3)
+    >>> workload.total_tasks, workload.burst_size
+    (6, 3)
     """
-    if (trace is not None) != (workload == "trace"):
-        raise ValueError(
-            "workload='trace' and trace=<path> must be given together; "
-            f"got workload={workload!r}, trace={trace!r}"
+    if requests_per_core < 1:
+        raise ValueError(f"requests_per_core must be >= 1, got {requests_per_core}")
+    ensure_positive(task_flop, "task_flop")
+    ensure_positive(continuous_rate, "continuous_rate")
+    if burst_size is not None and burst_size < 0:
+        raise ValueError(f"burst_size must be >= 0, got {burst_size}")
+
+    def sized(total_cores: int) -> BurstThenContinuousWorkload:
+        total = requests_per_core * total_cores
+        burst = total_cores if burst_size is None else burst_size
+        return BurstThenContinuousWorkload(
+            total_tasks=total,
+            burst_size=min(burst, total),
+            continuous_rate=continuous_rate,
+            flop_per_task=task_flop,
         )
-    if workload == "trace":
-        params: dict[str, object] = {"trace_path": str(trace)}
-    else:
-        params = dict(preset_value(PLACEMENT_WORKLOAD_PRESETS, workload, "workload"))
-    params["nodes_per_cluster"] = preset_value(PLATFORM_PRESETS, platform, "platform")
-    if overrides:
-        params.update(overrides)
-    for key in _INTEGER_PARAMETERS:
-        if key in params:
-            ensure_integer(params[key], key)
-    try:
-        return PlacementExperimentConfig(**params)
-    except TypeError:
-        valid = sorted(
-            f.name for f in dataclasses.fields(PlacementExperimentConfig)
-        )
-        unknown = sorted(set(params) - set(valid))
-        raise ValueError(
-            f"unknown placement parameter(s) {unknown}; valid overrides: {valid}"
-        ) from None
+
+    return sized
 
 
 def paper_infrastructure_table() -> Sequence[Mapping[str, object]]:

@@ -25,12 +25,11 @@ requested-runtime and user fields the planners feed on.
 
 from __future__ import annotations
 
-from repro.experiments.presets import placement_config_for
+from repro.experiments.placement import placement_components
 from repro.lab.compat import reject_unused
-from repro.lab.components import PlatformSource, PolicySource, WorkloadSource
+from repro.lab.components import PolicySource
 from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec
-from repro.util.validation import ensure_integer
 
 
 def queue_session(spec: ScenarioSpec) -> LabSession:
@@ -50,21 +49,13 @@ def queue_session(spec: ScenarioSpec) -> LabSession:
     # Queue policies are deterministic and preference-free; a seed or
     # preference axis would sweep identical schedules under new labels.
     reject_unused(spec, preference=0.0, seed=0)
-    overrides = dict(spec.overrides)
-    queue_cores = overrides.pop("queue_cores", None)
-    if queue_cores is not None:
-        ensure_integer(queue_cores, "queue_cores")
-    config = placement_config_for(
-        platform=spec.platform,
-        workload=spec.workload,
-        trace=spec.trace,
-        overrides=overrides,
-    )
+    params, platform, workload = placement_components(spec, queue_cores=None)
     return LabSession(
-        platform=PlatformSource.table1(config.nodes_per_cluster),
-        workload=WorkloadSource.from_generator(config.build_workload),
+        platform=platform,
+        workload=workload,
         policy=PolicySource(spec.policy, family="queue"),
         timeline=spec.timeline,
         horizon=spec.horizon,
-        queue_cores=queue_cores,
+        sample_period=params["sample_period"],
+        queue_cores=params["queue_cores"],
     )

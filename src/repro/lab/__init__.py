@@ -15,17 +15,21 @@ Modules
 -------
 ``components``
     The typed axes: :class:`PlatformSource`, :class:`WorkloadSource`,
-    :class:`PolicySource`, :class:`ProvisioningSource`,
+    :class:`PolicySource`, ``ProvisioningSource`` (the planner's
+    :class:`~repro.core.provisioning.ProvisioningConfig`),
     :func:`resolve_timeline`.
 ``session``
-    :class:`LabSession` — validation and the two execution backends
-    (full middleware stack; engine-less single-task point study).
+    :class:`LabSession` — validation and the three execution backends
+    (full middleware stack; engine-less single-task point study; batch
+    queue scheduling), plus the resident state a served session opens.
 ``observe``
     :class:`LabResult` plus the shared metric/figure extraction.
 ``compat``
     :func:`session_for_spec` / :func:`execute_spec` — the declarative
     :class:`~repro.runner.spec.ScenarioSpec` surface, dispatching each
-    spec to its experiment family's one resolver.
+    spec to its experiment family's one resolver, and
+    :func:`~repro.lab.compat.resolve_parameters`, the preset + override
+    merge every resolver shares.
 """
 
 from repro import lazy_exports
@@ -39,7 +43,6 @@ _EXPORTS = {
     "PointSummary": "repro.lab.observe",
     "PolicySource": "repro.lab.components",
     "ProvisioningSource": "repro.lab.components",
-    "ServeSource": "repro.lab.components",
     "WorkloadSource": "repro.lab.components",
     "resolve_timeline": "repro.lab.components",
 }

@@ -13,12 +13,15 @@ tables and figures are named grids of such specs
 (:mod:`repro.runner.grids`) plus a renderer
 (:mod:`repro.experiments.reporting`).
 
-``trace`` and ``timeline`` are legal on *every* family.  The resolvers
-refuse spec values they would otherwise ignore or alias — a seed on a
+``trace`` and ``timeline`` are legal on *every* family, and they are
+the only way a file enters a scenario: both participate in the content
+hash, while an override naming a file would not.  The resolvers refuse
+spec values they would otherwise ignore or alias — a seed on a
 deterministic policy, a preference outside GREEN_SCORE
-(:func:`reject_unused`), a non-integer count — because every field
-participates in the content hash, and a swept-but-ignored field would
-cache identical simulations under distinct labels.
+(:func:`reject_unused`), an unknown or non-integer override
+(:func:`resolve_parameters`) — because every field participates in the
+content hash, and a swept-but-ignored field would cache identical
+simulations under distinct labels.
 
 Experiment modules are imported lazily inside :func:`family_resolvers`
 so the lab package stays import-light and cycle-free.
@@ -26,11 +29,12 @@ so the lab package stays import-light and cycle-free.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from repro.lab.session import LabSession
 from repro.runner.spec import ScenarioSpec
 from repro.runner.store import ScenarioResult
+from repro.util.validation import ensure_integer
 
 
 def reject_unused(spec: ScenarioSpec, **unused: object) -> None:
@@ -47,6 +51,55 @@ def reject_unused(spec: ScenarioSpec, **unused: object) -> None:
                 f"{spec.experiment} scenarios do not use {name!r} "
                 f"(got {getattr(spec, name)!r}); drop it from the sweep axes"
             )
+
+
+def preset_value(presets: Mapping[str, object], name: str, kind: str):
+    """Look ``name`` up in a preset table, failing with the available names."""
+    try:
+        return presets[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown {kind} preset {name!r}; available: {sorted(presets)}"
+        ) from None
+
+
+def resolve_parameters(
+    spec: ScenarioSpec,
+    defaults: Mapping[str, object],
+    presets: Mapping[str, Mapping[str, object]],
+    *,
+    integers: Sequence[str] = (),
+) -> dict[str, object]:
+    """A family's run parameters: ``defaults``, then the workload preset, then overrides.
+
+    The spec's ``workload`` names the preset; ``workload="trace"``
+    replays the spec's trace and starts from the ``"paper"`` preset.
+    Every override must name a parameter the defaults or preset declare
+    (the family's valid overrides), and an override of an ``integers``
+    key must be an integer.
+
+    >>> spec = ScenarioSpec(experiment="heterogeneity", overrides={"clients": 3})
+    >>> resolve_parameters(spec, {"clients": 2, "task_flop": 1.0}, {"paper": {}})
+    {'clients': 3, 'task_flop': 1.0}
+    >>> resolve_parameters(spec.replace(overrides={"nope": 1}), {"clients": 2}, {"paper": {}})
+    Traceback (most recent call last):
+    ...
+    ValueError: unknown heterogeneity parameter(s) ['nope']; valid overrides: ['clients']
+    """
+    family, overrides = spec.experiment, dict(spec.overrides)
+    workload = "paper" if spec.workload == "trace" else spec.workload
+    params = {**defaults, **preset_value(presets, workload, f"{family} workload")}
+    unknown = sorted(set(overrides) - set(params))
+    if unknown:
+        raise ValueError(
+            f"unknown {family} parameter(s) {unknown}; "
+            f"valid overrides: {sorted(params)}"
+        )
+    for key in integers:
+        if key in overrides:
+            ensure_integer(overrides[key], key)
+    params.update(overrides)
+    return params
 
 
 def family_resolvers() -> dict[str, Callable[[ScenarioSpec], LabSession]]:

@@ -11,29 +11,27 @@ policy and an event scenario per experiment family:
 * :class:`WorkloadSource` — where requests come from (a synthetic
   generator, a replayed trace file, or a closed-loop client);
 * :class:`PolicySource` — the plug-in scheduler under test;
-* :class:`ProvisioningSource` — the optional adaptive
-  :class:`~repro.core.provisioning.ProvisioningPlanner`;
-* :class:`ServeSource` — admission quotas and socket parameters when a
-  session is opened as a live placement service (:mod:`repro.serve`);
+* :data:`ProvisioningSource` — the optional adaptive
+  :class:`~repro.core.provisioning.ProvisioningPlanner`'s cadence (the
+  :class:`~repro.core.provisioning.ProvisioningConfig` class itself);
 * :func:`resolve_timeline` — the optional declarative
   :class:`~repro.scenario.events.EventTimeline` (tariffs, thermal
   excursions, node crashes, workload bursts).
 
-Each component is a frozen value object that knows how to *build* its
-piece of the simulation; :class:`~repro.lab.session.LabSession` validates
-the combination once and assembles everything in one place.
+Each component is a frozen value object that checks its own values on
+construction and knows how to *build* its piece of the simulation;
+:class:`~repro.lab.session.LabSession` validates the combination once and
+assembles everything in one place.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
 
 from repro.core.policies import policy_by_name
-from repro.core.provisioning import ProvisioningConfig, ProvisioningPlanner
-from repro.core.rules import AdministratorRules
+from repro.core.provisioning import ProvisioningConfig
 from repro.infrastructure.node import NodeSpec
 from repro.infrastructure.platform import (
     Platform,
@@ -172,9 +170,10 @@ class WorkloadSource:
       ``clients`` clients each keeping one request in flight for
       ``tasks_per_client`` tasks;
     * ``"served"`` — requests arrive over the wire: the session is
-      opened as a live placement service
-      (:meth:`~repro.lab.session.LabSession.open_service`) instead of
-      being run to completion.
+      opened as resident serving state
+      (:meth:`~repro.lab.session.LabSession.open_state`) for a
+      :class:`~repro.serve.service.PlacementService` instead of being run
+      to completion.
     """
 
     kind: str = "generator"
@@ -330,93 +329,14 @@ class PolicySource:
 
 # -- provisioning -----------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ProvisioningSource:
-    """The optional adaptive provisioning axis (Section III-C).
-
-    Building a session with a provisioning source installs a
-    :class:`ProvisioningPlanner` driven by the paper's administrator
-    rules: periodic status checks against the timeline-derived
-    electricity/thermal schedules, candidate ramping in GreenPerf order,
-    and optional node power management.
-    """
-
-    check_period: float = 600.0
-    lookahead: float = 1200.0
-    ramp_up_step: int = 2
-    ramp_down_step: int = 4
-    manage_power: bool = True
-
-    def config(self) -> ProvisioningConfig:
-        """The planner configuration this source describes."""
-        return ProvisioningConfig(
-            check_period=self.check_period,
-            lookahead=self.lookahead,
-            ramp_up_step=self.ramp_up_step,
-            ramp_down_step=self.ramp_down_step,
-            manage_power=self.manage_power,
-        )
-
-    def build(
-        self,
-        *,
-        platform,
-        master,
-        electricity,
-        thermal,
-        seds,
-        engine,
-        trace,
-    ) -> ProvisioningPlanner:
-        """Create the planner over an assembled middleware stack."""
-        return ProvisioningPlanner(
-            platform,
-            master,
-            AdministratorRules.paper_defaults(),
-            electricity,
-            thermal,
-            seds=seds,
-            engine=engine,
-            trace=trace,
-            config=self.config(),
-        )
-
-
-# -- serving ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ServeSource:
-    """The serving axis: how a ``"served"`` session faces its clients.
-
-    Pure configuration — the daemon itself lives in :mod:`repro.serve`
-    (imported lazily by :meth:`~repro.lab.session.LabSession.open_service`,
-    so batch experiments never pay for the serving layer).
-
-    ``quota_rate`` tokens per virtual second refill each tenant's bucket
-    (capacity ``quota_burst``); ``math.inf`` disables the quota gate.
-    ``queue_limit`` bounds the admitted-but-unplaced backlog (``0``
-    disables shedding).  ``batch_window`` adds a fixed accumulation
-    delay (wall seconds) before each micro-batch is scored.
-    """
-
-    quota_rate: float = math.inf
-    quota_burst: float = 64.0
-    queue_limit: int = 0
-    host: str = "127.0.0.1"
-    port: int = 0
-    batch_window: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.queue_limit < 0:
-            raise LabError(f"queue_limit must be >= 0, got {self.queue_limit}")
-        if self.batch_window < 0:
-            raise LabError(f"batch_window must be >= 0, got {self.batch_window}")
-        if self.quota_burst <= 0:
-            raise LabError(f"quota_burst must be positive, got {self.quota_burst}")
-        if self.quota_rate <= 0:
-            raise LabError(f"quota_rate must be positive, got {self.quota_rate}")
+#: The optional adaptive provisioning axis (Section III-C): the cadence of
+#: the :class:`~repro.core.provisioning.ProvisioningPlanner` a session
+#: installs, validated on construction.  The planner follows the paper's
+#: administrator rules: periodic status checks against the
+#: timeline-derived electricity/thermal schedules, candidate ramping in
+#: GreenPerf order, and node power management unless ``manage_power`` is
+#: off.
+ProvisioningSource = ProvisioningConfig
 
 
 # -- timeline ---------------------------------------------------------------------------

@@ -132,17 +132,15 @@ def _platform_watts(energy_log: SegmentEnergyLog) -> np.ndarray:
     return np.repeat(totals, np.diff(bounds))
 
 
-def series_value_at(
-    series: Sequence[tuple[float, float]], time: float, default: float = 0
-):
-    """The value of a step series in effect at ``time``.
+def series_value_at(series: Sequence[tuple[float, float]], time: float):
+    """The value of a step series in effect at ``time`` (``0`` before its first step).
 
     >>> series_value_at([(0.0, 4), (600.0, 6)], 300.0)
     4
     >>> series_value_at([], 300.0)
     0
     """
-    value = default
+    value = 0
     for step_time, step_value in series:
         if step_time <= time:
             value = step_value

@@ -42,12 +42,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.core.provisioning import ProvisioningPlanner
+from repro.core.rules import AdministratorRules
 from repro.lab.components import (
     LabError,
     PlatformSource,
     PolicySource,
     ProvisioningSource,
-    ServeSource,
     TimelineLike,
     WorkloadSource,
     resolve_timeline,
@@ -73,7 +74,7 @@ from repro.scenario.apply import apply_timeline
 from repro.scenario.events import EventTimeline, NodeFailure, NodeRecovery
 from repro.simulation.task import Task
 from repro.util import phases
-from repro.util.validation import ensure_positive
+from repro.util.validation import ensure_finite, ensure_positive
 
 
 @dataclass
@@ -137,6 +138,7 @@ class LabSession:
                 f"trace_level must be one of {TRACE_LEVELS}, got {self.trace_level!r}"
             )
         ensure_positive(self.sample_period, "sample_period")
+        ensure_finite(self.base_temperature, "base_temperature")
         if self.horizon is not None:
             ensure_positive(self.horizon, "horizon")
         self._resolved_timeline = resolve_timeline(self.timeline)
@@ -228,7 +230,7 @@ class LabSession:
         if self.workload.kind == "served":
             raise LabError(
                 "served sessions do not run to completion; open them with "
-                "open_state() or open_service() and drive them over the wire"
+                "open_state() and drive them over the wire"
             )
         if self.backend == "point":
             return self._run_point_study()
@@ -259,30 +261,6 @@ class LabSession:
 
         simulation, *_ = self._assemble_middleware(services=(WILDCARD_SERVICE,))
         return ServeState(simulation)
-
-    def open_service(self, serve: "ServeSource | None" = None):
-        """Open the session as an (unstarted) placement daemon.
-
-        ``serve`` carries the admission quotas and socket parameters
-        (:class:`~repro.lab.components.ServeSource`); the returned
-        :class:`~repro.serve.service.PlacementService` still needs its
-        ``start()`` and ``serve_until_shutdown()`` awaited on an event loop.
-        """
-        from repro.serve.admission import AdmissionController
-        from repro.serve.service import PlacementService
-
-        serve = serve if serve is not None else ServeSource()
-        return PlacementService(
-            self.open_state(),
-            admission=AdmissionController(
-                quota_rate=serve.quota_rate,
-                quota_burst=serve.quota_burst,
-                queue_limit=serve.queue_limit,
-            ),
-            host=serve.host,
-            port=serve.port,
-            batch_window=serve.batch_window,
-        )
 
     # -- middleware backend -------------------------------------------------------------
     def _assemble_middleware(self, *, services: Sequence[str] | None = None):
@@ -328,14 +306,16 @@ class LabSession:
         platform = simulation.platform
         planner = None
         if self.provisioning is not None:
-            planner = self.provisioning.build(
-                platform=platform,
-                master=simulation.master,
-                electricity=electricity,
-                thermal=thermal,
+            planner = ProvisioningPlanner(
+                platform,
+                simulation.master,
+                AdministratorRules.paper_defaults(),
+                electricity,
+                thermal,
                 seds=simulation.seds,
                 engine=simulation.engine,
                 trace=simulation.trace if self.trace_level == "full" else None,
+                config=self.provisioning,
             )
             planner.install()
             planner.start()

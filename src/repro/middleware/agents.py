@@ -173,13 +173,8 @@ class MasterAgent(Agent):
     hierarchy's topology is frozen.
     """
 
-    def __init__(
-        self,
-        name: str = "master-agent",
-        *,
-        scheduler: PluginScheduler | None = None,
-    ) -> None:
-        super().__init__(name)
+    def __init__(self, *, scheduler: PluginScheduler | None = None) -> None:
+        super().__init__("master-agent")
         self._scheduler = scheduler or FirstComeFirstServedScheduler()
         self.candidate_filter: frozenset[str] | None = None
         #: Picks the election strategy at the first election.

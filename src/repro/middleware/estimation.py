@@ -141,9 +141,9 @@ class EstimationVector:
         return dict(self.values)
 
     # -- invariants -----------------------------------------------------------------
-    def validate_required(self, required: tuple[str, ...] = EstimationTags.REQUIRED) -> None:
+    def validate_required(self) -> None:
         """Raise :class:`ValueError` if any required tag is missing."""
-        missing = [tag for tag in required if tag not in self.values]
+        missing = [tag for tag in EstimationTags.REQUIRED if tag not in self.values]
         if missing:
             raise ValueError(
                 f"estimation vector for {self.server!r} is missing tags: {missing}"

@@ -15,8 +15,7 @@ Two renderers for sweep runs:
 
 from __future__ import annotations
 
-import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from repro.runner.executor import SweepOutcome
 from repro.runner.store import (
@@ -40,8 +39,7 @@ class SweepProgressPrinter:
     in place of ``N``.
     """
 
-    def __init__(self, stream: TextIO | None = None) -> None:
-        self._stream = stream if stream is not None else sys.stdout
+    def __init__(self) -> None:
         self._buffered: dict[int, ScenarioResult] = {}
         self._next_index = 0
 
@@ -53,8 +51,7 @@ class SweepProgressPrinter:
             denominator = "?" if total is None else f"{total}"
             print(
                 f"[{self._next_index + 1:>3}/{denominator}] {status}  "
-                f"{flushed.spec.scenario_id}",
-                file=self._stream,
+                f"{flushed.spec.scenario_id}"
             )
             self._next_index += 1
 

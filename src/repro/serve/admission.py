@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.util.validation import ensure_non_negative, ensure_positive
+from repro.util.validation import ensure_finite, ensure_non_negative, ensure_positive
 
 #: Admission outcomes (mirrored by the HTTP status codes in
 #: :mod:`repro.serve.protocol`).
@@ -139,10 +139,12 @@ class AdmissionController:
     _tenants: dict[str, TenantStats] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not (math.isinf(self.quota_rate) and self.quota_rate > 0):
-            ensure_positive(self.quota_rate, "quota_rate")
-        ensure_positive(self.quota_burst, "quota_burst")
         ensure_non_negative(self.queue_limit, "queue_limit")
+        for name in ("quota_burst", "quota_rate"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        ensure_finite(self.quota_burst, "quota_burst")
 
     @property
     def unlimited(self) -> bool:

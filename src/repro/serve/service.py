@@ -41,6 +41,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.state import PlacementDecision, ServeState
 from repro.simulation.task import Task
+from repro.util.validation import ensure_non_negative
 
 
 class PlacementService:
@@ -55,6 +56,7 @@ class PlacementService:
         port: int = 0,
         batch_window: float = 0.0,
     ) -> None:
+        ensure_non_negative(batch_window, "batch_window")
         self.state = state
         self.admission = admission if admission is not None else AdmissionController()
         self.host = host

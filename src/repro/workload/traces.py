@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.simulation.task import Task
 from repro.workload.generator import WorkloadGenerator
@@ -180,26 +180,18 @@ def _row_error(
 class TraceWorkload(WorkloadGenerator):
     """A workload backed by a task sequence, materialised at most once.
 
-    Construct it from an in-memory sequence, from any (possibly lazy)
-    iterable, or from a loader callable that is only invoked on the first
-    :meth:`generate` — which is how trace-driven scenarios defer file I/O
-    until a worker process actually simulates them.
+    Construct it from an in-memory sequence or from any (possibly lazy)
+    iterable.  Trace-driven scenarios defer file I/O until a worker
+    process actually simulates them by opening the file only then
+    (:meth:`repro.lab.components.WorkloadSource.resolve_tasks`).
 
     >>> workload = TraceWorkload(tasks=[Task(arrival_time=3.0), Task(arrival_time=1.0)])
     >>> [task.arrival_time for task in workload.generate()]
     [1.0, 3.0]
     """
 
-    def __init__(
-        self,
-        tasks: Iterable[Task] | None = None,
-        *,
-        loader: Callable[[], Iterable[Task]] | None = None,
-    ) -> None:
-        if (tasks is None) == (loader is None):
-            raise ValueError("provide exactly one of tasks= or loader=")
+    def __init__(self, tasks: Iterable[Task]) -> None:
         self.tasks = tasks
-        self._loader = loader
         self._materialised: tuple[Task, ...] | None = None
         #: Whether the tasks already come in the canonical order (set by
         #: :meth:`from_file`), so :meth:`generate` need not sort them.
@@ -208,11 +200,11 @@ class TraceWorkload(WorkloadGenerator):
     def generate(self) -> Sequence[Task]:
         """The trace as a tuple sorted by ``(arrival_time, task_id)``.
 
-        The first call materialises (and, for lazy construction, loads)
-        the tasks; the sorted tuple is cached for subsequent calls.
+        The first call materialises the tasks; the sorted tuple is cached
+        for subsequent calls.
         """
         if self._materialised is None:
-            source = self.tasks if self.tasks is not None else self._loader()
+            source = self.tasks
             if not self._presorted:
                 source = sorted(source, key=_CANONICAL_ORDER)
             self._materialised = tuple(source)
@@ -220,7 +212,7 @@ class TraceWorkload(WorkloadGenerator):
         return self._materialised
 
     @classmethod
-    def from_file(cls, path: str | Path, *, lazy: bool = False) -> "TraceWorkload":
+    def from_file(cls, path: str | Path) -> "TraceWorkload":
         """Load a trace file into a workload.
 
         A ``.swf`` extension selects the Standard Workload Format parser
@@ -230,9 +222,6 @@ class TraceWorkload(WorkloadGenerator):
         family sees the same task stream, so a raw SWF log and its
         converted CSV compose identically.
 
-        ``lazy=True`` defers reading (and any resulting :class:`ValueError`)
-        to the first :meth:`generate` call.
-
         >>> import tempfile, os
         >>> path = os.path.join(tempfile.mkdtemp(), "trace.csv")
         >>> save_trace(path, [Task(flop=5e7)])
@@ -240,15 +229,11 @@ class TraceWorkload(WorkloadGenerator):
         [50000000.0]
         """
         if Path(path).suffix.lower() == ".swf":
-            def _load() -> tuple[Task, ...]:
-                from repro.workload.ingest import load_swf_trace
+            from repro.workload.ingest import load_swf_trace
 
-                return load_swf_trace(path)
+            workload = cls(load_swf_trace(path))
         else:
-            def _load() -> tuple[Task, ...]:
-                return load_trace(path)
-
-        workload = cls(loader=_load) if lazy else cls(tasks=_load())
+            workload = cls(load_trace(path))
         workload._presorted = True  # both loaders return the canonical order
         return workload
 

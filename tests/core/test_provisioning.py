@@ -56,7 +56,7 @@ def make_planner(
         seds=seds,
         engine=engine,
         trace=trace,
-        config=config or ProvisioningConfig(),
+        config=config or ProvisioningConfig(manage_power=False),
     )
     return planner, platform, master, seds
 
@@ -148,7 +148,7 @@ class TestChecksAndRamping:
         assert planner.candidate_count == 2
 
     def test_ramp_steps_respect_configuration(self):
-        config = ProvisioningConfig(ramp_up_step=5, ramp_down_step=10)
+        config = ProvisioningConfig(ramp_up_step=5, ramp_down_step=10, manage_power=False)
         planner, *_ = make_planner(initial_cost=0.5, config=config)
         # Initial pool: the rules are evaluated at time 0 with cost 0.5, so
         # the initial pool is 12.
@@ -240,7 +240,10 @@ class TestPowerManagement:
         planner.drain_deprovisioned_nodes(0.0)
         assert busy.state is NodeState.ON
 
-    def test_power_management_disabled_by_default(self):
+    def test_power_management_is_on_by_default(self):
+        assert ProvisioningConfig().manage_power
+
+    def test_power_management_can_be_disabled(self):
         planner, platform, *_ = make_planner()
         assert planner.drain_deprovisioned_nodes(0.0) == 0
         assert all(node.state is NodeState.ON for node in platform.nodes)

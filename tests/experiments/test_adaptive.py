@@ -6,7 +6,7 @@ shortened scenario that still hits every event type.
 
 import pytest
 
-from repro.experiments.adaptive import AdaptiveExperimentConfig
+from repro.experiments.adaptive import adaptive_session, default_adaptive_timeline
 from repro.lab.compat import session_for_spec
 from repro.runner.spec import ScenarioSpec
 from repro.scenario.events import EventTimeline, TariffChange, ThermalExcursion
@@ -46,9 +46,12 @@ def result(tmp_path_factory):
     return session_for_spec(spec).run()
 
 
+PAPER = ScenarioSpec(experiment="adaptive", policy="GREENPERF")
+
+
 class TestDefaultScenario:
     def test_default_events_match_paper(self):
-        events = AdaptiveExperimentConfig().timeline.events
+        events = default_adaptive_timeline().events
         assert len(events) == 4
         costs = [e for e in events if isinstance(e, TariffChange)]
         temps = [e for e in events if isinstance(e, ThermalExcursion)]
@@ -59,19 +62,30 @@ class TestDefaultScenario:
         assert temps[1].temperature < 25.0
 
     def test_default_timeline_is_the_bundled_figure9(self):
-        assert AdaptiveExperimentConfig().timeline == bundled_timeline("figure9")
+        assert adaptive_session(PAPER).timeline == bundled_timeline("figure9")
 
-    def test_default_config_covers_260_minutes(self):
-        config = AdaptiveExperimentConfig()
-        assert config.duration == 260 * 60.0
-        assert config.check_period == 600.0
-        assert config.lookahead == 1200.0
+    def test_default_scenario_covers_260_minutes(self):
+        session = adaptive_session(PAPER)
+        assert session.horizon == 260 * 60.0
+        assert session.provisioning.check_period == 600.0
+        assert session.provisioning.lookahead == 1200.0
+        assert session.provisioning.manage_power
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveExperimentConfig(duration=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveExperimentConfig(nodes_per_cluster=0)
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"duration": 0.0}, "duration must be > 0"),
+            ({"nodes_per_cluster": 0}, "nodes_per_cluster must be >= 1"),
+            ({"check_period": 0.0}, "check_period must be > 0"),
+            ({"task_flop": -1.0}, "task_flop must be > 0"),
+            ({"client_tick": 0.0}, "client_tick must be > 0"),
+            ({"sample_period": 0.0}, "sample_period must be > 0"),
+            ({"base_temperature": "hot"}, "base_temperature must be a real number"),
+        ],
+    )
+    def test_validation_precedes_the_run(self, override, message):
+        with pytest.raises((ValueError, TypeError), match=message):
+            session_for_spec(PAPER.replace(overrides=override))
 
 
 class TestShortScenario:

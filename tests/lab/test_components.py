@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.provisioning import ProvisioningConfig
 from repro.lab.components import (
     LabError,
     PlatformSource,
@@ -103,11 +104,15 @@ class TestPolicySource:
 
 
 class TestProvisioningSource:
-    def test_config_round_trips(self):
+    def test_is_the_planner_config(self):
         source = ProvisioningSource(check_period=120.0, lookahead=240.0)
-        config = source.config()
-        assert config.check_period == 120.0
-        assert config.lookahead == 240.0
+        assert isinstance(source, ProvisioningConfig)
+        assert (source.check_period, source.lookahead) == (120.0, 240.0)
+        assert source.manage_power
+
+    def test_checks_its_cadence_on_construction(self):
+        with pytest.raises(ValueError, match="check_period must be > 0"):
+            ProvisioningSource(check_period=-1.0)
 
 
 class TestResolveTimeline:

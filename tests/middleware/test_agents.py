@@ -54,7 +54,7 @@ class TestTopology:
     def test_an_attached_agent_cannot_be_attached_again(self):
         local = LocalAgent("la-0")
         MasterAgent().add_agent(local)
-        other = MasterAgent("other")
+        other = MasterAgent()
         with pytest.raises(ValueError, match="already has a parent"):
             other.add_agent(local)
         assert other.child_agents == ()
@@ -110,7 +110,7 @@ class TestFrozenTopology:
     def test_an_elected_master_cannot_become_a_child(self):
         master, _ = self._elected()
         with pytest.raises(RuntimeError, match="frozen"):
-            MasterAgent("other").add_agent(master)
+            MasterAgent().add_agent(master)
 
     def test_the_strategy_is_chosen_once_at_the_first_election(self):
         master = MasterAgent(scheduler=PowerPolicy())

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import pytest
@@ -187,12 +186,12 @@ class TestRunGrid:
         assert [r.detail for r in serial.results] == [r.detail for r in parallel.results]
         assert format_sweep_summary(serial) == format_sweep_summary(parallel)
 
-    def test_progress_printer_is_deterministic_under_parallelism(self):
-        serial_log, parallel_log = io.StringIO(), io.StringIO()
-        run_scenarios(TINY, jobs=1, progress=SweepProgressPrinter(serial_log))
-        run_scenarios(TINY, jobs=2, progress=SweepProgressPrinter(parallel_log))
-        assert serial_log.getvalue() == parallel_log.getvalue()
-        assert "[  1/3] run" in serial_log.getvalue()
+    def test_progress_printer_is_deterministic_under_parallelism(self, capsys):
+        run_scenarios(TINY, jobs=1, progress=SweepProgressPrinter())
+        serial_log = capsys.readouterr().out
+        run_scenarios(TINY, jobs=2, progress=SweepProgressPrinter())
+        assert capsys.readouterr().out == serial_log
+        assert "[  1/3] run" in serial_log
 
 
 class TestStreamingExecution:
@@ -229,10 +228,9 @@ class TestStreamingExecution:
         )
         assert totals == [2, 2]
 
-    def test_progress_printer_renders_unknown_total(self):
-        log = io.StringIO()
-        run_scenarios(iter_grid(TINY_GRID), progress=SweepProgressPrinter(log))
-        assert "[  1/?] run" in log.getvalue()
+    def test_progress_printer_renders_unknown_total(self, capsys):
+        run_scenarios(iter_grid(TINY_GRID), progress=SweepProgressPrinter())
+        assert "[  1/?] run" in capsys.readouterr().out
 
     def test_streamed_store_caching(self, tmp_path):
         store_dir = tmp_path / "store"

@@ -8,7 +8,6 @@ the same store must be 100 % cache hits without re-simulating anything.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import pytest
@@ -96,15 +95,11 @@ class TestQueueGridDeterminism:
         ]
         assert format_sweep_summary(serial) == format_sweep_summary(parallel)
 
-    def test_progress_log_is_deterministic_under_parallelism(self):
-        serial_log, parallel_log = io.StringIO(), io.StringIO()
-        run_scenarios(
-            SMALL_QUEUE_GRID, jobs=1, progress=SweepProgressPrinter(serial_log)
-        )
-        run_scenarios(
-            SMALL_QUEUE_GRID, jobs=4, progress=SweepProgressPrinter(parallel_log)
-        )
-        assert serial_log.getvalue() == parallel_log.getvalue()
+    def test_progress_log_is_deterministic_under_parallelism(self, capsys):
+        run_scenarios(SMALL_QUEUE_GRID, jobs=1, progress=SweepProgressPrinter())
+        serial_log = capsys.readouterr().out
+        run_scenarios(SMALL_QUEUE_GRID, jobs=4, progress=SweepProgressPrinter())
+        assert capsys.readouterr().out == serial_log
 
     def test_second_run_is_all_cache_hits(self, tmp_path, monkeypatch):
         path = tmp_path / "queue_results.jsonl"

@@ -1,7 +1,7 @@
 """Tests for timeline wiring: schedules, fault injection, driver semantics."""
 
-from repro.experiments.presets import PlacementExperimentConfig
 from repro.infrastructure.node import NodeState
+from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.scenario.apply import build_schedules, install_timeline
@@ -19,9 +19,7 @@ from tests.conftest import of_kind
 
 
 def make_simulation(*, nodes_per_cluster: int = 1):
-    platform = PlacementExperimentConfig(
-        nodes_per_cluster=nodes_per_cluster
-    ).build_platform()
+    platform = grid5000_placement_platform(nodes_per_cluster=nodes_per_cluster)
     master, seds = build_hierarchy(platform)
     simulation = MiddlewareSimulation(platform, master, seds)
     return platform, simulation

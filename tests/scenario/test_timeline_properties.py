@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.experiments.presets import PlacementExperimentConfig
+from repro.infrastructure.platform import grid5000_placement_platform
 from repro.middleware.driver import MiddlewareSimulation
 from repro.middleware.hierarchy import build_hierarchy
 from repro.scenario.apply import install_timeline
@@ -90,7 +90,7 @@ requeue_flags = st.booleans()
 
 
 def _run(timeline: EventTimeline, rows, requeue: bool):
-    platform = PlacementExperimentConfig(nodes_per_cluster=1).build_platform()
+    platform = grid5000_placement_platform(nodes_per_cluster=1)
     master, seds = build_hierarchy(platform)
     simulation = MiddlewareSimulation(platform, master, seds)
     tasks = [Task(flop=flop, arrival_time=arrival) for flop, arrival in rows]

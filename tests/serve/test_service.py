@@ -10,7 +10,6 @@ from repro.lab import (
     LabSession,
     PlatformSource,
     PolicySource,
-    ServeSource,
     WorkloadSource,
 )
 from repro.serve import (
@@ -93,7 +92,7 @@ class TestRoundTrip:
                 workload=WorkloadSource.served(),
                 policy=PolicySource("GREENPERF"),
             )
-            service = served_session.open_service(ServeSource())
+            service = PlacementService(served_session.open_state())
             await service.start()
             report = await replay_trace(
                 MINI_SWF, port=service.port, window=8, shutdown=True
@@ -441,3 +440,27 @@ class TestCliDaemon:
         assert state.snapshot()["decisions"] == 10
         assert len(state.simulation.trace) == 0
         assert "shut down cleanly" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--batch-window", "-1", "batch_window must be >= 0, got -1.0"),
+            ("--queue-limit", "-1", "queue_limit must be >= 0, got -1"),
+            ("--quota-burst", "0", "quota_burst must be positive, got 0.0"),
+            ("--quota-rate", "0", "quota_rate must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_daemon_settings_exit_2_without_listening(
+        self, monkeypatch, capsys, flag, value, message
+    ):
+        async def never_listen(self):
+            raise AssertionError("the daemon started listening")
+
+        monkeypatch.setattr(PlacementService, "start", never_listen)
+        assert main(["serve", "--platform", "quick", "--port", "0", flag, value]) == 2
+        assert capsys.readouterr().err == f"repro serve: error: {message}\n"
+
+
+def test_the_service_checks_its_batch_window():
+    with pytest.raises(ValueError, match="batch_window must be >= 0"):
+        PlacementService(served_state(), batch_window=-0.5)

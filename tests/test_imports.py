@@ -58,8 +58,9 @@ def test_the_daemon_sets_up_and_answers_without_batch_modules():
         import asyncio, json, sys
         from repro.cli import build_parser
         from repro.experiments.presets import PLATFORM_PRESETS
-        from repro.lab import LabSession, PlatformSource, PolicySource, ServeSource, WorkloadSource
+        from repro.lab import LabSession, PlatformSource, PolicySource, WorkloadSource
         from repro.serve.protocol import read_response, render_request
+        from repro.serve.service import PlacementService
 
         build_parser()
         session = LabSession(
@@ -68,7 +69,7 @@ def test_the_daemon_sets_up_and_answers_without_batch_modules():
             policy=PolicySource("GREENPERF"),
             trace_level="off",
         )
-        service = session.open_service(ServeSource(port=0))
+        service = PlacementService(session.open_state(), port=0)
         found = [m for m in {NOT_ON_THE_SERVE_PATH!r} if m in sys.modules]
 
         async def answer_one():

@@ -11,7 +11,6 @@ import pytest
 from repro.core.policies import GreenSchedulerPolicy, policy_by_name
 from repro.core.provisioning import ProvisioningConfig, ProvisioningPlanner
 from repro.core.rules import AdministratorRules
-from repro.experiments.presets import PlacementExperimentConfig
 from repro.infrastructure.electricity import ElectricityCostSchedule
 from repro.infrastructure.platform import grid5000_placement_platform
 from repro.infrastructure.thermal import ThermalEnvironment
@@ -142,7 +141,7 @@ class TestProvisioningIntegration:
             engine=simulation.engine,
             trace=simulation.trace,
             # Regular tariff: 40 % of the 6 nodes -> 2 candidates.
-            config=ProvisioningConfig(),
+            config=ProvisioningConfig(manage_power=False),
         )
         planner.install()
         workload = BurstThenContinuousWorkload(
@@ -158,11 +157,15 @@ class TestProvisioningIntegration:
 class TestScalingSanity:
     def test_full_platform_short_workload(self):
         """The full 12-node Table I platform processes a small workload cleanly."""
-        config = PlacementExperimentConfig(requests_per_core=1, task_flop=1.0e10)
-        platform = config.build_platform()
+        platform = grid5000_placement_platform()
         master, seds = build_hierarchy(platform, scheduler=policy_by_name("POWER"))
         simulation = MiddlewareSimulation(platform, master, seds, sample_period=5.0)
-        workload = config.build_workload(platform.total_cores)
+        workload = BurstThenContinuousWorkload(
+            total_tasks=platform.total_cores,
+            burst_size=platform.total_cores,
+            continuous_rate=2.0,
+            flop_per_task=1.0e10,
+        )
         simulation.submit_workload(workload.generate())
         result = simulation.run()
-        assert result.metrics.task_count == config.total_tasks(platform.total_cores)
+        assert result.metrics.task_count == platform.total_cores

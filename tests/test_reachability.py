@@ -37,25 +37,30 @@ somewhere outside ``tests/``.
 
 The fourth is parameter-level: the name guard sees an option as read
 wherever its attribute is, so a keyword only tests pass would pass it.
-Every keyword-only parameter of a public function, method or
-constructor under ``src/repro``, and every public defaulted field of a
-public dataclass, must be passed by some call outside ``tests/``.  A call
-counts when its callee resolves by name to the definition: ``f(...)``,
-``x.method(...)``, ``Class.method(...)``, ``cls(...)`` inside the
-class, a subclass's name for an inherited field, ``super().__init__``
-and ``functools.partial(f, ..., name=...)``.  Positional arguments fill
-dataclass fields in order, and a ``*starred`` one fills the rest
-(``SWFJob(*columns)``).  Three ``**mapping`` routes count too:
+Every optional parameter of a public function, method or constructor
+under ``src/repro`` — keyword-only, or positional with a default — and
+every public defaulted field of a public dataclass, must be passed by
+some call outside ``tests/``.  A call counts when its callee resolves by
+name to the definition: ``f(...)``, ``x.method(...)``,
+``Class.method(...)``, ``cls(...)`` inside the class, a subclass's name
+for an inherited field, a module-level alias of the class
+(``ProvisioningSource = ProvisioningConfig``), ``super().__init__`` and
+``functools.partial(f, ..., name=...)``.  Positional arguments fill
+parameters and dataclass fields in order (past ``self``), and a
+``*starred`` one fills the rest (``SWFJob(*columns)``).  Three
+``**mapping`` routes count too:
 
 - a function that passes its own ``**kwargs`` on forwards what reaches
   it (``ScenarioSpec.replace(**changes)``);
 - a mapping whose keys the calling function spells out (``{"k": v}``,
   ``dict(k=v)``, ``kwargs["k"] = v``) passes those keys;
 - any other mapping reaches every parameter, because its keys are data:
-  the preset and ``--set`` overrides into ``PlacementExperimentConfig(**params)``
-  and ``AdaptiveExperimentConfig(**params)``, and ``EVENT_KINDS[kind](**data)``
-  from timeline files.  A module-level table (``EVENT_KINDS[kind]``,
-  ``factory = _POLICIES.get(key)``) resolves to every name its value mentions.
+  ``EVENT_KINDS[kind](**data)`` from timeline files.
+
+A table resolves to every name its value mentions: a module-level one
+(``EVENT_KINDS[kind]``, ``factory = _POLICIES.get(key)``), or a literal
+a function assigns (``makers[i % 3](i // 3)`` after
+``makers = (orion_spec, taurus_spec, sagittaire_spec)``).
 
 The exceptions are in :data:`UNPASSED_BY_DESIGN`, each with its reason.
 """
@@ -624,6 +629,9 @@ UNPASSED_BY_DESIGN = {
     "TenantStats.admitted": "a counter the admission controller increments from zero",
     "TenantStats.rejected": "a counter the admission controller increments from zero",
     "TenantStats.shed": "a counter the admission controller increments from zero",
+    # A listener's signature, not an option: the node's power listener
+    # passes the node, the queue's mutation listener passes nothing.
+    "ServerDaemon.invalidate_estimation.node": "the power listener's argument, unused",
 }
 
 
@@ -695,6 +703,14 @@ def _callables(directory: Path) -> list[_Callable]:
             names += [name for name in fields(base) if name not in names]
         return names + [name for name, _ in _own_fields(node) if name not in names]
 
+    aliases = {}  # class name -> the module-level names bound to it (``A = B``)
+    for _, tree in modules:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        aliases.setdefault(node.value.id, set()).add(target.id)
+
     def callees(name):
         found, pending = {name}, [name]
         while pending:
@@ -703,24 +719,35 @@ def _callables(directory: Path) -> list[_Callable]:
                 if node.name not in found and parent in (base.name for base in bases(node)):
                     found.add(node.name)
                     pending.append(node.name)
-        return frozenset(found)
+        return frozenset(found).union(*(aliases.get(name, ()) for name in found))
 
     def lines(node):
         return range(node.lineno, node.end_lineno + 1)
 
-    def keyword_only(function):
-        return tuple(argument.arg for argument in function.args.kwonlyargs)
+    def positional(function, bound):
+        """The parameters a call's positions fill, past ``self``/``cls`` when ``bound``."""
+        names = [argument.arg for argument in function.args.posonlyargs + function.args.args]
+        static = any(ast.unparse(d) == "staticmethod" for d in function.decorator_list)
+        return tuple(names[1:] if bound and not static else names)
+
+    def optional(function, bound):
+        """Its keyword-only parameters and its defaulted positional ones."""
+        filled = positional(function, bound)
+        defaulted = filled[len(filled) - len(function.args.defaults):]
+        keyword_only = tuple(argument.arg for argument in function.args.kwonlyargs)
+        return defaulted + keyword_only
+
+    def function(path, qualified, callees, node, bound):
+        return _Callable(
+            path, qualified, callees, lines(node), optional(node, bound), positional(node, bound)
+        )
 
     found = []
     for path, tree in modules:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not node.name.startswith("_"):
-                    found.append(
-                        _Callable(
-                            path, node.name, {node.name}, lines(node), keyword_only(node)
-                        )
-                    )
+                    found.append(function(path, node.name, {node.name}, node, bound=False))
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
             constructor = callees(node.name)
@@ -737,19 +764,11 @@ def _callables(directory: Path) -> list[_Callable]:
                 if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 if member.name == "__init__":
-                    found.append(
-                        _Callable(
-                            path, node.name, constructor, lines(member), keyword_only(member)
-                        )
-                    )
+                    found.append(function(path, node.name, constructor, member, bound=True))
                 elif not member.name.startswith("_"):
                     found.append(
-                        _Callable(
-                            path,
-                            f"{node.name}.{member.name}",
-                            {member.name},
-                            lines(member),
-                            keyword_only(member),
+                        function(
+                            path, f"{node.name}.{member.name}", {member.name}, member, bound=True
                         )
                     )
     return found
@@ -844,12 +863,13 @@ class _Calls(ast.NodeVisitor):
         elif isinstance(value, ast.Subscript):
             value = value.value
         if isinstance(value, ast.Name):
-            return self.tables.get(value.id)
+            local = self.functions[-1]["tables"] if self.functions else {}
+            return local.get(value.id, self.tables.get(value.id))
         return None
 
     def _locals(self, function):
-        """A function's spelled-out mappings and its locals drawn from a table."""
-        spelled, drawn = {}, {}
+        """A function's spelled-out mappings, literal tables and locals drawn from a table."""
+        spelled, drawn, tables = {}, {}, {}
         for node in ast.walk(function):
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -862,6 +882,12 @@ class _Calls(ast.NodeVisitor):
                         table = self._table(node.value)
                         if table is not None:
                             drawn[target.id] = table
+                        if isinstance(node.value, (ast.Tuple, ast.List, ast.Dict)):
+                            tables[target.id] = [
+                                self.aliases.get(name.id, name.id)
+                                for name in ast.walk(node.value)
+                                if isinstance(name, ast.Name)
+                            ]
         for node in ast.walk(function):
             if (
                 isinstance(node, ast.Subscript)
@@ -874,7 +900,7 @@ class _Calls(ast.NodeVisitor):
                     spelled[node.value.id].add(key.value)
                 else:
                     spelled[node.value.id] = None
-        return {"spelled": spelled, "drawn": drawn}
+        return {"spelled": spelled, "drawn": drawn, "tables": tables}
 
     def _callees(self, func, args) -> tuple[list[str], list[ast.expr]]:
         """The names a call to ``func`` may resolve to, and the positional arguments they get."""
@@ -1061,6 +1087,57 @@ def test_cls_inside_the_class_calls_its_constructor(tmp_path):
         "        return cls(kind='capacity')\n"
     )
     assert _unpassed(tmp_path, module) == ["Source.tick"]
+
+
+def test_a_defaulted_positional_parameter_is_checked(tmp_path):
+    module = (
+        "def spec(index=0):\n"
+        "    return index\n"
+        "class Agent:\n"
+        "    def __init__(self, name='ma', *, seed=0):\n"
+        "        self.name = name\n"
+        "    def scale(self, factor=1.0):\n"
+        "        return factor\n"
+        "    @staticmethod\n"
+        "    def build(size=1):\n"
+        "        return size\n"
+    )
+    assert _unpassed(tmp_path, module) == [
+        "spec.index", "Agent.name", "Agent.seed", "Agent.scale.factor", "Agent.build.size",
+    ]
+    caller = (
+        "from pkg.mod import Agent, spec\n"
+        "spec(3)\n"
+        "agent = Agent('other', seed=1)\n"
+        "agent.scale(2.0)\n"
+        "Agent.build(4)\n"
+    )
+    assert _unpassed(tmp_path / "b", module, caller) == []
+
+
+def test_a_local_literal_table_resolves_to_its_names(tmp_path):
+    module = "def orion(index=0):\n    return index\ndef taurus(index=0):\n    return index\n"
+    caller = (
+        "from pkg.mod import orion, taurus\n"
+        "def cycle(count):\n"
+        "    makers = (orion, taurus)\n"
+        "    return [makers[i % 2](i // 2) for i in range(count)]\n"
+    )
+    assert _unpassed(tmp_path, module) == ["orion.index", "taurus.index"]
+    assert _unpassed(tmp_path / "b", module, caller) == []
+
+
+def test_a_module_level_alias_calls_the_class(tmp_path):
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    period: float = 1.0\n"
+        "Source = Config\n"
+    )
+    assert _unpassed(tmp_path, module) == ["Config.period"]
+    caller = "from pkg.mod import Source\nSource(period=2.0)\n"
+    assert _unpassed(tmp_path / "b", module, caller) == []
 
 
 def test_functools_partial_passes_its_keywords(tmp_path):

@@ -171,29 +171,12 @@ class TestTraceEdgeCases:
 
 
 class TestTraceWorkloadConstruction:
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            TraceWorkload()
-        with pytest.raises(ValueError, match="exactly one"):
-            TraceWorkload(tasks=[], loader=lambda: [])
-
     def test_a_task_iterator_is_consumed_once(self):
         workload = TraceWorkload(tasks=(Task(arrival_time=float(i)) for i in (2, 0, 1)))
         first = workload.generate()
         second = workload.generate()
         assert first is second
         assert [task.arrival_time for task in first] == [0.0, 1.0, 2.0]
-
-    def test_lazy_from_file_defers_read(self, tmp_path):
-        path = tmp_path / "late.csv"
-        workload = TraceWorkload.from_file(path, lazy=True)  # file absent: fine
-        save_trace(path, [Task(arrival_time=4.0)])
-        assert [task.arrival_time for task in workload.generate()] == [4.0]
-
-    def test_lazy_from_file_surfaces_errors_on_generate(self, tmp_path):
-        workload = TraceWorkload.from_file(tmp_path / "missing.csv", lazy=True)
-        with pytest.raises(OSError):
-            workload.generate()
 
     def test_eager_from_file_reads_immediately(self, tmp_path):
         with pytest.raises(OSError):
