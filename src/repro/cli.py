@@ -725,8 +725,6 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
-    from repro.runner.grids import named_grids
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the tables and figures of the green-scheduling paper.",
@@ -754,7 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--grid",
         default=None,
-        help=f"named grid to run (default: 'default'; one of {', '.join(named_grids())})",
+        help="named grid to run (default: 'default'; 'repro sweep --list' "
+        "lists them)",
     )
     sweep.add_argument(
         "--trace",

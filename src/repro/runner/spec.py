@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
@@ -39,7 +40,7 @@ _OVERRIDE_TYPES = (bool, int, float, str)
 
 def _normalize_overrides(overrides) -> tuple[tuple[str, Scalar], ...]:
     """Canonical form of ``overrides``: key-sorted tuple of pairs."""
-    if overrides is None:
+    if overrides is None or overrides == ():
         return ()
     if isinstance(overrides, Mapping):
         items = overrides.items()
@@ -278,12 +279,27 @@ class ScenarioSpec:
         For trace scenarios the trace participates by *content hash*, not
         by path — the store stays correct when a trace file is edited
         (miss) or merely moved (hit).
+
+        The digest is computed on the first call and kept on the (frozen)
+        instance outside its fields, so equality, ``hash()``, ``repr`` and
+        :meth:`to_mapping` never see it; a sweep's dedupe, store lookup
+        and store write share one computation.
+
+        >>> spec = ScenarioSpec(policy="RANDOM")
+        >>> spec.content_hash() is spec.content_hash()
+        True
         """
+        try:
+            return self.__dict__["_content_hash"]
+        except KeyError:
+            pass
         payload = {"version": SPEC_VERSION, **self.to_mapping()}
         payload.pop("trace", None)  # identity is the content, not the path
         payload.pop("timeline", None)
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_content_hash", digest)
+        return digest
 
     def replace(self, **changes) -> "ScenarioSpec":
         """A copy of the spec with ``changes`` applied.
@@ -298,10 +314,19 @@ class ScenarioSpec:
             changes["trace_hash"] = None
         if "timeline" in changes and "timeline_hash" not in changes:
             changes["timeline_hash"] = None
-        return dataclasses.replace(self, **changes)
+        values = list(_field_values(self))
+        for name, value in changes.items():
+            try:
+                values[_FIELD_INDEX[name]] = value
+            except KeyError:
+                raise TypeError(f"ScenarioSpec has no field {name!r}") from None
+        return ScenarioSpec(*values)
 
 
 _FIELD_NAMES = tuple(field.name for field in dataclasses.fields(ScenarioSpec))
+_FIELD_INDEX = {name: index for index, name in enumerate(_FIELD_NAMES)}
+#: A spec's field values in declaration order, i.e. its positional arguments.
+_field_values = operator.attrgetter(*_FIELD_NAMES)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,20 @@ REJECTED = "rejected"  # per-tenant quota exhausted -> HTTP 429
 SHED = "shed"  # service queue full -> HTTP 503
 
 
+def _ensure_whole_token(burst: float, name: str) -> None:
+    """Refuse a bucket capacity below one token.
+
+    Every request spends one whole token, so a smaller bucket would
+    reject every request forever, each time with a ``retry_after`` that
+    never comes true.
+    """
+    ensure_finite(burst, name)
+    if not burst >= 1.0:
+        raise ValueError(
+            f"{name} must be >= 1 (a request spends one whole token), got {burst}"
+        )
+
+
 @dataclass(frozen=True)
 class AdmissionDecision:
     """One gate decision for one submission."""
@@ -66,7 +80,7 @@ class TokenBucket:
 
     def __init__(self, rate: float, burst: float) -> None:
         ensure_positive(rate, "rate")
-        ensure_positive(burst, "burst")
+        _ensure_whole_token(burst, "burst")
         self.rate = rate
         self.burst = burst
         self._tokens = burst
@@ -96,11 +110,25 @@ class TokenBucket:
         return min(self.burst, self._tokens + max(now - self._updated_at, 0.0) * self.rate)
 
     def seconds_until_token(self, now: float) -> float:
-        """Virtual seconds from ``now`` until one full token is available."""
+        """Virtual seconds from ``now`` until one full token is available.
+
+        Exact in the clock's own arithmetic: a :meth:`take` at
+        ``now + seconds_until_token(now)`` finds a whole token, even
+        where dividing the deficit by the rate rounds a few ulps short.
+
+        >>> bucket = TokenBucket(rate=3.0, burst=3.1)
+        >>> [bucket.take(now=0.148) for _ in range(4)]
+        [True, True, True, False]
+        >>> bucket.take(now=0.148 + bucket.seconds_until_token(0.148))
+        True
+        """
         available = self.tokens_at(now)
         if available >= 1.0:
             return 0.0
-        return (1.0 - available) / self.rate
+        wait = (1.0 - available) / self.rate
+        while self.tokens_at(now + wait) < 1.0:
+            wait += math.ulp(now + wait)
+        return wait
 
 
 @dataclass
@@ -144,7 +172,7 @@ class AdmissionController:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        ensure_finite(self.quota_burst, "quota_burst")
+        _ensure_whole_token(self.quota_burst, "quota_burst")
 
     @property
     def unlimited(self) -> bool:

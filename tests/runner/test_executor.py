@@ -280,6 +280,22 @@ class TestStoreIntegration:
         assert outcome.executed == 1
         assert len(store) == 1
 
+    def test_one_digest_per_scenario_cold_and_warm(self, tmp_path, spec_digests):
+        """A sweep hashes each scenario once: the grid dedupe, the store
+        lookup and the store write share the spec's memoized digest."""
+        sweep = SweepSpec(
+            ScenarioSpec(experiment="placement", platform="tiny", workload="tiny",
+                         policy="RANDOM"),
+            {"seed": range(4)},
+        )
+        cold = run_scenarios(iter_grid(sweep), store=tmp_path / "store")
+        assert cold.executed == 4
+        assert len(spec_digests) == 4
+        spec_digests.clear()
+        warm = run_scenarios(iter_grid(sweep), store=ShardedResultStore(tmp_path / "store"))
+        assert warm.cached == 4
+        assert len(spec_digests) == 4
+
     def test_a_file_at_the_store_path_is_refused(self, tmp_path, monkeypatch):
         """A regular file is not a store: the sweep fails before simulating
         anything and leaves the file as it was."""

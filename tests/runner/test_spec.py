@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.runner.spec import ScenarioSpec, SweepSpec, iter_grid
+from repro.runner.store import ScenarioResult
+
+GOLDEN_GRIDS = Path(__file__).resolve().parents[1] / "data" / "golden" / "grids.json"
 
 
 class TestScenarioSpec:
@@ -40,6 +47,16 @@ class TestScenarioSpec:
     def test_bad_override_value_rejected(self):
         with pytest.raises(ValueError, match="override"):
             ScenarioSpec(overrides={"a": [1, 2]})
+
+    @pytest.mark.parametrize("overrides", [0, 0.0, False])
+    def test_falsy_non_pair_overrides_rejected(self, overrides):
+        """Only ``None`` and an empty collection mean "no overrides"."""
+        with pytest.raises((TypeError, ValueError)):
+            ScenarioSpec(overrides=overrides)
+
+    @pytest.mark.parametrize("overrides", [None, (), [], {}])
+    def test_empty_overrides_normalise_to_the_empty_tuple(self, overrides):
+        assert ScenarioSpec(overrides=overrides).overrides == ()
 
     def test_scenario_id_mentions_every_axis(self):
         spec = ScenarioSpec(
@@ -98,6 +115,71 @@ class TestContentHash:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert child.stdout.strip() == spec.content_hash()
+
+
+class TestMemoizedHash:
+    """The digest is computed once per instance and is invisible otherwise."""
+
+    def test_second_call_computes_no_digest(self, spec_digests):
+        spec = ScenarioSpec(policy="RANDOM", seed=4)
+        first = spec.content_hash()
+        assert spec.content_hash() == first
+        assert len(spec_digests) == 1
+
+    def test_memo_is_not_a_field(self):
+        hashed, plain = ScenarioSpec(seed=2), ScenarioSpec(seed=2)
+        hashed.content_hash()
+        assert hashed == plain
+        assert hash(hashed) == hash(plain)
+        assert repr(hashed) == repr(plain)
+        assert dataclasses.asdict(hashed) == dataclasses.asdict(plain)
+        assert hashed.to_mapping() == plain.to_mapping()
+
+    @pytest.mark.parametrize("hash_first", [False, True])
+    def test_pickle_round_trip_keeps_equality_and_hash(self, hash_first):
+        spec = ScenarioSpec(policy="RANDOM", seed=9, overrides={"task_flop": 2.0e10})
+        expected = ScenarioSpec.from_mapping(spec.to_mapping()).content_hash()
+        if hash_first:
+            spec.content_hash()
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert hash(restored) == hash(spec)
+        assert restored.content_hash() == expected
+
+    def test_replace_gets_a_fresh_hash(self):
+        spec = ScenarioSpec(policy="RANDOM", seed=1)
+        old = spec.content_hash()
+        moved = spec.replace(seed=2)
+        assert moved.content_hash() != old
+        assert moved.content_hash() == ScenarioSpec(policy="RANDOM", seed=2).content_hash()
+        assert spec.replace().content_hash() == old
+
+    def test_replace_refuses_unknown_fields(self):
+        with pytest.raises(TypeError, match="nope"):
+            ScenarioSpec().replace(nope=1)
+
+    def test_spec_from_a_record_recomputes_its_hash(self, spec_digests):
+        spec = ScenarioSpec(policy="RANDOM", seed=5)
+        record = ScenarioResult(spec=spec, metrics={"makespan": 1.0}).to_record()
+        real = record["hash"]
+        record["hash"] = "0" * 64  # a record's key never seeds the memo
+        rebuilt = ScenarioResult.from_record(record).spec
+        spec_digests.clear()
+        assert rebuilt.content_hash() == real
+        assert len(spec_digests) == 1
+
+    def test_named_grid_hashes_survive_replace_and_pickle(self):
+        from repro.runner.grids import grid
+
+        expected = json.loads(GOLDEN_GRIDS.read_text())
+        for name, pinned in expected.items():
+            specs = grid(name)
+            copies = pickle.loads(pickle.dumps(specs))
+            rebuilt = [spec.replace() for spec in specs]
+            for spec, copy, again, (_, digest) in zip(specs, copies, rebuilt, pinned):
+                assert spec.content_hash() == digest
+                assert copy.content_hash() == digest
+                assert again.content_hash() == digest
 
 
 class TestSweepSpec:

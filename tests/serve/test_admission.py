@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.serve.admission import (
     ADMITTED,
@@ -48,6 +49,8 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=-1.0)
+        with pytest.raises(ValueError, match="whole token"):
+            TokenBucket(rate=1.0, burst=0.5)
 
 
 class TestAdmissionController:
@@ -120,6 +123,36 @@ class TestAdmissionController:
             AdmissionController(quota_burst=0.0)
         with pytest.raises(ValueError):
             AdmissionController(queue_limit=-1)
+
+    @pytest.mark.parametrize("burst", [0.5, 0.999, math.nextafter(1.0, 0.0)])
+    def test_a_bucket_must_hold_a_whole_token(self, burst):
+        with pytest.raises(ValueError, match="quota_burst must be >= 1"):
+            AdmissionController(quota_rate=1.0, quota_burst=burst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.floats(min_value=1e-3, max_value=1e4),
+        burst=st.floats(min_value=1e-2, max_value=50.0),
+        earlier=st.floats(min_value=0.0, max_value=1e6),
+        gap=st.floats(min_value=0.0, max_value=1e3),
+    )
+    def test_retry_after_comes_true(self, rate, burst, earlier, gap):
+        """A tenant refused at ``now`` is admitted at ``now + retry_after``,
+        for every quota setting the controller accepts."""
+        try:
+            controller = AdmissionController(quota_rate=rate, quota_burst=burst)
+        except ValueError:
+            assume(False)
+        now = earlier + gap
+        for moment in (earlier, now):  # drain, partly refill, drain again
+            for _ in range(int(burst) + 2):
+                decision = controller.admit("t", now=moment, queue_depth=0)
+                if not decision.admitted:
+                    break
+        assert decision.status == REJECTED
+        assert decision.retry_after > 0
+        retry = controller.admit("t", now=now + decision.retry_after, queue_depth=0)
+        assert retry.admitted
 
     def test_infinite_rate_is_valid(self):
         assert AdmissionController(quota_rate=math.inf).unlimited

@@ -447,6 +447,11 @@ class TestCliDaemon:
             ("--batch-window", "-1", "batch_window must be >= 0, got -1.0"),
             ("--queue-limit", "-1", "queue_limit must be >= 0, got -1"),
             ("--quota-burst", "0", "quota_burst must be positive, got 0.0"),
+            (
+                "--quota-burst",
+                "0.5",
+                "quota_burst must be >= 1 (a request spends one whole token), got 0.5",
+            ),
             ("--quota-rate", "0", "quota_rate must be positive, got 0.0"),
         ],
     )

@@ -24,6 +24,8 @@ NOT_ON_THE_SERVE_PATH = (
     "repro.experiments.adaptive",
     "repro.experiments.greenperf_eval",
     "repro.runner.executor",
+    "repro.runner.grids",
+    "repro.runner.spec",
     "repro.runner.store",
     "repro.workload.ingest",
 )

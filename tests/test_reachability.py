@@ -51,7 +51,7 @@ parameters and dataclass fields in order (past ``self``), and a
 ``**mapping`` routes count too:
 
 - a function that passes its own ``**kwargs`` on forwards what reaches
-  it (``ScenarioSpec.replace(**changes)``);
+  it (``policy_by_name(name, **kwargs)``);
 - a mapping whose keys the calling function spells out (``{"k": v}``,
   ``dict(k=v)``, ``kwargs["k"] = v``) passes those keys;
 - any other mapping reaches every parameter, because its keys are data:
