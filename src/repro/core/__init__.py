@@ -11,11 +11,11 @@
 * :mod:`repro.core.policies` — the plug-in schedulers compared in the
   evaluation (POWER, PERFORMANCE, RANDOM, GreenPerf, score-based green
   scheduler).
-* :mod:`repro.core.rules` — the administrator threshold rules mapping the
-  platform status to a candidate-node budget.
-* :mod:`repro.core.provisioning` — the provisioning planner: periodic
-  status checks, look-ahead on scheduled events, progressive ramp-up/down
-  of the candidate set, and integration with the Master Agent.
+* :mod:`repro.core.provisioning` — the provisioning planner: the
+  administrator thresholds mapping the platform status to a candidate-node
+  budget, periodic status checks, look-ahead on scheduled events,
+  progressive ramp-up/down of the candidate set, and integration with the
+  Master Agent.
 
 The energy events the planner reacts to (tariff changes, heat peaks) are
 timeline events of :mod:`repro.scenario.events`.
@@ -41,8 +41,6 @@ _EXPORTS = {
     "combine_preferences": "repro.core.preferences",
     "ProvisioningPlanner": "repro.core.provisioning",
     "ProvisioningConfig": "repro.core.provisioning",
-    "AdministratorRules": "repro.core.rules",
-    "ThresholdRule": "repro.core.rules",
 }
 
 __all__ = list(_EXPORTS)

@@ -60,20 +60,3 @@ def select_candidate_servers(
         accumulated += entry.power
     return tuple(selected)
 
-
-def candidate_count_for_fraction(total_nodes: int, fraction: float) -> int:
-    """Number of candidate nodes for a rule expressed as a fraction of all nodes.
-
-    The administrator rules of Section IV-C are phrased as "candidate nodes
-    = 20 % of all nodes" etc.; the count is the floor of the fraction
-    (20 % of 12 nodes → 2 candidates, 70 % → 8, matching the counts quoted
-    in the paper's Figure 9 narrative), kept within ``[0, total_nodes]``,
-    and a strictly positive fraction yields at least one node.
-    """
-    if total_nodes < 0:
-        raise ValueError(f"total_nodes must be >= 0, got {total_nodes}")
-    ensure_in_range(fraction, "fraction", 0.0, 1.0)
-    count = int(total_nodes * fraction)
-    if fraction > 0.0 and count == 0 and total_nodes > 0:
-        count = 1
-    return min(total_nodes, count)

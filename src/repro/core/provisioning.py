@@ -7,9 +7,9 @@ The :class:`ProvisioningPlanner` is the piece that makes the scheduling
   status — temperature and electricity cost — "with the ability to get
   information about the scheduled events occurring at t + 20" minutes
   (``lookahead``);
-* it evaluates the administrator rules
-  (:class:`~repro.core.rules.AdministratorRules`) to obtain the target
-  number of *candidate nodes*;
+* it looks the status up in the administrator thresholds of Section IV-C
+  (:func:`provisioning_target`) to obtain the target number of
+  *candidate nodes*;
 * it moves the current candidate set towards the target progressively
   (``ramp_up_step`` / ``ramp_down_step`` nodes per check), because
   simultaneous starts would cause heat peaks and abrupt shut-downs would
@@ -26,11 +26,11 @@ The :class:`ProvisioningPlanner` is the piece that makes the scheduling
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.greenperf import IncrementalGreenPerfOrder
-from repro.core.rules import AdministratorRules, PlatformStatus, RuleDecision
 from repro.infrastructure.electricity import ElectricityCostSchedule
 from repro.infrastructure.node import Node, NodeState
 from repro.infrastructure.platform import Platform
@@ -40,6 +40,43 @@ from repro.middleware.sed import ServerDaemon
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.trace import ExecutionTrace
 from repro.util.validation import ensure_non_negative, ensure_positive
+
+#: Section IV-C's administrator thresholds: above
+#: :data:`~repro.infrastructure.thermal.TEMPERATURE_THRESHOLD` °C the
+#: overheating row keeps a fifth of all nodes, whatever the tariff; once
+#: the temperature is back in range the cost rows apply again (the
+#: paper's fifth behaviour).
+_OVERHEATING = ("overheating", 0.20)
+
+#: The cost rows, first match wins: a cost above the bound keeps that
+#: fraction of all nodes.  The last row takes every other cost, so the
+#: table covers the whole of ``[0, 1]``.
+_COST_THRESHOLDS = (
+    ("regular-tariff", 0.8, 0.40),
+    ("off-peak-1", 0.5, 0.70),
+    ("off-peak-2", -math.inf, 1.00),
+)
+
+
+def provisioning_target(temperature: float, cost: float, total_nodes: int) -> tuple[str, int]:
+    """The threshold row a status falls in: ``(label, candidate count)``.
+
+    The count is the floor of the row's fraction of ``total_nodes`` (20 %
+    of 12 nodes keeps 2, 70 % keeps 8: the counts of the paper's Figure 9
+    narrative), and at least one node of a non-empty platform.
+
+    >>> provisioning_target(30.0, 0.3, 12)
+    ('overheating', 2)
+    >>> provisioning_target(20.0, 0.8, 12)
+    ('off-peak-1', 8)
+    """
+    if temperature > TEMPERATURE_THRESHOLD:
+        label, fraction = _OVERHEATING
+    else:
+        for label, above, fraction in _COST_THRESHOLDS:
+            if cost > above:
+                break
+    return label, max(int(total_nodes * fraction), min(total_nodes, 1))
 
 
 @dataclass(frozen=True)
@@ -97,7 +134,6 @@ class ProvisioningPlanner:
         self,
         platform: Platform,
         master: MasterAgent,
-        rules: AdministratorRules,
         electricity: ElectricityCostSchedule,
         thermal: ThermalEnvironment,
         *,
@@ -108,7 +144,6 @@ class ProvisioningPlanner:
     ) -> None:
         self.platform = platform
         self.master = master
-        self.rules = rules
         self.electricity = electricity
         self.thermal = thermal
         self.seds = dict(seds) if seds is not None else {}
@@ -135,7 +170,9 @@ class ProvisioningPlanner:
     # -- initialisation ------------------------------------------------------------
     def _initialise_candidates(self) -> None:
         ranking = self._greenperf_order()
-        count = self.rules.evaluate(self.status_at(0.0)).candidate_count
+        _, count = provisioning_target(
+            self.thermal.temperature(0.0), self.electricity.cost_at(0.0), len(self.platform)
+        )
         self._candidates = frozenset(ranking[:count])
 
     def _greenperf_order(self) -> list[str]:
@@ -164,61 +201,37 @@ class ProvisioningPlanner:
         self.master.set_candidate_filter(self._candidates)
         self._installed = True
 
-    # -- status & decisions -----------------------------------------------------------
+    # -- status ----------------------------------------------------------------------
     @property
     def candidate_nodes(self) -> frozenset[str]:
         """Names of the nodes currently eligible for election."""
         return self._candidates
 
     @property
-    def candidate_count(self) -> int:
-        """Number of candidate nodes."""
-        return len(self._candidates)
-
-    @property
     def planning_entries(self) -> Sequence[PlanningEntry]:
         """The provisioning-planning samples accumulated so far (Fig. 8)."""
         return tuple(self._planning)
 
-    def status_at(self, time: float) -> PlatformStatus:
-        """The platform status visible to the scheduler at ``time``."""
-        return PlatformStatus(
-            time=time,
-            temperature=self.thermal.temperature(time),
-            electricity_cost=self.electricity.cost_at(time),
-            total_nodes=len(self.platform),
-        )
-
-    def _target_candidates(self, now: float) -> tuple[RuleDecision, PlatformStatus]:
-        """Rule decision combining the current status and the look-ahead.
-
-        An out-of-range temperature *now* always wins (unexpected events
-        cannot be anticipated); otherwise the planner provisions for the
-        cheaper of the current and upcoming electricity costs so that the
-        candidate pool is ready when a scheduled tariff drop takes effect
-        (Event 1 of Figure 9).
-        """
-        status_now = self.status_at(now)
-        decision_now = self.rules.evaluate(status_now)
-        if status_now.temperature > TEMPERATURE_THRESHOLD:
-            return decision_now, status_now
-        future_time = now + self.config.lookahead
-        status_future = PlatformStatus(
-            time=future_time,
-            temperature=status_now.temperature,
-            electricity_cost=self.electricity.cost_at(future_time),
-            total_nodes=status_now.total_nodes,
-        )
-        decision_future = self.rules.evaluate(status_future)
-        if decision_future.candidate_count > decision_now.candidate_count:
-            return decision_future, status_now
-        return decision_now, status_now
-
     # -- the periodic check -------------------------------------------------------------
     def check(self, now: float) -> PlanningEntry:
-        """Perform one status check, move the candidate set one ramp step, log it."""
-        decision, status = self._target_candidates(now)
-        target = decision.candidate_count
+        """Perform one status check, move the candidate set one ramp step, log it.
+
+        The target is the larger of the counts for the current status and
+        for the cost scheduled ``lookahead`` seconds ahead at the current
+        temperature, so that the candidate pool is ready when a scheduled
+        tariff drop takes effect (Event 1 of Figure 9).  A temperature out
+        of range now puts both lookups in the overheating row: unexpected
+        events cannot be anticipated.
+        """
+        temperature = self.thermal.temperature(now)
+        cost = self.electricity.cost_at(now)
+        total = len(self.platform)
+        rule, target = provisioning_target(temperature, cost, total)
+        ahead = provisioning_target(
+            temperature, self.electricity.cost_at(now + self.config.lookahead), total
+        )
+        if ahead[1] > target:
+            rule, target = ahead
         current = len(self._candidates)
 
         if target > current:
@@ -233,20 +246,20 @@ class ProvisioningPlanner:
 
         entry = PlanningEntry(
             timestamp=now,
-            temperature=status.temperature,
+            temperature=temperature,
             candidates=len(self._candidates),
-            electricity_cost=status.electricity_cost,
+            electricity_cost=cost,
         )
         self._planning.append(entry)
         if self.trace is not None:
             self.trace.record(
                 now,
                 ExecutionTrace.STATUS_CHECK,
-                temperature=status.temperature,
-                electricity_cost=status.electricity_cost,
-                rule=decision.rule.label,
+                temperature=entry.temperature,
+                electricity_cost=entry.electricity_cost,
+                rule=rule,
                 target=target,
-                candidates=len(self._candidates),
+                candidates=entry.candidates,
             )
         return entry
 

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.provisioning import ProvisioningPlanner
-from repro.core.rules import AdministratorRules
 from repro.lab.components import (
     LabError,
     PlatformSource,
@@ -309,7 +308,6 @@ class LabSession:
             planner = ProvisioningPlanner(
                 platform,
                 simulation.master,
-                AdministratorRules.paper_defaults(),
                 electricity,
                 thermal,
                 seds=simulation.seds,

@@ -18,9 +18,10 @@ import hashlib
 import itertools
 import json
 import operator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 #: Bump when the meaning of a spec field changes — including edits to the
 #: preset tables a spec refers to by *name* (platform/workload presets in

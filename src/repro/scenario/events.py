@@ -18,7 +18,8 @@ event vocabulary, every event an :class:`EnergyEvent`:
 
 Events are plain data.  The scheduled/unexpected split is what the
 :class:`~repro.core.provisioning.ProvisioningPlanner` look-ahead and the
-:class:`~repro.core.rules.AdministratorRules` react to.
+administrator thresholds (:func:`~repro.core.provisioning.provisioning_target`)
+react to.
 
 An :class:`EventTimeline` is an ordered, validated tuple of events with a
 deterministic content hash; it is constructible in code, from a TOML/JSON

@@ -3,10 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.candidate_selection import (
-    candidate_count_for_fraction,
-    select_candidate_servers,
-)
+from repro.core.candidate_selection import select_candidate_servers
 from repro.core.greenperf import GreenPerfRanking, RankedServer
 from tests.conftest import make_vector
 
@@ -107,34 +104,3 @@ class TestSelectCandidateServers:
             f"s{i}" for i in range(len(selected))
         ]
 
-
-class TestCandidateCountForFraction:
-    def test_paper_rule_counts_for_twelve_nodes(self):
-        """The counts quoted in Section IV-C for the 12-node platform."""
-        assert candidate_count_for_fraction(12, 0.20) == 2
-        assert candidate_count_for_fraction(12, 0.40) == 4
-        assert candidate_count_for_fraction(12, 0.70) == 8
-        assert candidate_count_for_fraction(12, 1.00) == 12
-
-    def test_positive_fraction_yields_at_least_one(self):
-        assert candidate_count_for_fraction(10, 0.01) == 1
-
-    def test_zero_fraction_yields_zero(self):
-        assert candidate_count_for_fraction(10, 0.0) == 0
-
-    def test_zero_nodes(self):
-        assert candidate_count_for_fraction(0, 0.5) == 0
-
-    def test_negative_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            candidate_count_for_fraction(-1, 0.5)
-
-    @given(
-        total=st.integers(min_value=0, max_value=10_000),
-        fraction=st.floats(min_value=0, max_value=1),
-    )
-    def test_count_bounded_property(self, total, fraction):
-        count = candidate_count_for_fraction(total, fraction)
-        assert 0 <= count <= total
-        if fraction > 0 and total > 0:
-            assert count >= 1

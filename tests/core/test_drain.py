@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.policies import GreenPerfPolicy
 from repro.core.provisioning import ProvisioningConfig, ProvisioningPlanner
-from repro.core.rules import AdministratorRules
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import grid5000_placement_platform
 from repro.infrastructure.thermal import ThermalEnvironment
@@ -66,7 +65,6 @@ class Twin:
         self.planner = ProvisioningPlanner(
             platform,
             master,
-            AdministratorRules.paper_defaults(),
             self.tariff,
             ThermalEnvironment(),
             seds=seds,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.policies import GreenPerfPolicy
 from repro.core.provisioning import ProvisioningConfig, ProvisioningPlanner
-from repro.core.rules import AdministratorRules, PlatformStatus, ThresholdRule
 from repro.infrastructure.electricity import ElectricityCostSchedule, TariffPeriod
 from repro.infrastructure.node import NodeState
 from repro.infrastructure.platform import grid5000_placement_platform
@@ -23,10 +22,6 @@ from repro.simulation.trace import ExecutionTrace
 from tests.conftest import last_of_kind, of_kind
 
 
-#: A rule set that keeps no candidate node at all.
-NO_CANDIDATES = AdministratorRules([ThresholdRule("none", lambda status: True, 0.0)])
-
-
 def make_planner(
     *,
     cost_periods=(),
@@ -36,7 +31,6 @@ def make_planner(
     nodes_per_cluster=4,
     with_engine=False,
     trace=None,
-    rules=None,
 ):
     platform = grid5000_placement_platform(nodes_per_cluster=nodes_per_cluster)
     master, seds = build_hierarchy(platform, scheduler=GreenPerfPolicy())
@@ -50,7 +44,6 @@ def make_planner(
     planner = ProvisioningPlanner(
         platform,
         master,
-        rules or AdministratorRules.paper_defaults(),
         electricity,
         thermal,
         seds=seds,
@@ -65,7 +58,7 @@ class TestInitialisation:
     def test_initial_candidates_follow_rules(self):
         planner, *_ = make_planner()
         # cost 1.0 -> 40 % of 12 nodes -> 4 candidates.
-        assert planner.candidate_count == 4
+        assert len(planner.candidate_nodes) == 4
 
     def test_initial_candidates_prefer_taurus(self):
         planner, *_ = make_planner()
@@ -91,8 +84,9 @@ class TestCandidateFilter:
         assert scheduled[0]["node"] in planner.candidate_nodes
 
     def test_filter_falls_back_when_no_candidate_can_serve(self):
-        planner, platform, master, seds = make_planner(rules=NO_CANDIDATES)
+        planner, platform, master, seds = make_planner()
         planner.install()
+        master.set_candidate_filter(frozenset())
         simulation = MiddlewareSimulation(platform, master, seds)
         simulation.inject_task(Task(flop=2.3e9))
         result = simulation.run()
@@ -138,21 +132,21 @@ class TestChecksAndRamping:
             trace=trace,
         )
         planner.check(0.0)
-        assert planner.candidate_count == 12
+        assert len(planner.candidate_nodes) == 12
         entry = planner.check(1000.0)
         # Overheating rule: target 2, ramped down by at most 4 per check.
         assert last_of_kind(trace, ExecutionTrace.STATUS_CHECK)["target"] == 2
         assert entry.candidates == 8
         planner.check(1600.0)
         planner.check(2200.0)
-        assert planner.candidate_count == 2
+        assert len(planner.candidate_nodes) == 2
 
     def test_ramp_steps_respect_configuration(self):
         config = ProvisioningConfig(ramp_up_step=5, ramp_down_step=10, manage_power=False)
         planner, *_ = make_planner(initial_cost=0.5, config=config)
         # Initial pool: the rules are evaluated at time 0 with cost 0.5, so
         # the initial pool is 12.
-        start = planner.candidate_count
+        start = len(planner.candidate_nodes)
         assert start == 12
         planner.thermal.schedule_event(ThermalEvent(time=10.0, temperature=40.0))
         entry = planner.check(10.0)
@@ -191,33 +185,26 @@ class TestChecksAndRamping:
         assert len(of_kind(trace, ExecutionTrace.STATUS_CHECK)) == 1
 
 
-class TestOneOverheatingThreshold:
-    """The overheating rule and the planner's temperature override share one threshold."""
+class TestHeatAgainstTheLookAhead:
+    """Heat now keeps the planner from provisioning ahead for a cheap tariff."""
 
     @pytest.mark.parametrize(
-        "temperature, overheating",
+        "temperature, rule, target",
         [
-            (TEMPERATURE_THRESHOLD, False),
-            (math.nextafter(TEMPERATURE_THRESHOLD, math.inf), True),
+            (TEMPERATURE_THRESHOLD, "off-peak-2", 12),
+            (math.nextafter(TEMPERATURE_THRESHOLD, math.inf), "overheating", 2),
         ],
     )
-    def test_the_rule_and_the_override_agree(self, temperature, overheating):
-        decision = AdministratorRules.paper_defaults().evaluate(
-            PlatformStatus(time=0.0, temperature=temperature, electricity_cost=1.0, total_nodes=12)
-        )
-        assert (decision.rule.label == "overheating") is overheating
-        # With the tariff rules alone only the override reacts to heat: it
-        # keeps the planner from provisioning ahead for a cheap tariff.
+    def test_overheating_wins_over_a_cheap_tariff_ahead(self, temperature, rule, target):
         trace = ExecutionTrace()
         planner, *_ = make_planner(
             cost_periods=[TariffPeriod(start=600.0, cost=0.5)],
             thermal_events=[ThermalEvent(time=0.0, temperature=temperature)],
-            rules=AdministratorRules(AdministratorRules.paper_defaults().rules[1:]),
             trace=trace,
         )
         planner.check(0.0)
-        target = last_of_kind(trace, ExecutionTrace.STATUS_CHECK)["target"]
-        assert target == (4 if overheating else 12)
+        record = last_of_kind(trace, ExecutionTrace.STATUS_CHECK)
+        assert (record["rule"], record["target"]) == (rule, target)
 
 
 class TestPowerManagement:
@@ -225,7 +212,7 @@ class TestPowerManagement:
         config = ProvisioningConfig(manage_power=True)
         planner, platform, *_ = make_planner(config=config)
         turned_off = planner.drain_deprovisioned_nodes(0.0)
-        assert turned_off == len(platform) - planner.candidate_count
+        assert turned_off == len(platform) - len(planner.candidate_nodes)
         off_nodes = [n for n in platform.nodes if n.state is NodeState.OFF]
         assert len(off_nodes) == turned_off
 

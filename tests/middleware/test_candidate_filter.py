@@ -16,7 +16,7 @@ from repro.core.policies import policy_by_name
 from repro.middleware.agents import LocalAgent, MasterAgent
 from repro.middleware.requests import ServiceRequest
 from repro.simulation.task import Task
-from tests.core.test_provisioning import NO_CANDIDATES, make_planner
+from tests.core.test_provisioning import make_planner
 from tests.conftest import ranking
 from tests.core.test_ranking_incremental import _apply, _make_seds
 
@@ -48,9 +48,9 @@ class TestPlannerFilterContract:
         assert master.submit(request).elected == allowed[0]
 
     def test_fallback_elects_the_head_of_the_full_ranking(self):
-        planner, _, master, _ = make_planner(rules=NO_CANDIDATES)
+        planner, _, master, _ = make_planner()
         planner.install()
-        assert master.candidate_filter == frozenset()
+        master.set_candidate_filter(frozenset())
         request = ServiceRequest.from_task(Task(flop=2.3e9))
         assert master.submit(request).elected == master.collect_candidates(request)[0].server
 

@@ -17,10 +17,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: Modules neither ``import repro.cli`` nor the daemon's set-up may load:
-#: the numeric stack, the distribution metadata and the batch machinery.
+#: the numeric stack, the distribution metadata, Algorithm 1 and the batch
+#: machinery.
 NOT_ON_THE_SERVE_PATH = (
     "numpy",
     "importlib.metadata",
+    "repro.core.candidate_selection",
     "repro.experiments.adaptive",
     "repro.experiments.greenperf_eval",
     "repro.runner.executor",

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.policies import GreenSchedulerPolicy, policy_by_name
 from repro.core.provisioning import ProvisioningConfig, ProvisioningPlanner
-from repro.core.rules import AdministratorRules
 from repro.infrastructure.electricity import ElectricityCostSchedule
 from repro.infrastructure.platform import grid5000_placement_platform
 from repro.infrastructure.thermal import ThermalEnvironment
@@ -134,7 +133,6 @@ class TestProvisioningIntegration:
         planner = ProvisioningPlanner(
             platform,
             master,
-            AdministratorRules.paper_defaults(),
             ElectricityCostSchedule(),
             ThermalEnvironment(),
             seds=seds,
